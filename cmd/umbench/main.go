@@ -5,7 +5,7 @@
 //
 //	umbench [-quick] [-seed N] [-parallel N] [-shard-workers N]
 //	        [-figures 1,2,3,...] [-json FILE]
-//	        [-cache DIR] [-cache-verify] [-cache-clear]
+//	        [-cache DIR] [-cache-verify] [-cache-clear] [-cpuprofile FILE]
 //
 // Figure names: 1 2 3 4 5 6 7 8 9 e2e 15 18 19 20 68 power lb graph scale
 // control whatif.
@@ -23,6 +23,9 @@
 // changed. -cache-verify recomputes every cached cell anyway and exits
 // nonzero if any recomputation fails to reproduce the cached bytes.
 // -cache-clear empties the store before running.
+//
+// -cpuprofile FILE writes a pprof CPU profile of the whole run, e.g.
+// `go tool pprof -top umbench FILE`.
 package main
 
 import (
@@ -36,11 +39,19 @@ import (
 	"time"
 
 	"umanycore"
+	"umanycore/internal/cpuprof"
 	"umanycore/internal/sweep"
 	"umanycore/internal/sweepcache"
 	"umanycore/internal/telemetry"
 	"umanycore/internal/textplot"
 )
+
+// exit stops the CPU profile, so a run that fails after profiling began
+// still leaves a complete one, and ends the process with code.
+func exit(code int) {
+	cpuprof.Stop()
+	os.Exit(code)
+}
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity settings (faster, noisier)")
@@ -57,6 +68,7 @@ func main() {
 	cacheDir := flag.String("cache", "", "content-addressed sweep-cell cache directory (created if missing); re-runs skip cells already simulated with identical inputs")
 	cacheVerify := flag.Bool("cache-verify", false, "recompute cached cells and fail if any recomputation does not reproduce the cached bytes (requires -cache)")
 	cacheClear := flag.Bool("cache-clear", false, "empty the cache before running (requires -cache)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
 	flag.Parse()
 
 	if *shardWorkers < -1 {
@@ -68,37 +80,47 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := cpuprof.Start(*cpuProfile); err != nil {
+		fmt.Fprintln(os.Stderr, "umbench:", err)
+		os.Exit(2)
+	}
+	defer func() {
+		if err := cpuprof.Stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "umbench:", err)
+		}
+	}()
+
 	var cache *sweepcache.Cache
 	if *cacheDir != "" {
 		var err error
 		cache, err = sweepcache.Open(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(2)
+			exit(2)
 		}
 		if *cacheClear {
 			if err := cache.Clear(); err != nil {
 				fmt.Fprintln(os.Stderr, "umbench:", err)
-				os.Exit(2)
+				exit(2)
 			}
 		}
 		cache.SetVerify(*cacheVerify)
 		sweep.SetCache(cache)
 	} else if *cacheVerify || *cacheClear {
 		fmt.Fprintln(os.Stderr, "umbench: -cache-verify and -cache-clear require -cache DIR")
-		os.Exit(2)
+		exit(2)
 	}
 
 	if *serve != "" {
 		addr, err := telemetry.ParseServeAddr(*serve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(2)
+			exit(2)
 		}
 		srv, err := telemetry.Serve(addr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(2)
+			exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "umbench: serving /metrics /healthz /progress /debug/pprof on %s\n", srv.Addr)
 	}
@@ -129,7 +151,7 @@ func main() {
 			}
 			if !found {
 				fmt.Fprintf(os.Stderr, "umbench: unknown figure %q (want a comma-separated subset of %v)\n", name, known)
-				os.Exit(2)
+				exit(2)
 			}
 			want[name] = true
 		}
@@ -188,14 +210,14 @@ func main() {
 			for _, l := range lines {
 				fmt.Fprintln(os.Stderr, "umbench: verify mismatch:", l)
 			}
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
 	if *baseline != "" {
 		if err := diffBaseline(*baseline, capturedRows, *baselineThreshold, *baselineWarn); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -347,7 +369,7 @@ func endToEnd(o umanycore.ExperimentOptions) {
 	if jsonOut != "" {
 		if err := writeRowsJSON(jsonOut, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -464,7 +486,7 @@ func fleetLB(o umanycore.ExperimentOptions) {
 	if jsonOut != "" {
 		if err := writeRowsJSON(jsonOut, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -484,7 +506,7 @@ func fleetGraph(o umanycore.ExperimentOptions) {
 	if jsonOut != "" {
 		if err := writeRowsJSON(jsonOut, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -508,7 +530,7 @@ func fleetScale(o umanycore.ExperimentOptions) {
 	if jsonOut != "" {
 		if err := writeRowsJSON(jsonOut, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -539,7 +561,7 @@ func fleetControl(o umanycore.ExperimentOptions) {
 	if jsonOut != "" {
 		if err := writeRowsJSON(jsonOut, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -558,7 +580,7 @@ func whatIfFig(o umanycore.ExperimentOptions) {
 	if jsonOut != "" {
 		if err := writeRowsJSON(jsonOut, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }

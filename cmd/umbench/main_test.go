@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -240,5 +241,22 @@ func TestGraphFigureRuns(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("graph figure output missing %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestCPUProfileWritten checks that -cpuprofile leaves a non-empty pprof
+// file behind once the run exits.
+func TestCPUProfileWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	_, stderr, code := runMain(t, "-figures", "power", "-cpuprofile", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatalf("%s is empty", path)
 	}
 }

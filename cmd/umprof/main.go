@@ -21,6 +21,7 @@
 //	umtrace -requests 2000 -csv > t.csv && umprof -trace t.csv -servers 4 -rps 40000
 //	umprof -whatif -app HomeT -rps 12000
 //	umprof -whatif -whatif-stages rpc-proc,storage -whatif-factors 0.5,0 -json
+//	umprof -servers 16 -lb p2c -rps 128000 -cpuprofile cpu.out
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"umanycore"
+	"umanycore/internal/cpuprof"
 	"umanycore/internal/fleet"
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
@@ -82,7 +84,17 @@ func main() {
 	scaleMin := flag.Int("scale-min", 0, "autoscale: start with N active servers and grow on windowed-p99 pressure (0 = whole fleet active; needs -servers and -scale-p99)")
 	scaleP99 := flag.Float64("scale-p99", 0, "autoscaler P99 target in microseconds (needs -scale-min)")
 	scaleLag := flag.Duration("scale-lag", 0, "cold-start lag before a scaled-up server becomes routable (needs -scale-min)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
 	flag.Parse()
+
+	if err := cpuprof.Start(*cpuProfile); err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := cpuprof.Stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "umprof:", err)
+		}
+	}()
 
 	if *top <= 0 || *top > 100 {
 		fatal(fmt.Errorf("-top %v is out of range: want a tail percentage in (0, 100]", *top))
@@ -768,7 +780,10 @@ func mixTag(mix bool) string {
 	return ""
 }
 
+// fatal reports err and exits 2, stopping the CPU profile first so a run
+// that fails after profiling began still leaves a complete profile.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "umprof:", err)
+	cpuprof.Stop()
 	os.Exit(2)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -347,5 +348,22 @@ func TestTraceReplayJSONShardWorkerInvariance(t *testing.T) {
 		if normalizeWall(got) != normalizeWall(ref) {
 			t.Fatalf("-shard-workers %s replay output diverged from -1 reference:\nref: %sgot: %s", w, ref, got)
 		}
+	}
+}
+
+// TestCPUProfileWritten checks that -cpuprofile leaves a non-empty pprof
+// file behind once the run exits.
+func TestCPUProfileWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	_, stderr, code := runMain(t, "-duration", "5ms", "-warmup", "1ms", "-json", "-cpuprofile", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatalf("%s is empty", path)
 	}
 }

@@ -1,6 +1,10 @@
 package icn
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"umanycore/internal/sim"
+)
 
 // FatTree is a binary fat-tree over n leaf endpoints (the ScaleOut
 // baseline's ICN). With 32 leaves it has 63 network hubs and a 10-hop
@@ -12,8 +16,8 @@ type FatTree struct {
 	leaves int
 	levels int
 	p      LinkParams
-	up     map[int]*Link // node -> link to parent
-	down   map[int]*Link // node -> link from parent
+	up     []*Link // node -> link to parent
+	down   []*Link // node -> link from parent
 	all    []*Link
 }
 
@@ -23,7 +27,7 @@ func NewFatTree(leaves int, p LinkParams) *FatTree {
 	if leaves < 2 || leaves&(leaves-1) != 0 {
 		panic("icn: fat-tree leaves must be a power of two >= 2")
 	}
-	f := &FatTree{leaves: leaves, p: p, up: make(map[int]*Link), down: make(map[int]*Link)}
+	f := &FatTree{leaves: leaves, p: p, up: make([]*Link, 2*leaves), down: make([]*Link, 2*leaves)}
 	for n := leaves; n > 1; n >>= 1 {
 		f.levels++
 	}
@@ -67,67 +71,57 @@ func (f *FatTree) Links() []*Link { return f.all }
 // MaxHops implements Topology.
 func (f *FatTree) MaxHops() int { return 2 * f.levels }
 
-// Path implements Topology: up to the LCA, then down.
-func (f *FatTree) Path(src, dst int, _ *rand.Rand) []*Link {
+// Path implements Topology: up to the lowest common ancestor, then down.
+// Leaves share one level, so the path climbs as many links from src as it
+// then descends to dst.
+func (f *FatTree) Path(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 	if src < 0 || dst < 0 || src >= f.leaves || dst >= f.leaves {
 		panic(pathError("fat-tree", src, dst, f.leaves))
 	}
-	if src == dst {
-		return nil
+	a, b := src+f.leaves, dst+f.leaves
+	hops := 0
+	for ; a != b; hops++ {
+		buf = append(buf, f.up[a])
+		a /= 2
+		b /= 2
 	}
-	a := src + f.leaves
-	b := dst + f.leaves
-	var upPath []*Link
-	var downPath []*Link
-	for a != b {
-		if a > b {
-			upPath = append(upPath, f.up[a])
-			a /= 2
-		} else {
-			downPath = append(downPath, f.down[b])
-			b /= 2
-		}
+	b = dst + f.leaves
+	for i := hops - 1; i >= 0; i-- {
+		buf = append(buf, f.down[b>>i])
 	}
-	// downPath was collected from destination upward; reverse it.
-	path := upPath
-	for i := len(downPath) - 1; i >= 0; i-- {
-		path = append(path, downPath[i])
-	}
-	return path
+	return buf
 }
 
 // NodeCount returns the total number of network hubs (2*leaves - 1),
 // reported to verify the paper's "63 NHs" configuration.
 func (f *FatTree) NodeCount() int { return 2*f.leaves - 1 }
 
-// PathToRoot returns the ascending links from a leaf to the root, where the
-// package's top-level NIC and memory controllers attach. Storage/external
-// traffic leaves the package this way.
-func (f *FatTree) PathToRoot(leaf int) []*Link {
+// DeliverToRoot walks the ascending links from a leaf to the root, where the
+// package's top-level NIC and memory controllers attach, starting at now like
+// Deliver; it returns the arrival time at the root and the hop count.
+// Storage/external traffic leaves the package this way.
+func (f *FatTree) DeliverToRoot(now sim.Time, leaf, sizeBytes int, contention bool) (sim.Time, int) {
 	if leaf < 0 || leaf >= f.leaves {
 		panic(pathError("fat-tree", leaf, 0, f.leaves))
 	}
-	var path []*Link
 	for n := leaf + f.leaves; n > 1; n /= 2 {
-		path = append(path, f.up[n])
+		now = f.up[n].Traverse(now, sizeBytes, contention)
 	}
-	return path
+	return now, f.levels
 }
 
-// PathFromRoot returns the descending links from the root to a leaf.
-func (f *FatTree) PathFromRoot(leaf int) []*Link {
+// DeliverFromRoot walks the descending links from the root to a leaf,
+// starting at now like Deliver; it returns the arrival time at the leaf and
+// the hop count.
+func (f *FatTree) DeliverFromRoot(now sim.Time, leaf, sizeBytes int, contention bool) (sim.Time, int) {
 	if leaf < 0 || leaf >= f.leaves {
 		panic(pathError("fat-tree", leaf, 0, f.leaves))
 	}
-	var rev []*Link
-	for n := leaf + f.leaves; n > 1; n /= 2 {
-		rev = append(rev, f.down[n])
+	n := leaf + f.leaves
+	for i := f.levels - 1; i >= 0; i-- {
+		now = f.down[n>>i].Traverse(now, sizeBytes, contention)
 	}
-	path := make([]*Link, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	return path
+	return now, f.levels
 }
 
 var _ Topology = (*FatTree)(nil)

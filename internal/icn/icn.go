@@ -74,10 +74,10 @@ type Topology interface {
 	// NumEndpoints is the number of addressable endpoints (leaf routers for
 	// trees, all routers for meshes).
 	NumEndpoints() int
-	// Path returns the ordered links from endpoint src to endpoint dst.
-	// src == dst yields an empty path. rng breaks ties among redundant
-	// equal-cost paths.
-	Path(src, dst int, rng *rand.Rand) []*Link
+	// Path appends the ordered links from endpoint src to endpoint dst to
+	// buf and returns the extended slice. src == dst appends nothing. rng
+	// breaks ties among redundant equal-cost paths.
+	Path(buf []*Link, src, dst int, rng *rand.Rand) []*Link
 	// Links exposes every link (for utilization reports and resets).
 	Links() []*Link
 	// MaxHops is the longest possible path length.
@@ -86,9 +86,10 @@ type Topology interface {
 
 // Deliver walks the path from src to dst starting at now and returns the
 // arrival time and hop count. It is the single entry point the machine
-// models use.
-func Deliver(t Topology, now sim.Time, src, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
-	path := t.Path(src, dst, rng)
+// models use. The path is built in buf's backing array, so a caller that
+// reuses a buffer of capacity MaxHops() routes without allocating.
+func Deliver(t Topology, buf []*Link, now sim.Time, src, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
+	path := t.Path(buf[:0], src, dst, rng)
 	at := now
 	for _, l := range path {
 		at = l.Traverse(at, sizeBytes, contention)

@@ -51,11 +51,11 @@ func TestMeshGeometryAndRouting(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	// Same node: empty path.
-	if len(m.Path(5, 5, rng)) != 0 {
+	if len(m.Path(nil, 5, 5, rng)) != 0 {
 		t.Fatal("self path not empty")
 	}
 	// (0,0) -> (3,2): 3 X hops + 2 Y hops.
-	p := m.Path(0, 11, rng)
+	p := m.Path(nil, 0, 11, rng)
 	if len(p) != 5 {
 		t.Fatalf("path len = %d", len(p))
 	}
@@ -77,7 +77,7 @@ func TestMeshGeometryAndRouting(t *testing.T) {
 func TestMeshReverseDirection(t *testing.T) {
 	m := NewMesh(3, 3, testParams())
 	rng := rand.New(rand.NewSource(1))
-	p := m.Path(8, 0, rng)
+	p := m.Path(nil, 8, 0, rng)
 	if len(p) != 4 {
 		t.Fatalf("path len = %d", len(p))
 	}
@@ -93,7 +93,7 @@ func TestMeshPanics(t *testing.T) {
 			t.Fatal("out-of-range did not panic")
 		}
 	}()
-	m.Path(0, 9, rand.New(rand.NewSource(1)))
+	m.Path(nil, 0, 9, rand.New(rand.NewSource(1)))
 }
 
 func TestCrossbar(t *testing.T) {
@@ -102,10 +102,10 @@ func TestCrossbar(t *testing.T) {
 		t.Fatal("geometry")
 	}
 	rng := rand.New(rand.NewSource(1))
-	if len(c.Path(1, 1, rng)) != 0 {
+	if len(c.Path(nil, 1, 1, rng)) != 0 {
 		t.Fatal("self path")
 	}
-	p := c.Path(1, 3, rng)
+	p := c.Path(nil, 1, 3, rng)
 	if len(p) != 1 || p[0].From != 1 || p[0].To != 3 {
 		t.Fatal("bad crossbar path")
 	}
@@ -128,20 +128,20 @@ func TestFatTreeRouting(t *testing.T) {
 	f := NewFatTree(8, testParams())
 	rng := rand.New(rand.NewSource(1))
 	// Siblings: 2 hops via shared parent.
-	if p := f.Path(0, 1, rng); len(p) != 2 {
+	if p := f.Path(nil, 0, 1, rng); len(p) != 2 {
 		t.Fatalf("sibling path = %d hops", len(p))
 	}
 	// Extremes: full ascent + descent.
-	if p := f.Path(0, 7, rng); len(p) != 6 {
+	if p := f.Path(nil, 0, 7, rng); len(p) != 6 {
 		t.Fatalf("0->7 path = %d hops", len(p))
 	}
-	if len(f.Path(3, 3, rng)) != 0 {
+	if len(f.Path(nil, 3, 3, rng)) != 0 {
 		t.Fatal("self path")
 	}
 	// Connectivity of every pair.
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
-			p := f.Path(s, d, rng)
+			p := f.Path(nil, s, d, rng)
 			if s == d {
 				continue
 			}
@@ -187,13 +187,13 @@ func TestLeafSpineRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Intra-pod (leaves 0 and 3 are both in pod 0): always 2 hops.
 	for i := 0; i < 20; i++ {
-		if p := ls.Path(0, 3, rng); len(p) != 2 {
+		if p := ls.Path(nil, 0, 3, rng); len(p) != 2 {
 			t.Fatalf("intra-pod path = %d hops", len(p))
 		}
 	}
 	// Inter-pod (leaf 0 pod 0 -> leaf 31 pod 3): always 4 hops.
 	for i := 0; i < 20; i++ {
-		p := ls.Path(0, 31, rng)
+		p := ls.Path(nil, 0, 31, rng)
 		if len(p) != 4 {
 			t.Fatalf("inter-pod path = %d hops", len(p))
 		}
@@ -206,7 +206,7 @@ func TestLeafSpineRouting(t *testing.T) {
 			t.Fatal("wrong endpoints")
 		}
 	}
-	if len(ls.Path(7, 7, rng)) != 0 {
+	if len(ls.Path(nil, 7, 7, rng)) != 0 {
 		t.Fatal("self path")
 	}
 }
@@ -218,7 +218,7 @@ func TestLeafSpineECMPSpreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	seen := map[*Link]bool{}
 	for i := 0; i < 100; i++ {
-		seen[ls.Path(0, 31, rng)[0]] = true
+		seen[ls.Path(nil, 0, 31, rng)[0]] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("ECMP did not spread across spines")
@@ -231,9 +231,9 @@ func TestLeafSpineLeastLoaded(t *testing.T) {
 	ls := NewLeafSpine(cfg, testParams())
 	rng := rand.New(rand.NewSource(3))
 	// Saturate one spine link; least-loaded must avoid it.
-	busy := ls.Path(0, 3, rng)[0]
+	busy := ls.Path(nil, 0, 3, rng)[0]
 	busy.Traverse(0, 1<<20, true) // huge message
-	p := ls.Path(0, 3, rng)
+	p := ls.Path(nil, 0, 3, rng)
 	if p[0] == busy {
 		t.Fatal("least-loaded picked the saturated spine")
 	}
@@ -242,12 +242,12 @@ func TestLeafSpineLeastLoaded(t *testing.T) {
 func TestDeliverAccumulatesHops(t *testing.T) {
 	ls := NewLeafSpine(PaperLeafSpine(), testParams())
 	rng := rand.New(rand.NewSource(4))
-	at, hops := Deliver(ls, 1000, 0, 31, 64, rng, false)
+	at, hops := Deliver(ls, nil, 1000, 0, 31, 64, rng, false)
 	want := sim.Time(1000) + 4*(64*31+2500)
 	if hops != 4 || at != want {
 		t.Fatalf("at=%d hops=%d, want %d/4", at, hops, want)
 	}
-	at2, hops2 := Deliver(ls, 1000, 5, 5, 64, rng, false)
+	at2, hops2 := Deliver(ls, nil, 1000, 5, 5, 64, rng, false)
 	if hops2 != 0 || at2 != 1000 {
 		t.Fatal("self delivery should be free")
 	}
@@ -274,9 +274,9 @@ func TestContentionAdvantageOfLeafSpine(t *testing.T) {
 	const size = 1024
 	var ftSum, lsSum float64
 	for i := 0; i < msgs; i++ {
-		at, _ := Deliver(ft, 0, 0, 31, size, rng, true)
+		at, _ := Deliver(ft, nil, 0, 0, 31, size, rng, true)
 		ftSum += float64(at)
-		at2, _ := Deliver(ls, 0, 0, 31, size, rng, true)
+		at2, _ := Deliver(ls, nil, 0, 0, 31, size, rng, true)
 		lsSum += float64(at2)
 	}
 	if lsSum >= ftSum {
@@ -287,7 +287,7 @@ func TestContentionAdvantageOfLeafSpine(t *testing.T) {
 func TestUtilizationReporting(t *testing.T) {
 	m := NewMesh(2, 2, testParams())
 	rng := rand.New(rand.NewSource(6))
-	Deliver(m, 0, 0, 3, 1024, rng, true)
+	Deliver(m, nil, 0, 0, 3, 1024, rng, true)
 	w := sim.Time(1_000_000)
 	if MeanUtilization(m, w) <= 0 {
 		t.Fatal("mean utilization should be positive")
@@ -315,7 +315,7 @@ func TestPathConnectivityProperty(t *testing.T) {
 		for _, topo := range topos {
 			n := topo.NumEndpoints()
 			s, d := int(si)%n, int(di)%n
-			p := topo.Path(s, d, rng)
+			p := topo.Path(nil, s, d, rng)
 			if s == d {
 				if len(p) != 0 {
 					return false
@@ -335,5 +335,24 @@ func TestPathConnectivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFatTreeDeliverRoot: leaves 0 and n-1 meet only at the root, so the
+// route between them is leaf 0's climb to the root followed by the descent
+// to leaf n-1 — the two I/O walks back to back.
+func TestFatTreeDeliverRoot(t *testing.T) {
+	a, b := NewFatTree(16, testParams()), NewFatTree(16, testParams())
+	want, hops := Deliver(a, nil, 100, 0, 15, 64, nil, true)
+	mid, up := b.DeliverToRoot(100, 0, 64, true)
+	got, down := b.DeliverFromRoot(mid, 15, 64, true)
+	if up != 4 || down != 4 || hops != 8 || got != want {
+		t.Fatalf("walks: %d+%d hops arriving %v, route: %d hops arriving %v", up, down, got, hops, want)
+	}
+	for i, l := range a.Links() {
+		if l.res.Acquisitions != b.Links()[i].res.Acquisitions {
+			t.Fatalf("link %d->%d used %d times by the route, %d by the walks",
+				l.From, l.To, l.res.Acquisitions, b.Links()[i].res.Acquisitions)
+		}
 	}
 }

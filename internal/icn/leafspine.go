@@ -145,19 +145,19 @@ func (ls *LeafSpine) pickL3(l2 int, rng *rand.Rand) int {
 
 // Path implements Topology: 2 hops intra-pod, 4 hops inter-pod, with the
 // spine at each level chosen by the ECMP policy.
-func (ls *LeafSpine) Path(src, dst int, rng *rand.Rand) []*Link {
+func (ls *LeafSpine) Path(buf []*Link, src, dst int, rng *rand.Rand) []*Link {
 	n := ls.NumEndpoints()
 	if src < 0 || dst < 0 || src >= n || dst >= n {
 		panic(pathError("leaf-spine", src, dst, n))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
 	srcPod := src / ls.leavesPer
 	dstPod := dst / ls.leavesPer
 	s := ls.pickL2(src, rng, nil)
 	if srcPod == dstPod {
-		return []*Link{ls.leafUp[src][s], ls.leafDown[dst][s]}
+		return append(buf, ls.leafUp[src][s], ls.leafDown[dst][s])
 	}
 	srcL2 := srcPod*ls.l2PerPod + s
 	t := ls.pickL3(srcL2, rng)
@@ -165,12 +165,12 @@ func (ls *LeafSpine) Path(src, dst int, rng *rand.Rand) []*Link {
 	// L3 connects to every L2, so any choice is equal-cost. Reuse s for
 	// determinism given the rng draws.
 	dstL2 := dstPod*ls.l2PerPod + s
-	return []*Link{
+	return append(buf,
 		ls.leafUp[src][s],
 		ls.l2Up[srcL2][t],
 		ls.l2Down[dstL2][t],
 		ls.leafDown[dst][s],
-	}
+	)
 }
 
 var _ Topology = (*LeafSpine)(nil)

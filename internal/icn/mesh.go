@@ -9,10 +9,12 @@ import (
 // Mesh is a W×H 2D mesh with XY dimension-order routing (the ServerClass
 // baseline's ICN). Every router is an endpoint.
 type Mesh struct {
-	w, h  int
-	p     LinkParams
-	links map[[2]int]*Link
-	all   []*Link
+	w, h int
+	p    LinkParams
+	// east, west, south and north hold, per router, the link to its
+	// neighbour at x+1, x-1, y+1 and y-1 (nil on the mesh's edge).
+	east, west, south, north []*Link
+	all                      []*Link
 }
 
 // NewMesh builds a W×H mesh.
@@ -20,22 +22,25 @@ func NewMesh(w, h int, p LinkParams) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic("icn: mesh dimensions must be positive")
 	}
-	m := &Mesh{w: w, h: h, p: p, links: make(map[[2]int]*Link)}
-	add := func(a, b int) {
+	n := w * h
+	m := &Mesh{w: w, h: h, p: p,
+		east: make([]*Link, n), west: make([]*Link, n),
+		south: make([]*Link, n), north: make([]*Link, n)}
+	add := func(a, b int) *Link {
 		l := newLink(a, b, p)
-		m.links[[2]int{a, b}] = l
 		m.all = append(m.all, l)
+		return l
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := y*w + x
 			if x+1 < w {
-				add(id, id+1)
-				add(id+1, id)
+				m.east[id] = add(id, id+1)
+				m.west[id+1] = add(id+1, id)
 			}
 			if y+1 < h {
-				add(id, id+w)
-				add(id+w, id)
+				m.south[id] = add(id, id+w)
+				m.north[id+w] = add(id+w, id)
 			}
 		}
 	}
@@ -56,32 +61,26 @@ func (m *Mesh) MaxHops() int { return (m.w - 1) + (m.h - 1) }
 
 // Path implements Topology with XY routing: move along X to the destination
 // column, then along Y.
-func (m *Mesh) Path(src, dst int, _ *rand.Rand) []*Link {
+func (m *Mesh) Path(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 	n := m.w * m.h
 	if src < 0 || dst < 0 || src >= n || dst >= n {
 		panic(pathError("mesh", src, dst, n))
 	}
-	var path []*Link
-	sx, sy := src%m.w, src/m.w
+	x, y := src%m.w, src/m.w
 	dx, dy := dst%m.w, dst/m.w
-	x, y := sx, sy
-	for x != dx {
-		nx := x + 1
-		if dx < x {
-			nx = x - 1
-		}
-		path = append(path, m.links[[2]int{y*m.w + x, y*m.w + nx}])
-		x = nx
+	for ; x < dx; x++ {
+		buf = append(buf, m.east[y*m.w+x])
 	}
-	for y != dy {
-		ny := y + 1
-		if dy < y {
-			ny = y - 1
-		}
-		path = append(path, m.links[[2]int{y*m.w + x, ny*m.w + x}])
-		y = ny
+	for ; x > dx; x-- {
+		buf = append(buf, m.west[y*m.w+x])
 	}
-	return path
+	for ; y < dy; y++ {
+		buf = append(buf, m.south[y*m.w+x])
+	}
+	for ; y > dy; y-- {
+		buf = append(buf, m.north[y*m.w+x])
+	}
+	return buf
 }
 
 var _ Topology = (*Mesh)(nil)
@@ -129,14 +128,14 @@ func (c *Crossbar) Links() []*Link { return c.all }
 func (c *Crossbar) MaxHops() int { return 1 }
 
 // Path implements Topology.
-func (c *Crossbar) Path(src, dst int, _ *rand.Rand) []*Link {
+func (c *Crossbar) Path(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 	if src < 0 || dst < 0 || src >= c.n || dst >= c.n {
 		panic(pathError("crossbar", src, dst, c.n))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []*Link{c.links[[2]int{src, dst}]}
+	return append(buf, c.links[[2]int{src, dst}])
 }
 
 var _ Topology = (*Crossbar)(nil)

@@ -23,6 +23,7 @@ type Machine struct {
 	catalog *workload.Catalog
 	mix     []workload.MixEntry // arrival mixture over root services
 	topo    icn.Topology
+	path    []*icn.Link // icn.Deliver's reused path buffer, capacity MaxHops
 
 	domains   []*domain
 	instances map[int][]*domain // serviceID -> hosting domains
@@ -86,21 +87,63 @@ type Machine struct {
 	// contract rests on. Nil (the default) keeps the engine streams, so a
 	// plain machine.Run is unchanged.
 	rng *sim.Streams
+	// streams caches each stream this machine has drawn from, resolved
+	// from rng or the engine on first use; SetRNG clears it. The engine
+	// re-seeds its streams in place on Reset, so a cached stream stays
+	// valid for the machine's lifetime.
+	streams [numStreams]*rand.Rand
 
 	invSeq uint64
 }
 
+// stream names one of the machine's independent random streams.
+type stream int
+
+// The machine's random streams. Each draws from the stream bundle or engine
+// stream named in streamNames.
+const (
+	streamRoute stream = iota
+	streamMix
+	streamService
+	streamCoherence
+	streamStorageLoss
+	streamStorage
+	streamICN
+	numStreams
+)
+
+var streamNames = [numStreams]string{
+	streamRoute:       "route",
+	streamMix:         "mix",
+	streamService:     "service",
+	streamCoherence:   "coherence",
+	streamStorageLoss: "storage-loss",
+	streamStorage:     "storage",
+	streamICN:         "icn",
+}
+
 // SetRNG scopes this machine's randomness to the given stream bundle
 // instead of its engine's streams. Call before submitting load.
-func (m *Machine) SetRNG(r *sim.Streams) { m.rng = r }
+func (m *Machine) SetRNG(r *sim.Streams) {
+	m.rng = r
+	m.streams = [numStreams]*rand.Rand{}
+}
 
-// rand returns the machine's named random stream: the scoped bundle when
-// one is set, the engine's stream otherwise.
-func (m *Machine) rand(name string) *rand.Rand {
-	if m.rng != nil {
-		return m.rng.Rand(name)
+// rand returns one of the machine's random streams: the scoped bundle's
+// when one is set, the engine's otherwise. Streams are resolved lazily, so
+// a machine never seeds a stream it does not draw from.
+func (m *Machine) rand(s stream) *rand.Rand {
+	if r := m.streams[s]; r != nil {
+		return r
 	}
-	return m.eng.Rand(name)
+	var r *rand.Rand
+	if m.rng != nil {
+		r = m.rng.Rand(streamNames[s])
+	} else {
+		r = m.eng.Rand(streamNames[s])
+	}
+	m.streams[s] = r
+	return r
 }
 
 // RemoteSender ships one cross-server child RPC into the fleet: svcID is
@@ -131,7 +174,40 @@ type domain struct {
 	sched  *sim.Resource
 	hwq    *rq.RQ
 	nicbuf *rq.NICBuffer
-	swq    []*invocation // software FIFO of ready invocations
+	// swq is the software FIFO of ready invocations, nil when the domain
+	// has a hardware RQ instead.
+	swq *fifo
+}
+
+// fifo is a queue of invocations over one backing array: popping advances a
+// head index, and pushing onto a full array first slides the live entries
+// back to its start, so a queue that keeps cycling stops allocating.
+type fifo struct {
+	q    []*invocation
+	head int
+}
+
+func (f *fifo) len() int { return len(f.q) - f.head }
+
+func (f *fifo) push(inv *invocation) {
+	if len(f.q) == cap(f.q) && f.head > 0 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q = f.q[:n]
+		f.head = 0
+	}
+	f.q = append(f.q, inv)
+}
+
+func (f *fifo) pop() *invocation {
+	inv := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.q = f.q[:0]
+		f.head = 0
+	}
+	return inv
 }
 
 type core struct {
@@ -144,22 +220,36 @@ type core struct {
 	// svcID is the core's assigned Service ID register (§4.1); -1 serves
 	// any service (the default when a village hosts one instance).
 	svcID int
+	// releaseFn is the event that frees this core after a state save, built
+	// on the core's first block and reused for every later one.
+	releaseFn sim.Event
 }
 
 // invocation is one service invocation in a request tree.
 type invocation struct {
-	id      uint64
-	svc     *workload.Service
-	opIdx   int
-	dom     *domain
-	parent  *invocation
-	pending int // outstanding children
+	id     uint64
+	svc    *workload.Service
+	dom    *domain
+	parent *invocation
+	// opIdx and pending share one word so that, with the event-closure
+	// fields below, the struct still fits the 144-byte size class.
+	opIdx   int32
+	pending int32 // outstanding children
 	entry   *rq.Entry
-	root    bool
 	start   sim.Time
 	// lastCore is the global core ID this invocation last ran on, -1 if
 	// never scheduled.
 	lastCore int
+	// core is the core currently running this invocation, set at dispatch.
+	core *core
+	// segmentEndFn, resolveChildFn and swqReadyFn are this invocation's
+	// segment-end, child-response and software-queue-admission events,
+	// built on first use and reused for every later one.
+	segmentEndFn   sim.Event
+	resolveChildFn sim.Event
+	swqReadyFn     sim.Event
+	// root marks an external request (the flags share one word).
+	root bool
 	// resumed marks that processor state was saved and must be restored.
 	resumed bool
 	// remote marks a child whose caller is on another server.
@@ -241,6 +331,7 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	case LeafSpineTopo:
 		m.topo = icn.NewLeafSpine(cfg.LeafSpineCfg, cfg.LinkParams)
 	}
+	m.path = make([]*icn.Link, 0, m.topo.MaxHops())
 	endpoints := m.topo.NumEndpoints()
 	coresPer := cfg.Cores / cfg.Domains
 	coreID := 0
@@ -258,6 +349,8 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		if cfg.Policy.HardwareRQ {
 			dom.hwq = rq.New(cfg.RQCapacity)
 			dom.nicbuf = rq.NewNICBuffer(cfg.NICBufCapacity)
+		} else {
+			dom.swq = &fifo{}
 		}
 		for i := 0; i < coresPer; i++ {
 			c := &core{dom: dom, id: coreID, svcID: -1}
@@ -475,7 +568,7 @@ func (m *Machine) pickInstance(svc int) *domain {
 		panic(fmt.Sprintf("machine: no instances for service %d", svc))
 	}
 	if m.cfg.Placement == RandomPlacement {
-		return doms[m.rand("route").Intn(len(doms))]
+		return doms[m.rand(streamRoute).Intn(len(doms))]
 	}
 	// Hardware round-robin dispatch via the ServiceMap (§4.2).
 	village, ok := m.svcmap.Dispatch(uint16(svc))
@@ -611,7 +704,7 @@ func (m *Machine) QueueDepth() int {
 		if dom.hwq != nil {
 			depth += dom.hwq.ReadyCount() + dom.nicbuf.Len()
 		} else {
-			depth += len(dom.swq)
+			depth += dom.swq.len()
 		}
 	}
 	return depth
@@ -626,7 +719,7 @@ func (m *Machine) pickRoot() int {
 	for _, e := range m.mix {
 		total += e.Weight
 	}
-	x := m.rand("mix").Float64() * total
+	x := m.rand(streamMix).Float64() * total
 	for _, e := range m.mix {
 		x -= e.Weight
 		if x < 0 {
@@ -668,19 +761,7 @@ func (m *Machine) enqueue(inv *invocation) {
 		m.kick(dom)
 		return
 	}
-	// Software queue: the enqueue critical section serializes on the
-	// domain's scheduler resource; the work becomes visible when it
-	// completes.
-	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*m.lockFactor(dom)), m.sp.sched)
-	grant := dom.sched.Acquire(m.eng.Now(), enqCost)
-	m.eng.At(grant, func() {
-		dom.swq = append(dom.swq, inv)
-		if m.mx != nil {
-			m.mx.admitSWQ.Inc()
-			m.observeQueueDepth(1)
-		}
-		m.kick(dom)
-	})
+	m.swqEnqueue(inv)
 }
 
 // reject drops a request that found both the RQ and the NIC buffer full
@@ -735,7 +816,7 @@ func (m *Machine) workFor(c *core) bool {
 		}
 		return false
 	}
-	return len(dom.swq) > 0
+	return dom.swq.len() > 0
 }
 
 // kick wakes idle cores while runnable work remains. Under work stealing,
@@ -779,7 +860,7 @@ func (m *Machine) hasWork(dom *domain) bool {
 	if dom.hwq != nil {
 		return dom.hwq.HasReady(-1)
 	}
-	return len(dom.swq) > 0
+	return dom.swq.len() > 0
 }
 
 // lockFactor scales software-lock critical sections with the number of
@@ -821,9 +902,8 @@ func (m *Machine) pop(c *core) (*invocation, sim.Time) {
 		}
 		return nil, now
 	}
-	if len(dom.swq) > 0 {
-		inv := dom.swq[0]
-		dom.swq = dom.swq[1:]
+	if dom.swq.len() > 0 {
+		inv := dom.swq.pop()
 		if m.mx != nil {
 			m.observeQueueDepth(-1)
 		}
@@ -835,14 +915,13 @@ func (m *Machine) pop(c *core) (*invocation, sim.Time) {
 		var victim *domain
 		best := 0
 		for _, d := range m.domains {
-			if d != dom && len(d.swq) > best {
-				best = len(d.swq)
+			if d != dom && d.swq.len() > best {
+				best = d.swq.len()
 				victim = d
 			}
 		}
 		if victim != nil {
-			inv := victim.swq[0]
-			victim.swq = victim.swq[1:]
+			inv := victim.swq.pop()
 			if m.mx != nil {
 				m.observeQueueDepth(-1)
 			}
@@ -911,6 +990,7 @@ func (m *Machine) dispatch(c *core) {
 	}
 	inv.resumed = false
 	inv.lastCore = c.id
+	inv.core = c
 
 	op := inv.svc.Ops[inv.opIdx]
 	if op.Kind != workload.OpCompute {
@@ -939,7 +1019,25 @@ func (m *Machine) dispatch(c *core) {
 	busy := end - popAt
 	m.coreBusy += busy
 	c.busyTime += busy
-	m.eng.At(end, func() { m.segmentEnd(c, inv) })
+	m.eng.At(end, m.segmentEndEvent(inv))
+}
+
+// segmentEndEvent returns the event that ends inv's running compute segment
+// on inv.core.
+func (m *Machine) segmentEndEvent(inv *invocation) sim.Event {
+	if inv.segmentEndFn == nil {
+		inv.segmentEndFn = func() { m.segmentEnd(inv.core, inv) }
+	}
+	return inv.segmentEndFn
+}
+
+// resolveChildEvent returns the event that delivers one child response to
+// the blocked inv.
+func (m *Machine) resolveChildEvent(inv *invocation) sim.Event {
+	if inv.resolveChildFn == nil {
+		inv.resolveChildFn = func() { m.resolveChild(inv) }
+	}
+	return inv.resolveChildFn
 }
 
 // computeDur samples one compute stage's duration: the service-time draw,
@@ -947,7 +1045,7 @@ func (m *Machine) dispatch(c *core) {
 // the hosting domain's performance factor. The demand branch keeps
 // unscaled runs bit-identical to the pre-replay code path.
 func (m *Machine) computeDur(inv *invocation, op workload.Op, c *core) sim.Time {
-	us := op.Time.Sample(m.rand("service"))
+	us := op.Time.Sample(m.rand(streamService))
 	if inv.demand > 0 {
 		us *= inv.demand
 	}
@@ -957,17 +1055,17 @@ func (m *Machine) computeDur(inv *invocation, op workload.Op, c *core) sim.Time 
 // injectCoherenceTraffic models directory/remote-cache messages under global
 // coherence: two 64B messages to the home directory's cluster.
 func (m *Machine) injectCoherenceTraffic(dom *domain) {
-	rng := m.rand("coherence")
+	rng := m.rand(streamCoherence)
 	dst := rng.Intn(m.topo.NumEndpoints())
-	icn.Deliver(m.topo, m.eng.Now(), dom.endpoint, dst, 64, rng, m.cfg.ICNContention)
-	icn.Deliver(m.topo, m.eng.Now(), dst, dom.endpoint, 64, rng, m.cfg.ICNContention)
+	icn.Deliver(m.topo, m.path, m.eng.Now(), dom.endpoint, dst, 64, rng, m.cfg.ICNContention)
+	icn.Deliver(m.topo, m.path, m.eng.Now(), dst, dom.endpoint, 64, rng, m.cfg.ICNContention)
 }
 
 // segmentEnd advances past the finished compute op and performs the next
 // blocking op (or completes the invocation).
 func (m *Machine) segmentEnd(c *core, inv *invocation) {
 	inv.opIdx++
-	if inv.opIdx >= len(inv.svc.Ops) {
+	if int(inv.opIdx) >= len(inv.svc.Ops) {
 		m.complete(c, inv)
 		return
 	}
@@ -982,7 +1080,7 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 		}
 		m.coreBusy += dur
 		c.busyTime += dur
-		m.eng.After(dur, func() { m.segmentEnd(c, inv) })
+		m.eng.After(dur, m.segmentEndEvent(inv))
 	case workload.OpStorage:
 		inv.opIdx++
 		saved := m.block(c, inv, 1)
@@ -993,13 +1091,13 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 			// retransmission, and congestion control; its delivery time
 			// already includes the base RTT.
 			nic := m.storageNIC[inv.dom.endpoint]
-			rng := m.rand("storage-loss")
+			rng := m.rand(streamStorageLoss)
 			before := nic.Retransmit
 			delivered := nic.Send(saved, m.cfg.StorageReqBytes, rng.Float64)
 			retries = uint32(nic.Retransmit - before)
-			lat = delivered - saved + sim.FromMicros(op.Time.Sample(m.rand("storage")))
+			lat = delivered - saved + sim.FromMicros(op.Time.Sample(m.rand(streamStorage)))
 		} else {
-			lat = m.cfg.StorageRTT + sim.FromMicros(op.Time.Sample(m.rand("storage")))
+			lat = m.cfg.StorageRTT + sim.FromMicros(op.Time.Sample(m.rand(streamStorage)))
 		}
 		lat = shrink(0, lat, m.sp.storage)
 		if m.cfg.IOViaICN {
@@ -1021,13 +1119,13 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 					m.trace.Add(inv.span, obs.StageNet, out+lat, back)
 				}
 			}
-			m.eng.At(back, func() { m.resolveChild(inv) })
+			m.eng.At(back, m.resolveChildEvent(inv))
 		} else {
 			if inv.span != 0 {
 				sid := m.trace.Add(inv.span, obs.StageStorage, saved, saved+lat)
 				m.trace.AddRetries(sid, retries)
 			}
-			m.eng.At(saved+lat, func() { m.resolveChild(inv) })
+			m.eng.At(saved+lat, m.resolveChildEvent(inv))
 		}
 	case workload.OpCall:
 		inv.opIdx++
@@ -1053,7 +1151,7 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 // race an unsaved context. With a centralized scheduler the save occupies
 // the dispatcher (§4.4); otherwise it runs on the core.
 func (m *Machine) block(c *core, inv *invocation, n int) sim.Time {
-	inv.pending = n
+	inv.pending = int32(n)
 	inv.resumed = true
 	now := m.eng.Now()
 	cs := m.scaledCycles(m.cfg.Policy.CSCycles, m.sp.cs)
@@ -1071,7 +1169,10 @@ func (m *Machine) block(c *core, inv *invocation, n int) sim.Time {
 	}
 	m.coreBusy += saved - now
 	c.busyTime += saved - now
-	m.eng.At(saved, func() { m.release(c) })
+	if c.releaseFn == nil {
+		c.releaseFn = func() { m.release(c) }
+	}
+	m.eng.At(saved, c.releaseFn)
 	return saved
 }
 
@@ -1086,7 +1187,7 @@ func (m *Machine) release(c *core) {
 // traversal, then enqueue at the callee instance's domain. The message
 // departs no earlier than the parent's state save completed.
 func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Time) {
-	rng := m.rand("icn")
+	rng := m.rand(streamICN)
 	if m.local != nil {
 		// Placed machine: routing is the placement map, not a lottery — a
 		// call to a service not hosted here always ships to a hosting peer.
@@ -1113,7 +1214,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 	dep := saved + m.scaledCycles(m.cfg.SendProcCycles, m.sp.rpc)
 	src := m.srcEndpoint(c)
 	dst := m.dstEndpoint(child.dom, rng)
-	at, hops := icn.Deliver(m.topo, dep, src, dst, m.cfg.ReqMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := icn.Deliver(m.topo, m.path, dep, src, dst, m.cfg.ReqMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1181,7 +1282,7 @@ func (m *Machine) sendChildRemote(c *core, parent *invocation, svcID int, saved 
 			}
 			m.trace.End(span, at)
 		}
-		m.eng.At(at, func() { m.resolveChild(parent) })
+		m.eng.At(at, m.resolveChildEvent(parent))
 	})
 	if span != 0 {
 		m.trace.SetLink(span, link)
@@ -1198,28 +1299,18 @@ func (m *Machine) ioEndpoint() int { return 0 }
 // endpoint to the package I/O attach point.
 func (m *Machine) ioDeliverOut(dep sim.Time, from, size int) (sim.Time, int) {
 	if ft, ok := m.topo.(*icn.FatTree); ok {
-		path := ft.PathToRoot(from)
-		at := dep
-		for _, l := range path {
-			at = l.Traverse(at, size, m.cfg.ICNContention)
-		}
-		return at, len(path)
+		return ft.DeliverToRoot(dep, from, size, m.cfg.ICNContention)
 	}
-	return icn.Deliver(m.topo, dep, from, m.ioEndpoint(), size, m.rand("icn"), m.cfg.ICNContention)
+	return icn.Deliver(m.topo, m.path, dep, from, m.ioEndpoint(), size, m.rand(streamICN), m.cfg.ICNContention)
 }
 
 // ioDeliverIn routes an inbound message from the package I/O attach point
 // to a domain endpoint.
 func (m *Machine) ioDeliverIn(dep sim.Time, to, size int) (sim.Time, int) {
 	if ft, ok := m.topo.(*icn.FatTree); ok {
-		path := ft.PathFromRoot(to)
-		at := dep
-		for _, l := range path {
-			at = l.Traverse(at, size, m.cfg.ICNContention)
-		}
-		return at, len(path)
+		return ft.DeliverFromRoot(dep, to, size, m.cfg.ICNContention)
 	}
-	return icn.Deliver(m.topo, dep, m.ioEndpoint(), to, size, m.rand("icn"), m.cfg.ICNContention)
+	return icn.Deliver(m.topo, m.path, dep, m.ioEndpoint(), to, size, m.rand(streamICN), m.cfg.ICNContention)
 }
 
 // srcEndpoint maps a sending core to its topology endpoint.
@@ -1263,15 +1354,33 @@ func (m *Machine) unblock(inv *invocation) {
 		return
 	}
 	// Software: re-enqueued at the tail (arrival priority lost).
-	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*m.lockFactor(dom)), m.sp.sched)
-	grant := dom.sched.Acquire(m.eng.Now(), enqCost)
-	m.eng.At(grant, func() {
-		dom.swq = append(dom.swq, inv)
-		if m.mx != nil {
-			m.observeQueueDepth(1)
+	m.swqEnqueue(inv)
+}
+
+// swqEnqueue runs the software enqueue critical section, serialized on the
+// domain's scheduler resource; the invocation joins the queue when it
+// completes.
+func (m *Machine) swqEnqueue(inv *invocation) {
+	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*m.lockFactor(inv.dom)), m.sp.sched)
+	grant := inv.dom.sched.Acquire(m.eng.Now(), enqCost)
+	if inv.swqReadyFn == nil {
+		inv.swqReadyFn = func() { m.swqReady(inv) }
+	}
+	m.eng.At(grant, inv.swqReadyFn)
+}
+
+// swqReady appends inv to its domain's software queue and wakes a core. It
+// is an admission only before inv's first dispatch; later it is a
+// re-enqueue after unblocking.
+func (m *Machine) swqReady(inv *invocation) {
+	inv.dom.swq.push(inv)
+	if m.mx != nil {
+		if !inv.dispatched {
+			m.mx.admitSWQ.Inc()
 		}
-		m.kick(dom)
-	})
+		m.observeQueueDepth(1)
+	}
+	m.kick(inv.dom)
 }
 
 // complete finishes an invocation: the Complete instruction, the response
@@ -1292,7 +1401,7 @@ func (m *Machine) complete(c *core, inv *invocation) {
 // respond routes an invocation's result to its parent or, for roots, out of
 // the package, recording end-to-end latency.
 func (m *Machine) respond(inv *invocation) {
-	rng := m.rand("icn")
+	rng := m.rand(streamICN)
 	if inv.parent == nil {
 		now := m.eng.Now()
 		at := now + m.cfg.IngressLatency
@@ -1350,7 +1459,7 @@ func (m *Machine) respond(inv *invocation) {
 	parent := inv.parent
 	src := inv.dom.endpoint
 	dst := parent.dom.endpoint
-	at, hops := icn.Deliver(m.topo, m.eng.Now(), src, dst, m.cfg.RespMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := icn.Deliver(m.topo, m.path, m.eng.Now(), src, dst, m.cfg.RespMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1364,7 +1473,7 @@ func (m *Machine) respond(inv *invocation) {
 		}
 		m.trace.End(inv.span, at)
 	}
-	m.eng.At(at, func() { m.resolveChild(parent) })
+	m.eng.At(at, m.resolveChildEvent(parent))
 }
 
 // Utilization reports aggregate core busy time over the window.

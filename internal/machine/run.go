@@ -212,13 +212,15 @@ func Run(cfg Config, rc RunConfig) *Result {
 // process at rate rps, drawing from eng's "arrivals" stream. Run uses it
 // with rc.RPS on a per-server engine; the coupled fleet runner uses it with
 // the fleet's total RPS on the shared engine, so a one-server fleet draws
-// the exact same gap sequence as a plain Run.
+// the exact same gap sequence as a plain Run. The stream is resolved once
+// here: Engine.Reset re-seeds it in place, so the sampler stays valid.
 func ArrivalGap(eng *sim.Engine, rc RunConfig, rps float64) func() sim.Time {
+	r := eng.Rand("arrivals")
 	switch rc.Arrivals {
 	case BurstyArrivals:
 		mmpp := workload.BurstyArrivals(rps)
 		return func() sim.Time {
-			return sim.FromSeconds(mmpp.NextGap(eng.Rand("arrivals")))
+			return sim.FromSeconds(mmpp.NextGap(r))
 		}
 	case TraceArrivals:
 		// Per-second rates drawn from the production-trace marginal
@@ -231,7 +233,6 @@ func ArrivalGap(eng *sim.Engine, rc RunConfig, rps float64) func() sim.Time {
 		}
 		scale := rps / (sum / float64(len(loads)))
 		return func() sim.Time {
-			r := eng.Rand("arrivals")
 			sec := int(eng.Now() / sim.Second)
 			rate := float64(loads[sec%len(loads)]) * scale
 			if rate <= 0 {
@@ -241,7 +242,7 @@ func ArrivalGap(eng *sim.Engine, rc RunConfig, rps float64) func() sim.Time {
 		}
 	default:
 		return func() sim.Time {
-			return sim.FromSeconds(dist.Poisson{Rate: rps}.NextGap(eng.Rand("arrivals")))
+			return sim.FromSeconds(dist.Poisson{Rate: rps}.NextGap(r))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEngineEventChurn measures the steady-state cost of the kernel's
 // schedule/cancel/fire cycle. The allocation count is the headline: with the
@@ -40,5 +43,40 @@ func BenchmarkEngineNestedTimers(b *testing.B) {
 		}
 		e.After(1, tick)
 		e.Run()
+	}
+}
+
+// BenchmarkEngineSteadyDepth measures the kernel at the depth a real run
+// keeps it: about 160 events pending (the single-server SocialNetwork run's
+// sim.heap.peak), each fired event scheduling its successor at a
+// pseudo-random delay. One op is one event fired and replaced, so ns/op and
+// allocs/op are per event.
+func BenchmarkEngineSteadyDepth(b *testing.B) {
+	const depth = 160
+	e := NewEngine(1)
+	var delays [1024]Time
+	rng := rand.New(rand.NewSource(1))
+	for i := range delays {
+		delays[i] = Time(1 + rng.Intn(10000))
+	}
+	n, stopAt := 0, 0
+	var fn Event
+	fn = func() {
+		n++
+		e.After(delays[n%len(delays)], fn)
+		if n == stopAt {
+			e.Stop()
+		}
+	}
+	for i := 0; i < depth; i++ {
+		e.After(delays[i], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	stopAt = n + b.N
+	e.Run()
+	b.StopTimer()
+	if e.Pending() != depth {
+		b.Fatalf("pending %d, want %d", e.Pending(), depth)
 	}
 }

@@ -1,16 +1,16 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // that underpins every architectural model in this repository.
 //
-// The kernel is intentionally small: a virtual clock, a binary heap of
-// timestamped events, and named pseudo-random streams. Determinism is a hard
-// requirement — two runs with the same seed must produce bit-identical
-// results — so ties between events at the same timestamp are broken by a
-// monotonically increasing sequence number, and all randomness is drawn from
-// streams derived from the engine seed plus a stream name.
+// The kernel is intentionally small: a virtual clock, a 4-ary min-heap of
+// timestamped events over a slab of event callbacks, and named pseudo-random
+// streams. Determinism is a hard requirement — two runs with the same seed
+// must produce bit-identical results — so ties between events at the same
+// timestamp are broken by a monotonically increasing sequence number, and
+// all randomness is drawn from streams derived from the engine seed plus a
+// stream name.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -63,62 +63,53 @@ func (t Time) String() string {
 // Event is a callback scheduled to run at a point in virtual time.
 type Event func()
 
-type scheduled struct {
-	at    Time
-	seq   uint64
-	fn    Event
-	index int // heap index; -1 once popped or cancelled
-	// gen guards recycled nodes: a Handle is only live while its generation
+// entry is one pending event in the heap: its (at, seq) key and the slab
+// slot holding its callback. Entries hold no pointers, so sifting moves
+// plain words and the garbage collector never scans the heap array.
+type entry struct {
+	at  Time
+	seq uint64
+	id  int32
+}
+
+// before is the kernel's total event order: time, then scheduling sequence.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// node is a slab slot: the callback of one scheduled event and the
+// position of its heap entry.
+type node struct {
+	fn  Event
+	pos int32 // heap index; -1 while the slot is free
+	// gen guards recycled slots: a Handle is only live while its generation
 	// matches, so a stale Handle cannot cancel a later event that happens to
-	// reuse the same node from the free list.
+	// reuse the same slot from the free list.
 	gen uint32
 }
 
-// Handle identifies a scheduled event so it can be cancelled.
+// Handle identifies a scheduled event so it can be cancelled. The zero
+// Handle refers to no event.
 type Handle struct {
-	s   *scheduled
+	eng *Engine // the engine whose slab id indexes; nil for the zero Handle
+	id  int32
 	gen uint32
-}
-
-// Cancelled reports whether the event was cancelled or already fired.
-func (h Handle) live() bool { return h.s != nil && h.s.index >= 0 && h.s.gen == h.gen }
-
-type eventHeap []*scheduled
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	s := x.(*scheduled)
-	s.index = len(*h)
-	*h = append(*h, s)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	s.index = -1
-	*h = old[:n-1]
-	return s
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // create engines with NewEngine.
+//
+// Pending events live in a 4-ary min-heap of value entries ordered by
+// (at, seq); each entry names a slot in a slab of nodes that holds the
+// callback and the entry's current heap position (for Cancel). Freed slots
+// go on a free list and are reused, so a warm engine schedules without
+// allocating.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
-	free    []*scheduled // recycled event nodes (pop/cancel feed it)
+	heap    []entry
+	nodes   []node
+	free    []int32 // recycled slab slots (pop/cancel feed it)
 	seed    int64
 	streams map[string]*rand.Rand
 	fired   uint64
@@ -137,28 +128,29 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{seed: seed, streams: make(map[string]*rand.Rand)}
 }
 
-// NewEngineCap returns an engine with event-heap and free-list storage
+// NewEngineCap returns an engine with event-heap, slab and free-list storage
 // preallocated for roughly capHint concurrently pending events, avoiding
 // repeated growth in event-heavy runs.
 func NewEngineCap(seed int64, capHint int) *Engine {
 	e := NewEngine(seed)
 	if capHint > 0 {
-		e.events = make(eventHeap, 0, capHint)
-		e.free = make([]*scheduled, 0, capHint)
+		e.heap = make([]entry, 0, capHint)
+		e.nodes = make([]node, 0, capHint)
+		e.free = make([]int32, 0, capHint)
 	}
 	return e
 }
 
 // Reset rewinds the engine to a fresh state under a new seed while keeping
-// its allocated storage (event heap, free list, random streams). A reset
-// engine behaves exactly like NewEngine(seed): existing streams are re-seeded
-// in place, so replicate loops can reuse one engine with bit-identical
-// results.
+// its allocated storage (event heap, slab, free list, random streams). A
+// reset engine behaves exactly like NewEngine(seed): existing streams are
+// re-seeded in place, so replicate loops can reuse one engine with
+// bit-identical results.
 func (e *Engine) Reset(seed int64) {
-	for _, s := range e.events {
-		e.recycle(s)
+	for _, x := range e.heap {
+		e.recycle(x.id)
 	}
-	e.events = e.events[:0]
+	e.heap = e.heap[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -171,23 +163,87 @@ func (e *Engine) Reset(seed int64) {
 	}
 }
 
-// recycle returns a node to the free list, invalidating outstanding handles.
-func (e *Engine) recycle(s *scheduled) {
-	s.fn = nil
-	s.index = -1
-	s.gen++
-	e.free = append(e.free, s)
+// recycle returns a slot to the free list, invalidating outstanding handles.
+func (e *Engine) recycle(id int32) {
+	n := &e.nodes[id]
+	n.fn = nil
+	n.pos = -1
+	n.gen++
+	e.free = append(e.free, id)
 }
 
-// node produces a blank event node, reusing a recycled one when available.
-func (e *Engine) node() *scheduled {
+// alloc produces a blank slab slot, reusing a recycled one when available.
+func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free[n-1] = nil
+		id := e.free[n-1]
 		e.free = e.free[:n-1]
-		return s
+		return id
 	}
-	return &scheduled{}
+	e.nodes = append(e.nodes, node{pos: -1})
+	return int32(len(e.nodes) - 1)
+}
+
+// up moves x from heap index i toward the root to its place, filling the
+// hole it leaves behind.
+func (e *Engine) up(i int, x entry) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		e.nodes[h[i].id].pos = int32(i)
+		i = p
+	}
+	h[i] = x
+	e.nodes[x.id].pos = int32(i)
+}
+
+// down moves x from heap index i toward the leaves to its place.
+func (e *Engine) down(i int, x entry) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[best]) {
+				best = j
+			}
+		}
+		if !h[best].before(x) {
+			break
+		}
+		h[i] = h[best]
+		e.nodes[h[i].id].pos = int32(i)
+		i = best
+	}
+	h[i] = x
+	e.nodes[x.id].pos = int32(i)
+}
+
+// remove deletes the entry at heap index i, refilling the hole with the
+// last entry.
+func (e *Engine) remove(i int) {
+	last := len(e.heap) - 1
+	x := e.heap[last]
+	e.heap = e.heap[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && x.before(e.heap[(i-1)>>2]) {
+		e.up(i, x)
+	} else {
+		e.down(i, x)
+	}
 }
 
 // Now returns the current virtual time.
@@ -198,7 +254,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // MaxPending returns the event heap's high-water mark since the last Reset
 // (or engine creation) — a capacity-planning and obs-layer statistic.
@@ -214,14 +270,15 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	s := e.node()
-	s.at, s.seq, s.fn = t, e.seq, fn
+	id := e.alloc()
+	e.nodes[id].fn = fn
+	e.heap = append(e.heap, entry{})
+	e.up(len(e.heap)-1, entry{at: t, seq: e.seq, id: id})
 	e.seq++
-	heap.Push(&e.events, s)
-	if len(e.events) > e.maxPending {
-		e.maxPending = len(e.events)
+	if len(e.heap) > e.maxPending {
+		e.maxPending = len(e.heap)
 	}
-	return Handle{s: s, gen: s.gen}
+	return Handle{eng: e, id: id, gen: e.nodes[id].gen}
 }
 
 // After schedules fn to run d after the current time.
@@ -232,14 +289,26 @@ func (e *Engine) After(d Time, fn Event) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already fired
-// (or was already cancelled) is a no-op and returns false.
-func (e *Engine) Cancel(h Handle) bool {
-	if !h.live() {
+// live reports whether h still refers to a pending event of e: issued by e
+// (slot ids index only their own engine's slab, which never shrinks), its
+// generation current and its entry still in the heap.
+func (e *Engine) live(h Handle) bool {
+	if h.eng != e {
 		return false
 	}
-	heap.Remove(&e.events, h.s.index)
-	e.recycle(h.s)
+	n := &e.nodes[h.id]
+	return n.gen == h.gen && n.pos >= 0
+}
+
+// Cancel removes a scheduled event. Cancelling an event that already fired
+// (or was already cancelled), the zero Handle, or a Handle issued by another
+// engine is a no-op and returns false.
+func (e *Engine) Cancel(h Handle) bool {
+	if !e.live(h) {
+		return false
+	}
+	e.remove(int(e.nodes[h.id].pos))
+	e.recycle(h.id)
 	return true
 }
 
@@ -256,19 +325,19 @@ func (e *Engine) Run() {
 // remain pending.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
+	for len(e.heap) > 0 && !e.stopped {
+		next := e.heap[0]
 		if next.at > deadline {
 			break
 		}
-		heap.Pop(&e.events)
+		e.remove(0)
 		e.now = next.at
 		e.fired++
-		fn := next.fn
+		fn := e.nodes[next.id].fn
 		// Recycle before firing: fn frequently schedules a follow-up event
-		// (arrival loops, timer chains), which can then reuse this node
-		// immediately instead of allocating.
-		e.recycle(next)
+		// (arrival loops, timer chains), which can then reuse this slot
+		// immediately.
+		e.recycle(next.id)
 		fn()
 	}
 	if !e.stopped && e.now < deadline && deadline < Time(1<<62) {
@@ -281,10 +350,10 @@ func (e *Engine) RunUntil(deadline Time) {
 // simulation needs: a synchronization layer bounds the next barrier by the
 // earliest thing any engine could possibly do.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.heap[0].at, true
 }
 
 // Rand returns the named random stream, creating it deterministically from
