@@ -12,7 +12,7 @@ import (
 // is stable run to run; update the constant only when a deliberate change to
 // the fleet or machine model or to the simulator's allocation behaviour
 // moves it.
-const fleetObsOffBaselineAllocs = 31328
+const fleetObsOffBaselineAllocs = 15223
 
 // TestFleetObsOffZeroAllocDelta extends the machine-level zero-overhead pin
 // (internal/machine.TestObsOffZeroAllocDelta) to a sharded coupled fleet: with

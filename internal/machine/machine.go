@@ -94,6 +94,10 @@ type Machine struct {
 	streams [numStreams]*rand.Rand
 
 	invSeq uint64
+	// invFree holds finished invocations for reuse; invAllocs counts the
+	// invocations ever allocated (all on invFree once the machine drains).
+	invFree   []*invocation
+	invAllocs int
 }
 
 // stream names one of the machine's independent random streams.
@@ -225,32 +229,38 @@ type core struct {
 	releaseFn sim.Event
 }
 
-// invocation is one service invocation in a request tree.
+// invocation is one service invocation in a request tree. Invocations are
+// recycled through the machine's free list (newInv / freeInv): one object
+// serves many lives, and only its bound events survive from one life to the
+// next.
 type invocation struct {
-	id     uint64
-	svc    *workload.Service
-	dom    *domain
-	parent *invocation
-	// opIdx and pending share one word so that, with the event-closure
-	// fields below, the struct still fits the 144-byte size class.
+	id      uint64
+	svc     *workload.Service
+	dom     *domain
+	parent  *invocation
 	opIdx   int32
 	pending int32 // outstanding children
 	entry   *rq.Entry
-	start   sim.Time
+	// ctx is the invocation's Request Context Memory entry, handed to the
+	// hardware RQ (or the NIC buffer) on arrival.
+	ctx   rq.Context
+	start sim.Time
 	// lastCore is the global core ID this invocation last ran on, -1 if
 	// never scheduled.
 	lastCore int
 	// core is the core currently running this invocation, set at dispatch.
 	core *core
-	// segmentEndFn, resolveChildFn and swqReadyFn are this invocation's
-	// segment-end, child-response and software-queue-admission events,
-	// built on first use and reused for every later one.
+	// enqueueFn, segmentEndFn, resolveChildFn and swqReadyFn are this
+	// object's arrival, segment-end, child-response and
+	// software-queue-admission events. Each captures only the pooled
+	// pointer, so it is built once per object (enqueueFn on allocation, the
+	// rest on first use) and stays valid across lives.
+	enqueueFn      sim.Event
 	segmentEndFn   sim.Event
 	resolveChildFn sim.Event
 	swqReadyFn     sim.Event
-	// root marks an external request (the flags share one word).
-	root bool
-	// resumed marks that processor state was saved and must be restored.
+	// resumed marks that processor state was saved and must be restored
+	// (the flags share one word).
 	resumed bool
 	// remote marks a child whose caller is on another server.
 	remote bool
@@ -610,16 +620,12 @@ func (m *Machine) submitRoot(onResp func(done sim.Time, rejected bool)) {
 func (m *Machine) submitRootSvc(svcID int, demand float64, onResp func(done sim.Time, rejected bool)) {
 	m.Submitted++
 	now := m.eng.Now()
-	inv := &invocation{
-		id:       m.nextInv(),
-		svc:      m.catalog.Service(svcID),
-		root:     true,
-		start:    now,
-		lastCore: -1,
-		measured: now >= m.measureFrom,
-		demand:   demand,
-		onResp:   onResp,
-	}
+	inv := m.newInv()
+	inv.svc = m.catalog.Service(svcID)
+	inv.start = now
+	inv.measured = now >= m.measureFrom
+	inv.demand = demand
+	inv.onResp = onResp
 	dom := m.pickInstance(inv.svc.ID)
 	inv.dom = dom
 	// Top-level NIC → village. Conventional designs carry external traffic
@@ -635,7 +641,7 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, onResp func(done sim.
 			m.trace.Add(inv.span, obs.StageIngress, now, at)
 		}
 	}
-	m.eng.At(at, func() { m.enqueue(inv) })
+	m.eng.At(at, inv.enqueueFn)
 }
 
 // SetRemoteSender couples this machine to a fleet: child RPCs drawing the
@@ -656,14 +662,11 @@ func (m *Machine) SetRemoteSender(f RemoteSender) { m.remoteSend = f }
 func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, onDone func(done sim.Time)) {
 	m.RemoteServed++
 	now := m.eng.Now()
-	inv := &invocation{
-		id:       m.nextInv(),
-		svc:      m.catalog.Service(svcID),
-		start:    now,
-		lastCore: -1,
-		demand:   demand,
-		onDone:   onDone,
-	}
+	inv := m.newInv()
+	inv.svc = m.catalog.Service(svcID)
+	inv.start = now
+	inv.demand = demand
+	inv.onDone = onDone
 	dom := m.pickInstance(svcID)
 	inv.dom = dom
 	if m.trace != nil && link != 0 {
@@ -676,7 +679,7 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, onDone fu
 	if inv.span != 0 && at > now {
 		m.trace.Add(inv.span, obs.StageIngress, now, at)
 	}
-	m.eng.At(at, func() { m.enqueue(inv) })
+	m.eng.At(at, inv.enqueueFn)
 }
 
 // OutstandingRoots reports accepted root requests not yet completed or
@@ -729,9 +732,36 @@ func (m *Machine) pickRoot() int {
 	return m.mix[len(m.mix)-1].Root
 }
 
-func (m *Machine) nextInv() uint64 {
+// newInv starts an invocation's life with the next invocation ID, taking
+// the object from the free list or, when the list is empty, allocating one
+// and binding its arrival event.
+func (m *Machine) newInv() *invocation {
+	var inv *invocation
+	if n := len(m.invFree); n > 0 {
+		inv = m.invFree[n-1]
+		m.invFree = m.invFree[:n-1]
+	} else {
+		inv = &invocation{}
+		inv.enqueueFn = func() { m.enqueue(inv) }
+		m.invAllocs++
+	}
 	m.invSeq++
-	return m.invSeq
+	inv.id = m.invSeq
+	inv.lastCore = -1
+	return inv
+}
+
+// freeInv ends an invocation's life after complete or reject: it zeroes
+// every field but the bound events and puts the object on the free list.
+// Nothing may use inv (or its ctx) afterwards.
+func (m *Machine) freeInv(inv *invocation) {
+	*inv = invocation{
+		enqueueFn:      inv.enqueueFn,
+		segmentEndFn:   inv.segmentEndFn,
+		resolveChildFn: inv.resolveChildFn,
+		swqReadyFn:     inv.swqReadyFn,
+	}
+	m.invFree = append(m.invFree, inv)
 }
 
 // enqueue deposits a ready invocation in its domain's queue.
@@ -741,9 +771,10 @@ func (m *Machine) enqueue(inv *invocation) {
 		inv.enqAt = m.eng.Now()
 	}
 	if dom.hwq != nil {
-		e := dom.hwq.Enqueue(inv.svc.ID, &rq.Context{RequestID: inv.id, UserData: inv})
+		inv.ctx = rq.Context{RequestID: inv.id, UserData: inv}
+		e := dom.hwq.Enqueue(inv.svc.ID, &inv.ctx)
 		if e == nil {
-			if !dom.nicbuf.Offer(inv.svc.ID, &rq.Context{RequestID: inv.id, UserData: inv}) {
+			if !dom.nicbuf.Offer(inv.svc.ID, &inv.ctx) {
 				m.reject(inv)
 				return
 			}
@@ -765,7 +796,8 @@ func (m *Machine) enqueue(inv *invocation) {
 }
 
 // reject drops a request that found both the RQ and the NIC buffer full
-// (§4.3). A rejected child still answers its parent so the tree terminates.
+// (§4.3), ending inv's life. A rejected child still answers its parent so
+// the tree terminates.
 func (m *Machine) reject(inv *invocation) {
 	m.Rejected++
 	if m.mx != nil {
@@ -793,6 +825,7 @@ func (m *Machine) reject(inv *invocation) {
 			inv.onResp(m.eng.Now()+m.cfg.IngressLatency, true)
 		}
 	}
+	m.freeInv(inv)
 }
 
 // perfOf returns the effective compute-speed divisor of a domain.
@@ -1199,13 +1232,10 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 		m.sendChildRemote(c, parent, svcID, saved)
 		return
 	}
-	child := &invocation{
-		id:       m.nextInv(),
-		svc:      m.catalog.Service(svcID),
-		parent:   parent,
-		lastCore: -1,
-		demand:   parent.demand,
-	}
+	child := m.newInv()
+	child.svc = m.catalog.Service(svcID)
+	child.parent = parent
+	child.demand = parent.demand
 	if m.cfg.TreeAffinity {
 		child.dom = parent.dom
 	} else {
@@ -1231,7 +1261,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 			m.trace.Add(child.span, obs.StageNet, dep, at)
 		}
 	}
-	m.eng.At(at, func() { m.enqueue(child) })
+	m.eng.At(at, child.enqueueFn)
 }
 
 // sendChildRemote ships a child RPC to a peer server through the fleet
@@ -1384,7 +1414,7 @@ func (m *Machine) swqReady(inv *invocation) {
 }
 
 // complete finishes an invocation: the Complete instruction, the response
-// message, and statistics.
+// message, and statistics. It ends inv's life.
 func (m *Machine) complete(c *core, inv *invocation) {
 	m.Invocations++
 	if inv.entry != nil {
@@ -1395,6 +1425,7 @@ func (m *Machine) complete(c *core, inv *invocation) {
 		}
 	}
 	m.respond(inv)
+	m.freeInv(inv)
 	m.release(c)
 }
 

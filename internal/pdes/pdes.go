@@ -33,9 +33,10 @@
 package pdes
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,19 +157,46 @@ type message struct {
 	fn  func()
 }
 
-// byCanonicalOrder sorts messages by (at, src, seq) — the deterministic
+// canonicalOrder compares messages by (at, src, seq) — the deterministic
 // total order barrier delivery uses regardless of arrival order.
-func byCanonicalOrder(ms []message) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.at != b.at {
-			return a.at < b.at
+func canonicalOrder(a, b message) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// deliverDue schedules every message in *inbox with at <= limit onto eng in
+// canonical order and keeps the rest in *inbox, returning how many it
+// delivered and the earliest kept timestamp (maxTime when none is kept).
+// *due is the caller's scratch buffer, reused across barriers; neither it
+// nor the inbox keeps a delivered message's fn alive afterwards.
+func deliverDue(eng *sim.Engine, inbox, due *[]message, limit sim.Time) (n uint64, min sim.Time) {
+	d := (*due)[:0]
+	kept := (*inbox)[:0]
+	min = maxTime
+	for _, m := range *inbox {
+		if m.at <= limit {
+			d = append(d, m)
+		} else {
+			kept = append(kept, m)
+			if m.at < min {
+				min = m.at
+			}
 		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	}
+	clear((*inbox)[len(kept):])
+	*inbox = kept
+	slices.SortFunc(d, canonicalOrder)
+	for _, m := range d {
+		eng.At(m.at, m.fn)
+	}
+	clear(d)
+	*due = d[:0]
+	return uint64(len(d)), min
 }
 
 // shard is one partition of the simulation: an engine, an inbox of
@@ -181,6 +209,8 @@ type shard struct {
 	// O(1) per shard.
 	inbox    []message
 	inboxMin sim.Time
+	// due is deliver's reusable buffer of messages being delivered.
+	due []message
 	// out collects messages sent during the current window. Only the worker
 	// running this shard touches it; the coordinator routes and clears it
 	// between windows.
@@ -208,25 +238,9 @@ func (s *shard) nextActivity() sim.Time {
 // canonical (at, src, seq) order and retains the rest, returning how many
 // it delivered.
 func (s *shard) deliver(limit sim.Time) uint64 {
-	var due []message
-	kept := s.inbox[:0]
-	min := maxTime
-	for _, m := range s.inbox {
-		if m.at <= limit {
-			due = append(due, m)
-		} else {
-			kept = append(kept, m)
-			if m.at < min {
-				min = m.at
-			}
-		}
-	}
-	s.inbox, s.inboxMin = kept, min
-	byCanonicalOrder(due)
-	for _, m := range due {
-		s.eng.At(m.at, m.fn)
-	}
-	return uint64(len(due))
+	n, min := deliverDue(s.eng, &s.inbox, &s.due, limit)
+	s.inboxMin = min
+	return n
 }
 
 // Fabric couples shards that each own a distinct engine and advances them
@@ -465,6 +479,7 @@ type SingleEngine struct {
 	seqs      []uint64
 	inbox     []message
 	inboxMin  sim.Time
+	due       []message // deliver's reusable buffer
 	rounds    uint64
 	// Self-observability mirrors of Fabric's scalar aggregates — the same
 	// windows, deliveries, and event counts by construction, so Stats()
@@ -549,23 +564,7 @@ func (se *SingleEngine) Run(horizon sim.Time, post func(barrier sim.Time)) {
 // sort keeps each destination's subsequence in (at, src, seq) order, which
 // is all the per-engine semantics require.
 func (se *SingleEngine) deliver(limit sim.Time) uint64 {
-	var due []message
-	kept := se.inbox[:0]
-	min := maxTime
-	for _, m := range se.inbox {
-		if m.at <= limit {
-			due = append(due, m)
-		} else {
-			kept = append(kept, m)
-			if m.at < min {
-				min = m.at
-			}
-		}
-	}
-	se.inbox, se.inboxMin = kept, min
-	byCanonicalOrder(due)
-	for _, m := range due {
-		se.eng.At(m.at, m.fn)
-	}
-	return uint64(len(due))
+	n, min := deliverDue(se.eng, &se.inbox, &se.due, limit)
+	se.inboxMin = min
+	return n
 }

@@ -93,6 +93,46 @@ func sameOrder(a, b []message) bool {
 
 // --- causality and construction guards --------------------------------------
 
+// TestDeliverAllocationFree: barrier delivery reuses its buffers, so once
+// warm, delivering a barrier's out-of-order messages allocates nothing, and
+// no delivered fn stays reachable from the shard's inbox or scratch buffer.
+func TestDeliverAllocationFree(t *testing.T) {
+	s := &shard{eng: sim.NewEngine(0), inboxMin: maxTime}
+	var fired []int
+	var fns [3]func()
+	for i := range fns {
+		fns[i] = func() { fired = append(fired, i) }
+	}
+	var base sim.Time
+	round := func() {
+		base += 10
+		s.inbox = append(s.inbox,
+			message{at: base + 2, src: 0, seq: 1, fn: fns[0]},
+			message{at: base + 1, src: 1, seq: 0, fn: fns[1]},
+			message{at: base + 1, src: 0, seq: 0, fn: fns[2]},
+		)
+		if n := s.deliver(base + 5); n != 3 {
+			t.Fatalf("delivered %d of 3", n)
+		}
+		s.eng.RunUntil(base + 5)
+	}
+	round()
+	if want := []int{2, 1, 0}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("delivery order %v, want %v", fired, want)
+	}
+	fired = make([]int, 0, 1024)
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("barrier delivery allocates %v/op", allocs)
+	}
+	for _, buf := range [][]message{s.inbox[:cap(s.inbox)], s.due[:cap(s.due)]} {
+		for _, m := range buf {
+			if m.fn != nil {
+				t.Fatal("a delivered message's fn is still referenced")
+			}
+		}
+	}
+}
+
 func TestSendBelowLookaheadPanics(t *testing.T) {
 	f := NewFabric(100, 1)
 	f.AddShard(sim.NewEngine(1))

@@ -74,9 +74,13 @@ type RQ struct {
 	head     int // index of oldest live entry
 	count    int // live entries (not yet reclaimed)
 	nextSeq  uint64
+	// free holds reclaimed entries for Enqueue to reuse, so a queue
+	// allocates only up to its peak live count.
+	free []*Entry
 
 	// Optional RQ_Map partitioning (§4.3 "more advanced design"): when set,
-	// each service has a private entry budget.
+	// each service has a private entry budget, and perSvc counts each
+	// service's unfinished entries. Both are nil without a partition.
 	partition map[int]int
 	perSvc    map[int]int
 
@@ -95,7 +99,6 @@ func New(capacity int) *RQ {
 	return &RQ{
 		capacity: capacity,
 		ring:     make([]*Entry, capacity),
-		perSvc:   make(map[int]int),
 	}
 }
 
@@ -109,10 +112,11 @@ func (q *RQ) Len() int { return q.count }
 func (q *RQ) Free() int { return q.capacity - q.count }
 
 // SetPartition enables RQ_Map mode: serviceID -> max entries. Services not
-// listed share the remaining space. Pass nil to disable.
+// listed share the remaining space; the entries already queued count
+// against their services' budgets. Pass nil to disable.
 func (q *RQ) SetPartition(p map[int]int) {
 	if p == nil {
-		q.partition = nil
+		q.partition, q.perSvc = nil, nil
 		return
 	}
 	cp := make(map[int]int, len(p))
@@ -125,6 +129,12 @@ func (q *RQ) SetPartition(p map[int]int) {
 		panic(fmt.Sprintf("rq: partition total %d exceeds capacity %d", total, q.capacity))
 	}
 	q.partition = cp
+	q.perSvc = make(map[int]int)
+	for i := 0; i < q.count; i++ {
+		if e := q.at(i); e.Status != Finished {
+			q.perSvc[e.ServiceID]++
+		}
+	}
 }
 
 // Enqueue appends a ready entry for serviceID with the given context,
@@ -141,12 +151,20 @@ func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 			return nil
 		}
 	}
-	e := &Entry{Status: Ready, ServiceID: serviceID, Ctx: ctx, seq: q.nextSeq}
+	var e *Entry
+	if n := len(q.free); n > 0 {
+		e = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		e = new(Entry)
+	}
+	*e = Entry{Status: Ready, ServiceID: serviceID, Ctx: ctx, seq: q.nextSeq}
 	q.nextSeq++
-	pos := (q.head + q.count) % q.capacity
-	q.ring[pos] = e
+	q.ring[(q.head+q.count)%q.capacity] = e
 	q.count++
-	q.perSvc[serviceID]++
+	if q.partition != nil {
+		q.perSvc[serviceID]++
+	}
 	q.Enqueued++
 	return e
 }
@@ -209,17 +227,22 @@ func (q *RQ) Unblock(e *Entry) {
 	e.Status = Ready
 }
 
-// Complete implements the Complete instruction: mark the entry finished and,
-// if it is at the head, advance the head past finished entries, reclaiming
-// their slots.
+// Complete implements the Complete instruction: mark the entry finished,
+// dropping its context, and, if it is at the head, advance the head past
+// finished entries, reclaiming their slots. A reclaimed entry is reused by a
+// later Enqueue, so the caller must not keep it after Complete.
 func (q *RQ) Complete(e *Entry) {
 	if e.Status != Running {
 		panic(fmt.Sprintf("rq: Complete on %v entry", e.Status))
 	}
 	e.Status = Finished
+	e.Ctx = nil
 	q.Completed++
-	q.perSvc[e.ServiceID]--
+	if q.partition != nil {
+		q.perSvc[e.ServiceID]--
+	}
 	for q.count > 0 && q.at(0).Status == Finished {
+		q.free = append(q.free, q.ring[q.head])
 		q.ring[q.head] = nil
 		q.head = (q.head + 1) % q.capacity
 		q.count--
@@ -242,6 +265,8 @@ func (q *RQ) ReadyCount() int {
 type NICBuffer struct {
 	capacity int
 	fifo     []pendingReq
+	// moved is Drain's result buffer, reused by every call.
+	moved []*Entry
 	// Rejected counts drops.
 	Rejected uint64
 }
@@ -275,9 +300,10 @@ func (b *NICBuffer) Offer(serviceID int, ctx *Context) bool {
 }
 
 // Drain moves as many staged requests as fit into the RQ, in FIFO order,
-// returning the entries created.
+// returning the entries created. The returned slice is valid until the next
+// Drain.
 func (b *NICBuffer) Drain(q *RQ) []*Entry {
-	var moved []*Entry
+	moved := b.moved[:0]
 	for len(b.fifo) > 0 {
 		p := b.fifo[0]
 		e := q.Enqueue(p.serviceID, p.ctx)
@@ -288,7 +314,9 @@ func (b *NICBuffer) Drain(q *RQ) []*Entry {
 			break
 		}
 		moved = append(moved, e)
+		b.fifo[0] = pendingReq{}
 		b.fifo = b.fifo[1:]
 	}
+	b.moved = moved
 	return moved
 }

@@ -284,3 +284,55 @@ func TestRQInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A cycling queue reuses the entries head-reclaim frees: once it has held
+// its peak live count, enqueue/dequeue/complete allocate nothing, and a
+// finished entry drops its context.
+func TestEntryReuse(t *testing.T) {
+	q := New(4)
+	ctx := &Context{RequestID: 1}
+	cycle := func() {
+		a := q.Enqueue(1, ctx)
+		b := q.Enqueue(2, ctx)
+		q.Complete(q.Dequeue(-1, 0))
+		q.Complete(q.Dequeue(-1, 0))
+		if a.Status != Finished || b.Ctx != nil {
+			t.Fatalf("finished entries: %+v %+v", a, b)
+		}
+	}
+	cycle()
+	// AllocsPerRun makes one warm-up call beyond its 100 measured ones.
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady cycle allocates %v/op", allocs)
+	}
+	if q.Len() != 0 || q.Enqueued != 204 || q.Completed != 204 {
+		t.Fatalf("Len %d Enqueued %d Completed %d", q.Len(), q.Enqueued, q.Completed)
+	}
+}
+
+// Turning partitioning on counts the entries already queued against their
+// services' budgets, finished-but-unreclaimed ones excepted.
+func TestSetPartitionRecountsLiveEntries(t *testing.T) {
+	q := New(8)
+	head := q.Enqueue(1, &Context{})
+	mid := q.Enqueue(1, &Context{})
+	q.Enqueue(1, &Context{})
+	q.Dequeue(1, 0) // head runs, blocking reclaim
+	q.Dequeue(1, 0)
+	q.Complete(mid) // finished behind the head
+	q.SetPartition(map[int]int{1: 3})
+	if q.Enqueue(1, &Context{}) == nil {
+		t.Fatal("finished entry counted against the budget")
+	}
+	if q.Enqueue(1, &Context{}) != nil {
+		t.Fatal("entries queued before SetPartition not counted")
+	}
+	q.Complete(head)
+	if q.Enqueue(1, &Context{}) == nil {
+		t.Fatal("completion did not release budget")
+	}
+	q.SetPartition(nil)
+	if q.perSvc != nil {
+		t.Fatal("per-service counts kept without a partition")
+	}
+}

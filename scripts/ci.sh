@@ -36,9 +36,12 @@ fi
 # the repo's determinism/race contracts; race-check them on every run,
 # quick included. The fleet package includes the cross-server trace-stitching
 # tests (TestFleetStitchedTracing, TestStitchedObsShardWorkerDeterminism),
-# which exercise obs.Merge against the concurrent worker pool.
-echo "== go test -race (obs + sweep + sweepcache + telemetry + pdes + fleet + control + whatif) =="
-go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcache/... ./internal/telemetry/... ./internal/pdes/... ./internal/fleet/... ./internal/control/... ./internal/whatif/... ./internal/svcgraph/...
+# which exercise obs.Merge against the concurrent worker pool. Machines keep
+# invocation and RQ-entry free lists that outlive single requests, and sweep
+# workers run machines concurrently, so machine and rq are race-checked too:
+# a free list shared by mistake must fail here.
+echo "== go test -race (obs + sweep + sweepcache + telemetry + pdes + fleet + control + whatif + svcgraph + machine + rq) =="
+go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcache/... ./internal/telemetry/... ./internal/pdes/... ./internal/fleet/... ./internal/control/... ./internal/whatif/... ./internal/svcgraph/... ./internal/machine/... ./internal/rq/...
 
 # Cache gate: a cold run must fill the cache, a warm run must reuse it, a
 # verify run must recompute without a single byte of drift — and all three
