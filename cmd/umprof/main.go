@@ -157,12 +157,12 @@ func main() {
 			fatal(err)
 		}
 	}
+	fcli := fleetCLI{servers: *servers, lb: *lb, skew: *skew, shardWorkers: *shardWorkers}
 	if *whatIf {
 		runWhatIf(cfg, app, whatIfCLI{
 			stages: *whatIfStages, factors: *whatIfFactors,
 			mix: *mix, rps: *rps, duration: *duration, warmup: *warmup,
-			seed: *seed, servers: *servers, lb: *lb, skew: *skew,
-			shardWorkers: *shardWorkers, top: *top, json: *jsonOut,
+			seed: *seed, fleetCLI: fcli, top: *top, json: *jsonOut,
 		})
 		return
 	}
@@ -204,21 +204,7 @@ func main() {
 	var fres *fleet.Result
 	var tc *traceCounts
 	if *servers > 0 {
-		fc := umanycore.DefaultFleet(cfg)
-		fc.Servers = *servers
-		fc.LB = *lb
-		fc.ShardWorkers = *shardWorkers
-		if _, err := fleet.ParseLB(*lb); err != nil {
-			fatal(err)
-		}
-		if *skew != "" {
-			slow, err := parseSkew(*skew)
-			if err != nil {
-				fatal(err)
-			}
-			fc.Slowdown = slow
-		}
-		fc.Control = ctl
+		fc := buildFleet(cfg, fcli, ctl, app, rc)
 		fres = umanycore.RunFleet(fc, app, *rps, rc, *seed)
 		orun, trun, latency = fres.Obs, fres.Telemetry, fres.Latency
 		label = fmt.Sprintf("%s x%d servers (%s)", fres.Machine, *servers, fres.Balancer)
@@ -369,16 +355,42 @@ type traceCounts struct {
 	unfinished                     int64
 }
 
+// fleetCLI carries the -servers flag subset out of main.
+type fleetCLI struct {
+	servers      int
+	lb, skew     string
+	shardWorkers int
+}
+
+// buildFleet assembles the -servers fleet around cfg and checks that it can
+// run app under rc, exiting 2 with the cause before any simulation starts.
+func buildFleet(cfg umanycore.Config, cli fleetCLI, ctl *umanycore.ControlConfig, app *umanycore.App, rc umanycore.RunConfig) umanycore.FleetConfig {
+	fc := umanycore.DefaultFleet(cfg)
+	fc.Servers = cli.servers
+	fc.LB = cli.lb
+	fc.ShardWorkers = cli.shardWorkers
+	if cli.skew != "" {
+		slow, err := parseSkew(cli.skew)
+		if err != nil {
+			fatal(err)
+		}
+		fc.Slowdown = slow
+	}
+	fc.Control = ctl
+	if err := fc.Validate(app, rc); err != nil {
+		fatal(err)
+	}
+	return fc
+}
+
 // whatIfCLI carries the -whatif flag subset out of main.
 type whatIfCLI struct {
+	fleetCLI
 	stages, factors  string
 	mix              bool
 	rps              float64
 	duration, warmup time.Duration
 	seed             int64
-	servers          int
-	lb, skew         string
-	shardWorkers     int
 	top              float64
 	json             bool
 }
@@ -409,20 +421,7 @@ func runWhatIf(cfg umanycore.Config, app *umanycore.App, cli whatIfCLI) {
 		tg.RC.Mix = umanycore.SocialNetworkMix()
 	}
 	if cli.servers > 0 {
-		fc := umanycore.DefaultFleet(cfg)
-		fc.Servers = cli.servers
-		fc.LB = cli.lb
-		fc.ShardWorkers = cli.shardWorkers
-		if _, err := fleet.ParseLB(cli.lb); err != nil {
-			fatal(err)
-		}
-		if cli.skew != "" {
-			slow, err := parseSkew(cli.skew)
-			if err != nil {
-				fatal(err)
-			}
-			fc.Slowdown = slow
-		}
+		fc := buildFleet(cfg, cli.fleetCLI, nil, app, tg.RC)
 		tg.Fleet = &fc
 	} else {
 		tg.Machine = cfg

@@ -18,9 +18,9 @@ import (
 // everything the cell reads — the machine (or fleet) config and the exact
 // RunConfig including the app catalog, mix, derived seed and measurement
 // windows — under a driver tag that names the payload schema. Worker counts
-// (Options.Parallel, fleet.Config.Parallel) never enter a preimage: cached
-// results must be bit-identical across -parallel values, like the sweeps
-// that produce them.
+// (Options.Parallel, fleet.Config.ShardWorkers) never enter a preimage:
+// cached results must be bit-identical across -parallel values, like the
+// sweeps that produce them.
 //
 // Driver tags double as payload-schema names. Cells that run the same
 // computation with the same inputs share entries across figures (the e2e

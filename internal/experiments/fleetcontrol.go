@@ -241,10 +241,9 @@ func FleetControl(o Options) []FleetControlRow {
 				if c.rc.Obs != nil || c.rc.Telemetry != nil {
 					return nil
 				}
-				// Worker counts are never inputs; zero them out of the key so
-				// differently-parallel runs share cells. The Control pointer
-				// stays in: policy is simulation content.
-				c.fc.Parallel = 0
+				// The shard worker count is never an input; zero it out of
+				// the key so differently-parallel runs share cells. The
+				// Control pointer stays in: policy is simulation content.
 				c.fc.ShardWorkers = 0
 				return sweepcache.NewKey("fleet/result").
 					Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).

@@ -116,10 +116,8 @@ func FleetGraph(o Options) []FleetGraphRow {
 			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
 				return nil
 			}
-			// Parallel and ShardWorkers are worker counts, never inputs.
-			// The placement spec itself is part of fc, so each policy keys
-			// its own cells.
-			c.fc.Parallel = 0
+			// ShardWorkers is a worker count, never an input. The placement
+			// spec itself is part of fc, so each policy keys its own cells.
 			c.fc.ShardWorkers = 0
 			return sweepcache.NewKey("fleet/result").
 				Any("fc", c.fc).Any("app", c.app).Float("total_rps", total).

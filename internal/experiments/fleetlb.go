@@ -110,10 +110,8 @@ func FleetLB(o Options) []FleetLBRow {
 			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
 				return nil
 			}
-			// Parallel and ShardWorkers are worker counts, never inputs:
-			// neither fan-out width changes results, so neither may split
-			// cache entries.
-			c.fc.Parallel = 0
+			// ShardWorkers is a worker count, never an input: it changes no
+			// result, so it may not split cache entries.
 			c.fc.ShardWorkers = 0
 			return sweepcache.NewKey("fleet/result").
 				Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).

@@ -95,9 +95,8 @@ func FleetScale(o Options) []FleetScaleRow {
 			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
 				return nil
 			}
-			// Worker counts are never inputs; zero them out of the key so
-			// differently-parallel runs share cells.
-			c.fc.Parallel = 0
+			// The shard worker count is never an input; zero it out of the
+			// key so differently-parallel runs share cells.
 			c.fc.ShardWorkers = 0
 			return sweepcache.NewKey("fleet/result").
 				Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).

@@ -17,8 +17,8 @@ type View struct {
 // simulation's single-threaded event loop; implementations may keep state
 // (round-robin's counter) but must draw randomness only from rng — the
 // engine's dedicated "fleet-lb" stream — so runs stay deterministic. With
-// one server every policy must return 0 without consuming rng, which keeps
-// a 1-server fleet bit-identical to a plain machine.Run.
+// one server every policy must return 0 without consuming rng: a graph root
+// hosted on a single server routes through such a one-server view.
 type Balancer interface {
 	Name() string
 	Pick(rng *rand.Rand, v View) int

@@ -222,8 +222,8 @@ func TestControlCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestControlRequiresCoupledFleet pins the API guards: control loops need a
-// dispatcher, which one-server and independent runs do not have.
+// TestControlRequiresCoupledFleet pins the API guard: control loops need a
+// dispatcher, which a one-server fleet does not have.
 func TestControlRequiresCoupledFleet(t *testing.T) {
 	app := synthApp(t)
 	fc := overloadFleet(3)
@@ -240,7 +240,6 @@ func TestControlRequiresCoupledFleet(t *testing.T) {
 	one := fc
 	one.Servers = 1
 	expectPanic("1-server Run", func() { Run(one, app, 1000, machine.RunConfig{Duration: sim.Millisecond}, 1) })
-	expectPanic("RunIndependent", func() { RunIndependent(fc, app, 1000, machine.RunConfig{Duration: sim.Millisecond}, 1) })
 }
 
 // TestControlDisabledIsInert: a nil or zero Control config must leave the

@@ -23,19 +23,12 @@
 // advance concurrently on Config.ShardWorkers workers; results are
 // bit-identical for every worker count, for repeat runs, and to the
 // single-engine reference execution (ShardWorkers = -1). A one-server
-// fleet degenerates to one engine and reproduces a plain machine.Run
-// exactly.
-//
-// RunIndependent keeps the older symmetric-server fast path: each server
-// simulates alone with its share of the load and cross-server RPCs
-// approximated by a probabilistic latency add on locally-executed children.
-// That approximation ignores the load the peers would actually absorb and
-// the queueing correlation it creates, so it underestimates cross-server
-// tail effects — it is a throughput-cheap screening tool (servers fan out
-// across sweep workers), not an exact model.
+// fleet has no peers and no dispatcher to model: it is a plain machine.Run.
 package fleet
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"umanycore/internal/control"
@@ -45,7 +38,6 @@ import (
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
 	"umanycore/internal/svcgraph"
-	"umanycore/internal/sweep"
 	"umanycore/internal/telemetry"
 	"umanycore/internal/workload"
 )
@@ -72,13 +64,12 @@ type Config struct {
 	// dispatcher's balancer routes each root over the servers hosting its
 	// root service. The trace source rides machine.RunConfig.Replay, so a
 	// graph fleet can replay external traces; the control loop is not
-	// supported in graph or replay mode.
+	// supported in graph or replay mode. A graph needs Servers >= 2.
 	Graph *svcgraph.Spec
 	// InterServerRTT is the server-to-server round trip (Table 2: 1μs).
 	InterServerRTT sim.Time
-	// LB names the load-balancer policy for the coupled Run: "rr"
-	// (round-robin, the default), "rand", "least", or "p2c" — see ParseLB.
-	// RunIndependent splits load evenly and ignores it.
+	// LB names the load-balancer policy: "rr" (round-robin, the default),
+	// "rand", "least", or "p2c" — see ParseLB.
 	LB string
 	// NewBalancer, when non-nil, overrides LB with a custom policy factory.
 	// Run calls it once per invocation so stateful policies (round-robin's
@@ -96,24 +87,19 @@ type Config struct {
 	// (missing or zero entries fall back to WhatIf). Lets a study ask
 	// "what if only the straggler's storage were faster".
 	WhatIfPerServer []machine.StageSpeedups
-	// Parallel caps the worker count for RunIndependent's per-server
-	// fan-out (0 = one worker per CPU); results are identical for any
-	// value. The coupled Run ignores it — see ShardWorkers.
-	Parallel int
 	// ShardWorkers is the coupled Run's shard worker count: how many
 	// per-server engines advance concurrently inside each conservative
 	// time window. 0 and 1 run the windows sequentially; -1 selects the
 	// single-engine reference execution (every shard on one shared engine,
 	// same window/mailbox semantics — the validation and debugging mode).
-	// Results are bit-identical for every value; like Parallel, it is a
-	// worker count, never a simulation input.
+	// Results are bit-identical for every value: it is a worker count,
+	// never a simulation input.
 	ShardWorkers int
 	// Control, when non-nil and enabled, closes the front-end feedback
 	// loops on the coupled Run: retry-on-reject with capped exponential
 	// backoff, tail hedging, slo.burn-triggered load shedding, and
 	// windowed-p99 autoscaling (see internal/control). Requires Servers >=
-	// 2; RunIndependent has no dispatcher and rejects it. Client-level
-	// accounting lands in Result.Control.
+	// 2. Client-level accounting lands in Result.Control.
 	Control *control.Config
 }
 
@@ -138,16 +124,52 @@ func (fc Config) crossFrac() float64 {
 	return fc.CrossServerFrac
 }
 
-// balancer instantiates the configured policy (fresh per run).
+// balancer instantiates the configured policy (fresh per run). Validate
+// has already accepted LB.
 func (fc Config) balancer() Balancer {
 	if fc.NewBalancer != nil {
 		return fc.NewBalancer()
 	}
-	mk, err := ParseLB(fc.LB)
-	if err != nil {
-		panic(err)
-	}
+	mk, _ := ParseLB(fc.LB)
 	return mk()
+}
+
+// controlOn reports whether a control loop is configured and enabled.
+func (fc Config) controlOn() bool { return fc.Control != nil && fc.Control.Enabled() }
+
+// Validate reports why fc cannot run app under rc, naming the cause, or nil
+// when it can. Run panics with its error; front ends call it first to fail
+// fast with the same diagnosis.
+func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
+	if fc.Servers < 1 {
+		return fmt.Errorf("fleet: need at least one server (Servers = %d)", fc.Servers)
+	}
+	if fc.NewBalancer == nil {
+		if _, err := ParseLB(fc.LB); err != nil {
+			return err
+		}
+	}
+	if fc.Graph != nil {
+		if fc.Servers < 2 {
+			return errors.New("fleet: Config.Graph needs a coupled fleet of >= 2 servers (one server hosts every service, so a graph places nothing)")
+		}
+		if err := fc.Graph.Validate(app.Catalog, fc.Servers); err != nil {
+			return err
+		}
+		if fc.controlOn() {
+			return errors.New("fleet: Config.Graph does not support the control loop (the front end submits typed roots)")
+		}
+	}
+	if rc.Replay != nil && fc.controlOn() {
+		return errors.New("fleet: trace replay does not support the control loop (arrivals are the trace's, not the controller's)")
+	}
+	if fc.controlOn() && fc.Servers < 2 {
+		return errors.New("fleet: Config.Control needs a coupled fleet of >= 2 servers")
+	}
+	if fc.Servers > 1 && fc.InterServerRTT < 2 {
+		return fmt.Errorf("fleet: coupled multi-server fleets need InterServerRTT >= 2ps (got %v); it is the PDES lookahead", fc.InterServerRTT)
+	}
+	return nil
 }
 
 // serverConfig is server s's machine configuration: the shared base with
@@ -177,11 +199,9 @@ type Result struct {
 	TailToAvg                      float64
 	Submitted, Completed, Rejected uint64
 	Unfinished                     int64
-	// Balancer names the routing policy (coupled Run only; empty for
-	// RunIndependent, which models a uniform split).
+	// Balancer names the routing policy.
 	Balancer string
-	// RemoteServed counts child RPCs served on behalf of peer servers
-	// (coupled Run only; the independent path never ships work).
+	// RemoteServed counts child RPCs served on behalf of peer servers.
 	RemoteServed uint64
 	// MeanUtilization averages server core utilization.
 	MeanUtilization float64
@@ -219,217 +239,32 @@ type Result struct {
 // simulation engine (sharded conservatively in time — see the package
 // comment), a Balancer routes each arrival, and cross-server child RPCs
 // execute on the peer they target. Deterministic in (fc, app, totalRPS, rc,
-// seed) alone — worker counts and wall-clock never enter.
+// seed) alone — worker counts and wall-clock never enter. Run panics with
+// Validate's error on a config it cannot run.
 func Run(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, seed int64) *Result {
-	if fc.Servers <= 0 {
-		panic("fleet: need at least one server")
+	if err := fc.Validate(app, rc); err != nil {
+		panic(err)
 	}
-	if fc.Graph != nil {
-		if err := fc.Graph.Validate(app.Catalog, fc.Servers); err != nil {
-			panic(err)
-		}
-		if fc.controlOn() {
-			panic("fleet: Config.Graph does not support the control loop (the front end submits typed roots)")
-		}
+	if fc.Servers > 1 {
+		return runCoupled(fc, app, totalRPS, rc, seed)
 	}
-	if rc.Replay != nil && fc.controlOn() {
-		panic("fleet: trace replay does not support the control loop (arrivals are the trace's, not the controller's)")
-	}
-	if fc.Servers == 1 {
-		if fc.controlOn() {
-			panic("fleet: Config.Control needs a coupled fleet of >= 2 servers")
-		}
-		return runOneServer(fc, app, totalRPS, rc, seed)
-	}
-	return runCoupled(fc, app, totalRPS, rc, seed)
-}
-
-// controlOn reports whether a control loop is configured and enabled.
-func (fc Config) controlOn() bool { return fc.Control != nil && fc.Control.Enabled() }
-
-// runOneServer is the one-server fleet: a single engine, no peers, no
-// sharding. It mirrors machine.Run's setup sequence exactly so the result
-// reproduces a plain run bit-for-bit.
-func runOneServer(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, seed int64) *Result {
+	// One server has no peers (the cross-server fraction clamps to zero)
+	// and nothing to route, so the fleet is a plain machine.Run of server 0.
 	start := time.Now()
-	cross := fc.crossFrac()
-	rc = rc.Normalized()
-	rc.App = app
-	rc.RPS = totalRPS / float64(fc.Servers)
-	rc.Seed = seed
-
-	eng := sim.NewEngine(seed)
-
-	// Build the servers. The setup sequence for each mirrors machine.Run —
-	// machine, measurement window, observability, telemetry — so a
-	// one-server fleet schedules the exact same event sequence as a plain
-	// run and reproduces it bit-for-bit.
-	machines := make([]*machine.Machine, fc.Servers)
-	cols := make([]*obs.Collector, fc.Servers)
-	regs := make([]*obs.Registry, fc.Servers)
-	teles := make([]*telemetry.Sampler, fc.Servers)
-	for s := range machines {
-		mcfg := fc.serverConfig(s, cross)
-		var m *machine.Machine
-		switch {
-		case fc.Graph != nil:
-			// One-server graph: validation guarantees every service is
-			// hosted here, so all call edges stay local.
-			m = machine.NewPlaced(eng, mcfg, app.Catalog, fc.Graph.HostedOn(s))
-		case len(rc.Mix) > 0:
-			m = machine.NewMix(eng, mcfg, app.Catalog, rc.Mix)
-		default:
-			m = machine.New(eng, mcfg, app)
-		}
-		m.SetMeasureFrom(rc.Warmup)
-
-		var col *obs.Collector
-		var reg *obs.Registry
-		if rc.Obs != nil {
-			if rc.Obs.Trace {
-				col = obs.NewCollector()
-			}
-			if rc.Obs.Metrics {
-				reg = obs.NewRegistry()
-			}
-		}
-		var tele *telemetry.Sampler
-		if rc.Telemetry != nil {
-			if reg == nil {
-				reg = obs.NewRegistry()
-			}
-			topt := *rc.Telemetry
-			// The engine is shared: record its vitals once (server 0), not
-			// once per server, so the merged sim.* series stay meaningful.
-			topt.NoEngineVitals = topt.NoEngineVitals || s > 0
-			tele = telemetry.Start(eng, reg, rc.Duration+rc.Drain, topt)
-		}
-		if col != nil || reg != nil {
-			m.EnableObs(col, reg)
-			m.EnableTelemetry(tele)
-		}
-		machines[s], cols[s], regs[s], teles[s] = m, col, reg, tele
-	}
-
-	// Fleet-level dispatcher: one open-loop arrival process at the total
-	// rate, each arrival routed by the balancer. With one server the
-	// balancer returns 0 without touching its stream, so the arrival
-	// sequence matches machine.Run's exactly.
-	bal := fc.balancer()
-	lbRng := eng.Rand("fleet-lb")
-	view := View{
-		Servers:     fc.Servers,
-		Outstanding: func(s int) int { return machines[s].OutstandingRoots() },
-	}
-	if rc.Replay != nil {
-		// Trace replay: arrivals, root types and demands come from the
-		// bound trace; the balancer still routes (with one server it
-		// returns 0 without touching its stream, matching machine.Run).
-		rc.Replay.Schedule(eng, rc.Duration, func(root int, demand float64) {
-			machines[bal.Pick(lbRng, view)].SubmitRootAs(root, demand)
-		})
-	} else {
-		submit := func(m *machine.Machine) { m.SubmitRoot() }
-		if fc.Graph != nil {
-			// A placed machine's default mix starts at its first hosted
-			// service; graph roots are typed explicitly.
-			submit = func(m *machine.Machine) { m.SubmitRootAs(app.Root, 0) }
-		}
-		gap := machine.ArrivalGap(eng, rc, totalRPS)
-		var schedule func()
-		schedule = func() {
-			if eng.Now() >= rc.Duration {
-				return
-			}
-			submit(machines[bal.Pick(lbRng, view)])
-			eng.After(gap(), schedule)
-		}
-		eng.At(gap(), schedule)
-	}
-	eng.RunUntil(rc.Duration + rc.Drain)
-
-	// Per-server results, assembled in server order like machine.Run's
-	// tail: statistics, machine metrics, engine metrics (once — the engine
-	// is shared), observability snapshot, telemetry.
-	perServer := make([]*machine.Result, fc.Servers)
-	for s, m := range machines {
-		res := machine.BuildResult(m, eng, rc)
-		if regs[s] != nil {
-			m.FinishMachineMetrics(rc.Duration)
-			if s == 0 {
-				machine.RecordEngineMetrics(regs[s], eng)
-			}
-		}
-		if rc.Obs != nil {
-			res.Obs = &obs.Run{}
-			if cols[s] != nil {
-				res.Obs.Spans = cols[s].Spans()
-			}
-			if regs[s] != nil {
-				res.Obs.Metrics = regs[s].Snapshot(eng.Now())
-			}
-		}
-		if teles[s] != nil {
-			res.Telemetry = teles[s].Finish(eng.Now())
-		}
-		perServer[s] = res
-	}
-
-	out := aggregate(fc, app, totalRPS, rc, perServer)
-	out.Balancer = bal.Name()
-	for _, m := range machines {
-		out.RemoteServed += m.RemoteServed
-	}
-	out.EventsProcessed = eng.Fired()
-	out.WallSeconds = time.Since(start).Seconds()
-	return out
-}
-
-// RunIndependent drives the fleet with the symmetric-server approximation:
-// each server simulates independently with its share of the load and a
-// distinct derived seed, cross-server RPCs modeled as a probabilistic
-// latency add on locally-run children. Cheap (servers fan out across
-// Parallel workers) but approximate — see the package comment. Balancer
-// policies do not apply; the even split models an ideal uniform balancer.
-func RunIndependent(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, seed int64) *Result {
-	if fc.Servers <= 0 {
-		panic("fleet: need at least one server")
-	}
-	if fc.controlOn() {
-		panic("fleet: Config.Control needs the coupled Run (RunIndependent has no dispatcher)")
-	}
-	if fc.Graph != nil {
-		panic("fleet: Config.Graph needs the coupled Run (independent servers cannot host a placed graph)")
-	}
-	if rc.Replay != nil {
-		panic("fleet: trace replay needs the coupled Run (an independent fleet would replay the whole trace per server)")
-	}
-	start := time.Now()
-	cross := fc.crossFrac()
-	// Servers are independent simulations with per-server derived seeds;
-	// fan them out and merge in server order, so the fleet result is
-	// identical for any worker count.
-	servers := make([]int, fc.Servers)
-	for s := range servers {
-		servers[s] = s
-	}
-	perServer := sweep.Map(fc.Parallel, servers, func(_ int, s int) *machine.Result {
-		srun := rc
-		srun.App = app
-		srun.RPS = totalRPS / float64(fc.Servers)
-		srun.Seed = sim.DeriveSeed(seed, int64(s))
-		return machine.Run(fc.serverConfig(s, cross), srun)
-	})
-	out := aggregate(fc, app, totalRPS, rc, perServer)
-	for _, res := range perServer {
-		out.EventsProcessed += res.Events
-	}
+	src := rc
+	src.App = app
+	src.RPS = totalRPS
+	src.Seed = seed
+	res := machine.Run(fc.serverConfig(0, 0), src)
+	out := aggregate(fc, app, totalRPS, rc, []*machine.Result{res})
+	out.Balancer = fc.balancer().Name()
+	out.EventsProcessed = res.Events
 	out.WallSeconds = time.Since(start).Seconds()
 	return out
 }
 
 // aggregate merges per-server results (in server order) into one fleet
-// result — the shared tail of Run and RunIndependent.
+// result.
 func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, perServer []*machine.Result) *Result {
 	merged := &stats.Sample{}
 	out := &Result{Machine: fc.Machine.Name, App: app.Name, TotalRPS: totalRPS}

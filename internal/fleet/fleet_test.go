@@ -3,11 +3,13 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
+	"umanycore/internal/svcgraph"
 	"umanycore/internal/sweep"
 	"umanycore/internal/telemetry"
 	"umanycore/internal/workload"
@@ -94,41 +96,131 @@ func TestFleetPanicsWithoutServers(t *testing.T) {
 	Run(Config{}, homeT(t), 100, machine.RunConfig{}, 1)
 }
 
-// TestOneServerFleetMatchesMachineRun pins the coupled runner's degenerate
-// case and the CrossServerFrac clamp: a 1-server fleet — even with the
-// DefaultConfig's CrossServerFrac of 0.5 — must reproduce a plain
-// machine.Run bit-for-bit, observability layers included.
+// TestValidate pins the fail-fast contract: every config Run cannot execute
+// is rejected up front with an error that names its cause, and the
+// configs it can execute pass.
+func TestValidate(t *testing.T) {
+	app := homeT(t)
+	services := len(app.Catalog.Services)
+	replay := &svcgraph.Replay{Arrivals: []svcgraph.Arrival{{Root: app.Root}}, Records: 1}
+	fleet := func(servers int, edit func(*Config)) Config {
+		fc := DefaultConfig(machine.UManycoreConfig())
+		fc.Servers = servers
+		if edit != nil {
+			edit(&fc)
+		}
+		return fc
+	}
+	cases := []struct {
+		name   string
+		fc     Config
+		replay bool
+		want   string // "" = valid
+	}{
+		{"no servers", fleet(0, nil), false, "at least one server"},
+		{"unknown lb", fleet(2, func(fc *Config) { fc.LB = "bogus" }), false, "unknown load-balancer policy"},
+		{"one-server graph", fleet(1, func(fc *Config) { fc.Graph = svcgraph.Colocated(services, 1) }), false, "Config.Graph needs a coupled fleet"},
+		{"bad placement", fleet(2, func(fc *Config) { fc.Graph = &svcgraph.Spec{Placement: [][]int{{0}}} }), false, "placement covers"},
+		{"graph with control", fleet(2, func(fc *Config) {
+			fc.Graph = svcgraph.Colocated(services, 2)
+			fc.Control = fullControl()
+		}), false, "Config.Graph does not support the control loop"},
+		{"replay with control", fleet(2, func(fc *Config) { fc.Control = fullControl() }), true, "trace replay does not support the control loop"},
+		{"one-server control", fleet(1, func(fc *Config) { fc.Control = fullControl() }), false, "Config.Control needs a coupled fleet"},
+		{"zero lookahead", fleet(2, func(fc *Config) { fc.InterServerRTT = 1 }), false, "InterServerRTT >= 2ps"},
+		{"default", fleet(10, nil), false, ""},
+		{"one server ignores rtt", fleet(1, func(fc *Config) { fc.InterServerRTT = 0 }), false, ""},
+		{"custom balancer ignores lb", fleet(2, func(fc *Config) {
+			fc.LB = "bogus"
+			fc.NewBalancer = func() Balancer { return LeastOutstanding{} }
+		}), false, ""},
+		{"graph replay", fleet(2, func(fc *Config) { fc.Graph = svcgraph.Colocated(services, 2) }), true, ""},
+	}
+	for _, c := range cases {
+		rc := machine.RunConfig{Duration: sim.Millisecond}
+		if c.replay {
+			rc.Replay = replay
+		}
+		err := c.fc.Validate(app, rc)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted, want error naming %q", c.name, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestOneServerFleetMatchesMachineRun pins the one-server route and the
+// CrossServerFrac clamp: a 1-server fleet — even with the DefaultConfig's
+// CrossServerFrac of 0.5 — must reproduce a plain machine.Run of its
+// server config bit-for-bit, observability layers included, for every
+// arrival source and per-server config knob.
 func TestOneServerFleetMatchesMachineRun(t *testing.T) {
 	app := homeT(t)
-	rc := machine.RunConfig{
-		Duration:  100 * sim.Millisecond,
-		Warmup:    20 * sim.Millisecond,
-		Drain:     sim.Second,
-		Obs:       &obs.Options{Trace: true, Metrics: true},
-		Telemetry: &telemetry.Options{},
+	_, _, replay := graphReplayInputs(t)
+	cases := []struct {
+		name string
+		fc   func(*Config)
+		rc   func(*machine.RunConfig)
+	}{
+		{"plain", nil, nil},
+		{"mix", nil, func(rc *machine.RunConfig) { rc.Mix = workload.SocialNetworkMix() }},
+		{"replay", nil, func(rc *machine.RunConfig) { rc.Replay = replay }},
+		{"bursty", nil, func(rc *machine.RunConfig) { rc.Arrivals = machine.BurstyArrivals }},
+		{"slowdown+whatif", func(fc *Config) {
+			fc.Slowdown = []float64{1.5}
+			fc.WhatIf = machine.StageSpeedups{RPC: 0.5, Storage: 0.25}
+		}, nil},
 	}
-	fc := DefaultConfig(machine.UManycoreConfig())
-	fc.Servers = 1
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rc := machine.RunConfig{
+				Duration:  100 * sim.Millisecond,
+				Warmup:    20 * sim.Millisecond,
+				Drain:     sim.Second,
+				Obs:       &obs.Options{Trace: true, Metrics: true},
+				Telemetry: &telemetry.Options{},
+			}
+			if c.rc != nil {
+				c.rc(&rc)
+			}
+			fc := DefaultConfig(machine.UManycoreConfig())
+			fc.Servers = 1
+			if c.fc != nil {
+				c.fc(&fc)
+			}
 
-	fres := Run(fc, app, 12000, rc, 7)
-	if fres.RemoteServed != 0 {
-		t.Fatalf("1-server fleet shipped %d remote RPCs; CrossServerFrac not clamped", fres.RemoteServed)
-	}
+			fres := Run(fc, app, 12000, rc, 7)
+			if fres.RemoteServed != 0 {
+				t.Fatalf("1-server fleet shipped %d remote RPCs; CrossServerFrac not clamped", fres.RemoteServed)
+			}
+			if fres.Completed == 0 {
+				t.Fatal("1-server fleet completed nothing")
+			}
 
-	mrc := rc
-	mrc.App = app
-	mrc.RPS = 12000
-	mrc.Seed = 7
-	mres := machine.Run(machine.UManycoreConfig(), mrc)
-	// Normalize the timelines' lazily-built name caches (fleet merging
-	// already materialized one side's); the series data is what matters.
-	fres.PerServer[0].Telemetry.Timeline.Names()
-	mres.Telemetry.Timeline.Names()
-	if !reflect.DeepEqual(fres.PerServer[0], mres) {
-		t.Fatalf("1-server fleet != machine.Run:\nfleet:   %+v\nmachine: %+v", fres.PerServer[0], mres)
-	}
-	if fres.Latency != mres.Latency {
-		t.Fatalf("aggregate latency drifted: %+v vs %+v", fres.Latency, mres.Latency)
+			mrc := rc
+			mrc.App = app
+			mrc.RPS = 12000
+			mrc.Seed = 7
+			mres := machine.Run(fc.serverConfig(0, 0), mrc)
+			// Normalize the timelines' lazily-built name caches (fleet
+			// merging already materialized one side's); the series data is
+			// what matters.
+			fres.PerServer[0].Telemetry.Timeline.Names()
+			mres.Telemetry.Timeline.Names()
+			if !reflect.DeepEqual(fres.PerServer[0], mres) {
+				t.Fatalf("1-server fleet != machine.Run:\nfleet:   %+v\nmachine: %+v", fres.PerServer[0], mres)
+			}
+			if fres.Latency != mres.Latency || fres.TailToAvg != mres.TailToAvg {
+				t.Fatalf("aggregate latency drifted: %+v vs %+v", fres.Latency, mres.Latency)
+			}
+			if fres.EventsProcessed != mres.Events || fres.Balancer != "rr" {
+				t.Fatalf("fleet events %d (machine %d), balancer %q", fres.EventsProcessed, mres.Events, fres.Balancer)
+			}
+		})
 	}
 }
 
@@ -447,30 +539,6 @@ func TestStitchedObsShardWorkerDeterminism(t *testing.T) {
 			got.Fabric.AdvanceSum != ref.Fabric.AdvanceSum {
 			t.Fatalf("ShardWorkers=%d: fabric aggregates diverged:\nref %+v\ngot %+v", w, ref.Fabric, got.Fabric)
 		}
-	}
-}
-
-// TestRunIndependentAggregates keeps the fast path honest: distinct derived
-// per-server seeds, server-order merge, worker-count independence.
-func TestRunIndependentAggregates(t *testing.T) {
-	app := homeT(t)
-	rc := machine.RunConfig{Duration: 100 * sim.Millisecond, Warmup: 20 * sim.Millisecond, Drain: sim.Second}
-	fc := DefaultConfig(machine.UManycoreConfig())
-	fc.Servers = 3
-
-	fc.Parallel = 1
-	seq := RunIndependent(fc, app, 9000, rc, 1)
-	fc.Parallel = 4
-	par := RunIndependent(fc, app, 9000, rc, 1)
-	stripWall(seq, par)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("RunIndependent depends on worker count")
-	}
-	if seq.PerServer[0].Latency == seq.PerServer[1].Latency {
-		t.Fatal("independent servers appear identical — seeds not varied")
-	}
-	if seq.Completed == 0 || seq.Completed != seq.PerServer[0].Completed+seq.PerServer[1].Completed+seq.PerServer[2].Completed {
-		t.Fatalf("completed aggregation broken: %+v", seq)
 	}
 }
 

@@ -196,17 +196,4 @@ func TestGraphValidationPanics(t *testing.T) {
 		fc.Graph = svcgraph.Spread(len(app.Catalog.Services), 2)
 		Run(fc, app, 1000, rc, 1)
 	})
-	expectPanic("independent fleet", "coupled Run", func() {
-		fc := DefaultConfig(machine.UManycoreConfig())
-		fc.Servers = 2
-		fc.Graph = svcgraph.Colocated(len(app.Catalog.Services), 2)
-		RunIndependent(fc, app, 1000, rc, 1)
-	})
-	expectPanic("independent replay", "whole trace", func() {
-		fc := DefaultConfig(machine.UManycoreConfig())
-		fc.Servers = 2
-		r := rc
-		r.Replay = &svcgraph.Replay{Arrivals: []svcgraph.Arrival{{Root: app.Root}}, Records: 1}
-		RunIndependent(fc, app, 1000, r, 1)
-	})
 }

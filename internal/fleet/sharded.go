@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"time"
 
 	"umanycore/internal/control"
@@ -50,12 +49,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	rc.Seed = seed
 	horizon := rc.Duration + rc.Drain
 
-	// Lookahead = one wire direction. The fabric needs it strictly positive:
-	// a fleet with a zero RTT has no minimum cross-server latency to exploit.
+	// Lookahead = one wire direction. The fabric needs it strictly positive,
+	// which Validate guarantees: a fleet with a zero RTT has no minimum
+	// cross-server latency to exploit.
 	lookahead := fc.InterServerRTT / 2
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("fleet: coupled multi-server fleets need InterServerRTT >= 2ps (got %v); it is the PDES lookahead", fc.InterServerRTT))
-	}
 
 	// Shard 0 (dispatcher) runs on an engine seeded with the run seed, so
 	// its "arrivals" and "fleet-lb" streams match the single-engine
@@ -81,66 +78,27 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		net = f
 	}
 
-	// Build the servers. Setup mirrors machine.Run — machine, measurement
-	// window, observability, telemetry — except that every machine gets a
-	// seed-derived stream bundle (engine-independent randomness) and the
-	// engine-level vitals are skipped: which engine hosts which events is an
-	// execution detail here, not simulation content, and recording it would
-	// make the sharded and reference runs observably different.
-	machines := make([]*machine.Machine, n)
+	// Build the servers with machine.Run's harness. Every server draws its
+	// randomness from a seed-derived stream bundle (engine-independent), and
+	// which engine hosts which events is an execution detail here, not
+	// simulation content: the reference's shared engine reports no vitals,
+	// and a shard's own engine reports them under the server's prefix.
+	role := machine.ShardEngine
+	if fc.ShardWorkers < 0 {
+		role = machine.SharedEngine
+	}
+	machines := make([]*machine.Server, n)
 	rngs := make([]*sim.Streams, n)
-	cols := make([]*obs.Collector, n)
-	regs := make([]*obs.Registry, n)
-	teles := make([]*telemetry.Sampler, n)
 	for s := range machines {
-		mcfg := fc.serverConfig(s, cross)
-		var m *machine.Machine
-		switch {
-		case fc.Graph != nil:
+		var hosted []int
+		if fc.Graph != nil {
 			// Graph mode: this server hosts only its placed services; call
 			// edges to services living elsewhere ship through the fabric.
-			m = machine.NewPlaced(engs[s], mcfg, app.Catalog, fc.Graph.HostedOn(s))
-		case len(rc.Mix) > 0:
-			m = machine.NewMix(engs[s], mcfg, app.Catalog, rc.Mix)
-		default:
-			m = machine.New(engs[s], mcfg, app)
+			hosted = fc.Graph.HostedOn(s)
 		}
+		machines[s] = machine.NewServer(engs[s], fc.serverConfig(s, cross), rc, hosted, role, s)
 		rngs[s] = sim.NewStreams(sim.DeriveSeed(seed, int64(s)))
-		m.SetRNG(rngs[s])
-		m.SetMeasureFrom(rc.Warmup)
-
-		var col *obs.Collector
-		var reg *obs.Registry
-		if rc.Obs != nil {
-			if rc.Obs.Trace {
-				col = obs.NewCollector()
-			}
-			if rc.Obs.Metrics {
-				reg = obs.NewRegistry()
-			}
-		}
-		var tele *telemetry.Sampler
-		if rc.Telemetry != nil {
-			if reg == nil {
-				reg = obs.NewRegistry()
-			}
-			topt := *rc.Telemetry
-			if fc.ShardWorkers < 0 {
-				// Single-engine reference: every server shares one engine, so
-				// per-server vitals are not attributable — suppress them.
-				topt.NoEngineVitals = true
-			} else {
-				// Each server owns its engine; namespace its vitals so the
-				// merged fleet timeline keeps them apart (server3.sim.events).
-				topt.VitalsPrefix = fmt.Sprintf("server%d.", s)
-			}
-			tele = telemetry.Start(engs[s], reg, horizon, topt)
-		}
-		if col != nil || reg != nil {
-			m.EnableObs(col, reg)
-			m.EnableTelemetry(tele)
-		}
-		machines[s], cols[s], regs[s], teles[s] = m, col, reg, tele
+		machines[s].SetRNG(rngs[s])
 	}
 
 	// Front-end control loop (retry/backoff, hedging, shedding, autoscaling
@@ -360,40 +318,30 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		}
 		return hosts[bal.Pick(lbRng, sub)]
 	}
-	if rc.Replay != nil {
-		// Trace replay: arrivals, root types and demands come from the
-		// bound trace, routed through the same balancer machinery.
-		rc.Replay.Schedule(dispEng, rc.Duration, func(root int, demand float64) {
-			s := pickServer(root)
+	// Arrivals: trace replay takes root types and demands from the bound
+	// trace; the open-loop process admits through the controller or routes
+	// itself, typed by the app's root in graph mode.
+	machine.Arrivals(dispEng, rc, totalRPS, func() {
+		switch {
+		case ctl != nil:
+			ctl.AdmitRoot()
+		case fc.Graph != nil:
+			s := pickServer(app.Root)
 			routed[s]++
 			target := machines[s]
-			net.Send(0, s+1, dispEng.Now()+lookahead, func() { target.SubmitRootAs(root, demand) })
-		})
-	} else {
-		gap := machine.ArrivalGap(dispEng, rc, totalRPS)
-		var schedule func()
-		schedule = func() {
-			if dispEng.Now() >= rc.Duration {
-				return
-			}
-			switch {
-			case ctl != nil:
-				ctl.AdmitRoot()
-			case fc.Graph != nil:
-				s := pickServer(app.Root)
-				routed[s]++
-				target := machines[s]
-				net.Send(0, s+1, dispEng.Now()+lookahead, func() { target.SubmitRootAs(app.Root, 0) })
-			default:
-				s := bal.Pick(lbRng, view)
-				routed[s]++
-				target := machines[s]
-				net.Send(0, s+1, dispEng.Now()+lookahead, target.SubmitRoot)
-			}
-			dispEng.After(gap(), schedule)
+			net.Send(0, s+1, dispEng.Now()+lookahead, func() { target.SubmitRootAs(app.Root, 0) })
+		default:
+			s := bal.Pick(lbRng, view)
+			routed[s]++
+			target := machines[s]
+			net.Send(0, s+1, dispEng.Now()+lookahead, target.SubmitRoot)
 		}
-		dispEng.At(gap(), schedule)
-	}
+	}, func(root int, demand float64) {
+		s := pickServer(root)
+		routed[s]++
+		target := machines[s]
+		net.Send(0, s+1, dispEng.Now()+lookahead, func() { target.SubmitRootAs(root, demand) })
+	})
 
 	// Run to horizon; at every window barrier, refresh the dispatcher's
 	// snapshot of how many roots each server has answered, and (throttled)
@@ -422,31 +370,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		updateFabric()
 	}
 
-	// Per-server results in server order, like the one-server path's tail.
+	// Per-server results in server order.
 	perServer := make([]*machine.Result, n)
 	for s, m := range machines {
-		res := machine.BuildResult(m, engs[s], rc)
-		// A server's share of fired events depends on which engine hosted it
-		// (private shard vs. reference's shared engine) — an execution
-		// detail, not simulation content. The fleet-level EventsProcessed
-		// carries the total; the per-server field stays zero.
-		res.Events = 0
-		if regs[s] != nil {
-			m.FinishMachineMetrics(rc.Duration)
-		}
-		if rc.Obs != nil {
-			res.Obs = &obs.Run{}
-			if cols[s] != nil {
-				res.Obs.Spans = cols[s].Spans()
-			}
-			if regs[s] != nil {
-				res.Obs.Metrics = regs[s].Snapshot(engs[s].Now())
-			}
-		}
-		if teles[s] != nil {
-			res.Telemetry = teles[s].Finish(engs[s].Now())
-		}
-		perServer[s] = res
+		perServer[s] = m.Finish()
 	}
 
 	out := aggregate(fc, app, totalRPS, rc, perServer)

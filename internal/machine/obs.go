@@ -65,31 +65,12 @@ func (m *Machine) observeQueueDepth(d int) {
 	m.mx.queueDepth.Observe(m.eng.Now(), float64(m.qlen))
 }
 
-// finishMetrics records the end-of-run instruments for a machine that owns
-// its engine: the machine-level instruments plus the simulation kernel's.
-func (m *Machine) finishMetrics(eng *sim.Engine, window sim.Time) {
-	if m.mx == nil {
-		return
-	}
-	m.FinishMachineMetrics(window)
-	RecordEngineMetrics(m.mx.reg, eng)
-}
-
-// RecordEngineMetrics records the simulation kernel's statistics into reg.
-// It is separate from FinishMachineMetrics so a coupled fleet (N machines
-// sharing one engine) records the engine exactly once instead of once per
-// server, keeping merged sim.* counters meaningful.
-func RecordEngineMetrics(reg *obs.Registry, eng *sim.Engine) {
-	reg.Counter("sim.events").Add(float64(eng.Fired()))
-	reg.Gauge("sim.heap.peak").Set(float64(eng.MaxPending()))
-}
-
-// FinishMachineMetrics records the end-of-run machine instruments that need
+// finishMachineMetrics records the end-of-run machine instruments that need
 // no hot-path hooks: per-core utilization spread, admission totals, ICN
 // path statistics, and the storage R-NIC transport counters. window is the
 // arrival window used for utilization normalization. No-op without a
 // registry.
-func (m *Machine) FinishMachineMetrics(window sim.Time) {
+func (m *Machine) finishMachineMetrics(window sim.Time) {
 	if m.mx == nil {
 		return
 	}

@@ -3,8 +3,6 @@ package machine
 import (
 	"sync"
 
-	"umanycore/internal/dist"
-	"umanycore/internal/icn"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
@@ -141,145 +139,10 @@ func Run(cfg Config, rc RunConfig) *Result {
 	}
 	eng.Reset(rc.Seed)
 	defer enginePool.Put(eng)
-	var m *Machine
-	if len(rc.Mix) > 0 {
-		m = NewMix(eng, cfg, rc.App.Catalog, rc.Mix)
-	} else {
-		m = New(eng, cfg, rc.App)
-	}
-	m.SetMeasureFrom(rc.Warmup)
-
-	var col *obs.Collector
-	var reg *obs.Registry
-	if rc.Obs != nil {
-		if rc.Obs.Trace {
-			col = obs.NewCollector()
-		}
-		if rc.Obs.Metrics {
-			reg = obs.NewRegistry()
-		}
-	}
-	var tele *telemetry.Sampler
-	if rc.Telemetry != nil {
-		// The sampler snapshots the metrics registry, so telemetry implies
-		// one even when Obs didn't ask for it.
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		tele = telemetry.Start(eng, reg, rc.Duration+rc.Drain, *rc.Telemetry)
-	}
-	if col != nil || reg != nil {
-		m.EnableObs(col, reg)
-		m.EnableTelemetry(tele)
-	}
-
-	if rc.Replay != nil {
-		rc.Replay.Schedule(eng, rc.Duration, m.SubmitRootAs)
-	} else {
-		arrivalGap := ArrivalGap(eng, rc, rc.RPS)
-		var schedule func()
-		schedule = func() {
-			if eng.Now() >= rc.Duration {
-				return
-			}
-			m.SubmitRoot()
-			eng.After(arrivalGap(), schedule)
-		}
-		eng.At(arrivalGap(), schedule)
-	}
+	s := NewServer(eng, cfg, rc, nil, OwnEngine, 0)
+	Arrivals(eng, rc, rc.RPS, s.SubmitRoot, s.SubmitRootAs)
 	eng.RunUntil(rc.Duration + rc.Drain)
-
-	res := BuildResult(m, eng, rc)
-	if reg != nil {
-		m.finishMetrics(eng, rc.Duration)
-	}
-	if rc.Obs != nil {
-		res.Obs = &obs.Run{}
-		if col != nil {
-			res.Obs.Spans = col.Spans()
-		}
-		if reg != nil {
-			res.Obs.Metrics = reg.Snapshot(eng.Now())
-		}
-	}
-	if tele != nil {
-		res.Telemetry = tele.Finish(eng.Now())
-	}
-	return res
-}
-
-// ArrivalGap returns the open-loop inter-arrival sampler for rc's arrival
-// process at rate rps, drawing from eng's "arrivals" stream. Run uses it
-// with rc.RPS on a per-server engine; the coupled fleet runner uses it with
-// the fleet's total RPS on the shared engine, so a one-server fleet draws
-// the exact same gap sequence as a plain Run. The stream is resolved once
-// here: Engine.Reset re-seeds it in place, so the sampler stays valid.
-func ArrivalGap(eng *sim.Engine, rc RunConfig, rps float64) func() sim.Time {
-	r := eng.Rand("arrivals")
-	switch rc.Arrivals {
-	case BurstyArrivals:
-		mmpp := workload.BurstyArrivals(rps)
-		return func() sim.Time {
-			return sim.FromSeconds(mmpp.NextGap(r))
-		}
-	case TraceArrivals:
-		// Per-second rates drawn from the production-trace marginal
-		// (median 500 RPS, heavy upper tail), rescaled to the target mean.
-		g := workload.NewTraceGen(sim.DeriveSeed(rc.Seed, 104729))
-		loads := g.ServerLoad(1024)
-		var sum float64
-		for _, l := range loads {
-			sum += float64(l)
-		}
-		scale := rps / (sum / float64(len(loads)))
-		return func() sim.Time {
-			sec := int(eng.Now() / sim.Second)
-			rate := float64(loads[sec%len(loads)]) * scale
-			if rate <= 0 {
-				rate = 1
-			}
-			return sim.FromSeconds(dist.Poisson{Rate: rate}.NextGap(r))
-		}
-	default:
-		return func() sim.Time {
-			return sim.FromSeconds(dist.Poisson{Rate: rps}.NextGap(r))
-		}
-	}
-}
-
-// BuildResult assembles the plain-statistics Result of a finished machine —
-// the shared tail of Run and the coupled fleet runner (which drives several
-// machines on one engine and assembles one Result per server). Observability
-// output (Result.Obs / Result.Telemetry) is attached by the caller. Events
-// reports the engine's fired-event count: per-run for Run, shared across
-// servers for a coupled fleet.
-func BuildResult(m *Machine, eng *sim.Engine, rc RunConfig) *Result {
-	return &Result{
-		Machine:     m.cfg.Name,
-		App:         rc.App.Name,
-		RPS:         rc.RPS,
-		Latency:     m.Latency.Summarize(),
-		Sample:      &m.Latency,
-		PerRoot:     perRootSummaries(m),
-		TailToAvg:   m.Latency.TailToAvg(),
-		Submitted:   m.Submitted,
-		Completed:   m.Completed,
-		Rejected:    m.Rejected,
-		Unfinished:  int64(m.Submitted) - int64(m.Completed) - int64(m.rejectedRoots),
-		Invocations: m.Invocations,
-		Utilization: m.Utilization(rc.Duration),
-		MeanHops:    m.MeanHops(),
-		MaxLinkUtil: icn.MaxUtilization(m.topo, rc.Duration),
-		Events:      eng.Fired(),
-	}
-}
-
-func perRootSummaries(m *Machine) map[int]stats.Summary {
-	out := make(map[int]stats.Summary, len(m.LatencyByRoot))
-	for root, s := range m.LatencyByRoot {
-		out[root] = s.Summarize()
-	}
-	return out
+	return s.Finish()
 }
 
 // ContentionFreeAvg measures the average end-to-end latency at near-zero

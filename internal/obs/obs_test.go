@@ -129,14 +129,15 @@ func TestTraceDeterminism(t *testing.T) {
 }
 
 // TestFleetMergeWorkerIndependence mirrors experiments/determinism_test.go:
-// the merged fleet trace must be identical for any worker count, because
-// per-worker collectors are merged on the reassembled server order.
+// the merged fleet trace must be identical for any shard worker count,
+// including the single-engine reference, because per-server collectors are
+// merged in server order. Under -race it also runs the PDES worker pool.
 func TestFleetMergeWorkerIndependence(t *testing.T) {
 	apps := workload.SocialNetworkApps()
-	run := func(parallel int) *fleet.Result {
+	run := func(workers int) *fleet.Result {
 		fc := fleet.DefaultConfig(machine.UManycoreConfig())
 		fc.Servers = 4
-		fc.Parallel = parallel
+		fc.ShardWorkers = workers
 		return fleet.Run(fc, apps[0], 40000, machine.RunConfig{
 			Duration: 40 * sim.Millisecond,
 			Warmup:   10 * sim.Millisecond,
@@ -147,13 +148,13 @@ func TestFleetMergeWorkerIndependence(t *testing.T) {
 	if serial.Obs == nil || len(serial.Obs.Spans) == 0 {
 		t.Fatal("fleet run recorded no spans")
 	}
-	for _, workers := range []int{2, 4, 0} {
+	for _, workers := range []int{2, 4, -1} {
 		par := run(workers)
 		if !reflect.DeepEqual(serial.Obs.Spans, par.Obs.Spans) {
-			t.Fatalf("fleet spans differ between 1 and %d workers", workers)
+			t.Fatalf("fleet spans differ between 1 and %d shard workers", workers)
 		}
 		if !reflect.DeepEqual(serial.Obs.Metrics, par.Obs.Metrics) {
-			t.Fatalf("fleet metrics differ between 1 and %d workers", workers)
+			t.Fatalf("fleet metrics differ between 1 and %d shard workers", workers)
 		}
 	}
 	// Merged request IDs must stay unique across servers.

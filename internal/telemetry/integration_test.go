@@ -8,6 +8,7 @@ package telemetry_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"umanycore/internal/fleet"
@@ -94,8 +95,11 @@ func TestTelemetryResultUnchanged(t *testing.T) {
 
 // TestTelemetryFleetMergeWorkerIndependence is the 1-vs-N half of the
 // determinism contract: the merged fleet telemetry must be bit-identical
-// whether the servers ran on one worker or many. ci.sh runs this under
-// -race, which also proves the per-server samplers share no state.
+// whether the servers' shards ran on one worker or many. ci.sh runs this
+// under -race, which also proves the per-server samplers share no state
+// across the PDES worker pool. The single-engine reference (-1) matches too,
+// except that its servers share one engine and so record no per-server
+// engine vitals (server<N>.sim.*) by design.
 func TestTelemetryFleetMergeWorkerIndependence(t *testing.T) {
 	app := workload.SocialNetworkApps()[0]
 	rc := machine.RunConfig{
@@ -106,22 +110,47 @@ func TestTelemetryFleetMergeWorkerIndependence(t *testing.T) {
 			Rules: telemetry.DefaultRules(500),
 		},
 	}
-	fc := fleet.DefaultConfig(machine.UManycoreConfig())
-	fc.Servers = 4
+	run := func(workers int) *fleet.Result {
+		fc := fleet.DefaultConfig(machine.UManycoreConfig())
+		fc.Servers = 4
+		fc.ShardWorkers = workers
+		return fleet.Run(fc, app, 60000, rc, 3)
+	}
+	withoutVitals := func(fp map[string]any) map[string]any {
+		out := make(map[string]any, len(fp))
+		for k, v := range fp {
+			if !strings.Contains(k, ":server") || !strings.Contains(k, ".sim.") {
+				out[k] = v
+			}
+		}
+		return out
+	}
 
-	fc.Parallel = 1
-	seq := fleet.Run(fc, app, 60000, rc, 3)
-	fc.Parallel = 4
-	par := fleet.Run(fc, app, 60000, rc, 3)
-	if seq.Telemetry == nil || par.Telemetry == nil {
+	seq := run(1)
+	if seq.Telemetry == nil {
 		t.Fatal("fleet telemetry missing")
 	}
-	if !reflect.DeepEqual(fingerprint(seq.Telemetry), fingerprint(par.Telemetry)) {
-		t.Fatal("merged telemetry depends on worker count")
+	want := fingerprint(seq.Telemetry)
+	if _, ok := want["series:server0.sim.events"]; !ok {
+		t.Fatal("sharded run recorded no per-server engine vitals")
 	}
-	// Merged counters sum over servers: the merged latency count at any tick
-	// equals the per-server total.
-	if n := seq.Telemetry.Sketch.N(); n != uint64(seq.Completed)-uint64(seq.Rejected)*0 && n == 0 {
+	for _, workers := range []int{2, 4, -1} {
+		par := run(workers)
+		if par.Telemetry == nil {
+			t.Fatalf("ShardWorkers=%d: fleet telemetry missing", workers)
+		}
+		got, ref := fingerprint(par.Telemetry), want
+		if workers < 0 {
+			if len(withoutVitals(got)) != len(got) {
+				t.Fatal("single-engine reference recorded per-server engine vitals")
+			}
+			ref = withoutVitals(want)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("merged telemetry differs between 1 and %d shard workers", workers)
+		}
+	}
+	if seq.Telemetry.Sketch.N() == 0 {
 		t.Fatalf("merged sketch empty (completed %d)", seq.Completed)
 	}
 }

@@ -288,7 +288,6 @@ func (t Target) preimage(s spec, topFrac float64) []byte {
 		}
 		fc := *t.Fleet
 		fc.WhatIf = s.speedup
-		fc.Parallel = 0
 		fc.ShardWorkers = 0
 		key.Any("fc", fc)
 	} else {

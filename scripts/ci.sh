@@ -124,6 +124,22 @@ cmp "$cachedir/replay-1.json" "$cachedir/replay4.json"
 grep -q '"trace":{"records":1500,' "$cachedir/replay4.json"
 echo "trace replay -1 vs 1 vs 4 byte-identical (1500 records round-tripped)"
 
+# One-server gate: a one-server fleet is a plain machine run of its server
+# config, so -servers 1 must reproduce the run without -servers byte for
+# byte — for synthetic arrivals and for a replayed trace.
+echo "== one-server fleet == machine run =="
+"$cachedir/umprof" -app CPost -rps 15000 -duration 60ms -warmup 10ms \
+    -exemplars "$cachedir/one0.json" >/dev/null
+"$cachedir/umprof" -app CPost -rps 15000 -duration 60ms -warmup 10ms \
+    -servers 1 -exemplars "$cachedir/one1.json" >/dev/null
+cmp "$cachedir/one0.json" "$cachedir/one1.json"
+"$cachedir/umprof" -trace "$cachedir/trace.csv" -app CPost -rps 40000 -duration 40ms \
+    -warmup 10ms -exemplars "$cachedir/onetr0.json" >/dev/null
+"$cachedir/umprof" -trace "$cachedir/trace.csv" -app CPost -rps 40000 -duration 40ms \
+    -warmup 10ms -servers 1 -exemplars "$cachedir/onetr1.json" >/dev/null
+cmp "$cachedir/onetr0.json" "$cachedir/onetr1.json"
+echo "one-server fleet exemplars byte-identical to machine run (synthetic + trace)"
+
 # Fail-fast gate: malformed traces and invalid graph figures must exit 2
 # with a diagnostic, before any simulation runs.
 echo "== trace/graph validation exits =="

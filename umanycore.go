@@ -301,14 +301,6 @@ func RunFleet(fc FleetConfig, app *App, totalRPS float64, rc RunConfig, seed int
 	return fleet.Run(fc, app, totalRPS, rc, seed)
 }
 
-// RunFleetIndependent executes the cluster with the symmetric-server
-// approximation — each server simulated alone with its load share, fanned
-// out across fc.Parallel workers. Cheaper than RunFleet but approximate:
-// see the internal/fleet package comment.
-func RunFleetIndependent(fc FleetConfig, app *App, totalRPS float64, rc RunConfig, seed int64) *FleetResult {
-	return fleet.RunIndependent(fc, app, totalRPS, rc, seed)
-}
-
 // DefaultFleet wraps a machine config in the paper's 10-server cluster.
 func DefaultFleet(m Config) FleetConfig { return fleet.DefaultConfig(m) }
 
