@@ -9,8 +9,8 @@ import (
 // The observability layer's zero-overhead contract: with RunConfig.Obs nil,
 // every instrumentation site reduces to a nil-guarded branch, so a run must
 // cost the same time and exactly the same allocations as before the layer
-// existed. BENCH_obs.json records the measured numbers next to the
-// BENCH_sweep.json baseline.
+// existed. TestObsOffZeroAllocDelta enforces the allocations; perfbench
+// measures the time.
 
 // BenchmarkMachineRunObsOff is the disabled-instrumentation benchmark —
 // compare against BenchmarkMachineRun (identical workload) and the ObsOn

@@ -10,7 +10,7 @@ import (
 // zero-overhead contract: with RunConfig.Telemetry nil, the only new code
 // on a run's path is one nil-guarded branch in the completion event, so a
 // run must allocate exactly what it did before the layer existed.
-// BENCH_telemetry.json records the measured numbers.
+// TestTelemetryOffZeroAllocDelta enforces it; perfbench measures the time.
 
 // BenchmarkMachineRunTelemetryOff is the disabled-sampler benchmark —
 // compare against BenchmarkMachineRunObsOff (identical workload).

@@ -136,6 +136,26 @@ func TestServiceMapRoundRobin(t *testing.T) {
 	}
 }
 
+// TestServiceMapSparseIDs: the table is indexed by service ID, so IDs below,
+// between and above the registered ones must read as empty, not panic.
+func TestServiceMapSparseIDs(t *testing.T) {
+	sm := NewServiceMap()
+	sm.Register(7, 3)
+	sm.Register(2, 5)
+	for _, id := range []uint16{0, 1, 4, 8, 65535} {
+		if _, ok := sm.Dispatch(id); ok || sm.Instances(id) != 0 {
+			t.Fatalf("service %d has instances in a table holding 2 and 7", id)
+		}
+		sm.Deregister(id, 3) // no-op
+	}
+	if v, ok := sm.Dispatch(7); !ok || v != 3 {
+		t.Fatalf("Dispatch(7) = %d, %v, want 3, true", v, ok)
+	}
+	if v, ok := sm.Dispatch(2); !ok || v != 5 {
+		t.Fatalf("Dispatch(2) = %d, %v, want 5, true", v, ok)
+	}
+}
+
 func TestLNICBackpressure(t *testing.T) {
 	n := &LNIC{PsPerByte: 100, ProcDelay: 10}
 	a := n.Send(0, 1000) // 100k ps serialization + 10 proc

@@ -126,34 +126,42 @@ func Decode(buf []byte) (*Message, error) {
 
 // ServiceMap is the top-level NIC's dispatch table (§4.2): service ID → the
 // villages hosting an instance, with round-robin selection in hardware. The
-// system software populates it at instance creation.
+// system software populates it at instance creation. Both tables are slices
+// indexed by service ID, grown on Register, so Dispatch is two indexed loads.
 type ServiceMap struct {
-	villages map[uint16][]uint16
-	cursor   map[uint16]int
+	villages [][]uint16
+	cursor   []int
 }
 
 // NewServiceMap returns an empty table.
-func NewServiceMap() *ServiceMap {
-	return &ServiceMap{
-		villages: make(map[uint16][]uint16),
-		cursor:   make(map[uint16]int),
+func NewServiceMap() *ServiceMap { return &ServiceMap{} }
+
+// instances returns the villages hosting the service; nil if none ever did.
+func (s *ServiceMap) instances(serviceID uint16) []uint16 {
+	if int(serviceID) >= len(s.villages) {
+		return nil
 	}
+	return s.villages[serviceID]
 }
 
 // Register adds a village hosting an instance of the service. Duplicate
 // registrations are idempotent.
 func (s *ServiceMap) Register(serviceID, village uint16) {
-	for _, v := range s.villages[serviceID] {
+	for _, v := range s.instances(serviceID) {
 		if v == village {
 			return
 		}
+	}
+	for int(serviceID) >= len(s.villages) {
+		s.villages = append(s.villages, nil)
+		s.cursor = append(s.cursor, 0)
 	}
 	s.villages[serviceID] = append(s.villages[serviceID], village)
 }
 
 // Deregister removes a village's instance (instance teardown).
 func (s *ServiceMap) Deregister(serviceID, village uint16) {
-	vs := s.villages[serviceID]
+	vs := s.instances(serviceID)
 	for i, v := range vs {
 		if v == village {
 			s.villages[serviceID] = append(vs[:i], vs[i+1:]...)
@@ -163,12 +171,12 @@ func (s *ServiceMap) Deregister(serviceID, village uint16) {
 }
 
 // Instances returns the number of villages hosting the service.
-func (s *ServiceMap) Instances(serviceID uint16) int { return len(s.villages[serviceID]) }
+func (s *ServiceMap) Instances(serviceID uint16) int { return len(s.instances(serviceID)) }
 
 // Dispatch selects the next village for the service round-robin, returning
 // false when no instance exists (the NIC then rejects the request).
 func (s *ServiceMap) Dispatch(serviceID uint16) (uint16, bool) {
-	vs := s.villages[serviceID]
+	vs := s.instances(serviceID)
 	if len(vs) == 0 {
 		return 0, false
 	}

@@ -80,3 +80,34 @@ func BenchmarkEngineSteadyDepth(b *testing.B) {
 		b.Fatalf("pending %d, want %d", e.Pending(), depth)
 	}
 }
+
+// BenchmarkEngineNextEventAt measures the peek the fleet's PDES window loop
+// makes twice per shard per window: 17 engines (16 servers and the
+// dispatcher) of about 10 pending events each, peeked round-robin. One op is
+// one peek; it must not allocate.
+func BenchmarkEngineNextEventAt(b *testing.B) {
+	const shards, depth = 17, 10
+	rng := rand.New(rand.NewSource(1))
+	engines := make([]*Engine, shards)
+	for i := range engines {
+		e := NewEngine(int64(i))
+		for j := 0; j < depth; j++ {
+			e.At(Time(1+rng.Intn(10000)), func() {})
+		}
+		at, _ := e.NextEventAt()
+		e.RunUntil(at) // fire the earliest, as a window would
+		engines[i] = e
+	}
+	var sum Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if at, ok := engines[i%shards].NextEventAt(); ok {
+			sum += at
+		}
+	}
+	b.StopTimer()
+	if sum == 0 {
+		b.Fatal("no pending events")
+	}
+}

@@ -63,13 +63,16 @@ func (t Time) String() string {
 // Event is a callback scheduled to run at a point in virtual time.
 type Event func()
 
-// entry is one pending event in the heap: its (at, seq) key and the slab
-// slot holding its callback. Entries hold no pointers, so sifting moves
-// plain words and the garbage collector never scans the heap array.
+// entry is one heap element: its (at, seq) key, the slab slot holding its
+// callback and the slot generation it was scheduled under. An entry whose
+// gen no longer matches its slot's is dead (fired or cancelled) and is
+// dropped when it reaches the root. Entries hold no pointers, so sifting
+// moves plain words and the garbage collector never scans the heap array.
 type entry struct {
 	at  Time
 	seq uint64
 	id  int32
+	gen uint32
 }
 
 // before is the kernel's total event order: time, then scheduling sequence.
@@ -77,14 +80,12 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// node is a slab slot: the callback of one scheduled event and the
-// position of its heap entry.
+// node is a slab slot: the callback of one scheduled event and the slot's
+// generation. The generation is bumped every time the slot is recycled, which
+// kills the slot's heap entry and every Handle to it in one write, so a stale
+// Handle or entry cannot touch a later event that reuses the slot.
 type node struct {
 	fn  Event
-	pos int32 // heap index; -1 while the slot is free
-	// gen guards recycled slots: a Handle is only live while its generation
-	// matches, so a stale Handle cannot cancel a later event that happens to
-	// reuse the same slot from the free list.
 	gen uint32
 }
 
@@ -100,21 +101,38 @@ type Handle struct {
 // create engines with NewEngine.
 //
 // Pending events live in a 4-ary min-heap of value entries ordered by
-// (at, seq); each entry names a slot in a slab of nodes that holds the
-// callback and the entry's current heap position (for Cancel). Freed slots
-// go on a free list and are reused, so a warm engine schedules without
+// (at, seq); each entry names a slot in a slab of {fn, gen} nodes. Freed
+// slots go on a free list and are reused, so a warm engine schedules without
 // allocating.
+//
+// The pop path costs one sift per event. Firing the root promotes its
+// smaller child into the root and holds the vacated slot, with the fired and
+// now dead entry in it, while the callback runs (the "hold"). The callback's
+// first At takes the held slot and sifts down from there; if the callback
+// schedules nothing, the last entry takes it instead. Cancel is lazy: it bumps
+// the slot generation and leaves the dead entry in the heap, to be dropped
+// when it reaches the root. ndead counts the dead entries, the hold
+// included, so Pending is len(heap) - ndead.
+//
+// The root is live whenever len(heap) > ndead, inside callbacks too, so
+// NextEventAt, which conservative PDES calls twice per shard per window, is
+// one comparison and a read of heap[0]: no slab access, no call, inlined.
+//
+// Generations are uint32: a dead entry would come back to life only if its
+// slot were recycled 2^32 times while the entry was still in the heap.
 type Engine struct {
 	now     Time
 	seq     uint64
 	heap    []entry
+	ndead   int // dead heap entries: cancelled ones plus the hold
+	hold    int // heap index of the hold while a callback runs; -1 otherwise
 	nodes   []node
-	free    []int32 // recycled slab slots (pop/cancel feed it)
+	free    []int32 // recycled slab slots (fire/cancel feed it)
 	seed    int64
 	streams map[string]*rand.Rand
 	fired   uint64
 	stopped bool
-	// maxPending is the event heap's high-water mark since the last Reset —
+	// maxPending is the live-event high-water mark since the last Reset —
 	// the obs layer's "sim.heap.peak" instrument. Tracking it is one
 	// predictable branch per schedule, cheap enough to stay always-on.
 	maxPending int
@@ -125,7 +143,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose random streams all derive from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, streams: make(map[string]*rand.Rand)}
+	return &Engine{seed: seed, hold: -1, streams: make(map[string]*rand.Rand)}
 }
 
 // NewEngineCap returns an engine with event-heap, slab and free-list storage
@@ -148,9 +166,13 @@ func NewEngineCap(seed int64, capHint int) *Engine {
 // bit-identical results.
 func (e *Engine) Reset(seed int64) {
 	for _, x := range e.heap {
-		e.recycle(x.id)
+		if e.live(x) { // dead entries' slots are already on the free list
+			e.recycle(x.id)
+		}
 	}
 	e.heap = e.heap[:0]
+	e.ndead = 0
+	e.hold = -1
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -163,11 +185,14 @@ func (e *Engine) Reset(seed int64) {
 	}
 }
 
-// recycle returns a slot to the free list, invalidating outstanding handles.
+// live reports whether heap entry x is still scheduled.
+func (e *Engine) live(x entry) bool { return e.nodes[x.id].gen == x.gen }
+
+// recycle returns a slot to the free list, killing its heap entry and
+// invalidating outstanding handles.
 func (e *Engine) recycle(id int32) {
 	n := &e.nodes[id]
 	n.fn = nil
-	n.pos = -1
 	n.gen++
 	e.free = append(e.free, id)
 }
@@ -179,7 +204,7 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return id
 	}
-	e.nodes = append(e.nodes, node{pos: -1})
+	e.nodes = append(e.nodes, node{})
 	return int32(len(e.nodes) - 1)
 }
 
@@ -193,11 +218,9 @@ func (e *Engine) up(i int, x entry) {
 			break
 		}
 		h[i] = h[p]
-		e.nodes[h[i].id].pos = int32(i)
 		i = p
 	}
 	h[i] = x
-	e.nodes[x.id].pos = int32(i)
 }
 
 // down moves x from heap index i toward the leaves to its place.
@@ -223,26 +246,40 @@ func (e *Engine) down(i int, x entry) {
 			break
 		}
 		h[i] = h[best]
-		e.nodes[h[i].id].pos = int32(i)
 		i = best
 	}
 	h[i] = x
-	e.nodes[x.id].pos = int32(i)
 }
 
-// remove deletes the entry at heap index i, refilling the hole with the
-// last entry.
-func (e *Engine) remove(i int) {
+// release drops the hold of a callback that scheduled nothing: the last
+// entry takes the held slot and sifts down. The root is the smallest entry
+// left, so it stays where it is.
+func (e *Engine) release() {
+	i := e.hold
+	e.hold = -1
+	e.ndead--
 	last := len(e.heap) - 1
 	x := e.heap[last]
 	e.heap = e.heap[:last]
-	if i == last {
-		return
-	}
-	if i > 0 && x.before(e.heap[(i-1)>>2]) {
-		e.up(i, x)
-	} else {
+	if i < last {
 		e.down(i, x)
+	}
+}
+
+// settle pops dead entries off the root until the root is live or the heap
+// is empty, restoring the invariant that NextEventAt relies on.
+func (e *Engine) settle() {
+	if e.hold >= 0 && !e.live(e.heap[0]) {
+		e.release() // the root's children must be in order before a pop
+	}
+	for len(e.heap) > 0 && !e.live(e.heap[0]) {
+		last := len(e.heap) - 1
+		x := e.heap[last]
+		e.heap = e.heap[:last]
+		if last > 0 {
+			e.down(0, x)
+		}
+		e.ndead--
 	}
 }
 
@@ -254,7 +291,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) - e.ndead }
 
 // MaxPending returns the event heap's high-water mark since the last Reset
 // (or engine creation) — a capacity-planning and obs-layer statistic.
@@ -271,14 +308,29 @@ func (e *Engine) At(t Time, fn Event) Handle {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	id := e.alloc()
-	e.nodes[id].fn = fn
-	e.heap = append(e.heap, entry{})
-	e.up(len(e.heap)-1, entry{at: t, seq: e.seq, id: id})
+	n := &e.nodes[id]
+	n.fn = fn
+	x := entry{at: t, seq: e.seq, id: id, gen: n.gen}
 	e.seq++
-	if len(e.heap) > e.maxPending {
-		e.maxPending = len(e.heap)
+	if i := e.hold; i >= 0 {
+		// The first follow-up of a running callback takes the held slot,
+		// a child of the root or the root itself, so x moves up at most
+		// one level: with the promotion at fire time, one sift per event.
+		e.hold = -1
+		e.ndead--
+		if h := e.heap; i > 0 && x.before(h[0]) {
+			h[i], h[0] = h[0], x
+		} else {
+			e.down(i, x)
+		}
+	} else {
+		e.heap = append(e.heap, x)
+		e.up(len(e.heap)-1, x)
 	}
-	return Handle{eng: e, id: id, gen: e.nodes[id].gen}
+	if p := len(e.heap) - e.ndead; p > e.maxPending {
+		e.maxPending = p
+	}
+	return Handle{eng: e, id: id, gen: n.gen}
 }
 
 // After schedules fn to run d after the current time.
@@ -289,26 +341,18 @@ func (e *Engine) After(d Time, fn Event) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// live reports whether h still refers to a pending event of e: issued by e
-// (slot ids index only their own engine's slab, which never shrinks), its
-// generation current and its entry still in the heap.
-func (e *Engine) live(h Handle) bool {
-	if h.eng != e {
-		return false
-	}
-	n := &e.nodes[h.id]
-	return n.gen == h.gen && n.pos >= 0
-}
-
 // Cancel removes a scheduled event. Cancelling an event that already fired
 // (or was already cancelled), the zero Handle, or a Handle issued by another
-// engine is a no-op and returns false.
+// engine is a no-op and returns false. Slot ids index only their own engine's
+// slab, which never shrinks, and a slot's generation changes whenever its
+// event fires or is cancelled, so a matching generation means still pending.
 func (e *Engine) Cancel(h Handle) bool {
-	if !e.live(h) {
+	if h.eng != e || e.nodes[h.id].gen != h.gen {
 		return false
 	}
-	e.remove(int(e.nodes[h.id].pos))
 	e.recycle(h.id)
+	e.ndead++
+	e.settle()
 	return true
 }
 
@@ -325,19 +369,41 @@ func (e *Engine) Run() {
 // remain pending.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
+	for {
+		if e.hold >= 0 {
+			e.release() // the last callback scheduled nothing
+		}
+		if len(e.heap) == 0 || e.stopped {
+			break
+		}
 		next := e.heap[0]
 		if next.at > deadline {
 			break
 		}
-		e.remove(0)
 		e.now = next.at
 		e.fired++
 		fn := e.nodes[next.id].fn
-		// Recycle before firing: fn frequently schedules a follow-up event
-		// (arrival loops, timer chains), which can then reuse this slot
-		// immediately.
+		// Recycle before firing, so fn's follow-up (arrival loops, timer
+		// chains) reuses this slot at once. Then promote the root's smaller
+		// child into the root and hold the child's slot, with the dead
+		// entry in it, for that follow-up to take.
 		e.recycle(next.id)
+		e.ndead++
+		h := e.heap
+		e.hold = 0
+		if n := len(h); n > 1 {
+			best := 1
+			for j := 2; j < n && j < 5; j++ {
+				if h[j].before(h[best]) {
+					best = j
+				}
+			}
+			h[0], h[best] = h[best], next
+			e.hold = best
+		}
+		if e.ndead > 1 {
+			e.settle() // a cancelled entry may have been promoted to the root
+		}
 		fn()
 	}
 	if !e.stopped && e.now < deadline && deadline < Time(1<<62) {
@@ -350,7 +416,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // simulation needs: a synchronization layer bounds the next barrier by the
 // earliest thing any engine could possibly do.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.heap) == 0 {
+	if len(e.heap) == e.ndead {
 		return 0, false
 	}
 	return e.heap[0].at, true

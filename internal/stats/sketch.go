@@ -240,7 +240,7 @@ func (s *Sketch) Reset() {
 }
 
 // Buckets returns the number of allocated buckets — the memory-footprint
-// statistic reported in BENCH_telemetry.json.
+// statistic TestSketchMemoryBound pins.
 func (s *Sketch) Buckets() int { return len(s.bins) }
 
 // MemoryBytes estimates the sketch's heap footprint (bucket storage plus

@@ -162,7 +162,7 @@ func TestSketchFracAbove(t *testing.T) {
 
 // TestSketchMemoryBound pins the scalability claim: 1M observations spanning
 // five orders of magnitude stay within a few thousand buckets, versus 8 MB
-// for the exact sample (see BENCH_telemetry.json).
+// for the exact sample.
 func TestSketchMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-sample feed is slow")

@@ -175,6 +175,22 @@ echo "== bench baseline diff (warn-only) =="
 "$cachedir/umbench" -quick -figures lb -cache "$cachedir/cells" \
     -baseline BENCH_lb_baseline.json -baseline-warn >/dev/null
 
+# Reference-hash gate: perfbench hashes the simulated output of a timed run
+# and checks it against perfbench/reference.json, so any drift in the
+# model's output bytes fails here. Full mode only: it builds perfbench and
+# times several passes, which takes about half a minute.
+if [ "${1:-}" != "quick" ]; then
+    echo "== perfbench reference hash (server) =="
+    if ! python3 perfbench/run.py --workload server --seed 1 --seconds 1 --trace 0 \
+        >"$cachedir/perfbench.out" 2>"$cachedir/perfbench.err" ||
+        ! tail -n 1 "$cachedir/perfbench.out" | grep -q '"correct": true'; then
+        cat "$cachedir/perfbench.out" "$cachedir/perfbench.err" >&2
+        echo "perfbench server run is not correct: output drifted from its reference hash" >&2
+        exit 1
+    fi
+    tail -n 1 "$cachedir/perfbench.out"
+fi
+
 echo "== bench smoke (allocation + sweep + telemetry benchmarks, 1 iteration) =="
 go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun' -benchtime 1x \
     -benchmem ./internal/sim/ ./internal/machine/
