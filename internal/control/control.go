@@ -198,6 +198,13 @@ type root struct {
 	hedge    sim.Handle
 }
 
+// attempt is one dispatched attempt awaiting its server's answer: the root
+// it serves and whether it is the hedge.
+type attempt struct {
+	r     *root
+	hedge bool
+}
+
 // Controller is the dispatcher-side control loop. It lives entirely on the
 // dispatcher's engine (PDES shard 0); servers talk to it only through
 // messages the fleet relays over the coupling fabric, so its state is
@@ -214,10 +221,15 @@ type Controller struct {
 	shedRng    *rand.Rand
 
 	// pick routes one attempt through the balancer over the active set;
-	// send dispatches to a server and calls back (on this engine, at the
-	// response's dispatcher-arrival time) with the admission outcome.
+	// send dispatches an attempt to a server under a token, which the fleet
+	// hands back to Response (on this engine, at the response's
+	// dispatcher-arrival time) with the admission outcome.
 	pick func() int
-	send func(server int, onResp func(rejected bool))
+	send func(server int, token int32)
+	// attempts holds the dispatched attempts awaiting an answer, indexed by
+	// token; attemptFree holds the free slots' tokens.
+	attempts    []attempt
+	attemptFree []int32
 
 	// burnFiring tracks each server's slo.burn state; shedding counts the
 	// firing servers rather than re-deriving the any() predicate per edge.
@@ -268,9 +280,10 @@ func New(eng *sim.Engine, cfg Config, servers int, warmup sim.Time, seed int64) 
 }
 
 // Bind installs the fleet's routing hooks: pick chooses a server through
-// the balancer (over ActiveServers), send ships one attempt and reports its
-// outcome back on the controller's engine.
-func (c *Controller) Bind(pick func() int, send func(server int, onResp func(rejected bool))) {
+// the balancer (over ActiveServers), send ships one attempt under a token;
+// the fleet reports the attempt's outcome with Response(token, ...) on the
+// controller's engine.
+func (c *Controller) Bind(pick func() int, send func(server int, token int32)) {
 	c.pick, c.send = pick, send
 }
 
@@ -308,7 +321,16 @@ func (c *Controller) dispatch(r *root, hedge bool) {
 	}
 	r.inflight++
 	c.stats.Attempts++
-	c.send(s, func(rejected bool) { c.onResp(r, rejected, hedge) })
+	var token int32
+	if n := len(c.attemptFree); n > 0 {
+		token = c.attemptFree[n-1]
+		c.attemptFree = c.attemptFree[:n-1]
+	} else {
+		token = int32(len(c.attempts))
+		c.attempts = append(c.attempts, attempt{})
+	}
+	c.attempts[token] = attempt{r: r, hedge: hedge}
+	c.send(s, token)
 	if !hedge && c.cfg.HedgeAfter > 0 && !r.hedged {
 		r.hedgeOn = true
 		r.hedge = c.eng.After(c.cfg.HedgeAfter, func() { c.fireHedge(r) })
@@ -334,8 +356,13 @@ func (c *Controller) cancelHedge(r *root) {
 	}
 }
 
-// onResp handles one attempt's outcome arriving back at the dispatcher.
-func (c *Controller) onResp(r *root, rejected, hedge bool) {
+// Response handles the outcome of the attempt dispatched under token,
+// arriving back at the dispatcher, and frees the token.
+func (c *Controller) Response(token int32, rejected bool) {
+	a := c.attempts[token]
+	c.attempts[token] = attempt{}
+	c.attemptFree = append(c.attemptFree, token)
+	r := a.r
 	r.inflight--
 	if r.done {
 		// The race was already decided; this is the hedge loser (or a
@@ -347,7 +374,7 @@ func (c *Controller) onResp(r *root, rejected, hedge bool) {
 		r.done = true
 		c.cancelHedge(r)
 		c.stats.Completed++
-		if hedge {
+		if a.hedge {
 			c.stats.HedgeWins++
 		}
 		lat := (c.eng.Now() - r.t0).Micros()

@@ -106,8 +106,8 @@ func bindLoopback(eng *sim.Engine, c *Controller, serve func(s int) sim.Time, re
 			next++
 			return s
 		},
-		func(s int, onResp func(rejected bool)) {
-			eng.After(serve(s), func() { onResp(rejected(s)) })
+		func(s int, token int32) {
+			eng.After(serve(s), func() { c.Response(token, rejected(s)) })
 		},
 	)
 }
@@ -188,9 +188,9 @@ func TestShedGateDropsWhileFiring(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := New(eng, Config{ShedProb: 1, ShedSLOMicros: 100}, 4, 0, 1)
 	dispatched := 0
-	c.Bind(func() int { return 0 }, func(s int, onResp func(rejected bool)) {
+	c.Bind(func() int { return 0 }, func(s int, token int32) {
 		dispatched++
-		eng.After(sim.Microsecond, func() { onResp(false) })
+		eng.After(sim.Microsecond, func() { c.Response(token, false) })
 	})
 	c.BurnEdge(1, true)
 	eng.At(1, c.AdmitRoot)
@@ -275,6 +275,10 @@ func TestControllerDeterministicRepeat(t *testing.T) {
 			eng.At(at, c.AdmitRoot)
 		}
 		eng.RunUntil(sim.Second)
+		// Every attempt was answered, so every token is free again.
+		if len(c.attempts) == 0 || len(c.attemptFree) != len(c.attempts) {
+			t.Fatalf("%d of %d attempt tokens free after every attempt was answered", len(c.attemptFree), len(c.attempts))
+		}
 		s := *c.Finish()
 		s.Sample = nil
 		return s

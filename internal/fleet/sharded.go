@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"time"
 
 	"umanycore/internal/control"
@@ -10,6 +11,30 @@ import (
 	"umanycore/internal/sim"
 	"umanycore/internal/telemetry"
 	"umanycore/internal/workload"
+)
+
+// The pdes.Msg kinds of the coupled fleet: what a message asks its
+// destination shard to do. Each kind uses only the Msg fields listed.
+const (
+	// msgRoot: the dispatcher hands a server one root of its own request mix.
+	msgRoot uint8 = iota
+	// msgTypedRoot: a root of an explicit type (graph mode, trace replay):
+	// Service and Demand.
+	msgTypedRoot
+	// msgCtlRoot: a control-loop attempt; Token is the controller's.
+	msgCtlRoot
+	// msgCtlReply: a server answers a control attempt to the dispatcher:
+	// Token and Flag (rejected at admission).
+	msgCtlReply
+	// msgCall: a cross-server child RPC: Service, Demand, Link, and Token,
+	// the caller's remote-call table slot; the caller is the source shard.
+	msgCall
+	// msgReply: the peer's response to a msgCall: Token and Time, when the
+	// response left the peer.
+	msgReply
+	// msgBurn: a server's slo.burn watchdog edge to the dispatcher: Flag
+	// (firing).
+	msgBurn
 )
 
 // runCoupled is the multi-server coupled fleet on the conservative-lookahead
@@ -58,17 +83,43 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// its "arrivals" and "fleet-lb" streams match the single-engine
 	// reference's byte for byte. Server shards get derived seeds — only
 	// their event heaps care; server randomness comes from Streams bundles.
+	//
+	// Every cross-shard interaction is a typed message (see msgRoot) that
+	// handle interprets on the destination shard; it reads machines and ctl,
+	// which are built below, before the first message can fire.
+	var machines []*machine.Server
+	var ctl *control.Controller
+	handle := func(src, dst int, m pdes.Msg) {
+		switch m.Kind {
+		case msgRoot:
+			machines[dst-1].SubmitRoot()
+		case msgTypedRoot:
+			machines[dst-1].SubmitRootAs(int(m.Service), m.Demand)
+		case msgCtlRoot:
+			machines[dst-1].SubmitRootCtl(machine.Reply{Origin: int32(src), Token: m.Token})
+		case msgCtlReply:
+			ctl.Response(m.Token, m.Flag)
+		case msgCall:
+			machines[dst-1].SubmitRemote(int(m.Service), m.Demand, m.Link, machine.Reply{Origin: int32(src), Token: m.Token})
+		case msgReply:
+			machines[dst-1].RemoteResponse(m.Token, m.Time)
+		case msgBurn:
+			ctl.BurnEdge(src-1, m.Flag)
+		default:
+			panic(fmt.Sprintf("fleet: unknown message kind %d", m.Kind))
+		}
+	}
 	var net pdes.Net
 	dispEng := sim.NewEngine(seed)
 	engs := make([]*sim.Engine, n)
 	distinct := []*sim.Engine{dispEng}
 	if fc.ShardWorkers < 0 {
-		net = pdes.NewSingleEngine(lookahead, dispEng, n+1)
+		net = pdes.NewSingleEngine(lookahead, dispEng, n+1, handle)
 		for s := range engs {
 			engs[s] = dispEng
 		}
 	} else {
-		f := pdes.NewFabric(lookahead, fc.ShardWorkers)
+		f := pdes.NewFabric(lookahead, fc.ShardWorkers, handle)
 		f.AddShard(dispEng)
 		for s := range engs {
 			engs[s] = sim.NewEngine(sim.DeriveSeed(seed, int64(s)))
@@ -87,7 +138,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	if fc.ShardWorkers < 0 {
 		role = machine.SharedEngine
 	}
-	machines := make([]*machine.Server, n)
+	machines = make([]*machine.Server, n)
 	rngs := make([]*sim.Streams, n)
 	for s := range machines {
 		var hosted []int
@@ -99,13 +150,23 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		machines[s] = machine.NewServer(engs[s], fc.serverConfig(s, cross), rc, hosted, role, s)
 		rngs[s] = sim.NewStreams(sim.DeriveSeed(seed, int64(s)))
 		machines[s].SetRNG(rngs[s])
+		// Answers to peers' child RPCs and to control-dispatched roots ship
+		// back one wire delay after they leave this server. The reply's
+		// origin says which: the dispatcher is shard 0.
+		self := s + 1
+		machines[s].SetReplyHook(func(to machine.Reply, done sim.Time, rejected bool) {
+			kind := msgReply
+			if to.Origin == 0 {
+				kind = msgCtlReply
+			}
+			net.Send(self, int(to.Origin), done+lookahead, pdes.Msg{Kind: kind, Token: to.Token, Time: done, Flag: rejected})
+		})
 	}
 
 	// Front-end control loop (retry/backoff, hedging, shedding, autoscaling
 	// — see internal/control). The controller lives on the dispatcher shard;
 	// everything it learns from servers arrives as coupling messages, so its
 	// decisions are bit-identical for every ShardWorkers value.
-	var ctl *control.Controller
 	if fc.controlOn() {
 		ctl = control.New(dispEng, *fc.Control, n, rc.Warmup, seed)
 		if fc.Control.Sheds() {
@@ -133,10 +194,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 						if a.Rule != control.ShedRuleName {
 							return
 						}
-						firing := a.Firing
-						net.Send(srv+1, 0, eng.Now()+lookahead, func() {
-							ctl.BurnEdge(srv, firing)
-						})
+						net.Send(srv+1, 0, eng.Now()+lookahead, pdes.Msg{Kind: msgBurn, Flag: a.Firing})
 					},
 				})
 				machines[s].EnableControlTelemetry(shed)
@@ -157,7 +215,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			src := s
 			peerRng := rngs[src].Rand("fleet-peer")
 			var linkSeq uint64
-			machines[src].SetRemoteSender(func(svcID int, demand float64, depart sim.Time, traced bool, respond func(done sim.Time)) uint64 {
+			machines[src].SetRemoteSender(func(svcID int, demand float64, depart sim.Time, traced bool, token int32) uint64 {
 				var p int
 				if fc.Graph != nil {
 					// sendChild only ships non-local callees, so the host
@@ -184,14 +242,12 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 					linkSeq++
 					link = uint64(src+1)<<40 | linkSeq
 				}
-				peer := machines[p]
-				net.Send(src+1, p+1, depart, func() {
-					peer.SubmitRemote(svcID, demand, link, func(done sim.Time) {
-						// respond computes the return-path timing from done
-						// alone, so running it one wire delay later on the
-						// origin shard reproduces the reference exactly.
-						net.Send(p+1, src+1, done+lookahead, func() { respond(done) })
-					})
+				// The peer answers through its reply hook: RemoteResponse
+				// computes the return-path timing from done alone, so running
+				// it one wire delay later on this shard reproduces the
+				// reference exactly.
+				net.Send(src+1, p+1, depart, pdes.Msg{
+					Kind: msgCall, Service: int32(svcID), Demand: demand, Link: link, Token: token,
 				})
 				return link
 			})
@@ -289,14 +345,9 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 				v.Servers = ctl.ActiveServers()
 				return bal.Pick(lbRng, v)
 			},
-			func(s int, onResp func(rejected bool)) {
+			func(s int, token int32) {
 				routed[s]++
-				target := machines[s]
-				net.Send(0, s+1, dispEng.Now()+lookahead, func() {
-					target.SubmitRootCtl(func(done sim.Time, rejected bool) {
-						net.Send(s+1, 0, done+lookahead, func() { onResp(rejected) })
-					})
-				})
+				net.Send(0, s+1, dispEng.Now()+lookahead, pdes.Msg{Kind: msgCtlRoot, Token: token})
 			},
 		)
 	}
@@ -321,27 +372,23 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// Arrivals: trace replay takes root types and demands from the bound
 	// trace; the open-loop process admits through the controller or routes
 	// itself, typed by the app's root in graph mode.
+	typedRoot := func(root int, demand float64) {
+		s := pickServer(root)
+		routed[s]++
+		net.Send(0, s+1, dispEng.Now()+lookahead, pdes.Msg{Kind: msgTypedRoot, Service: int32(root), Demand: demand})
+	}
 	machine.Arrivals(dispEng, rc, totalRPS, func() {
 		switch {
 		case ctl != nil:
 			ctl.AdmitRoot()
 		case fc.Graph != nil:
-			s := pickServer(app.Root)
-			routed[s]++
-			target := machines[s]
-			net.Send(0, s+1, dispEng.Now()+lookahead, func() { target.SubmitRootAs(app.Root, 0) })
+			typedRoot(app.Root, 0)
 		default:
 			s := bal.Pick(lbRng, view)
 			routed[s]++
-			target := machines[s]
-			net.Send(0, s+1, dispEng.Now()+lookahead, target.SubmitRoot)
+			net.Send(0, s+1, dispEng.Now()+lookahead, pdes.Msg{Kind: msgRoot})
 		}
-	}, func(root int, demand float64) {
-		s := pickServer(root)
-		routed[s]++
-		target := machines[s]
-		net.Send(0, s+1, dispEng.Now()+lookahead, func() { target.SubmitRootAs(root, demand) })
-	})
+	}, typedRoot)
 
 	// Run to horizon; at every window barrier, refresh the dispatcher's
 	// snapshot of how many roots each server has answered, and (throttled)

@@ -13,7 +13,9 @@ import (
 // reject for roots, local children and peer-served children — so once a run
 // has fully drained, the free list holds every object ever allocated, once,
 // with nothing but its bound events left set. A missed return path leaks an
-// object here; a double return shows up as a duplicate.
+// object here; a double return shows up as a duplicate. The same holds for
+// the machine's other recycled state: root-completion records, and the
+// remote-call table's slots once every peer has answered.
 
 // burstArrivals schedules bursts of size roots every gap, starting at gap,
 // each through submit.
@@ -51,6 +53,28 @@ func checkConserved(t *testing.T, name string, m *Machine) {
 		if !reflect.ValueOf(stripped).IsZero() {
 			t.Fatalf("%s: pooled invocation not zeroed: %+v", name, stripped)
 		}
+	}
+	if got := len(m.doneFree); got != m.doneAllocs {
+		t.Fatalf("%s: %d of %d root-completion records on the free list after drain", name, got, m.doneAllocs)
+	}
+	seenDone := make(map[*rootDone]bool, len(m.doneFree))
+	for _, d := range m.doneFree {
+		stripped := *d
+		stripped.fire = nil
+		if seenDone[d] || d.fire == nil || !reflect.ValueOf(stripped).IsZero() {
+			t.Fatalf("%s: root-completion record duplicated, unbound or not zeroed: %+v", name, stripped)
+		}
+		seenDone[d] = true
+	}
+	if got := len(m.callFree); got != len(m.calls) {
+		t.Fatalf("%s: %d of %d remote-call tokens free after drain", name, got, len(m.calls))
+	}
+	seenCall := make(map[int32]bool, len(m.callFree))
+	for _, tok := range m.callFree {
+		if seenCall[tok] || m.calls[tok] != (remoteCall{}) {
+			t.Fatalf("%s: remote-call token %d freed twice or still holding its call", name, tok)
+		}
+		seenCall[tok] = true
 	}
 }
 
@@ -112,6 +136,8 @@ func TestInvocationConservation(t *testing.T) {
 // lottery run on the peer through SubmitRemote, which completes them or,
 // with a one-slot RQ and no NIC buffer, rejects them. The peer serves
 // nothing else, so every rejection it counts is a peer-served subtree's.
+// Either way the peer answers every call, so the caller's remote-call
+// table must drain.
 func TestInvocationConservationPeerServed(t *testing.T) {
 	app := appByName(t, "CPost")
 	oneSlot := UManycoreConfig()
@@ -130,9 +156,15 @@ func TestInvocationConservationPeerServed(t *testing.T) {
 		callerCfg.RemoteRTT = 2 * sim.Microsecond
 		eng := sim.NewEngine(2)
 		caller, peer := New(eng, callerCfg, app), New(eng, tc.peerCfg, app)
-		caller.SetRemoteSender(func(svcID int, demand float64, depart sim.Time, _ bool, respond func(sim.Time)) uint64 {
-			eng.At(depart, func() { peer.SubmitRemote(svcID, demand, 0, respond) })
+		caller.SetRemoteSender(func(svcID int, demand float64, depart sim.Time, _ bool, token int32) uint64 {
+			eng.At(depart, func() { peer.SubmitRemote(svcID, demand, 0, Reply{Token: token}) })
 			return 0
+		})
+		peer.SetReplyHook(func(to Reply, done sim.Time, rejected bool) {
+			if rejected {
+				t.Errorf("%s: a peer-served call answered as rejected", tc.name)
+			}
+			caller.RemoteResponse(to.Token, done)
 		})
 		burstArrivals(eng, 40, 6, 50*sim.Microsecond, caller.SubmitRoot)
 		eng.Run()
@@ -140,7 +172,7 @@ func TestInvocationConservationPeerServed(t *testing.T) {
 			t.Fatalf("%s: caller has %d roots outstanding and %d rejections after drain",
 				tc.name, caller.OutstandingRoots(), caller.Rejected)
 		}
-		if peer.RemoteServed == 0 {
+		if peer.RemoteServed == 0 || len(caller.calls) == 0 {
 			t.Fatalf("%s: no child RPC was peer-served", tc.name)
 		}
 		if got := peer.Rejected > 0; got != tc.rejects {
@@ -158,14 +190,14 @@ func TestInvocationConservationControl(t *testing.T) {
 	eng := sim.NewEngine(3)
 	m := New(eng, tinyRQ(UManycoreConfig()), app)
 	var completed, rejected int
-	onResp := func(_ sim.Time, rej bool) {
+	m.SetReplyHook(func(_ Reply, _ sim.Time, rej bool) {
 		if rej {
 			rejected++
 		} else {
 			completed++
 		}
-	}
-	burstArrivals(eng, 40, 6, 50*sim.Microsecond, func() { m.SubmitRootCtl(onResp) })
+	})
+	burstArrivals(eng, 40, 6, 50*sim.Microsecond, func() { m.SubmitRootCtl(Reply{}) })
 	eng.Run()
 	if completed == 0 || rejected == 0 {
 		t.Fatalf("want completed and rejected roots, got %d and %d", completed, rejected)

@@ -68,6 +68,14 @@ type Machine struct {
 	// that draw the RemoteCallFrac lottery are shipped to a peer server
 	// through it instead of paying a probabilistic latency add locally.
 	remoteSend RemoteSender
+	// calls is the remote-call table: one slot per child RPC in flight to
+	// a peer, indexed by the token the fleet answers it with
+	// (RemoteResponse). callFree holds the free slots' tokens.
+	calls    []remoteCall
+	callFree []int32
+	// replyHook answers the requests that came from elsewhere in the
+	// fleet: peer-served child RPCs and control-dispatched roots.
+	replyHook ReplyHook
 
 	// local, non-nil on a placed machine (NewPlaced — a fleet service-graph
 	// server), marks which services are hosted here. A child RPC to a
@@ -98,6 +106,10 @@ type Machine struct {
 	// invocations ever allocated (all on invFree once the machine drains).
 	invFree   []*invocation
 	invAllocs int
+	// doneFree holds finished root-completion records for reuse;
+	// doneAllocs counts the records ever allocated.
+	doneFree   []*rootDone
+	doneAllocs int
 }
 
 // stream names one of the machine's independent random streams.
@@ -150,18 +162,77 @@ func (m *Machine) rand(s stream) *rand.Rand {
 	return r
 }
 
-// RemoteSender ships one cross-server child RPC into the fleet: svcID is
-// the callee service, demand the caller's trace-replay compute-demand
-// multiplier (0 = unscaled; the peer applies it to the served subtree),
-// depart the virtual time the request has left this server's NIC (half the
-// inter-server RTT already paid), and respond must be called exactly once
-// with the virtual time the peer's response leaves the peer server. traced
-// says the caller recorded an invoke span for this RPC; when set, the
-// fleet mints a fleet-unique remote-link ID, hands it to the peer's
-// SubmitRemote so the peer traces the served subtree under that link, and
-// returns it so the caller can tag its invoke span (obs.Merge stitches the
-// two halves). Untraced sends return 0.
-type RemoteSender func(svcID int, demand float64, depart sim.Time, traced bool, respond func(done sim.Time)) (link uint64)
+// RemoteSender ships one cross-server child RPC into the fleet.
+//
+//   - svcID is the callee service.
+//   - demand is the caller's trace-replay compute-demand multiplier
+//     (0 = unscaled); the peer applies it to the served subtree.
+//   - depart is the virtual time the request has left this server's NIC,
+//     with half the inter-server RTT already paid.
+//   - traced says the caller recorded an invoke span for this RPC. The
+//     fleet then mints a fleet-unique remote-link ID, hands it to the
+//     peer's SubmitRemote so the peer traces the served subtree under that
+//     link, and returns it so the caller can tag its invoke span (obs.Merge
+//     stitches the two halves). Untraced sends return 0.
+//   - token names the call in this machine's remote-call table. The fleet
+//     answers it exactly once, by calling RemoteResponse(token, done) on
+//     this machine with the virtual time the peer's response left the peer.
+//
+// The sender is a plain function of values: the machine keeps everything
+// the response needs in its own table, so nothing is allocated per call.
+type RemoteSender func(svcID int, demand float64, depart sim.Time, traced bool, token int32) (link uint64)
+
+// Reply is the fleet address that answers a request from elsewhere in the
+// fleet: the origin shard and a token the origin uses to find the request
+// again. The machine never interprets it; it hands it back to the reply
+// hook.
+type Reply struct {
+	Origin int32
+	Token  int32
+}
+
+// ReplyHook sends one answer into the fleet: to is the address the request
+// carried, done the virtual time the response leaves this server's NIC,
+// and rejected whether the server turned a control-dispatched root away at
+// admission (§4.3). A peer-served child RPC always answers with rejected
+// false: a rejected child still answers its caller so the tree terminates.
+type ReplyHook func(to Reply, done sim.Time, rejected bool)
+
+// replyMode says how a parentless invocation answers.
+type replyMode uint8
+
+const (
+	// noReply: a root from this server's own arrivals; its completion is
+	// recorded here and nothing leaves the server.
+	noReply replyMode = iota
+	// peerReply: the invocation serves a peer server's child RPC; respond
+	// hands the response's egress time to the reply hook instead of
+	// recording latency.
+	peerReply
+	// ctlReply: a control-dispatched root; its completion and its
+	// admission reject both answer the front end through the reply hook.
+	ctlReply
+)
+
+// remoteCall is one child RPC in flight to a peer server: the blocked
+// parent its response resolves and is delivered to, and its invoke span
+// (0 when untraced). The parent stays blocked, in its domain, until the
+// response arrives.
+type remoteCall struct {
+	parent *invocation
+	span   uint64
+}
+
+// rootDone is one root's completion, counted once its response has left
+// the package: a latency-sample entry for measured roots and the Completed
+// count for all. Records are recycled through the machine's free list, and
+// each binds its event once.
+type rootDone struct {
+	lat      float64
+	root     int
+	measured bool
+	fire     sim.Event
+}
 
 type domain struct {
 	m        *Machine
@@ -268,24 +339,18 @@ type invocation struct {
 	dispatched bool
 	// measured marks roots that arrived after warmup.
 	measured bool
+	// replyMode says whether and how a parentless invocation answers
+	// through the reply hook, and reply is the address it answers.
+	replyMode replyMode
+	reply     Reply
 	// span is this invocation's envelope span ID, 0 when untraced.
 	span uint64
 	// enqAt is when the invocation last became runnable (queue-wait start).
 	enqAt sim.Time
-	// onDone, when set, marks a parentless invocation serving a peer
-	// server's child RPC (coupled fleet): instead of recording end-to-end
-	// latency, respond calls it with the response's NIC-egress time.
-	onDone func(done sim.Time)
 	// demand scales every compute sample of this invocation and is
 	// inherited by its children — trace replay's per-record service demand
 	// (see svcgraph.Arrival.Demand). Zero means unscaled.
 	demand float64
-	// onResp, when set on a root, reports the admission outcome to the
-	// fleet dispatcher's control loop (SubmitRootCtl): called exactly once
-	// with the virtual time the response — completion or admission reject —
-	// leaves this server's NIC, so the front end can retry, hedge, and
-	// account for rejections instead of the machine dropping them silently.
-	onResp func(done sim.Time, rejected bool)
 }
 
 // New builds a machine on the given engine serving a single request type.
@@ -344,7 +409,10 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	m.path = make([]*icn.Link, 0, m.topo.MaxHops())
 	endpoints := m.topo.NumEndpoints()
 	coresPer := cfg.Cores / cfg.Domains
-	coreID := 0
+	// One slab holds every core, and each domain's cores and idle lists are
+	// sized once: a domain never has more idle cores than it owns.
+	slab := make([]core, coresPer*cfg.Domains)
+	ptrs := make([]*core, 2*len(slab))
 	var central *sim.Resource
 	if cfg.CentralDispatcher && cfg.Policy.Centralized {
 		central = &sim.Resource{}
@@ -362,11 +430,14 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		} else {
 			dom.swq = &fifo{}
 		}
-		for i := 0; i < coresPer; i++ {
-			c := &core{dom: dom, id: coreID, svcID: -1}
-			coreID++
-			dom.cores = append(dom.cores, c)
-			dom.idle = append(dom.idle, c)
+		lo, hi := d*coresPer, (d+1)*coresPer
+		dom.cores = ptrs[lo:hi:hi]
+		dom.idle = ptrs[len(slab)+lo : len(slab)+hi : len(slab)+hi]
+		for i := range dom.cores {
+			c := &slab[lo+i]
+			*c = core{dom: dom, id: lo + i, svcID: -1}
+			dom.cores[i] = c
+			dom.idle[i] = c
 		}
 		m.domains = append(m.domains, dom)
 	}
@@ -591,18 +662,18 @@ func (m *Machine) pickInstance(svc int) *domain {
 // SubmitRoot injects one external request for the app's root service at the
 // current time. The request passes the top-level NIC and the ICN before
 // reaching its village.
-func (m *Machine) SubmitRoot() { m.submitRoot(nil) }
+func (m *Machine) SubmitRoot() { m.submitRootSvc(m.pickRoot(), 0, noReply, Reply{}) }
 
 // SubmitRootCtl injects a root like SubmitRoot and additionally reports its
-// admission outcome: onResp is called exactly once, with the virtual time
-// the response (completion, or a §4.3 admission reject) leaves this
-// server's NIC, and whether it was a reject. The coupled fleet's control
-// loop dispatches through this so rejected roots come back to the front end
-// for retry/hedging accounting instead of vanishing into rejectedRoots.
-// Server-side accounting (Submitted, Completed, rejection counters, the
-// per-attempt latency sample) is unchanged.
-func (m *Machine) SubmitRootCtl(onResp func(done sim.Time, rejected bool)) {
-	m.submitRoot(onResp)
+// admission outcome: the reply hook is called exactly once for it, with to,
+// the virtual time the response (completion, or a §4.3 admission reject)
+// leaves this server's NIC, and whether it was a reject. The coupled
+// fleet's control loop dispatches through this so rejected roots come back
+// to the front end for retry/hedging accounting instead of vanishing into
+// rejectedRoots. Server-side accounting (Submitted, Completed, rejection
+// counters, the per-attempt latency sample) is unchanged.
+func (m *Machine) SubmitRootCtl(to Reply) {
+	m.submitRootSvc(m.pickRoot(), 0, ctlReply, to)
 }
 
 // SubmitRootAs injects one external root request of an explicit service
@@ -610,14 +681,10 @@ func (m *Machine) SubmitRootCtl(onResp func(done sim.Time, rejected bool)) {
 // and fleet service-graph entry point. Ingress path and root accounting
 // match SubmitRoot exactly; only the mixture draw is bypassed.
 func (m *Machine) SubmitRootAs(svcID int, demand float64) {
-	m.submitRootSvc(svcID, demand, nil)
+	m.submitRootSvc(svcID, demand, noReply, Reply{})
 }
 
-func (m *Machine) submitRoot(onResp func(done sim.Time, rejected bool)) {
-	m.submitRootSvc(m.pickRoot(), 0, onResp)
-}
-
-func (m *Machine) submitRootSvc(svcID int, demand float64, onResp func(done sim.Time, rejected bool)) {
+func (m *Machine) submitRootSvc(svcID int, demand float64, mode replyMode, to Reply) {
 	m.Submitted++
 	now := m.eng.Now()
 	inv := m.newInv()
@@ -625,7 +692,7 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, onResp func(done sim.
 	inv.start = now
 	inv.measured = now >= m.measureFrom
 	inv.demand = demand
-	inv.onResp = onResp
+	inv.replyMode, inv.reply = mode, to
 	dom := m.pickInstance(inv.svc.ID)
 	inv.dom = dom
 	// Top-level NIC → village. Conventional designs carry external traffic
@@ -649,24 +716,29 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, onResp func(done sim.
 // being approximated by a local latency add. Call before submitting load.
 func (m *Machine) SetRemoteSender(f RemoteSender) { m.remoteSend = f }
 
+// SetReplyHook installs the hook that answers SubmitRemote calls and
+// SubmitRootCtl roots. Call before submitting either.
+func (m *Machine) SetReplyHook(f ReplyHook) { m.replyHook = f }
+
 // SubmitRemote injects a child RPC arriving from a peer server at the
 // current time: it passes the top-level NIC and the ICN like an external
 // request, runs svcID's full invocation subtree on this machine (compute
 // samples scaled by the caller's demand multiplier, 0 = unscaled), and
-// calls onDone with the virtual time the response leaves this server's
-// NIC. Remote invocations never enter the latency sample or the Submitted
-// / Completed root accounting; they are extra offered load. A nonzero link
-// (caller traced, tracing on here) opens a link-tagged envelope span so the
-// served subtree is recorded in this machine's collector and stitched under
-// the caller's invoke span by obs.Merge.
-func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, onDone func(done sim.Time)) {
+// answers to through the reply hook with the virtual time the response
+// leaves this server's NIC. Remote invocations never enter the latency
+// sample or the Submitted / Completed root accounting; they are extra
+// offered load. A nonzero link (caller traced, tracing on here) opens a
+// link-tagged envelope span so the served subtree is recorded in this
+// machine's collector and stitched under the caller's invoke span by
+// obs.Merge.
+func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, to Reply) {
 	m.RemoteServed++
 	now := m.eng.Now()
 	inv := m.newInv()
 	inv.svc = m.catalog.Service(svcID)
 	inv.start = now
 	inv.demand = demand
-	inv.onDone = onDone
+	inv.replyMode, inv.reply = peerReply, to
 	dom := m.pickInstance(svcID)
 	inv.dom = dom
 	if m.trace != nil && link != 0 {
@@ -811,18 +883,18 @@ func (m *Machine) reject(inv *invocation) {
 			m.trace.End(inv.span, m.eng.Now())
 		}
 	}
-	if inv.parent != nil || inv.onDone != nil {
+	if inv.parent != nil || inv.replyMode == peerReply {
 		// Children (local or peer-served) still answer their caller so the
 		// request tree terminates.
 		m.respond(inv)
 	} else {
 		m.rejectedRoots++
-		if inv.onResp != nil {
+		if inv.replyMode == ctlReply {
 			// Control-dispatched root: instead of a silent drop, the
 			// rejection answers the front end. It turns around at the NIC
 			// boundary where the admission check lives (§4.3) — one ingress
 			// latency, no ICN crossing.
-			inv.onResp(m.eng.Now()+m.cfg.IngressLatency, true)
+			m.replyHook(inv.reply, m.eng.Now()+m.cfg.IngressLatency, true)
 		}
 	}
 	m.freeInv(inv)
@@ -1294,29 +1366,47 @@ func (m *Machine) sendChildRemote(c *core, parent *invocation, svcID int, saved 
 			m.trace.Add(span, obs.StageNet, dep, depart)
 		}
 	}
-	home := parent.dom
-	link := m.remoteSend(svcID, parent.demand, depart, span != 0, func(done sim.Time) {
-		back := done + m.cfg.RemoteRTT/2
-		at := back
-		if m.cfg.IOViaICN {
-			var hops int
-			at, hops = m.ioDeliverIn(back, home.endpoint, m.cfg.RespMsgBytes)
-			m.hopSum += uint64(hops)
-			m.msgCount++
-		}
-		at += m.cfg.NICHWDelay
-		at = shrink(back, at, m.sp.net)
-		if span != 0 {
-			if at > done {
-				m.trace.Add(span, obs.StageNet, done, at)
-			}
-			m.trace.End(span, at)
-		}
-		m.eng.At(at, m.resolveChildEvent(parent))
-	})
+	var token int32
+	if n := len(m.callFree); n > 0 {
+		token = m.callFree[n-1]
+		m.callFree = m.callFree[:n-1]
+	} else {
+		token = int32(len(m.calls))
+		m.calls = append(m.calls, remoteCall{})
+	}
+	m.calls[token] = remoteCall{parent: parent, span: span}
+	link := m.remoteSend(svcID, parent.demand, depart, span != 0, token)
 	if span != 0 {
 		m.trace.SetLink(span, link)
 	}
+}
+
+// RemoteResponse delivers the response to the child RPC that
+// sendChildRemote handed the fleet under token: done is the virtual time
+// the response left the peer server. The response crosses back over the
+// wire and this server's ingress path, then resolves the blocked parent.
+// It frees the call's table slot.
+func (m *Machine) RemoteResponse(token int32, done sim.Time) {
+	call := m.calls[token]
+	m.calls[token] = remoteCall{}
+	m.callFree = append(m.callFree, token)
+	back := done + m.cfg.RemoteRTT/2
+	at := back
+	if m.cfg.IOViaICN {
+		var hops int
+		at, hops = m.ioDeliverIn(back, call.parent.dom.endpoint, m.cfg.RespMsgBytes)
+		m.hopSum += uint64(hops)
+		m.msgCount++
+	}
+	at += m.cfg.NICHWDelay
+	at = shrink(back, at, m.sp.net)
+	if call.span != 0 {
+		if at > done {
+			m.trace.Add(call.span, obs.StageNet, done, at)
+		}
+		m.trace.End(call.span, at)
+	}
+	m.eng.At(at, m.resolveChildEvent(call.parent))
 }
 
 // ioEndpoint is the topology endpoint adjacent to the package's top-level
@@ -1440,51 +1530,22 @@ func (m *Machine) respond(inv *invocation) {
 			at, _ = m.ioDeliverOut(now, inv.dom.endpoint, m.cfg.RespMsgBytes)
 			at += m.cfg.IngressLatency
 		}
-		if inv.onDone != nil {
-			// Peer-served child RPC (coupled fleet): the response leaves via
-			// the top-level NIC like a root's, but the caller lives on
-			// another server — hand the egress time back to the fleet.
-			if inv.span != 0 {
-				if at > now {
-					m.trace.Add(inv.span, obs.StageIngress, now, at)
-				}
-				m.trace.End(inv.span, at)
-			}
-			inv.onDone(at)
-			return
-		}
 		if inv.span != 0 {
 			if at > now {
 				m.trace.Add(inv.span, obs.StageIngress, now, at)
 			}
 			m.trace.End(inv.span, at)
 		}
-		if inv.onResp != nil {
-			inv.onResp(at, false)
+		if inv.replyMode != noReply {
+			m.replyHook(inv.reply, at, false)
 		}
-		if inv.measured {
-			done := at
-			lat := (done - inv.start).Micros()
-			root := inv.svc.ID
-			m.eng.At(at, func() {
-				m.Latency.Add(lat)
-				if m.tele != nil {
-					m.tele.ObserveLatency(lat)
-				}
-				if m.teleCtl != nil {
-					m.teleCtl.ObserveLatency(lat)
-				}
-				byRoot := m.LatencyByRoot[root]
-				if byRoot == nil {
-					byRoot = &stats.Sample{}
-					m.LatencyByRoot[root] = byRoot
-				}
-				byRoot.Add(lat)
-				m.Completed++
-			})
-		} else {
-			m.eng.At(at, func() { m.Completed++ })
+		if inv.replyMode == peerReply {
+			// Peer-served child RPC (coupled fleet): the response left via
+			// the top-level NIC like a root's, but the caller lives on
+			// another server, so this server records nothing.
+			return
 		}
+		m.scheduleRootDone(inv, at)
 		return
 	}
 	parent := inv.parent
@@ -1505,6 +1566,50 @@ func (m *Machine) respond(inv *invocation) {
 		m.trace.End(inv.span, at)
 	}
 	m.eng.At(at, m.resolveChildEvent(parent))
+}
+
+// scheduleRootDone counts root inv's completion at at, when its response
+// has left the package, taking a record from the free list or allocating
+// one and binding its event.
+func (m *Machine) scheduleRootDone(inv *invocation, at sim.Time) {
+	var d *rootDone
+	if n := len(m.doneFree); n > 0 {
+		d = m.doneFree[n-1]
+		m.doneFree = m.doneFree[:n-1]
+	} else {
+		d = &rootDone{}
+		d.fire = func() { m.rootDone(d) }
+		m.doneAllocs++
+	}
+	if inv.measured {
+		d.measured = true
+		d.lat = (at - inv.start).Micros()
+		d.root = inv.svc.ID
+	}
+	m.eng.At(at, d.fire)
+}
+
+// rootDone records one root's completion and recycles its record.
+func (m *Machine) rootDone(d *rootDone) {
+	if d.measured {
+		lat := d.lat
+		m.Latency.Add(lat)
+		if m.tele != nil {
+			m.tele.ObserveLatency(lat)
+		}
+		if m.teleCtl != nil {
+			m.teleCtl.ObserveLatency(lat)
+		}
+		byRoot := m.LatencyByRoot[d.root]
+		if byRoot == nil {
+			byRoot = &stats.Sample{}
+			m.LatencyByRoot[d.root] = byRoot
+		}
+		byRoot.Add(lat)
+	}
+	m.Completed++
+	*d = rootDone{fire: d.fire}
+	m.doneFree = append(m.doneFree, d)
 }
 
 // Utilization reports aggregate core busy time over the window.

@@ -21,6 +21,18 @@
 // makes sparse phases (drain tails, idle gaps) cheap: windows jump straight
 // to the next activity instead of ticking every L.
 //
+// Messages are plain values (Msg: a kind and a few scalar arguments), never
+// closures, and one Handler the model registers at construction interprets
+// them. Barrier delivery appends a shard's due messages, in canonical order,
+// to that shard's FIFO and schedules one firing per message of a single
+// event bound once per shard; each firing pops the FIFO head and calls the
+// handler. Popping the head is exact because every message delivered at a
+// barrier is due by the window's end, so the window fires all of them, in
+// the order they were scheduled; a barrier that finds the FIFO still
+// holding messages (a shard stopped its engine mid-window) panics. Sending,
+// routing, delivering and firing a message therefore allocate nothing once
+// the buffers are warm.
+//
 // Determinism is a hard contract, matching the rest of the repository:
 // results are bit-identical across shard-worker counts. Shards share no
 // state (each owns its engine; entity randomness comes from sim.Streams
@@ -53,12 +65,12 @@ const maxTime = sim.Time(math.MaxInt64)
 // same model wiring runs — and must produce bit-identical results — on
 // either.
 type Net interface {
-	// Send ships fn to shard dst for execution at virtual time at. It must
-	// be called from code executing on shard src, and at must respect the
-	// lookahead: at >= src's current time + Lookahead. Violations panic —
-	// they are model bugs that would let a shard receive an event in its
-	// past.
-	Send(src, dst int, at sim.Time, fn func())
+	// Send ships m to shard dst, where the handler registered at
+	// construction receives it at virtual time at. It must be called from
+	// code executing on shard src, and at must respect the lookahead:
+	// at >= src's current time + Lookahead. Violations panic — they are
+	// model bugs that would let a shard receive an event in its past.
+	Send(src, dst int, at sim.Time, m Msg)
 	// Run drives every shard to horizon in conservative windows. post, when
 	// non-nil, runs after each window on the coordinator with all shards
 	// quiescent — the hook for cross-shard state snapshots (e.g. a load
@@ -146,15 +158,37 @@ func (st *Stats) BusyFraction(workers int) float64 {
 	return st.WorkerBusySeconds / (float64(workers) * st.BarrierWaitSeconds)
 }
 
-// message is one cross-shard event: fn runs on the destination shard at
-// virtual time at. src and seq (per-source send order) complete the
-// (at, src, seq) canonical delivery order.
+// Msg is the payload of one cross-shard message: plain values that the
+// model's Handler interprets. Kind says what the message is; the other
+// fields are its arguments, and each kind uses only those it needs. A Msg
+// holds no pointers, so sending one allocates nothing and a mailbox gives
+// the garbage collector nothing to scan.
+type Msg struct {
+	// Time is a virtual time the message carries, such as when a response
+	// left its server; it is payload, not the delivery time.
+	Time    sim.Time
+	Link    uint64
+	Demand  float64
+	Token   int32
+	Service int32
+	Kind    uint8
+	Flag    bool
+}
+
+// Handler receives every delivered message: it runs on shard dst at the
+// message's delivery time, once per message, in canonical order.
+type Handler func(src, dst int, m Msg)
+
+// message is one cross-shard message in flight: m reaches shard dst's
+// handler at virtual time at. src and seq (per-source send order) complete
+// the (at, src, seq) canonical delivery order. It is 64 bytes, and the
+// barrier sort moves it by value.
 type message struct {
 	at  sim.Time
+	seq uint64
 	src int32
 	dst int32
-	seq uint64
-	fn  func()
+	m   Msg
 }
 
 // canonicalOrder compares messages by (at, src, seq) — the deterministic
@@ -169,48 +203,96 @@ func canonicalOrder(a, b message) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// deliverDue schedules every message in *inbox with at <= limit onto eng in
-// canonical order and keeps the rest in *inbox, returning how many it
-// delivered and the earliest kept timestamp (maxTime when none is kept).
-// *due is the caller's scratch buffer, reused across barriers; neither it
-// nor the inbox keeps a delivered message's fn alive afterwards.
-func deliverDue(eng *sim.Engine, inbox, due *[]message, limit sim.Time) (n uint64, min sim.Time) {
-	d := (*due)[:0]
-	kept := (*inbox)[:0]
-	min = maxTime
-	for _, m := range *inbox {
-		if m.at <= limit {
-			d = append(d, m)
-		} else {
-			kept = append(kept, m)
-			if m.at < min {
-				min = m.at
-			}
-		}
-	}
-	clear((*inbox)[len(kept):])
-	*inbox = kept
-	slices.SortFunc(d, canonicalOrder)
-	for _, m := range d {
-		eng.At(m.at, m.fn)
-	}
-	clear(d)
-	*due = d[:0]
-	return uint64(len(d)), min
-}
-
-// shard is one partition of the simulation: an engine, an inbox of
-// undelivered messages, and an outbox filled while the shard runs.
-type shard struct {
-	id  int
-	eng *sim.Engine
+// mailbox is one engine's message state: the undelivered inbox and the FIFO
+// of delivered messages waiting to fire.
+type mailbox struct {
 	// inbox holds messages not yet delivered; inboxMin caches the earliest
 	// timestamp in it (maxTime when empty) so the per-round minimum scan is
 	// O(1) per shard.
 	inbox    []message
 	inboxMin sim.Time
-	// due is deliver's reusable buffer of messages being delivered.
-	due []message
+	// fifo holds the messages delivered at the last barrier that have not
+	// fired yet, in canonical order from head on.
+	fifo []message
+	head int
+	// fire is the engine event every delivered message is scheduled as,
+	// bound once: it pops the FIFO head and hands it to the handler.
+	fire sim.Event
+}
+
+// init readies an empty mailbox whose firings call h. The mailbox must not
+// move afterwards: fire is bound to its address.
+func (b *mailbox) init(h Handler) {
+	b.inboxMin = maxTime
+	b.fire = func() {
+		msg := b.fifo[b.head]
+		b.head++
+		if b.head == len(b.fifo) {
+			b.fifo = b.fifo[:0]
+			b.head = 0
+		}
+		h(int(msg.src), int(msg.dst), msg.m)
+	}
+}
+
+// add puts a routed message in the inbox.
+func (b *mailbox) add(msg message) {
+	b.inbox = append(b.inbox, msg)
+	if msg.at < b.inboxMin {
+		b.inboxMin = msg.at
+	}
+}
+
+// deliver moves every inbox message with at <= limit to the FIFO in
+// canonical order, schedules one firing on eng per message, keeps the rest
+// in the inbox and returns how many it delivered. The engines fire events
+// in (at, scheduling order), so the firings pop the FIFO in the order it
+// was sorted.
+func (b *mailbox) deliver(eng *sim.Engine, limit sim.Time) uint64 {
+	kept := b.inbox[:0]
+	b.inboxMin = maxTime
+	for _, msg := range b.inbox {
+		if msg.at <= limit {
+			b.fifo = append(b.fifo, msg)
+		} else {
+			kept = append(kept, msg)
+			b.inboxMin = min(b.inboxMin, msg.at)
+		}
+	}
+	b.inbox = kept
+	slices.SortFunc(b.fifo, canonicalOrder)
+	for i := range b.fifo {
+		eng.At(b.fifo[i].at, b.fire)
+	}
+	return uint64(len(b.fifo))
+}
+
+// checkFired is the barrier's guard on the FIFO invariant: every message
+// delivered at a barrier is due by the window's end, so a window that ran
+// to its limit fired all of them and the last firing emptied the FIFO.
+// Messages left over mean the engine stopped early, and the next delivery
+// would pair FIFO entries with the wrong firings.
+func (b *mailbox) checkFired() {
+	if len(b.fifo) != 0 {
+		b.unfired()
+	}
+}
+
+// unfired is checkFired's failure path, kept out of line so the check
+// inlines into the window loop.
+//
+//go:noinline
+func (b *mailbox) unfired() {
+	panic(fmt.Sprintf("pdes: shard %d reached a barrier with %d delivered messages unfired — its engine stopped mid-window",
+		b.fifo[b.head].dst, len(b.fifo)-b.head))
+}
+
+// shard is one partition of the simulation: an engine, its mailbox, and an
+// outbox filled while the shard runs.
+type shard struct {
+	mailbox
+	id  int
+	eng *sim.Engine
 	// out collects messages sent during the current window. Only the worker
 	// running this shard touches it; the coordinator routes and clears it
 	// between windows.
@@ -234,23 +316,18 @@ func (s *shard) nextActivity() sim.Time {
 	return n
 }
 
-// deliver schedules every inbox message with at <= limit onto the engine in
-// canonical (at, src, seq) order and retains the rest, returning how many
-// it delivered.
-func (s *shard) deliver(limit sim.Time) uint64 {
-	n, min := deliverDue(s.eng, &s.inbox, &s.due, limit)
-	s.inboxMin = min
-	return n
-}
-
 // Fabric couples shards that each own a distinct engine and advances them
 // concurrently on a worker pool. Create with NewFabric, add shards, wire
 // the model, then Run.
 type Fabric struct {
 	lookahead sim.Time
 	workers   int
+	handler   Handler
 	shards    []*shard
-	rounds    uint64
+	// active is Run's reusable list of the shards with events in the
+	// current window.
+	active []*shard
+	rounds uint64
 	// Self-observability accumulators; the coordinator owns all of them
 	// (workers report busy time through the pool's atomic, folded in after
 	// each window), so no synchronization beyond the pool's is needed.
@@ -265,12 +342,13 @@ type Fabric struct {
 
 // NewFabric returns a fabric with the given lookahead (the minimum
 // cross-shard latency; must be positive) and worker count (values < 2 mean
-// sequential window execution; results are identical for every value).
-func NewFabric(lookahead sim.Time, workers int) *Fabric {
+// sequential window execution; results are identical for every value). h
+// receives every message on the destination shard's worker.
+func NewFabric(lookahead sim.Time, workers int, h Handler) *Fabric {
 	if lookahead <= 0 {
 		panic("pdes: lookahead must be positive — zero-latency coupling admits no conservative window")
 	}
-	return &Fabric{lookahead: lookahead, workers: workers}
+	return &Fabric{lookahead: lookahead, workers: workers, handler: h}
 }
 
 // AddShard registers eng as the next shard and returns its id. Engines must
@@ -281,7 +359,9 @@ func (f *Fabric) AddShard(eng *sim.Engine) int {
 			panic("pdes: engine added to fabric twice; shards must own distinct engines")
 		}
 	}
-	f.shards = append(f.shards, &shard{id: len(f.shards), eng: eng, inboxMin: maxTime})
+	s := &shard{id: len(f.shards), eng: eng}
+	s.init(f.handler)
+	f.shards = append(f.shards, s)
 	f.shardWindows = append(f.shardWindows, 0)
 	f.shardEvents = append(f.shardEvents, 0)
 	return len(f.shards) - 1
@@ -314,13 +394,13 @@ func (f *Fabric) Stats() Stats {
 }
 
 // Send implements Net. Called from model code running on shard src.
-func (f *Fabric) Send(src, dst int, at sim.Time, fn func()) {
+func (f *Fabric) Send(src, dst int, at sim.Time, m Msg) {
 	s := f.shards[src]
 	if min := s.eng.Now() + f.lookahead; at < min {
 		panic(fmt.Sprintf("pdes: shard %d sends at %v < now %v + lookahead %v — causality violation",
 			src, at, s.eng.Now(), f.lookahead))
 	}
-	s.out = append(s.out, message{at: at, src: int32(src), dst: int32(dst), seq: s.seq, fn: fn})
+	s.out = append(s.out, message{at: at, seq: s.seq, src: int32(src), dst: int32(dst), m: m})
 	s.seq++
 }
 
@@ -336,7 +416,7 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		pool = startPool(w)
 		defer pool.stop()
 	}
-	active := make([]*shard, 0, len(f.shards))
+	active := f.active[:0]
 	for {
 		// Route outboxes into inboxes in shard order — part of the canonical
 		// order (per-source seq is already send-ordered; the sort at
@@ -344,11 +424,7 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		// messages bound the very next window.
 		for _, s := range f.shards {
 			for _, msg := range s.out {
-				d := f.shards[msg.dst]
-				d.inbox = append(d.inbox, msg)
-				if msg.at < d.inboxMin {
-					d.inboxMin = msg.at
-				}
+				f.shards[msg.dst].add(msg)
 			}
 			s.out = s.out[:0]
 		}
@@ -371,7 +447,7 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		active = active[:0]
 		for _, s := range f.shards {
 			if s.inboxMin <= limit {
-				f.delivered += s.deliver(limit)
+				f.delivered += s.deliver(s.eng, limit)
 			}
 			if at, ok := s.eng.NextEventAt(); ok && at <= limit {
 				active = append(active, s)
@@ -390,6 +466,7 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 			f.workerBusyNS += pool.busyNS.Load() - busy0
 		}
 		for _, s := range active {
+			s.checkFired()
 			fired := s.eng.Fired() - s.firedBase
 			f.windowEvents += fired
 			f.shardEvents[s.id] += fired
@@ -401,6 +478,7 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 			post(limit)
 		}
 	}
+	f.active = active
 	for _, s := range f.shards {
 		s.eng.RunUntil(horizon)
 	}
@@ -474,12 +552,10 @@ func (p *workerPool) stop() {
 // against it — and as a debugging mode where a single event loop is easier
 // to step through.
 type SingleEngine struct {
+	mailbox
 	eng       *sim.Engine
 	lookahead sim.Time
 	seqs      []uint64
-	inbox     []message
-	inboxMin  sim.Time
-	due       []message // deliver's reusable buffer
 	rounds    uint64
 	// Self-observability mirrors of Fabric's scalar aggregates — the same
 	// windows, deliveries, and event counts by construction, so Stats()
@@ -490,12 +566,16 @@ type SingleEngine struct {
 }
 
 // NewSingleEngine returns the reference coupling over eng with nshards
-// logical shards.
-func NewSingleEngine(lookahead sim.Time, eng *sim.Engine, nshards int) *SingleEngine {
+// logical shards; h receives every message. The logical shards share one
+// mailbox, whose global canonical sort keeps each destination's messages in
+// (at, src, seq) order, which is all the per-engine semantics require.
+func NewSingleEngine(lookahead sim.Time, eng *sim.Engine, nshards int, h Handler) *SingleEngine {
 	if lookahead <= 0 {
 		panic("pdes: lookahead must be positive — zero-latency coupling admits no conservative window")
 	}
-	return &SingleEngine{eng: eng, lookahead: lookahead, seqs: make([]uint64, nshards), inboxMin: maxTime}
+	se := &SingleEngine{eng: eng, lookahead: lookahead, seqs: make([]uint64, nshards)}
+	se.init(h)
+	return se
 }
 
 // Rounds reports how many synchronization windows Run has executed.
@@ -519,16 +599,13 @@ func (se *SingleEngine) Stats() Stats {
 }
 
 // Send implements Net with the same causality guard as Fabric.
-func (se *SingleEngine) Send(src, dst int, at sim.Time, fn func()) {
+func (se *SingleEngine) Send(src, dst int, at sim.Time, m Msg) {
 	if min := se.eng.Now() + se.lookahead; at < min {
 		panic(fmt.Sprintf("pdes: shard %d sends at %v < now %v + lookahead %v — causality violation",
 			src, at, se.eng.Now(), se.lookahead))
 	}
-	se.inbox = append(se.inbox, message{at: at, src: int32(src), dst: int32(dst), seq: se.seqs[src], fn: fn})
+	se.add(message{at: at, seq: se.seqs[src], src: int32(src), dst: int32(dst), m: m})
 	se.seqs[src]++
-	if at < se.inboxMin {
-		se.inboxMin = at
-	}
 }
 
 // Run implements Net: the same round structure as Fabric.Run — compute the
@@ -547,9 +624,10 @@ func (se *SingleEngine) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		if limit > horizon || limit < m {
 			limit = horizon
 		}
-		se.delivered += se.deliver(limit)
+		se.delivered += se.deliver(se.eng, limit)
 		firedBase := se.eng.Fired()
 		se.eng.RunUntil(limit)
+		se.checkFired()
 		se.windowEvents += se.eng.Fired() - firedBase
 		se.rounds++
 		se.advanceSum += limit - m
@@ -558,13 +636,4 @@ func (se *SingleEngine) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		}
 	}
 	se.eng.RunUntil(horizon)
-}
-
-// deliver mirrors shard.deliver on the shared mailbox: the global canonical
-// sort keeps each destination's subsequence in (at, src, seq) order, which
-// is all the per-engine semantics require.
-func (se *SingleEngine) deliver(limit sim.Time) uint64 {
-	n, min := deliverDue(se.eng, &se.inbox, &se.due, limit)
-	se.inboxMin = min
-	return n
 }

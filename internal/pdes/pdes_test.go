@@ -1,9 +1,12 @@
 package pdes
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"umanycore/internal/sim"
 )
@@ -21,11 +24,13 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		msgs := make([]message, n)
 		// Small timestamp range forces heavy (at) ties so the (src, seq)
-		// legs of the order actually get exercised.
+		// legs of the order actually get exercised. Each message's Token
+		// names it, so the handler can log which one fired.
 		for i := range msgs {
 			msgs[i] = message{
 				at:  sim.Time(1 + rng.Intn(4)),
 				src: int32(rng.Intn(3)),
+				m:   Msg{Token: int32(i)},
 			}
 		}
 		// Per-source seq in send order, like Fabric.Send assigns them.
@@ -35,22 +40,15 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 			seqs[msgs[i].src]++
 		}
 		fire := func(insertion []int) []message {
-			s := &shard{eng: sim.NewEngine(0), inboxMin: maxTime}
+			var log []message
+			s := &shard{eng: sim.NewEngine(0)}
+			s.init(func(_, _ int, m Msg) { log = append(log, msgs[m.Token]) })
 			for _, idx := range insertion {
-				m := msgs[idx]
-				got := m // capture
-				m.fn = func() { firedAppend(s.eng, &orderLog, got) }
-				s.inbox = append(s.inbox, m)
-				if m.at < s.inboxMin {
-					s.inboxMin = m.at
-				}
+				s.add(msgs[idx])
 			}
-			orderLog = orderLog[:0]
-			s.deliver(maxTime - 1)
+			s.deliver(s.eng, maxTime-1)
 			s.eng.Run()
-			out := make([]message, len(orderLog))
-			copy(out, orderLog)
-			return out
+			return log
 		}
 		identity := make([]int, n)
 		for i := range identity {
@@ -60,81 +58,165 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			perm := rng.Perm(n)
 			got := fire(perm)
-			if !sameOrder(want, got) {
+			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("trial %d: permuted insertion changed delivery order", trial)
 			}
 		}
 		// And the order is the canonical sort, not merely stable.
 		for i := 1; i < len(want); i++ {
-			a, b := want[i-1], want[i]
-			if a.at > b.at || (a.at == b.at && (a.src > b.src || (a.src == b.src && a.seq > b.seq))) {
+			if canonicalOrder(want[i-1], want[i]) > 0 {
 				t.Fatalf("trial %d: delivery order violates (at, src, seq) at %d", trial, i)
 			}
 		}
 	}
 }
 
-// orderLog records message firing order for the property test.
-var orderLog []message
+// --- the typed message path ---------------------------------------------------
 
-func firedAppend(_ *sim.Engine, log *[]message, m message) { *log = append(*log, m) }
-
-func sameOrder(a, b []message) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].at != b[i].at || a[i].src != b[i].src || a[i].seq != b[i].seq {
-			return false
+// newNet couples n shards with lookahead L and handler h: the SingleEngine
+// reference when workers < 0, a Fabric with that worker count otherwise.
+// It returns the net and each shard's engine.
+func newNet(n, workers int, L sim.Time, seed int64, h Handler) (Net, []*sim.Engine) {
+	engs := make([]*sim.Engine, n)
+	if workers < 0 {
+		shared := sim.NewEngine(seed)
+		for i := range engs {
+			engs[i] = shared
 		}
+		return NewSingleEngine(L, shared, n, h), engs
 	}
-	return true
+	f := NewFabric(L, workers, h)
+	for i := range engs {
+		engs[i] = sim.NewEngine(sim.DeriveSeed(seed, int64(i)))
+		f.AddShard(engs[i])
+	}
+	return f, engs
 }
 
-// --- causality and construction guards --------------------------------------
-
-// TestDeliverAllocationFree: barrier delivery reuses its buffers, so once
-// warm, delivering a barrier's out-of-order messages allocates nothing, and
-// no delivered fn stays reachable from the shard's inbox or scratch buffer.
-func TestDeliverAllocationFree(t *testing.T) {
-	s := &shard{eng: sim.NewEngine(0), inboxMin: maxTime}
-	var fired []int
-	var fns [3]func()
-	for i := range fns {
-		fns[i] = func() { fired = append(fired, i) }
-	}
-	var base sim.Time
-	round := func() {
-		base += 10
-		s.inbox = append(s.inbox,
-			message{at: base + 2, src: 0, seq: 1, fn: fns[0]},
-			message{at: base + 1, src: 1, seq: 0, fn: fns[1]},
-			message{at: base + 1, src: 0, seq: 0, fn: fns[2]},
-		)
-		if n := s.deliver(base + 5); n != 3 {
-			t.Fatalf("delivered %d of 3", n)
+// mailboxes returns every mailbox and outbox of a net built by newNet.
+func mailboxes(net Net) (boxes []*mailbox, outs [][]message) {
+	switch n := net.(type) {
+	case *Fabric:
+		for _, s := range n.shards {
+			boxes = append(boxes, &s.mailbox)
+			outs = append(outs, s.out)
 		}
-		s.eng.RunUntil(base + 5)
+	case *SingleEngine:
+		boxes = append(boxes, &n.mailbox)
 	}
-	round()
-	if want := []int{2, 1, 0}; !reflect.DeepEqual(fired, want) {
-		t.Fatalf("delivery order %v, want %v", fired, want)
+	return boxes, outs
+}
+
+func TestMessageFits64Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(message{}); size > 64 {
+		t.Fatalf("message is %d bytes; the barrier sort moves it by value, keep it <= 64", size)
 	}
-	fired = make([]int, 0, 1024)
-	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-		t.Fatalf("barrier delivery allocates %v/op", allocs)
+}
+
+// TestDeliverAllocationFree drives the whole typed path on both nets —
+// send, route, barrier delivery and firing through the bound per-shard
+// event — and checks that once warm it allocates nothing, fires in the
+// canonical (at, src, seq) order with every payload field intact, and
+// leaves no message behind in any inbox, FIFO or outbox.
+func TestDeliverAllocationFree(t *testing.T) {
+	const L = 100
+	payload := Msg{Time: 7, Link: 1<<40 | 3, Demand: 1.5, Service: 4, Kind: 2, Flag: true}
+	type fired struct {
+		src, dst int
+		at       sim.Time
+		m        Msg
 	}
-	for _, buf := range [][]message{s.inbox[:cap(s.inbox)], s.due[:cap(s.due)]} {
-		for _, m := range buf {
-			if m.fn != nil {
-				t.Fatal("a delivered message's fn is still referenced")
+	for _, workers := range []int{1, -1} {
+		var log []fired
+		var engs []*sim.Engine
+		net, engs := newNet(3, workers, L, 1, func(src, dst int, m Msg) {
+			log = append(log, fired{src, dst, engs[dst].Now(), m})
+		})
+		round := func() {
+			base := engs[0].Now() + L
+			// Sent out of canonical order: a later timestamp first, then
+			// same-timestamp messages from two sources interleaved.
+			p := payload
+			p.Token = 0
+			net.Send(1, 2, base+2, p)
+			net.Send(0, 2, base+1, Msg{Token: 1})
+			net.Send(1, 2, base+1, Msg{Token: 2})
+			net.Send(0, 2, base+1, Msg{Token: 3})
+			net.Send(2, 0, base+1, Msg{Token: 4})
+			net.Run(base+10*L, nil)
+		}
+		round()
+		base := sim.Time(L)
+		p := payload
+		p.Token = 0
+		// Canonical order per destination engine: (at, src, seq).
+		want := []fired{
+			{0, 2, base + 1, Msg{Token: 1}},
+			{0, 2, base + 1, Msg{Token: 3}},
+			{1, 2, base + 1, Msg{Token: 2}},
+			{2, 0, base + 1, Msg{Token: 4}},
+			{1, 2, base + 2, p},
+		}
+		if workers >= 0 {
+			// Each shard fires on its own engine, and the window runs shard
+			// 0 before shard 2.
+			want = []fired{want[3], want[0], want[1], want[2], want[4]}
+		}
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("workers=%d: fired %+v\nwant %+v", workers, log, want)
+		}
+		log = make([]fired, 0, 1024)
+		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+			t.Fatalf("workers=%d: the typed message path allocates %v/op", workers, allocs)
+		}
+		if len(log) != 5*51 {
+			t.Fatalf("workers=%d: fired %d messages, want %d", workers, len(log), 5*51)
+		}
+		boxes, outs := mailboxes(net)
+		for i, b := range boxes {
+			if len(b.inbox) != 0 || len(b.fifo) != 0 || b.head != 0 {
+				t.Fatalf("workers=%d: mailbox %d holds %d undelivered and %d unfired messages after the run",
+					workers, i, len(b.inbox), len(b.fifo)-b.head)
+			}
+		}
+		for i, out := range outs {
+			if len(out) != 0 {
+				t.Fatalf("workers=%d: shard %d outbox holds %d messages after the run", workers, i, len(out))
 			}
 		}
 	}
 }
 
+// TestStoppedWindowPanics: a shard that stops its engine while delivered
+// messages are still waiting to fire breaks the FIFO invariant, and the
+// barrier must say so rather than pair later firings with the wrong
+// messages.
+func TestStoppedWindowPanics(t *testing.T) {
+	const L = 100
+	for _, workers := range []int{1, -1} {
+		func() {
+			var engs []*sim.Engine
+			net, engs := newNet(2, workers, L, 1, func(_, dst int, _ Msg) { engs[dst].Stop() })
+			net.Send(0, 1, L+1, Msg{})
+			net.Send(0, 1, L+2, Msg{})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("workers=%d: a window that left delivered messages unfired did not panic", workers)
+				}
+				if !strings.Contains(fmt.Sprint(r), "unfired") {
+					t.Fatalf("workers=%d: unexpected panic %v", workers, r)
+				}
+			}()
+			net.Run(10*L, nil)
+		}()
+	}
+}
+
+// --- causality and construction guards --------------------------------------
+
 func TestSendBelowLookaheadPanics(t *testing.T) {
-	f := NewFabric(100, 1)
+	f := NewFabric(100, 1, nil)
 	f.AddShard(sim.NewEngine(1))
 	f.AddShard(sim.NewEngine(2))
 	defer func() {
@@ -142,17 +224,17 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 			t.Fatal("Send below now+lookahead did not panic")
 		}
 	}()
-	f.Send(0, 1, 99, func() {})
+	f.Send(0, 1, 99, Msg{})
 }
 
 func TestSingleEngineSendBelowLookaheadPanics(t *testing.T) {
-	se := NewSingleEngine(100, sim.NewEngine(1), 2)
+	se := NewSingleEngine(100, sim.NewEngine(1), 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below now+lookahead did not panic")
 		}
 	}()
-	se.Send(0, 1, 50, func() {})
+	se.Send(0, 1, 50, Msg{})
 }
 
 func TestZeroLookaheadPanics(t *testing.T) {
@@ -161,11 +243,11 @@ func TestZeroLookaheadPanics(t *testing.T) {
 			t.Fatal("zero lookahead did not panic")
 		}
 	}()
-	NewFabric(0, 1)
+	NewFabric(0, 1, nil)
 }
 
 func TestDuplicateEnginePanics(t *testing.T) {
-	f := NewFabric(1, 1)
+	f := NewFabric(1, 1, nil)
 	eng := sim.NewEngine(1)
 	f.AddShard(eng)
 	defer func() {
@@ -182,7 +264,7 @@ func TestDuplicateEnginePanics(t *testing.T) {
 // lookahead, a fixed-width scheme would need ~10^6 windows; the adaptive
 // bound must take one window per activity cluster instead.
 func TestWindowsJumpSparsePhases(t *testing.T) {
-	f := NewFabric(sim.Nanosecond, 1)
+	f := NewFabric(sim.Nanosecond, 1, nil)
 	e0 := sim.NewEngine(1)
 	e1 := sim.NewEngine(2)
 	f.AddShard(e0)
@@ -212,13 +294,12 @@ func TestWindowsJumpSparsePhases(t *testing.T) {
 // state hash that detects any delivery reordering.
 
 type toyNode struct {
-	id    int
-	n     int
-	eng   *sim.Engine
-	rng   *sim.Streams
-	net   Net
-	peers []*toyNode
-	L     sim.Time
+	id  int
+	n   int
+	eng *sim.Engine
+	rng *sim.Streams
+	net Net
+	L   sim.Time
 
 	hash uint64
 	recv int
@@ -240,9 +321,8 @@ func (nd *toyNode) step(activeUntil sim.Time) {
 			dst++
 		}
 		at := now + nd.L + sim.Time(nd.rng.Rand("lat").Int63n(int64(3*nd.L)))
-		src, peer := nd.id, nd.peers[dst]
 		nd.sent++
-		nd.net.Send(src, dst, at, func() { peer.receive(src) })
+		nd.net.Send(nd.id, dst, at, Msg{})
 	}
 	if now >= activeUntil {
 		return
@@ -262,43 +342,27 @@ type toyState struct {
 	Now        sim.Time
 }
 
+// newToy couples n toy nodes with lookahead L (see newNet for workers) and
+// starts each one stepping until activeUntil. The handler delivers every
+// message to its destination node.
+func newToy(n, workers int, L sim.Time, seed int64, activeUntil sim.Time) (Net, []*sim.Engine, []*toyNode) {
+	nodes := make([]*toyNode, n)
+	net, engs := newNet(n, workers, L, seed, func(src, dst int, _ Msg) { nodes[dst].receive(src) })
+	for i := range nodes {
+		nd := &toyNode{id: i, n: n, eng: engs[i], net: net, L: L, rng: sim.NewStreams(sim.DeriveSeed(seed, int64(i)))}
+		nodes[i] = nd
+		nd.eng.At(sim.Time(1+i), func() { nd.step(activeUntil) })
+	}
+	return net, engs, nodes
+}
+
 // runToy drives n coupled nodes to horizon. workers < 0 selects the
 // SingleEngine reference; otherwise a Fabric with that worker count.
 func runToy(t *testing.T, n, workers int, seed int64) []toyState {
 	t.Helper()
 	const L = 500 * sim.Nanosecond
-	const activeUntil = 40 * sim.Microsecond
-	const horizon = 60 * sim.Microsecond
-	nodes := make([]*toyNode, n)
-	var net Net
-	var engs []*sim.Engine
-	if workers < 0 {
-		shared := sim.NewEngine(seed)
-		net = NewSingleEngine(L, shared, n)
-		for i := 0; i < n; i++ {
-			engs = append(engs, shared)
-		}
-	} else {
-		f := NewFabric(L, workers)
-		for i := 0; i < n; i++ {
-			eng := sim.NewEngine(sim.DeriveSeed(seed, int64(i)))
-			f.AddShard(eng)
-			engs = append(engs, eng)
-		}
-		net = f
-	}
-	for i := range nodes {
-		nodes[i] = &toyNode{
-			id: i, n: n, eng: engs[i], net: net, L: L,
-			rng:   sim.NewStreams(sim.DeriveSeed(seed, int64(i))),
-			peers: nodes,
-		}
-	}
-	for _, nd := range nodes {
-		nd := nd
-		nd.eng.At(sim.Time(1+nd.id), func() { nd.step(activeUntil) })
-	}
-	net.Run(horizon, nil)
+	net, _, nodes := newToy(n, workers, L, seed, 40*sim.Microsecond)
+	net.Run(60*sim.Microsecond, nil)
 	out := make([]toyState, n)
 	for i, nd := range nodes {
 		out[i] = toyState{Hash: nd.hash, Recv: nd.recv, Sent: nd.sent, Now: nd.eng.Now()}
@@ -350,38 +414,10 @@ func TestPostHookScheduling(t *testing.T) {
 		At      sim.Time
 	}
 	run := func(workers int) []fired {
-		// Reuse the toy model for background traffic so barriers are driven
-		// by real cross-shard activity, not a synthetic tick.
-		const n, seed = 4, 7
-		nodes := make([]*toyNode, n)
-		var net Net
-		var engs []*sim.Engine
-		if workers < 0 {
-			shared := sim.NewEngine(seed)
-			net = NewSingleEngine(L, shared, n)
-			for i := 0; i < n; i++ {
-				engs = append(engs, shared)
-			}
-		} else {
-			f := NewFabric(L, workers)
-			for i := 0; i < n; i++ {
-				eng := sim.NewEngine(sim.DeriveSeed(seed, int64(i)))
-				f.AddShard(eng)
-				engs = append(engs, eng)
-			}
-			net = f
-		}
-		for i := range nodes {
-			nodes[i] = &toyNode{
-				id: i, n: n, eng: engs[i], net: net, L: L,
-				rng:   sim.NewStreams(sim.DeriveSeed(seed, int64(i))),
-				peers: nodes,
-			}
-		}
-		for _, nd := range nodes {
-			nd := nd
-			nd.eng.At(sim.Time(1+nd.id), func() { nd.step(30 * sim.Microsecond) })
-		}
+		// The toy model's background traffic drives the barriers with real
+		// cross-shard activity, not a synthetic tick.
+		const n = 4
+		net, engs, _ := newToy(n, workers, L, 7, 30*sim.Microsecond)
 		var log []fired
 		var next sim.Time
 		net.Run(40*sim.Microsecond, func(barrier sim.Time) {
@@ -415,33 +451,31 @@ func TestPostHookScheduling(t *testing.T) {
 	}
 }
 
-// TestMessagesNeverInPast drives the toy model while asserting, via a
-// wrapper net, that every delivered message executes at exactly its
-// timestamp — the "no shard receives an event in its past" guarantee.
+// TestMessagesNeverInPast plays ping-pong between two shards, each message
+// carrying its timestamp as payload and the remaining count as its token,
+// and asserts that every one fires at exactly its timestamp — the "no shard
+// receives an event in its past" guarantee.
 func TestMessagesNeverInPast(t *testing.T) {
 	const L = 500 * sim.Nanosecond
-	f := NewFabric(L, 2)
-	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(2)}
-	f.AddShard(engs[0])
-	f.AddShard(engs[1])
 	checked := 0
-	var ping func(src int, count int)
-	ping = func(src, count int) {
+	var engs []*sim.Engine
+	var net Net
+	ping := func(src int, count int32) {
 		if count == 0 {
 			return
 		}
-		dst := 1 - src
 		at := engs[src].Now() + L
-		f.Send(src, dst, at, func() {
-			if engs[dst].Now() != at {
-				t.Errorf("message for %v delivered at %v", at, engs[dst].Now())
-			}
-			checked++
-			ping(dst, count-1)
-		})
+		net.Send(src, 1-src, at, Msg{Time: at, Token: count})
 	}
+	net, engs = newNet(2, 2, L, 1, func(_, dst int, m Msg) {
+		if engs[dst].Now() != m.Time {
+			t.Errorf("message for %v delivered at %v", m.Time, engs[dst].Now())
+		}
+		checked++
+		ping(dst, m.Token-1)
+	})
 	engs[0].At(1, func() { ping(0, 50) })
-	f.Run(sim.Millisecond, nil)
+	net.Run(sim.Millisecond, nil)
 	if checked != 50 {
 		t.Fatalf("delivered %d of 50 messages", checked)
 	}

@@ -177,18 +177,22 @@ echo "== bench baseline diff (warn-only) =="
 
 # Reference-hash gate: perfbench hashes the simulated output of a timed run
 # and checks it against perfbench/reference.json, so any drift in the
-# model's output bytes fails here. Full mode only: it builds perfbench and
-# times several passes, which takes about half a minute.
+# model's output bytes fails here. fleet16 is the one workload through the
+# PDES fabric and the coupled fleet's messages, and its hash check also
+# covers its ShardWorkers 2 and -1 identity re-runs. Full mode only: it
+# builds perfbench and times several passes, which takes about a minute.
 if [ "${1:-}" != "quick" ]; then
-    echo "== perfbench reference hash (server) =="
-    if ! python3 perfbench/run.py --workload server --seed 1 --seconds 1 --trace 0 \
-        >"$cachedir/perfbench.out" 2>"$cachedir/perfbench.err" ||
-        ! tail -n 1 "$cachedir/perfbench.out" | grep -q '"correct": true'; then
-        cat "$cachedir/perfbench.out" "$cachedir/perfbench.err" >&2
-        echo "perfbench server run is not correct: output drifted from its reference hash" >&2
-        exit 1
-    fi
-    tail -n 1 "$cachedir/perfbench.out"
+    for workload in server fleet16; do
+        echo "== perfbench reference hash ($workload) =="
+        if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+            >"$cachedir/perfbench.out" 2>"$cachedir/perfbench.err" ||
+            ! tail -n 1 "$cachedir/perfbench.out" | grep -q '"correct": true'; then
+            cat "$cachedir/perfbench.out" "$cachedir/perfbench.err" >&2
+            echo "perfbench $workload run is not correct: output drifted from its reference hash" >&2
+            exit 1
+        fi
+        tail -n 1 "$cachedir/perfbench.out"
+    done
 fi
 
 echo "== bench smoke (allocation + sweep + telemetry benchmarks, 1 iteration) =="
