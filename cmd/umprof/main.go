@@ -745,19 +745,7 @@ func buildConfig(arch string, cores int) (umanycore.Config, error) {
 
 func buildApp(name string) (*umanycore.App, error) {
 	if strings.HasPrefix(name, "synthetic:") {
-		parts := strings.Split(name, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("synthetic app format: synthetic:<dist>:<mean_us>:<blocks>")
-		}
-		mean, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad mean %q: %v", parts[2], err)
-		}
-		blocks, err := strconv.Atoi(parts[3])
-		if err != nil {
-			return nil, fmt.Errorf("bad block count %q: %v", parts[3], err)
-		}
-		return workload.SyntheticApp(parts[1], mean, blocks)
+		return workload.ParseSyntheticApp(name)
 	}
 	for _, a := range umanycore.SocialNetworkApps() {
 		if strings.EqualFold(a.Name, name) {

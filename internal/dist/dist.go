@@ -46,20 +46,27 @@ func (d Exponential) Name() string { return "exponential" }
 
 // Lognormal is parameterized by its *target* mean and the sigma of the
 // underlying normal, matching how scheduling papers (e.g. Shinjuku) specify
-// "lognormal service times with mean m": mu is derived so E[X] = MeanV.
+// "lognormal service times with mean m". It carries its location mu,
+// derived once by NewLognormal so that E[X] = mean; a draw is then one
+// math.Exp. Build it with NewLognormal: its fields are unexported so that
+// no value can lack the location.
 type Lognormal struct {
-	MeanV float64
-	Sigma float64
+	mean, sigma, mu float64
+}
+
+// NewLognormal returns the lognormal with the given mean and underlying
+// sigma, its location mu = log(mean) - sigma²/2 computed here once.
+func NewLognormal(mean, sigma float64) Lognormal {
+	return Lognormal{mean: mean, sigma: sigma, mu: math.Log(mean) - sigma*sigma/2}
 }
 
 // Sample implements Dist.
 func (d Lognormal) Sample(r *rand.Rand) float64 {
-	mu := math.Log(d.MeanV) - d.Sigma*d.Sigma/2
-	return math.Exp(mu + d.Sigma*r.NormFloat64())
+	return math.Exp(d.mu + d.sigma*r.NormFloat64())
 }
 
 // Mean implements Dist.
-func (d Lognormal) Mean() float64 { return d.MeanV }
+func (d Lognormal) Mean() float64 { return d.mean }
 
 // Name implements Dist.
 func (d Lognormal) Name() string { return "lognormal" }
@@ -97,16 +104,36 @@ func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
 // Name implements Dist.
 func (d Uniform) Name() string { return "uniform" }
 
+// maxMean is the largest mean ByName accepts. Means are microseconds
+// wherever the simulator samples them, so this is one second per
+// operation. At that mean even the longest draw ByName's distributions can
+// make (a lognormal about 1e5 times its mean) fits the simulator's
+// picosecond clock.
+const maxMean = 1e6
+
+// CheckMean returns an error naming mean unless it lies in (0, maxMean]:
+// a NaN, infinite, zero or negative mean yields no usable service time.
+func CheckMean(mean float64) error {
+	if !(mean > 0 && mean <= maxMean) {
+		return fmt.Errorf("dist: mean %v outside (0, %g]", mean, float64(maxMean))
+	}
+	return nil
+}
+
 // ByName constructs one of the three synthetic distributions of paper §6.7
 // with the given mean: "exponential", "lognormal" (sigma 1.0, matching a
 // high-variance tail), or "bimodal" (99.5% short, 0.5% 10×-long, as in the
-// Shinjuku methodology the paper cites).
+// Shinjuku methodology the paper cites). A mean CheckMean rejects is an
+// error.
 func ByName(name string, mean float64) (Dist, error) {
+	if err := CheckMean(mean); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "exponential", "exp":
 		return Exponential{MeanV: mean}, nil
 	case "lognormal", "lgn":
-		return Lognormal{MeanV: mean, Sigma: 1.0}, nil
+		return NewLognormal(mean, 1.0), nil
 	case "bimodal", "bim":
 		// Solve lo from mean = p*lo + (1-p)*10*lo with p = 0.995.
 		p := 0.995

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -41,7 +43,7 @@ func TestExponentialMean(t *testing.T) {
 }
 
 func TestLognormalMean(t *testing.T) {
-	d := Lognormal{MeanV: 100, Sigma: 1.0}
+	d := NewLognormal(100, 1.0)
 	got := sampleMean(d, 400000, 2)
 	if math.Abs(got-100)/100 > 0.05 {
 		t.Fatalf("lognormal sample mean = %v, want ~100", got)
@@ -109,6 +111,65 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("cauchy", 1); err == nil {
 		t.Fatal("unknown name did not error")
 	}
+	// A mean that yields no usable service time is an error naming it.
+	for _, mean := range []float64{0, -5, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), maxMean * 2} {
+		_, err := ByName("lognormal", mean)
+		if err == nil {
+			t.Fatalf("ByName(lognormal, %v) accepted the mean", mean)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(mean)) {
+			t.Fatalf("ByName(lognormal, %v) error %q does not name the mean", mean, err)
+		}
+	}
+	if _, err := ByName("exp", maxMean); err != nil {
+		t.Fatalf("ByName at maxMean: %v", err)
+	}
+}
+
+// NewLognormal computes its location once; every draw must be bit-identical
+// to the per-draw formula it replaced, exp(log(mean) - sigma²/2 + sigma·Z),
+// from an identically seeded stream.
+func TestLognormalMatchesPerDrawFormula(t *testing.T) {
+	for _, c := range []struct{ mean, sigma float64 }{
+		{100, 1}, {60, 0.4}, {10, 1.5}, {10, 0}, {0.35, 0.4}, {2.5e-3, 1},
+	} {
+		d := NewLognormal(c.mean, c.sigma)
+		got, ref := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(17))
+		for i := 0; i < 100000; i++ {
+			x := d.Sample(got)
+			mu := math.Log(c.mean) - c.sigma*c.sigma/2
+			want := math.Exp(mu + c.sigma*ref.NormFloat64())
+			if math.Float64bits(x) != math.Float64bits(want) {
+				t.Fatalf("NewLognormal(%v, %v) draw %d = %v, per-draw formula gives %v", c.mean, c.sigma, i, x, want)
+			}
+		}
+		if d.Mean() != c.mean {
+			t.Fatalf("Mean() = %v, want %v", d.Mean(), c.mean)
+		}
+	}
+}
+
+// FuzzByName: for any name and mean, ByName either returns an error or a
+// distribution whose samples are all finite and nonnegative.
+func FuzzByName(f *testing.F) {
+	for _, name := range []string{"exponential", "lognormal", "bimodal", "deterministic", "cauchy", ""} {
+		f.Add(name, 50.0)
+	}
+	for _, mean := range []float64{-5, 0, math.NaN(), math.Inf(1), 5e-324, 1e-300, maxMean, 1e308} {
+		f.Add("lgn", mean)
+	}
+	f.Fuzz(func(t *testing.T, name string, mean float64) {
+		d, err := ByName(name, mean)
+		if err != nil {
+			return
+		}
+		r := rand.New(rand.NewSource(1))
+		for i := 0; i < 1000; i++ {
+			if x := d.Sample(r); math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+				t.Fatalf("ByName(%q, %v) sample %d = %v", name, mean, i, x)
+			}
+		}
+	})
 }
 
 func TestBimodalByNameShape(t *testing.T) {
@@ -238,7 +299,7 @@ func TestZipfSkew(t *testing.T) {
 func TestNonnegativeProperty(t *testing.T) {
 	dists := []Dist{
 		Exponential{MeanV: 10},
-		Lognormal{MeanV: 10, Sigma: 1.5},
+		NewLognormal(10, 1.5),
 		Bimodal{Lo: 1, Hi: 100, PLo: 0.99},
 		Uniform{Lo: 0, Hi: 5},
 		Deterministic{V: 3},

@@ -5,6 +5,12 @@
 // atomic Dequeue / Complete / ContextSwitch instruction semantics. The NIC
 // overflow buffer and rejection path are modeled too.
 //
+// Like the hardware, which answers a core's Work flag in one operation, the
+// queue keeps a count of its ready entries: HasReady(-1) and ReadyCount read
+// it, and HasReady and Dequeue for a specific service scan only when some
+// entry is ready. The ring wraps its indices with a compare and a subtract,
+// never a division, so any capacity works at the same cost.
+//
 // The queue is a pure data structure; instruction *timing* (the ~tens of
 // cycles a hardware dequeue costs vs thousands for software scheduling) is
 // charged by the machine model in internal/machine.
@@ -58,7 +64,8 @@ type Context struct {
 	UserData any
 }
 
-// Entry is one RQ slot.
+// Entry is one RQ slot. Its Status is read-only outside this package: the
+// queue's ready count follows every transition its methods make.
 type Entry struct {
 	Status    Status
 	ServiceID int
@@ -73,7 +80,10 @@ type RQ struct {
 	ring     []*Entry
 	head     int // index of oldest live entry
 	count    int // live entries (not yet reclaimed)
-	nextSeq  uint64
+	// ready counts the live entries in the Ready state. Only Enqueue,
+	// Dequeue and Unblock move an entry into or out of Ready.
+	ready   int
+	nextSeq uint64
 	// free holds reclaimed entries for Enqueue to reuse, so a queue
 	// allocates only up to its peak live count.
 	free []*Entry
@@ -131,7 +141,7 @@ func (q *RQ) SetPartition(p map[int]int) {
 	q.partition = cp
 	q.perSvc = make(map[int]int)
 	for i := 0; i < q.count; i++ {
-		if e := q.at(i); e.Status != Finished {
+		if e := q.ring[q.slot(i)]; e.Status != Finished {
 			q.perSvc[e.ServiceID]++
 		}
 	}
@@ -160,8 +170,9 @@ func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 	}
 	*e = Entry{Status: Ready, ServiceID: serviceID, Ctx: ctx, seq: q.nextSeq}
 	q.nextSeq++
-	q.ring[(q.head+q.count)%q.capacity] = e
+	q.ring[q.slot(q.count)] = e
 	q.count++
+	q.ready++
 	if q.partition != nil {
 		q.perSvc[serviceID]++
 	}
@@ -169,39 +180,62 @@ func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 	return e
 }
 
-// at returns the i-th live entry from the head.
-func (q *RQ) at(i int) *Entry { return q.ring[(q.head+i)%q.capacity] }
+// slot maps the i-th live position from the head (0 <= i <= count) to its
+// ring index. head < capacity and i <= capacity, so one subtraction wraps.
+func (q *RQ) slot(i int) int {
+	j := q.head + i
+	if j >= q.capacity {
+		j -= q.capacity
+	}
+	return j
+}
 
-// HasReady reports whether a ready entry for serviceID exists (serviceID < 0
-// matches any service) — the per-core Work flag.
-func (q *RQ) HasReady(serviceID int) bool {
-	for i := 0; i < q.count; i++ {
-		e := q.at(i)
-		if e.Status == Ready && (serviceID < 0 || e.ServiceID == serviceID) {
-			return true
+// find returns the ready entry closest to the head for serviceID (serviceID
+// < 0 matches any service), or nil. It scans only when some entry is ready.
+func (q *RQ) find(serviceID int) *Entry {
+	if q.ready == 0 {
+		return nil
+	}
+	for i, j := 0, q.head; i < q.count; i++ {
+		if e := q.ring[j]; e.Status == Ready && (serviceID < 0 || e.ServiceID == serviceID) {
+			return e
+		}
+		if j++; j == q.capacity {
+			j = 0
 		}
 	}
-	return false
+	return nil
+}
+
+// HasReady reports whether a ready entry for serviceID exists (serviceID < 0
+// matches any service) — the per-core Work flag. For any service it is a
+// read of the ready count; for one service it scans the ring, and only when
+// some entry is ready.
+func (q *RQ) HasReady(serviceID int) bool {
+	if serviceID < 0 {
+		return q.ready > 0
+	}
+	return q.find(serviceID) != nil
 }
 
 // Dequeue implements the Dequeue instruction: atomically find the
 // highest-priority (closest to head) ready entry matching serviceID
 // (serviceID < 0 matches any), mark it running, and return it. Returns nil
-// when no entry qualifies. Restoring saved state is signalled by clearing
-// Ctx.StateSaved; the machine model charges the restore cost.
+// when no entry qualifies, at once when none is ready. Restoring saved
+// state is signalled by clearing Ctx.StateSaved; the machine model charges
+// the restore cost.
 func (q *RQ) Dequeue(serviceID int, core int) *Entry {
-	for i := 0; i < q.count; i++ {
-		e := q.at(i)
-		if e.Status == Ready && (serviceID < 0 || e.ServiceID == serviceID) {
-			e.Status = Running
-			if e.Ctx != nil {
-				e.Ctx.Core = core
-				e.Ctx.StateSaved = false
-			}
-			return e
-		}
+	e := q.find(serviceID)
+	if e == nil {
+		return nil
 	}
-	return nil
+	e.Status = Running
+	q.ready--
+	if e.Ctx != nil {
+		e.Ctx.Core = core
+		e.Ctx.StateSaved = false
+	}
+	return e
 }
 
 // ContextSwitch implements the ContextSwitch instruction: the running entry
@@ -225,6 +259,7 @@ func (q *RQ) Unblock(e *Entry) {
 		panic(fmt.Sprintf("rq: Unblock on %v entry", e.Status))
 	}
 	e.Status = Ready
+	q.ready++
 }
 
 // Complete implements the Complete instruction: mark the entry finished,
@@ -241,24 +276,19 @@ func (q *RQ) Complete(e *Entry) {
 	if q.partition != nil {
 		q.perSvc[e.ServiceID]--
 	}
-	for q.count > 0 && q.at(0).Status == Finished {
+	for q.count > 0 && q.ring[q.head].Status == Finished {
 		q.free = append(q.free, q.ring[q.head])
 		q.ring[q.head] = nil
-		q.head = (q.head + 1) % q.capacity
+		if q.head++; q.head == q.capacity {
+			q.head = 0
+		}
 		q.count--
 	}
 }
 
-// ReadyCount returns the number of ready entries (for load reporting).
-func (q *RQ) ReadyCount() int {
-	n := 0
-	for i := 0; i < q.count; i++ {
-		if q.at(i).Status == Ready {
-			n++
-		}
-	}
-	return n
-}
+// ReadyCount returns the number of ready entries (for load reporting): a
+// read of the count Enqueue, Dequeue and Unblock keep.
+func (q *RQ) ReadyCount() int { return q.ready }
 
 // NICBuffer is the village NIC's overflow staging area: requests that find
 // the RQ full wait here; beyond its capacity they are rejected (§4.3).

@@ -1,6 +1,8 @@
 package rq
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -334,5 +336,147 @@ func TestSetPartitionRecountsLiveEntries(t *testing.T) {
 	q.SetPartition(nil)
 	if q.perSvc != nil {
 		t.Fatal("per-service counts kept without a partition")
+	}
+}
+
+// scanFind is the scan HasReady and Dequeue ran before the ready counter:
+// the ready entry closest to the head for svc (svc < 0 matches any), read
+// from the live ring with modular indexing. It is kept here, independent of
+// the queue's own index arithmetic, as the reference for TestRQMatchesScan.
+func scanFind(q *RQ, svc int) *Entry {
+	for i := 0; i < q.count; i++ {
+		e := q.ring[(q.head+i)%q.capacity]
+		if e.Status == Ready && (svc < 0 || e.ServiceID == svc) {
+			return e
+		}
+	}
+	return nil
+}
+
+// scanReady counts the ready entries of the live ring.
+func scanReady(q *RQ) int {
+	n := 0
+	for i := 0; i < q.count; i++ {
+		if q.ring[(q.head+i)%q.capacity].Status == Ready {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRQMatchesScan drives seeded random sequences of every operation that
+// moves an entry between states (Enqueue with and without a partition,
+// Dequeue for one service or any, ContextSwitch, Unblock, Complete, NIC
+// Drain) at capacities 1, 3 and 64, and after every step checks the ready
+// counter's answers (HasReady for each service and any, ReadyCount, and the
+// entry Dequeue would pick) against scanFind and scanReady, and the ring's
+// live slots against a shadow FIFO of the live entries. It fails if a path
+// (ring wrap, a partition rejection, an unblock, a drain, a per-service
+// dequeue) was never reached.
+func TestRQMatchesScan(t *testing.T) {
+	const services = 4
+	var cover struct{ wrap, partReject, unblock, drained, svcDequeue int }
+	for _, capacity := range []int{1, 3, 64} {
+		partitions := []map[int]int{nil, {0: 1}, {0: capacity / 2, 1: (capacity + 1) / 4}}
+		for trial := int64(0); trial < 60; trial++ {
+			rng := rand.New(rand.NewSource(trial))
+			q := New(capacity)
+			nic := NewNICBuffer(4)
+			var shadow, running, blocked []*Entry
+			var reqID uint64
+			take := func(list *[]*Entry) *Entry {
+				i := rng.Intn(len(*list))
+				e := (*list)[i]
+				*list = append((*list)[:i], (*list)[i+1:]...)
+				return e
+			}
+			for step := 0; step < 400; step++ {
+				where := fmt.Sprintf("capacity %d trial %d step %d", capacity, trial, step)
+				switch op := rng.Intn(100); {
+				case op < 30:
+					reqID++
+					svc := rng.Intn(services)
+					spare := q.Len() < q.Capacity()
+					if e := q.Enqueue(svc, &Context{RequestID: reqID}); e != nil {
+						if e.Status != Ready || e.ServiceID != svc {
+							t.Fatalf("%s: enqueued %+v", where, e)
+						}
+						shadow = append(shadow, e)
+					} else {
+						if spare {
+							cover.partReject++
+						}
+						nic.Offer(svc, &Context{RequestID: reqID})
+					}
+				case op < 55:
+					svc := rng.Intn(services+2) - 1 // -1 (any) through services (none queued)
+					want := scanFind(q, svc)
+					got := q.Dequeue(svc, step)
+					if got != want {
+						t.Fatalf("%s: Dequeue(%d) = %p, scan picks %p", where, svc, got, want)
+					}
+					if got != nil {
+						if got.Status != Running || got.Ctx.Core != step || got.Ctx.StateSaved {
+							t.Fatalf("%s: dequeued %+v ctx %+v", where, got, got.Ctx)
+						}
+						if svc >= 0 {
+							cover.svcDequeue++
+						}
+						running = append(running, got)
+					}
+				case op < 65:
+					if len(running) > 0 {
+						e := take(&running)
+						q.ContextSwitch(e, 256)
+						blocked = append(blocked, e)
+					}
+				case op < 75:
+					if len(blocked) > 0 {
+						q.Unblock(take(&blocked))
+						cover.unblock++
+					}
+				case op < 93:
+					if len(running) > 0 {
+						e := take(&running)
+						q.Complete(e)
+						for len(shadow) > 0 && shadow[0].Status == Finished {
+							shadow = shadow[1:]
+						}
+					}
+				case op < 98:
+					moved := nic.Drain(q)
+					shadow = append(shadow, moved...)
+					cover.drained += len(moved)
+				default:
+					q.SetPartition(partitions[rng.Intn(len(partitions))])
+				}
+				if q.Len() != len(shadow) {
+					t.Fatalf("%s: Len %d, shadow holds %d live entries", where, q.Len(), len(shadow))
+				}
+				for i, e := range shadow {
+					if got := q.ring[(q.head+i)%q.capacity]; got != e {
+						t.Fatalf("%s: live slot %d holds %p, want %p", where, i, got, e)
+					}
+				}
+				if q.head+q.count > q.capacity {
+					cover.wrap++
+				}
+				if got, want := q.ReadyCount(), scanReady(q); got != want {
+					t.Fatalf("%s: ReadyCount %d, scan counts %d", where, got, want)
+				}
+				for svc := -1; svc <= services; svc++ {
+					want := scanFind(q, svc)
+					if got := q.HasReady(svc); got != (want != nil) {
+						t.Fatalf("%s: HasReady(%d) = %v, scan finds %p", where, svc, got, want)
+					}
+					if got := q.find(svc); got != want {
+						t.Fatalf("%s: Dequeue(%d) would pick %p, scan picks %p", where, svc, got, want)
+					}
+				}
+			}
+		}
+	}
+	if cover.wrap == 0 || cover.partReject == 0 || cover.unblock == 0 || cover.drained == 0 || cover.svcDequeue == 0 {
+		t.Fatalf("a queue path was never reached: %+v", cover)
 	}
 }

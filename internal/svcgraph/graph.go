@@ -203,9 +203,9 @@ func Layered(levels, fanout int, meanComputeMicros float64) *workload.App {
 			}
 			if l == levels-1 {
 				s.Ops = []workload.Op{
-					{Kind: workload.OpCompute, Time: dist.Lognormal{MeanV: meanComputeMicros, Sigma: 0.4}},
+					{Kind: workload.OpCompute, Time: dist.NewLognormal(meanComputeMicros, 0.4)},
 					{Kind: workload.OpStorage, Time: dist.Exponential{MeanV: meanComputeMicros / 2}},
-					{Kind: workload.OpCompute, Time: dist.Lognormal{MeanV: meanComputeMicros / 2, Sigma: 0.4}},
+					{Kind: workload.OpCompute, Time: dist.NewLognormal(meanComputeMicros/2, 0.4)},
 				}
 			} else {
 				first := starts[l+1] + (i-starts[l])*fanout
@@ -214,9 +214,9 @@ func Layered(levels, fanout int, meanComputeMicros float64) *workload.App {
 					callees[k] = first + k
 				}
 				s.Ops = []workload.Op{
-					{Kind: workload.OpCompute, Time: dist.Lognormal{MeanV: meanComputeMicros, Sigma: 0.4}},
+					{Kind: workload.OpCompute, Time: dist.NewLognormal(meanComputeMicros, 0.4)},
 					{Kind: workload.OpCall, Callees: callees},
-					{Kind: workload.OpCompute, Time: dist.Lognormal{MeanV: meanComputeMicros / 2, Sigma: 0.4}},
+					{Kind: workload.OpCompute, Time: dist.NewLognormal(meanComputeMicros/2, 0.4)},
 				}
 			}
 			svcs[i] = s

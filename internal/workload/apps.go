@@ -1,6 +1,12 @@
 package workload
 
-import "umanycore/internal/dist"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"umanycore/internal/dist"
+)
 
 // Service IDs of the SocialNetwork catalog, in the order the paper's figures
 // list the applications.
@@ -23,7 +29,7 @@ func compute(meanMicros float64) Op {
 	// Lognormal with moderate dispersion: service compute is fairly
 	// repeatable within a service (§4.3: "requests for a given service tend
 	// to have similar execution times").
-	return Op{Kind: OpCompute, Time: dist.Lognormal{MeanV: meanMicros, Sigma: 0.4}}
+	return Op{Kind: OpCompute, Time: dist.NewLognormal(meanMicros, 0.4)}
 }
 
 func storage(meanMicros float64) Op {
@@ -169,8 +175,11 @@ func SocialNetworkApps() []*App {
 // drawn from the named distribution ("exponential", "lognormal", "bimodal")
 // with the given mean (microseconds), split across blockingCalls+1 segments
 // separated by blocking storage accesses (the paper uses 2–6 blocking
-// calls).
+// calls). A mean dist.CheckMean rejects is an error that names it.
 func SyntheticApp(distName string, meanMicros float64, blockingCalls int) (*App, error) {
+	if err := dist.CheckMean(meanMicros); err != nil {
+		return nil, err
+	}
 	if blockingCalls < 0 {
 		blockingCalls = 0
 	}
@@ -199,4 +208,24 @@ func SyntheticApp(distName string, meanMicros float64, blockingCalls int) (*App,
 		return nil, err
 	}
 	return &App{Name: "synthetic-" + distName, Root: 0, Catalog: c}, nil
+}
+
+// ParseSyntheticApp builds the SyntheticApp a command-line spec
+// "synthetic:<dist>:<mean_us>:<blocks>" names, e.g. "synthetic:bimodal:10:3".
+// A malformed spec, an unknown distribution, or a mean dist.CheckMean
+// rejects is an error that names the bad part.
+func ParseSyntheticApp(spec string) (*App, error) {
+	parts := strings.Split(spec, ":")
+	if len(parts) != 4 || parts[0] != "synthetic" {
+		return nil, fmt.Errorf("synthetic app format: synthetic:<dist>:<mean_us>:<blocks>, got %q", spec)
+	}
+	mean, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad mean %q: %v", parts[2], err)
+	}
+	blocks, err := strconv.Atoi(parts[3])
+	if err != nil {
+		return nil, fmt.Errorf("bad block count %q: %v", parts[3], err)
+	}
+	return SyntheticApp(parts[1], mean, blocks)
 }

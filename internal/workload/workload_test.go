@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"umanycore/internal/dist"
@@ -183,6 +184,40 @@ func TestSyntheticApp(t *testing.T) {
 	app, err := SyntheticApp("exp", 50, -1)
 	if err != nil || app.Catalog.Service(0).BlockingOps() != 0 {
 		t.Fatal("negative blocking calls not clamped")
+	}
+}
+
+// The command-line synthetic spec parses into the same app SyntheticApp
+// builds, and every malformed part is an error that names it — a bad mean
+// by the value given, not by the per-segment mean derived from it.
+func TestParseSyntheticApp(t *testing.T) {
+	app, err := ParseSyntheticApp("synthetic:bimodal:10:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := app.Catalog.Service(0); app.Name != "synthetic-bimodal" || s.BlockingOps() != 3 ||
+		math.Abs(s.MeanComputeMicros()-10) > 1e-9 {
+		t.Fatalf("parsed app %s: %d blocking ops, mean %v", app.Name, s.BlockingOps(), s.MeanComputeMicros())
+	}
+	for spec, want := range map[string]string{
+		"synthetic:lognormal:-5:2":  "-5",
+		"synthetic:lognormal:NaN:2": "NaN",
+		"synthetic:exp:Inf:0":       "+Inf",
+		"synthetic:exp:0:1":         "mean 0",
+		"synthetic:exp:1e9:1":       "1e+09",
+		"synthetic:exp:ten:1":       `"ten"`,
+		"synthetic:exp:10:x":        `"x"`,
+		"synthetic:cauchy:10:1":     `"cauchy"`,
+		"synthetic:exp:10":          "synthetic:<dist>:<mean_us>:<blocks>",
+		"lognormal:10:2:1":          "synthetic:<dist>:<mean_us>:<blocks>",
+	} {
+		_, err := ParseSyntheticApp(spec)
+		if err == nil {
+			t.Fatalf("%s accepted", spec)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %s", spec, err, want)
+		}
 	}
 }
 

@@ -140,8 +140,9 @@ cmp "$cachedir/one0.json" "$cachedir/one1.json"
 cmp "$cachedir/onetr0.json" "$cachedir/onetr1.json"
 echo "one-server fleet exemplars byte-identical to machine run (synthetic + trace)"
 
-# Fail-fast gate: malformed traces and invalid graph figures must exit 2
-# with a diagnostic, before any simulation runs.
+# Fail-fast gate: malformed traces, invalid graph figures and synthetic
+# apps with an unusable mean must exit 2 with a diagnostic, before any
+# simulation runs.
 echo "== trace/graph validation exits =="
 printf 'arrival_us,service,duration_us,cpu_util,rpcs\n1,a,-2,0.5,3\n' >"$cachedir/bad.csv"
 if "$cachedir/umprof" -trace "$cachedir/bad.csv" 2>"$cachedir/bad.err"; then
@@ -156,6 +157,10 @@ if "$cachedir/umbench" -figures graph,bogus 2>"$cachedir/figs.err"; then
     echo "umbench accepted an unknown figure" >&2; exit 1
 fi
 grep -q 'unknown figure' "$cachedir/figs.err"
+if "$cachedir/umprof" -app synthetic:lognormal:-5:2 2>"$cachedir/mean.err"; then
+    echo "umprof accepted a negative synthetic mean" >&2; exit 1
+fi
+grep -q 'mean -5 outside' "$cachedir/mean.err"
 echo "validation paths exit 2 with diagnostics"
 
 # Graph figure smoke: the service-graph study runs end to end in quick mode
@@ -179,10 +184,12 @@ echo "== bench baseline diff (warn-only) =="
 # and checks it against perfbench/reference.json, so any drift in the
 # model's output bytes fails here. fleet16 is the one workload through the
 # PDES fabric and the coupled fleet's messages, and its hash check also
-# covers its ShardWorkers 2 and -1 identity re-runs. Full mode only: it
-# builds perfbench and times several passes, which takes about a minute.
+# covers its ShardWorkers 2 and -1 identity re-runs. figures is the one
+# workload through the software-queue machines, and its hash check covers
+# the sweep's Parallel=1 identity re-run. Full mode only: it builds
+# perfbench and times several passes, which takes a few minutes.
 if [ "${1:-}" != "quick" ]; then
-    for workload in server fleet16; do
+    for workload in server fleet16 figures; do
         echo "== perfbench reference hash ($workload) =="
         if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
             >"$cachedir/perfbench.out" 2>"$cachedir/perfbench.err" ||

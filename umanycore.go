@@ -285,7 +285,8 @@ func MuSuiteMix() []MixEntry { return workload.MuSuiteMix() }
 // SyntheticApp builds a §6.7 synthetic benchmark: total service time drawn
 // from "exponential", "lognormal", or "bimodal" with the given mean in
 // microseconds, split across blockingCalls+1 compute segments separated by
-// blocking storage accesses.
+// blocking storage accesses. The mean must be positive, finite and at most
+// one second; otherwise SyntheticApp returns an error that names it.
 func SyntheticApp(dist string, meanMicros float64, blockingCalls int) (*App, error) {
 	return workload.SyntheticApp(dist, meanMicros, blockingCalls)
 }
