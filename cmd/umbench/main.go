@@ -3,15 +3,15 @@
 //
 // Usage:
 //
-//	umbench [-quick] [-seed N] [-parallel N] [-shard-workers N]
+//	umbench [-quick] [-seed N] [-parallel N]
 //	        [-figures 1,2,3,...] [-json FILE]
 //	        [-cache DIR] [-cache-verify] [-cache-clear] [-cpuprofile FILE]
 //
 // Figure names: 1 2 3 4 5 6 7 8 9 e2e 15 18 19 20 68 power lb graph scale
 // control whatif.
-// Default: all. -parallel bounds the sweep worker pool (default: all cores)
-// and -shard-workers the per-fleet PDES worker pool; output is bit-identical
-// for any value of either.
+// Default: all. -parallel bounds the sweep worker pool (default: all cores);
+// output is bit-identical for any value. Each coupled fleet runs its PDES
+// windows sequentially on per-server engines.
 //
 // -baseline FILE diffs this run's figure rows (the -json payload) against a
 // checked-in baseline JSON (e.g. BENCH_lb_baseline.json), prints per-metric
@@ -59,7 +59,6 @@ func main() {
 	flag.StringVar(&jsonOut, "json", "", "also write the e2e grid as JSON to FILE ('-' for stdout); latency objects use the stats.Summary encoding shared with umprof/umsim")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep workers (<=0: all cores); results are identical for any value")
-	shardWorkers := flag.Int("shard-workers", 0, "PDES shard workers per coupled fleet (0/1: sequential, -1: single-engine reference); results are identical for any value")
 	figures := flag.String("figures", "all", "comma-separated figure list (1..9, e2e, 15, 18, 19, 20, 68, power, lb, graph, scale, control, whatif)")
 	baseline := flag.String("baseline", "", "diff this run's figure rows against a checked-in baseline JSON FILE and exit nonzero past -baseline-threshold")
 	baselineThreshold := flag.Float64("baseline-threshold", 5, "max |delta| percent tolerated by -baseline before failing")
@@ -71,10 +70,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
 	flag.Parse()
 
-	if *shardWorkers < -1 {
-		fmt.Fprintf(os.Stderr, "umbench: -shard-workers %d is out of range: want -1 (single-engine reference), 0/1 (sequential) or a worker count\n", *shardWorkers)
-		os.Exit(2)
-	}
 	if *baselineThreshold < 0 {
 		fmt.Fprintf(os.Stderr, "umbench: -baseline-threshold %v is out of range: want a non-negative drift percentage\n", *baselineThreshold)
 		os.Exit(2)
@@ -128,7 +123,6 @@ func main() {
 	o := umanycore.DefaultExperimentOptions()
 	o.Seed = *seed
 	o.Parallel = *parallel
-	o.ShardWorkers = *shardWorkers
 	if *quick {
 		o = o.Quick()
 	}

@@ -188,7 +188,6 @@ func TestBadFlagBoundsExit(t *testing.T) {
 	}{
 		{[]string{"-figures", "lb,bogus"}, `unknown figure "bogus"`},
 		{[]string{"-figures", ""}, `unknown figure ""`},
-		{[]string{"-shard-workers", "-2", "-figures", "power"}, "-shard-workers -2 is out of range"},
 		{[]string{"-baseline-threshold", "-1", "-figures", "power"}, "-baseline-threshold -1 is out of range"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)

@@ -57,7 +57,7 @@ func main() {
 	servers := flag.Int("servers", 0, "run a coupled fleet of N servers (0 = single machine); traces merge across servers")
 	lb := flag.String("lb", "", "fleet load-balancer policy: rr | rand | least | p2c (default rr; needs -servers)")
 	skew := flag.String("skew", "", "comma-separated per-server slowdown factors, e.g. 1,1,2 (needs -servers)")
-	shardWorkers := flag.Int("shard-workers", 0, "PDES shard workers for the coupled fleet (0/1: sequential, -1: single-engine reference); results are identical for any value (needs -servers)")
+	shardWorkers := flag.Int("shard-workers", 0, "coupled-fleet PDES execution mode: >= 0 gives every server its own engine, -1 puts every shard on one shared engine (the reference); both run the same window loop and give identical results (needs -servers)")
 	top := flag.Float64("top", 1, "tail fraction to analyze, in percent (1 = slowest 1%)")
 	traceIn := flag.String("trace", "", "replay an external trace CSV (umtrace -csv wire format) instead of synthetic arrivals; -rps rescales the trace to that mean rate when given explicitly")
 	traceOut := flag.String("chrome-trace", "", "also write a Chrome/Perfetto trace-event JSON to FILE")
@@ -343,7 +343,7 @@ func main() {
 		rep.P99.Micros(), latency.P99, pctDiff(rep.P99.Micros(), latency.P99))
 	if *fabric {
 		fmt.Println()
-		writeFabricTable(fres, *shardWorkers)
+		writeFabricTable(fres)
 	}
 }
 
@@ -492,8 +492,8 @@ func parseWhatIfFactors(s string) ([]float64, error) {
 
 // writeFabricTable prints the PDES fabric's self-observability report: the
 // deterministic window/message aggregates, then the per-shard execution
-// split and the wall-clock diagnostics (worker-pool runs only).
-func writeFabricTable(fres *fleet.Result, workers int) {
+// split (per-server engines only) and the run's wall cost.
+func writeFabricTable(fres *fleet.Result) {
 	st := fres.Fabric
 	fmt.Printf("pdes fabric: %d shards (dispatcher + servers), lookahead %.3fus\n",
 		st.Shards, st.Lookahead.Micros())
@@ -511,10 +511,6 @@ func writeFabricTable(fres *fleet.Result, workers int) {
 			}
 			fmt.Printf("    %-10s %10d windows %12d events\n", name, st.ShardWindows[i], st.ShardEvents[i])
 		}
-	}
-	if st.BarrierWaitSeconds > 0 {
-		fmt.Printf("  wall       : %.3fs barrier wait, %.3fs worker busy (%.1f%% busy on %d workers)\n",
-			st.BarrierWaitSeconds, st.WorkerBusySeconds, 100*st.BusyFraction(workers), workers)
 	}
 	fmt.Printf("  run        : %d events total, %.3fs wall\n", fres.EventsProcessed, fres.WallSeconds)
 }

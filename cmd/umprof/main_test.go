@@ -138,9 +138,9 @@ func TestWhatIfJSONGolden(t *testing.T) {
 }
 
 // TestWhatIfFleetShardWorkerInvariance checks the -whatif CLI contract on
-// the coupled fleet: stdout is byte-identical for the worker pool and the
-// -1 single-engine reference (no normalization needed — the what-if report
-// carries no wall-clock fields).
+// the coupled fleet: stdout is byte-identical for per-server engines and
+// the -1 shared-engine reference (no normalization needed — the what-if
+// report carries no wall-clock fields).
 func TestWhatIfFleetShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -181,6 +181,7 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-servers", "2", "-shed-prob", "0.5"}, "-shed-prob needs a positive -shed-slo"},
 		{[]string{"-servers", "2", "-scale-min", "1"}, "-scale-min needs a positive -scale-p99"},
 		{[]string{"-retries", "2"}, "need a coupled fleet"},
+		{[]string{"-servers", "2", "-shard-workers", "-2"}, "ShardWorkers -2 is out of range"},
 		{[]string{"-servers", "2", "-hedge", "1ms", "-whatif"}, "not supported with -whatif"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
@@ -196,8 +197,8 @@ func TestBadFlagBoundsExit(t *testing.T) {
 // TestControlJSONShardWorkerInvariance is the CLI form of the control
 // determinism contract (and the template for the scripts/ci.sh gate): a
 // retry+hedging fleet run prints byte-identical JSON — control section
-// included — for the worker pool and the -1 single-engine reference, after
-// normalizing the one wall-clock field.
+// included — for per-server engines and the -1 shared-engine reference,
+// after normalizing the one wall-clock field.
 func TestControlJSONShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -319,8 +320,8 @@ func TestTraceFlagValidationExits(t *testing.T) {
 // TestTraceReplayJSONShardWorkerInvariance is the CLI half of the replay
 // determinism contract (and the template for the scripts/ci.sh round-trip
 // gate): replaying one trace through the coupled fleet prints byte-identical
-// JSON — trace accounting included — for the single-engine reference and any
-// worker count.
+// JSON — trace accounting included — for the shared-engine reference and
+// every -shard-workers value.
 func TestTraceReplayJSONShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")

@@ -17,10 +17,10 @@ import (
 // cells it has already simulated. A cell's preimage canonically encodes
 // everything the cell reads — the machine (or fleet) config and the exact
 // RunConfig including the app catalog, mix, derived seed and measurement
-// windows — under a driver tag that names the payload schema. Worker counts
-// (Options.Parallel, fleet.Config.ShardWorkers) never enter a preimage:
-// cached results must be bit-identical across -parallel values, like the
-// sweeps that produce them.
+// windows — under a driver tag that names the payload schema. The sweep
+// worker count (Options.Parallel) never enters a preimage: cached results
+// must be bit-identical across -parallel values, like the sweeps that
+// produce them.
 //
 // Driver tags double as payload-schema names. Cells that run the same
 // computation with the same inputs share entries across figures (the e2e

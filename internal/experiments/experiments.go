@@ -36,11 +36,6 @@ type Options struct {
 	Parallel int
 	// FleetSizes are the fleet sizes the FleetScale study sweeps.
 	FleetSizes []int
-	// ShardWorkers is forwarded to fleet.Config.ShardWorkers: how many
-	// per-server engines advance concurrently inside each coupled fleet
-	// simulation. Like Parallel it is a worker count — results and cache
-	// keys are identical for any value.
-	ShardWorkers int
 }
 
 // DefaultOptions returns full-fidelity settings.

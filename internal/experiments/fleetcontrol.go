@@ -200,8 +200,7 @@ func controlScenarios() []controlScenario {
 //     becomes routable.
 //
 // Every cell is one coupled PDES run; cells fan out across the sweep pool
-// and rows are bit-identical for any Parallel or ShardWorkers value, warm
-// or cold cache.
+// and rows are bit-identical for any Parallel value, warm or cold cache.
 func FleetControl(o Options) []FleetControlRow {
 	o = o.normalized()
 	app, err := workload.SyntheticApp("deterministic", 500, 2)
@@ -222,7 +221,6 @@ func FleetControl(o Options) []FleetControlRow {
 				sc.shape(&fc)
 			}
 			fc.Control = v.ctl
-			fc.ShardWorkers = o.ShardWorkers
 			total := perServer * float64(sc.servers)
 			rc := o.runCfg(app, total)
 			rc.Arrivals = sc.arrivals
@@ -241,10 +239,7 @@ func FleetControl(o Options) []FleetControlRow {
 				if c.rc.Obs != nil || c.rc.Telemetry != nil {
 					return nil
 				}
-				// The shard worker count is never an input; zero it out of
-				// the key so differently-parallel runs share cells. The
-				// Control pointer stays in: policy is simulation content.
-				c.fc.ShardWorkers = 0
+				// The Control pointer is in the key: policy is simulation content.
 				return sweepcache.NewKey("fleet/result").
 					Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).
 					Any("rc", c.rc).Int("seed", c.seed).Preimage()

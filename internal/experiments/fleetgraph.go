@@ -84,7 +84,7 @@ func graphPlacement(o Options, policy string, services int) *svcgraph.Spec {
 // turns nearly every edge into a fabric round trip, buying per-service
 // isolation at the price of inter-server latency on the critical path. Each
 // coupled fleet is one simulation; the sweep parallelizes across cells, and
-// rows are bit-identical for any Parallel or ShardWorkers value.
+// rows are bit-identical for any Parallel value.
 func FleetGraph(o Options) []FleetGraphRow {
 	o = o.normalized()
 	perServer := o.Loads[0]
@@ -99,7 +99,6 @@ func FleetGraph(o Options) []FleetGraphRow {
 		fc := fleet.DefaultConfig(machine.UManycoreConfig())
 		fc.Servers = fleetGraphServers
 		fc.LB = "rr"
-		fc.ShardWorkers = o.ShardWorkers
 		fc.Graph = graphPlacement(o, policy, len(app.Catalog.Services))
 		// Placements at one shape share a seed: the comparison is paired
 		// over identical arrival processes.
@@ -116,9 +115,7 @@ func FleetGraph(o Options) []FleetGraphRow {
 			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
 				return nil
 			}
-			// ShardWorkers is a worker count, never an input. The placement
-			// spec itself is part of fc, so each policy keys its own cells.
-			c.fc.ShardWorkers = 0
+			// The placement spec is part of fc, so each policy keys its own cells.
 			return sweepcache.NewKey("fleet/result").
 				Any("fc", c.fc).Any("app", c.app).Float("total_rps", total).
 				Any("rc", rc).Int("seed", c.seed).Preimage()

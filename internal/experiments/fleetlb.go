@@ -94,7 +94,6 @@ func FleetLB(o Options) []FleetLBRow {
 	mkCell := func(policy string, perServer float64) cell {
 		fc := fleetLBConfig()
 		fc.LB = policy
-		fc.ShardWorkers = o.ShardWorkers
 		// Policies at one load share a seed: the comparison is paired
 		// over identical arrival processes.
 		return cell{
@@ -110,9 +109,6 @@ func FleetLB(o Options) []FleetLBRow {
 			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
 				return nil
 			}
-			// ShardWorkers is a worker count, never an input: it changes no
-			// result, so it may not split cache entries.
-			c.fc.ShardWorkers = 0
 			return sweepcache.NewKey("fleet/result").
 				Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).
 				Any("rc", rc).Int("seed", c.seed).Preimage()

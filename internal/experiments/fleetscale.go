@@ -63,9 +63,8 @@ func fleetScaleConfig(n int) fleet.Config {
 // to straggler service time at every size, while queue-aware policies
 // (least, p2c) steer around them — and the gap between p2c's two samples
 // and least's full scan is only visible once the fleet is large. Each cell
-// is one coupled PDES simulation (fc.ShardWorkers engines advancing
-// concurrently); cells fan out across the sweep pool and rows are
-// bit-identical for any Parallel or ShardWorkers value.
+// is one coupled PDES simulation; cells fan out across the sweep pool and
+// rows are bit-identical for any Parallel value.
 func FleetScale(o Options) []FleetScaleRow {
 	o = o.normalized()
 	app := appNamed("HomeT")
@@ -79,7 +78,6 @@ func FleetScale(o Options) []FleetScaleRow {
 	mkCell := func(policy string, servers int) cell {
 		fc := fleetScaleConfig(servers)
 		fc.LB = policy
-		fc.ShardWorkers = o.ShardWorkers
 		// Policies at one size share a seed: the comparison is paired over
 		// identical arrival processes.
 		return cell{
@@ -95,9 +93,6 @@ func FleetScale(o Options) []FleetScaleRow {
 			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
 				return nil
 			}
-			// The shard worker count is never an input; zero it out of the
-			// key so differently-parallel runs share cells.
-			c.fc.ShardWorkers = 0
 			return sweepcache.NewKey("fleet/result").
 				Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).
 				Any("rc", rc).Int("seed", c.seed).Preimage()

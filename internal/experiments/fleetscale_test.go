@@ -50,18 +50,17 @@ func TestFleetScaleSeparatesPolicies(t *testing.T) {
 }
 
 // TestFleetScaleDeterministic: rows are identical for any sweep worker
-// count and any shard worker count.
+// count. The shared-engine reference is byte-compared with per-server
+// engines in internal/fleet (TestShardedMatchesSingleEngineReference).
 func TestFleetScaleDeterministic(t *testing.T) {
 	o := fleetScaleTestOptions()
 	o.FleetSizes = []int{6}
 	o.Parallel = 1
-	o.ShardWorkers = 1
 	seq := FleetScale(o)
 	o.Parallel = 4
-	o.ShardWorkers = 4
 	par := FleetScale(o)
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("FleetScale rows depend on worker counts")
+		t.Fatal("FleetScale rows depend on the sweep worker count")
 	}
 }
 
@@ -84,7 +83,6 @@ func TestFleetScale256(t *testing.T) {
 	o.Drain = 200 * sim.Millisecond
 	o.Loads = []float64{6000}
 	o.FleetSizes = []int{256}
-	o.ShardWorkers = 4
 	rows := FleetScale(o)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want one per policy", len(rows))

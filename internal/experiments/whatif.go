@@ -41,8 +41,8 @@ type WhatIfRow struct {
 // ScaleOut is the interesting subject — its software taxes sit in queueing
 // feedback loops, so blame share and actual payoff rank differently —
 // while uManycore shows what remains once the taxes are in hardware. Cells
-// run through the sweep cache; rows are bit-identical for any Parallel or
-// ShardWorkers value.
+// run through the sweep cache; rows are bit-identical for any Parallel
+// value.
 func WhatIf(o Options) []WhatIfRow {
 	o = o.normalized()
 	app := appNamed("HomeT")

@@ -19,11 +19,10 @@
 // cross-server interaction. Cross-server RPCs and dispatches travel as
 // timestamped inter-shard messages delivered at window barriers, and the
 // balancer routes on queue views snapshotted at barriers (at most one wire
-// delay stale — exactly what a physical front-end would know). Shards can
-// advance concurrently on Config.ShardWorkers workers; results are
-// bit-identical for every worker count, for repeat runs, and to the
-// single-engine reference execution (ShardWorkers = -1). A one-server
-// fleet has no peers and no dispatcher to model: it is a plain machine.Run.
+// delay stale — exactly what a physical front-end would know). Results are
+// bit-identical for repeat runs and to the shared-engine reference
+// execution (ShardWorkers = -1). A one-server fleet has no peers and no
+// dispatcher to model: it is a plain machine.Run.
 package fleet
 
 import (
@@ -87,13 +86,13 @@ type Config struct {
 	// (missing or zero entries fall back to WhatIf). Lets a study ask
 	// "what if only the straggler's storage were faster".
 	WhatIfPerServer []machine.StageSpeedups
-	// ShardWorkers is the coupled Run's shard worker count: how many
-	// per-server engines advance concurrently inside each conservative
-	// time window. 0 and 1 run the windows sequentially; -1 selects the
-	// single-engine reference execution (every shard on one shared engine,
-	// same window/mailbox semantics — the validation and debugging mode).
-	// Results are bit-identical for every value: it is a worker count,
-	// never a simulation input.
+	// ShardWorkers picks how the coupled Run places its shards on engines.
+	// Any value >= 0 gives every server its own engine (values above 0
+	// are accepted for compatibility and mean the same); -1 puts every
+	// shard on one shared engine, the validation and debugging reference.
+	// Both run the same sequential window loop and give bit-identical
+	// results: it is an execution mode, never a simulation input. Values
+	// below -1 are rejected by Validate.
 	ShardWorkers int
 	// Control, when non-nil and enabled, closes the front-end feedback
 	// loops on the coupled Run: retry-on-reject with capped exponential
@@ -143,6 +142,9 @@ func (fc Config) controlOn() bool { return fc.Control != nil && fc.Control.Enabl
 func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 	if fc.Servers < 1 {
 		return fmt.Errorf("fleet: need at least one server (Servers = %d)", fc.Servers)
+	}
+	if fc.ShardWorkers < -1 {
+		return fmt.Errorf("fleet: ShardWorkers %d is out of range: want -1 (shared-engine reference) or >= 0 (per-server engines)", fc.ShardWorkers)
 	}
 	if fc.NewBalancer == nil {
 		if _, err := ParseLB(fc.LB); err != nil {
@@ -223,9 +225,8 @@ type Result struct {
 	// it (decoded results carry zero).
 	WallSeconds float64
 	// Fabric is the PDES coupling's self-observability (coupled multi-server
-	// fleets only; nil otherwise). All fields except the two wall-clock ones
-	// are deterministic; the cache codec ignores the whole struct like
-	// WallSeconds.
+	// fleets only; nil otherwise). It is deterministic, but the cache codec
+	// ignores the whole struct like WallSeconds.
 	Fabric *pdes.Stats
 	// Control is the dispatcher control loop's client-level accounting
 	// (retries, hedges, sheds, scale events, client-perceived latency) when

@@ -55,7 +55,7 @@ const (
 // event in its past — holds without any special-casing.
 //
 // Determinism contract: the result is bit-identical for every ShardWorkers
-// value, including the -1 single-engine reference, because (a) each server
+// value, including the -1 shared-engine reference, because (a) each server
 // draws all its randomness from a sim.Streams bundle seeded by server index
 // (never from its hosting engine), (b) the dispatcher's arrival and
 // balancer streams come from the shard-0 engine, which is seeded with the
@@ -109,24 +109,21 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			panic(fmt.Sprintf("fleet: unknown message kind %d", m.Kind))
 		}
 	}
-	var net pdes.Net
+	// Every server gets its own engine, or with ShardWorkers -1 shares the
+	// dispatcher's: the validation reference, where every shard's events
+	// interleave in one heap. Both run the same window loop.
+	net := pdes.NewFabric(lookahead, handle)
 	dispEng := sim.NewEngine(seed)
+	net.AddShard(dispEng)
 	engs := make([]*sim.Engine, n)
 	distinct := []*sim.Engine{dispEng}
-	if fc.ShardWorkers < 0 {
-		net = pdes.NewSingleEngine(lookahead, dispEng, n+1, handle)
-		for s := range engs {
-			engs[s] = dispEng
-		}
-	} else {
-		f := pdes.NewFabric(lookahead, fc.ShardWorkers, handle)
-		f.AddShard(dispEng)
-		for s := range engs {
+	for s := range engs {
+		engs[s] = dispEng
+		if fc.ShardWorkers >= 0 {
 			engs[s] = sim.NewEngine(sim.DeriveSeed(seed, int64(s)))
-			f.AddShard(engs[s])
 			distinct = append(distinct, engs[s])
 		}
-		net = f
+		net.AddShard(engs[s])
 	}
 
 	// Build the servers with machine.Run's harness. Every server draws its
@@ -403,7 +400,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			// Autoscaling evaluates only here: barrier times are identical
 			// across fabric modes, and with every shard quiescent the
 			// controller may schedule activation events at >= barrier — the
-			// pdes post-hook membership-change contract (see pdes.Net.Run).
+			// pdes post-hook membership-change contract (see pdes.Fabric.Run).
 			ctl.AtBarrier(barrier)
 		}
 		if updateFabric != nil && fabTick > 0 && barrier >= nextFab {

@@ -41,13 +41,12 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 		}
 		fire := func(insertion []int) []message {
 			var log []message
-			s := &shard{eng: sim.NewEngine(0)}
-			s.init(func(_, _ int, m Msg) { log = append(log, msgs[m.Token]) })
+			b := newHost(sim.NewEngine(0), func(_, _ int, m Msg) { log = append(log, msgs[m.Token]) })
 			for _, idx := range insertion {
-				s.add(msgs[idx])
+				b.add(msgs[idx])
 			}
-			s.deliver(s.eng, maxTime-1)
-			s.eng.Run()
+			b.deliver(maxTime - 1)
+			b.eng.Run()
 			return log
 		}
 		identity := make([]int, n)
@@ -73,38 +72,22 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 
 // --- the typed message path ---------------------------------------------------
 
-// newNet couples n shards with lookahead L and handler h: the SingleEngine
-// reference when workers < 0, a Fabric with that worker count otherwise.
-// It returns the net and each shard's engine.
-func newNet(n, workers int, L sim.Time, seed int64, h Handler) (Net, []*sim.Engine) {
+// newNet couples n shards with lookahead L and handler h, placing shard i
+// on engine i % engines: engines == n gives every shard its own engine,
+// engines == 1 puts them all on one shared engine. It returns the fabric
+// and each shard's engine.
+func newNet(n, engines int, L sim.Time, seed int64, h Handler) (*Fabric, []*sim.Engine) {
+	f := NewFabric(L, h)
 	engs := make([]*sim.Engine, n)
-	if workers < 0 {
-		shared := sim.NewEngine(seed)
-		for i := range engs {
-			engs[i] = shared
-		}
-		return NewSingleEngine(L, shared, n, h), engs
-	}
-	f := NewFabric(L, workers, h)
 	for i := range engs {
-		engs[i] = sim.NewEngine(sim.DeriveSeed(seed, int64(i)))
+		if i < engines {
+			engs[i] = sim.NewEngine(sim.DeriveSeed(seed, int64(i)))
+		} else {
+			engs[i] = engs[i%engines]
+		}
 		f.AddShard(engs[i])
 	}
 	return f, engs
-}
-
-// mailboxes returns every mailbox and outbox of a net built by newNet.
-func mailboxes(net Net) (boxes []*mailbox, outs [][]message) {
-	switch n := net.(type) {
-	case *Fabric:
-		for _, s := range n.shards {
-			boxes = append(boxes, &s.mailbox)
-			outs = append(outs, s.out)
-		}
-	case *SingleEngine:
-		boxes = append(boxes, &n.mailbox)
-	}
-	return boxes, outs
 }
 
 func TestMessageFits64Bytes(t *testing.T) {
@@ -113,11 +96,11 @@ func TestMessageFits64Bytes(t *testing.T) {
 	}
 }
 
-// TestDeliverAllocationFree drives the whole typed path on both nets —
-// send, route, barrier delivery and firing through the bound per-shard
-// event — and checks that once warm it allocates nothing, fires in the
-// canonical (at, src, seq) order with every payload field intact, and
-// leaves no message behind in any inbox, FIFO or outbox.
+// TestDeliverAllocationFree drives the whole typed path with per-shard and
+// shared engines — send, barrier delivery and firing through the bound
+// per-host event — and checks that once warm it allocates nothing, fires in
+// the canonical (at, src, seq) order with every payload field intact, and
+// leaves no message behind in any inbox or FIFO.
 func TestDeliverAllocationFree(t *testing.T) {
 	const L = 100
 	payload := Msg{Time: 7, Link: 1<<40 | 3, Demand: 1.5, Service: 4, Kind: 2, Flag: true}
@@ -126,10 +109,10 @@ func TestDeliverAllocationFree(t *testing.T) {
 		at       sim.Time
 		m        Msg
 	}
-	for _, workers := range []int{1, -1} {
+	for _, engines := range []int{3, 1} {
 		var log []fired
 		var engs []*sim.Engine
-		net, engs := newNet(3, workers, L, 1, func(src, dst int, m Msg) {
+		net, engs := newNet(3, engines, L, 1, func(src, dst int, m Msg) {
 			log = append(log, fired{src, dst, engs[dst].Now(), m})
 		})
 		round := func() {
@@ -157,31 +140,25 @@ func TestDeliverAllocationFree(t *testing.T) {
 			{2, 0, base + 1, Msg{Token: 4}},
 			{1, 2, base + 2, p},
 		}
-		if workers >= 0 {
+		if engines > 1 {
 			// Each shard fires on its own engine, and the window runs shard
 			// 0 before shard 2.
 			want = []fired{want[3], want[0], want[1], want[2], want[4]}
 		}
 		if !reflect.DeepEqual(log, want) {
-			t.Fatalf("workers=%d: fired %+v\nwant %+v", workers, log, want)
+			t.Fatalf("engines=%d: fired %+v\nwant %+v", engines, log, want)
 		}
 		log = make([]fired, 0, 1024)
 		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-			t.Fatalf("workers=%d: the typed message path allocates %v/op", workers, allocs)
+			t.Fatalf("engines=%d: the typed message path allocates %v/op", engines, allocs)
 		}
 		if len(log) != 5*51 {
-			t.Fatalf("workers=%d: fired %d messages, want %d", workers, len(log), 5*51)
+			t.Fatalf("engines=%d: fired %d messages, want %d", engines, len(log), 5*51)
 		}
-		boxes, outs := mailboxes(net)
-		for i, b := range boxes {
+		for i, b := range net.hosts {
 			if len(b.inbox) != 0 || len(b.fifo) != 0 || b.head != 0 {
-				t.Fatalf("workers=%d: mailbox %d holds %d undelivered and %d unfired messages after the run",
-					workers, i, len(b.inbox), len(b.fifo)-b.head)
-			}
-		}
-		for i, out := range outs {
-			if len(out) != 0 {
-				t.Fatalf("workers=%d: shard %d outbox holds %d messages after the run", workers, i, len(out))
+				t.Fatalf("engines=%d: host %d holds %d undelivered and %d unfired messages after the run",
+					engines, i, len(b.inbox), len(b.fifo)-b.head)
 			}
 		}
 	}
@@ -193,19 +170,19 @@ func TestDeliverAllocationFree(t *testing.T) {
 // messages.
 func TestStoppedWindowPanics(t *testing.T) {
 	const L = 100
-	for _, workers := range []int{1, -1} {
+	for _, engines := range []int{2, 1} {
 		func() {
 			var engs []*sim.Engine
-			net, engs := newNet(2, workers, L, 1, func(_, dst int, _ Msg) { engs[dst].Stop() })
+			net, engs := newNet(2, engines, L, 1, func(_, dst int, _ Msg) { engs[dst].Stop() })
 			net.Send(0, 1, L+1, Msg{})
 			net.Send(0, 1, L+2, Msg{})
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("workers=%d: a window that left delivered messages unfired did not panic", workers)
+					t.Fatalf("engines=%d: a window that left delivered messages unfired did not panic", engines)
 				}
 				if !strings.Contains(fmt.Sprint(r), "unfired") {
-					t.Fatalf("workers=%d: unexpected panic %v", workers, r)
+					t.Fatalf("engines=%d: unexpected panic %v", engines, r)
 				}
 			}()
 			net.Run(10*L, nil)
@@ -215,10 +192,10 @@ func TestStoppedWindowPanics(t *testing.T) {
 
 // --- causality and construction guards --------------------------------------
 
+// TestSendBelowLookaheadPanics: the causality guard holds when the sender
+// and the destination each have an engine of their own.
 func TestSendBelowLookaheadPanics(t *testing.T) {
-	f := NewFabric(100, 1, nil)
-	f.AddShard(sim.NewEngine(1))
-	f.AddShard(sim.NewEngine(2))
+	f, _ := newNet(2, 2, 100, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below now+lookahead did not panic")
@@ -227,14 +204,16 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	f.Send(0, 1, 99, Msg{})
 }
 
+// TestSingleEngineSendBelowLookaheadPanics: the same guard holds when every
+// shard shares one engine, the placement a single-threaded fleet uses.
 func TestSingleEngineSendBelowLookaheadPanics(t *testing.T) {
-	se := NewSingleEngine(100, sim.NewEngine(1), 2, nil)
+	f, _ := newNet(2, 1, 100, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below now+lookahead did not panic")
 		}
 	}()
-	se.Send(0, 1, 50, Msg{})
+	f.Send(0, 1, 50, Msg{})
 }
 
 func TestZeroLookaheadPanics(t *testing.T) {
@@ -243,19 +222,7 @@ func TestZeroLookaheadPanics(t *testing.T) {
 			t.Fatal("zero lookahead did not panic")
 		}
 	}()
-	NewFabric(0, 1, nil)
-}
-
-func TestDuplicateEnginePanics(t *testing.T) {
-	f := NewFabric(1, 1, nil)
-	eng := sim.NewEngine(1)
-	f.AddShard(eng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate engine did not panic")
-		}
-	}()
-	f.AddShard(eng)
+	NewFabric(0, nil)
 }
 
 // --- adaptive windows --------------------------------------------------------
@@ -264,7 +231,7 @@ func TestDuplicateEnginePanics(t *testing.T) {
 // lookahead, a fixed-width scheme would need ~10^6 windows; the adaptive
 // bound must take one window per activity cluster instead.
 func TestWindowsJumpSparsePhases(t *testing.T) {
-	f := NewFabric(sim.Nanosecond, 1, nil)
+	f := NewFabric(sim.Nanosecond, nil)
 	e0 := sim.NewEngine(1)
 	e1 := sim.NewEngine(2)
 	f.AddShard(e0)
@@ -278,8 +245,8 @@ func TestWindowsJumpSparsePhases(t *testing.T) {
 	if ticks != 10 {
 		t.Fatalf("ticks = %d, want 10", ticks)
 	}
-	if f.Rounds() > 25 {
-		t.Fatalf("rounds = %d; adaptive windows should jump sparse gaps", f.Rounds())
+	if r := f.Stats().Rounds; r > 25 {
+		t.Fatalf("rounds = %d; adaptive windows should jump sparse gaps", r)
 	}
 	if e0.Now() != 20*sim.Millisecond || e1.Now() != 20*sim.Millisecond {
 		t.Fatalf("engines did not land on horizon: %v, %v", e0.Now(), e1.Now())
@@ -298,7 +265,7 @@ type toyNode struct {
 	n   int
 	eng *sim.Engine
 	rng *sim.Streams
-	net Net
+	net *Fabric
 	L   sim.Time
 
 	hash uint64
@@ -342,12 +309,12 @@ type toyState struct {
 	Now        sim.Time
 }
 
-// newToy couples n toy nodes with lookahead L (see newNet for workers) and
+// newToy couples n toy nodes with lookahead L (see newNet for engines) and
 // starts each one stepping until activeUntil. The handler delivers every
 // message to its destination node.
-func newToy(n, workers int, L sim.Time, seed int64, activeUntil sim.Time) (Net, []*sim.Engine, []*toyNode) {
+func newToy(n, engines int, L sim.Time, seed int64, activeUntil sim.Time) (*Fabric, []*sim.Engine, []*toyNode) {
 	nodes := make([]*toyNode, n)
-	net, engs := newNet(n, workers, L, seed, func(src, dst int, _ Msg) { nodes[dst].receive(src) })
+	net, engs := newNet(n, engines, L, seed, func(src, dst int, _ Msg) { nodes[dst].receive(src) })
 	for i := range nodes {
 		nd := &toyNode{id: i, n: n, eng: engs[i], net: net, L: L, rng: sim.NewStreams(sim.DeriveSeed(seed, int64(i)))}
 		nodes[i] = nd
@@ -356,23 +323,24 @@ func newToy(n, workers int, L sim.Time, seed int64, activeUntil sim.Time) (Net, 
 	return net, engs, nodes
 }
 
-// runToy drives n coupled nodes to horizon. workers < 0 selects the
-// SingleEngine reference; otherwise a Fabric with that worker count.
-func runToy(t *testing.T, n, workers int, seed int64) []toyState {
+// runToy drives n coupled nodes, placed on the given number of engines, to
+// horizon and returns every node's state and the fabric's statistics.
+func runToy(t *testing.T, n, engines int, seed int64) ([]toyState, Stats) {
 	t.Helper()
 	const L = 500 * sim.Nanosecond
-	net, _, nodes := newToy(n, workers, L, seed, 40*sim.Microsecond)
+	net, _, nodes := newToy(n, engines, L, seed, 40*sim.Microsecond)
 	net.Run(60*sim.Microsecond, nil)
 	out := make([]toyState, n)
 	for i, nd := range nodes {
 		out[i] = toyState{Hash: nd.hash, Recv: nd.recv, Sent: nd.sent, Now: nd.eng.Now()}
 	}
-	return out
+	return out, net.Stats()
 }
 
+// TestFabricWorkerInvariance: a repeat run reproduces the first exactly.
 func TestFabricWorkerInvariance(t *testing.T) {
 	const n, seed = 6, 42
-	want := runToy(t, n, 1, seed)
+	want, _ := runToy(t, n, n, seed)
 	sent := 0
 	for _, s := range want {
 		sent += s.Sent
@@ -380,32 +348,44 @@ func TestFabricWorkerInvariance(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("toy model sent no cross-shard messages; test is vacuous")
 	}
-	for _, w := range []int{2, 3, 8} {
-		if got := runToy(t, n, w, seed); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d diverged from sequential:\nwant %+v\ngot  %+v", w, want, got)
-		}
-	}
-	if got := runToy(t, n, 1, seed); !reflect.DeepEqual(want, got) {
+	if got, _ := runToy(t, n, n, seed); !reflect.DeepEqual(want, got) {
 		t.Fatal("repeat run diverged — fabric is not deterministic")
 	}
 }
 
+// TestFabricMatchesSingleEngineReference byte-compares placements: every
+// shard on its own engine and mixed groupings against every shard on one
+// shared engine, the reference. The scalar statistics must agree too; the
+// per-shard slices exist only with one engine per shard.
 func TestFabricMatchesSingleEngineReference(t *testing.T) {
-	for _, n := range []int{2, 3, 6} {
-		want := runToy(t, n, -1, 99)
-		got := runToy(t, n, 4, 99)
+	for _, tc := range []struct{ n, engines int }{{2, 2}, {3, 3}, {6, 6}, {6, 2}, {6, 3}} {
+		want, refSt := runToy(t, tc.n, 1, 99)
+		got, st := runToy(t, tc.n, tc.engines, 99)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("n=%d: sharded fabric diverged from single-engine reference:\nref %+v\ngot %+v", n, want, got)
+			t.Fatalf("%d shards on %d engines diverged from the single-engine reference:\nref %+v\ngot %+v", tc.n, tc.engines, want, got)
+		}
+		if refSt.ShardWindows != nil || refSt.ShardEvents != nil {
+			t.Fatalf("shared engine reports per-shard slices: %+v", refSt)
+		}
+		perShard := tc.engines == tc.n
+		if (st.ShardEvents != nil) != perShard || (st.ShardWindows != nil) != perShard {
+			t.Fatalf("%d shards on %d engines: per-shard slices %v/%v, want them only with one engine per shard",
+				tc.n, tc.engines, st.ShardWindows, st.ShardEvents)
+		}
+		st.ShardWindows, st.ShardEvents = nil, nil
+		if !reflect.DeepEqual(st, refSt) {
+			t.Fatalf("%d shards on %d engines: statistics diverged:\nref %+v\ngot %+v", tc.n, tc.engines, refSt, st)
 		}
 	}
 }
 
 // TestPostHookScheduling pins the barrier-safe membership-change contract
-// documented on Net.Run: the post hook may schedule events on any shard's
-// engine at times >= barrier, those events fire exactly when scheduled, and
-// because barrier times are mode-invariant the resulting activation schedule
-// is identical across worker counts and the SingleEngine reference. This is
-// the mechanism the fleet autoscaler uses to activate cold servers.
+// documented on Fabric.Run: the post hook may schedule events on any
+// shard's engine at times >= barrier, those events fire exactly when
+// scheduled, and because barrier times do not depend on placement the
+// resulting activation schedule is identical for per-shard, mixed and
+// shared engines. This is the mechanism the fleet autoscaler uses to
+// activate cold servers.
 func TestPostHookScheduling(t *testing.T) {
 	const L = 500 * sim.Nanosecond
 	const lag = 3 * L
@@ -413,11 +393,11 @@ func TestPostHookScheduling(t *testing.T) {
 		Barrier sim.Time
 		At      sim.Time
 	}
-	run := func(workers int) []fired {
+	run := func(engines int) []fired {
 		// The toy model's background traffic drives the barriers with real
 		// cross-shard activity, not a synthetic tick.
 		const n = 4
-		net, engs, _ := newToy(n, workers, L, 7, 30*sim.Microsecond)
+		net, engs, _ := newToy(n, engines, L, 7, 30*sim.Microsecond)
 		var log []fired
 		var next sim.Time
 		net.Run(40*sim.Microsecond, func(barrier sim.Time) {
@@ -435,7 +415,7 @@ func TestPostHookScheduling(t *testing.T) {
 		})
 		return log
 	}
-	want := run(-1)
+	want := run(1)
 	if len(want) == 0 {
 		t.Fatal("post hook never scheduled; test is vacuous")
 	}
@@ -444,9 +424,9 @@ func TestPostHookScheduling(t *testing.T) {
 			t.Fatalf("event scheduled at barrier %v fired at %v, want %v", f.Barrier, f.At, f.Barrier+lag)
 		}
 	}
-	for _, w := range []int{1, 2, 4} {
-		if got := run(w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d activation schedule diverged from reference:\nref %+v\ngot %+v", w, want, got)
+	for _, engines := range []int{2, 4} {
+		if got := run(engines); !reflect.DeepEqual(want, got) {
+			t.Fatalf("engines=%d activation schedule diverged from reference:\nref %+v\ngot %+v", engines, want, got)
 		}
 	}
 }
@@ -454,29 +434,36 @@ func TestPostHookScheduling(t *testing.T) {
 // TestMessagesNeverInPast plays ping-pong between two shards, each message
 // carrying its timestamp as payload and the remaining count as its token,
 // and asserts that every one fires at exactly its timestamp — the "no shard
-// receives an event in its past" guarantee.
+// receives an event in its past" guarantee. Every hop is sent at now+L,
+// exactly the limit of the window it is sent in, so it must wait for the
+// next barrier: one window per hop on separate engines as on a shared one.
 func TestMessagesNeverInPast(t *testing.T) {
 	const L = 500 * sim.Nanosecond
-	checked := 0
-	var engs []*sim.Engine
-	var net Net
-	ping := func(src int, count int32) {
-		if count == 0 {
-			return
+	for _, engines := range []int{2, 1} {
+		checked := 0
+		var engs []*sim.Engine
+		var net *Fabric
+		ping := func(src int, count int32) {
+			if count == 0 {
+				return
+			}
+			at := engs[src].Now() + L
+			net.Send(src, 1-src, at, Msg{Time: at, Token: count})
 		}
-		at := engs[src].Now() + L
-		net.Send(src, 1-src, at, Msg{Time: at, Token: count})
-	}
-	net, engs = newNet(2, 2, L, 1, func(_, dst int, m Msg) {
-		if engs[dst].Now() != m.Time {
-			t.Errorf("message for %v delivered at %v", m.Time, engs[dst].Now())
+		net, engs = newNet(2, engines, L, 1, func(_, dst int, m Msg) {
+			if engs[dst].Now() != m.Time {
+				t.Errorf("engines=%d: message for %v delivered at %v", engines, m.Time, engs[dst].Now())
+			}
+			checked++
+			ping(dst, m.Token-1)
+		})
+		engs[0].At(1, func() { ping(0, 50) })
+		net.Run(sim.Millisecond, nil)
+		if checked != 50 {
+			t.Fatalf("engines=%d: delivered %d of 50 messages", engines, checked)
 		}
-		checked++
-		ping(dst, m.Token-1)
-	})
-	engs[0].At(1, func() { ping(0, 50) })
-	net.Run(sim.Millisecond, nil)
-	if checked != 50 {
-		t.Fatalf("delivered %d of 50 messages", checked)
+		if r := net.Stats().Rounds; r != 51 {
+			t.Fatalf("engines=%d: %d windows, want 51 (the first event, then one per hop)", engines, r)
+		}
 	}
 }

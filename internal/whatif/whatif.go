@@ -43,8 +43,7 @@ type Target struct {
 	Machine machine.Config
 	// Fleet, when non-nil, profiles the coupled fleet instead (its
 	// embedded Machine is the base config). WhatIf and WhatIfPerServer
-	// must be zero; ShardWorkers is honored and — like every worker
-	// count — never changes results.
+	// must be zero; ShardWorkers is honored and never changes results.
 	Fleet *fleet.Config
 	// App and RPS are the workload and total offered load.
 	App *workload.App

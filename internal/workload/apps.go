@@ -171,17 +171,23 @@ func SocialNetworkApps() []*App {
 	return apps
 }
 
+// MaxSyntheticBlockingCalls bounds a synthetic service's blocking calls.
+// The paper uses 2–6; the bound only keeps a mistyped count from building
+// an op list of that size before anything runs.
+const MaxSyntheticBlockingCalls = 1024
+
 // SyntheticApp builds the single-service benchmark of §6.7: total compute
 // drawn from the named distribution ("exponential", "lognormal", "bimodal")
 // with the given mean (microseconds), split across blockingCalls+1 segments
 // separated by blocking storage accesses (the paper uses 2–6 blocking
-// calls). A mean dist.CheckMean rejects is an error that names it.
+// calls). A mean dist.CheckMean rejects, or a blocking-call count outside
+// [0, MaxSyntheticBlockingCalls], is an error that names it.
 func SyntheticApp(distName string, meanMicros float64, blockingCalls int) (*App, error) {
 	if err := dist.CheckMean(meanMicros); err != nil {
 		return nil, err
 	}
-	if blockingCalls < 0 {
-		blockingCalls = 0
+	if blockingCalls < 0 || blockingCalls > MaxSyntheticBlockingCalls {
+		return nil, fmt.Errorf("synthetic app: block count %d outside [0, %d]", blockingCalls, MaxSyntheticBlockingCalls)
 	}
 	segMean := meanMicros / float64(blockingCalls+1)
 	seg, err := dist.ByName(distName, segMean)
@@ -212,8 +218,9 @@ func SyntheticApp(distName string, meanMicros float64, blockingCalls int) (*App,
 
 // ParseSyntheticApp builds the SyntheticApp a command-line spec
 // "synthetic:<dist>:<mean_us>:<blocks>" names, e.g. "synthetic:bimodal:10:3".
-// A malformed spec, an unknown distribution, or a mean dist.CheckMean
-// rejects is an error that names the bad part.
+// A malformed spec, an unknown distribution, a mean dist.CheckMean rejects
+// or a block count SyntheticApp rejects is an error that names the bad
+// part.
 func ParseSyntheticApp(spec string) (*App, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 4 || parts[0] != "synthetic" {

@@ -181,9 +181,11 @@ func TestSyntheticApp(t *testing.T) {
 	if _, err := SyntheticApp("nope", 100, 2); err == nil {
 		t.Fatal("bad dist accepted")
 	}
-	app, err := SyntheticApp("exp", 50, -1)
-	if err != nil || app.Catalog.Service(0).BlockingOps() != 0 {
-		t.Fatal("negative blocking calls not clamped")
+	for _, blocks := range []int{0, MaxSyntheticBlockingCalls} {
+		app, err := SyntheticApp("exp", 50, blocks)
+		if err != nil || app.Catalog.Service(0).BlockingOps() != blocks {
+			t.Fatalf("%d blocking calls: %v", blocks, err)
+		}
 	}
 }
 
@@ -207,6 +209,9 @@ func TestParseSyntheticApp(t *testing.T) {
 		"synthetic:exp:1e9:1":       "1e+09",
 		"synthetic:exp:ten:1":       `"ten"`,
 		"synthetic:exp:10:x":        `"x"`,
+		"synthetic:exp:10:-1":       "block count -1",
+		"synthetic:exp:10:1025":     "block count 1025",
+		"synthetic:exp:10:99999999": "block count 99999999",
 		"synthetic:cauchy:10:1":     `"cauchy"`,
 		"synthetic:exp:10":          "synthetic:<dist>:<mean_us>:<blocks>",
 		"lognormal:10:2:1":          "synthetic:<dist>:<mean_us>:<blocks>",

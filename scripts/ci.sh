@@ -36,7 +36,7 @@ fi
 # the repo's determinism/race contracts; race-check them on every run,
 # quick included. The fleet package includes the cross-server trace-stitching
 # tests (TestFleetStitchedTracing, TestStitchedObsShardWorkerDeterminism),
-# which exercise obs.Merge against the concurrent worker pool. Machines keep
+# which exercise obs.Merge on coupled fleets. Machines keep
 # invocation and RQ-entry free lists that outlive single requests, and sweep
 # workers run machines concurrently, so machine and rq are race-checked too:
 # a free list shared by mistake must fail here.
@@ -59,9 +59,9 @@ cmp "$cachedir/cold.json" "$cachedir/verify.json"
 echo "cache cold/warm/verify byte-identical"
 
 # Shard-worker gate: the coupled fleet must emit byte-identical JSON and tail
-# exemplars whether its per-server engines advance on 1 shard worker or 4 —
-# the end-to-end version of the PDES determinism contract, through the real
-# CLI. wall_seconds is the one wall-clock field of the JSON output; normalize
+# exemplars for -shard-workers 1 and 4 — every value >= 0 takes the same
+# per-server-engine path, so this pins that the value is never a simulation
+# input, through the real CLI. wall_seconds is the one wall-clock field of the JSON output; normalize
 # it before comparing (everything else is virtual-time deterministic).
 echo "== fleet 1-vs-4 shard workers =="
 go build -o "$cachedir/umprof" ./cmd/umprof
@@ -80,8 +80,8 @@ echo "shard workers 1 vs 4 byte-identical (json + exemplars)"
 # Control gate: the closed-loop front end (retry with capped backoff+jitter,
 # tail hedging) routes every decision through coupling messages and its own
 # derived RNG stream, so the controlled fleet's JSON — client-level control
-# accounting included — must be byte-identical for the single-engine
-# reference and a 4-worker PDES. Same wall_seconds normalization as above.
+# accounting included — must be byte-identical for the shared-engine
+# reference and per-server engines. Same wall_seconds normalization as above.
 echo "== control loop -1-vs-4 shard workers =="
 "$cachedir/umprof" -app Text -rps 16000 -duration 40ms -warmup 10ms \
     -servers 2 -lb rr -skew 1,3 -retries 2 -hedge 1ms -shard-workers -1 -json \
@@ -108,8 +108,8 @@ echo "whatif shard workers 1 vs 4 byte-identical"
 
 # Trace round-trip gate: umtrace -csv must feed umprof -trace losslessly —
 # every record parsed, replayed through the coupled fleet, and the JSON
-# (trace accounting included) byte-identical for the single-engine reference
-# and 1/4 shard workers. This is the external-trace loop closed through the
+# (trace accounting included) byte-identical for the shared-engine reference
+# and -shard-workers 1/4. This is the external-trace loop closed through the
 # real CLIs.
 echo "== trace round trip (umtrace -csv -> umprof -trace) =="
 go build -o "$cachedir/umtrace" ./cmd/umtrace
@@ -140,9 +140,9 @@ cmp "$cachedir/one0.json" "$cachedir/one1.json"
 cmp "$cachedir/onetr0.json" "$cachedir/onetr1.json"
 echo "one-server fleet exemplars byte-identical to machine run (synthetic + trace)"
 
-# Fail-fast gate: malformed traces, invalid graph figures and synthetic
-# apps with an unusable mean must exit 2 with a diagnostic, before any
-# simulation runs.
+# Fail-fast gate: malformed traces, invalid graph figures, synthetic apps
+# with an unusable mean and a -shard-workers below -1 must exit 2 with a
+# diagnostic, before any simulation runs.
 echo "== trace/graph validation exits =="
 printf 'arrival_us,service,duration_us,cpu_util,rpcs\n1,a,-2,0.5,3\n' >"$cachedir/bad.csv"
 if "$cachedir/umprof" -trace "$cachedir/bad.csv" 2>"$cachedir/bad.err"; then
@@ -161,6 +161,14 @@ if "$cachedir/umprof" -app synthetic:lognormal:-5:2 2>"$cachedir/mean.err"; then
     echo "umprof accepted a negative synthetic mean" >&2; exit 1
 fi
 grep -q 'mean -5 outside' "$cachedir/mean.err"
+set +e
+"$cachedir/umprof" -servers 2 -shard-workers -2 2>"$cachedir/shard.err"
+code=$?
+set -e
+if [ "$code" -ne 2 ]; then
+    echo "umprof -shard-workers -2 exited $code, want 2" >&2; exit 1
+fi
+grep -q 'ShardWorkers -2' "$cachedir/shard.err"
 echo "validation paths exit 2 with diagnostics"
 
 # Graph figure smoke: the service-graph study runs end to end in quick mode

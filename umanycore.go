@@ -286,7 +286,8 @@ func MuSuiteMix() []MixEntry { return workload.MuSuiteMix() }
 // from "exponential", "lognormal", or "bimodal" with the given mean in
 // microseconds, split across blockingCalls+1 compute segments separated by
 // blocking storage accesses. The mean must be positive, finite and at most
-// one second; otherwise SyntheticApp returns an error that names it.
+// one second, and blockingCalls in [0, 1024]; otherwise SyntheticApp
+// returns an error that names the bad value.
 func SyntheticApp(dist string, meanMicros float64, blockingCalls int) (*App, error) {
 	return workload.SyntheticApp(dist, meanMicros, blockingCalls)
 }
