@@ -113,6 +113,21 @@ func main() {
 	if ctl != nil && *whatIf {
 		fatal(fmt.Errorf("control flags are not supported with -whatif"))
 	}
+	if *servers < 0 {
+		fatal(fmt.Errorf("-servers %d is out of range: want 0 (one machine) or a fleet size", *servers))
+	}
+	if *servers == 0 {
+		// Fleet flags would otherwise be ignored by the single-machine run.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "lb", "skew", "shard-workers":
+				fatal(fmt.Errorf("-%s needs a fleet (-servers 1 or more)", f.Name))
+			}
+		})
+	}
+	if *fabric && *servers < 2 {
+		fatal(fmt.Errorf("-fabric needs a coupled multi-server fleet (-servers 2 or more)"))
+	}
 	if *exemplarsK < 1 {
 		fatal(fmt.Errorf("-exemplars-k %d is out of range: want at least 1 exemplar", *exemplarsK))
 	}
@@ -302,9 +317,6 @@ func main() {
 		}
 	}
 
-	if *fabric && (fres == nil || fres.Fabric == nil) {
-		fatal(fmt.Errorf("-fabric needs a coupled multi-server fleet (-servers 2 or more)"))
-	}
 	if *jsonOut {
 		printJSON(label, app.Name, *rps, duration.Seconds(), latency, rep, tc, fres, *fabric)
 		return

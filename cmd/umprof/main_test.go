@@ -183,6 +183,13 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-retries", "2"}, "need a coupled fleet"},
 		{[]string{"-servers", "2", "-shard-workers", "-2"}, "ShardWorkers -2 is out of range"},
 		{[]string{"-servers", "2", "-hedge", "1ms", "-whatif"}, "not supported with -whatif"},
+		{[]string{"-lb", "bogus"}, "-lb needs a fleet (-servers"},
+		{[]string{"-skew", "1,2"}, "-skew needs a fleet (-servers"},
+		{[]string{"-shard-workers", "-7"}, "-shard-workers needs a fleet (-servers"},
+		{[]string{"-servers", "0", "-lb", "p2c"}, "-lb needs a fleet (-servers"},
+		{[]string{"-servers", "-3"}, "-servers -3 is out of range"},
+		{[]string{"-fabric"}, "-fabric needs a coupled multi-server fleet"},
+		{[]string{"-servers", "1", "-fabric"}, "-fabric needs a coupled multi-server fleet"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
 		if code != 2 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -78,6 +79,62 @@ func BenchmarkEngineSteadyDepth(b *testing.B) {
 	b.StopTimer()
 	if e.Pending() != depth {
 		b.Fatalf("pending %d, want %d", e.Pending(), depth)
+	}
+}
+
+// BenchmarkEngineServerMix measures the kernel on the traffic shape of the
+// single-server SocialNetwork run: about 65 events pending, 24% of
+// follow-ups 33-65 ns ahead (the context-save completion), the rest spread
+// log-uniformly over 1-270 us, and about 31% of callbacks scheduling
+// nothing, so the hold is released to the last entry. A callback that does
+// schedule adds a second follow-up while fewer than 65 events are pending,
+// which holds the depth steady. One op is one event fired.
+func BenchmarkEngineServerMix(b *testing.B) {
+	const depth = 65
+	e := NewEngine(1)
+	var delays [4096]Time
+	var idle [4096]bool
+	rng := rand.New(rand.NewSource(1))
+	lo, hi := math.Log(float64(Microsecond)), math.Log(float64(270*Microsecond))
+	for i := range delays {
+		if rng.Float64() < 0.24 {
+			delays[i] = 33*Nanosecond + Time(rng.Int63n(int64(32*Nanosecond)))
+		} else {
+			delays[i] = Time(math.Exp(lo + (hi-lo)*rng.Float64()))
+		}
+		idle[i] = rng.Float64() < 0.31
+	}
+	n, d, stopAt := 0, 0, 0
+	var fn Event
+	fn = func() {
+		n++
+		if n == stopAt {
+			e.Stop()
+		}
+		if idle[n%len(idle)] {
+			return
+		}
+		e.After(delays[d%len(delays)], fn)
+		d++
+		if e.Pending() < depth {
+			e.After(delays[d%len(delays)], fn)
+			d++
+		}
+	}
+	for i := 0; i < depth; i++ {
+		e.After(delays[i], fn)
+	}
+	d = depth
+	for i := 0; i < 100*depth; i++ { // warm up to the steady mix
+		e.RunUntil(e.Now() + Microsecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	stopAt = n + b.N
+	e.Run()
+	b.StopTimer()
+	if p := e.Pending(); p < depth/2 || p > 2*depth {
+		b.Fatalf("pending %d, want about %d", p, depth)
 	}
 }
 

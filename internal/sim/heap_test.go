@@ -162,7 +162,7 @@ func b2i(b bool) int64 {
 func checkHeap(t *testing.T, e *Engine, where string) {
 	t.Helper()
 	for i := 1; i < len(e.heap); i++ {
-		if i != e.hold && e.heap[i].before(e.heap[(i-1)>>2]) {
+		if i != e.hold && before(e.heap[i], e.heap[(i-1)>>2]) {
 			t.Fatalf("%s: heap entry %d is before its parent", where, i)
 		}
 	}
@@ -197,8 +197,14 @@ func checkHeap(t *testing.T, e *Engine, where string) {
 // test also counts the kernel paths it means to reach and fails if one was
 // never taken.
 func TestHeapMatchesReference(t *testing.T) {
+	// The tournament counters record states in which that path must run:
+	// a fire whose promotion saw five or more entries (the root's full
+	// family) or two to four (a partial one), and a callback that leaves
+	// its hold for release to fill from the last entry with a full family
+	// (downFull) or a partial one below the held slot.
 	var cover struct {
 		hold, resetDead, reuseDead, stopRerun int
+		promoteFull, downFull, partial        int
 	}
 	for trial := int64(0); trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -218,6 +224,14 @@ func TestHeapMatchesReference(t *testing.T) {
 		fire = func(label int) Event {
 			return func() {
 				b := behave(label)
+				if e.hold >= 0 { // no settle ran, so the heap is as promoted
+					switch n := len(e.heap); {
+					case n > 4:
+						cover.promoteFull++
+					case n > 1:
+						cover.partial++
+					}
+				}
 				log = append(log, int64(label), int64(e.Pending()), int64(e.MaxPending()))
 				if b.peekFirst {
 					log = append(log, peek())
@@ -243,6 +257,14 @@ func TestHeapMatchesReference(t *testing.T) {
 				log = append(log, int64(e.Pending()), int64(e.MaxPending()))
 				if b.peekLast {
 					log = append(log, peek())
+				}
+				if i, last := e.hold, len(e.heap)-1; i >= 0 {
+					switch c := 4*i + 1; {
+					case c+3 < last:
+						cover.downFull++
+					case c < last:
+						cover.partial++
+					}
 				}
 				checkHeap(t, e, fmt.Sprintf("trial %d callback %d", trial, label))
 			}
@@ -316,8 +338,63 @@ func TestHeapMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if cover.hold == 0 || cover.resetDead == 0 || cover.reuseDead == 0 || cover.stopRerun == 0 {
+	if cover.hold == 0 || cover.resetDead == 0 || cover.reuseDead == 0 || cover.stopRerun == 0 ||
+		cover.promoteFull == 0 || cover.downFull == 0 || cover.partial == 0 {
 		t.Fatalf("battery missed a kernel path: %+v", cover)
+	}
+	t.Logf("kernel paths reached: %+v", cover)
+}
+
+// before is the kernel's event order written the obvious way: time, then
+// scheduling sequence. It is the specification lt is checked against.
+func before(a, b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// TestLtMatchesOrder checks the branch-free 128-bit compare against the
+// plain (at, seq) order: on every pair drawn from the edge values of both
+// fields (an entry against itself included, which must give 0), and on a
+// seeded random sweep whose times often tie, so that seq decides.
+func TestLtMatchesOrder(t *testing.T) {
+	check := func(a, b entry) {
+		t.Helper()
+		want := 0
+		if before(a, b) {
+			want = 1
+		}
+		if got := lt(a, b); got != want {
+			t.Fatalf("lt(%+v, %+v) = %d, want %d", a, b, got, want)
+		}
+	}
+	ats := []Time{0, 1, 1 << 62, 1<<63 - 1}
+	seqs := []uint64{0, 1, 1 << 63, 1<<64 - 1}
+	var edges []entry
+	for _, at := range ats {
+		for _, seq := range seqs {
+			edges = append(edges, entry{at: at, seq: seq})
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	draw := func() entry {
+		at := Time(rng.Int63())
+		if rng.Intn(2) == 0 {
+			at = Time(rng.Intn(4)) // small times, so ties are common
+		}
+		return entry{at: at, seq: rng.Uint64()}
+	}
+	for i := 0; i < 100000; i++ {
+		a, b := draw(), draw()
+		check(a, b)
+		check(b, a)
+		check(a, a)
+		b.at = a.at
+		check(a, b)
+		check(b, a)
 	}
 }
 

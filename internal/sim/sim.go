@@ -7,12 +7,16 @@
 // must produce bit-identical results — so ties between events at the same
 // timestamp are broken by a monotonically increasing sequence number, and
 // all randomness is drawn from streams derived from the engine seed plus a
-// stream name.
+// stream name. The heap orders events with one branch-free compare of
+// (time, sequence) as a 128-bit unsigned number, valid because event times
+// are never negative, and picks the smallest of four children by a
+// tournament of such compares.
 package sim
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 )
 
@@ -75,9 +79,19 @@ type entry struct {
 	gen uint32
 }
 
-// before is the kernel's total event order: time, then scheduling sequence.
-func (a entry) before(b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// lt is the kernel's total event order, time then scheduling sequence: it
+// returns 1 if a is before b and 0 otherwise. (at, seq) is compared as one
+// 128-bit unsigned number, the borrow of the seq subtraction chained into
+// the at subtraction, so the answer comes out of the final borrow with no
+// data-dependent branch. Reading at as unsigned is exact because at is
+// never negative: At refuses times before now, and now starts at 0 and only
+// moves forward. It takes entries by value so that the entry being sifted
+// stays in registers: taking its address spilled it to the stack and made
+// every sift reload it.
+func lt(a, b entry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }
 
 // node is a slab slot: the callback of one scheduled event and the slot's
@@ -113,6 +127,12 @@ type Handle struct {
 // the slot generation and leaves the dead entry in the heap, to be dropped
 // when it reaches the root. ndead counts the dead entries, the hold
 // included, so Pending is len(heap) - ndead.
+//
+// Every ordering decision goes through lt, a branch-free 128-bit compare of
+// (at, seq) that relies on at never being negative. A sift level with four
+// children picks the smallest by a tournament of three lt results combined
+// arithmetically, so its only branch is the loop exit; the event order, and
+// with it every output, is the same as with a branchy min-of-4.
 //
 // The root is live whenever len(heap) > ndead, inside callbacks too, so
 // NextEventAt, which conservative PDES calls twice per shard per window, is
@@ -214,7 +234,7 @@ func (e *Engine) up(i int, x entry) {
 	h := e.heap
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !x.before(h[p]) {
+		if lt(x, h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
@@ -229,20 +249,25 @@ func (e *Engine) down(i int, x entry) {
 	n := len(h)
 	for {
 		c := 4*i + 1
-		if c >= n {
+		var best int
+		if c+3 < n {
+			// A full family: a two-round tournament of branch-free
+			// compares picks the smallest child, so the only branch
+			// left in the level is the loop exit below. The masks leave
+			// a and b unchanged and let the compiler drop bounds checks.
+			k := h[c : c+4 : c+4]
+			a := lt(k[1], k[0])
+			b := 2 + lt(k[3], k[2])
+			best = c + a + (b-a)*lt(k[b&3], k[a&3])
+		} else if c < n {
+			best = c
+			for j := c + 1; j < n; j++ {
+				best += (j - best) * lt(h[j], h[best])
+			}
+		} else {
 			break
 		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[best]) {
-				best = j
-			}
-		}
-		if !h[best].before(x) {
+		if lt(h[best], x) == 0 {
 			break
 		}
 		h[i] = h[best]
@@ -318,7 +343,7 @@ func (e *Engine) At(t Time, fn Event) Handle {
 		// one level: with the promotion at fire time, one sift per event.
 		e.hold = -1
 		e.ndead--
-		if h := e.heap; i > 0 && x.before(h[0]) {
+		if h := e.heap; i > 0 && lt(x, h[0]) == 1 {
 			h[i], h[0] = h[0], x
 		} else {
 			e.down(i, x)
@@ -393,9 +418,15 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.hold = 0
 		if n := len(h); n > 1 {
 			best := 1
-			for j := 2; j < n && j < 5; j++ {
-				if h[j].before(h[best]) {
-					best = j
+			if n > 4 {
+				// The same tournament as down's over the root's four children.
+				k := h[1:5:5]
+				a := lt(k[1], k[0])
+				b := 2 + lt(k[3], k[2])
+				best += a + (b-a)*lt(k[b&3], k[a&3])
+			} else {
+				for j := 2; j < n; j++ {
+					best += (j - best) * lt(h[j], h[best])
 				}
 			}
 			h[0], h[best] = h[best], next

@@ -19,6 +19,20 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# Inline gate: conservative PDES peeks every engine twice per window, and the
+# peek is only cheap while NextEventAt, and the fabric's nextActivity around
+# it, inline into the window loop (fleet16 ran about 4% slower when they
+# stopped inlining). A kernel change that pushes either over the inline
+# budget must fail here, not only in a benchmark.
+echo "== inline gate (NextEventAt, nextActivity) =="
+inl=$(go build -gcflags=-m ./internal/sim ./internal/pdes 2>&1)
+for fn in '(\*Engine).NextEventAt' '(\*host).nextActivity'; do
+    if ! printf '%s\n' "$inl" | grep -q "can inline $fn\$"; then
+        echo "$fn no longer inlines" >&2; exit 1
+    fi
+done
+echo "NextEventAt and nextActivity inline"
+
 if [ "${1:-}" = "quick" ]; then
     echo "== go test (short) =="
     go test -short ./...
@@ -141,8 +155,8 @@ cmp "$cachedir/onetr0.json" "$cachedir/onetr1.json"
 echo "one-server fleet exemplars byte-identical to machine run (synthetic + trace)"
 
 # Fail-fast gate: malformed traces, invalid graph figures, synthetic apps
-# with an unusable mean and a -shard-workers below -1 must exit 2 with a
-# diagnostic, before any simulation runs.
+# with an unusable mean, a -shard-workers below -1 and a fleet flag without
+# -servers must exit 2 with a diagnostic, before any simulation runs.
 echo "== trace/graph validation exits =="
 printf 'arrival_us,service,duration_us,cpu_util,rpcs\n1,a,-2,0.5,3\n' >"$cachedir/bad.csv"
 if "$cachedir/umprof" -trace "$cachedir/bad.csv" 2>"$cachedir/bad.err"; then
@@ -169,6 +183,14 @@ if [ "$code" -ne 2 ]; then
     echo "umprof -shard-workers -2 exited $code, want 2" >&2; exit 1
 fi
 grep -q 'ShardWorkers -2' "$cachedir/shard.err"
+set +e
+"$cachedir/umprof" -lb bogus 2>"$cachedir/lb.err"
+code=$?
+set -e
+if [ "$code" -ne 2 ]; then
+    echo "umprof -lb without -servers exited $code, want 2" >&2; exit 1
+fi
+grep -q -- '-servers' "$cachedir/lb.err"
 echo "validation paths exit 2 with diagnostics"
 
 # Graph figure smoke: the service-graph study runs end to end in quick mode
