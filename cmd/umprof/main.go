@@ -35,6 +35,7 @@ import (
 	"umanycore"
 	"umanycore/internal/cpuprof"
 	"umanycore/internal/fleet"
+	"umanycore/internal/lookup"
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
@@ -42,7 +43,6 @@ import (
 	"umanycore/internal/svcgraph"
 	"umanycore/internal/telemetry"
 	"umanycore/internal/whatif"
-	"umanycore/internal/workload"
 )
 
 func main() {
@@ -96,8 +96,13 @@ func main() {
 		}
 	}()
 
-	if *top <= 0 || *top > 100 {
+	switch {
+	case *top <= 0 || *top > 100:
 		fatal(fmt.Errorf("-top %v is out of range: want a tail percentage in (0, 100]", *top))
+	case *rps <= 0:
+		fatal(fmt.Errorf("-rps %v is out of range: want a positive offered load", *rps))
+	case *duration <= 0 || *warmup < 0:
+		fatal(fmt.Errorf("bad run window: -duration must be positive and -warmup non-negative (got %v / %v)", *duration, *warmup))
 	}
 	ctl, err := buildControl(controlCLI{
 		retries: *retries, retryBase: *retryBase, retryCap: *retryCap, retryJitter: *retryJitter,
@@ -112,6 +117,9 @@ func main() {
 	}
 	if ctl != nil && *whatIf {
 		fatal(fmt.Errorf("control flags are not supported with -whatif"))
+	}
+	if *fabric && *whatIf {
+		fatal(fmt.Errorf("-fabric is not supported with -whatif (the what-if grid prints no per-run fabric report)"))
 	}
 	if *servers < 0 {
 		fatal(fmt.Errorf("-servers %d is out of range: want 0 (one machine) or a fleet size", *servers))
@@ -131,11 +139,11 @@ func main() {
 	if *exemplarsK < 1 {
 		fatal(fmt.Errorf("-exemplars-k %d is out of range: want at least 1 exemplar", *exemplarsK))
 	}
-	cfg, err := buildConfig(*arch, *cores)
+	cfg, err := lookup.Arch(*arch, *cores)
 	if err != nil {
 		fatal(err)
 	}
-	app, err := buildApp(*appName)
+	app, err := lookup.App(*appName)
 	if err != nil {
 		fatal(err)
 	}
@@ -736,36 +744,6 @@ func pctDiff(a, b float64) float64 {
 		return 0
 	}
 	return 100 * (a - b) / b
-}
-
-func buildConfig(arch string, cores int) (umanycore.Config, error) {
-	switch strings.ToLower(arch) {
-	case "umanycore", "umc":
-		return umanycore.UManycore(), nil
-	case "scaleout", "so":
-		return umanycore.ScaleOut(), nil
-	case "serverclass", "sc":
-		return umanycore.ServerClass(cores), nil
-	default:
-		return umanycore.Config{}, fmt.Errorf("unknown architecture %q", arch)
-	}
-}
-
-func buildApp(name string) (*umanycore.App, error) {
-	if strings.HasPrefix(name, "synthetic:") {
-		return workload.ParseSyntheticApp(name)
-	}
-	for _, a := range umanycore.SocialNetworkApps() {
-		if strings.EqualFold(a.Name, name) {
-			return a, nil
-		}
-	}
-	for _, a := range umanycore.MuSuiteApps() {
-		if strings.EqualFold(a.Name, name) {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown application %q (want one of %v)", name, workload.AppNames)
 }
 
 func mixTag(mix bool) string {

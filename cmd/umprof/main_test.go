@@ -190,6 +190,11 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-servers", "-3"}, "-servers -3 is out of range"},
 		{[]string{"-fabric"}, "-fabric needs a coupled multi-server fleet"},
 		{[]string{"-servers", "1", "-fabric"}, "-fabric needs a coupled multi-server fleet"},
+		{[]string{"-whatif", "-servers", "2", "-fabric"}, "-fabric is not supported with -whatif"},
+		{[]string{"-rps", "0"}, "-rps 0 is out of range"},
+		{[]string{"-rps", "-5", "-servers", "2"}, "-rps -5 is out of range"},
+		{[]string{"-duration", "-10ms"}, "bad run window"},
+		{[]string{"-warmup", "-1ms"}, "bad run window"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
 		if code != 2 {

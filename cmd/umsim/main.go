@@ -13,23 +13,22 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"umanycore"
+	"umanycore/internal/lookup"
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
 	"umanycore/internal/telemetry"
-	"umanycore/internal/workload"
 )
 
 func main() {
 	arch := flag.String("arch", "umanycore", "architecture: umanycore | scaleout | serverclass")
 	cores := flag.Int("cores", 40, "ServerClass core count (40 iso-power, 128 iso-area)")
-	appName := flag.String("app", "CPost", "application (Text SGraph User PstStr UsrMnt HomeT CPost UrlShort) or synthetic:<dist>:<mean_us>:<blocks>")
+	appName := flag.String("app", "CPost", "application (Text SGraph User PstStr UsrMnt HomeT CPost UrlShort, or μSuite HDSearch Router SetAlgebra Recommend) or synthetic:<dist>:<mean_us>:<blocks>")
 	mix := flag.Bool("mix", false, "drive the full SocialNetwork request mix instead of one app")
 	rps := flag.Float64("rps", 15000, "offered load (requests/second)")
 	duration := flag.Duration("duration", 400*time.Millisecond, "arrival window (simulated)")
@@ -62,9 +61,13 @@ func main() {
 		fatal(fmt.Errorf("-exemplars-k %d is out of range: want at least 1 exemplar", *exemplarsK))
 	case *sloP99 < 0:
 		fatal(fmt.Errorf("-slo-p99 %v is out of range: want a non-negative P99 objective in microseconds", *sloP99))
+	case *queues < 0:
+		fatal(fmt.Errorf("-queues %d is out of range: want a domain count, or 0 for the preset's", *queues))
+	case *csCycles < -1:
+		fatal(fmt.Errorf("-cs %d is out of range: want a cycle count, or -1 for the preset's", *csCycles))
 	}
 
-	cfg, err := buildConfig(*arch, *cores)
+	cfg, err := lookup.Arch(*arch, *cores)
 	if err != nil {
 		fatal(err)
 	}
@@ -77,8 +80,11 @@ func main() {
 	if *noContention {
 		cfg.ICNContention = false
 	}
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
 
-	app, err := buildApp(*appName)
+	app, err := lookup.App(*appName)
 	if err != nil {
 		fatal(err)
 	}
@@ -241,31 +247,6 @@ func writeSeries(path string, run *umanycore.TelemetryRun) error {
 		w = f
 	}
 	return run.WriteCSV(w)
-}
-
-func buildConfig(arch string, cores int) (umanycore.Config, error) {
-	switch strings.ToLower(arch) {
-	case "umanycore", "umc":
-		return umanycore.UManycore(), nil
-	case "scaleout", "so":
-		return umanycore.ScaleOut(), nil
-	case "serverclass", "sc":
-		return umanycore.ServerClass(cores), nil
-	default:
-		return umanycore.Config{}, fmt.Errorf("unknown architecture %q", arch)
-	}
-}
-
-func buildApp(name string) (*umanycore.App, error) {
-	if strings.HasPrefix(name, "synthetic:") {
-		return workload.ParseSyntheticApp(name)
-	}
-	for _, a := range umanycore.SocialNetworkApps() {
-		if strings.EqualFold(a.Name, name) {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown application %q (want one of %v)", name, workload.AppNames)
 }
 
 func mixTag(mix bool) string {

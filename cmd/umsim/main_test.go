@@ -90,6 +90,10 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-replicates", "-3"}, "-replicates -3 is out of range"},
 		{[]string{"-exemplars-k", "0"}, "-exemplars-k 0 is out of range"},
 		{[]string{"-slo-p99", "-100"}, "-slo-p99 -100 is out of range"},
+		{[]string{"-queues", "100000"}, "machine: bad cores/domains 1024/100000"},
+		{[]string{"-queues", "-3"}, "-queues -3 is out of range"},
+		{[]string{"-cs", "-2"}, "-cs -2 is out of range"},
+		{[]string{"-arch", "sc", "-cores", "0"}, "machine: bad cores/domains"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
 		if code != 2 {
@@ -108,5 +112,20 @@ func TestBadAppExits(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown application") {
 		t.Fatalf("stderr %q", stderr)
+	}
+}
+
+// TestMuSuiteApp: umsim resolves -app through the same lookup as umprof, so
+// the μSuite benchmarks run, whatever their case.
+func TestMuSuiteApp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	stdout, stderr, code := runMain(t, "-app", "hdsearch", "-rps", "2000", "-duration", "5ms", "-warmup", "1ms")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "workload     : HDSearch @ 2000 RPS") {
+		t.Fatalf("HDSearch run missing from stdout: %q", stdout)
 	}
 }

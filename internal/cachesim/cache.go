@@ -118,9 +118,6 @@ func New(cfg Config, policy func(sets, ways int) ReplacementPolicy) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 func (c *Cache) index(a Addr) (set int, tag Addr) {
 	line := a / Addr(c.cfg.LineBytes)
 	return int(line % Addr(c.sets)), line / Addr(c.sets)

@@ -332,18 +332,3 @@ func Sec68(o Options) Sec68Result {
 	out.AreaRatio = power.ServerClassChip(128).TotalArea() / power.UManycoreChip().TotalArea()
 	return out
 }
-
-// appsSubset returns named apps from the default suite (helper shared by
-// tests and benchmarks).
-func appsSubset(names ...string) []*workload.App {
-	all := workload.SocialNetworkApps()
-	var out []*workload.App
-	for _, n := range names {
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 
 	"umanycore/internal/sim"
 	"umanycore/internal/uarch"
+	"umanycore/internal/workload"
 )
 
 // fast returns minimal-fidelity options for unit tests.
@@ -369,4 +370,18 @@ func TestFig1UsesSharedTypes(t *testing.T) {
 	// Compile-time style check that the uarch result type flows through.
 	var r []uarch.Fig1Result = Fig1(fast())
 	_ = r
+}
+
+// appsSubset returns named apps from the default suite.
+func appsSubset(names ...string) []*workload.App {
+	all := workload.SocialNetworkApps()
+	var out []*workload.App
+	for _, n := range names {
+		for _, a := range all {
+			if a.Name == n {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
 }

@@ -28,15 +28,6 @@ type LinkParams struct {
 	PsPerByte sim.Time
 }
 
-// DefaultLinkParams returns Table 2 values at 2 GHz: 5 cycles/hop
-// (4 router + 1 wire = 2.5 ns) and 32 GB/s per link.
-func DefaultLinkParams() LinkParams {
-	return LinkParams{
-		HopLatency: 2500 * sim.Picosecond, // 5 cycles @ 2GHz
-		PsPerByte:  sim.Time(31),          // ~32 GB/s per on-package link
-	}
-}
-
 // Link is one directed channel between two routers.
 type Link struct {
 	From, To int
@@ -95,26 +86,6 @@ func Deliver(t Topology, buf []*Link, now sim.Time, src, dst, sizeBytes int, rng
 		at = l.Traverse(at, sizeBytes, contention)
 	}
 	return at, len(path)
-}
-
-// ResetAll clears contention state on every link of the topology.
-func ResetAll(t Topology) {
-	for _, l := range t.Links() {
-		l.Reset()
-	}
-}
-
-// MeanUtilization averages link utilization over the window.
-func MeanUtilization(t Topology, window sim.Time) float64 {
-	ls := t.Links()
-	if len(ls) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range ls {
-		sum += l.Utilization(window)
-	}
-	return sum / float64(len(ls))
 }
 
 // MaxUtilization returns the hottest link's utilization — the quantity that

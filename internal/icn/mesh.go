@@ -1,10 +1,6 @@
 package icn
 
-import (
-	"math/rand"
-
-	"umanycore/internal/sim"
-)
+import "math/rand"
 
 // Mesh is a W×H 2D mesh with XY dimension-order routing (the ServerClass
 // baseline's ICN). Every router is an endpoint.
@@ -84,65 +80,3 @@ func (m *Mesh) Path(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 }
 
 var _ Topology = (*Mesh)(nil)
-
-// Crossbar is an idealized single-hop full crossbar: every endpoint pair is
-// joined by a dedicated link. It serves as a contention-light reference
-// topology in tests and ablations (and as the intra-village fabric, whose
-// geometry the paper does not model beyond the shared L2 latency).
-type Crossbar struct {
-	n     int
-	p     LinkParams
-	links map[[2]int]*Link
-	all   []*Link
-}
-
-// NewCrossbar builds an n-endpoint crossbar.
-func NewCrossbar(n int, p LinkParams) *Crossbar {
-	if n <= 0 {
-		panic("icn: crossbar size must be positive")
-	}
-	c := &Crossbar{n: n, p: p, links: make(map[[2]int]*Link)}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			l := newLink(a, b, p)
-			c.links[[2]int{a, b}] = l
-			c.all = append(c.all, l)
-		}
-	}
-	return c
-}
-
-// Name implements Topology.
-func (c *Crossbar) Name() string { return "crossbar" }
-
-// NumEndpoints implements Topology.
-func (c *Crossbar) NumEndpoints() int { return c.n }
-
-// Links implements Topology.
-func (c *Crossbar) Links() []*Link { return c.all }
-
-// MaxHops implements Topology.
-func (c *Crossbar) MaxHops() int { return 1 }
-
-// Path implements Topology.
-func (c *Crossbar) Path(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
-	if src < 0 || dst < 0 || src >= c.n || dst >= c.n {
-		panic(pathError("crossbar", src, dst, c.n))
-	}
-	if src == dst {
-		return buf
-	}
-	return append(buf, c.links[[2]int{src, dst}])
-}
-
-var _ Topology = (*Crossbar)(nil)
-
-// meshHopCheck is a compile-time-ish helper for tests.
-func meshCoord(m *Mesh, id int) (x, y int) { return id % m.w, id / m.w }
-
-// silence unused warning when tests don't use it
-var _ = meshCoord
-var _ = sim.Time(0)

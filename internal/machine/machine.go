@@ -770,21 +770,6 @@ func (m *Machine) OutstandingRoots() int {
 // route on.
 func (m *Machine) RespondedRoots() uint64 { return m.Completed + m.rejectedRoots }
 
-// QueueDepth reports the runnable invocations currently queued machine-wide
-// (hardware RQ ready entries, NIC overflow buffers, and software FIFOs) —
-// the instantaneous-queue-length signal for shortest-queue routing studies.
-func (m *Machine) QueueDepth() int {
-	depth := 0
-	for _, dom := range m.domains {
-		if dom.hwq != nil {
-			depth += dom.hwq.ReadyCount() + dom.nicbuf.Len()
-		} else {
-			depth += dom.swq.len()
-		}
-	}
-	return depth
-}
-
 // pickRoot draws a request type from the arrival mixture.
 func (m *Machine) pickRoot() int {
 	if len(m.mix) == 1 {

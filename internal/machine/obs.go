@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sync/atomic"
-
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
 	"umanycore/internal/telemetry"
@@ -121,13 +119,3 @@ func (m *Machine) finishMachineMetrics(window sim.Time) {
 		reg.Gauge("rpcnet.storage.cwnd.mean").Set(cwnd / float64(len(m.storageNIC)))
 	}
 }
-
-// engineReuse counts Run invocations that drew an already-used engine from
-// the pool. It is process-global and scheduling-dependent (sync.Pool decides
-// reuse), so it is deliberately NOT part of a run's deterministic metrics
-// snapshot — see OBSERVABILITY.md.
-var engineReuse atomic.Uint64
-
-// EngineReuses reports how many Run calls reused a pooled engine since
-// process start — the observable effect of the engine pool.
-func EngineReuses() uint64 { return engineReuse.Load() }

@@ -134,9 +134,6 @@ var enginePool = sync.Pool{
 func Run(cfg Config, rc RunConfig) *Result {
 	rc = rc.Normalized()
 	eng := enginePool.Get().(*sim.Engine)
-	if eng.Resets() > 0 || eng.Fired() > 0 {
-		engineReuse.Add(1)
-	}
 	eng.Reset(rc.Seed)
 	defer enginePool.Put(eng)
 	s := NewServer(eng, cfg, rc, nil, OwnEngine, 0)

@@ -102,14 +102,6 @@ func (h *TimeHist) Integral(now sim.Time) float64 {
 	return h.area + h.cur*float64(now-h.last)
 }
 
-// Cur returns the currently held value (0 before the first observation).
-func (h *TimeHist) Cur() float64 {
-	if !h.open {
-		return 0
-	}
-	return h.cur
-}
-
 // Mean returns the time-weighted mean over [first observation, end].
 func (h *TimeHist) Mean(end sim.Time) float64 {
 	if !h.open || end <= h.start {

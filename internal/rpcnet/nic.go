@@ -1,3 +1,10 @@
+// Package rpcnet models the two pieces of the paper's RPC/NIC layer
+// (§4.1–§4.3) the machine runs: the lossy off-package R-NIC, with
+// acknowledgments, retransmission and congestion control, that carries
+// storage traffic, and the top-level NIC's ServiceMap dispatch table (§4.2).
+// The software RPC stack's header parsing and de-serialization work, which
+// μManycore's village NIC does in hardware, is charged as cycles by the
+// machine rather than modeled as a wire format.
 package rpcnet
 
 import (
@@ -5,36 +12,6 @@ import (
 
 	"umanycore/internal/sim"
 )
-
-// LNIC models a village's local I/O port (§4.1): it runs on the lossless
-// on-package network with back-pressure, so it needs no retransmission,
-// flow control or congestion control — a message is accepted when the
-// egress pipe has room and is then guaranteed to arrive. The pipe is a
-// serial resource; Send returns the time the message has fully left the
-// NIC (the back-pressure point).
-type LNIC struct {
-	// PsPerByte is the egress serialization rate.
-	PsPerByte sim.Time
-	// ProcDelay is the fixed hardware processing time per message (header
-	// parse / build, RQ hand-off).
-	ProcDelay sim.Time
-	pipe      sim.Resource
-	// Sent counts accepted messages; Bytes the wire bytes they carried.
-	Sent  uint64
-	Bytes uint64
-}
-
-// Send enqueues a message of wireBytes at time now; the returned time is
-// when the sender may consider it handed to the network.
-func (n *LNIC) Send(now sim.Time, wireBytes int) sim.Time {
-	n.Sent++
-	n.Bytes += uint64(wireBytes)
-	ser := n.PsPerByte * sim.Time(wireBytes)
-	return n.pipe.Acquire(now, ser) + n.ProcDelay
-}
-
-// Backlog reports the current back-pressure delay.
-func (n *LNIC) Backlog(now sim.Time) sim.Time { return n.pipe.QueueDelay(now) }
 
 // RNIC models a village's remote I/O port: it talks to the lossy external
 // world, so it keeps per-flow sequence state, retransmits on timeout, and
@@ -114,32 +91,4 @@ func (n *RNIC) Send(now sim.Time, wireBytes int, rand01 func() float64) sim.Time
 	// Delivered; ACK returns half an RTT after arrival.
 	n.cwnd += 1 / n.cwnd
 	return t + n.BaseRTT
-}
-
-// VillagePort bundles the two ports of a village plus the MEM engines'
-// bulk-transfer rate (the L-MEM/R-MEM modules of Fig 10).
-type VillagePort struct {
-	Local  LNIC
-	Remote *RNIC
-	// BulkPsPerByte is the MEM engine's DMA rate for prefetch/write-back
-	// of data chunks.
-	BulkPsPerByte sim.Time
-	bulk          sim.Resource
-}
-
-// NewVillagePort builds a port pair with the default timings: L-NIC at the
-// on-package link rate with 200ns hardware processing; R-NIC at 25GB/s with
-// a 1μs external RTT and the given loss rate.
-func NewVillagePort(lossProb float64) *VillagePort {
-	return &VillagePort{
-		Local:         LNIC{PsPerByte: 600, ProcDelay: 200 * sim.Nanosecond},
-		Remote:        NewRNIC(40, 1*sim.Microsecond, lossProb),
-		BulkPsPerByte: 10,
-	}
-}
-
-// BulkTransfer schedules a MEM-engine DMA of size bytes and returns its
-// completion time.
-func (p *VillagePort) BulkTransfer(now sim.Time, sizeBytes int) sim.Time {
-	return p.bulk.Acquire(now, p.BulkPsPerByte*sim.Time(sizeBytes))
 }

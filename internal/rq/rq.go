@@ -6,10 +6,10 @@
 // overflow buffer and rejection path are modeled too.
 //
 // Like the hardware, which answers a core's Work flag in one operation, the
-// queue keeps a count of its ready entries: HasReady(-1) and ReadyCount read
-// it, and HasReady and Dequeue for a specific service scan only when some
-// entry is ready. The ring wraps its indices with a compare and a subtract,
-// never a division, so any capacity works at the same cost.
+// queue keeps a count of its ready entries: HasReady(-1) reads it, and
+// HasReady and Dequeue for a specific service scan only when some entry is
+// ready. The ring wraps its indices with a compare and a subtract, never a
+// division, so any capacity works at the same cost.
 //
 // The queue is a pure data structure; instruction *timing* (the ~tens of
 // cycles a hardware dequeue costs vs thousands for software scheduling) is
@@ -285,10 +285,6 @@ func (q *RQ) Complete(e *Entry) {
 		q.count--
 	}
 }
-
-// ReadyCount returns the number of ready entries (for load reporting): a
-// read of the count Enqueue, Dequeue and Unblock keep.
-func (q *RQ) ReadyCount() int { return q.ready }
 
 // NICBuffer is the village NIC's overflow staging area: requests that find
 // the RQ full wait here; beyond its capacity they are rejected (§4.3).

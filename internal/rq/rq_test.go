@@ -167,8 +167,8 @@ func TestHasReadyWildcard(t *testing.T) {
 	if !q.HasReady(-1) || !q.HasReady(5) || q.HasReady(6) {
 		t.Fatal("HasReady filters wrong")
 	}
-	if q.ReadyCount() != 1 {
-		t.Fatalf("ReadyCount = %d", q.ReadyCount())
+	if q.ready != 1 {
+		t.Fatalf("ready count = %d", q.ready)
 	}
 }
 
@@ -368,7 +368,7 @@ func scanReady(q *RQ) int {
 // moves an entry between states (Enqueue with and without a partition,
 // Dequeue for one service or any, ContextSwitch, Unblock, Complete, NIC
 // Drain) at capacities 1, 3 and 64, and after every step checks the ready
-// counter's answers (HasReady for each service and any, ReadyCount, and the
+// counter's answers (HasReady for each service and any, the count itself, and the
 // entry Dequeue would pick) against scanFind and scanReady, and the ring's
 // live slots against a shadow FIFO of the live entries. It fails if a path
 // (ring wrap, a partition rejection, an unblock, a drain, a per-service
@@ -461,8 +461,8 @@ func TestRQMatchesScan(t *testing.T) {
 				if q.head+q.count > q.capacity {
 					cover.wrap++
 				}
-				if got, want := q.ReadyCount(), scanReady(q); got != want {
-					t.Fatalf("%s: ReadyCount %d, scan counts %d", where, got, want)
+				if got, want := q.ready, scanReady(q); got != want {
+					t.Fatalf("%s: ready count %d, scan counts %d", where, got, want)
 				}
 				for svc := -1; svc <= services; svc++ {
 					want := scanFind(q, svc)

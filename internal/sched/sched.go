@@ -1,17 +1,8 @@
-// Package sched provides the request-scheduling building blocks the machine
-// models compose: scheduling policies (hardware scheduling per paper §4.3-4.4
-// vs the software schedulers of §3.3 — Linux, Shinjuku, Shenango, ZygOS) and
-// a software run queue with lock contention, work stealing, and the
-// re-enqueue-at-tail semantics that distinguish software queues from the
-// hardware RQ (which preserves FCFS arrival priority across blocking).
+// Package sched provides the scheduling policies the machine model runs:
+// hardware scheduling per paper §4.3-4.4 vs the software schedulers of §3.3
+// (Linux, Shinjuku, Shenango, ZygOS). The machine itself implements the
+// software run queues these policies cost out.
 package sched
-
-import (
-	"math/rand"
-
-	"umanycore/internal/rq"
-	"umanycore/internal/sim"
-)
 
 // Policy captures how a machine queues, dispatches, and context-switches
 // requests. All cycle costs are in core cycles; the machine model converts
@@ -103,111 +94,4 @@ func ZygOSSched() Policy {
 		WorkStealing:  true,
 		StealCycles:   1200,
 	}
-}
-
-// Queue is a software FIFO run queue guarded by a lock. Only ready work
-// lives in the queue: blocked requests are parked with their core context
-// and re-enqueued at the tail when their response arrives (losing arrival
-// priority — software queues cannot cheaply preserve it, unlike the
-// hardware RQ).
-type Queue struct {
-	fifo []*rq.Context
-	// Lock serializes enqueue/dequeue critical sections.
-	Lock sim.Resource
-	// Pushed / Popped count operations.
-	Pushed, Popped uint64
-}
-
-// Len returns the number of ready requests queued.
-func (q *Queue) Len() int { return len(q.fifo) }
-
-// Push appends a ready request.
-func (q *Queue) Push(c *rq.Context) {
-	q.fifo = append(q.fifo, c)
-	q.Pushed++
-}
-
-// Pop removes the oldest ready request, or nil when empty.
-func (q *Queue) Pop() *rq.Context {
-	if len(q.fifo) == 0 {
-		return nil
-	}
-	c := q.fifo[0]
-	q.fifo = q.fifo[1:]
-	q.Popped++
-	return c
-}
-
-// QueueSet shards requests across n queues with optional work stealing —
-// the experimental knob of Fig 3 (1024, 512, …, 1 queues on a 1024-core
-// manycore, random assignment, steal-when-empty).
-type QueueSet struct {
-	queues []*Queue
-}
-
-// NewQueueSet builds n empty queues.
-func NewQueueSet(n int) *QueueSet {
-	if n <= 0 {
-		panic("sched: queue count must be positive")
-	}
-	qs := &QueueSet{queues: make([]*Queue, n)}
-	for i := range qs.queues {
-		qs.queues[i] = &Queue{}
-	}
-	return qs
-}
-
-// N returns the number of queues.
-func (qs *QueueSet) N() int { return len(qs.queues) }
-
-// Queue returns queue i.
-func (qs *QueueSet) Queue(i int) *Queue { return qs.queues[i] }
-
-// QueueFor maps a core to its queue (cores striped evenly).
-func (qs *QueueSet) QueueFor(core, totalCores int) *Queue {
-	per := totalCores / len(qs.queues)
-	if per == 0 {
-		per = 1
-	}
-	i := core / per
-	if i >= len(qs.queues) {
-		i = len(qs.queues) - 1
-	}
-	return qs.queues[i]
-}
-
-// RandomQueue picks a uniformly random queue (the paper assigns requests to
-// queues randomly).
-func (qs *QueueSet) RandomQueue(r *rand.Rand) *Queue {
-	return qs.queues[r.Intn(len(qs.queues))]
-}
-
-// Steal pops from the longest other queue, returning the context and the
-// victim queue, or nil when every other queue is empty. Scanning for the
-// longest queue approximates ZygOS's targeted stealing.
-func (qs *QueueSet) Steal(own *Queue) (*rq.Context, *Queue) {
-	var victim *Queue
-	best := 0
-	for _, q := range qs.queues {
-		if q == own {
-			continue
-		}
-		if q.Len() > best {
-			best = q.Len()
-			victim = q
-		}
-	}
-	if victim == nil {
-		return nil, nil
-	}
-	return victim.Pop(), victim
-}
-
-// TotalQueued sums ready requests across all queues.
-func (qs *QueueSet) TotalQueued() int {
-	n := 0
-	for _, q := range qs.queues {
-		n += q.Len()
-	}
-	return n
 }

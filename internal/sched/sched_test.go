@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-	"testing"
-
-	"umanycore/internal/rq"
-)
+import "testing"
 
 func TestPolicyPresets(t *testing.T) {
 	hw := HardwareSched()
@@ -32,106 +27,4 @@ func TestPolicyPresets(t *testing.T) {
 	if !(hw.CSCycles < sj.CSCycles && sj.CSCycles < lx.CSCycles) {
 		t.Fatal("context-switch cost ordering violated")
 	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	var q Queue
-	if q.Pop() != nil {
-		t.Fatal("empty pop")
-	}
-	a := &rq.Context{RequestID: 1}
-	b := &rq.Context{RequestID: 2}
-	q.Push(a)
-	q.Push(b)
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	if q.Pop() != a || q.Pop() != b || q.Pop() != nil {
-		t.Fatal("FIFO order violated")
-	}
-	if q.Pushed != 2 || q.Popped != 2 {
-		t.Fatalf("counters = %d/%d", q.Pushed, q.Popped)
-	}
-}
-
-func TestQueueLockSerializes(t *testing.T) {
-	var q Queue
-	a := q.Lock.Acquire(0, 100)
-	b := q.Lock.Acquire(0, 100)
-	if b != a+100 {
-		t.Fatal("lock does not serialize")
-	}
-}
-
-func TestQueueSetBasics(t *testing.T) {
-	qs := NewQueueSet(4)
-	if qs.N() != 4 {
-		t.Fatalf("N = %d", qs.N())
-	}
-	r := rand.New(rand.NewSource(1))
-	seen := map[*Queue]bool{}
-	for i := 0; i < 100; i++ {
-		seen[qs.RandomQueue(r)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("random queue coverage = %d", len(seen))
-	}
-}
-
-func TestQueueForStriping(t *testing.T) {
-	qs := NewQueueSet(4)
-	// 16 cores over 4 queues: cores 0-3 -> q0, 4-7 -> q1, ...
-	if qs.QueueFor(0, 16) != qs.Queue(0) {
-		t.Fatal("core 0 mapping")
-	}
-	if qs.QueueFor(5, 16) != qs.Queue(1) {
-		t.Fatal("core 5 mapping")
-	}
-	if qs.QueueFor(15, 16) != qs.Queue(3) {
-		t.Fatal("core 15 mapping")
-	}
-	// More queues than cores: clamp instead of out-of-range.
-	qs2 := NewQueueSet(8)
-	if qs2.QueueFor(3, 4) == nil {
-		t.Fatal("clamped mapping nil")
-	}
-}
-
-func TestSteal(t *testing.T) {
-	qs := NewQueueSet(3)
-	own := qs.Queue(0)
-	// Nothing to steal.
-	if c, _ := qs.Steal(own); c != nil {
-		t.Fatal("stole from empty set")
-	}
-	qs.Queue(1).Push(&rq.Context{RequestID: 1})
-	qs.Queue(2).Push(&rq.Context{RequestID: 2})
-	qs.Queue(2).Push(&rq.Context{RequestID: 3})
-	// Steals from the longest queue (2).
-	c, victim := qs.Steal(own)
-	if c == nil || victim != qs.Queue(2) {
-		t.Fatal("did not steal from longest victim")
-	}
-	if c.RequestID != 2 {
-		t.Fatalf("stole %d, want oldest (2)", c.RequestID)
-	}
-	if qs.TotalQueued() != 2 {
-		t.Fatalf("TotalQueued = %d", qs.TotalQueued())
-	}
-	// Own queue is never a victim.
-	own.Push(&rq.Context{RequestID: 9})
-	qs.Queue(1).Pop()
-	qs.Queue(2).Pop()
-	if c, _ := qs.Steal(own); c != nil {
-		t.Fatalf("stole own work: %+v", c)
-	}
-}
-
-func TestNewQueueSetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewQueueSet(0)
 }

@@ -156,9 +156,6 @@ type Engine struct {
 	// the obs layer's "sim.heap.peak" instrument. Tracking it is one
 	// predictable branch per schedule, cheap enough to stay always-on.
 	maxPending int
-	// resets counts Reset calls over the engine's lifetime, exposing how
-	// deep the engine-reuse pool recycling goes.
-	resets uint64
 }
 
 // NewEngine returns an engine whose random streams all derive from seed.
@@ -198,7 +195,6 @@ func (e *Engine) Reset(seed int64) {
 	e.fired = 0
 	e.stopped = false
 	e.maxPending = 0
-	e.resets++
 	e.seed = seed
 	for name, r := range e.streams {
 		r.Seed(seed ^ streamHash(name))
@@ -321,10 +317,6 @@ func (e *Engine) Pending() int { return len(e.heap) - e.ndead }
 // MaxPending returns the event heap's high-water mark since the last Reset
 // (or engine creation) — a capacity-planning and obs-layer statistic.
 func (e *Engine) MaxPending() int { return e.maxPending }
-
-// Resets returns how many times this engine has been Reset, i.e. how often
-// pool recycling reused its storage.
-func (e *Engine) Resets() uint64 { return e.resets }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug.

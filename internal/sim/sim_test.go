@@ -434,23 +434,13 @@ func TestMaxPendingHighWater(t *testing.T) {
 	}
 }
 
-func TestResetClearsMaxPendingAndCountsResets(t *testing.T) {
+func TestResetClearsMaxPending(t *testing.T) {
 	e := NewEngine(1)
 	e.At(1, func() {})
 	e.At(2, func() {})
-	if e.Resets() != 0 {
-		t.Fatalf("fresh engine Resets = %d, want 0", e.Resets())
-	}
 	e.Reset(2)
 	if e.MaxPending() != 0 {
 		t.Fatalf("MaxPending after Reset = %d, want 0", e.MaxPending())
-	}
-	if e.Resets() != 1 {
-		t.Fatalf("Resets = %d, want 1", e.Resets())
-	}
-	e.Reset(3)
-	if e.Resets() != 2 {
-		t.Fatalf("Resets = %d, want 2", e.Resets())
 	}
 }
 

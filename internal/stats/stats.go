@@ -1,6 +1,6 @@
 // Package stats provides the measurement pipeline shared by every experiment:
-// latency recorders with exact percentiles, CDFs, histograms, and summary
-// helpers matching the metrics the paper reports (average, P99 tail,
+// latency recorders with exact percentiles, CDFs, quantile sketches, and
+// summary helpers matching the metrics the paper reports (average, P99 tail,
 // tail-to-average ratio, QoS-safe throughput).
 package stats
 
@@ -242,45 +242,6 @@ func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.sorted = false
 	s.sum = 0
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); observations
-// outside the range land in the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-	total   uint64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Buckets)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Buckets[i]++
-	h.total++
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BucketCenter returns the midpoint of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + w*(float64(i)+0.5)
 }
 
 // Ratio divides a by b, returning 0 when b is 0. It is the helper used to

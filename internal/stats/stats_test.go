@@ -165,35 +165,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(0.5)
-	h.Add(9.5)
-	h.Add(-5)  // clamps to bucket 0
-	h.Add(100) // clamps to last bucket
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Buckets[0] != 2 {
-		t.Fatalf("bucket0 = %d", h.Buckets[0])
-	}
-	if h.Buckets[9] != 2 {
-		t.Fatalf("bucket9 = %d", h.Buckets[9])
-	}
-	if got := h.BucketCenter(0); got != 0.5 {
-		t.Fatalf("BucketCenter(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(10, 2) != 5 {
 		t.Fatal("Ratio(10,2)")

@@ -64,17 +64,8 @@ var (
 	jobsCached atomic.Int64
 )
 
-// ResetProgress zeroes the progress counters and records total upcoming
-// jobs. Drivers call it once before a figure run so /progress shows a
-// meaningful denominator.
-func ResetProgress(total int) {
-	jobsDone.Store(0)
-	jobsCached.Store(0)
-	jobsTotal.Store(int64(total))
-}
-
-// Progress returns (done, total) jobs since the last ResetProgress. total
-// grows as Map calls register work when no ResetProgress preceded them.
+// Progress returns (done, total) jobs since process start. total grows as
+// Map calls register work.
 func Progress() (done, total int64) {
 	return jobsDone.Load(), jobsTotal.Load()
 }
@@ -88,7 +79,7 @@ func ProgressDetail() (done, cached, total int64) {
 }
 
 // ensureTotal raises jobsTotal so a Map call's items are always counted in
-// the denominator even without an explicit ResetProgress.
+// the denominator.
 func ensureTotal(n int) {
 	need := jobsDone.Load() + int64(n)
 	for {

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"umanycore/internal/obs"
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
 )
@@ -111,27 +110,6 @@ func (c *Cache) Mismatches() []string {
 	out := make([]string, len(c.mismatchLog))
 	copy(out, c.mismatchLog)
 	return out
-}
-
-// PublishObs copies the cache counters into an obs metrics registry under
-// sweepcache.* — the same registry surface every other simulator subsystem
-// reports through, so cache traffic shows up in metrics snapshots and
-// exports alongside sim.events and friends.
-func (c *Cache) PublishObs(reg *obs.Registry) {
-	s := c.Snapshot()
-	for _, e := range []struct {
-		name string
-		v    int64
-	}{
-		{"sweepcache.hits", s.Hits},
-		{"sweepcache.misses", s.Misses},
-		{"sweepcache.stores", s.Stores},
-		{"sweepcache.invalid", s.Invalid},
-		{"sweepcache.mismatches", s.Mismatches},
-	} {
-		ctr := reg.Counter(e.name)
-		ctr.Add(float64(e.v) - ctr.Value())
-	}
 }
 
 // entryPath maps a key hash onto the two-level directory layout.

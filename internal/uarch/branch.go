@@ -4,7 +4,8 @@
 //   - a Pythia-style reinforcement-learning data prefetcher vs no prefetcher,
 //   - a perceptron branch predictor vs a simple gshare,
 //   - an I-SPY-style context-driven instruction prefetcher vs none,
-//   - a Ripple-style profile-guided I-cache replacement vs LRU.
+//   - a Ripple-style profile-guided I-cache policy (lines a profiling pass
+//     finds single-use bypass the L1) vs LRU.
 //
 // The models are deliberately lightweight: Fig 1's point is the differential
 // benefit between workload classes, which follows from footprint and

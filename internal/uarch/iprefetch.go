@@ -68,82 +68,3 @@ func (s *ISpyLike) Observe(fetchAddr cachesim.Addr, hit bool, target *cachesim.C
 
 // Name implements InstrPrefetcher.
 func (s *ISpyLike) Name() string { return "i-spy-like" }
-
-// NextLineIPrefetcher prefetches the next N sequential lines on every fetch;
-// a simple reference point used in tests.
-type NextLineIPrefetcher struct{ N int }
-
-// Observe implements InstrPrefetcher.
-func (p NextLineIPrefetcher) Observe(fetchAddr cachesim.Addr, hit bool, target *cachesim.Cache) {
-	const lineBytes = 64
-	line := fetchAddr / lineBytes
-	for k := 1; k <= p.N; k++ {
-		target.Fill((line + cachesim.Addr(k)) * lineBytes)
-	}
-}
-
-// Name implements InstrPrefetcher.
-func (p NextLineIPrefetcher) Name() string { return "next-line" }
-
-// MeasureIMissRate replays an instruction fetch trace through a fresh cache
-// with the given prefetcher and returns the demand miss rate.
-func MeasureIMissRate(pf InstrPrefetcher, mkCache func() *cachesim.Cache, trace []cachesim.Addr) float64 {
-	c := mkCache()
-	for _, a := range trace {
-		hit := c.Access(a)
-		pf.Observe(a, hit, c)
-	}
-	return 1 - c.Stats.HitRate()
-}
-
-// RippleLike is a profile-guided I-cache replacement policy in the spirit of
-// Ripple (Khan et al., ISCA'21): a profiling pass classifies lines that
-// historically exhibit no short-term reuse ("transient"), and the runtime
-// policy preferentially evicts transient lines before falling back to LRU.
-type RippleLike struct {
-	lru       cachesim.ReplacementPolicy
-	transient map[int]map[int]bool // set -> way -> transient?
-	isTrans   func(set, way int) bool
-	ways      int
-}
-
-// NewRippleLike wraps LRU for sets×ways; markTransient is consulted lazily.
-func NewRippleLike(sets, ways int) *RippleLike {
-	r := &RippleLike{
-		lru:       cachesim.NewLRU(sets, ways),
-		transient: make(map[int]map[int]bool),
-		ways:      ways,
-	}
-	return r
-}
-
-// MarkTransient flags way w of set s as holding a no-reuse line; the next
-// victim selection in s prefers it.
-func (r *RippleLike) MarkTransient(set, way int, transient bool) {
-	m := r.transient[set]
-	if m == nil {
-		m = make(map[int]bool)
-		r.transient[set] = m
-	}
-	m[way] = transient
-}
-
-// Touch implements cachesim.ReplacementPolicy.
-func (r *RippleLike) Touch(set, way int) { r.lru.Touch(set, way) }
-
-// Victim implements cachesim.ReplacementPolicy: evict a transient way if one
-// exists, else LRU.
-func (r *RippleLike) Victim(set int) int {
-	if m, ok := r.transient[set]; ok {
-		for w, tr := range m {
-			if tr {
-				delete(m, w)
-				return w
-			}
-		}
-	}
-	return r.lru.Victim(set)
-}
-
-// Name implements cachesim.ReplacementPolicy.
-func (r *RippleLike) Name() string { return "ripple-like" }

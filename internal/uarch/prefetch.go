@@ -121,63 +121,8 @@ func (p *PythiaLike) Observe(pc uint64, addr cachesim.Addr, hit bool, target *ca
 // Name implements DataPrefetcher.
 func (p *PythiaLike) Name() string { return "pythia-like" }
 
-// StridePrefetcher is a classic per-PC stride prefetcher, provided as an
-// additional comparison point and used in unit tests as a known-good
-// reference behaviour.
-type StridePrefetcher struct {
-	last   map[uint64]cachesim.Addr
-	stride map[uint64]int64
-	conf   map[uint64]int
-	degree int
-}
-
-// NewStridePrefetcher builds a stride prefetcher with the given degree.
-func NewStridePrefetcher(degree int) *StridePrefetcher {
-	return &StridePrefetcher{
-		last:   make(map[uint64]cachesim.Addr),
-		stride: make(map[uint64]int64),
-		conf:   make(map[uint64]int),
-		degree: degree,
-	}
-}
-
-// Observe implements DataPrefetcher.
-func (s *StridePrefetcher) Observe(pc uint64, addr cachesim.Addr, hit bool, target *cachesim.Cache) {
-	if last, ok := s.last[pc]; ok {
-		d := int64(addr) - int64(last)
-		if d == s.stride[pc] && d != 0 {
-			if s.conf[pc] < 4 {
-				s.conf[pc]++
-			}
-		} else {
-			s.stride[pc] = d
-			s.conf[pc] = 0
-		}
-		if s.conf[pc] >= 2 {
-			for k := 1; k <= s.degree; k++ {
-				target.Fill(cachesim.Addr(int64(addr) + d*int64(k)))
-			}
-		}
-	}
-	s.last[pc] = addr
-}
-
-// Name implements DataPrefetcher.
-func (s *StridePrefetcher) Name() string { return "stride" }
-
 // MemAccess is one dynamic memory access in a trace.
 type MemAccess struct {
 	PC   uint64
 	Addr cachesim.Addr
-}
-
-// MeasureMissRate replays trace through a fresh cache built by mkCache with
-// the given prefetcher and returns the demand miss rate.
-func MeasureMissRate(pf DataPrefetcher, mkCache func() *cachesim.Cache, trace []MemAccess) float64 {
-	c := mkCache()
-	for _, a := range trace {
-		hit := c.Access(a.Addr)
-		pf.Observe(a.PC, a.Addr, hit, c)
-	}
-	return 1 - c.Stats.HitRate()
 }

@@ -15,6 +15,27 @@ func l1iTest() *cachesim.Cache {
 	return cachesim.New(cachesim.Config{Name: "L1I", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
 }
 
+// measureMissRate replays trace through a fresh cache built by mkCache with
+// the given prefetcher and returns the demand miss rate.
+func measureMissRate(pf DataPrefetcher, mkCache func() *cachesim.Cache, trace []MemAccess) float64 {
+	c := mkCache()
+	for _, a := range trace {
+		hit := c.Access(a.Addr)
+		pf.Observe(a.PC, a.Addr, hit, c)
+	}
+	return 1 - c.Stats.HitRate()
+}
+
+// measureIMissRate is measureMissRate for an instruction fetch trace.
+func measureIMissRate(pf InstrPrefetcher, mkCache func() *cachesim.Cache, trace []cachesim.Addr) float64 {
+	c := mkCache()
+	for _, a := range trace {
+		hit := c.Access(a)
+		pf.Observe(a, hit, c)
+	}
+	return 1 - c.Stats.HitRate()
+}
+
 func TestGShareLearnsBias(t *testing.T) {
 	g := NewGShare(10, 8)
 	trace := make([]BranchEvent, 10000)
@@ -67,28 +88,13 @@ func TestMeasureMispredictEmpty(t *testing.T) {
 	}
 }
 
-func TestStridePrefetcherCoversStream(t *testing.T) {
-	var trace []MemAccess
-	for i := 0; i < 20000; i++ {
-		trace = append(trace, MemAccess{PC: 0x10, Addr: cachesim.Addr(i * 64)})
-	}
-	base := MeasureMissRate(NonePrefetcher{}, l1dTest, trace)
-	opt := MeasureMissRate(NewStridePrefetcher(4), l1dTest, trace)
-	if base < 0.9 {
-		t.Fatalf("stream should miss without prefetch: %v", base)
-	}
-	if opt > 0.2 {
-		t.Fatalf("stride prefetcher left miss rate %v", opt)
-	}
-}
-
 func TestPythiaLearnsStride(t *testing.T) {
 	var trace []MemAccess
 	for i := 0; i < 40000; i++ {
 		trace = append(trace, MemAccess{PC: 0x10, Addr: cachesim.Addr(i * 64)})
 	}
-	base := MeasureMissRate(NonePrefetcher{}, l1dTest, trace)
-	opt := MeasureMissRate(NewPythiaLike(), l1dTest, trace)
+	base := measureMissRate(NonePrefetcher{}, l1dTest, trace)
+	opt := measureMissRate(NewPythiaLike(), l1dTest, trace)
 	if opt > base/2 {
 		t.Fatalf("pythia-like ineffective: base %v opt %v", base, opt)
 	}
@@ -97,45 +103,13 @@ func TestPythiaLearnsStride(t *testing.T) {
 func TestISpyLearnsCallSequence(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	trace := GenInstrTrace(Monolithic, 300000, r)
-	base := MeasureIMissRate(NoneIPrefetcher{}, l1iTest, trace)
-	opt := MeasureIMissRate(NewISpyLike(), l1iTest, trace)
+	base := measureIMissRate(NoneIPrefetcher{}, l1iTest, trace)
+	opt := measureIMissRate(NewISpyLike(), l1iTest, trace)
 	if base < 0.15 {
 		t.Fatalf("monolithic i-trace should thrash 64KB L1I: %v", base)
 	}
 	if opt > base*0.6 {
 		t.Fatalf("i-spy-like ineffective: base %v opt %v", base, opt)
-	}
-}
-
-func TestNextLinePrefetcher(t *testing.T) {
-	var trace []cachesim.Addr
-	for i := 0; i < 10000; i++ {
-		trace = append(trace, cachesim.Addr(i*64))
-	}
-	opt := MeasureIMissRate(NextLineIPrefetcher{N: 4}, l1iTest, trace)
-	if opt > 0.3 {
-		t.Fatalf("next-line miss rate = %v", opt)
-	}
-}
-
-func TestRippleLikePolicy(t *testing.T) {
-	r := NewRippleLike(4, 2)
-	r.Touch(0, 0)
-	r.Touch(0, 1)
-	// Without transient marks, falls back to LRU: way 0 is LRU.
-	if v := r.Victim(0); v != 0 {
-		t.Fatalf("LRU fallback victim = %d", v)
-	}
-	r.MarkTransient(0, 1, true)
-	if v := r.Victim(0); v != 1 {
-		t.Fatalf("transient victim = %d", v)
-	}
-	// Mark consumed: reverts to LRU.
-	if v := r.Victim(0); v != 0 {
-		t.Fatalf("post-consume victim = %d", v)
-	}
-	if r.Name() != "ripple-like" {
-		t.Fatal("name")
 	}
 }
 

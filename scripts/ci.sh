@@ -5,6 +5,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# CI must leave the tree as it found it: the tracked baseline trajectory is
+# checked against this sum at the end.
+traj=BENCH_lb_baseline.json.trajectory.jsonl
+trajsum=$(cksum <"$traj")
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -203,12 +208,15 @@ grep -q 'spread' "$cachedir/graph.out"
 echo "graph figure OK"
 
 # Baseline gate (warn-only): diff the lb figure against the checked-in
-# snapshot and record a trajectory point. Deterministic sims mean any drift
-# here is a real model change; warn-only keeps CI green while a deliberate
-# change circulates — regenerating BENCH_lb_baseline.json is the fix.
+# snapshot. Deterministic sims mean any drift here is a real model change;
+# warn-only keeps CI green while a deliberate change circulates —
+# regenerating BENCH_lb_baseline.json is the fix. The gate compares against
+# a copy, so the trajectory point it appends lands in the temp directory,
+# not in the tracked trajectory file.
 echo "== bench baseline diff (warn-only) =="
+cp BENCH_lb_baseline.json "$cachedir/BENCH_lb_baseline.json"
 "$cachedir/umbench" -quick -figures lb -cache "$cachedir/cells" \
-    -baseline BENCH_lb_baseline.json -baseline-warn >/dev/null
+    -baseline "$cachedir/BENCH_lb_baseline.json" -baseline-warn >/dev/null
 
 # Reference-hash gate: perfbench hashes the simulated output of a timed run
 # and checks it against perfbench/reference.json, so any drift in the
@@ -236,5 +244,11 @@ echo "== bench smoke (allocation + sweep + telemetry benchmarks, 1 iteration) ==
 go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun' -benchtime 1x \
     -benchmem ./internal/sim/ ./internal/machine/
 go test -run xxx -bench 'BenchmarkEndToEndGridWorkers' -benchtime 1x .
+
+echo "== tracked trajectory unchanged =="
+if [ "$(cksum <"$traj")" != "$trajsum" ]; then
+    echo "CI modified the tracked $traj" >&2; exit 1
+fi
+echo "$traj unchanged"
 
 echo "CI OK"
