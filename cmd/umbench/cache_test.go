@@ -97,11 +97,11 @@ func TestCacheCLICorruptionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := strings.Index(string(b), `"remote_served":`)
+	i := strings.Index(string(b), `"RemoteServed":`)
 	if i < 0 {
-		t.Fatalf("payload shape changed, no remote_served in %s", b)
+		t.Fatalf("payload shape changed, no RemoteServed in %s", b)
 	}
-	k := i + len(`"remote_served":`)
+	k := i + len(`"RemoteServed":`)
 	b[k] = b[k]%9 + '1' // change the leading digit; never maps to itself
 	if err := os.WriteFile(entries[0], b, 0o644); err != nil {
 		t.Fatal(err)

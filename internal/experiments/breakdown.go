@@ -38,7 +38,6 @@ func Fig15(o Options) []Fig15Row {
 		func(_ int, cfg machine.Config) []byte {
 			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
 		},
-		resultCodec,
 		func(_ int, cfg machine.Config) *machine.Result {
 			return mixedRun(cfg, o, rps)
 		})
@@ -105,7 +104,6 @@ func Fig19(o Options) []Fig19Row {
 			cfg := withFleetCoupling(machine.UManycoreTopologyConfig(tc.CoresPerVillage, tc.VillagesPerCluster, tc.Clusters))
 			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
 		},
-		resultCodec,
 		func(_ int, tc Fig19Config) *machine.Result {
 			cfg := withFleetCoupling(machine.UManycoreTopologyConfig(tc.CoresPerVillage, tc.VillagesPerCluster, tc.Clusters))
 			return mixedRun(cfg, o, rps)

@@ -45,11 +45,7 @@ func withTestCache(t *testing.T) *sweepcache.Cache {
 		t.Logf(format, args...)
 	})
 	sweep.SetCache(c)
-	sweep.ResetCacheCounters()
-	t.Cleanup(func() {
-		sweep.SetCache(nil)
-		sweep.ResetCacheCounters()
-	})
+	t.Cleanup(func() { sweep.SetCache(nil) })
 	return c
 }
 
@@ -109,8 +105,9 @@ func runBattery(t *testing.T, name string, fig func(o Options) any) {
 // TestCacheBatteryDrivers runs the cold==warm==verify battery over one
 // driver of each cached shape: the full-result Map2 grid (EndToEnd), the
 // scalar-projection grid (Fig6), the job-slice path (Fig20), the non-sim
-// cell codec (Fig9) and the coupled-fleet codec (FleetLB, plus the sharded
-// FleetScale cells that reuse it).
+// row payload (Fig9), the coupled-fleet payload (FleetLB, plus the sharded
+// FleetScale, controlled and graph cells that reuse it) and the what-if
+// cell payload (WhatIf).
 func TestCacheBatteryDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
@@ -127,6 +124,7 @@ func TestCacheBatteryDrivers(t *testing.T) {
 		{"FleetScale", func(o Options) any { o.FleetSizes = []int{2, 4}; return FleetScale(o) }},
 		{"FleetControl", func(o Options) any { return FleetControl(o) }},
 		{"FleetGraph", func(o Options) any { return FleetGraph(o) }},
+		{"WhatIf", func(o Options) any { o.Loads = o.Loads[:1]; return WhatIf(o) }},
 	}
 	for _, f := range figs {
 		f := f
@@ -163,7 +161,8 @@ func TestCacheCorruptionRecomputesToSameBytes(t *testing.T) {
 	c := withTestCache(t)
 	o := cacheOptions(1)
 	cold := jsonBytes(t, Fig9(o))
-	// Replace every stored entry with a plausible lie.
+	// Replace every stored entry with a plausible lie: well formed (it
+	// passes the re-encode check), but with the wrong numbers.
 	corrupted := 0
 	for _, s := range []fig9Side{
 		{"data", o.jobSeed("fig9/data"), fig9TraceLen},
@@ -173,10 +172,10 @@ func TestCacheCorruptionRecomputesToSameBytes(t *testing.T) {
 		if pre == nil {
 			t.Fatal("probe preimage failed")
 		}
-		if _, ok := c.Lookup(pre); !ok {
+		if _, ok := c.Lookup(pre, func([]byte) bool { return true }); !ok {
 			t.Fatalf("side %s not stored by the cold run", s.Name)
 		}
-		c.Store(pre, []byte(`{"rows":[{"class":"Data","structure":"L1TLB","hit_rate":0.0}]}`))
+		c.Store(pre, []byte(`[{"Class":"Data","Structure":"L1TLB","HitRate":0}]`))
 		corrupted++
 	}
 	// Verify mode must catch the lie and converge the cache back to truth.

@@ -156,7 +156,6 @@ func Fig9(o Options) []Fig9Row {
 	}
 	parts := sweep.MapCached(o.Parallel, sides,
 		fig9Pre,
-		fig9Codec,
 		func(_ int, s fig9Side) []Fig9Row {
 			if s.Name == "data" {
 				return fig9DataSide(s.Seed, s.N)

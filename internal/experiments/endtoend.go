@@ -49,7 +49,6 @@ func EndToEnd(o Options) []E2ERow {
 		func(cfg machine.Config, rps float64) []byte {
 			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
 		},
-		resultCodec,
 		func(cfg machine.Config, rps float64) *machine.Result {
 			return mixedRun(cfg, o, rps)
 		})
@@ -160,7 +159,6 @@ func Fig18(o Options) []Fig18Row {
 		func(_ int, cfg machine.Config) []byte {
 			return runPre("run/result", cfg, o.mixedRC(100, 2*sim.Second))
 		},
-		resultCodec,
 		func(_ int, cfg machine.Config) *machine.Result {
 			return mixedRunAt(cfg, o, 100, 2*sim.Second)
 		})
@@ -209,7 +207,6 @@ func Fig18(o Options) []Fig18Row {
 				Any("rc", rc).
 				Preimage()
 		},
-		sweep.Float64Codec(),
 		func(_ int, j searchJob) float64 {
 			ok := func(rps float64) bool {
 				res := mixedRunAt(j.cfg, o, rps, o.Duration)
@@ -306,7 +303,6 @@ func Sec68(o Options) Sec68Result {
 		func(rps float64, cfg machine.Config) []byte {
 			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
 		},
-		resultCodec,
 		func(rps float64, cfg machine.Config) *machine.Result {
 			return mixedRun(cfg, o, rps)
 		})

@@ -8,7 +8,6 @@ import (
 	"umanycore/internal/machine"
 	"umanycore/internal/sim"
 	"umanycore/internal/sweep"
-	"umanycore/internal/sweepcache"
 	"umanycore/internal/workload"
 )
 
@@ -236,15 +235,9 @@ func FleetControl(o Options) []FleetControlRow {
 		grid := sweep.MapCached2(o.Parallel, sc.variants, sc.loads,
 			func(v controlVariant, perServer float64) []byte {
 				c := mkCell(v, perServer)
-				if c.rc.Obs != nil || c.rc.Telemetry != nil {
-					return nil
-				}
 				// The Control pointer is in the key: policy is simulation content.
-				return sweepcache.NewKey("fleet/result").
-					Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).
-					Any("rc", c.rc).Int("seed", c.seed).Preimage()
+				return fleetPre(c.fc, app, c.total, c.rc, c.seed)
 			},
-			fleetCodec,
 			func(v controlVariant, perServer float64) *fleet.Result {
 				c := mkCell(v, perServer)
 				return fleet.Run(c.fc, app, c.total, c.rc, c.seed)

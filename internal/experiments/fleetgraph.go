@@ -7,7 +7,6 @@ import (
 	"umanycore/internal/machine"
 	"umanycore/internal/svcgraph"
 	"umanycore/internal/sweep"
-	"umanycore/internal/sweepcache"
 	"umanycore/internal/workload"
 )
 
@@ -111,16 +110,9 @@ func FleetGraph(o Options) []FleetGraphRow {
 	grid := sweep.MapCached2(o.Parallel, fleetGraphPlacements, fleetGraphShapes,
 		func(policy string, shape graphShape) []byte {
 			c := mkCell(policy, shape)
-			rc := o.runCfg(c.app, total)
-			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
-				return nil
-			}
 			// The placement spec is part of fc, so each policy keys its own cells.
-			return sweepcache.NewKey("fleet/result").
-				Any("fc", c.fc).Any("app", c.app).Float("total_rps", total).
-				Any("rc", rc).Int("seed", c.seed).Preimage()
+			return fleetPre(c.fc, c.app, total, o.runCfg(c.app, total), c.seed)
 		},
-		fleetCodec,
 		func(policy string, shape graphShape) *fleet.Result {
 			c := mkCell(policy, shape)
 			return fleet.Run(c.fc, c.app, total, o.runCfg(c.app, total), c.seed)

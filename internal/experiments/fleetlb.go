@@ -6,7 +6,6 @@ import (
 	"umanycore/internal/fleet"
 	"umanycore/internal/machine"
 	"umanycore/internal/sweep"
-	"umanycore/internal/sweepcache"
 )
 
 // FleetLBRow is one (policy, per-server load) point of the load-balancer
@@ -105,15 +104,8 @@ func FleetLB(o Options) []FleetLBRow {
 	grid := sweep.MapCached2(o.Parallel, policies, o.Loads,
 		func(policy string, perServer float64) []byte {
 			c := mkCell(policy, perServer)
-			rc := o.runCfg(app, c.total)
-			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
-				return nil
-			}
-			return sweepcache.NewKey("fleet/result").
-				Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).
-				Any("rc", rc).Int("seed", c.seed).Preimage()
+			return fleetPre(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)
 		},
-		fleetCodec,
 		func(policy string, perServer float64) *fleet.Result {
 			c := mkCell(policy, perServer)
 			return fleet.Run(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)

@@ -6,7 +6,6 @@ import (
 	"umanycore/internal/fleet"
 	"umanycore/internal/machine"
 	"umanycore/internal/sweep"
-	"umanycore/internal/sweepcache"
 )
 
 // FleetScaleRow is one (policy, fleet size) point of the scale study: the
@@ -89,15 +88,8 @@ func FleetScale(o Options) []FleetScaleRow {
 	grid := sweep.MapCached2(o.Parallel, policies, o.FleetSizes,
 		func(policy string, servers int) []byte {
 			c := mkCell(policy, servers)
-			rc := o.runCfg(app, c.total)
-			if rc.Obs != nil || rc.Telemetry != nil || c.fc.NewBalancer != nil {
-				return nil
-			}
-			return sweepcache.NewKey("fleet/result").
-				Any("fc", c.fc).Any("app", app).Float("total_rps", c.total).
-				Any("rc", rc).Int("seed", c.seed).Preimage()
+			return fleetPre(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)
 		},
-		fleetCodec,
 		func(policy string, servers int) *fleet.Result {
 			c := mkCell(policy, servers)
 			return fleet.Run(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)

@@ -51,7 +51,6 @@ func Fig7(o Options) []Fig7Row {
 		func(rps int, v variant) []byte {
 			return runPre("run/p99", mkCfg(v), mkRC(rps, v))
 		},
-		sweep.Float64Codec(),
 		func(rps int, v variant) float64 {
 			return machine.Run(mkCfg(v), mkRC(rps, v)).Latency.P99
 		})

@@ -80,7 +80,6 @@ func Fig3(o Options) []Fig3Row {
 		func(q int, steal bool) []byte {
 			return runPre("run/result", mkCfg(q, steal), mkRC(q))
 		},
-		resultCodec,
 		func(q int, steal bool) *machine.Result {
 			return machine.Run(mkCfg(q, steal), mkRC(q))
 		})
@@ -135,7 +134,6 @@ func Fig6(o Options) []Fig6Row {
 		func(cs, rps int) []byte {
 			return runPre("run/p99", mkCfg(cs), mkRC(rps))
 		},
-		sweep.Float64Codec(),
 		func(cs, rps int) float64 {
 			return machine.Run(mkCfg(cs), mkRC(rps)).Latency.P99
 		})

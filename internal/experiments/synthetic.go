@@ -54,7 +54,6 @@ func Fig20(o Options) []Fig20Row {
 		func(_ int, j cell) []byte {
 			return runPre("run/p99", j.cfg, mkRC(j))
 		},
-		sweep.Float64Codec(),
 		func(_ int, j cell) float64 {
 			return machine.Run(j.cfg, mkRC(j)).Latency.P99
 		})

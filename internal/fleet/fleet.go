@@ -210,24 +210,25 @@ type Result struct {
 	// PerServer keeps the individual results.
 	PerServer []*machine.Result
 	// Obs merges the per-server observability runs (in server order) when
-	// the RunConfig enabled the layer; nil otherwise.
-	Obs *obs.Run
+	// the RunConfig enabled the layer; nil otherwise. Obs and Telemetry are
+	// never part of a cached cell (see machine.Result).
+	Obs *obs.Run `json:"-"`
 	// Telemetry merges the per-server telemetry runs (in server order) when
 	// the RunConfig enabled the sampler; nil otherwise.
-	Telemetry *telemetry.Run
+	Telemetry *telemetry.Run `json:"-"`
 	// EventsProcessed counts simulation events fired across every engine in
 	// the run (dispatcher included for coupled multi-server fleets). It is
 	// deterministic; EventsProcessed/WallSeconds is the events-per-second
 	// figure the PDES speedup curves report.
 	EventsProcessed uint64
 	// WallSeconds is the run's wall-clock cost. It lives in the
-	// non-deterministic domain: equality checks and the cache codec ignore
-	// it (decoded results carry zero).
-	WallSeconds float64
+	// non-deterministic domain: equality checks and the cell cache ignore
+	// it (cached results carry zero).
+	WallSeconds float64 `json:"-"`
 	// Fabric is the PDES coupling's self-observability (coupled multi-server
-	// fleets only; nil otherwise). It is deterministic, but the cache codec
+	// fleets only; nil otherwise). It is deterministic, but the cell cache
 	// ignores the whole struct like WallSeconds.
-	Fabric *pdes.Stats
+	Fabric *pdes.Stats `json:"-"`
 	// Control is the dispatcher control loop's client-level accounting
 	// (retries, hedges, sheds, scale events, client-perceived latency) when
 	// Config.Control enabled it; nil otherwise. Server-level fields above

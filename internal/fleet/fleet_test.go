@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -295,8 +296,8 @@ func TestShardWorkerInvariance(t *testing.T) {
 }
 
 // TestShardedMatchesSingleEngineReference is the cross-mode half: for small
-// fleets, the sharded execution must be byte-identical (via the cache
-// codec's canonical encoding) to the single-engine reference execution,
+// fleets, the sharded execution must be byte-identical (via its JSON cell
+// payload) to the single-engine reference execution,
 // which runs every shard's events interleaved on one shared engine under
 // the same window/mailbox semantics.
 func TestShardedMatchesSingleEngineReference(t *testing.T) {
@@ -312,7 +313,7 @@ func TestShardedMatchesSingleEngineReference(t *testing.T) {
 			c := fc
 			c.ShardWorkers = workers
 			r := Run(c, app, float64(6000*servers), rc, 31)
-			b, err := EncodeResult(r)
+			b, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -643,5 +644,46 @@ func TestParseLB(t *testing.T) {
 	}
 	if _, err := ParseLB("bogus"); err == nil {
 		t.Fatal("no error for unknown policy")
+	}
+}
+
+// FuzzParseLB: no input may panic, every Policies() name (and the aliases)
+// must parse to a working factory, and parse success must be consistent with
+// itself across calls.
+func FuzzParseLB(f *testing.F) {
+	for _, name := range Policies() {
+		f.Add(name)
+	}
+	for _, name := range []string{"", "roundrobin", "random", "uniform", "lor", "jsq", "pow2", "two", "RR", "p2c ", "p2c\x00", "nonsense", "least\n"} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		mk, err := ParseLB(name)
+		_, err2 := ParseLB(name)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("ParseLB(%q) flapped: %v vs %v", name, err, err2)
+		}
+		if err != nil {
+			if mk != nil {
+				t.Fatalf("ParseLB(%q) returned factory with error", name)
+			}
+			return
+		}
+		// A parsed factory must yield fresh, usable balancers.
+		b1, b2 := mk(), mk()
+		if b1 == nil || b2 == nil {
+			t.Fatalf("ParseLB(%q) factory returned nil balancer", name)
+		}
+	})
+}
+
+func TestParseLBKnownPolicies(t *testing.T) {
+	for _, name := range Policies() {
+		if _, err := ParseLB(name); err != nil {
+			t.Errorf("ParseLB(%q): %v", name, err)
+		}
+	}
+	if _, err := ParseLB("definitely-not-a-policy"); err == nil {
+		t.Error("unknown policy parsed")
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func singleSvcApp(t *testing.T) *workload.App {
 // TestGraphColocatedSingleServiceMatchesPlainFleet is the regression anchor:
 // a colocated single-service graph adds no cross-server edges and routes
 // every root over the full fleet, so its result must be byte-identical (via
-// the codec's canonical encoding) to the plain replicated fleet with
+// its JSON cell payload) to the plain replicated fleet with
 // CrossServerFrac = 0 — same machines, same RNG draws, same arrivals.
 func TestGraphColocatedSingleServiceMatchesPlainFleet(t *testing.T) {
 	app := singleSvcApp(t)
@@ -42,7 +43,7 @@ func TestGraphColocatedSingleServiceMatchesPlainFleet(t *testing.T) {
 
 		encode := func(fc Config) []byte {
 			r := Run(fc, app, 24000, rc, 17)
-			b, err := EncodeResult(r)
+			b, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +98,7 @@ func TestGraphReplayShardWorkerInvariance(t *testing.T) {
 		c.ShardWorkers = workers
 		r := Run(c, app, 0, rc, 23)
 		stripWall(r)
-		b, err := EncodeResult(r)
+		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestGraphReplayShardWorkerInvariance(t *testing.T) {
 		got, gotBytes := run(w)
 		// The fabric's deterministic aggregates match the reference; the
 		// per-shard slices are an execution detail the reference lacks, so
-		// they (like the codec) stay out of the structural comparison.
+		// they (like the cell payload) stay out of the structural comparison.
 		if got.Fabric.Rounds != ref.Fabric.Rounds ||
 			got.Fabric.MessagesSent != ref.Fabric.MessagesSent ||
 			got.Fabric.MessagesDelivered != ref.Fabric.MessagesDelivered ||

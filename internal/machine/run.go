@@ -115,11 +115,13 @@ type Result struct {
 	// Events is the simulation event count (performance reporting).
 	Events uint64
 	// Obs carries the run's spans and metrics snapshot when RunConfig.Obs
-	// enabled the observability layer; nil otherwise.
-	Obs *obs.Run
+	// enabled the observability layer; nil otherwise. Like Telemetry it is
+	// run-scoped and never part of a cached cell (json:"-"): cells that
+	// attach either are not cached at all.
+	Obs *obs.Run `json:"-"`
 	// Telemetry carries the run's time series, latency sketch and watchdog
 	// alerts when RunConfig.Telemetry enabled the sampler; nil otherwise.
-	Telemetry *telemetry.Run
+	Telemetry *telemetry.Run `json:"-"`
 }
 
 // enginePool recycles simulation engines across runs: replicate loops (grid

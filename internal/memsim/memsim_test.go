@@ -6,76 +6,6 @@ import (
 	"umanycore/internal/sim"
 )
 
-func TestDRAMSingleLine(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	done := d.Access(0, 0, 64)
-	want := 45*sim.Nanosecond + 5*sim.Nanosecond + 20*sim.Nanosecond
-	if done != want {
-		t.Fatalf("done = %v, want %v", done, want)
-	}
-	if d.Accesses != 1 {
-		t.Fatalf("accesses = %d", d.Accesses)
-	}
-}
-
-func TestDRAMBankConflict(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	a := d.Access(0, 0, 64)
-	// Same line again at t=0: same bank, must queue a full row cycle.
-	b := d.Access(0, 0, 64)
-	if b <= a {
-		t.Fatalf("bank conflict not serialized: %v then %v", a, b)
-	}
-}
-
-func TestDRAMChannelInterleave(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	// Lines 0 and 1 land on different channels: no bank/bus conflict.
-	a := d.Access(0, 0, 64)
-	b := d.Access(0, 64, 64)
-	if a != b {
-		t.Fatalf("interleaved accesses should complete together: %v vs %v", a, b)
-	}
-}
-
-func TestDRAMBulkTransfer(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	small := d.Access(0, 0, 64)
-	d.Reset()
-	big := d.Access(0, 0, 64<<10) // 1024 lines
-	if big <= small {
-		t.Fatal("bulk transfer should take longer than one line")
-	}
-	if d.Utilization(big) <= 0 {
-		t.Fatal("bus utilization should be positive")
-	}
-}
-
-func TestDRAMZeroSizeDefaults(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	if done := d.Access(0, 0, 0); done <= 0 {
-		t.Fatal("zero-size access should behave like one line")
-	}
-}
-
-func TestDRAMInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewDRAM(DRAMConfig{})
-}
-
-func TestDRAMReset(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	d.Access(0, 0, 1024)
-	d.Reset()
-	if d.Accesses != 0 || d.Utilization(sim.Second) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestPoolStoreFetch(t *testing.T) {
 	p := NewPool(DefaultPoolConfig())
 	if p.Contains(1) {

@@ -1,3 +1,5 @@
+// Package memsim models the per-cluster memory-pool SRAM chiplet that
+// stores read-mostly service snapshots (§3.5, §4.1).
 package memsim
 
 import (

@@ -77,9 +77,8 @@ func (o *JSONObject) Raw(k string, v []byte) *JSONObject {
 	return o
 }
 
-// FloatArr appends an array of floats, each in shortest-exact form — the
-// encoding the sweep cache uses for raw latency samples, so decode followed
-// by re-encode reproduces the bytes exactly.
+// FloatArr appends an array of floats, each in shortest-exact form (NaN/Inf
+// become 0).
 func (o *JSONObject) FloatArr(k string, vs []float64) *JSONObject {
 	o.key(k)
 	o.b.WriteByte('[')

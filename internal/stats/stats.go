@@ -226,15 +226,32 @@ func (s *Sample) Values() []float64 {
 // it being re-sorted by any quantile query.
 func (s *Sample) UnsafeValues() []float64 { return s.xs }
 
-// RestoreSample rebuilds a Sample from a previously captured observation
-// slice and its running sum — the sweep-cache decode path. The sum is taken
-// verbatim rather than recomputed because float addition is not associative:
-// the original sum was accumulated in insertion order, and quantile queries
-// may have re-sorted xs since, so re-adding would drift in the last bits and
-// break the cache's bit-identical warm-run contract. The slice is owned by
-// the returned sample afterwards.
-func RestoreSample(xs []float64, sum float64) *Sample {
-	return &Sample{xs: xs, sum: sum, sorted: sort.Float64sAreSorted(xs)}
+// sampleJSON is the Sample's JSON layout: the running sum and the raw
+// observations.
+type sampleJSON struct {
+	Sum    float64   `json:"sum"`
+	Values []float64 `json:"values"`
+}
+
+// MarshalJSON encodes the sample as {"sum","values"} — the sweep-cache
+// payload form of a latency sample. Values go out in their current order
+// (sorted if a quantile was taken).
+func (s *Sample) MarshalJSON() ([]byte, error) {
+	return json.Marshal(sampleJSON{Sum: s.sum, Values: s.xs})
+}
+
+// UnmarshalJSON inverts MarshalJSON. The sum is taken verbatim rather than
+// recomputed because float addition is not associative: the original sum
+// was accumulated in insertion order, and quantile queries may have
+// re-sorted the values since, so re-adding would drift in the last bits and
+// break the cache's bit-identical warm-run contract.
+func (s *Sample) UnmarshalJSON(data []byte) error {
+	var m sampleJSON
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*s = Sample{xs: m.Values, sum: m.Sum, sorted: sort.Float64sAreSorted(m.Values)}
+	return nil
 }
 
 // Reset clears the sample for reuse.
@@ -244,8 +261,9 @@ func (s *Sample) Reset() {
 	s.sum = 0
 }
 
-// Ratio divides a by b, returning 0 when b is 0. It is the helper used to
-// compute all the paper's "X× lower/higher" numbers.
+// Ratio divides a by b, returning 0 when b is 0. The figure drivers compute
+// their headline "X× lower/higher" ratios inline; Ratio serves the tests and
+// benchmarks that check them.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -348,5 +349,40 @@ func TestEmptySampleSafe(t *testing.T) {
 	var back Summary
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("round-trip empty summary: %v", err)
+	}
+}
+
+// TestSampleJSONKeepsSumAfterSort: the JSON form carries the insertion-order
+// sum verbatim. Re-adding the values after a quantile query sorted them
+// gives a different sum here, so a decoder that recomputed it would drift.
+func TestSampleJSONKeepsSumAfterSort(t *testing.T) {
+	var s Sample
+	for _, x := range []float64{1e16, 1, -1e16, 1} {
+		s.Add(x)
+	}
+	s.Quantile(0.5) // sorts the values in place
+	var resum float64
+	for _, x := range s.Values() {
+		resum += x
+	}
+	if math.Float64bits(resum) == math.Float64bits(s.Sum()) {
+		t.Fatalf("sorted re-sum %v equals insertion sum %v; the case proves nothing", resum, s.Sum())
+	}
+	b, err := json.Marshal(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Sample
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(back.Sum()) != math.Float64bits(s.Sum()) {
+		t.Fatalf("decoded sum %v, want %v bit-exact", back.Sum(), s.Sum())
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Fatalf("decoded %+v, want %+v", back, s)
+	}
+	if b2, _ := json.Marshal(&back); string(b2) != string(b) {
+		t.Fatalf("re-encode %s, want %s", b2, b)
 	}
 }

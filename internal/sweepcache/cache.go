@@ -18,12 +18,14 @@ import (
 	"umanycore/internal/sweep"
 )
 
-// SchemaVersion is baked into every cache key. Bump it whenever the cell
-// payload encodings, the canonical key format, or the simulation models
-// change in a way the config preimage cannot see — a bump orphans every
-// existing entry (stale-schema entries read as misses), which is exactly
-// the safe behaviour.
-const SchemaVersion = 1
+// SchemaVersion is baked into every cache key. A bump orphans every existing
+// entry (stale-schema entries read as misses), which is the safe behaviour.
+// A result struct change needs no bump: a payload that does not re-encode
+// to its own bytes is already rejected (see sweep.MapCached). Bump it when
+// the simulation models change in a way the config preimage cannot see
+// (same inputs, different results), or when the canonical key format
+// changes.
+const SchemaVersion = 2
 
 // KeyHash returns the content address for a preimage: hex SHA-256 over the
 // schema-versioned preimage. The schema version is hashed in (not just
@@ -92,7 +94,11 @@ func (c *Cache) SetVerify(on bool) { c.verify.Store(on) }
 // VerifyMode implements sweep.CellCache.
 func (c *Cache) VerifyMode() bool { return c.verify.Load() }
 
-// Snapshot returns the cache's traffic counters.
+var _ sweep.CellCache = (*Cache)(nil)
+
+// Snapshot returns the cache's traffic counters: the one record of cell
+// hits, misses and invalidations, read by umbench's [cache …] line and by
+// the /metrics endpoint alike.
 func (c *Cache) Snapshot() Stats {
 	return Stats{
 		Hits:       c.hits.Load(),
@@ -131,9 +137,10 @@ type entry struct {
 }
 
 // Lookup implements sweep.CellCache: any validation failure — unreadable or
-// truncated file, stale schema, key or checksum mismatch — counts as an
-// invalidation, warns, and reads as a miss so the cell recomputes.
-func (c *Cache) Lookup(preimage []byte) ([]byte, bool) {
+// truncated file, stale schema, key or checksum mismatch, or a payload that
+// valid rejects — counts as an invalidation, warns, and reads as a miss so
+// the cell recomputes.
+func (c *Cache) Lookup(preimage []byte, valid func(payload []byte) bool) ([]byte, bool) {
 	hash := KeyHash(preimage)
 	path := c.entryPath(hash)
 	b, err := os.ReadFile(path)
@@ -162,6 +169,10 @@ func (c *Cache) Lookup(preimage []byte) ([]byte, bool) {
 		c.invalidate(path, "payload checksum mismatch (flipped bytes?)")
 		return nil, false
 	}
+	if !valid(e.Payload) {
+		c.invalidate(path, "payload is not an encoding of the cell's result")
+		return nil, false
+	}
 	c.hits.Add(1)
 	return e.Payload, true
 }
@@ -171,7 +182,6 @@ func (c *Cache) Lookup(preimage []byte) ([]byte, bool) {
 func (c *Cache) invalidate(path, why string) {
 	c.invalid.Add(1)
 	c.misses.Add(1)
-	sweep.CacheInvalidAdd()
 	c.warnf("%s: %s; recomputing", path, why)
 }
 

@@ -23,6 +23,10 @@ func quiet(c *Cache) *[]string {
 	return &lines
 }
 
+// anyPayload accepts every intact payload: these tests exercise the
+// envelope, not a result type.
+func anyPayload([]byte) bool { return true }
+
 func TestCacheRoundTrip(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -30,12 +34,12 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	quiet(c)
 	pre := NewKey("t").Int("x", 1).Preimage()
-	if _, ok := c.Lookup(pre); ok {
+	if _, ok := c.Lookup(pre, anyPayload); ok {
 		t.Fatal("hit on empty cache")
 	}
 	payload := []byte(`{"v":1}`)
 	c.Store(pre, payload)
-	got, ok := c.Lookup(pre)
+	got, ok := c.Lookup(pre, anyPayload)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Lookup = %q, %v; want stored payload", got, ok)
 	}
@@ -51,7 +55,7 @@ func TestCacheOverwrite(t *testing.T) {
 	pre := NewKey("t").Int("x", 1).Preimage()
 	c.Store(pre, []byte(`1`))
 	c.Store(pre, []byte(`2`))
-	if got, ok := c.Lookup(pre); !ok || string(got) != "2" {
+	if got, ok := c.Lookup(pre, anyPayload); !ok || string(got) != "2" {
 		t.Fatalf("Lookup = %q, %v; want latest payload", got, ok)
 	}
 }
@@ -126,7 +130,7 @@ func TestCacheCorruptionDegradesToMiss(t *testing.T) {
 			if err := corrupt(entryFile(t, c)); err != nil {
 				t.Fatal(err)
 			}
-			got, ok := c.Lookup(pre)
+			got, ok := c.Lookup(pre, anyPayload)
 			if ok {
 				t.Fatalf("corrupt entry returned a hit with payload %q", got)
 			}
@@ -139,10 +143,35 @@ func TestCacheCorruptionDegradesToMiss(t *testing.T) {
 			}
 			// The recomputed Store must repair the entry in place.
 			c.Store(pre, payload)
-			if got, ok := c.Lookup(pre); !ok || !bytes.Equal(got, payload) {
+			if got, ok := c.Lookup(pre, anyPayload); !ok || !bytes.Equal(got, payload) {
 				t.Fatalf("post-repair Lookup = %q, %v", got, ok)
 			}
 		})
+	}
+}
+
+// TestCacheRejectedPayloadIsInvalid: an intact entry (checksum valid) whose
+// payload the caller's check rejects is an invalidation and a miss — never
+// a hit — and a valid payload still hits.
+func TestCacheRejectedPayloadIsInvalid(t *testing.T) {
+	c, _ := Open(t.TempDir())
+	warnings := quiet(c)
+	pre := NewKey("t").Int("x", 1).Preimage()
+	c.Store(pre, []byte(`{}`))
+	if got, ok := c.Lookup(pre, func([]byte) bool { return false }); ok {
+		t.Fatalf("rejected payload returned a hit: %q", got)
+	}
+	if s := c.Snapshot(); s.Hits != 0 || s.Misses != 1 || s.Invalid != 1 {
+		t.Fatalf("counters = %+v, want 0 hits, 1 miss, 1 invalid", s)
+	}
+	if len(*warnings) != 1 {
+		t.Fatalf("warnings = %q, want one", *warnings)
+	}
+	if _, ok := c.Lookup(pre, anyPayload); !ok {
+		t.Fatal("accepted payload missed")
+	}
+	if s := c.Snapshot(); s.Hits != 1 || s.Invalid != 1 {
+		t.Fatalf("counters = %+v, want 1 hit, 1 invalid", s)
 	}
 }
 
@@ -189,7 +218,7 @@ func TestCacheClearOnlyTouchesEntries(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(foreignDir, "a.json")); err != nil {
 		t.Fatal("clear removed foreign directory contents")
 	}
-	if _, ok := c.Lookup(NewKey("t").Int("x", 1).Preimage()); ok {
+	if _, ok := c.Lookup(NewKey("t").Int("x", 1).Preimage(), anyPayload); ok {
 		t.Fatal("hit after clear")
 	}
 }
@@ -227,7 +256,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				pre := NewKey("t").Int("cell", int64(i%10)).Preimage()
 				payload := []byte(fmt.Sprintf(`{"v":%d}`, i%10))
-				if got, ok := c.Lookup(pre); ok && !bytes.Equal(got, payload) {
+				if got, ok := c.Lookup(pre, anyPayload); ok && !bytes.Equal(got, payload) {
 					t.Errorf("goroutine %d: wrong payload %q", g, got)
 					return
 				}

@@ -4,16 +4,19 @@
 // cache schema version, a driver tag naming the computation and payload
 // schema, and a canonical encoding of every input the cell reads (machine
 // config, run config, derived seed). The stored value is the cell's result
-// in the repository's fixed-field-order JSON plus a provenance header.
+// through encoding/json plus a provenance header.
 //
 // The cache is deliberately paranoid: a wrong hit silently corrupts
-// figures, so entries carry the full key preimage and a payload checksum,
-// every validation failure degrades to recompute-with-warning (never a
-// wrong result, never a crash), and verify mode recomputes hits anyway and
-// fails loudly on byte mismatches. What the preimage cannot see is model
-// code: changing simulator internals without touching any config leaves
-// stale entries behind. That is what SchemaVersion bumps, `umbench
-// -cache-verify`, and the golden-output tests are for.
+// figures, so entries carry the full key preimage and a payload checksum, a
+// payload counts only if its decoded result re-encodes to the same bytes
+// (so a payload written for an older result struct recomputes), every
+// validation failure degrades to recompute-with-warning (never a wrong
+// result, never a crash), and verify mode recomputes hits anyway and fails
+// loudly on byte mismatches. What neither the preimage nor the payload
+// check can see is model code: changing simulator internals without
+// touching any config leaves entries whose results are stale but well
+// formed. That is what SchemaVersion bumps, `umbench -cache-verify`, and
+// the golden-output tests are for.
 package sweepcache
 
 import (

@@ -13,6 +13,7 @@ import (
 
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
+	"umanycore/internal/sweepcache"
 )
 
 // The serving layer is the one deliberately non-deterministic corner of the
@@ -107,10 +108,15 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeProm(&b, "um_sweep_jobs_cached", "counter", "Sweep jobs satisfied from the cell cache.", float64(cached))
 	writeProm(&b, "um_sweep_jobs_total", "gauge", "Sweep jobs scheduled.", float64(total))
 
-	hits, misses, invalid := sweep.CacheCounters()
-	writeProm(&b, "um_sweepcache_hits", "counter", "Cell cache hits.", float64(hits))
-	writeProm(&b, "um_sweepcache_misses", "counter", "Cell cache misses.", float64(misses))
-	writeProm(&b, "um_sweepcache_invalid", "counter", "Cell cache entries invalidated (corrupt/stale).", float64(invalid))
+	// The installed cache's own counters, the same ones umbench's [cache …]
+	// line prints; zeros when no cache is installed.
+	var cs sweepcache.Stats
+	if c, ok := sweep.ActiveCache().(*sweepcache.Cache); ok {
+		cs = c.Snapshot()
+	}
+	writeProm(&b, "um_sweepcache_hits", "counter", "Cell cache hits.", float64(cs.Hits))
+	writeProm(&b, "um_sweepcache_misses", "counter", "Cell cache misses.", float64(cs.Misses))
+	writeProm(&b, "um_sweepcache_invalid", "counter", "Cell cache entries invalidated (corrupt/stale/not a result).", float64(cs.Invalid))
 
 	if r := Published(); r != nil {
 		if r.Timeline != nil {

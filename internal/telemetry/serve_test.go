@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
+	"umanycore/internal/sweep"
+	"umanycore/internal/sweepcache"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -94,5 +97,39 @@ func TestServeEndpoints(t *testing.T) {
 
 	if code, _ := get(t, base+"/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("pprof cmdline = %d", code)
+	}
+}
+
+// TestMetricsCacheCountersMatchCache: /metrics reports the installed cell
+// cache's own counters, so an intact entry whose payload is not the cell's
+// result shows as invalidated there exactly as on umbench's [cache …] line,
+// never as a hit.
+func TestMetricsCacheCountersMatchCache(t *testing.T) {
+	c, err := sweepcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetLogf(func(string, ...any) {})
+	sweep.SetCache(c)
+	t.Cleanup(func() { sweep.SetCache(nil) })
+
+	type result struct{ N int }
+	pre := sweepcache.NewKey("test/metrics").Preimage()
+	c.Store(pre, []byte(`{}`)) // checksum valid; decodes, but re-encodes as {"N":0}
+	got := sweep.MapCached(1, []int{7}, func(int, int) []byte { return pre },
+		func(_, v int) *result { return &result{v} })
+	if got[0].N != 7 {
+		t.Fatalf("cell = %+v, want the recomputed 7", got[0])
+	}
+	s := c.Snapshot()
+	if s.Hits != 0 || s.Misses != 1 || s.Invalid != 1 {
+		t.Fatalf("cache counters %+v, want 0 hits, 1 miss, 1 invalidated", s)
+	}
+	rec := httptest.NewRecorder()
+	handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{"um_sweepcache_hits 0\n", "um_sweepcache_misses 1\n", "um_sweepcache_invalid 1\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, rec.Body.String())
+		}
 	}
 }

@@ -3,7 +3,10 @@ package whatif
 import (
 	"fmt"
 	"io"
+	"strconv"
 
+	"umanycore/internal/obs"
+	"umanycore/internal/sim"
 	"umanycore/internal/stats"
 )
 
@@ -55,21 +58,13 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		Int("seed", r.Seed).
 		Float("top_frac", r.TopFrac).
 		FloatArr("factors", r.Factors)
-	base, err := encodeCell(r.Baseline)
-	if err != nil {
-		return err
-	}
-	o.Raw("baseline", base)
+	o.Raw("baseline", encodeCell(r.Baseline))
 	rows := make([][]byte, len(r.Rows))
 	for i, row := range r.Rows {
-		cell, err := encodeCell(row.Cell)
-		if err != nil {
-			return err
-		}
 		var ro stats.JSONObject
 		ro.Str("stage", row.Stage.String()).
 			Float("factor", row.Factor).
-			Raw("cell", cell).
+			Raw("cell", encodeCell(row.Cell)).
 			Float("d_mean_us", row.DMeanUS).
 			Float("d_p50_us", row.DP50US).
 			Float("d_p99_us", row.DP99US).
@@ -94,6 +89,45 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	if _, err := w.Write(o.Bytes()); err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, "\n")
+	_, err := io.WriteString(w, "\n")
 	return err
+}
+
+// encodeCell renders one cell of the -json report: fixed field order,
+// shortest-exact floats, picosecond blame tallies as integers. A nil
+// ByServerStage (single-machine trace) omits its key.
+func encodeCell(c Cell) []byte {
+	var o stats.JSONObject
+	lat, _ := c.Latency.MarshalJSON()
+	o.Raw("latency", lat).
+		Float("p999", c.P999US).
+		Obj("blame", func(b *stats.JSONObject) {
+			b.Float("top_frac", c.Blame.TopFrac).
+				Int("total", int64(c.Blame.Total)).
+				Int("analyzed", int64(c.Blame.Analyzed)).
+				Int("cutoff_ps", int64(c.Blame.Cutoff)).
+				Int("p99_ps", int64(c.Blame.P99)).
+				Int("total_ps", int64(c.Blame.TotalLatency)).
+				Raw("by_stage_ps", stageArr(c.Blame.ByStage))
+			if c.Blame.ByServerStage != nil {
+				rows := make([][]byte, len(c.Blame.ByServerStage))
+				for i, row := range c.Blame.ByServerStage {
+					rows[i] = stageArr(row)
+				}
+				b.RawArr("by_server_stage_ps", rows)
+			}
+		})
+	return o.Bytes()
+}
+
+// stageArr renders a per-stage picosecond vector as a raw JSON int array.
+func stageArr(v [obs.NumStages]sim.Time) []byte {
+	buf := []byte{'['}
+	for i, t := range v {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(t), 10)
+	}
+	return append(buf, ']')
 }

@@ -188,7 +188,6 @@ func Run(t Target, o Options) (*Report, error) {
 
 	cells := sweep.MapCached(o.Parallel, specs,
 		func(_ int, s spec) []byte { return t.preimage(s, o.TopFrac) },
-		Codec(),
 		func(_ int, s spec) Cell { return t.runCell(s, o.TopFrac) })
 
 	rep := &Report{

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,6 @@ import (
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
-	"umanycore/internal/stats"
 	"umanycore/internal/workload"
 )
 
@@ -112,10 +112,11 @@ func TestSpeedupMovesLatency(t *testing.T) {
 	}
 }
 
-// TestShardWorkersCodecByteIdentity is the PDES half of the determinism
-// contract: the coupled-fleet grid, pushed through the cache codec, is
-// byte-identical for ShardWorkers 1, 4 and the -1 single-engine reference.
-func TestShardWorkersCodecByteIdentity(t *testing.T) {
+// TestShardWorkersByteIdentity is the PDES half of the determinism
+// contract: the coupled-fleet grid's cells, in their JSON cell-cache
+// payload form, are byte-identical for ShardWorkers 1, 4 and the -1
+// single-engine reference.
+func TestShardWorkersByteIdentity(t *testing.T) {
 	app := homeT(t)
 	encodeAll := func(shardWorkers int) [][]byte {
 		fc := fleet.DefaultConfig(machine.UManycoreConfig())
@@ -131,7 +132,7 @@ func TestShardWorkersCodecByteIdentity(t *testing.T) {
 		cells := append([]Cell{rep.Baseline}, rep.Rows[0].Cell)
 		out := make([][]byte, len(cells))
 		for i, c := range cells {
-			if out[i], err = encodeCell(c); err != nil {
+			if out[i], err = json.Marshal(c); err != nil {
 				t.Fatal(err)
 			}
 			if c.Blame.ByServerStage == nil {
@@ -150,57 +151,6 @@ func TestShardWorkersCodecByteIdentity(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCellCodecRoundTrip checks Encode∘Decode is the identity, including
-// the nil-vs-present ByServerStage distinction verify mode depends on.
-func TestCellCodecRoundTrip(t *testing.T) {
-	cell := Cell{
-		Latency: stats.Summary{N: 42, Mean: 10.5, Median: 9.25, P99: 31.75, Max: 40},
-		P999US:  38.5,
-		Blame: obs.BlameSummary{
-			TopFrac:      0.01,
-			Total:        4200,
-			Analyzed:     42,
-			Cutoff:       31 * sim.Microsecond,
-			P99:          32 * sim.Microsecond,
-			TotalLatency: 1234 * sim.Microsecond,
-		},
-	}
-	cell.Blame.ByStage[obs.StageService] = 1000 * sim.Microsecond
-	cell.Blame.ByStage[obs.StageNet] = 234 * sim.Microsecond
-	codec := Codec()
-	for name, c := range map[string]Cell{"nil-servers": cell, "with-servers": withServers(cell)} {
-		enc, err := codec.Encode(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		dec, err := codec.Decode(enc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(c, dec) {
-			t.Fatalf("%s: round trip mismatch:\n%+v\nvs\n%+v", name, c, dec)
-		}
-		re, err := codec.Encode(dec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(enc, re) {
-			t.Fatalf("%s: re-encode differs:\n%s\nvs\n%s", name, enc, re)
-		}
-	}
-	if _, err := codec.Decode([]byte(`{"blame":{"by_stage_ps":[1,2]}}`)); err == nil {
-		t.Fatal("decode accepted a truncated stage vector")
-	}
-}
-
-func withServers(c Cell) Cell {
-	c.Blame.ByServerStage = make([][obs.NumStages]sim.Time, 2)
-	c.Blame.ByServerStage[0][obs.StageService] = 700 * sim.Microsecond
-	c.Blame.ByServerStage[1][obs.StageService] = 300 * sim.Microsecond
-	c.Blame.ByServerStage[1][obs.StageNet] = 234 * sim.Microsecond
-	return c
 }
 
 // TestRunValidation covers the engine's input contract.

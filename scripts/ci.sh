@@ -64,18 +64,32 @@ go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcac
 
 # Cache gate: a cold run must fill the cache, a warm run must reuse it, a
 # verify run must recompute without a single byte of drift — and all three
-# must emit byte-identical figure JSON. This is the end-to-end version of the
-# determinism battery, through the real CLI.
+# must print byte-identical figures. The figure set stores every payload
+# type but the what-if cell (machine, fleet and controlled-fleet results,
+# Fig 9 rows, scalars); the Go cache battery covers the what-if cell. The
+# warm pass must hit every cell the cold pass stored, with no misses: a
+# payload that fails its decode check reads as a miss and fails here. This
+# is the end-to-end version of the determinism battery, through the real CLI.
 echo "== sweep cache cold/warm/verify =="
 cachedir=$(mktemp -d)
 trap 'rm -rf "$cachedir"' EXIT
 go build -o "$cachedir/umbench" ./cmd/umbench
-"$cachedir/umbench" -quick -figures lb -json "$cachedir/cold.json" -cache "$cachedir/cells" >/dev/null
-"$cachedir/umbench" -quick -figures lb -json "$cachedir/warm.json" -cache "$cachedir/cells" >/dev/null
-"$cachedir/umbench" -quick -figures lb -json "$cachedir/verify.json" -cache "$cachedir/cells" -cache-verify >/dev/null
-cmp "$cachedir/cold.json" "$cachedir/warm.json"
-cmp "$cachedir/cold.json" "$cachedir/verify.json"
-echo "cache cold/warm/verify byte-identical"
+cachefigs=lb,e2e,9,20,control
+"$cachedir/umbench" -quick -figures "$cachefigs" -cache "$cachedir/cells" \
+    >"$cachedir/cold.out" 2>"$cachedir/cold.err"
+"$cachedir/umbench" -quick -figures "$cachefigs" -cache "$cachedir/cells" \
+    >"$cachedir/warm.out" 2>"$cachedir/warm.err"
+"$cachedir/umbench" -quick -figures "$cachefigs" -cache "$cachedir/cells" -cache-verify \
+    >"$cachedir/verify.out" 2>"$cachedir/verify.err"
+cmp "$cachedir/cold.out" "$cachedir/warm.out"
+cmp "$cachedir/cold.out" "$cachedir/verify.out"
+stored=$(sed -n 's/^\[cache .*: [0-9]* hits, [0-9]* misses, \([0-9]*\) stores,.*/\1/p' "$cachedir/cold.err")
+if [ -z "$stored" ] || [ "$stored" -eq 0 ] ||
+    ! grep -q "^\[cache .*: $stored hits, 0 misses," "$cachedir/warm.err"; then
+    grep '^\[cache' "$cachedir/cold.err" "$cachedir/warm.err" >&2
+    echo "warm pass did not hit every cell the cold pass stored" >&2; exit 1
+fi
+echo "cache cold/warm/verify byte-identical; warm hit all $stored stored cells"
 
 # Shard-worker gate: the coupled fleet must emit byte-identical JSON and tail
 # exemplars for -shard-workers 1 and 4 — every value >= 0 takes the same
