@@ -306,38 +306,6 @@ func BenchmarkEndToEndGridWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetShardWorkers times one coupled 16-server fleet simulation
-// in the two PDES execution modes and reports events/second: -1 puts every
-// shard on one shared engine, 0 gives every server its own engine. Both run
-// the same sequential window loop and give bit-identical results (fleet's
-// TestShardedMatchesSingleEngineReference), so only the timing differs: the
-// gap is the cost of many small event heaps against one large one.
-func BenchmarkFleetShardWorkers(b *testing.B) {
-	app := SocialNetworkApps()[0]
-	for _, workers := range []int{-1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			fc := DefaultFleet(UManycore())
-			fc.Servers = 16
-			fc.CrossServerFrac = 0.1
-			fc.LB = "p2c"
-			fc.ShardWorkers = workers
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res := RunFleet(fc, app, 16*8000, RunConfig{
-					RPS: 16 * 8000, Duration: 60 * Millisecond,
-					Warmup: 10 * Millisecond, Drain: 300 * Millisecond,
-					Seed: int64(i + 1),
-				}, int64(i+1))
-				events += res.EventsProcessed
-				b.ReportMetric(float64(res.EventsProcessed)/res.WallSeconds, "events/sec")
-			}
-			if events == 0 {
-				b.Fatal("no events processed")
-			}
-		})
-	}
-}
-
 // BenchmarkFig3Workers times the Figure 3 queue sweep (22 cells) at 1 vs all
 // workers — the Map2 counterpart of BenchmarkEndToEndGridWorkers.
 func BenchmarkFig3Workers(b *testing.B) {

@@ -11,7 +11,7 @@
 // control whatif.
 // Default: all. -parallel bounds the sweep worker pool (default: all cores);
 // output is bit-identical for any value. Each coupled fleet runs its PDES
-// windows sequentially on per-server engines.
+// windows sequentially on one engine.
 //
 // -baseline FILE diffs this run's figure rows (the -json payload) against a
 // checked-in baseline JSON (e.g. BENCH_lb_baseline.json), prints per-metric
@@ -56,7 +56,7 @@ func exit(code int) {
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity settings (faster, noisier)")
 	flag.BoolVar(&ascii, "ascii", false, "render ASCII charts next to the tables")
-	flag.StringVar(&jsonOut, "json", "", "also write the e2e grid as JSON to FILE ('-' for stdout); latency objects use the stats.Summary encoding shared with umprof/umsim")
+	jsonOut := flag.String("json", "", "also write the rows of the row-producing figures (e2e, lb, graph, scale, control, whatif) as JSON to FILE ('-' for stdout): a bare array for one such figure, an object keyed by figure name in run order for several; latency objects use the stats.Summary encoding shared with umprof/umsim")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep workers (<=0: all cores); results are identical for any value")
 	figures := flag.String("figures", "all", "comma-separated figure list (1..9, e2e, 15, 18, 19, 20, 68, power, lb, graph, scale, control, whatif)")
@@ -208,8 +208,23 @@ func main() {
 		}
 	}
 
+	if *jsonOut != "" && len(captured) > 0 {
+		var payload any = figureSet(captured)
+		if len(captured) == 1 {
+			payload = captured[0].rows
+		}
+		if err := writeRowsJSON(*jsonOut, payload); err != nil {
+			fmt.Fprintln(os.Stderr, "umbench:", err)
+			exit(1)
+		}
+	}
+
 	if *baseline != "" {
-		if err := diffBaseline(*baseline, capturedRows, *baselineThreshold, *baselineWarn); err != nil {
+		var rows any
+		if len(captured) > 0 {
+			rows = captured[len(captured)-1].rows
+		}
+		if err := diffBaseline(*baseline, rows, *baselineThreshold, *baselineWarn); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
 			exit(1)
 		}
@@ -240,13 +255,16 @@ func speedupNote(busy, wall time.Duration, workers int) string {
 // ascii enables chart rendering (set by the -ascii flag).
 var ascii bool
 
-// jsonOut, when non-empty, is where endToEnd writes its machine-readable
-// grid (set by the -json flag).
-var jsonOut string
+// figureRows is one row-producing figure's rows, kept for -json and
+// -baseline.
+type figureRows struct {
+	name string
+	rows any
+}
 
-// capturedRows holds the last row-producing figure's rows so -baseline can
-// diff them against a checked-in file after the run.
-var capturedRows any
+// captured holds the rows of every row-producing figure, in run order. -json
+// writes them after the run; -baseline diffs the last figure's.
+var captured []figureRows
 
 func header(title string) {
 	fmt.Println()
@@ -359,19 +377,33 @@ func endToEnd(o umanycore.ExperimentOptions) {
 				metric, red.Baseline, red.ByLoad[5000], red.ByLoad[10000], red.ByLoad[15000])
 		}
 	}
-	capturedRows = rows
-	if jsonOut != "" {
-		if err := writeRowsJSON(jsonOut, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
-		}
-	}
+	captured = append(captured, figureRows{"e2e", rows})
 }
 
-// writeRowsJSON emits a figure's row slice as a JSON array. Row fields
-// encode in declaration order and any latency objects via stats.Summary's
-// stable MarshalJSON, so the output is byte-identical run to run — the
-// property the golden-output test and the ci.sh cold/warm diff pin down.
+// figureSet encodes several figures' rows as one JSON object keyed by
+// figure name, in run order (a map would sort the names).
+type figureSet []figureRows
+
+func (fs figureSet) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		rows, err := json.Marshal(f.rows)
+		if err != nil {
+			return nil, err
+		}
+		b = fmt.Appendf(b, "%q:%s", f.name, rows)
+	}
+	return append(b, '}'), nil
+}
+
+// writeRowsJSON emits rows — one figure's row slice, or a figureSet — as
+// indented JSON. Row fields encode in declaration order and any latency
+// objects via stats.Summary's stable MarshalJSON, so the output is
+// byte-identical run to run — the property the golden-output test and the
+// ci.sh cold/warm diff pin down.
 func writeRowsJSON(path string, rows any) error {
 	w := os.Stdout
 	if path != "-" {
@@ -476,13 +508,7 @@ func fleetLB(o umanycore.ExperimentOptions) {
 	if anyUnequal {
 		fmt.Println(parityNote)
 	}
-	capturedRows = rows
-	if jsonOut != "" {
-		if err := writeRowsJSON(jsonOut, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
-		}
-	}
+	captured = append(captured, figureRows{"lb", rows})
 }
 
 func fleetGraph(o umanycore.ExperimentOptions) {
@@ -496,13 +522,7 @@ func fleetGraph(o umanycore.ExperimentOptions) {
 			r.MeanMicros, r.P99Micros, r.TailToAvg,
 			r.Completed, r.Rejected, 100*r.RejectRate, r.RemoteServed)
 	}
-	capturedRows = rows
-	if jsonOut != "" {
-		if err := writeRowsJSON(jsonOut, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
-		}
-	}
+	captured = append(captured, figureRows{"graph", rows})
 }
 
 func fleetScale(o umanycore.ExperimentOptions) {
@@ -520,13 +540,7 @@ func fleetScale(o umanycore.ExperimentOptions) {
 	if anyUnequal {
 		fmt.Println(parityNote)
 	}
-	capturedRows = rows
-	if jsonOut != "" {
-		if err := writeRowsJSON(jsonOut, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
-		}
-	}
+	captured = append(captured, figureRows{"scale", rows})
 }
 
 // parityNote is the footnote printed under a fleet table whenever some load
@@ -551,13 +565,7 @@ func fleetControl(o umanycore.ExperimentOptions) {
 			r.Scenario, r.Variant, r.PerServerRPS, r.MeanMicros, r.P99Micros,
 			100*r.RejectRate, r.GoodputRPS, r.Retries, r.Shed, r.Hedges, r.HedgeWins, r.ScaleUps, r.ActiveServers)
 	}
-	capturedRows = rows
-	if jsonOut != "" {
-		if err := writeRowsJSON(jsonOut, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
-		}
-	}
+	captured = append(captured, figureRows{"control", rows})
 }
 
 func whatIfFig(o umanycore.ExperimentOptions) {
@@ -570,13 +578,7 @@ func whatIfFig(o umanycore.ExperimentOptions) {
 			r.Arch, r.Stage, r.Factor, r.DMeanMicros, r.DP99Micros, r.DP999Micros,
 			100*r.BlameShare, 100*r.PayoffP99, r.TopMover, 100*r.TopMoverDeltaShare)
 	}
-	capturedRows = rows
-	if jsonOut != "" {
-		if err := writeRowsJSON(jsonOut, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
-		}
-	}
+	captured = append(captured, figureRows{"whatif", rows})
 }
 
 func powerTable() {

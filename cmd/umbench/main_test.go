@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -240,6 +242,56 @@ func TestGraphFigureRuns(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("graph figure output missing %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestJSONKeepsEveryFigure: with several row-producing figures, -json
+// writes one object keyed by figure name in run order, each figure's rows
+// intact (lb's equal the single-figure golden), instead of keeping only the
+// last figure's.
+func TestJSONKeepsEveryFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick lb and graph figures")
+	}
+	path := filepath.Join(t.TempDir(), "figs.json")
+	if _, stderr, code := runMain(t, "-quick", "-figures", "lb,graph", "-json", path); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var figs map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &figs); err != nil {
+		t.Fatalf("-json output is not one object: %v\n%s", err, raw)
+	}
+	if len(figs) != 2 {
+		t.Fatalf("-json object has %d figures, want lb and graph", len(figs))
+	}
+	lb, graph := strings.Index(string(raw), `"lb": [`), strings.Index(string(raw), `"graph": [`)
+	if lb < 0 || graph < lb {
+		t.Fatalf("figures missing or out of run order (lb at %d, graph at %d)", lb, graph)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "lb_quick_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := json.Compact(&want, golden); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&got, figs["lb"]); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("lb rows differ from the single-figure golden:\n got: %s\nwant: %s", got.String(), want.String())
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(figs["graph"], &rows); err != nil || len(rows) == 0 {
+		t.Fatalf("graph rows missing (%v): %s", err, figs["graph"])
+	}
+	if _, ok := rows[0]["Placement"]; !ok {
+		t.Fatalf("graph rows lack their Placement field: %v", rows[0])
 	}
 }
 

@@ -57,7 +57,6 @@ func main() {
 	servers := flag.Int("servers", 0, "run a coupled fleet of N servers (0 = single machine); traces merge across servers")
 	lb := flag.String("lb", "", "fleet load-balancer policy: rr | rand | least | p2c (default rr; needs -servers)")
 	skew := flag.String("skew", "", "comma-separated per-server slowdown factors, e.g. 1,1,2 (needs -servers)")
-	shardWorkers := flag.Int("shard-workers", 0, "coupled-fleet PDES execution mode: >= 0 gives every server its own engine, -1 puts every shard on one shared engine (the reference); both run the same window loop and give identical results (needs -servers)")
 	top := flag.Float64("top", 1, "tail fraction to analyze, in percent (1 = slowest 1%)")
 	traceIn := flag.String("trace", "", "replay an external trace CSV (umtrace -csv wire format) instead of synthetic arrivals; -rps rescales the trace to that mean rate when given explicitly")
 	traceOut := flag.String("chrome-trace", "", "also write a Chrome/Perfetto trace-event JSON to FILE")
@@ -128,7 +127,7 @@ func main() {
 		// Fleet flags would otherwise be ignored by the single-machine run.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "lb", "skew", "shard-workers":
+			case "lb", "skew":
 				fatal(fmt.Errorf("-%s needs a fleet (-servers 1 or more)", f.Name))
 			}
 		})
@@ -180,7 +179,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	fcli := fleetCLI{servers: *servers, lb: *lb, skew: *skew, shardWorkers: *shardWorkers}
+	fcli := fleetCLI{servers: *servers, lb: *lb, skew: *skew}
 	if *whatIf {
 		runWhatIf(cfg, app, whatIfCLI{
 			stages: *whatIfStages, factors: *whatIfFactors,
@@ -274,7 +273,7 @@ func main() {
 	}
 	if *exemplarsOut != "" || *exemplarsTrace != "" {
 		// Tail exemplars: the K slowest stitched trees, selected by virtual
-		// time only — byte-identical for every -shard-workers value.
+		// time only, so the file is deterministic.
 		xs := obs.Exemplars(orun.Spans, *exemplarsK)
 		if *exemplarsOut == "-" {
 			if err := obs.WriteExemplarsJSON(os.Stdout, xs); err != nil {
@@ -377,9 +376,8 @@ type traceCounts struct {
 
 // fleetCLI carries the -servers flag subset out of main.
 type fleetCLI struct {
-	servers      int
-	lb, skew     string
-	shardWorkers int
+	servers  int
+	lb, skew string
 }
 
 // buildFleet assembles the -servers fleet around cfg and checks that it can
@@ -388,7 +386,6 @@ func buildFleet(cfg umanycore.Config, cli fleetCLI, ctl *umanycore.ControlConfig
 	fc := umanycore.DefaultFleet(cfg)
 	fc.Servers = cli.servers
 	fc.LB = cli.lb
-	fc.ShardWorkers = cli.shardWorkers
 	if cli.skew != "" {
 		slow, err := parseSkew(cli.skew)
 		if err != nil {
@@ -418,7 +415,7 @@ type whatIfCLI struct {
 // runWhatIf drives the causal-profiling grid (internal/whatif): the same
 // workload re-simulated under virtual per-stage speedups, reporting each
 // stage's blame share next to the tail improvement actually bought. Output
-// is fully deterministic — byte-identical for any -shard-workers value.
+// is fully deterministic.
 func runWhatIf(cfg umanycore.Config, app *umanycore.App, cli whatIfCLI) {
 	stages, err := parseWhatIfStages(cli.stages)
 	if err != nil {
@@ -512,7 +509,7 @@ func parseWhatIfFactors(s string) ([]float64, error) {
 
 // writeFabricTable prints the PDES fabric's self-observability report: the
 // deterministic window/message aggregates, then the per-shard execution
-// split (per-server engines only) and the run's wall cost.
+// split and the run's wall cost.
 func writeFabricTable(fres *fleet.Result) {
 	st := fres.Fabric
 	fmt.Printf("pdes fabric: %d shards (dispatcher + servers), lookahead %.3fus\n",
@@ -522,15 +519,13 @@ func writeFabricTable(fres *fleet.Result) {
 	fmt.Printf("  lookahead  : %.1f%% utilized (mean window width %.3fus)\n",
 		100*st.LookaheadUtilization(), meanWindowUS(st))
 	fmt.Printf("  messages   : %d sent, %d delivered\n", st.MessagesSent, st.MessagesDelivered)
-	if len(st.ShardWindows) > 0 {
-		fmt.Println("  per shard  :")
-		for i := range st.ShardWindows {
-			name := fmt.Sprintf("server %d", i-1)
-			if i == 0 {
-				name = "dispatcher"
-			}
-			fmt.Printf("    %-10s %10d windows %12d events\n", name, st.ShardWindows[i], st.ShardEvents[i])
+	fmt.Println("  per shard  :")
+	for i := range st.ShardWindows {
+		name := fmt.Sprintf("server %d", i-1)
+		if i == 0 {
+			name = "dispatcher"
 		}
+		fmt.Printf("    %-10s %10d windows %12d events\n", name, st.ShardWindows[i], st.ShardEvents[i])
 	}
 	fmt.Printf("  run        : %d events total, %.3fs wall\n", fres.EventsProcessed, fres.WallSeconds)
 }

@@ -90,7 +90,7 @@ func TestFleetP2CJSONGolden(t *testing.T) {
 // coupling's deterministic execution counters (rounds, messages, lookahead
 // utilization) to the JSON output. Wall-clock diagnostics are deliberately
 // absent from the JSON form, so after wall_seconds normalization the bytes
-// are exact for every shard-worker count.
+// are exact on a repeat run.
 func TestFabricJSONGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
@@ -107,13 +107,12 @@ func TestFabricJSONGolden(t *testing.T) {
 	if !strings.Contains(stdout, wantFabric) {
 		t.Fatalf("fabric report drifted:\ngot:  %swant fragment: %s", stdout, wantFabric)
 	}
-	// The single-engine reference must report the same fabric aggregates.
-	refOut, stderr, code := runMain(t, append(args, "-shard-workers", "-1")...)
+	again, stderr, code := runMain(t, args...)
 	if code != 0 {
-		t.Fatalf("reference exit %d, stderr: %s", code, stderr)
+		t.Fatalf("repeat exit %d, stderr: %s", code, stderr)
 	}
-	if normalizeWall(refOut) != normalizeWall(stdout) {
-		t.Fatalf("-shard-workers -1 fabric output diverged:\nref: %sgot: %s", refOut, stdout)
+	if normalizeWall(again) != normalizeWall(stdout) {
+		t.Fatalf("fabric output diverged on a repeat run:\nfirst: %sagain: %s", stdout, again)
 	}
 }
 
@@ -138,9 +137,8 @@ func TestWhatIfJSONGolden(t *testing.T) {
 }
 
 // TestWhatIfFleetShardWorkerInvariance checks the -whatif CLI contract on
-// the coupled fleet: stdout is byte-identical for per-server engines and
-// the -1 shared-engine reference (no normalization needed — the what-if
-// report carries no wall-clock fields).
+// the coupled fleet: stdout is byte-identical on a repeat run (no
+// normalization needed — the what-if report carries no wall-clock fields).
 func TestWhatIfFleetShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -150,16 +148,16 @@ func TestWhatIfFleetShardWorkerInvariance(t *testing.T) {
 		"-servers", "2", "-lb", "p2c", "-skew", "1,2",
 		"-whatif-stages", "net", "-whatif-factors", "0.5", "-json",
 	}
-	ref, stderr, code := runMain(t, append(args, "-shard-workers", "-1")...)
-	if code != 0 {
-		t.Fatalf("reference exit %d, stderr: %s", code, stderr)
-	}
-	got, stderr, code := runMain(t, append(args, "-shard-workers", "4")...)
+	ref, stderr, code := runMain(t, args...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
+	got, stderr, code := runMain(t, args...)
+	if code != 0 {
+		t.Fatalf("repeat exit %d, stderr: %s", code, stderr)
+	}
 	if got != ref {
-		t.Fatalf("-shard-workers 4 what-if output diverged from -1 reference:\nref: %sgot: %s", ref, got)
+		t.Fatalf("what-if output diverged on a repeat run:\nfirst: %sagain: %s", ref, got)
 	}
 }
 
@@ -181,11 +179,9 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-servers", "2", "-shed-prob", "0.5"}, "-shed-prob needs a positive -shed-slo"},
 		{[]string{"-servers", "2", "-scale-min", "1"}, "-scale-min needs a positive -scale-p99"},
 		{[]string{"-retries", "2"}, "need a coupled fleet"},
-		{[]string{"-servers", "2", "-shard-workers", "-2"}, "ShardWorkers -2 is out of range"},
 		{[]string{"-servers", "2", "-hedge", "1ms", "-whatif"}, "not supported with -whatif"},
 		{[]string{"-lb", "bogus"}, "-lb needs a fleet (-servers"},
 		{[]string{"-skew", "1,2"}, "-skew needs a fleet (-servers"},
-		{[]string{"-shard-workers", "-7"}, "-shard-workers needs a fleet (-servers"},
 		{[]string{"-servers", "0", "-lb", "p2c"}, "-lb needs a fleet (-servers"},
 		{[]string{"-servers", "-3"}, "-servers -3 is out of range"},
 		{[]string{"-fabric"}, "-fabric needs a coupled multi-server fleet"},
@@ -209,8 +205,7 @@ func TestBadFlagBoundsExit(t *testing.T) {
 // TestControlJSONShardWorkerInvariance is the CLI form of the control
 // determinism contract (and the template for the scripts/ci.sh gate): a
 // retry+hedging fleet run prints byte-identical JSON — control section
-// included — for per-server engines and the -1 shared-engine reference,
-// after normalizing the one wall-clock field.
+// included — on a repeat run, after normalizing the one wall-clock field.
 func TestControlJSONShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -220,24 +215,22 @@ func TestControlJSONShardWorkerInvariance(t *testing.T) {
 		"-servers", "2", "-lb", "rr", "-skew", "1,3",
 		"-retries", "2", "-hedge", "1ms", "-json",
 	}
-	ref, stderr, code := runMain(t, append(args, "-shard-workers", "-1")...)
+	ref, stderr, code := runMain(t, args...)
 	if code != 0 {
-		t.Fatalf("reference exit %d, stderr: %s", code, stderr)
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(ref, `"control":{"submitted":`) {
 		t.Fatalf("controlled run printed no control section: %s", ref)
 	}
 	if strings.Contains(ref, `"hedges":0,`) {
-		t.Fatalf("straggler fleet never hedged — invariance run is vacuous: %s", ref)
+		t.Fatalf("straggler fleet never hedged — determinism run is vacuous: %s", ref)
 	}
-	for _, w := range []string{"1", "4"} {
-		got, stderr, code := runMain(t, append(args, "-shard-workers", w)...)
-		if code != 0 {
-			t.Fatalf("workers=%s exit %d, stderr: %s", w, code, stderr)
-		}
-		if normalizeWall(got) != normalizeWall(ref) {
-			t.Fatalf("-shard-workers %s control output diverged from -1 reference:\nref: %sgot: %s", w, ref, got)
-		}
+	got, stderr, code := runMain(t, args...)
+	if code != 0 {
+		t.Fatalf("repeat exit %d, stderr: %s", code, stderr)
+	}
+	if normalizeWall(got) != normalizeWall(ref) {
+		t.Fatalf("control output diverged on a repeat run:\nfirst: %sagain: %s", ref, got)
 	}
 }
 
@@ -332,8 +325,7 @@ func TestTraceFlagValidationExits(t *testing.T) {
 // TestTraceReplayJSONShardWorkerInvariance is the CLI half of the replay
 // determinism contract (and the template for the scripts/ci.sh round-trip
 // gate): replaying one trace through the coupled fleet prints byte-identical
-// JSON — trace accounting included — for the shared-engine reference and
-// every -shard-workers value.
+// JSON — trace accounting included — on a repeat run.
 func TestTraceReplayJSONShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -343,9 +335,9 @@ func TestTraceReplayJSONShardWorkerInvariance(t *testing.T) {
 		"-trace", trace, "-app", "CPost", "-rps", "20000",
 		"-duration", "30ms", "-warmup", "5ms", "-servers", "2", "-lb", "rr", "-json",
 	}
-	ref, stderr, code := runMain(t, append(args, "-shard-workers", "-1")...)
+	ref, stderr, code := runMain(t, args...)
 	if code != 0 {
-		t.Fatalf("reference exit %d, stderr: %s", code, stderr)
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(ref, `"trace":{"records":400,`) {
 		t.Fatalf("replay run did not account for all 400 records: %s", ref)
@@ -353,14 +345,12 @@ func TestTraceReplayJSONShardWorkerInvariance(t *testing.T) {
 	if strings.Contains(ref, `"completed":0,`) {
 		t.Fatalf("replay completed nothing: %s", ref)
 	}
-	for _, w := range []string{"1", "4"} {
-		got, stderr, code := runMain(t, append(args, "-shard-workers", w)...)
-		if code != 0 {
-			t.Fatalf("workers=%s exit %d, stderr: %s", w, code, stderr)
-		}
-		if normalizeWall(got) != normalizeWall(ref) {
-			t.Fatalf("-shard-workers %s replay output diverged from -1 reference:\nref: %sgot: %s", w, ref, got)
-		}
+	got, stderr, code := runMain(t, args...)
+	if code != 0 {
+		t.Fatalf("repeat exit %d, stderr: %s", code, stderr)
+	}
+	if normalizeWall(got) != normalizeWall(ref) {
+		t.Fatalf("replay output diverged on a repeat run:\nfirst: %sagain: %s", ref, got)
 	}
 }
 

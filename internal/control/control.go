@@ -31,8 +31,8 @@
 //
 // Everything the controller does is a pure function of virtual time and a
 // dedicated sim.Streams bundle, never of wall clock or worker counts, so a
-// controlled fleet keeps the PDES contract: bit-identical results for every
-// fleet.Config.ShardWorkers value including the -1 single-engine reference.
+// controlled fleet keeps the PDES contract: bit-identical results run to
+// run.
 package control
 
 import (

@@ -43,9 +43,9 @@ func TestFleetGraphRows(t *testing.T) {
 }
 
 // TestFleetGraphWorkerInvariance is the figure-level determinism gate: the
-// grid is bit-identical for any sweep worker count. The shared-engine
-// reference is byte-compared with per-server engines on graph fleets in
-// internal/fleet (TestGraphReplayShardWorkerInvariance).
+// grid is bit-identical for any sweep worker count. Repeat-run identity of
+// a graph fleet is pinned in internal/fleet
+// (TestGraphReplayShardWorkerInvariance).
 func TestFleetGraphWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")

@@ -14,14 +14,13 @@
 //
 // Multi-server fleets execute as a conservative-lookahead parallel
 // discrete-event simulation (internal/pdes): the dispatcher and every
-// server are shards with private engines, synchronized in time windows
-// bounded by half the inter-server RTT — the minimum latency of any
-// cross-server interaction. Cross-server RPCs and dispatches travel as
-// timestamped inter-shard messages delivered at window barriers, and the
-// balancer routes on queue views snapshotted at barriers (at most one wire
-// delay stale — exactly what a physical front-end would know). Results are
-// bit-identical for repeat runs and to the shared-engine reference
-// execution (ShardWorkers = -1). A one-server fleet has no peers and no
+// server are shards on one engine, synchronized in time windows bounded by
+// half the inter-server RTT — the minimum latency of any cross-server
+// interaction. Cross-server RPCs and dispatches travel as timestamped
+// inter-shard messages delivered at window barriers, and the balancer
+// routes on queue views snapshotted at barriers (at most one wire delay
+// stale — exactly what a physical front-end would know). Results are
+// bit-identical for repeat runs. A one-server fleet has no peers and no
 // dispatcher to model: it is a plain machine.Run.
 package fleet
 
@@ -86,13 +85,11 @@ type Config struct {
 	// (missing or zero entries fall back to WhatIf). Lets a study ask
 	// "what if only the straggler's storage were faster".
 	WhatIfPerServer []machine.StageSpeedups
-	// ShardWorkers picks how the coupled Run places its shards on engines.
-	// Any value >= 0 gives every server its own engine (values above 0
-	// are accepted for compatibility and mean the same); -1 puts every
-	// shard on one shared engine, the validation and debugging reference.
-	// Both run the same sequential window loop and give bit-identical
-	// results: it is an execution mode, never a simulation input. Values
-	// below -1 are rejected by Validate.
+	// ShardWorkers is ignored: every coupled run puts all its shards on one
+	// engine.
+	//
+	// Deprecated: the field stays only because the benchmark driver
+	// (perfbench) still sets it; it goes when that driver is next changed.
 	ShardWorkers int
 	// Control, when non-nil and enabled, closes the front-end feedback
 	// loops on the coupled Run: retry-on-reject with capped exponential
@@ -142,9 +139,6 @@ func (fc Config) controlOn() bool { return fc.Control != nil && fc.Control.Enabl
 func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 	if fc.Servers < 1 {
 		return fmt.Errorf("fleet: need at least one server (Servers = %d)", fc.Servers)
-	}
-	if fc.ShardWorkers < -1 {
-		return fmt.Errorf("fleet: ShardWorkers %d is out of range: want -1 (shared-engine reference) or >= 0 (per-server engines)", fc.ShardWorkers)
 	}
 	if fc.NewBalancer == nil {
 		if _, err := ParseLB(fc.LB); err != nil {
@@ -216,8 +210,8 @@ type Result struct {
 	// Telemetry merges the per-server telemetry runs (in server order) when
 	// the RunConfig enabled the sampler; nil otherwise.
 	Telemetry *telemetry.Run `json:"-"`
-	// EventsProcessed counts simulation events fired across every engine in
-	// the run (dispatcher included for coupled multi-server fleets). It is
+	// EventsProcessed counts simulation events fired in the run
+	// (dispatcher included for coupled multi-server fleets). It is
 	// deterministic; EventsProcessed/WallSeconds is the events-per-second
 	// figure the PDES speedup curves report.
 	EventsProcessed uint64
@@ -237,8 +231,8 @@ type Result struct {
 	Control *control.Stats
 }
 
-// Run drives the coupled fleet at totalRPS: every server lives in its own
-// simulation engine (sharded conservatively in time — see the package
+// Run drives the coupled fleet at totalRPS: every server is a shard of one
+// simulation engine (coupled conservatively in time — see the package
 // comment), a Balancer routes each arrival, and cross-server child RPCs
 // execute on the peer they target. Deterministic in (fc, app, totalRPS, rc,
 // seed) alone — worker counts and wall-clock never enter. Run panics with

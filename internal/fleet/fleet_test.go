@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,8 +113,6 @@ func TestValidate(t *testing.T) {
 		want   string // "" = valid
 	}{
 		{"no servers", fleet(0, nil), false, "at least one server"},
-		{"bad shard workers", fleet(2, func(fc *Config) { fc.ShardWorkers = -7 }), false, "ShardWorkers -7 is out of range"},
-		{"shared-engine reference", fleet(2, func(fc *Config) { fc.ShardWorkers = -1 }), false, ""},
 		{"unknown lb", fleet(2, func(fc *Config) { fc.LB = "bogus" }), false, "unknown load-balancer policy"},
 		{"one-server graph", fleet(1, func(fc *Config) { fc.Graph = svcgraph.Colocated(services, 1) }), false, "Config.Graph needs a coupled fleet"},
 		{"bad placement", fleet(2, func(fc *Config) { fc.Graph = &svcgraph.Spec{Placement: [][]int{{0}}} }), false, "placement covers"},
@@ -259,9 +256,8 @@ func TestCoupledFleetDeterministic(t *testing.T) {
 }
 
 // TestShardWorkerInvariance pins the PDES half of the determinism contract:
-// the coupled fleet's result — observability layers included — is identical
-// whether the per-server shards advance sequentially or on a concurrent
-// worker pool, for any worker count.
+// a repeat run of the coupled fleet reproduces the first exactly,
+// observability and telemetry layers included.
 func TestShardWorkerInvariance(t *testing.T) {
 	app := homeT(t)
 	rc := machine.RunConfig{
@@ -275,55 +271,17 @@ func TestShardWorkerInvariance(t *testing.T) {
 	fc.Servers = 8
 	fc.LB = "least"
 
-	run := func(workers int) *Result {
-		c := fc
-		c.ShardWorkers = workers
-		r := Run(c, app, 48000, rc, 21)
+	run := func() *Result {
+		r := Run(fc, app, 48000, rc, 21)
 		stripWall(r)
 		return r
 	}
-	want := run(1)
+	want := run()
 	if want.RemoteServed == 0 {
-		t.Fatal("no cross-server traffic; worker-invariance test is vacuous")
+		t.Fatal("no cross-server traffic; determinism test is vacuous")
 	}
-	// Every value >= 0 takes the same per-server-engine path; 2 is the
-	// value the benchmark's identity re-run uses.
-	for _, w := range []int{0, 2} {
-		if got := run(w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("ShardWorkers=%d diverged from sequential execution", w)
-		}
-	}
-}
-
-// TestShardedMatchesSingleEngineReference is the cross-mode half: for small
-// fleets, the sharded execution must be byte-identical (via its JSON cell
-// payload) to the single-engine reference execution,
-// which runs every shard's events interleaved on one shared engine under
-// the same window/mailbox semantics.
-func TestShardedMatchesSingleEngineReference(t *testing.T) {
-	app := homeT(t)
-	rc := machine.RunConfig{Duration: 40 * sim.Millisecond, Warmup: 8 * sim.Millisecond, Drain: 500 * sim.Millisecond}
-	for _, servers := range []int{2, 3, 5, 8} {
-		fc := DefaultConfig(machine.UManycoreConfig())
-		fc.Servers = servers
-		fc.LB = "p2c"
-		fc.Slowdown = []float64{1, 2}
-
-		run := func(workers int) []byte {
-			c := fc
-			c.ShardWorkers = workers
-			r := Run(c, app, float64(6000*servers), rc, 31)
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		ref := run(-1)
-		got := run(4)
-		if string(ref) != string(got) {
-			t.Fatalf("servers=%d: sharded run diverged from single-engine reference:\nref %s\ngot %s", servers, ref, got)
-		}
+	if got := run(); !reflect.DeepEqual(want, got) {
+		t.Fatal("repeat run diverged")
 	}
 }
 
@@ -486,10 +444,8 @@ func TestFleetStitchedTracing(t *testing.T) {
 }
 
 // TestStitchedObsShardWorkerDeterminism pins the acceptance bar for the
-// tracing layer: the merged observability payload and the tail exemplars are
-// bit-identical for every execution mode — sequential shards, a worker pool,
-// and the -1 single-engine reference (whose full Result legitimately differs
-// in telemetry vitals, so the comparison targets Obs and the exemplars).
+// tracing layer: the merged observability payload, the tail exemplars and
+// the fabric's statistics are bit-identical on a repeat run.
 func TestStitchedObsShardWorkerDeterminism(t *testing.T) {
 	app := homeT(t)
 	rc := machine.RunConfig{
@@ -504,11 +460,7 @@ func TestStitchedObsShardWorkerDeterminism(t *testing.T) {
 	fc.CrossServerFrac = 1
 	fc.InterServerRTT = 100 * sim.Microsecond
 
-	run := func(workers int) *Result {
-		c := fc
-		c.ShardWorkers = workers
-		return Run(c, app, 18000, rc, 13)
-	}
+	run := func() *Result { return Run(fc, app, 18000, rc, 13) }
 	exemplarJSON := func(r *Result) []byte {
 		var buf bytes.Buffer
 		if err := obs.WriteExemplarsJSON(&buf, obs.Exemplars(r.Obs.Spans, 5)); err != nil {
@@ -517,28 +469,19 @@ func TestStitchedObsShardWorkerDeterminism(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	ref := run(1)
+	ref := run()
 	if ref.RemoteServed == 0 {
 		t.Fatal("no cross-server traffic; determinism test is vacuous")
 	}
-	wantX := exemplarJSON(ref)
-	for _, w := range []int{0, 4, -1} {
-		got := run(w)
-		if !reflect.DeepEqual(ref.Obs, got.Obs) {
-			t.Fatalf("ShardWorkers=%d: observability payload diverged from sequential execution", w)
-		}
-		if !bytes.Equal(wantX, exemplarJSON(got)) {
-			t.Fatalf("ShardWorkers=%d: exemplar JSON diverged", w)
-		}
-		// The fabric's deterministic aggregates are mode-invariant too (the
-		// per-shard slices are an execution detail the reference lacks).
-		if got.Fabric.Rounds != ref.Fabric.Rounds ||
-			got.Fabric.MessagesSent != ref.Fabric.MessagesSent ||
-			got.Fabric.MessagesDelivered != ref.Fabric.MessagesDelivered ||
-			got.Fabric.WindowEvents != ref.Fabric.WindowEvents ||
-			got.Fabric.AdvanceSum != ref.Fabric.AdvanceSum {
-			t.Fatalf("ShardWorkers=%d: fabric aggregates diverged:\nref %+v\ngot %+v", w, ref.Fabric, got.Fabric)
-		}
+	got := run()
+	if !reflect.DeepEqual(ref.Obs, got.Obs) {
+		t.Fatal("observability payload diverged on a repeat run")
+	}
+	if !bytes.Equal(exemplarJSON(ref), exemplarJSON(got)) {
+		t.Fatal("exemplar JSON diverged on a repeat run")
+	}
+	if !reflect.DeepEqual(ref.Fabric, got.Fabric) {
+		t.Fatalf("fabric statistics diverged on a repeat run:\nref %+v\ngot %+v", ref.Fabric, got.Fabric)
 	}
 }
 

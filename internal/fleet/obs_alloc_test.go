@@ -12,10 +12,10 @@ import (
 // is stable run to run; update the constant only when a deliberate change to
 // the fleet or machine model or to the simulator's allocation behaviour
 // moves it.
-const fleetObsOffBaselineAllocs = 4049
+const fleetObsOffBaselineAllocs = 3988
 
 // TestFleetObsOffZeroAllocDelta extends the machine-level zero-overhead pin
-// (internal/machine.TestObsOffZeroAllocDelta) to a sharded coupled fleet: with
+// (internal/machine.TestObsOffZeroAllocDelta) to a coupled fleet: with
 // RunConfig.Obs and Telemetry nil, the remote-trace plumbing (link minting,
 // peer envelopes) and the fabric instrumentation must reduce to nil-guarded
 // branches that allocate nothing.
@@ -26,7 +26,6 @@ func TestFleetObsOffZeroAllocDelta(t *testing.T) {
 	app := homeT(t)
 	fc := DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = 2
-	fc.ShardWorkers = 1
 	fc.CrossServerFrac = 1
 	rc := machine.RunConfig{Duration: 20 * sim.Millisecond, Warmup: 4 * sim.Millisecond, Drain: 200 * sim.Millisecond}
 	r := Run(fc, app, 6000, rc, 42) // warm the engine pool and workload caches

@@ -54,16 +54,23 @@ const (
 // clock, and the fabric's window invariant — no shard ever receives an
 // event in its past — holds without any special-casing.
 //
-// Determinism contract: the result is bit-identical for every ShardWorkers
-// value, including the -1 shared-engine reference, because (a) each server
-// draws all its randomness from a sim.Streams bundle seeded by server index
-// (never from its hosting engine), (b) the dispatcher's arrival and
-// balancer streams come from the shard-0 engine, which is seeded with the
-// run seed exactly like the reference's shared engine, and (c) inter-shard
-// messages are delivered in the canonical (time, source shard, send seq)
-// order in every mode. The balancer's queue views are snapshotted at window
-// barriers, so routing decisions see peer state at most one wire delay
-// stale — the same information lag a physical front-end has.
+// Every shard runs on one engine: windows run one after another, so
+// engines of their own would buy nothing but more heaps to peek. The
+// per-shard statistics (pdes.Stats.ShardWindows, ShardEvents) come from the
+// engine's owner tags: each shard's setup runs under its shard id as the
+// engine's tag (0 for the dispatcher, s+1 for server s), message firings
+// carry their destination's, and everything a callback schedules inherits
+// the firing event's.
+//
+// Determinism contract: the result is a function of (fc, app, totalRPS,
+// rc, seed) alone, because (a) each server draws all its randomness from a
+// sim.Streams bundle seeded by server index (never from the engine), (b)
+// the dispatcher's arrival and balancer streams come from the engine,
+// seeded with the run seed, and (c) inter-shard messages are delivered in
+// the canonical (time, source shard, send seq) order. The balancer's queue
+// views are snapshotted at window barriers, so routing decisions see peer
+// state at most one wire delay stale — the same information lag a physical
+// front-end has.
 func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, seed int64) *Result {
 	start := time.Now()
 	n := fc.Servers
@@ -79,10 +86,9 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// cross-server latency to exploit.
 	lookahead := fc.InterServerRTT / 2
 
-	// Shard 0 (dispatcher) runs on an engine seeded with the run seed, so
-	// its "arrivals" and "fleet-lb" streams match the single-engine
-	// reference's byte for byte. Server shards get derived seeds — only
-	// their event heaps care; server randomness comes from Streams bundles.
+	// The engine is seeded with the run seed, which the dispatcher's
+	// "arrivals" and "fleet-lb" streams derive from; server randomness comes
+	// from Streams bundles.
 	//
 	// Every cross-shard interaction is a typed message (see msgRoot) that
 	// handle interprets on the destination shard; it reads machines and ctl,
@@ -109,32 +115,15 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			panic(fmt.Sprintf("fleet: unknown message kind %d", m.Kind))
 		}
 	}
-	// Every server gets its own engine, or with ShardWorkers -1 shares the
-	// dispatcher's: the validation reference, where every shard's events
-	// interleave in one heap. Both run the same window loop.
-	net := pdes.NewFabric(lookahead, handle)
-	dispEng := sim.NewEngine(seed)
-	net.AddShard(dispEng)
-	engs := make([]*sim.Engine, n)
-	distinct := []*sim.Engine{dispEng}
-	for s := range engs {
-		engs[s] = dispEng
-		if fc.ShardWorkers >= 0 {
-			engs[s] = sim.NewEngine(sim.DeriveSeed(seed, int64(s)))
-			distinct = append(distinct, engs[s])
-		}
-		net.AddShard(engs[s])
+	eng := sim.NewEngine(seed)
+	net := pdes.NewFabric(eng, lookahead, handle)
+	for range n + 1 {
+		net.AddShard()
 	}
 
 	// Build the servers with machine.Run's harness. Every server draws its
-	// randomness from a seed-derived stream bundle (engine-independent), and
-	// which engine hosts which events is an execution detail here, not
-	// simulation content: the reference's shared engine reports no vitals,
-	// and a shard's own engine reports them under the server's prefix.
-	role := machine.ShardEngine
-	if fc.ShardWorkers < 0 {
-		role = machine.SharedEngine
-	}
+	// randomness from a seed-derived stream bundle (engine-independent). The
+	// engine is shared, so no server reports engine vitals.
 	machines = make([]*machine.Server, n)
 	rngs := make([]*sim.Streams, n)
 	for s := range machines {
@@ -144,7 +133,8 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			// edges to services living elsewhere ship through the fabric.
 			hosted = fc.Graph.HostedOn(s)
 		}
-		machines[s] = machine.NewServer(engs[s], fc.serverConfig(s, cross), rc, hosted, role, s)
+		eng.SetTag(int32(s + 1))
+		machines[s] = machine.NewServer(eng, fc.serverConfig(s, cross), rc, hosted, machine.SharedEngine)
 		rngs[s] = sim.NewStreams(sim.DeriveSeed(seed, int64(s)))
 		machines[s].SetRNG(rngs[s])
 		// Answers to peers' child RPCs and to control-dispatched roots ship
@@ -163,9 +153,9 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// Front-end control loop (retry/backoff, hedging, shedding, autoscaling
 	// — see internal/control). The controller lives on the dispatcher shard;
 	// everything it learns from servers arrives as coupling messages, so its
-	// decisions are bit-identical for every ShardWorkers value.
+	// decisions depend on server state only through them.
 	if fc.controlOn() {
-		ctl = control.New(dispEng, *fc.Control, n, rc.Warmup, seed)
+		ctl = control.New(eng, *fc.Control, n, rc.Warmup, seed)
 		if fc.Control.Sheds() {
 			// Burn-triggered shedding: each server runs a dedicated sampler
 			// whose only rule is the slo.burn budget burn against the control
@@ -181,7 +171,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			}
 			for s := range machines {
 				srv := s
-				eng := engs[s]
+				eng.SetTag(int32(s + 1))
 				shed := telemetry.Start(eng, obs.NewRegistry(), horizon, telemetry.Options{
 					Interval:       fc.Control.ShedWindow,
 					Capacity:       64,
@@ -233,7 +223,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 				// the caller tags its invoke span with it, the peer tags the
 				// served subtree's envelope, and obs.Merge stitches the two
 				// into one tree. Minted in the server's deterministic send
-				// order, so links are identical for every shard-worker count.
+				// order, so links are deterministic.
 				var link uint64
 				if traced {
 					linkSeq++
@@ -253,11 +243,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 
 	// Fabric self-observability: the PDES coupling exports its own counters
 	// through a dedicated metrics registry (um_pdes_* on /metrics) and, when
-	// telemetry is on, a sampler on the dispatcher engine streams them as
+	// telemetry is on, a sampler on the dispatcher shard streams them as
 	// virtual-time series. Instruments update at window barriers from the
 	// fabric's deterministic aggregates (throttled to the telemetry
-	// interval), so everything exported is identical for every ShardWorkers
-	// value including the -1 reference.
+	// interval), so everything exported is deterministic.
 	var fabReg *obs.Registry
 	var fabTele *telemetry.Sampler
 	var updateFabric func()
@@ -286,8 +275,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		if ctl != nil {
 			// Control-loop self-observability rides the same registry and
 			// barrier cadence: counters delta-fed from the controller's
-			// deterministic client-level accounting, so control.* values
-			// are identical for every ShardWorkers value too.
+			// deterministic client-level accounting.
 			retries := fabReg.Counter("control.retries")
 			hedges := fabReg.Counter("control.hedges")
 			shed := fabReg.Counter("control.shed")
@@ -310,7 +298,8 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			topt := *rc.Telemetry
 			topt.NoEngineVitals = true
 			topt.Rules = nil
-			fabTele = telemetry.Start(dispEng, fabReg, horizon, topt)
+			eng.SetTag(0)
+			fabTele = telemetry.Start(eng, fabReg, horizon, topt)
 			fabTick = topt.Interval
 			if fabTick <= 0 {
 				fabTick = sim.Millisecond
@@ -323,8 +312,13 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// server one wire delay later. The balancer's view of server queues is
 	// exact for what the dispatcher itself routed and barrier-snapshotted
 	// for what the servers have answered — i.e. at most one window stale.
+	//
+	// The arrival process is the last setup, and the engine's tag stays 0
+	// from here on: the barrier hook's autoscaler activations are the
+	// dispatcher's events.
+	eng.SetTag(0)
 	bal := fc.balancer()
-	lbRng := dispEng.Rand("fleet-lb")
+	lbRng := eng.Rand("fleet-lb")
 	routed := make([]int, n)
 	responded := make([]uint64, n)
 	view := View{
@@ -344,7 +338,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			},
 			func(s int, token int32) {
 				routed[s]++
-				net.Send(0, s+1, dispEng.Now()+lookahead, pdes.Msg{Kind: msgCtlRoot, Token: token})
+				net.Send(0, s+1, eng.Now()+lookahead, pdes.Msg{Kind: msgCtlRoot, Token: token})
 			},
 		)
 	}
@@ -372,9 +366,9 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	typedRoot := func(root int, demand float64) {
 		s := pickServer(root)
 		routed[s]++
-		net.Send(0, s+1, dispEng.Now()+lookahead, pdes.Msg{Kind: msgTypedRoot, Service: int32(root), Demand: demand})
+		net.Send(0, s+1, eng.Now()+lookahead, pdes.Msg{Kind: msgTypedRoot, Service: int32(root), Demand: demand})
 	}
-	machine.Arrivals(dispEng, rc, totalRPS, func() {
+	machine.Arrivals(eng, rc, totalRPS, func() {
 		switch {
 		case ctl != nil:
 			ctl.AdmitRoot()
@@ -383,7 +377,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		default:
 			s := bal.Pick(lbRng, view)
 			routed[s]++
-			net.Send(0, s+1, dispEng.Now()+lookahead, pdes.Msg{Kind: msgRoot})
+			net.Send(0, s+1, eng.Now()+lookahead, pdes.Msg{Kind: msgRoot})
 		}
 	}, typedRoot)
 
@@ -397,8 +391,8 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			responded[s] = m.RespondedRoots()
 		}
 		if ctl != nil {
-			// Autoscaling evaluates only here: barrier times are identical
-			// across fabric modes, and with every shard quiescent the
+			// Autoscaling evaluates only here: barrier times are a function
+			// of the model alone, and with every shard quiescent the
 			// controller may schedule activation events at >= barrier — the
 			// pdes post-hook membership-change contract (see pdes.Fabric.Run).
 			ctl.AtBarrier(barrier)
@@ -428,14 +422,12 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	for _, m := range machines {
 		out.RemoteServed += m.RemoteServed
 	}
-	for _, e := range distinct {
-		out.EventsProcessed += e.Fired()
-	}
+	out.EventsProcessed = eng.Fired()
 	st := net.Stats()
 	out.Fabric = &st
 	if fabReg != nil && out.Obs != nil {
 		out.Obs.Metrics = obs.CombineSnapshots([]obs.Snapshot{
-			out.Obs.Metrics, fabReg.Snapshot(dispEng.Now()),
+			out.Obs.Metrics, fabReg.Snapshot(eng.Now()),
 		})
 	}
 	if fabTele != nil && out.Telemetry != nil {
@@ -446,7 +438,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		for _, res := range perServer {
 			runs = append(runs, res.Telemetry)
 		}
-		runs = append(runs, fabTele.Finish(dispEng.Now()))
+		runs = append(runs, fabTele.Finish(eng.Now()))
 		out.Telemetry = telemetry.Merge(runs)
 	}
 	out.WallSeconds = time.Since(start).Seconds()

@@ -138,7 +138,7 @@ func Run(cfg Config, rc RunConfig) *Result {
 	eng := enginePool.Get().(*sim.Engine)
 	eng.Reset(rc.Seed)
 	defer enginePool.Put(eng)
-	s := NewServer(eng, cfg, rc, nil, OwnEngine, 0)
+	s := NewServer(eng, cfg, rc, nil, OwnEngine)
 	Arrivals(eng, rc, rc.RPS, s.SubmitRoot, s.SubmitRootAs)
 	eng.RunUntil(rc.Duration + rc.Drain)
 	return s.Finish()

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"umanycore/internal/dist"
 	"umanycore/internal/icn"
 	"umanycore/internal/obs"
@@ -24,14 +22,9 @@ const (
 	// engine-level is its own and is reported.
 	OwnEngine EngineRole = iota
 	// SharedEngine: the engine hosts every server of a fleet (the coupled
-	// fleet's single-engine reference). Nothing engine-level belongs to one
-	// server, so nothing is reported.
+	// fleet). Nothing engine-level belongs to one server, so nothing is
+	// reported.
 	SharedEngine
-	// ShardEngine: the server owns a PDES shard's engine. Its vitals are
-	// sampled under a "server<id>." prefix so a merged fleet timeline keeps
-	// them apart; its event count is an execution detail (the single-engine
-	// reference cannot split it per server) and is not reported.
-	ShardEngine
 )
 
 // Server is one machine with its run instrumentation attached. It is the
@@ -47,9 +40,8 @@ type Server struct {
 // machine hosting exactly the hosted services when hosted is non-nil, a
 // mixed-root machine when rc.Mix is set, and a single-root machine
 // otherwise. It opens the measurement window at rc.Warmup and attaches the
-// observability layer and telemetry sampler rc asks for; id names the
-// server in ShardEngine vitals.
-func NewServer(eng *sim.Engine, cfg Config, rc RunConfig, hosted []int, role EngineRole, id int) *Server {
+// observability layer and telemetry sampler rc asks for.
+func NewServer(eng *sim.Engine, cfg Config, rc RunConfig, hosted []int, role EngineRole) *Server {
 	var m *Machine
 	switch {
 	case hosted != nil:
@@ -78,12 +70,7 @@ func NewServer(eng *sim.Engine, cfg Config, rc RunConfig, hosted []int, role Eng
 			reg = obs.NewRegistry()
 		}
 		topt := *rc.Telemetry
-		switch role {
-		case SharedEngine:
-			topt.NoEngineVitals = true
-		case ShardEngine:
-			topt.VitalsPrefix = fmt.Sprintf("server%d.", id)
-		}
+		topt.NoEngineVitals = role == SharedEngine
 		m.EnableTelemetry(telemetry.Start(eng, reg, rc.Duration+rc.Drain, topt))
 	}
 	if col != nil || reg != nil {

@@ -41,8 +41,8 @@ type StageSpeedups struct {
 	// delay for child RPCs, responses and I/O funnel traffic. The
 	// inter-server RTT legs of a coupled fleet are deliberately NOT scaled:
 	// the PDES coupling's conservative lookahead is InterServerRTT/2, and
-	// keeping those legs intact preserves the byte-identity contract for
-	// every ShardWorkers value.
+	// keeping those legs intact keeps every cross-server message at least
+	// one lookahead after its sender's clock.
 	Net float64
 }
 

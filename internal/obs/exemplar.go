@@ -29,8 +29,7 @@ type Exemplar struct {
 // Exemplars selects the k slowest finished, clean request trees from spans,
 // slowest first. Selection ranks by root span length with request-ID
 // tie-breaks — virtual time only, so on merged fleet traces the choice is
-// bit-identical for every shard-worker count including the single-engine
-// reference. Open or rejected trees are excluded, like Analyze's.
+// bit-identical run to run. Open or rejected trees are excluded, like Analyze's.
 func Exemplars(spans []Span, k int) []Exemplar {
 	if k <= 0 {
 		return nil
@@ -89,7 +88,7 @@ func Exemplars(spans []Span, k int) []Exemplar {
 //
 // Times are virtual microseconds at fixed three-decimal precision, so the
 // bytes are identical across repetitions and worker counts — ci.sh compares
-// the file across shard-worker values.
+// the file across repeated fleet runs.
 func WriteExemplarsJSON(w io.Writer, xs []Exemplar) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"k":`)

@@ -21,32 +21,33 @@
 // makes sparse phases (drain tails, idle gaps) cheap: windows jump straight
 // to the next activity instead of ticking every L.
 //
-// Each shard is placed on a host: one sim.Engine and its mailbox. Shards
-// added with distinct engines get a host each; shards added with the same
-// engine share its host, and their events interleave in its one heap. Every
-// placement runs the same sequential window loop — the fleet gives each
-// server its own engine by default and puts every shard on one shared
-// engine for its validation reference — and produces bit-identical results.
+// Every shard lives on one sim.Engine, and their events interleave in its
+// one heap: windows run one after another, so a window is one peek at the
+// heap and the inbox, one barrier delivery and one RunUntil. Shards share no
+// state except through messages, so each shard sees the same events in the
+// same order as it would on an engine of its own. Per-shard accounting
+// rides on the engine's owner tags: shard i's events carry tag i (the model
+// sets it for setup, delivery sets it for each message, and events
+// scheduled from a callback inherit it), and the engine counts per tag the
+// events fired and the RunUntil calls, one per window, in which any fired.
 //
 // Messages are plain values (Msg: a kind and a few scalar arguments), never
 // closures, and one Handler the model registers at construction interprets
-// them. Send appends a message straight to its destination host's inbox.
-// Barrier delivery moves a host's due messages, in canonical order, to that
-// host's FIFO and schedules one firing per message of a single event bound
-// once per host; each firing pops the FIFO head and calls the handler.
+// them. Send appends a message to the fabric's inbox. Barrier delivery
+// moves the due messages, in canonical order, to a FIFO and schedules one
+// firing per message of a single event bound once; each firing pops the
+// FIFO head and calls the handler.
 // Popping the head is exact because every message delivered at a barrier
 // is due by the window's end, so the window fires all of them, in the order
 // they were scheduled; a barrier that finds the FIFO still holding messages
-// (a shard stopped its engine mid-window) panics. Sending, delivering and
+// (a shard stopped the engine mid-window) panics. Sending, delivering and
 // firing a message therefore allocate nothing once the buffers are warm.
 //
-// Determinism is a hard contract, matching the rest of the repository:
-// results are bit-identical for every placement of shards on engines.
+// Determinism is a hard contract, matching the rest of the repository.
 // Entity randomness comes from sim.Streams bundles, not shared engine
 // streams; message sequence numbers are assigned per sender in send order;
-// and barrier delivery sorts each host's due messages by (time, source
-// shard, sequence), a total order independent of the order they were sent
-// in.
+// and barrier delivery sorts the due messages by (time, source shard,
+// sequence), a total order independent of the order they were sent in.
 package pdes
 
 import (
@@ -63,8 +64,7 @@ const maxTime = sim.Time(math.MaxInt64)
 
 // Stats is the fabric's self-observability: how the conservative-window
 // machinery behaved during Run. Every field is a deterministic function of
-// the model, and the scalar aggregates are identical for every placement
-// of shards on engines.
+// the model.
 type Stats struct {
 	// Shards is the number of shards coupled.
 	Shards int
@@ -74,8 +74,8 @@ type Stats struct {
 	Rounds uint64
 	// MessagesSent counts cross-shard sends.
 	MessagesSent uint64
-	// MessagesDelivered counts messages handed to destination engines at
-	// barriers (== MessagesSent once Run drains the mailboxes).
+	// MessagesDelivered counts messages handed to the engine at
+	// barriers (== MessagesSent once Run drains the inbox).
 	MessagesDelivered uint64
 	// WindowEvents counts engine events fired inside windows.
 	WindowEvents uint64
@@ -83,11 +83,8 @@ type Stats struct {
 	// Rounds and Lookahead it yields the lookahead utilization: how much of
 	// the permitted L each window actually used.
 	AdvanceSum sim.Time
-	// ShardWindows[i] counts windows in which shard i had events to run
-	// (it was "active"); skipped windows cost a shard nothing. Like
-	// ShardEvents it is filled only when every shard has its own engine,
-	// and nil otherwise: shards sharing an engine share one event heap, so
-	// which of them ran is not meaningful.
+	// ShardWindows[i] counts windows in which shard i fired events (it was
+	// "active"). Filled on every run from the engine's owner-tag counts.
 	ShardWindows []uint64
 	// ShardEvents[i] counts events shard i fired inside windows.
 	ShardEvents []uint64
@@ -160,14 +157,14 @@ func canonicalOrder(a, b message) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// host is one engine and its message state: the undelivered inbox and the
-// FIFO of delivered messages waiting to fire, shared by every shard placed
-// on the engine.
-type host struct {
-	eng *sim.Engine
+// Fabric couples shards that share one engine and advances them through
+// conservative windows. Create with NewFabric, add shards, wire the model,
+// then Run.
+type Fabric struct {
+	eng       *sim.Engine
+	lookahead sim.Time
 	// inbox holds messages not yet delivered; inboxMin caches the earliest
-	// timestamp in it (maxTime when empty) so the per-round minimum scan is
-	// O(1) per host.
+	// timestamp in it (maxTime when empty) so each window's minimum is O(1).
 	inbox    []message
 	inboxMin sim.Time
 	// fifo holds the messages delivered at the last barrier that have not
@@ -177,106 +174,10 @@ type host struct {
 	// fire is the engine event every delivered message is scheduled as,
 	// bound once: it pops the FIFO head and hands it to the handler.
 	fire sim.Event
-	// windows and events count the windows this host ran in and the events
-	// it fired inside them.
-	windows, events uint64
-}
-
-// newHost returns an empty host on eng whose firings call h.
-func newHost(eng *sim.Engine, h Handler) *host {
-	b := &host{eng: eng, inboxMin: maxTime}
-	b.fire = func() {
-		msg := b.fifo[b.head]
-		b.head++
-		if b.head == len(b.fifo) {
-			b.fifo = b.fifo[:0]
-			b.head = 0
-		}
-		h(int(msg.src), int(msg.dst), msg.m)
-	}
-	return b
-}
-
-// add puts a sent message in the inbox.
-func (b *host) add(msg message) {
-	b.inbox = append(b.inbox, msg)
-	if msg.at < b.inboxMin {
-		b.inboxMin = msg.at
-	}
-}
-
-// deliver moves every inbox message with at <= limit to the FIFO in
-// canonical order, schedules one firing per message, keeps the rest in the
-// inbox and returns how many it delivered. The engine fires events in (at,
-// scheduling order), so the firings pop the FIFO in the order it was
-// sorted.
-func (b *host) deliver(limit sim.Time) uint64 {
-	kept := b.inbox[:0]
-	b.inboxMin = maxTime
-	for _, msg := range b.inbox {
-		if msg.at <= limit {
-			b.fifo = append(b.fifo, msg)
-		} else {
-			kept = append(kept, msg)
-			b.inboxMin = min(b.inboxMin, msg.at)
-		}
-	}
-	b.inbox = kept
-	slices.SortFunc(b.fifo, canonicalOrder)
-	for i := range b.fifo {
-		b.eng.At(b.fifo[i].at, b.fire)
-	}
-	return uint64(len(b.fifo))
-}
-
-// checkFired is the barrier's guard on the FIFO invariant: every message
-// delivered at a barrier is due by the window's end, so a window that ran
-// to its limit fired all of them and the last firing emptied the FIFO.
-// Messages left over mean the engine stopped early, and the next delivery
-// would pair FIFO entries with the wrong firings.
-func (b *host) checkFired() {
-	if len(b.fifo) != 0 {
-		b.unfired()
-	}
-}
-
-// unfired is checkFired's failure path, kept out of line so the check
-// inlines into the window loop.
-//
-//go:noinline
-func (b *host) unfired() {
-	panic(fmt.Sprintf("pdes: shard %d reached a barrier with %d delivered messages unfired — its engine stopped mid-window",
-		b.fifo[b.head].dst, len(b.fifo)-b.head))
-}
-
-// nextActivity is the earliest thing this host could do: its engine's next
-// event or its earliest undelivered message.
-func (b *host) nextActivity() sim.Time {
-	n := b.inboxMin
-	if at, ok := b.eng.NextEventAt(); ok && at < n {
-		n = at
-	}
-	return n
-}
-
-// shard is one partition of the simulation: the host it is placed on and
-// its send counter.
-type shard struct {
-	host *host
-	// seq numbers this shard's sends, giving same-timestamp messages from
+	// sent[i] numbers shard i's sends, giving same-timestamp messages from
 	// one sender a deterministic relative order (and, as a side effect,
 	// counting them for Stats).
-	seq uint64
-}
-
-// Fabric couples shards placed on one or more engines and advances them
-// through conservative windows. Create with NewFabric, add shards, wire the
-// model, then Run.
-type Fabric struct {
-	lookahead sim.Time
-	handler   Handler
-	hosts     []*host
-	shards    []shard
+	sent []uint64
 	// Self-observability accumulators.
 	rounds       uint64
 	delivered    uint64
@@ -284,27 +185,34 @@ type Fabric struct {
 	advanceSum   sim.Time
 }
 
-// NewFabric returns a fabric with the given lookahead (the minimum
-// cross-shard latency; must be positive). h receives every message on the
-// destination shard's engine.
-func NewFabric(lookahead sim.Time, h Handler) *Fabric {
+// NewFabric returns a fabric on eng with the given lookahead (the minimum
+// cross-shard latency; must be positive). h receives every message, on the
+// destination shard.
+func NewFabric(eng *sim.Engine, lookahead sim.Time, h Handler) *Fabric {
 	if lookahead <= 0 {
 		panic("pdes: lookahead must be positive — zero-latency coupling admits no conservative window")
 	}
-	return &Fabric{lookahead: lookahead, handler: h}
+	f := &Fabric{eng: eng, lookahead: lookahead, inboxMin: maxTime}
+	f.fire = func() {
+		msg := f.fifo[f.head]
+		f.head++
+		if f.head == len(f.fifo) {
+			f.fifo = f.fifo[:0]
+			f.head = 0
+		}
+		h(int(msg.src), int(msg.dst), msg.m)
+	}
+	return f
 }
 
-// AddShard registers the next shard on eng and returns its id. A new engine
-// gets a host of its own; an engine already registered places the shard on
-// that engine's host.
-func (f *Fabric) AddShard(eng *sim.Engine) int {
-	i := slices.IndexFunc(f.hosts, func(b *host) bool { return b.eng == eng })
-	if i < 0 {
-		i = len(f.hosts)
-		f.hosts = append(f.hosts, newHost(eng, f.handler))
-	}
-	f.shards = append(f.shards, shard{host: f.hosts[i]})
-	return len(f.shards) - 1
+// AddShard registers the next shard and returns its id, which is also the
+// owner tag of its events: the fabric counts the engine's events by tag,
+// and the model sets the engine's tag to a shard's id while it schedules
+// that shard's setup events.
+func (f *Fabric) AddShard() int {
+	f.sent = append(f.sent, 0)
+	f.eng.CountTags(len(f.sent))
+	return len(f.sent) - 1
 }
 
 // Stats reports the fabric's self-observability counters accumulated so
@@ -312,68 +220,122 @@ func (f *Fabric) AddShard(eng *sim.Engine) int {
 // the per-shard slices are snapshots (safe to retain).
 func (f *Fabric) Stats() Stats {
 	st := Stats{
-		Shards:            len(f.shards),
+		Shards:            len(f.sent),
 		Lookahead:         f.lookahead,
 		Rounds:            f.rounds,
 		MessagesDelivered: f.delivered,
 		WindowEvents:      f.windowEvents,
 		AdvanceSum:        f.advanceSum,
+		ShardWindows:      make([]uint64, len(f.sent)),
+		ShardEvents:       make([]uint64, len(f.sent)),
 	}
-	for _, s := range f.shards {
-		st.MessagesSent += s.seq
-	}
-	// With one host per shard, host i is shard i's.
-	if len(f.hosts) == len(f.shards) {
-		st.ShardWindows = make([]uint64, len(f.hosts))
-		st.ShardEvents = make([]uint64, len(f.hosts))
-		for i, b := range f.hosts {
-			st.ShardWindows[i] = b.windows
-			st.ShardEvents[i] = b.events
-		}
+	for i, n := range f.sent {
+		st.MessagesSent += n
+		st.ShardEvents[i], st.ShardWindows[i] = f.eng.TagCounts(int32(i))
 	}
 	return st
 }
 
 // Send ships m to shard dst, where the handler receives it at virtual time
 // at. It must be called from code executing on shard src, and at must
-// respect the lookahead: at >= src's current time + Lookahead. Violations
-// panic — they are model bugs that would let a shard receive an event in
-// its past. The message goes straight to dst's host inbox: during a window
-// at is at or after the window's limit, and every host has had its
-// delivery for the window before any host runs.
+// respect the lookahead: at >= now + Lookahead. Violations panic — they are
+// model bugs that would let a shard receive an event in its past. During a
+// window at is at or after the window's limit, so the message waits in the
+// inbox for the next barrier.
 func (f *Fabric) Send(src, dst int, at sim.Time, m Msg) {
-	s := &f.shards[src]
-	if now := s.host.eng.Now(); at < now+f.lookahead {
+	if now := f.eng.Now(); at < now+f.lookahead {
 		panic(fmt.Sprintf("pdes: shard %d sends at %v < now %v + lookahead %v — causality violation",
 			src, at, now, f.lookahead))
 	}
-	f.shards[dst].host.add(message{at: at, seq: s.seq, src: int32(src), dst: int32(dst), m: m})
-	s.seq++
+	if uint(dst) >= uint(len(f.sent)) {
+		panic(fmt.Sprintf("pdes: shard %d sends to unknown shard %d", src, dst))
+	}
+	f.add(message{at: at, seq: f.sent[src], src: int32(src), dst: int32(dst), m: m})
+	f.sent[src]++
 }
 
-// Run drives every shard to horizon in conservative windows, then every
+// add puts a sent message in the inbox.
+func (f *Fabric) add(msg message) {
+	f.inbox = append(f.inbox, msg)
+	f.inboxMin = min(f.inboxMin, msg.at)
+}
+
+// deliver moves every inbox message with at <= limit to the FIFO in
+// canonical order, schedules one firing per message under its destination
+// shard's tag, keeps the rest in the inbox and returns how many it
+// delivered. The engine fires events in (at, scheduling order), so the
+// firings pop the FIFO in the order it was sorted. The engine's tag is the
+// caller's again on return.
+func (f *Fabric) deliver(limit sim.Time) uint64 {
+	kept := f.inbox[:0]
+	f.inboxMin = maxTime
+	for _, msg := range f.inbox {
+		if msg.at <= limit {
+			f.fifo = append(f.fifo, msg)
+		} else {
+			kept = append(kept, msg)
+			f.inboxMin = min(f.inboxMin, msg.at)
+		}
+	}
+	f.inbox = kept
+	slices.SortFunc(f.fifo, canonicalOrder)
+	caller := f.eng.Tag()
+	for i := range f.fifo {
+		f.eng.SetTag(f.fifo[i].dst)
+		f.eng.At(f.fifo[i].at, f.fire)
+	}
+	f.eng.SetTag(caller)
+	return uint64(len(f.fifo))
+}
+
+// checkFired is the barrier's guard on the FIFO invariant: every message
+// delivered at a barrier is due by the window's end, so a window that ran
+// to its limit fired all of them and the last firing emptied the FIFO.
+// Messages left over mean the engine stopped early, and the next delivery
+// would pair FIFO entries with the wrong firings.
+func (f *Fabric) checkFired() {
+	if len(f.fifo) != 0 {
+		f.unfired()
+	}
+}
+
+// unfired is checkFired's failure path, kept out of line so the check
+// inlines into the window loop.
+//
+//go:noinline
+func (f *Fabric) unfired() {
+	panic(fmt.Sprintf("pdes: shard %d reached a barrier with %d delivered messages unfired — the engine stopped mid-window",
+		f.fifo[f.head].dst, len(f.fifo)-f.head))
+}
+
+// nextActivity is the earliest thing any shard could do: the engine's next
+// event or the earliest undelivered message.
+func (f *Fabric) nextActivity() sim.Time {
+	n := f.inboxMin
+	if at, ok := f.eng.NextEventAt(); ok && at < n {
+		n = at
+	}
+	return n
+}
+
+// Run drives every shard to horizon in conservative windows, then the
 // engine clock lands exactly on horizon (like sim.Engine.RunUntil). post,
 // when non-nil, runs after each window with all shards quiescent — the
 // hook for cross-shard state snapshots (e.g. a load balancer's stale queue
 // views).
 //
 // Barrier-safe membership change: because every shard has finished its
-// window when post runs, post may schedule new events on any shard's
-// engine at times >= barrier (eng.At(barrier+d, ...)) without violating the
-// no-event-in-the-past invariant, and barrier times themselves are a
-// deterministic function of the model alone — identical for every
-// placement of shards on engines. This is the mechanism a model uses to
+// window when post runs, post may schedule new events for any shard at
+// times >= barrier (eng.At(barrier+d, ...)) without violating the
+// no-event-in-the-past invariant; they carry the engine's tag as the post
+// hook leaves it, and barrier times themselves are a deterministic
+// function of the model alone. This is the mechanism a model uses to
 // change its own topology mid-run (e.g. an autoscaler activating a cold
 // server): decide at the barrier, take effect at barrier + lag.
 // TestPostHookScheduling pins the contract.
 func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 	for {
-		m := maxTime
-		for _, b := range f.hosts {
-			if n := b.nextActivity(); n < m {
-				m = n
-			}
-		}
+		m := f.nextActivity()
 		if m > horizon {
 			break
 		}
@@ -381,36 +343,22 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		if limit > horizon || limit < m {
 			limit = horizon
 		}
-		// Deliver on every host before any host runs: a message sent during
-		// the window can be due exactly at limit, and it must wait for the
-		// next barrier whichever host it lands on.
-		for _, b := range f.hosts {
-			if b.inboxMin <= limit {
-				f.delivered += b.deliver(limit)
-			}
+		// Deliver before the window runs: a message sent during the window
+		// can be due exactly at limit, and it must wait for the next barrier.
+		if f.inboxMin <= limit {
+			f.delivered += f.deliver(limit)
 		}
-		// Run the hosts with work this window. A host whose next event lies
-		// beyond the window is skipped entirely; its clock catches up when
-		// it next runs.
-		for _, b := range f.hosts {
-			if at, ok := b.eng.NextEventAt(); !ok || at > limit {
-				continue
-			}
-			base := b.eng.Fired()
-			b.eng.RunUntil(limit)
-			b.checkFired()
-			fired := b.eng.Fired() - base
-			f.windowEvents += fired
-			b.events += fired
-			b.windows++
-		}
+		// One RunUntil per window, so the engine's per-tag call counts are
+		// the shards' active windows.
+		base := f.eng.Fired()
+		f.eng.RunUntil(limit)
+		f.checkFired()
+		f.windowEvents += f.eng.Fired() - base
 		f.rounds++
 		f.advanceSum += limit - m
 		if post != nil {
 			post(limit)
 		}
 	}
-	for _, b := range f.hosts {
-		b.eng.RunUntil(horizon)
-	}
+	f.eng.RunUntil(horizon)
 }

@@ -41,12 +41,12 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 		}
 		fire := func(insertion []int) []message {
 			var log []message
-			b := newHost(sim.NewEngine(0), func(_, _ int, m Msg) { log = append(log, msgs[m.Token]) })
+			f, eng := newNet(3, 1, func(_, _ int, m Msg) { log = append(log, msgs[m.Token]) })
 			for _, idx := range insertion {
-				b.add(msgs[idx])
+				f.add(msgs[idx])
 			}
-			b.deliver(maxTime - 1)
-			b.eng.Run()
+			f.deliver(maxTime - 1)
+			eng.Run()
 			return log
 		}
 		identity := make([]int, n)
@@ -72,22 +72,15 @@ func TestMailboxDeliveryTotalOrderUnderPermutation(t *testing.T) {
 
 // --- the typed message path ---------------------------------------------------
 
-// newNet couples n shards with lookahead L and handler h, placing shard i
-// on engine i % engines: engines == n gives every shard its own engine,
-// engines == 1 puts them all on one shared engine. It returns the fabric
-// and each shard's engine.
-func newNet(n, engines int, L sim.Time, seed int64, h Handler) (*Fabric, []*sim.Engine) {
-	f := NewFabric(L, h)
-	engs := make([]*sim.Engine, n)
-	for i := range engs {
-		if i < engines {
-			engs[i] = sim.NewEngine(sim.DeriveSeed(seed, int64(i)))
-		} else {
-			engs[i] = engs[i%engines]
-		}
-		f.AddShard(engs[i])
+// newNet couples n shards with lookahead L and handler h on one engine and
+// returns the fabric and the engine.
+func newNet(n int, L sim.Time, h Handler) (*Fabric, *sim.Engine) {
+	eng := sim.NewEngine(1)
+	f := NewFabric(eng, L, h)
+	for range n {
+		f.AddShard()
 	}
-	return f, engs
+	return f, eng
 }
 
 func TestMessageFits64Bytes(t *testing.T) {
@@ -96,11 +89,11 @@ func TestMessageFits64Bytes(t *testing.T) {
 	}
 }
 
-// TestDeliverAllocationFree drives the whole typed path with per-shard and
-// shared engines — send, barrier delivery and firing through the bound
-// per-host event — and checks that once warm it allocates nothing, fires in
-// the canonical (at, src, seq) order with every payload field intact, and
-// leaves no message behind in any inbox or FIFO.
+// TestDeliverAllocationFree drives the whole typed path — send, barrier
+// delivery and firing through the bound event — and checks that once warm
+// it allocates nothing, fires in the canonical (at, src, seq) order with
+// every payload field intact and under the destination shard's tag, and
+// leaves no message behind in the inbox or the FIFO.
 func TestDeliverAllocationFree(t *testing.T) {
 	const L = 100
 	payload := Msg{Time: 7, Link: 1<<40 | 3, Demand: 1.5, Service: 4, Kind: 2, Flag: true}
@@ -109,93 +102,81 @@ func TestDeliverAllocationFree(t *testing.T) {
 		at       sim.Time
 		m        Msg
 	}
-	for _, engines := range []int{3, 1} {
-		var log []fired
-		var engs []*sim.Engine
-		net, engs := newNet(3, engines, L, 1, func(src, dst int, m Msg) {
-			log = append(log, fired{src, dst, engs[dst].Now(), m})
-		})
-		round := func() {
-			base := engs[0].Now() + L
-			// Sent out of canonical order: a later timestamp first, then
-			// same-timestamp messages from two sources interleaved.
-			p := payload
-			p.Token = 0
-			net.Send(1, 2, base+2, p)
-			net.Send(0, 2, base+1, Msg{Token: 1})
-			net.Send(1, 2, base+1, Msg{Token: 2})
-			net.Send(0, 2, base+1, Msg{Token: 3})
-			net.Send(2, 0, base+1, Msg{Token: 4})
-			net.Run(base+10*L, nil)
+	var log []fired
+	var eng *sim.Engine
+	net, eng := newNet(3, L, func(src, dst int, m Msg) {
+		if eng.Tag() != int32(dst) {
+			t.Errorf("message for shard %d fired under tag %d", dst, eng.Tag())
 		}
-		round()
-		base := sim.Time(L)
+		log = append(log, fired{src, dst, eng.Now(), m})
+	})
+	round := func() {
+		base := eng.Now() + L
+		// Sent out of canonical order: a later timestamp first, then
+		// same-timestamp messages from two sources interleaved.
 		p := payload
 		p.Token = 0
-		// Canonical order per destination engine: (at, src, seq).
-		want := []fired{
-			{0, 2, base + 1, Msg{Token: 1}},
-			{0, 2, base + 1, Msg{Token: 3}},
-			{1, 2, base + 1, Msg{Token: 2}},
-			{2, 0, base + 1, Msg{Token: 4}},
-			{1, 2, base + 2, p},
-		}
-		if engines > 1 {
-			// Each shard fires on its own engine, and the window runs shard
-			// 0 before shard 2.
-			want = []fired{want[3], want[0], want[1], want[2], want[4]}
-		}
-		if !reflect.DeepEqual(log, want) {
-			t.Fatalf("engines=%d: fired %+v\nwant %+v", engines, log, want)
-		}
-		log = make([]fired, 0, 1024)
-		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-			t.Fatalf("engines=%d: the typed message path allocates %v/op", engines, allocs)
-		}
-		if len(log) != 5*51 {
-			t.Fatalf("engines=%d: fired %d messages, want %d", engines, len(log), 5*51)
-		}
-		for i, b := range net.hosts {
-			if len(b.inbox) != 0 || len(b.fifo) != 0 || b.head != 0 {
-				t.Fatalf("engines=%d: host %d holds %d undelivered and %d unfired messages after the run",
-					engines, i, len(b.inbox), len(b.fifo)-b.head)
-			}
-		}
+		net.Send(1, 2, base+2, p)
+		net.Send(0, 2, base+1, Msg{Token: 1})
+		net.Send(1, 2, base+1, Msg{Token: 2})
+		net.Send(0, 2, base+1, Msg{Token: 3})
+		net.Send(2, 0, base+1, Msg{Token: 4})
+		net.Run(base+10*L, nil)
+	}
+	round()
+	base := sim.Time(L)
+	p := payload
+	p.Token = 0
+	want := []fired{
+		{0, 2, base + 1, Msg{Token: 1}},
+		{0, 2, base + 1, Msg{Token: 3}},
+		{1, 2, base + 1, Msg{Token: 2}},
+		{2, 0, base + 1, Msg{Token: 4}},
+		{1, 2, base + 2, p},
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fired %+v\nwant %+v", log, want)
+	}
+	log = make([]fired, 0, 1024)
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("the typed message path allocates %v/op", allocs)
+	}
+	if len(log) != 5*51 {
+		t.Fatalf("fired %d messages, want %d", len(log), 5*51)
+	}
+	if len(net.inbox) != 0 || len(net.fifo) != 0 || net.head != 0 {
+		t.Fatalf("%d undelivered and %d unfired messages after the run", len(net.inbox), len(net.fifo)-net.head)
 	}
 }
 
-// TestStoppedWindowPanics: a shard that stops its engine while delivered
+// TestStoppedWindowPanics: a shard that stops the engine while delivered
 // messages are still waiting to fire breaks the FIFO invariant, and the
 // barrier must say so rather than pair later firings with the wrong
 // messages.
 func TestStoppedWindowPanics(t *testing.T) {
 	const L = 100
-	for _, engines := range []int{2, 1} {
-		func() {
-			var engs []*sim.Engine
-			net, engs := newNet(2, engines, L, 1, func(_, dst int, _ Msg) { engs[dst].Stop() })
-			net.Send(0, 1, L+1, Msg{})
-			net.Send(0, 1, L+2, Msg{})
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("engines=%d: a window that left delivered messages unfired did not panic", engines)
-				}
-				if !strings.Contains(fmt.Sprint(r), "unfired") {
-					t.Fatalf("engines=%d: unexpected panic %v", engines, r)
-				}
-			}()
-			net.Run(10*L, nil)
-		}()
-	}
+	var eng *sim.Engine
+	net, eng := newNet(2, L, func(_, _ int, _ Msg) { eng.Stop() })
+	net.Send(0, 1, L+1, Msg{})
+	net.Send(0, 1, L+2, Msg{})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a window that left delivered messages unfired did not panic")
+		}
+		if !strings.Contains(fmt.Sprint(r), "unfired") {
+			t.Fatalf("unexpected panic %v", r)
+		}
+	}()
+	net.Run(10*L, nil)
 }
 
 // --- causality and construction guards --------------------------------------
 
-// TestSendBelowLookaheadPanics: the causality guard holds when the sender
-// and the destination each have an engine of their own.
+// TestSendBelowLookaheadPanics: the causality guard refuses a message
+// timestamped less than one lookahead after the engine's clock.
 func TestSendBelowLookaheadPanics(t *testing.T) {
-	f, _ := newNet(2, 2, 100, 1, nil)
+	f, _ := newNet(2, 100, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below now+lookahead did not panic")
@@ -204,25 +185,13 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	f.Send(0, 1, 99, Msg{})
 }
 
-// TestSingleEngineSendBelowLookaheadPanics: the same guard holds when every
-// shard shares one engine, the placement a single-threaded fleet uses.
-func TestSingleEngineSendBelowLookaheadPanics(t *testing.T) {
-	f, _ := newNet(2, 1, 100, 1, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send below now+lookahead did not panic")
-		}
-	}()
-	f.Send(0, 1, 50, Msg{})
-}
-
 func TestZeroLookaheadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero lookahead did not panic")
 		}
 	}()
-	NewFabric(0, nil)
+	NewFabric(sim.NewEngine(1), 0, nil)
 }
 
 // --- adaptive windows --------------------------------------------------------
@@ -231,15 +200,11 @@ func TestZeroLookaheadPanics(t *testing.T) {
 // lookahead, a fixed-width scheme would need ~10^6 windows; the adaptive
 // bound must take one window per activity cluster instead.
 func TestWindowsJumpSparsePhases(t *testing.T) {
-	f := NewFabric(sim.Nanosecond, nil)
-	e0 := sim.NewEngine(1)
-	e1 := sim.NewEngine(2)
-	f.AddShard(e0)
-	f.AddShard(e1)
+	f, eng := newNet(2, sim.Nanosecond, nil)
 	ticks := 0
 	for i := 1; i <= 10; i++ {
 		at := sim.Time(i) * sim.Millisecond
-		e0.At(at, func() { ticks++ })
+		eng.At(at, func() { ticks++ })
 	}
 	f.Run(20*sim.Millisecond, nil)
 	if ticks != 10 {
@@ -248,17 +213,19 @@ func TestWindowsJumpSparsePhases(t *testing.T) {
 	if r := f.Stats().Rounds; r > 25 {
 		t.Fatalf("rounds = %d; adaptive windows should jump sparse gaps", r)
 	}
-	if e0.Now() != 20*sim.Millisecond || e1.Now() != 20*sim.Millisecond {
-		t.Fatalf("engines did not land on horizon: %v, %v", e0.Now(), e1.Now())
+	if eng.Now() != 20*sim.Millisecond {
+		t.Fatalf("engine did not land on horizon: %v", eng.Now())
 	}
 }
 
-// --- cross-mode / cross-worker equivalence -----------------------------------
+// --- the toy coupled model ---------------------------------------------------
 //
 // A toy coupled model exercising everything the fleet needs: per-node
 // Streams randomness, self-scheduled local events, random cross-shard
 // messages at random lookahead-respecting offsets, and an order-sensitive
-// state hash that detects any delivery reordering.
+// state hash that detects any delivery reordering. Each node also keeps
+// its own count of the events it ran and the windows it ran them in, the
+// ground truth for the fabric's per-shard statistics.
 
 type toyNode struct {
 	id  int
@@ -267,10 +234,15 @@ type toyNode struct {
 	rng *sim.Streams
 	net *Fabric
 	L   sim.Time
+	// window points at the number of windows finished so far.
+	window *uint64
 
-	hash uint64
-	recv int
-	sent int
+	hash    uint64
+	recv    int
+	sent    int
+	events  uint64
+	windows uint64
+	last    uint64 // 1 + the window the node last ran an event in
 }
 
 func mixHash(h, v uint64) uint64 {
@@ -279,7 +251,17 @@ func mixHash(h, v uint64) uint64 {
 	return h
 }
 
+// ran records one event of this node.
+func (nd *toyNode) ran() {
+	nd.events++
+	if nd.last != *nd.window+1 {
+		nd.last = *nd.window + 1
+		nd.windows++
+	}
+}
+
 func (nd *toyNode) step(activeUntil sim.Time) {
+	nd.ran()
 	now := nd.eng.Now()
 	nd.hash = mixHash(nd.hash, uint64(now))
 	if nd.n > 1 && nd.rng.Rand("send").Float64() < 0.5 {
@@ -299,48 +281,53 @@ func (nd *toyNode) step(activeUntil sim.Time) {
 }
 
 func (nd *toyNode) receive(src int) {
+	nd.ran()
 	nd.recv++
 	nd.hash = mixHash(nd.hash, uint64(nd.eng.Now())*31+uint64(src))
 }
 
 type toyState struct {
-	Hash       uint64
-	Recv, Sent int
-	Now        sim.Time
+	Hash            uint64
+	Recv, Sent      int
+	Events, Windows uint64
 }
 
-// newToy couples n toy nodes with lookahead L (see newNet for engines) and
-// starts each one stepping until activeUntil. The handler delivers every
-// message to its destination node.
-func newToy(n, engines int, L sim.Time, seed int64, activeUntil sim.Time) (*Fabric, []*sim.Engine, []*toyNode) {
+// newToy couples n toy nodes with lookahead L on one engine and starts
+// each one stepping, under its own tag, until activeUntil. The handler
+// delivers every message to its destination node. window is the count of
+// finished windows the nodes read; the caller's post hook advances it.
+func newToy(n int, L sim.Time, seed int64, activeUntil sim.Time, window *uint64) (*Fabric, *sim.Engine, []*toyNode) {
 	nodes := make([]*toyNode, n)
-	net, engs := newNet(n, engines, L, seed, func(src, dst int, _ Msg) { nodes[dst].receive(src) })
+	net, eng := newNet(n, L, func(src, dst int, _ Msg) { nodes[dst].receive(src) })
 	for i := range nodes {
-		nd := &toyNode{id: i, n: n, eng: engs[i], net: net, L: L, rng: sim.NewStreams(sim.DeriveSeed(seed, int64(i)))}
+		nd := &toyNode{id: i, n: n, eng: eng, net: net, L: L, window: window, rng: sim.NewStreams(sim.DeriveSeed(seed, int64(i)))}
 		nodes[i] = nd
-		nd.eng.At(sim.Time(1+i), func() { nd.step(activeUntil) })
+		eng.SetTag(int32(i))
+		eng.At(sim.Time(1+i), func() { nd.step(activeUntil) })
 	}
-	return net, engs, nodes
+	return net, eng, nodes
 }
 
-// runToy drives n coupled nodes, placed on the given number of engines, to
-// horizon and returns every node's state and the fabric's statistics.
-func runToy(t *testing.T, n, engines int, seed int64) ([]toyState, Stats) {
+// runToy drives n coupled nodes to horizon and returns every node's state
+// and the fabric's statistics.
+func runToy(t *testing.T, n int, seed int64) ([]toyState, Stats) {
 	t.Helper()
 	const L = 500 * sim.Nanosecond
-	net, _, nodes := newToy(n, engines, L, seed, 40*sim.Microsecond)
-	net.Run(60*sim.Microsecond, nil)
+	var window uint64
+	net, _, nodes := newToy(n, L, seed, 40*sim.Microsecond, &window)
+	net.Run(60*sim.Microsecond, func(sim.Time) { window++ })
 	out := make([]toyState, n)
 	for i, nd := range nodes {
-		out[i] = toyState{Hash: nd.hash, Recv: nd.recv, Sent: nd.sent, Now: nd.eng.Now()}
+		out[i] = toyState{Hash: nd.hash, Recv: nd.recv, Sent: nd.sent, Events: nd.events, Windows: nd.windows}
 	}
 	return out, net.Stats()
 }
 
-// TestFabricWorkerInvariance: a repeat run reproduces the first exactly.
+// TestFabricWorkerInvariance: a repeat run reproduces the first exactly,
+// node states and fabric statistics alike.
 func TestFabricWorkerInvariance(t *testing.T) {
 	const n, seed = 6, 42
-	want, _ := runToy(t, n, n, seed)
+	want, wantSt := runToy(t, n, seed)
 	sent := 0
 	for _, s := range want {
 		sent += s.Sent
@@ -348,86 +335,95 @@ func TestFabricWorkerInvariance(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("toy model sent no cross-shard messages; test is vacuous")
 	}
-	if got, _ := runToy(t, n, n, seed); !reflect.DeepEqual(want, got) {
+	if got, st := runToy(t, n, seed); !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantSt, st) {
 		t.Fatal("repeat run diverged — fabric is not deterministic")
 	}
 }
 
-// TestFabricMatchesSingleEngineReference byte-compares placements: every
-// shard on its own engine and mixed groupings against every shard on one
-// shared engine, the reference. The scalar statistics must agree too; the
-// per-shard slices exist only with one engine per shard.
-func TestFabricMatchesSingleEngineReference(t *testing.T) {
-	for _, tc := range []struct{ n, engines int }{{2, 2}, {3, 3}, {6, 6}, {6, 2}, {6, 3}} {
-		want, refSt := runToy(t, tc.n, 1, 99)
-		got, st := runToy(t, tc.n, tc.engines, 99)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%d shards on %d engines diverged from the single-engine reference:\nref %+v\ngot %+v", tc.n, tc.engines, want, got)
+// TestFabricShardCountsMatchShardActivity checks the per-shard statistics
+// the engine's owner tags produce against each toy node's own count of the
+// events it ran (its steps, including the tagged setup event, and its
+// message firings) and of the windows it ran them in.
+func TestFabricShardCountsMatchShardActivity(t *testing.T) {
+	for _, n := range []int{2, 3, 6} {
+		nodes, st := runToy(t, n, 99)
+		if len(st.ShardEvents) != n || len(st.ShardWindows) != n {
+			t.Fatalf("%d shards: per-shard slices %v/%v", n, st.ShardWindows, st.ShardEvents)
 		}
-		if refSt.ShardWindows != nil || refSt.ShardEvents != nil {
-			t.Fatalf("shared engine reports per-shard slices: %+v", refSt)
+		var sum uint64
+		for i, nd := range nodes {
+			if st.ShardEvents[i] != nd.Events || st.ShardWindows[i] != nd.Windows {
+				t.Fatalf("%d shards: shard %d counted %d events in %d windows, ran %d in %d",
+					n, i, st.ShardEvents[i], st.ShardWindows[i], nd.Events, nd.Windows)
+			}
+			if nd.Windows == st.Rounds {
+				t.Fatalf("%d shards: shard %d ran in every window; the window count is not tested", n, i)
+			}
+			sum += nd.Events
 		}
-		perShard := tc.engines == tc.n
-		if (st.ShardEvents != nil) != perShard || (st.ShardWindows != nil) != perShard {
-			t.Fatalf("%d shards on %d engines: per-shard slices %v/%v, want them only with one engine per shard",
-				tc.n, tc.engines, st.ShardWindows, st.ShardEvents)
-		}
-		st.ShardWindows, st.ShardEvents = nil, nil
-		if !reflect.DeepEqual(st, refSt) {
-			t.Fatalf("%d shards on %d engines: statistics diverged:\nref %+v\ngot %+v", tc.n, tc.engines, refSt, st)
+		if sum != st.WindowEvents {
+			t.Fatalf("%d shards: nodes ran %d events, fabric counted %d", n, sum, st.WindowEvents)
 		}
 	}
 }
 
 // TestPostHookScheduling pins the barrier-safe membership-change contract
-// documented on Fabric.Run: the post hook may schedule events on any
-// shard's engine at times >= barrier, those events fire exactly when
-// scheduled, and because barrier times do not depend on placement the
-// resulting activation schedule is identical for per-shard, mixed and
-// shared engines. This is the mechanism the fleet autoscaler uses to
-// activate cold servers.
+// documented on Fabric.Run: the post hook may schedule events for any
+// shard at times >= barrier, under the tag it sets, and those events fire
+// exactly when scheduled, under that tag. This is the mechanism the fleet
+// autoscaler uses to activate cold servers.
 func TestPostHookScheduling(t *testing.T) {
 	const L = 500 * sim.Nanosecond
 	const lag = 3 * L
 	type fired struct {
 		Barrier sim.Time
 		At      sim.Time
+		Tag     int32
 	}
-	run := func(engines int) []fired {
+	run := func() []fired {
 		// The toy model's background traffic drives the barriers with real
 		// cross-shard activity, not a synthetic tick.
 		const n = 4
-		net, engs, _ := newToy(n, engines, L, 7, 30*sim.Microsecond)
+		var window uint64
+		net, eng, _ := newToy(n, L, 7, 30*sim.Microsecond, &window)
 		var log []fired
 		var next sim.Time
 		net.Run(40*sim.Microsecond, func(barrier sim.Time) {
+			window++
 			if barrier < next {
 				return
 			}
 			next = barrier + 10*L
 			// Membership change: decide at the barrier, take effect lag later
 			// on a shard chosen deterministically from the barrier time.
-			target := engs[int(barrier/L)%n]
+			target := int32(barrier/L) % n
 			b := barrier
-			target.At(barrier+lag, func() {
-				log = append(log, fired{Barrier: b, At: target.Now()})
+			eng.SetTag(target)
+			eng.At(barrier+lag, func() {
+				log = append(log, fired{Barrier: b, At: eng.Now(), Tag: eng.Tag()})
 			})
 		})
 		return log
 	}
-	want := run(1)
+	want := run()
 	if len(want) == 0 {
 		t.Fatal("post hook never scheduled; test is vacuous")
 	}
+	tags := map[int32]bool{}
 	for _, f := range want {
 		if f.At != f.Barrier+lag {
 			t.Fatalf("event scheduled at barrier %v fired at %v, want %v", f.Barrier, f.At, f.Barrier+lag)
 		}
-	}
-	for _, engines := range []int{2, 4} {
-		if got := run(engines); !reflect.DeepEqual(want, got) {
-			t.Fatalf("engines=%d activation schedule diverged from reference:\nref %+v\ngot %+v", engines, want, got)
+		if f.Tag != int32(f.Barrier/L)%4 {
+			t.Fatalf("event scheduled at barrier %v for shard %d fired under tag %d", f.Barrier, int32(f.Barrier/L)%4, f.Tag)
 		}
+		tags[f.Tag] = true
+	}
+	if len(tags) < 2 {
+		t.Fatalf("every activation went to one shard (%v); the tag check is vacuous", tags)
+	}
+	if got := run(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("activation schedule diverged on a repeat run:\nref %+v\ngot %+v", want, got)
 	}
 }
 
@@ -436,34 +432,32 @@ func TestPostHookScheduling(t *testing.T) {
 // and asserts that every one fires at exactly its timestamp — the "no shard
 // receives an event in its past" guarantee. Every hop is sent at now+L,
 // exactly the limit of the window it is sent in, so it must wait for the
-// next barrier: one window per hop on separate engines as on a shared one.
+// next barrier: one window per hop.
 func TestMessagesNeverInPast(t *testing.T) {
 	const L = 500 * sim.Nanosecond
-	for _, engines := range []int{2, 1} {
-		checked := 0
-		var engs []*sim.Engine
-		var net *Fabric
-		ping := func(src int, count int32) {
-			if count == 0 {
-				return
-			}
-			at := engs[src].Now() + L
-			net.Send(src, 1-src, at, Msg{Time: at, Token: count})
+	checked := 0
+	var eng *sim.Engine
+	var net *Fabric
+	ping := func(src int, count int32) {
+		if count == 0 {
+			return
 		}
-		net, engs = newNet(2, engines, L, 1, func(_, dst int, m Msg) {
-			if engs[dst].Now() != m.Time {
-				t.Errorf("engines=%d: message for %v delivered at %v", engines, m.Time, engs[dst].Now())
-			}
-			checked++
-			ping(dst, m.Token-1)
-		})
-		engs[0].At(1, func() { ping(0, 50) })
-		net.Run(sim.Millisecond, nil)
-		if checked != 50 {
-			t.Fatalf("engines=%d: delivered %d of 50 messages", engines, checked)
+		at := eng.Now() + L
+		net.Send(src, 1-src, at, Msg{Time: at, Token: count})
+	}
+	net, eng = newNet(2, L, func(_, dst int, m Msg) {
+		if eng.Now() != m.Time {
+			t.Errorf("message for %v delivered at %v", m.Time, eng.Now())
 		}
-		if r := net.Stats().Rounds; r != 51 {
-			t.Fatalf("engines=%d: %d windows, want 51 (the first event, then one per hop)", engines, r)
-		}
+		checked++
+		ping(dst, m.Token-1)
+	})
+	eng.At(1, func() { ping(0, 50) })
+	net.Run(sim.Millisecond, nil)
+	if checked != 50 {
+		t.Fatalf("delivered %d of 50 messages", checked)
+	}
+	if r := net.Stats().Rounds; r != 51 {
+		t.Fatalf("%d windows, want 51 (the first event, then one per hop)", r)
 	}
 }

@@ -7,10 +7,14 @@
 // must produce bit-identical results — so ties between events at the same
 // timestamp are broken by a monotonically increasing sequence number, and
 // all randomness is drawn from streams derived from the engine seed plus a
-// stream name. The heap orders events with one branch-free compare of
-// (time, sequence) as a 128-bit unsigned number, valid because event times
-// are never negative, and picks the smallest of four children by a
-// tournament of such compares.
+// stream name. Every event carries an owner tag, an int32 that the caller
+// sets outside callbacks; while the engine counts tags, events scheduled
+// from a callback inherit the firing event's, and the engine counts per tag
+// the events fired and the RunUntil calls they fired in, so models that put
+// several owners on one engine still account each owner's work. The heap
+// orders events with one branch-free compare of (time, sequence) as a
+// 128-bit unsigned number, valid because event times are never negative, and
+// picks the smallest of four children by a tournament of such compares.
 package sim
 
 import (
@@ -94,13 +98,15 @@ func lt(a, b entry) int {
 	return int(borrow)
 }
 
-// node is a slab slot: the callback of one scheduled event and the slot's
-// generation. The generation is bumped every time the slot is recycled, which
-// kills the slot's heap entry and every Handle to it in one write, so a stale
-// Handle or entry cannot touch a later event that reuses the slot.
+// node is a slab slot: the callback of one scheduled event, the slot's
+// generation and the event's owner tag. The generation is bumped every time
+// the slot is recycled, which kills the slot's heap entry and every Handle to
+// it in one write, so a stale Handle or entry cannot touch a later event that
+// reuses the slot. The tag fills what would otherwise be padding.
 type node struct {
 	fn  Event
 	gen uint32
+	tag int32
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
@@ -140,6 +146,9 @@ type Handle struct {
 //
 // Generations are uint32: a dead entry would come back to life only if its
 // slot were recycled 2^32 times while the entry was still in the heap.
+//
+// Owner tags cost an engine that does not count them one store in At (the
+// tag into the slot) and one predictable nil check per fired event.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -156,6 +165,20 @@ type Engine struct {
 	// the obs layer's "sim.heap.peak" instrument. Tracking it is one
 	// predictable branch per schedule, cheap enough to stay always-on.
 	maxPending int
+	// tag is the owner tag At gives new events: the one SetTag set, or
+	// while counting the firing event's inside a callback.
+	tag int32
+	// counts holds one tagCount per tag once CountTags turned counting on,
+	// and is nil otherwise. call numbers RunUntil calls, so a tag's count
+	// knows whether it already fired in the current one.
+	counts []tagCount
+	call   uint64
+}
+
+// tagCount is the accounting of one owner tag: the events it fired, the
+// RunUntil calls in which it fired any, and the last such call.
+type tagCount struct {
+	events, calls, last uint64
 }
 
 // NewEngine returns an engine whose random streams all derive from seed.
@@ -195,6 +218,9 @@ func (e *Engine) Reset(seed int64) {
 	e.fired = 0
 	e.stopped = false
 	e.maxPending = 0
+	e.tag = 0
+	e.counts = nil // a reused engine never carries its last user's counting
+	e.call = 0
 	e.seed = seed
 	for name, r := range e.streams {
 		r.Seed(seed ^ streamHash(name))
@@ -327,6 +353,7 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	id := e.alloc()
 	n := &e.nodes[id]
 	n.fn = fn
+	n.tag = e.tag
 	x := entry{at: t, seq: e.seq, id: id, gen: n.gen}
 	e.seq++
 	if i := e.hold; i >= 0 {
@@ -373,6 +400,50 @@ func (e *Engine) Cancel(h Handle) bool {
 	return true
 }
 
+// SetTag sets the owner tag that events scheduled from outside callbacks
+// (model setup, code between RunUntil calls) carry. While the engine counts
+// tags (CountTags), the tag inside a callback is the firing event's, so
+// everything a callback schedules inherits it, and RunUntil restores the
+// caller's on return. Without counting, every event carries the tag last
+// set here.
+func (e *Engine) SetTag(tag int32) { e.tag = tag }
+
+// Tag returns the owner tag At currently gives new events.
+func (e *Engine) Tag() int32 { return e.tag }
+
+// CountTags turns on per-tag accounting for tags 0..n-1, keeping the counts
+// already taken. From then on RunUntil runs each event under its own tag
+// and counts, for each tag, the events it fires and the calls in which it
+// fires at least one (TagCounts reads both). Firing an event whose tag is
+// outside 0..n-1 panics. Reset turns counting off.
+func (e *Engine) CountTags(n int) {
+	if n > len(e.counts) {
+		e.counts = append(e.counts, make([]tagCount, n-len(e.counts))...)
+	}
+}
+
+// TagCounts returns the number of events with the given tag fired since
+// CountTags turned counting on, and the number of RunUntil calls in which
+// at least one of them fired. Both are 0 for a tag that is not counted.
+func (e *Engine) TagCounts(tag int32) (events, calls uint64) {
+	if tag < 0 || int(tag) >= len(e.counts) {
+		return 0, 0
+	}
+	c := e.counts[tag]
+	return c.events, c.calls
+}
+
+// count makes tag the firing event's and records the event.
+func (e *Engine) count(tag int32) {
+	e.tag = tag
+	c := &e.counts[tag]
+	c.events++
+	if c.last != e.call {
+		c.last = e.call
+		c.calls++
+	}
+}
+
 // Stop makes Run / RunUntil return after the currently executing event.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -383,9 +454,12 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline (if it advanced that far). Events scheduled beyond deadline
-// remain pending.
+// remain pending. While tags are counted each event runs under its own
+// owner tag; the caller's tag is restored on return.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
+	caller := e.tag
+	e.call++
 	for {
 		if e.hold >= 0 {
 			e.release() // the last callback scheduled nothing
@@ -400,6 +474,9 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now = next.at
 		e.fired++
 		fn := e.nodes[next.id].fn
+		if e.counts != nil {
+			e.count(e.nodes[next.id].tag)
+		}
 		// Recycle before firing, so fn's follow-up (arrival loops, timer
 		// chains) reuses this slot at once. Then promote the root's smaller
 		// child into the root and hold the child's slot, with the dead
@@ -429,6 +506,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		fn()
 	}
+	e.tag = caller
 	if !e.stopped && e.now < deadline && deadline < Time(1<<62) {
 		e.now = deadline
 	}
@@ -469,9 +547,9 @@ func streamHash(name string) int64 {
 // Streams is an engine-independent bundle of named deterministic random
 // streams, derived from a seed exactly like Engine.Rand derives them from
 // the engine seed. A simulation entity that owns a Streams draws the same
-// sequences no matter which engine hosts its events — the property that
-// lets a sharded (one-engine-per-server) fleet and a single-engine
-// reference execution stay bit-identical.
+// sequences no matter which engine hosts its events or what else runs on
+// it — the property that lets the coupled fleet's servers share one engine
+// without drawing from each other's streams.
 type Streams struct {
 	seed    int64
 	streams map[string]*rand.Rand

@@ -39,11 +39,8 @@ type Sampler struct {
 	integrals map[string]float64 // per-TimeHist cumulative integral at the last tick
 	finished  bool
 	// noEngineVitals mirrors Options.NoEngineVitals (samplers sharing one
-	// engine record its vitals once). vitalsEvents / vitalsPending are the
-	// prefixed series names, precomputed so ticks never concatenate strings.
+	// engine record its vitals once).
 	noEngineVitals bool
-	vitalsEvents   string
-	vitalsPending  string
 }
 
 // reader snapshots one instrument into the timeline.
@@ -69,8 +66,6 @@ func Start(eng *sim.Engine, reg *obs.Registry, horizon sim.Time, opts Options) *
 		win:            stats.NewSketch(o.SketchAlpha),
 		integrals:      make(map[string]float64),
 		noEngineVitals: o.NoEngineVitals,
-		vitalsEvents:   o.VitalsPrefix + "sim.events",
-		vitalsPending:  o.VitalsPrefix + "sim.pending",
 	}
 	var tick func()
 	tick = func() {
@@ -147,8 +142,8 @@ func (s *Sampler) sample(now sim.Time) {
 	// Engine vitals: cumulative fired events and the pending-event level —
 	// the live view of sim.events / sim.heap.peak.
 	if !s.noEngineVitals {
-		s.tl.Push(s.vitalsEvents, obs.KindCounter, now, float64(s.eng.Fired()))
-		s.tl.Push(s.vitalsPending, obs.KindGauge, now, float64(s.eng.Pending()))
+		s.tl.Push("sim.events", obs.KindCounter, now, float64(s.eng.Fired()))
+		s.tl.Push("sim.pending", obs.KindGauge, now, float64(s.eng.Pending()))
 	}
 
 	// Latency window summary. Counts sum across servers; quantiles merge

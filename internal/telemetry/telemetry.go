@@ -50,16 +50,9 @@ type Options struct {
 	// none; see DefaultRules).
 	Rules []Rule
 	// NoEngineVitals suppresses the sim.events / sim.pending series. Set it
-	// on all but one sampler when several samplers share one engine (the
-	// single-engine reference fleet runs one per server on a shared engine),
-	// so the merged engine series counts the engine once instead of once per
-	// server.
+	// when several samplers share one engine (the coupled fleet runs one per
+	// server on its one engine): the engine belongs to none of them.
 	NoEngineVitals bool
-	// VitalsPrefix namespaces the engine-vitals series names (e.g.
-	// "server3." yields "server3.sim.events" / "server3.sim.pending"). The
-	// sharded fleet sets it per server so each private engine's vitals stay
-	// distinguishable after the merge. Ignored when NoEngineVitals is set.
-	VitalsPrefix string
 	// OnAlert, when set, subscribes to the watchdog's fire/resolve edges:
 	// it is invoked synchronously inside the sampler tick that detected the
 	// transition (virtual time, after the alert is recorded), so consumers

