@@ -21,9 +21,6 @@ import (
 // simulator the diff is exactly zero; any drift is a real model change,
 // and the threshold only decides how much of one is tolerated.
 func diffBaseline(path string, rows any, thresholdPct float64, warnOnly bool) error {
-	if rows == nil {
-		return fmt.Errorf("-baseline needs a row-producing figure (e2e, lb, scale, whatif) in -figures")
-	}
 	baseRaw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("-baseline: %w", err)

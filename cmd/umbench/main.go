@@ -17,6 +17,8 @@
 // checked-in baseline JSON (e.g. BENCH_lb_baseline.json), prints per-metric
 // Δ%, appends a trajectory point to FILE.trajectory.jsonl, and exits
 // nonzero when any |Δ| exceeds -baseline-threshold (unless -baseline-warn).
+// -figures must then select exactly one row-producing figure (e2e, lb,
+// graph, scale, control or whatif); anything else exits 2 before simulating.
 //
 // -cache DIR keeps a content-addressed store of finished sweep cells, so an
 // interrupted or re-run regeneration only simulates cells whose inputs
@@ -60,7 +62,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep workers (<=0: all cores); results are identical for any value")
 	figures := flag.String("figures", "all", "comma-separated figure list (1..9, e2e, 15, 18, 19, 20, 68, power, lb, graph, scale, control, whatif)")
-	baseline := flag.String("baseline", "", "diff this run's figure rows against a checked-in baseline JSON FILE and exit nonzero past -baseline-threshold")
+	baseline := flag.String("baseline", "", "diff the rows of the one row-producing figure in -figures against a checked-in baseline JSON FILE and exit nonzero past -baseline-threshold")
 	baselineThreshold := flag.Float64("baseline-threshold", 5, "max |delta| percent tolerated by -baseline before failing")
 	baselineWarn := flag.Bool("baseline-warn", false, "report -baseline drift without failing (warn-only)")
 	serve := flag.String("serve", "", "serve live /metrics, /healthz, /progress (sweep cells done + ETA) and pprof on this address during the regeneration (e.g. :9090)")
@@ -151,6 +153,23 @@ func main() {
 		}
 	}
 
+	// -baseline diffs one figure's rows against one file, so it needs
+	// exactly one row-producing figure; refuse anything else before
+	// simulating.
+	if *baseline != "" {
+		var picked []string
+		for _, f := range rowFigures {
+			if want[f] {
+				picked = append(picked, f)
+			}
+		}
+		if len(picked) != 1 {
+			fmt.Fprintf(os.Stderr, "umbench: -baseline needs exactly one row-producing figure (one of %s) in -figures; got %d %v\n",
+				strings.Join(rowFigures, ", "), len(picked), picked)
+			exit(2)
+		}
+	}
+
 	runners := []struct {
 		key string
 		fn  func()
@@ -220,11 +239,7 @@ func main() {
 	}
 
 	if *baseline != "" {
-		var rows any
-		if len(captured) > 0 {
-			rows = captured[len(captured)-1].rows
-		}
-		if err := diffBaseline(*baseline, rows, *baselineThreshold, *baselineWarn); err != nil {
+		if err := diffBaseline(*baseline, captured[0].rows, *baselineThreshold, *baselineWarn); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
 			exit(1)
 		}
@@ -263,8 +278,11 @@ type figureRows struct {
 }
 
 // captured holds the rows of every row-producing figure, in run order. -json
-// writes them after the run; -baseline diffs the last figure's.
+// writes them after the run; -baseline diffs the one figure it allows.
 var captured []figureRows
+
+// rowFigures names the figures that capture rows.
+var rowFigures = []string{"e2e", "lb", "graph", "scale", "control", "whatif"}
 
 func header(title string) {
 	fmt.Println()

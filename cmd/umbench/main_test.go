@@ -169,15 +169,22 @@ func TestDiffBaseline(t *testing.T) {
 	}
 }
 
-// TestBaselineNeedsRowsExit pins the clean error when -baseline is given
-// without a row-producing figure.
+// TestBaselineNeedsRowsExit pins the parse-time refusal of -baseline unless
+// -figures selects exactly one row-producing figure: none, or several (whose
+// rows cannot all be diffed against one file), exits 2 before any figure
+// runs, naming every row-producing figure.
 func TestBaselineNeedsRowsExit(t *testing.T) {
-	_, stderr, code := runMain(t, "-figures", "power", "-baseline", "nonexistent.json")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
-	}
-	if !strings.Contains(stderr, "row-producing figure") {
-		t.Fatalf("stderr %q", stderr)
+	for _, figs := range []string{"power", "19", "lb,control"} {
+		stdout, stderr, code := runMain(t, "-figures", figs, "-baseline", "nonexistent.json")
+		if code != 2 {
+			t.Fatalf("-figures %s: exit %d, want 2 (stderr %q)", figs, code, stderr)
+		}
+		if stdout != "" {
+			t.Fatalf("-figures %s: figure output before the refusal:\n%s", figs, stdout)
+		}
+		if !strings.Contains(stderr, "exactly one row-producing figure (one of e2e, lb, graph, scale, control, whatif)") {
+			t.Fatalf("-figures %s: stderr %q", figs, stderr)
+		}
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 // server count and each server's outstanding root requests (sent minus
 // responded — what a real front-end tracks without seeing server queues).
 type View struct {
-	Servers     int
+	Servers int
+	// Outstanding reports server s's roots routed by the dispatcher minus
+	// those the server had answered (completed or rejected at admission)
+	// by the last window barrier.
 	Outstanding func(s int) int
 }
 

@@ -19,9 +19,11 @@
 // interaction. Cross-server RPCs and dispatches travel as timestamped
 // inter-shard messages delivered at window barriers, and the balancer
 // routes on queue views snapshotted at barriers (at most one wire delay
-// stale — exactly what a physical front-end would know). Results are
-// bit-identical for repeat runs. A one-server fleet has no peers and no
-// dispatcher to model: it is a plain machine.Run.
+// stale — exactly what a physical front-end would know): each barrier
+// copies the per-server counts of answered roots, which servers bump as
+// they complete or reject one. Results are bit-identical for repeat runs.
+// A one-server fleet has no peers and no dispatcher to model: it is a
+// plain machine.Run.
 package fleet
 
 import (

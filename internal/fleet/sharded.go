@@ -70,7 +70,9 @@ const (
 // the canonical (time, source shard, send seq) order. The balancer's queue
 // views are snapshotted at window barriers, so routing decisions see peer
 // state at most one wire delay stale — the same information lag a physical
-// front-end has.
+// front-end has. The snapshot is a copy of per-server answered counters,
+// which each server bumps through its respond hook as it completes or
+// rejects a root.
 func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, seed int64) *Result {
 	start := time.Now()
 	n := fc.Servers
@@ -126,6 +128,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// engine is shared, so no server reports engine vitals.
 	machines = make([]*machine.Server, n)
 	rngs := make([]*sim.Streams, n)
+	// answered[s] counts the roots server s has answered (completions and
+	// admission rejects) as they happen; the barrier hook publishes it to
+	// the dispatcher's view.
+	answered := make([]uint64, n)
 	for s := range machines {
 		var hosted []int
 		if fc.Graph != nil {
@@ -141,6 +147,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		// back one wire delay after they leave this server. The reply's
 		// origin says which: the dispatcher is shard 0.
 		self := s + 1
+		machines[s].SetRespondHook(func() { answered[s]++ })
 		machines[s].SetReplyHook(func(to machine.Reply, done sim.Time, rejected bool) {
 			kind := msgReply
 			if to.Origin == 0 {
@@ -384,12 +391,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// Run to horizon; at every window barrier, refresh the dispatcher's
 	// snapshot of how many roots each server has answered, and (throttled)
 	// the fabric instruments. The post hook runs with no shard executing, so
-	// reading machine and fabric state is safe.
+	// reading the answered counters and fabric state is safe.
 	var nextFab sim.Time
 	net.Run(horizon, func(barrier sim.Time) {
-		for s, m := range machines {
-			responded[s] = m.RespondedRoots()
-		}
+		copy(responded, answered)
 		if ctl != nil {
 			// Autoscaling evaluates only here: barrier times are a function
 			// of the model alone, and with every shard quiescent the

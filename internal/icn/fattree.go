@@ -27,7 +27,11 @@ func NewFatTree(leaves int, p LinkParams) *FatTree {
 	if leaves < 2 || leaves&(leaves-1) != 0 {
 		panic("icn: fat-tree leaves must be a power of two >= 2")
 	}
-	f := &FatTree{leaves: leaves, p: p, up: make([]*Link, 2*leaves), down: make([]*Link, 2*leaves)}
+	// The up and down tables share one backing array; the links live in
+	// one slab.
+	tables := make([]*Link, 4*leaves)
+	slab := newLinkSlab(2 * (2*leaves - 2))
+	f := &FatTree{leaves: leaves, p: p, up: tables[: 2*leaves : 2*leaves], down: tables[2*leaves:]}
 	for n := leaves; n > 1; n >>= 1 {
 		f.levels++
 	}
@@ -50,12 +54,10 @@ func NewFatTree(leaves int, p LinkParams) *FatTree {
 		if lp.PsPerByte < 1 {
 			lp.PsPerByte = 1
 		}
-		upl := newLink(k, parent, lp)
-		downl := newLink(parent, k, lp)
-		f.up[k] = upl
-		f.down[k] = downl
-		f.all = append(f.all, upl, downl)
+		f.up[k] = slab.add(k, parent, lp)
+		f.down[k] = slab.add(parent, k, lp)
 	}
+	f.all = slab.all
 	return f
 }
 

@@ -100,8 +100,22 @@ func MaxUtilization(t Topology, window sim.Time) float64 {
 	return max
 }
 
-func newLink(from, to int, p LinkParams) *Link {
-	return &Link{From: from, To: to, p: p}
+// linkSlab hands out a topology's links from one slice, recording them in
+// the order they are added — the order Links() reports.
+type linkSlab struct {
+	links []Link
+	all   []*Link
+}
+
+func newLinkSlab(n int) linkSlab {
+	return linkSlab{links: make([]Link, n), all: make([]*Link, 0, n)}
+}
+
+func (s *linkSlab) add(from, to int, p LinkParams) *Link {
+	l := &s.links[len(s.all)]
+	*l = Link{From: from, To: to, p: p}
+	s.all = append(s.all, l)
+	return l
 }
 
 // pathError reports an out-of-range endpoint; topologies panic on it because

@@ -1,7 +1,9 @@
 package icn
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +15,7 @@ func testParams() LinkParams {
 }
 
 func TestLinkTraverseContentionFree(t *testing.T) {
-	l := newLink(0, 1, testParams())
+	l := &Link{From: 0, To: 1, p: testParams()}
 	at := l.Traverse(0, 100, false)
 	if at != 100*31+2500 {
 		t.Fatalf("arrival = %d", at)
@@ -26,7 +28,7 @@ func TestLinkTraverseContentionFree(t *testing.T) {
 }
 
 func TestLinkTraverseContention(t *testing.T) {
-	l := newLink(0, 1, testParams())
+	l := &Link{From: 0, To: 1, p: testParams()}
 	a1 := l.Traverse(0, 100, true)
 	a2 := l.Traverse(0, 100, true)
 	if a2 != a1+100*31 {
@@ -333,6 +335,46 @@ func TestFatTreeDeliverRoot(t *testing.T) {
 		if l.res.Acquisitions != b.Links()[i].res.Acquisitions {
 			t.Fatalf("link %d->%d used %d times by the route, %d by the walks",
 				l.From, l.To, l.res.Acquisitions, b.Links()[i].res.Acquisitions)
+		}
+	}
+}
+
+// TestLinksOrder pins the order Links() reports (utilization reports and
+// MaxUtilization walk it) and checks that every routed path uses the very
+// links Links() reports, so a reset or utilization read sees the links
+// that carried traffic.
+func TestLinksOrder(t *testing.T) {
+	for _, tc := range []struct {
+		topo Topology
+		want string
+	}{
+		{NewMesh(2, 2, testParams()), "0>1 1>0 0>2 2>0 1>3 3>1 2>3 3>2"},
+		{NewFatTree(2, testParams()), "2>1 1>2 3>1 1>3"},
+		{NewLeafSpine(LeafSpineConfig{Pods: 2, LeavesPerPod: 1, L2PerPod: 1, L3Count: 2}, testParams()),
+			"0>2 2>0 1>3 3>1 2>4 4>2 2>5 5>2 3>4 4>3 3>5 5>3"},
+	} {
+		var got []string
+		known := map[*Link]bool{}
+		for _, l := range tc.topo.Links() {
+			got = append(got, fmt.Sprintf("%d>%d", l.From, l.To))
+			if known[l] {
+				t.Fatalf("%s: link %d>%d listed twice", tc.topo.Name(), l.From, l.To)
+			}
+			known[l] = true
+		}
+		if s := strings.Join(got, " "); s != tc.want {
+			t.Errorf("%s: Links() order\n got %s\nwant %s", tc.topo.Name(), s, tc.want)
+		}
+		rng := rand.New(rand.NewSource(1))
+		n := tc.topo.NumEndpoints()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				for _, l := range tc.topo.Path(nil, src, dst, rng) {
+					if !known[l] {
+						t.Fatalf("%s: path %d->%d uses link %d>%d missing from Links()", tc.topo.Name(), src, dst, l.From, l.To)
+					}
+				}
+			}
 		}
 	}
 }

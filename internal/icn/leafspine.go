@@ -64,34 +64,38 @@ func NewLeafSpine(cfg LeafSpineConfig, p LinkParams) *LeafSpine {
 	}
 	nLeaves := cfg.Pods * cfg.LeavesPerPod
 	nL2 := cfg.Pods * cfg.L2PerPod
-	ls.leafUp = make([][]*Link, nLeaves)
-	ls.leafDown = make([][]*Link, nLeaves)
+	// The links live in one slab, and the four routing tables are carved
+	// from one backing array of link pointers.
+	nLinks := 2 * (nLeaves*cfg.L2PerPod + nL2*cfg.L3Count)
+	slab := newLinkSlab(nLinks)
+	tables := make([]*Link, nLinks)
+	carve := func(rows, cols int) [][]*Link {
+		out := make([][]*Link, rows)
+		for r := range out {
+			out[r] = tables[:cols:cols]
+			tables = tables[cols:]
+		}
+		return out
+	}
+	ls.leafUp = carve(nLeaves, cfg.L2PerPod)
+	ls.leafDown = carve(nLeaves, cfg.L2PerPod)
+	ls.l2Up = carve(nL2, cfg.L3Count)
+	ls.l2Down = carve(nL2, cfg.L3Count)
 	for leaf := 0; leaf < nLeaves; leaf++ {
 		pod := leaf / cfg.LeavesPerPod
-		ls.leafUp[leaf] = make([]*Link, cfg.L2PerPod)
-		ls.leafDown[leaf] = make([]*Link, cfg.L2PerPod)
 		for s := 0; s < cfg.L2PerPod; s++ {
 			l2 := pod*cfg.L2PerPod + s
-			up := newLink(leaf, nLeaves+l2, p)
-			down := newLink(nLeaves+l2, leaf, p)
-			ls.leafUp[leaf][s] = up
-			ls.leafDown[leaf][s] = down
-			ls.all = append(ls.all, up, down)
+			ls.leafUp[leaf][s] = slab.add(leaf, nLeaves+l2, p)
+			ls.leafDown[leaf][s] = slab.add(nLeaves+l2, leaf, p)
 		}
 	}
-	ls.l2Up = make([][]*Link, nL2)
-	ls.l2Down = make([][]*Link, nL2)
 	for l2 := 0; l2 < nL2; l2++ {
-		ls.l2Up[l2] = make([]*Link, cfg.L3Count)
-		ls.l2Down[l2] = make([]*Link, cfg.L3Count)
 		for t := 0; t < cfg.L3Count; t++ {
-			up := newLink(nLeaves+l2, nLeaves+nL2+t, p)
-			down := newLink(nLeaves+nL2+t, nLeaves+l2, p)
-			ls.l2Up[l2][t] = up
-			ls.l2Down[l2][t] = down
-			ls.all = append(ls.all, up, down)
+			ls.l2Up[l2][t] = slab.add(nLeaves+l2, nLeaves+nL2+t, p)
+			ls.l2Down[l2][t] = slab.add(nLeaves+nL2+t, nLeaves+l2, p)
 		}
 	}
+	ls.all = slab.all
 	return ls
 }
 

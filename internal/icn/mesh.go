@@ -19,27 +19,27 @@ func NewMesh(w, h int, p LinkParams) *Mesh {
 		panic("icn: mesh dimensions must be positive")
 	}
 	n := w * h
+	// The four neighbour tables share one backing array; the links live in
+	// one slab.
+	tables := make([]*Link, 4*n)
+	slab := newLinkSlab(2 * (h*(w-1) + w*(h-1)))
 	m := &Mesh{w: w, h: h, p: p,
-		east: make([]*Link, n), west: make([]*Link, n),
-		south: make([]*Link, n), north: make([]*Link, n)}
-	add := func(a, b int) *Link {
-		l := newLink(a, b, p)
-		m.all = append(m.all, l)
-		return l
-	}
+		east: tables[:n:n], west: tables[n : 2*n : 2*n],
+		south: tables[2*n : 3*n : 3*n], north: tables[3*n:]}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := y*w + x
 			if x+1 < w {
-				m.east[id] = add(id, id+1)
-				m.west[id+1] = add(id+1, id)
+				m.east[id] = slab.add(id, id+1, p)
+				m.west[id+1] = slab.add(id+1, id, p)
 			}
 			if y+1 < h {
-				m.south[id] = add(id, id+w)
-				m.north[id+w] = add(id+w, id)
+				m.south[id] = slab.add(id, id+w, p)
+				m.north[id+w] = slab.add(id+w, id, p)
 			}
 		}
 	}
+	m.all = slab.all
 	return m
 }
 

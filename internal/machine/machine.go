@@ -76,6 +76,9 @@ type Machine struct {
 	// replyHook answers the requests that came from elsewhere in the
 	// fleet: peer-served child RPCs and control-dispatched roots.
 	replyHook ReplyHook
+	// respondHook, when non-nil, is called once per root this server
+	// answers: at every completion and every root admission reject.
+	respondHook func()
 
 	// local, non-nil on a placed machine (NewPlaced — a fleet service-graph
 	// server), marks which services are hosted here. A child RPC to a
@@ -413,22 +416,35 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	// sized once: a domain never has more idle cores than it owns.
 	slab := make([]core, coresPer*cfg.Domains)
 	ptrs := make([]*core, 2*len(slab))
-	var central *sim.Resource
+	// Domains and their schedulers, hardware RQs, NIC buffers and software
+	// FIFOs each live in one slice.
+	doms := make([]domain, cfg.Domains)
+	m.domains = make([]*domain, cfg.Domains)
+	var scheds []sim.Resource
 	if cfg.CentralDispatcher && cfg.Policy.Centralized {
-		central = &sim.Resource{}
+		scheds = make([]sim.Resource, 1)
+	} else {
+		scheds = make([]sim.Resource, cfg.Domains)
 	}
-	for d := 0; d < cfg.Domains; d++ {
-		dom := &domain{m: m, id: d, endpoint: d * endpoints / cfg.Domains}
-		if central != nil {
-			dom.sched = central
+	var hwqs []rq.RQ
+	var nicbufs []rq.NICBuffer
+	var swqs []fifo
+	if cfg.Policy.HardwareRQ {
+		hwqs = rq.NewQueues(cfg.Domains, cfg.RQCapacity)
+		nicbufs = rq.NewNICBuffers(cfg.Domains, cfg.NICBufCapacity)
+	} else {
+		swqs = make([]fifo, cfg.Domains)
+	}
+	for d := range doms {
+		dom := &doms[d]
+		*dom = domain{m: m, id: d, endpoint: d * endpoints / cfg.Domains}
+		// A centralized dispatcher is one resource every domain shares.
+		dom.sched = &scheds[min(d, len(scheds)-1)]
+		if hwqs != nil {
+			dom.hwq = &hwqs[d]
+			dom.nicbuf = &nicbufs[d]
 		} else {
-			dom.sched = &sim.Resource{}
-		}
-		if cfg.Policy.HardwareRQ {
-			dom.hwq = rq.New(cfg.RQCapacity)
-			dom.nicbuf = rq.NewNICBuffer(cfg.NICBufCapacity)
-		} else {
-			dom.swq = &fifo{}
+			dom.swq = &swqs[d]
 		}
 		lo, hi := d*coresPer, (d+1)*coresPer
 		dom.cores = ptrs[lo:hi:hi]
@@ -439,7 +455,7 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 			dom.cores[i] = c
 			dom.idle[i] = c
 		}
-		m.domains = append(m.domains, dom)
+		m.domains[d] = dom
 	}
 	if err := cfg.Extensions.Validate(&cfg); err != nil {
 		panic(err)
@@ -720,6 +736,13 @@ func (m *Machine) SetRemoteSender(f RemoteSender) { m.remoteSend = f }
 // SubmitRootCtl roots. Call before submitting either.
 func (m *Machine) SetReplyHook(f ReplyHook) { m.replyHook = f }
 
+// SetRespondHook installs f, called once each time this server answers a
+// root request: a completion or an admission reject. Those answers are
+// what a front-end eventually learns about a server, so a fleet dispatcher
+// counts them through f to form the outstanding view its balancer routes
+// on. Call before submitting load.
+func (m *Machine) SetRespondHook(f func()) { m.respondHook = f }
+
 // SubmitRemote injects a child RPC arriving from a peer server at the
 // current time: it passes the top-level NIC and the ICN like an external
 // request, runs svcID's full invocation subtree on this machine (compute
@@ -761,14 +784,6 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, to Reply)
 func (m *Machine) OutstandingRoots() int {
 	return int(m.Submitted - m.Completed - m.rejectedRoots)
 }
-
-// RespondedRoots reports the root requests this server has answered —
-// completions plus admission rejections. It is the quantity a front-end
-// eventually learns about a server: the sharded fleet's dispatcher
-// subtracts a barrier-time snapshot of it from its own sent counter to
-// form the (deliberately stale) outstanding view its balancer policies
-// route on.
-func (m *Machine) RespondedRoots() uint64 { return m.Completed + m.rejectedRoots }
 
 // pickRoot draws a request type from the arrival mixture.
 func (m *Machine) pickRoot() int {
@@ -874,6 +889,9 @@ func (m *Machine) reject(inv *invocation) {
 		m.respond(inv)
 	} else {
 		m.rejectedRoots++
+		if m.respondHook != nil {
+			m.respondHook()
+		}
 		if inv.replyMode == ctlReply {
 			// Control-dispatched root: instead of a silent drop, the
 			// rejection answers the front end. It turns around at the NIC
@@ -1593,6 +1611,9 @@ func (m *Machine) rootDone(d *rootDone) {
 		byRoot.Add(lat)
 	}
 	m.Completed++
+	if m.respondHook != nil {
+		m.respondHook()
+	}
 	*d = rootDone{fire: d.fire}
 	m.doneFree = append(m.doneFree, d)
 }

@@ -100,16 +100,20 @@ type RQ struct {
 	Completed uint64
 }
 
-// New builds an RQ with the given capacity (the paper uses 64 entries per
-// village).
-func New(capacity int) *RQ {
+// NewQueues builds n RQs of the given capacity (the paper uses 64 entries
+// per village), one per village of a machine, with their rings carved from
+// one backing array.
+func NewQueues(n, capacity int) []RQ {
 	if capacity <= 0 {
 		panic("rq: capacity must be positive")
 	}
-	return &RQ{
-		capacity: capacity,
-		ring:     make([]*Entry, capacity),
+	qs := make([]RQ, n)
+	ring := make([]*Entry, n*capacity)
+	for i := range qs {
+		qs[i] = RQ{capacity: capacity, ring: ring[:capacity:capacity]}
+		ring = ring[capacity:]
 	}
+	return qs
 }
 
 // Capacity returns the configured size.
@@ -302,13 +306,18 @@ type pendingReq struct {
 	ctx       *Context
 }
 
-// NewNICBuffer builds a buffer; the paper does not size it, we default to
-// 4× the RQ in the machine model.
-func NewNICBuffer(capacity int) *NICBuffer {
+// NewNICBuffers builds n buffers of the given capacity in one slice, one
+// per village of a machine. The paper does not size the buffer; the
+// machine model defaults to 4× the RQ.
+func NewNICBuffers(n, capacity int) []NICBuffer {
 	if capacity < 0 {
 		panic("rq: negative NIC buffer capacity")
 	}
-	return &NICBuffer{capacity: capacity}
+	bs := make([]NICBuffer, n)
+	for i := range bs {
+		bs[i].capacity = capacity
+	}
+	return bs
 }
 
 // Len returns the queued count.

@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// newRQ and newNICBuffer build one queue or buffer through the
+// constructors a machine builds its villages' with.
+func newRQ(capacity int) *RQ { return &NewQueues(1, capacity)[0] }
+
+func newNICBuffer(capacity int) *NICBuffer { return &NewNICBuffers(1, capacity)[0] }
+
 func TestStatusString(t *testing.T) {
 	if Ready.String() != "ready" || Running.String() != "running" ||
 		Blocked.String() != "blocked" || Finished.String() != "finished" {
@@ -18,7 +24,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestEnqueueDequeueFCFS(t *testing.T) {
-	q := New(8)
+	q := newRQ(8)
 	a := q.Enqueue(1, &Context{RequestID: 1})
 	b := q.Enqueue(1, &Context{RequestID: 2})
 	if a == nil || b == nil {
@@ -40,7 +46,7 @@ func TestEnqueueDequeueFCFS(t *testing.T) {
 }
 
 func TestDequeueServiceFilter(t *testing.T) {
-	q := New(8)
+	q := newRQ(8)
 	q.Enqueue(1, &Context{})
 	e2 := q.Enqueue(2, &Context{})
 	if got := q.Dequeue(2, 0); got != e2 {
@@ -56,7 +62,7 @@ func TestDequeueServiceFilter(t *testing.T) {
 }
 
 func TestCapacityAndRejection(t *testing.T) {
-	q := New(2)
+	q := newRQ(2)
 	q.Enqueue(1, &Context{})
 	q.Enqueue(1, &Context{})
 	if q.Enqueue(1, &Context{}) != nil {
@@ -68,7 +74,7 @@ func TestCapacityAndRejection(t *testing.T) {
 }
 
 func TestCompleteAdvancesHead(t *testing.T) {
-	q := New(4)
+	q := newRQ(4)
 	a := q.Enqueue(1, &Context{})
 	b := q.Enqueue(1, &Context{})
 	c := q.Enqueue(1, &Context{})
@@ -94,7 +100,7 @@ func TestCompleteAdvancesHead(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	q := New(3)
+	q := newRQ(3)
 	for round := 0; round < 10; round++ {
 		e := q.Enqueue(1, &Context{RequestID: uint64(round)})
 		if e == nil {
@@ -112,7 +118,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestContextSwitchLifecycle(t *testing.T) {
-	q := New(4)
+	q := newRQ(4)
 	e := q.Enqueue(7, &Context{RequestID: 99})
 	got := q.Dequeue(7, 3)
 	q.ContextSwitch(got, 320)
@@ -141,7 +147,7 @@ func TestContextSwitchLifecycle(t *testing.T) {
 }
 
 func TestLifecyclePanics(t *testing.T) {
-	q := New(2)
+	q := newRQ(2)
 	e := q.Enqueue(1, &Context{})
 	mustPanic(t, "ContextSwitch on ready", func() { q.ContextSwitch(e, 1) })
 	mustPanic(t, "Unblock on ready", func() { q.Unblock(e) })
@@ -159,7 +165,7 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 func TestHasReadyWildcard(t *testing.T) {
-	q := New(4)
+	q := newRQ(4)
 	if q.HasReady(-1) {
 		t.Fatal("empty queue has ready")
 	}
@@ -173,7 +179,7 @@ func TestHasReadyWildcard(t *testing.T) {
 }
 
 func TestPartitionedRQ(t *testing.T) {
-	q := New(8)
+	q := newRQ(8)
 	q.SetPartition(map[int]int{1: 2, 2: 4})
 	q.Enqueue(1, &Context{})
 	q.Enqueue(1, &Context{})
@@ -199,17 +205,17 @@ func TestPartitionedRQ(t *testing.T) {
 }
 
 func TestPartitionTooBigPanics(t *testing.T) {
-	q := New(4)
+	q := newRQ(4)
 	mustPanic(t, "oversized partition", func() { q.SetPartition(map[int]int{1: 3, 2: 3}) })
 }
 
 func TestInvalidCapacityPanics(t *testing.T) {
-	mustPanic(t, "zero capacity", func() { New(0) })
+	mustPanic(t, "zero capacity", func() { newRQ(0) })
 }
 
 func TestNICBufferOfferDrain(t *testing.T) {
-	q := New(2)
-	b := NewNICBuffer(3)
+	q := newRQ(2)
+	b := newNICBuffer(3)
 	q.Enqueue(1, &Context{RequestID: 1})
 	q.Enqueue(1, &Context{RequestID: 2})
 	// RQ full: spill to NIC buffer.
@@ -249,7 +255,7 @@ func TestNICBufferOfferDrain(t *testing.T) {
 // service are FCFS.
 func TestRQInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := New(8)
+		q := newRQ(8)
 		var running []*Entry
 		var lastSeq uint64
 		enq, comp := 0, 0
@@ -291,7 +297,7 @@ func TestRQInvariantProperty(t *testing.T) {
 // its peak live count, enqueue/dequeue/complete allocate nothing, and a
 // finished entry drops its context.
 func TestEntryReuse(t *testing.T) {
-	q := New(4)
+	q := newRQ(4)
 	ctx := &Context{RequestID: 1}
 	cycle := func() {
 		a := q.Enqueue(1, ctx)
@@ -315,7 +321,7 @@ func TestEntryReuse(t *testing.T) {
 // Turning partitioning on counts the entries already queued against their
 // services' budgets, finished-but-unreclaimed ones excepted.
 func TestSetPartitionRecountsLiveEntries(t *testing.T) {
-	q := New(8)
+	q := newRQ(8)
 	head := q.Enqueue(1, &Context{})
 	mid := q.Enqueue(1, &Context{})
 	q.Enqueue(1, &Context{})
@@ -380,8 +386,8 @@ func TestRQMatchesScan(t *testing.T) {
 		partitions := []map[int]int{nil, {0: 1}, {0: capacity / 2, 1: (capacity + 1) / 4}}
 		for trial := int64(0); trial < 60; trial++ {
 			rng := rand.New(rand.NewSource(trial))
-			q := New(capacity)
-			nic := NewNICBuffer(4)
+			q := newRQ(capacity)
+			nic := newNICBuffer(4)
 			var shadow, running, blocked []*Entry
 			var reqID uint64
 			take := func(list *[]*Entry) *Entry {
@@ -478,5 +484,31 @@ func TestRQMatchesScan(t *testing.T) {
 	}
 	if cover.wrap == 0 || cover.partReject == 0 || cover.unblock == 0 || cover.drained == 0 || cover.svcDequeue == 0 {
 		t.Fatalf("a queue path was never reached: %+v", cover)
+	}
+}
+
+// TestNewQueuesIndependent: the queues of one NewQueues call share a ring
+// backing array, so each must stay inside its own capacity-sized part.
+func TestNewQueuesIndependent(t *testing.T) {
+	qs := NewQueues(3, 2)
+	for i := range 2 {
+		if qs[1].Enqueue(7, &Context{RequestID: uint64(i)}) == nil {
+			t.Fatalf("queue 1 refused entry %d of 2", i)
+		}
+	}
+	if qs[1].Enqueue(7, &Context{}) != nil {
+		t.Fatal("queue 1 accepted an entry past its capacity")
+	}
+	for _, i := range []int{0, 2} {
+		if qs[i].Len() != 0 || qs[i].HasReady(-1) {
+			t.Fatalf("queue %d sees queue 1's entries", i)
+		}
+		e := qs[i].Enqueue(3, &Context{RequestID: 9})
+		if e == nil || qs[i].Dequeue(-1, 0) != e {
+			t.Fatalf("queue %d does not work beside a full neighbour", i)
+		}
+	}
+	if e := qs[1].Dequeue(-1, 0); e == nil || e.Ctx.RequestID != 0 {
+		t.Fatalf("queue 1 lost its head entry: %+v", e)
 	}
 }

@@ -237,9 +237,10 @@ if [ "${1:-}" != "quick" ]; then
     done
 fi
 
-echo "== bench smoke (allocation + sweep + telemetry benchmarks, 1 iteration) =="
+echo "== bench smoke (allocation + sweep + telemetry + coupled-fleet benchmarks, 1 iteration) =="
 go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun' -benchtime 1x \
     -benchmem ./internal/sim/ ./internal/machine/
+go test -run xxx -bench 'BenchmarkFleetCoupled' -benchtime 1x -benchmem ./internal/fleet/
 go test -run xxx -bench 'BenchmarkEndToEndGridWorkers' -benchtime 1x .
 
 echo "== tracked trajectory unchanged =="
