@@ -37,6 +37,34 @@ const (
 	msgBurn
 )
 
+// coupledState is the storage a coupled run keeps for the next one: the
+// engine every shard runs on and the servers' random-stream bundles. Like
+// machine.Run's engine pool, reuse only saves allocation: each run resets
+// the engine and re-seeds the bundles, so it draws exactly what fresh ones
+// would.
+type coupledState struct {
+	eng  *sim.Engine
+	rngs []*sim.Streams
+}
+
+var coupledPool = sim.FreeList[*coupledState]{
+	New: func() *coupledState { return &coupledState{eng: sim.NewEngine(0)} },
+}
+
+// take readies the pooled state for a run of n servers under seed: the
+// engine reset to seed and server s's bundle seeded with
+// sim.DeriveSeed(seed, s).
+func (st *coupledState) take(n int, seed int64) (*sim.Engine, []*sim.Streams) {
+	st.eng.Reset(seed)
+	for s := range n {
+		if s == len(st.rngs) {
+			st.rngs = append(st.rngs, sim.NewStreams(0))
+		}
+		st.rngs[s].Reset(sim.DeriveSeed(seed, int64(s)))
+	}
+	return st.eng, st.rngs[:n]
+}
+
 // runCoupled is the multi-server coupled fleet on the conservative-lookahead
 // PDES fabric (internal/pdes).
 //
@@ -117,7 +145,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			panic(fmt.Sprintf("fleet: unknown message kind %d", m.Kind))
 		}
 	}
-	eng := sim.NewEngine(seed)
+	// The pooled state goes back only after a run that returns: a run that
+	// panicked may have left its engine mid-event.
+	pooled := coupledPool.Get()
+	eng, rngs := pooled.take(n, seed)
 	net := pdes.NewFabric(eng, lookahead, handle)
 	for range n + 1 {
 		net.AddShard()
@@ -127,7 +158,6 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// randomness from a seed-derived stream bundle (engine-independent). The
 	// engine is shared, so no server reports engine vitals.
 	machines = make([]*machine.Server, n)
-	rngs := make([]*sim.Streams, n)
 	// answered[s] counts the roots server s has answered (completions and
 	// admission rejects) as they happen; the barrier hook publishes it to
 	// the dispatcher's view.
@@ -141,7 +171,6 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		}
 		eng.SetTag(int32(s + 1))
 		machines[s] = machine.NewServer(eng, fc.serverConfig(s, cross), rc, hosted, machine.SharedEngine)
-		rngs[s] = sim.NewStreams(sim.DeriveSeed(seed, int64(s)))
 		machines[s].SetRNG(rngs[s])
 		// Answers to peers' child RPCs and to control-dispatched roots ship
 		// back one wire delay after they leave this server. The reply's
@@ -447,5 +476,6 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		out.Telemetry = telemetry.Merge(runs)
 	}
 	out.WallSeconds = time.Since(start).Seconds()
+	coupledPool.Put(pooled)
 	return out
 }

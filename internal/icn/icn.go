@@ -28,9 +28,10 @@ type LinkParams struct {
 	PsPerByte sim.Time
 }
 
-// Link is one directed channel between two routers.
+// Link is one directed channel between two routers, named by their
+// indices.
 type Link struct {
-	From, To int
+	From, To int32
 	p        LinkParams
 	res      sim.Resource
 }
@@ -113,7 +114,7 @@ func newLinkSlab(n int) linkSlab {
 
 func (s *linkSlab) add(from, to int, p LinkParams) *Link {
 	l := &s.links[len(s.all)]
-	*l = Link{From: from, To: to, p: p}
+	*l = Link{From: int32(from), To: int32(to), p: p}
 	s.all = append(s.all, l)
 	return l
 }

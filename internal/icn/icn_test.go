@@ -123,9 +123,9 @@ func TestFatTreeRouting(t *testing.T) {
 		t.Fatal("self path")
 	}
 	// Connectivity of every pair.
-	for s := 0; s < 8; s++ {
-		for d := 0; d < 8; d++ {
-			p := f.Path(nil, s, d, rng)
+	for s := int32(0); s < 8; s++ {
+		for d := int32(0); d < 8; d++ {
+			p := f.Path(nil, int(s), int(d), rng)
 			if s == d {
 				continue
 			}

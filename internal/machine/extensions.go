@@ -119,14 +119,14 @@ func (m *Machine) placeColocated() {
 				share = cores - next
 			}
 			for k := 0; k < share; k++ {
-				dom.cores[next].svcID = mbr.svc
+				dom.cores[next].svcID = int32(mbr.svc)
 				next++
 			}
 			m.instances[mbr.svc] = append(m.instances[mbr.svc], dom)
 			partition[mbr.svc] = share
 		}
 		for ; next < cores; next++ {
-			dom.cores[next].svcID = members[0].svc
+			dom.cores[next].svcID = int32(members[0].svc)
 		}
 		if e.PartitionRQ && dom.hwq != nil {
 			// RQ entries proportional to core shares.

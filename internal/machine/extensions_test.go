@@ -51,7 +51,7 @@ func TestColocationPartitionsCores(t *testing.T) {
 	m := New(eng, cfg, appByName(t, "CPost"))
 	// Every domain hosts 2 services; every core has a service register.
 	for _, dom := range m.domains {
-		seen := map[int]bool{}
+		seen := map[int32]bool{}
 		for _, c := range dom.cores {
 			if c.svcID < 0 {
 				t.Fatal("co-located core without Service ID")

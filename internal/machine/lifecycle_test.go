@@ -49,7 +49,7 @@ func checkConserved(t *testing.T, name string, m *Machine) {
 			t.Fatalf("%s: pooled invocation lost its arrival event", name)
 		}
 		stripped := *inv
-		stripped.enqueueFn, stripped.segmentEndFn, stripped.resolveChildFn, stripped.swqReadyFn = nil, nil, nil, nil
+		stripped.enqueueFn, stripped.segmentEndFn, stripped.releaseFn, stripped.resolveChildFn, stripped.swqReadyFn = nil, nil, nil, nil, nil
 		if !reflect.ValueOf(stripped).IsZero() {
 			t.Fatalf("%s: pooled invocation not zeroed: %+v", name, stripped)
 		}

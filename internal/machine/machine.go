@@ -9,6 +9,7 @@ import (
 	"umanycore/internal/obs"
 	"umanycore/internal/rpcnet"
 	"umanycore/internal/rq"
+	"umanycore/internal/sched"
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
 	"umanycore/internal/telemetry"
@@ -244,8 +245,11 @@ type domain struct {
 	// perfMult scales compute speed for heterogeneous-village extensions
 	// (0 means 1.0).
 	perfMult float64
-	cores    []*core
-	idle     []*core
+	// lockFactor scales the software queue's critical sections (see
+	// newLockFactor).
+	lockFactor float64
+	cores      []*core
+	idle       []*core
 	// sched serializes queue operations: the software queue lock, the
 	// (possibly machine-shared) centralized dispatcher core, or the
 	// hardware RQ's atomic access port.
@@ -289,18 +293,15 @@ func (f *fifo) pop() *invocation {
 }
 
 type core struct {
-	dom  *domain
-	id   int
-	busy bool
+	dom *domain
 	// busyTime accumulates this core's occupied time, the per-core split of
 	// Machine.coreBusy used by the utilization-spread metrics.
 	busyTime sim.Time
+	id       int32
 	// svcID is the core's assigned Service ID register (§4.1); -1 serves
 	// any service (the default when a village hosts one instance).
-	svcID int
-	// releaseFn is the event that frees this core after a state save, built
-	// on the core's first block and reused for every later one.
-	releaseFn sim.Event
+	svcID int32
+	busy  bool
 }
 
 // invocation is one service invocation in a request tree. Invocations are
@@ -324,13 +325,14 @@ type invocation struct {
 	lastCore int
 	// core is the core currently running this invocation, set at dispatch.
 	core *core
-	// enqueueFn, segmentEndFn, resolveChildFn and swqReadyFn are this
-	// object's arrival, segment-end, child-response and
-	// software-queue-admission events. Each captures only the pooled
-	// pointer, so it is built once per object (enqueueFn on allocation, the
-	// rest on first use) and stays valid across lives.
+	// enqueueFn, segmentEndFn, releaseFn, resolveChildFn and swqReadyFn
+	// are this object's arrival, segment-end, post-save core-release,
+	// child-response and software-queue-admission events. Each captures
+	// only the pooled pointer, so it is built once per object (enqueueFn on
+	// allocation, the rest on first use) and stays valid across lives.
 	enqueueFn      sim.Event
 	segmentEndFn   sim.Event
+	releaseFn      sim.Event
 	resolveChildFn sim.Event
 	swqReadyFn     sim.Event
 	// resumed marks that processor state was saved and must be restored
@@ -437,7 +439,7 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	}
 	for d := range doms {
 		dom := &doms[d]
-		*dom = domain{m: m, id: d, endpoint: d * endpoints / cfg.Domains}
+		*dom = domain{m: m, id: d, endpoint: d * endpoints / cfg.Domains, lockFactor: newLockFactor(cfg.Policy, coresPer)}
 		// A centralized dispatcher is one resource every domain shares.
 		dom.sched = &scheds[min(d, len(scheds)-1)]
 		if hwqs != nil {
@@ -451,7 +453,7 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		dom.idle = ptrs[len(slab)+lo : len(slab)+hi : len(slab)+hi]
 		for i := range dom.cores {
 			c := &slab[lo+i]
-			*c = core{dom: dom, id: lo + i, svcID: -1}
+			*c = core{dom: dom, id: int32(lo + i), svcID: -1}
 			dom.cores[i] = c
 			dom.idle[i] = c
 		}
@@ -830,6 +832,7 @@ func (m *Machine) freeInv(inv *invocation) {
 	*inv = invocation{
 		enqueueFn:      inv.enqueueFn,
 		segmentEndFn:   inv.segmentEndFn,
+		releaseFn:      inv.releaseFn,
 		resolveChildFn: inv.resolveChildFn,
 		swqReadyFn:     inv.swqReadyFn,
 	}
@@ -916,7 +919,7 @@ func (m *Machine) perfOf(dom *domain) float64 {
 func (m *Machine) workFor(c *core) bool {
 	dom := c.dom
 	if dom.hwq != nil {
-		if dom.hwq.HasReady(c.svcID) {
+		if dom.hwq.HasReady(int(c.svcID)) {
 			return true
 		}
 		if c.svcID >= 0 && m.cfg.Extensions.CoreStealing {
@@ -971,16 +974,17 @@ func (m *Machine) hasWork(dom *domain) bool {
 	return dom.swq.len() > 0
 }
 
-// lockFactor scales software-lock critical sections with the number of
-// cores sharing the queue: cache-line ping-pong makes a contended lock
-// acquisition several times more expensive than an uncontended one (§3.2's
-// "high synchronization overheads" of centralized queues). Centralized
-// dispatchers and the hardware RQ are unaffected.
-func (m *Machine) lockFactor(dom *domain) float64 {
-	if m.cfg.Policy.Centralized || m.cfg.Policy.HardwareRQ {
+// newLockFactor is the factor that scales a domain's software-lock
+// critical sections with the number of cores sharing its queue: cache-line
+// ping-pong makes a contended lock acquisition several times more expensive
+// than an uncontended one (§3.2's "high synchronization overheads" of
+// centralized queues). Centralized dispatchers and the hardware RQ are
+// unaffected.
+func newLockFactor(p sched.Policy, cores int) float64 {
+	if p.Centralized || p.HardwareRQ {
 		return 1
 	}
-	f := math.Sqrt(float64(len(dom.cores))) / 12
+	f := math.Sqrt(float64(cores)) / 12
 	if f < 1 {
 		return 1
 	}
@@ -993,13 +997,13 @@ func (m *Machine) lockFactor(dom *domain) float64 {
 func (m *Machine) pop(c *core) (*invocation, sim.Time) {
 	now := m.eng.Now()
 	dom := c.dom
-	cost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.DequeueCycles))*m.lockFactor(dom)), m.sp.sched)
+	cost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.DequeueCycles))*dom.lockFactor), m.sp.sched)
 	if dom.hwq != nil {
-		e := dom.hwq.Dequeue(c.svcID, c.id)
+		e := dom.hwq.Dequeue(int(c.svcID), int(c.id))
 		if e == nil && c.svcID >= 0 && m.cfg.Extensions.CoreStealing {
 			// §8 extension: an idle core temporarily serves a co-located
 			// instance when its own service has no ready work.
-			e = dom.hwq.Dequeue(-1, c.id)
+			e = dom.hwq.Dequeue(-1, int(c.id))
 		}
 		if e != nil {
 			if m.mx != nil {
@@ -1077,7 +1081,7 @@ func (m *Machine) dispatch(c *core) {
 		}
 		csEnd = start
 		// Migration/coherence penalty when resuming on a different core.
-		if inv.lastCore >= 0 && inv.lastCore != c.id {
+		if inv.lastCore >= 0 && inv.lastCore != int(c.id) {
 			if m.cfg.GlobalCoherence {
 				start += m.scaledCycles(m.cfg.CoherencePenaltyCycles, m.sp.mem)
 				m.injectCoherenceTraffic(c.dom)
@@ -1097,7 +1101,7 @@ func (m *Machine) dispatch(c *core) {
 		start += m.scaledCycles(m.cfg.ResumeProcCycles, m.sp.rpc)
 	}
 	inv.resumed = false
-	inv.lastCore = c.id
+	inv.lastCore = int(c.id)
 	inv.core = c
 
 	op := inv.svc.Ops[inv.opIdx]
@@ -1122,7 +1126,7 @@ func (m *Machine) dispatch(c *core) {
 		if start > memEnd {
 			m.trace.Add(inv.span, obs.StageRPC, memEnd, start)
 		}
-		m.trace.AddOnCore(inv.span, obs.StageService, c.id, start, end)
+		m.trace.AddOnCore(inv.span, obs.StageService, int(c.id), start, end)
 	}
 	busy := end - popAt
 	m.coreBusy += busy
@@ -1184,7 +1188,7 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 		dur := m.computeDur(inv, op, c)
 		if inv.span != 0 {
 			now := m.eng.Now()
-			m.trace.AddOnCore(inv.span, obs.StageService, c.id, now, now+dur)
+			m.trace.AddOnCore(inv.span, obs.StageService, int(c.id), now, now+dur)
 		}
 		m.coreBusy += dur
 		c.busyTime += dur
@@ -1277,11 +1281,20 @@ func (m *Machine) block(c *core, inv *invocation, n int) sim.Time {
 	}
 	m.coreBusy += saved - now
 	c.busyTime += saved - now
-	if c.releaseFn == nil {
-		c.releaseFn = func() { m.release(c) }
-	}
-	m.eng.At(saved, c.releaseFn)
+	m.eng.At(saved, m.releaseEvent(inv))
 	return saved
+}
+
+// releaseEvent returns the event that frees inv.core once inv's state save
+// completes. Reading inv.core when it fires is safe: a blocked invocation
+// is redispatched only after a child response resolves it, every response
+// arrives at or after the save, and a same-time response event was
+// scheduled after the release, so it fires after it.
+func (m *Machine) releaseEvent(inv *invocation) sim.Event {
+	if inv.releaseFn == nil {
+		inv.releaseFn = func() { m.release(inv.core) }
+	}
+	return inv.releaseFn
 }
 
 // release frees the core and immediately looks for more work.
@@ -1439,7 +1452,7 @@ func (m *Machine) ioDeliverIn(dep sim.Time, to, size int) (sim.Time, int) {
 // srcEndpoint maps a sending core to its topology endpoint.
 func (m *Machine) srcEndpoint(c *core) int {
 	if m.cfg.Topo == MeshTopo && m.cfg.Domains == 1 {
-		return c.id % m.topo.NumEndpoints()
+		return int(c.id) % m.topo.NumEndpoints()
 	}
 	return c.dom.endpoint
 }
@@ -1484,7 +1497,7 @@ func (m *Machine) unblock(inv *invocation) {
 // domain's scheduler resource; the invocation joins the queue when it
 // completes.
 func (m *Machine) swqEnqueue(inv *invocation) {
-	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*m.lockFactor(inv.dom)), m.sp.sched)
+	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*inv.dom.lockFactor), m.sp.sched)
 	grant := inv.dom.sched.Acquire(m.eng.Now(), enqCost)
 	if inv.swqReadyFn == nil {
 		inv.swqReadyFn = func() { m.swqReady(inv) }

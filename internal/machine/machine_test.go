@@ -477,3 +477,38 @@ func TestMuSuiteRuns(t *testing.T) {
 		t.Fatalf("μSuite P99 = %vμs", res.Latency.P99)
 	}
 }
+
+// TestStreamsResetMatchesNew: a coupled fleet reuses its servers' stream
+// bundles from run to run through sim.Streams.Reset. After a run has drawn
+// from a bundle, resetting it must make every stream the machine draws
+// from, and one it never drew from, produce what a fresh NewStreams bundle
+// with the same seed produces.
+func TestStreamsResetMatchesNew(t *testing.T) {
+	rc := RunConfig{App: appByName(t, "CPost"), RPS: 20000, Duration: 10 * sim.Millisecond, Seed: 3}.Normalized()
+	cfg := UManycoreConfig()
+	cfg.StorageLossProb = 0.01 // draw from the storage-loss stream too
+	eng := sim.NewEngine(rc.Seed)
+	bundle := sim.NewStreams(sim.DeriveSeed(rc.Seed, 0))
+	s := NewServer(eng, cfg, rc, nil, SharedEngine)
+	s.SetRNG(bundle)
+	Arrivals(eng, rc, rc.RPS, s.SubmitRoot, s.SubmitRootAs)
+	eng.RunUntil(rc.Duration + rc.Drain)
+	if s.Finish().Completed == 0 || s.streams[streamService] == nil || s.streams[streamStorageLoss] == nil {
+		t.Fatal("the run did not draw from the bundle")
+	}
+
+	const seed = 99
+	bundle.Reset(seed)
+	fresh := sim.NewStreams(seed)
+	names := append(streamNames[:], "fleet-peer")
+	for _, name := range names {
+		got, want := bundle.Rand(name), fresh.Rand(name)
+		for i := range 64 {
+			g := [...]float64{float64(got.Int63()), got.Float64(), float64(got.Intn(7)), got.NormFloat64(), got.ExpFloat64()}
+			w := [...]float64{float64(want.Int63()), want.Float64(), float64(want.Intn(7)), want.NormFloat64(), want.ExpFloat64()}
+			if g != w {
+				t.Fatalf("stream %q draw %d after Reset: %v, fresh bundle draws %v", name, i, g, w)
+			}
+		}
+	}
+}

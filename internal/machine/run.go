@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sync"
-
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
@@ -125,23 +123,26 @@ type Result struct {
 }
 
 // enginePool recycles simulation engines across runs: replicate loops (grid
-// sweeps, binary searches, fleet servers) reuse heap storage, event free
-// lists and random streams instead of re-growing them every run. Engines are
-// handed out per Run call, so concurrent sweep workers each get their own.
-var enginePool = sync.Pool{
-	New: func() any { return sim.NewEngineCap(0, 4096) },
+// sweeps, binary searches) reuse heap storage, event free lists and random
+// streams instead of re-growing them every run. Engines are handed out per
+// Run call, so concurrent sweep workers each get their own.
+var enginePool = sim.FreeList[*sim.Engine]{
+	New: func() *sim.Engine { return sim.NewEngineCap(0, 4096) },
 }
 
 // Run executes one machine under open-loop load and returns the results.
 func Run(cfg Config, rc RunConfig) *Result {
 	rc = rc.Normalized()
-	eng := enginePool.Get().(*sim.Engine)
+	eng := enginePool.Get()
 	eng.Reset(rc.Seed)
-	defer enginePool.Put(eng)
 	s := NewServer(eng, cfg, rc, nil, OwnEngine)
 	Arrivals(eng, rc, rc.RPS, s.SubmitRoot, s.SubmitRootAs)
 	eng.RunUntil(rc.Duration + rc.Drain)
-	return s.Finish()
+	res := s.Finish()
+	// Only an engine whose run returned goes back: one that panicked may
+	// be mid-event.
+	enginePool.Put(eng)
+	return res
 }
 
 // ContentionFreeAvg measures the average end-to-end latency at near-zero

@@ -11,6 +11,12 @@
 // ready. The ring wraps its indices with a compare and a subtract, never a
 // division, so any capacity works at the same cost.
 //
+// A village holds only a few entries at the loads the paper evaluates, so a
+// ring starts at initialRing slots and doubles, up to the configured
+// capacity, only when it is full. Admission, Free and Len always use the
+// configured capacity: growth changes where the entries live, never which
+// requests the queue admits or the order it scans them in.
+//
 // The queue is a pure data structure; instruction *timing* (the ~tens of
 // cycles a hardware dequeue costs vs thousands for software scheduling) is
 // charged by the machine model in internal/machine.
@@ -74,12 +80,18 @@ type Entry struct {
 	seq uint64
 }
 
+// initialRing is the slot count a ring starts with (or the capacity, when
+// smaller).
+const initialRing = 4
+
 // RQ is the per-village hardware request queue.
 type RQ struct {
 	capacity int
-	ring     []*Entry
-	head     int // index of oldest live entry
-	count    int // live entries (not yet reclaimed)
+	// ring holds the live entries from head, wrapping at len(ring); it
+	// grows (see grow) until len(ring) == capacity.
+	ring  []*Entry
+	head  int // index of oldest live entry
+	count int // live entries (not yet reclaimed)
 	// ready counts the live entries in the Ready state. Only Enqueue,
 	// Dequeue and Unblock move an entry into or out of Ready.
 	ready   int
@@ -101,17 +113,19 @@ type RQ struct {
 }
 
 // NewQueues builds n RQs of the given capacity (the paper uses 64 entries
-// per village), one per village of a machine, with their rings carved from
-// one backing array.
+// per village), one per village of a machine, with their initial rings
+// carved from one backing array. A ring that outgrows its part of the slab
+// moves to an array of its own.
 func NewQueues(n, capacity int) []RQ {
 	if capacity <= 0 {
 		panic("rq: capacity must be positive")
 	}
+	size := min(capacity, initialRing)
 	qs := make([]RQ, n)
-	ring := make([]*Entry, n*capacity)
+	ring := make([]*Entry, n*size)
 	for i := range qs {
-		qs[i] = RQ{capacity: capacity, ring: ring[:capacity:capacity]}
-		ring = ring[capacity:]
+		qs[i] = RQ{capacity: capacity, ring: ring[:size:size]}
+		ring = ring[size:]
 	}
 	return qs
 }
@@ -165,6 +179,9 @@ func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 			return nil
 		}
 	}
+	if q.count == len(q.ring) {
+		q.grow()
+	}
 	var e *Entry
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -184,12 +201,23 @@ func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 	return e
 }
 
-// slot maps the i-th live position from the head (0 <= i <= count) to its
-// ring index. head < capacity and i <= capacity, so one subtraction wraps.
+// grow doubles a full ring, up to the capacity, copying the live entries
+// out in order from the head, which moves to index 0. Enqueue calls it only
+// below the capacity, so the ring is then shorter than the capacity.
+func (q *RQ) grow() {
+	ring := make([]*Entry, min(2*len(q.ring), q.capacity))
+	n := copy(ring, q.ring[q.head:])
+	copy(ring[n:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
+// slot maps the i-th live position from the head (0 <= i < len(ring)) to
+// its ring index. head < len(ring) and i < len(ring), so one subtraction
+// wraps.
 func (q *RQ) slot(i int) int {
 	j := q.head + i
-	if j >= q.capacity {
-		j -= q.capacity
+	if j >= len(q.ring) {
+		j -= len(q.ring)
 	}
 	return j
 }
@@ -204,7 +232,7 @@ func (q *RQ) find(serviceID int) *Entry {
 		if e := q.ring[j]; e.Status == Ready && (serviceID < 0 || e.ServiceID == serviceID) {
 			return e
 		}
-		if j++; j == q.capacity {
+		if j++; j == len(q.ring) {
 			j = 0
 		}
 	}
@@ -283,7 +311,7 @@ func (q *RQ) Complete(e *Entry) {
 	for q.count > 0 && q.ring[q.head].Status == Finished {
 		q.free = append(q.free, q.ring[q.head])
 		q.ring[q.head] = nil
-		if q.head++; q.head == q.capacity {
+		if q.head++; q.head == len(q.ring) {
 			q.head = 0
 		}
 		q.count--

@@ -345,13 +345,18 @@ func TestSetPartitionRecountsLiveEntries(t *testing.T) {
 	}
 }
 
+// liveSlot is the ring index of the i-th live entry, computed with modular
+// indexing over the ring's current length, independent of the queue's own
+// index arithmetic.
+func liveSlot(q *RQ, i int) int { return (q.head + i) % len(q.ring) }
+
 // scanFind is the scan HasReady and Dequeue ran before the ready counter:
 // the ready entry closest to the head for svc (svc < 0 matches any), read
 // from the live ring with modular indexing. It is kept here, independent of
 // the queue's own index arithmetic, as the reference for TestRQMatchesScan.
 func scanFind(q *RQ, svc int) *Entry {
 	for i := 0; i < q.count; i++ {
-		e := q.ring[(q.head+i)%q.capacity]
+		e := q.ring[liveSlot(q, i)]
 		if e.Status == Ready && (svc < 0 || e.ServiceID == svc) {
 			return e
 		}
@@ -363,7 +368,7 @@ func scanFind(q *RQ, svc int) *Entry {
 func scanReady(q *RQ) int {
 	n := 0
 	for i := 0; i < q.count; i++ {
-		if q.ring[(q.head+i)%q.capacity].Status == Ready {
+		if q.ring[liveSlot(q, i)].Status == Ready {
 			n++
 		}
 	}
@@ -376,17 +381,24 @@ func scanReady(q *RQ) int {
 // Drain) at capacities 1, 3 and 64, and after every step checks the ready
 // counter's answers (HasReady for each service and any, the count itself, and the
 // entry Dequeue would pick) against scanFind and scanReady, and the ring's
-// live slots against a shadow FIFO of the live entries. It fails if a path
-// (ring wrap, a partition rejection, an unblock, a drain, a per-service
-// dequeue) was never reached.
+// live slots (through slot and through modular indexing over the ring's
+// current length) against a shadow FIFO of the live entries. It fails if a
+// path was never reached: ring wrap, a partition rejection, an unblock, a
+// drain, a per-service dequeue, and for the growable ring, growth all the
+// way from the initial size to the capacity, growth while the live entries
+// wrap, a Drain that grows the ring, and SetPartition on a grown ring.
 func TestRQMatchesScan(t *testing.T) {
 	const services = 4
-	var cover struct{ wrap, partReject, unblock, drained, svcDequeue int }
+	var cover struct {
+		wrap, partReject, unblock, drained, svcDequeue        int
+		grownFull, grewWrapped, drainGrew, partitionAfterGrow int
+	}
 	for _, capacity := range []int{1, 3, 64} {
 		partitions := []map[int]int{nil, {0: 1}, {0: capacity / 2, 1: (capacity + 1) / 4}}
 		for trial := int64(0); trial < 60; trial++ {
 			rng := rand.New(rand.NewSource(trial))
 			q := newRQ(capacity)
+			initial := len(q.ring)
 			nic := newNICBuffer(4)
 			var shadow, running, blocked []*Entry
 			var reqID uint64
@@ -396,10 +408,17 @@ func TestRQMatchesScan(t *testing.T) {
 				*list = append((*list)[:i], (*list)[i+1:]...)
 				return e
 			}
+			// Odd trials favour enqueues, so the 64-entry queue fills up
+			// and its ring grows to the capacity.
+			enqueueOps := 30
+			if trial%2 == 1 {
+				enqueueOps = 45
+			}
 			for step := 0; step < 400; step++ {
 				where := fmt.Sprintf("capacity %d trial %d step %d", capacity, trial, step)
-				switch op := rng.Intn(100); {
-				case op < 30:
+				size, head := len(q.ring), q.head
+				switch op := rng.Intn(100 + enqueueOps - 30); {
+				case op < 30 || op >= 100:
 					reqID++
 					svc := rng.Intn(services)
 					spare := q.Len() < q.Capacity()
@@ -453,18 +472,36 @@ func TestRQMatchesScan(t *testing.T) {
 					moved := nic.Drain(q)
 					shadow = append(shadow, moved...)
 					cover.drained += len(moved)
+					if len(q.ring) > size {
+						cover.drainGrew++
+					}
 				default:
-					q.SetPartition(partitions[rng.Intn(len(partitions))])
+					p := partitions[rng.Intn(len(partitions))]
+					q.SetPartition(p)
+					if p != nil && len(q.ring) > initial {
+						cover.partitionAfterGrow++
+					}
+				}
+				if len(q.ring) < size || len(q.ring) > capacity {
+					t.Fatalf("%s: ring of %d slots became %d (capacity %d)", where, size, len(q.ring), capacity)
+				}
+				if len(q.ring) > size {
+					if head != 0 {
+						cover.grewWrapped++
+					}
+					if len(q.ring) == capacity && initial < capacity {
+						cover.grownFull++
+					}
 				}
 				if q.Len() != len(shadow) {
 					t.Fatalf("%s: Len %d, shadow holds %d live entries", where, q.Len(), len(shadow))
 				}
 				for i, e := range shadow {
-					if got := q.ring[(q.head+i)%q.capacity]; got != e {
-						t.Fatalf("%s: live slot %d holds %p, want %p", where, i, got, e)
+					if got := q.ring[liveSlot(q, i)]; got != e || q.slot(i) != liveSlot(q, i) {
+						t.Fatalf("%s: live slot %d holds %p at %d (slot says %d), want %p", where, i, got, liveSlot(q, i), q.slot(i), e)
 					}
 				}
-				if q.head+q.count > q.capacity {
+				if q.head+q.count > len(q.ring) {
 					cover.wrap++
 				}
 				if got, want := q.ready, scanReady(q); got != want {
@@ -482,33 +519,50 @@ func TestRQMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	if cover.wrap == 0 || cover.partReject == 0 || cover.unblock == 0 || cover.drained == 0 || cover.svcDequeue == 0 {
+	if cover.wrap == 0 || cover.partReject == 0 || cover.unblock == 0 || cover.drained == 0 || cover.svcDequeue == 0 ||
+		cover.grownFull == 0 || cover.grewWrapped == 0 || cover.drainGrew == 0 || cover.partitionAfterGrow == 0 {
 		t.Fatalf("a queue path was never reached: %+v", cover)
 	}
+	t.Logf("paths reached: %+v", cover)
 }
 
-// TestNewQueuesIndependent: the queues of one NewQueues call share a ring
-// backing array, so each must stay inside its own capacity-sized part.
+// TestNewQueuesIndependent: the queues of one NewQueues call carve their
+// initial rings from one backing array, so each must stay inside its own
+// part of it, both while it fits there and once it has grown out of it.
 func TestNewQueuesIndependent(t *testing.T) {
-	qs := NewQueues(3, 2)
-	for i := range 2 {
-		if qs[1].Enqueue(7, &Context{RequestID: uint64(i)}) == nil {
-			t.Fatalf("queue 1 refused entry %d of 2", i)
+	for _, capacity := range []int{2, 3 * initialRing} {
+		qs := NewQueues(3, capacity)
+		for i := range capacity {
+			if qs[1].Enqueue(7, &Context{RequestID: uint64(i)}) == nil {
+				t.Fatalf("capacity %d: queue 1 refused entry %d", capacity, i)
+			}
 		}
-	}
-	if qs[1].Enqueue(7, &Context{}) != nil {
-		t.Fatal("queue 1 accepted an entry past its capacity")
-	}
-	for _, i := range []int{0, 2} {
-		if qs[i].Len() != 0 || qs[i].HasReady(-1) {
-			t.Fatalf("queue %d sees queue 1's entries", i)
+		if qs[1].Enqueue(7, &Context{}) != nil {
+			t.Fatalf("capacity %d: queue 1 accepted an entry past its capacity", capacity)
 		}
-		e := qs[i].Enqueue(3, &Context{RequestID: 9})
-		if e == nil || qs[i].Dequeue(-1, 0) != e {
-			t.Fatalf("queue %d does not work beside a full neighbour", i)
+		if grown := len(qs[1].ring) > initialRing; grown != (capacity > initialRing) {
+			t.Fatalf("capacity %d: queue 1's ring has %d slots", capacity, len(qs[1].ring))
 		}
-	}
-	if e := qs[1].Dequeue(-1, 0); e == nil || e.Ctx.RequestID != 0 {
-		t.Fatalf("queue 1 lost its head entry: %+v", e)
+		for _, i := range []int{0, 2} {
+			if qs[i].Len() != 0 || qs[i].HasReady(-1) {
+				t.Fatalf("capacity %d: queue %d sees queue 1's entries", capacity, i)
+			}
+			// Fill the neighbour too: its entries must not land in queue
+			// 1's ring, nor queue 1's in its.
+			for k := range capacity {
+				if qs[i].Enqueue(3, &Context{RequestID: uint64(100 + k)}) == nil {
+					t.Fatalf("capacity %d: queue %d refused entry %d beside a full neighbour", capacity, i, k)
+				}
+			}
+			if e := qs[i].Dequeue(-1, 0); e == nil || e.Ctx.RequestID != 100 {
+				t.Fatalf("capacity %d: queue %d lost its head entry: %+v", capacity, i, e)
+			}
+		}
+		for k := range capacity {
+			e := qs[1].Dequeue(-1, 0)
+			if e == nil || e.ServiceID != 7 || e.Ctx.RequestID != uint64(k) {
+				t.Fatalf("capacity %d: queue 1 entry %d is %+v", capacity, k, e)
+			}
+		}
 	}
 }

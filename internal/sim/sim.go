@@ -574,6 +574,17 @@ func (s *Streams) Rand(name string) *rand.Rand {
 	return r
 }
 
+// Reset re-seeds the bundle in place under a new seed, keeping the streams
+// it has cached: a reset bundle draws exactly what NewStreams(seed) would,
+// the way Engine.Reset re-seeds an engine's streams, so a pooled bundle
+// serves run after run without allocating a source per stream.
+func (s *Streams) Reset(seed int64) {
+	s.seed = seed
+	for name, r := range s.streams {
+		r.Seed(seed ^ streamHash(name))
+	}
+}
+
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit bijection, so
 // structured inputs (small integers, additive offsets) map to uncorrelated
 // outputs.

@@ -237,8 +237,8 @@ if [ "${1:-}" != "quick" ]; then
     done
 fi
 
-echo "== bench smoke (allocation + sweep + telemetry + coupled-fleet benchmarks, 1 iteration) =="
-go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun' -benchtime 1x \
+echo "== bench smoke (allocation + construction + sweep + telemetry + coupled-fleet benchmarks, 1 iteration) =="
+go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun|BenchmarkMachineNew' -benchtime 1x \
     -benchmem ./internal/sim/ ./internal/machine/
 go test -run xxx -bench 'BenchmarkFleetCoupled' -benchtime 1x -benchmem ./internal/fleet/
 go test -run xxx -bench 'BenchmarkEndToEndGridWorkers' -benchtime 1x .
