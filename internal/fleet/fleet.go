@@ -264,7 +264,6 @@ func Run(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, s
 // aggregate merges per-server results (in server order) into one fleet
 // result.
 func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, perServer []*machine.Result) *Result {
-	merged := &stats.Sample{}
 	out := &Result{Machine: fc.Machine.Name, App: app.Name, TotalRPS: totalRPS}
 	var utilSum float64
 	for _, res := range perServer {
@@ -274,9 +273,6 @@ func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunCon
 		out.Rejected += res.Rejected
 		out.Unfinished += res.Unfinished
 		utilSum += res.Utilization
-		for _, v := range res.Sample.UnsafeValues() {
-			merged.Add(v)
-		}
 	}
 	if len(perServer) == 1 {
 		// Nothing to merge — reuse the server's own summary, whose mean was
@@ -285,6 +281,13 @@ func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunCon
 		out.Latency = perServer[0].Latency
 		out.TailToAvg = perServer[0].TailToAvg
 	} else {
+		// Every server's sample is already sorted by its own summary, so
+		// the fleet sample is their k-way merge.
+		samples := make([]*stats.Sample, len(perServer))
+		for i, res := range perServer {
+			samples[i] = res.Sample
+		}
+		merged := stats.Merge(samples)
 		out.Latency = merged.Summarize()
 		out.TailToAvg = merged.TailToAvg()
 	}

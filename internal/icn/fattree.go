@@ -15,7 +15,6 @@ import (
 type FatTree struct {
 	leaves int
 	levels int
-	p      LinkParams
 	up     []*Link // node -> link to parent
 	down   []*Link // node -> link from parent
 	all    []*Link
@@ -31,7 +30,7 @@ func NewFatTree(leaves int, p LinkParams) *FatTree {
 	// one slab.
 	tables := make([]*Link, 4*leaves)
 	slab := newLinkSlab(2 * (2*leaves - 2))
-	f := &FatTree{leaves: leaves, p: p, up: tables[: 2*leaves : 2*leaves], down: tables[2*leaves:]}
+	f := &FatTree{leaves: leaves, up: tables[: 2*leaves : 2*leaves], down: tables[2*leaves:]}
 	for n := leaves; n > 1; n >>= 1 {
 		f.levels++
 	}

@@ -15,6 +15,7 @@ package icn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"umanycore/internal/sim"
@@ -28,12 +29,23 @@ type LinkParams struct {
 	PsPerByte sim.Time
 }
 
+// Validate rejects timings a Link cannot hold: it keeps each in 32 bits, so
+// both must lie in [0, math.MaxInt32] ps (about 2.1 ms).
+func (p LinkParams) Validate() error {
+	if p.HopLatency < 0 || p.HopLatency > math.MaxInt32 || p.PsPerByte < 0 || p.PsPerByte > math.MaxInt32 {
+		return fmt.Errorf("icn: link hop latency %d ps or ps per byte %d outside [0, %d]", p.HopLatency, p.PsPerByte, math.MaxInt32)
+	}
+	return nil
+}
+
 // Link is one directed channel between two routers, named by their
-// indices.
+// indices. A machine keeps hundreds resident, so its timing is held in 32
+// bits (see LinkParams.Validate).
 type Link struct {
-	From, To int32
-	p        LinkParams
-	res      sim.Resource
+	From, To  int32
+	hop       int32 // LinkParams.HopLatency
+	psPerByte int32 // LinkParams.PsPerByte
+	res       sim.Resource
 }
 
 // Traverse schedules a message of size bytes onto the link at time now and
@@ -41,11 +53,11 @@ type Link struct {
 // the link behaves as an infinite-capacity pipe (the Fig 7 normalization
 // baseline).
 func (l *Link) Traverse(now sim.Time, sizeBytes int, contention bool) sim.Time {
-	ser := l.p.PsPerByte * sim.Time(sizeBytes)
+	ser := sim.Time(l.psPerByte) * sim.Time(sizeBytes)
 	if contention {
-		return l.res.Acquire(now, ser) + l.p.HopLatency
+		return l.res.Acquire(now, ser) + sim.Time(l.hop)
 	}
-	return now + ser + l.p.HopLatency
+	return now + ser + sim.Time(l.hop)
 }
 
 // QueueDelay reports the current backlog a message arriving now would see.
@@ -113,8 +125,11 @@ func newLinkSlab(n int) linkSlab {
 }
 
 func (s *linkSlab) add(from, to int, p LinkParams) *Link {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	l := &s.links[len(s.all)]
-	*l = Link{From: int32(from), To: int32(to), p: p}
+	*l = Link{From: int32(from), To: int32(to), hop: int32(p.HopLatency), psPerByte: int32(p.PsPerByte)}
 	s.all = append(s.all, l)
 	return l
 }

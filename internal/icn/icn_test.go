@@ -14,8 +14,15 @@ func testParams() LinkParams {
 	return LinkParams{HopLatency: 2500, PsPerByte: 31}
 }
 
+// newTestLink builds one link 0->1 with testParams through the slab the
+// topologies use.
+func newTestLink() *Link {
+	slab := newLinkSlab(1)
+	return slab.add(0, 1, testParams())
+}
+
 func TestLinkTraverseContentionFree(t *testing.T) {
-	l := &Link{From: 0, To: 1, p: testParams()}
+	l := newTestLink()
 	at := l.Traverse(0, 100, false)
 	if at != 100*31+2500 {
 		t.Fatalf("arrival = %d", at)
@@ -28,7 +35,7 @@ func TestLinkTraverseContentionFree(t *testing.T) {
 }
 
 func TestLinkTraverseContention(t *testing.T) {
-	l := &Link{From: 0, To: 1, p: testParams()}
+	l := newTestLink()
 	a1 := l.Traverse(0, 100, true)
 	a2 := l.Traverse(0, 100, true)
 	if a2 != a1+100*31 {
@@ -332,9 +339,9 @@ func TestFatTreeDeliverRoot(t *testing.T) {
 		t.Fatalf("walks: %d+%d hops arriving %v, route: %d hops arriving %v", up, down, got, hops, want)
 	}
 	for i, l := range a.Links() {
-		if l.res.Acquisitions != b.Links()[i].res.Acquisitions {
-			t.Fatalf("link %d->%d used %d times by the route, %d by the walks",
-				l.From, l.To, l.res.Acquisitions, b.Links()[i].res.Acquisitions)
+		if w := b.Links()[i]; l.res != w.res {
+			t.Fatalf("link %d->%d busy %v until %v after the route, %v until %v after the walks",
+				l.From, l.To, l.res.TotalBusy, l.BusyUntil(), w.res.TotalBusy, w.BusyUntil())
 		}
 	}
 }

@@ -29,7 +29,6 @@ type LeafSpine struct {
 	l2PerPod  int
 	l3Count   int
 	sel       SpineSelect
-	p         LinkParams
 	leafUp    [][]*Link // [leaf][l2local] leaf -> L2
 	leafDown  [][]*Link // [leaf][l2local] L2 -> leaf
 	l2Up      [][]*Link // [l2global][l3] L2 -> L3
@@ -60,7 +59,7 @@ func NewLeafSpine(cfg LeafSpineConfig, p LinkParams) *LeafSpine {
 	ls := &LeafSpine{
 		pods: cfg.Pods, leavesPer: cfg.LeavesPerPod,
 		l2PerPod: cfg.L2PerPod, l3Count: cfg.L3Count,
-		sel: cfg.Select, p: p,
+		sel: cfg.Select,
 	}
 	nLeaves := cfg.Pods * cfg.LeavesPerPod
 	nL2 := cfg.Pods * cfg.L2PerPod

@@ -6,7 +6,6 @@ import "math/rand"
 // baseline's ICN). Every router is an endpoint.
 type Mesh struct {
 	w, h int
-	p    LinkParams
 	// east, west, south and north hold, per router, the link to its
 	// neighbour at x+1, x-1, y+1 and y-1 (nil on the mesh's edge).
 	east, west, south, north []*Link
@@ -23,7 +22,7 @@ func NewMesh(w, h int, p LinkParams) *Mesh {
 	// one slab.
 	tables := make([]*Link, 4*n)
 	slab := newLinkSlab(2 * (h*(w-1) + w*(h-1)))
-	m := &Mesh{w: w, h: h, p: p,
+	m := &Mesh{w: w, h: h,
 		east: tables[:n:n], west: tables[n : 2*n : 2*n],
 		south: tables[2*n : 3*n : 3*n], north: tables[3*n:]}
 	for y := 0; y < h; y++ {

@@ -204,6 +204,9 @@ func (c *Config) Validate() error {
 	if c.Policy.HardwareRQ && c.RQCapacity <= 0 {
 		return fmt.Errorf("machine: hardware RQ needs capacity")
 	}
+	if err := c.LinkParams.Validate(); err != nil {
+		return err
+	}
 	if err := c.WhatIf.Validate(); err != nil {
 		return err
 	}

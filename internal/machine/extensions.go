@@ -104,7 +104,8 @@ func (m *Machine) placeColocated() {
 			total += mbr.w
 		}
 		// Partition cores proportionally, at least one per member.
-		cores := len(dom.cores)
+		slab := m.domainCores(dom)
+		cores := len(slab)
 		next := 0
 		partition := make(map[int]int, len(members))
 		for gi, mbr := range members {
@@ -119,14 +120,14 @@ func (m *Machine) placeColocated() {
 				share = cores - next
 			}
 			for k := 0; k < share; k++ {
-				dom.cores[next].svcID = int32(mbr.svc)
+				slab[next].svcID = int32(mbr.svc)
 				next++
 			}
 			m.instances[mbr.svc] = append(m.instances[mbr.svc], dom)
 			partition[mbr.svc] = share
 		}
 		for ; next < cores; next++ {
-			dom.cores[next].svcID = int32(members[0].svc)
+			slab[next].svcID = int32(members[0].svc)
 		}
 		if e.PartitionRQ && dom.hwq != nil {
 			// RQ entries proportional to core shares.
@@ -178,15 +179,20 @@ func (m *Machine) serviceWeights() map[int]float64 {
 }
 
 // applyHeterogeneity marks the first BigVillageFrac of domains as big-core
-// villages. placeColocated (and placeInstances) allocate heavy services
-// from domain 0 upward, so the heaviest land on big cores.
+// villages, whose compute-speed divisor is PerfFactor × BigCorePerf.
+// placeColocated (and placeInstances) allocate heavy services from domain 0
+// upward, so the heaviest land on big cores.
 func (m *Machine) applyHeterogeneity() {
 	e := m.cfg.Extensions
 	if e.BigVillageFrac <= 0 {
 		return
 	}
 	n := int(float64(len(m.domains)) * e.BigVillageFrac)
-	for i := 0; i < n && i < len(m.domains); i++ {
-		m.domains[i].perfMult = e.BigCorePerf
+	m.perf = make([]float64, len(m.domains))
+	for i := range m.perf {
+		m.perf[i] = m.cfg.PerfFactor
+		if i < n && e.BigCorePerf > 0 {
+			m.perf[i] = m.cfg.PerfFactor * e.BigCorePerf
+		}
 	}
 }

@@ -52,7 +52,7 @@ func TestColocationPartitionsCores(t *testing.T) {
 	// Every domain hosts 2 services; every core has a service register.
 	for _, dom := range m.domains {
 		seen := map[int32]bool{}
-		for _, c := range dom.cores {
+		for _, c := range m.domainCores(dom) {
 			if c.svcID < 0 {
 				t.Fatal("co-located core without Service ID")
 			}
@@ -127,7 +127,7 @@ func TestHeterogeneousVillages(t *testing.T) {
 	m := New(eng, cfg, appByName(t, "CPost"))
 	big := 0
 	for _, dom := range m.domains {
-		if dom.perfMult > 0 {
+		if m.perfOf(dom) > cfg.PerfFactor {
 			big++
 		}
 	}

@@ -28,6 +28,15 @@ type Machine struct {
 
 	domains   []*domain
 	instances map[int][]*domain // serviceID -> hosting domains
+	// cores is the slab of every core, domain by domain (see domainCores),
+	// and a core's id is its slab index.
+	cores []core
+	// perf is each domain's compute-speed divisor when some villages have
+	// big cores (see applyHeterogeneity); nil when every domain runs at
+	// cfg.PerfFactor.
+	perf []float64
+	// cost is the per-config cycle-cost table the event path charges.
+	cost costTable
 	// svcmap is the top-level NIC's hardware dispatch table (§4.2); it
 	// round-robins requests over a service's hosting domains.
 	svcmap *rpcnet.ServiceMap
@@ -88,7 +97,9 @@ type Machine struct {
 	local []bool
 
 	// sp holds the effective what-if cost multipliers (all 1 when
-	// Config.WhatIf is zero), precomputed at construction.
+	// Config.WhatIf is zero), precomputed at construction. The fixed cycle
+	// costs are scaled once into cost; sp serves the time intervals scaled
+	// per event (storage round trips, wire legs).
 	sp stageScale
 
 	// rng, when non-nil, replaces the engine's named streams as the source
@@ -238,18 +249,16 @@ type rootDone struct {
 	fire     sim.Event
 }
 
+// domain is one village. A machine keeps one per village resident for its
+// whole life, so it holds only what the event path reads; its cores are a
+// range of the machine's slab (see Machine.domainCores).
 type domain struct {
-	m        *Machine
-	id       int
-	endpoint int
-	// perfMult scales compute speed for heterogeneous-village extensions
-	// (0 means 1.0).
-	perfMult float64
-	// lockFactor scales the software queue's critical sections (see
-	// newLockFactor).
-	lockFactor float64
-	cores      []*core
-	idle       []*core
+	id       int32
+	endpoint int32
+	// idle is the stack of this domain's idle cores as slab indices, the
+	// most recently idled on top. Its backing array is this domain's part
+	// of one per-machine array, sized to the domain's core count.
+	idle []int32
 	// sched serializes queue operations: the software queue lock, the
 	// (possibly machine-shared) centralized dispatcher core, or the
 	// hardware RQ's atomic access port.
@@ -301,7 +310,6 @@ type core struct {
 	// svcID is the core's assigned Service ID register (§4.1); -1 serves
 	// any service (the default when a village hosts one instance).
 	svcID int32
-	busy  bool
 }
 
 // invocation is one service invocation in a request tree. Invocations are
@@ -403,6 +411,7 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		LatencyByRoot: make(map[int]*stats.Sample),
 		sp:            cfg.WhatIf.scales(),
 	}
+	m.cost = newCostTable(&m.cfg, m.sp)
 	switch cfg.Topo {
 	case MeshTopo:
 		m.topo = icn.NewMesh(cfg.MeshW, cfg.MeshH, cfg.LinkParams)
@@ -414,10 +423,11 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	m.path = make([]*icn.Link, 0, m.topo.MaxHops())
 	endpoints := m.topo.NumEndpoints()
 	coresPer := cfg.Cores / cfg.Domains
-	// One slab holds every core, and each domain's cores and idle lists are
-	// sized once: a domain never has more idle cores than it owns.
-	slab := make([]core, coresPer*cfg.Domains)
-	ptrs := make([]*core, 2*len(slab))
+	// One slab holds every core, and the domains' idle stacks share one
+	// array of slab indices, each sized once: a domain never has more idle
+	// cores than it owns.
+	m.cores = make([]core, coresPer*cfg.Domains)
+	idle := make([]int32, len(m.cores))
 	// Domains and their schedulers, hardware RQs, NIC buffers and software
 	// FIFOs each live in one slice.
 	doms := make([]domain, cfg.Domains)
@@ -439,7 +449,7 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	}
 	for d := range doms {
 		dom := &doms[d]
-		*dom = domain{m: m, id: d, endpoint: d * endpoints / cfg.Domains, lockFactor: newLockFactor(cfg.Policy, coresPer)}
+		*dom = domain{id: int32(d), endpoint: int32(d * endpoints / cfg.Domains)}
 		// A centralized dispatcher is one resource every domain shares.
 		dom.sched = &scheds[min(d, len(scheds)-1)]
 		if hwqs != nil {
@@ -449,13 +459,10 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 			dom.swq = &swqs[d]
 		}
 		lo, hi := d*coresPer, (d+1)*coresPer
-		dom.cores = ptrs[lo:hi:hi]
-		dom.idle = ptrs[len(slab)+lo : len(slab)+hi : len(slab)+hi]
-		for i := range dom.cores {
-			c := &slab[lo+i]
-			*c = core{dom: dom, id: int32(lo + i), svcID: -1}
-			dom.cores[i] = c
-			dom.idle[i] = c
+		dom.idle = idle[lo:hi:hi]
+		for i := lo; i < hi; i++ {
+			m.cores[i] = core{dom: dom, id: int32(i), svcID: -1}
+			idle[i] = int32(i)
 		}
 		m.domains[d] = dom
 	}
@@ -718,7 +725,7 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, mode replyMode, to Re
 	// via the leaf NH's direct port.
 	at := now + m.cfg.IngressLatency + m.cfg.NICHWDelay
 	if m.cfg.IOViaICN {
-		at, _ = m.ioDeliverIn(at, dom.endpoint, m.cfg.ReqMsgBytes)
+		at, _ = m.ioDeliverIn(at, int(dom.endpoint), m.cfg.ReqMsgBytes)
 	}
 	if m.trace != nil && inv.measured {
 		inv.span = m.trace.StartRoot(inv.id, int16(inv.svc.ID), now)
@@ -771,7 +778,7 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, to Reply)
 	}
 	at := now + m.cfg.IngressLatency + m.cfg.NICHWDelay
 	if m.cfg.IOViaICN {
-		at, _ = m.ioDeliverIn(at, dom.endpoint, m.cfg.ReqMsgBytes)
+		at, _ = m.ioDeliverIn(at, int(dom.endpoint), m.cfg.ReqMsgBytes)
 	}
 	if inv.span != 0 && at > now {
 		m.trace.Add(inv.span, obs.StageIngress, now, at)
@@ -908,10 +915,17 @@ func (m *Machine) reject(inv *invocation) {
 
 // perfOf returns the effective compute-speed divisor of a domain.
 func (m *Machine) perfOf(dom *domain) float64 {
-	if dom.perfMult > 0 {
-		return m.cfg.PerfFactor * dom.perfMult
+	if m.perf != nil {
+		return m.perf[dom.id]
 	}
 	return m.cfg.PerfFactor
+}
+
+// domainCores returns dom's range of the core slab.
+func (m *Machine) domainCores(dom *domain) []core {
+	n := len(m.cores) / len(m.domains)
+	lo := int(dom.id) * n
+	return m.cores[lo : lo+n]
 }
 
 // workFor reports whether a specific core has dispatchable work, honoring
@@ -939,12 +953,11 @@ func (m *Machine) kick(dom *domain) {
 		// ready work; without co-location every core matches.
 		woke := false
 		for i := len(dom.idle) - 1; i >= 0; i-- {
-			c := dom.idle[i]
+			c := &m.cores[dom.idle[i]]
 			if !m.workFor(c) {
 				continue
 			}
 			dom.idle = append(dom.idle[:i], dom.idle[i+1:]...)
-			c.busy = true
 			m.dispatch(c)
 			woke = true
 			break
@@ -958,9 +971,8 @@ func (m *Machine) kick(dom *domain) {
 			if other == dom || len(other.idle) == 0 {
 				continue
 			}
-			c := other.idle[len(other.idle)-1]
+			c := &m.cores[other.idle[len(other.idle)-1]]
 			other.idle = other.idle[:len(other.idle)-1]
-			c.busy = true
 			m.dispatch(c)
 			return
 		}
@@ -997,7 +1009,7 @@ func newLockFactor(p sched.Policy, cores int) float64 {
 func (m *Machine) pop(c *core) (*invocation, sim.Time) {
 	now := m.eng.Now()
 	dom := c.dom
-	cost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.DequeueCycles))*dom.lockFactor), m.sp.sched)
+	cost := m.cost.dequeue
 	if dom.hwq != nil {
 		e := dom.hwq.Dequeue(int(c.svcID), int(c.id))
 		if e == nil && c.svcID >= 0 && m.cfg.Extensions.CoreStealing {
@@ -1037,8 +1049,7 @@ func (m *Machine) pop(c *core) (*invocation, sim.Time) {
 			if m.mx != nil {
 				m.observeQueueDepth(-1)
 			}
-			steal := m.scaledCycles(m.cfg.Policy.StealCycles, m.sp.sched)
-			grant := victim.sched.Acquire(now, cost+steal)
+			grant := victim.sched.Acquire(now, cost+m.cost.steal)
 			// The stolen invocation migrates to this core's domain.
 			inv.dom = dom
 			return inv, grant
@@ -1059,8 +1070,7 @@ func (m *Machine) pop(c *core) (*invocation, sim.Time) {
 func (m *Machine) dispatch(c *core) {
 	inv, readyAt := m.pop(c)
 	if inv == nil {
-		c.busy = false
-		c.dom.idle = append(c.dom.idle, c)
+		c.dom.idle = append(c.dom.idle, c.id)
 		return
 	}
 	if inv.entry != nil && inv.entry.Status != rq.Running {
@@ -1073,20 +1083,19 @@ func (m *Machine) dispatch(c *core) {
 	csEnd, memEnd := start, start
 	// Restore saved state (hardware or software context switch).
 	if inv.resumed {
-		cs := m.scaledCycles(m.cfg.Policy.CSCycles, m.sp.cs)
 		if m.cfg.Policy.Centralized {
-			start = c.dom.sched.Acquire(start, cs)
+			start = c.dom.sched.Acquire(start, m.cost.cs)
 		} else {
-			start += cs
+			start += m.cost.cs
 		}
 		csEnd = start
 		// Migration/coherence penalty when resuming on a different core.
 		if inv.lastCore >= 0 && inv.lastCore != int(c.id) {
 			if m.cfg.GlobalCoherence {
-				start += m.scaledCycles(m.cfg.CoherencePenaltyCycles, m.sp.mem)
+				start += m.cost.coherence
 				m.injectCoherenceTraffic(c.dom)
 			} else {
-				start += m.scaledCycles(m.cfg.VillageResumePenaltyCycles, m.sp.mem)
+				start += m.cost.villageResume
 			}
 		}
 		memEnd = start
@@ -1095,10 +1104,10 @@ func (m *Machine) dispatch(c *core) {
 	// hardware NIC did it off-core).
 	if !inv.dispatched {
 		inv.dispatched = true
-		start += m.scaledCycles(m.cfg.RPCProcCycles, m.sp.rpc)
+		start += m.cost.rpcProc
 	} else if inv.resumed {
 		// Response deserialization on resume.
-		start += m.scaledCycles(m.cfg.ResumeProcCycles, m.sp.rpc)
+		start += m.cost.resumeProc
 	}
 	inv.resumed = false
 	inv.lastCore = int(c.id)
@@ -1169,8 +1178,8 @@ func (m *Machine) computeDur(inv *invocation, op workload.Op, c *core) sim.Time 
 func (m *Machine) injectCoherenceTraffic(dom *domain) {
 	rng := m.rand(streamCoherence)
 	dst := rng.Intn(m.topo.NumEndpoints())
-	icn.Deliver(m.topo, m.path, m.eng.Now(), dom.endpoint, dst, 64, rng, m.cfg.ICNContention)
-	icn.Deliver(m.topo, m.path, m.eng.Now(), dst, dom.endpoint, 64, rng, m.cfg.ICNContention)
+	icn.Deliver(m.topo, m.path, m.eng.Now(), int(dom.endpoint), dst, 64, rng, m.cfg.ICNContention)
+	icn.Deliver(m.topo, m.path, m.eng.Now(), dst, int(dom.endpoint), 64, rng, m.cfg.ICNContention)
 }
 
 // segmentEnd advances past the finished compute op and performs the next
@@ -1215,9 +1224,9 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 		if m.cfg.IOViaICN {
 			// Storage messages cross the on-package ICN to the package I/O
 			// point and back — the funnel traffic of Fig 7.
-			out, hops1 := m.ioDeliverOut(saved, inv.dom.endpoint, m.cfg.StorageReqBytes)
+			out, hops1 := m.ioDeliverOut(saved, int(inv.dom.endpoint), m.cfg.StorageReqBytes)
 			out = shrink(saved, out, m.sp.net)
-			back, hops2 := m.ioDeliverIn(out+lat, inv.dom.endpoint, m.cfg.StorageRespBytes)
+			back, hops2 := m.ioDeliverIn(out+lat, int(inv.dom.endpoint), m.cfg.StorageRespBytes)
 			back = shrink(out+lat, back, m.sp.net)
 			m.hopSum += uint64(hops1 + hops2)
 			m.msgCount += 2
@@ -1247,7 +1256,7 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 			// One send-processing span for the batch: every child departs
 			// after the same per-call tax, so per-child copies would only
 			// duplicate the interval.
-			if dep := saved + m.scaledCycles(m.cfg.SendProcCycles, m.sp.rpc); dep > saved {
+			if dep := saved + m.cost.sendProc; dep > saved {
 				m.trace.Add(inv.span, obs.StageRPC, saved, dep)
 			}
 		}
@@ -1266,12 +1275,11 @@ func (m *Machine) block(c *core, inv *invocation, n int) sim.Time {
 	inv.pending = int32(n)
 	inv.resumed = true
 	now := m.eng.Now()
-	cs := m.scaledCycles(m.cfg.Policy.CSCycles, m.sp.cs)
 	var saved sim.Time
 	if m.cfg.Policy.Centralized {
-		saved = c.dom.sched.Acquire(now, cs)
+		saved = c.dom.sched.Acquire(now, m.cost.cs)
 	} else {
-		saved = now + cs
+		saved = now + m.cost.cs
 	}
 	if inv.entry != nil {
 		c.dom.hwq.ContextSwitch(inv.entry, 320)
@@ -1299,8 +1307,7 @@ func (m *Machine) releaseEvent(inv *invocation) sim.Event {
 
 // release frees the core and immediately looks for more work.
 func (m *Machine) release(c *core) {
-	c.busy = false
-	c.dom.idle = append(c.dom.idle, c)
+	c.dom.idle = append(c.dom.idle, c.id)
 	m.kick(c.dom)
 }
 
@@ -1329,7 +1336,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 	} else {
 		child.dom = m.pickInstance(svcID)
 	}
-	dep := saved + m.scaledCycles(m.cfg.SendProcCycles, m.sp.rpc)
+	dep := saved + m.cost.sendProc
 	src := m.srcEndpoint(c)
 	dst := m.dstEndpoint(child.dom, rng)
 	at, hops := icn.Deliver(m.topo, m.path, dep, src, dst, m.cfg.ReqMsgBytes, rng, m.cfg.ICNContention)
@@ -1363,7 +1370,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 // blame then charges the remote middle to the peer server's stages instead
 // of an opaque StageOther blob.
 func (m *Machine) sendChildRemote(c *core, parent *invocation, svcID int, saved sim.Time) {
-	dep := saved + m.scaledCycles(m.cfg.SendProcCycles, m.sp.rpc)
+	dep := saved + m.cost.sendProc
 	out := dep
 	if m.cfg.IOViaICN {
 		var hops int
@@ -1410,7 +1417,7 @@ func (m *Machine) RemoteResponse(token int32, done sim.Time) {
 	at := back
 	if m.cfg.IOViaICN {
 		var hops int
-		at, hops = m.ioDeliverIn(back, call.parent.dom.endpoint, m.cfg.RespMsgBytes)
+		at, hops = m.ioDeliverIn(back, int(call.parent.dom.endpoint), m.cfg.RespMsgBytes)
 		m.hopSum += uint64(hops)
 		m.msgCount++
 	}
@@ -1454,7 +1461,7 @@ func (m *Machine) srcEndpoint(c *core) int {
 	if m.cfg.Topo == MeshTopo && m.cfg.Domains == 1 {
 		return int(c.id) % m.topo.NumEndpoints()
 	}
-	return c.dom.endpoint
+	return int(c.dom.endpoint)
 }
 
 // dstEndpoint maps a destination domain to its endpoint.
@@ -1462,7 +1469,7 @@ func (m *Machine) dstEndpoint(dom *domain, rng *rand.Rand) int {
 	if m.cfg.Topo == MeshTopo && m.cfg.Domains == 1 {
 		return rng.Intn(m.topo.NumEndpoints())
 	}
-	return dom.endpoint
+	return int(dom.endpoint)
 }
 
 // resolveChild delivers one response to a blocked parent; the last response
@@ -1497,8 +1504,7 @@ func (m *Machine) unblock(inv *invocation) {
 // domain's scheduler resource; the invocation joins the queue when it
 // completes.
 func (m *Machine) swqEnqueue(inv *invocation) {
-	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*inv.dom.lockFactor), m.sp.sched)
-	grant := inv.dom.sched.Acquire(m.eng.Now(), enqCost)
+	grant := inv.dom.sched.Acquire(m.eng.Now(), m.cost.enqueue)
 	if inv.swqReadyFn == nil {
 		inv.swqReadyFn = func() { m.swqReady(inv) }
 	}
@@ -1543,7 +1549,7 @@ func (m *Machine) respond(inv *invocation) {
 		now := m.eng.Now()
 		at := now + m.cfg.IngressLatency
 		if m.cfg.IOViaICN {
-			at, _ = m.ioDeliverOut(now, inv.dom.endpoint, m.cfg.RespMsgBytes)
+			at, _ = m.ioDeliverOut(now, int(inv.dom.endpoint), m.cfg.RespMsgBytes)
 			at += m.cfg.IngressLatency
 		}
 		if inv.span != 0 {
@@ -1565,8 +1571,8 @@ func (m *Machine) respond(inv *invocation) {
 		return
 	}
 	parent := inv.parent
-	src := inv.dom.endpoint
-	dst := parent.dom.endpoint
+	src := int(inv.dom.endpoint)
+	dst := int(parent.dom.endpoint)
 	at, hops := icn.Deliver(m.topo, m.path, m.eng.Now(), src, dst, m.cfg.RespMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++

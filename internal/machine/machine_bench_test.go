@@ -3,7 +3,10 @@ package machine
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"umanycore/internal/icn"
+	"umanycore/internal/rq"
 	"umanycore/internal/sim"
 	"umanycore/internal/workload"
 )
@@ -74,33 +77,67 @@ func BenchmarkMachineNew(b *testing.B) {
 	}
 }
 
-// uManycoreNewBytes is the heap bytes one uManycore machine.New allocates
-// (BenchmarkMachineNew/uManycore's B/op). Most of it is the slab-built
-// cores, ICN links and core lists; the hardware RQs' rings start at a few
-// slots each and grow only under load. Update the constant only when a
-// deliberate change to what a machine allocates moves it.
-const uManycoreNewBytes = 146570
+// newBytes is the heap bytes one machine.New allocates per architecture
+// (BenchmarkMachineNew's B/op). Most of a uManycore machine is its
+// slab-built cores, ICN links and per-village queue headers; the hardware
+// RQs' rings start at a few slots each and grow only under load. Update a
+// constant only when a deliberate change to what a machine allocates moves
+// it.
+var newBytes = []struct {
+	name  string
+	cfg   Config
+	bytes float64
+}{
+	{"uManycore", UManycoreConfig(), 100475},
+	{"ServerClass-40", ServerClassConfig(40), 11384},
+	{"ScaleOut", ScaleOutConfig(), 44896},
+}
 
-// TestMachineNewBytes pins uManycore construction bytes within 1%, in both
-// directions: a per-village or per-core structure that starts allocating
-// its worst case again shows here, and so does a saving that should be
-// re-pinned.
+// TestMachineNewBytes pins construction bytes within 1%, in both
+// directions, for each architecture: a per-village or per-core structure
+// that starts allocating its worst case again shows here, and so does a
+// saving that should be re-pinned.
 func TestMachineNewBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow")
 	}
 	app := workload.SocialNetworkApps()[0]
-	cfg := UManycoreConfig()
-	New(sim.NewEngine(1), cfg, app) // warm the workload caches
-	const n = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range n {
-		New(sim.NewEngine(1), cfg, app)
+	for _, a := range newBytes {
+		New(sim.NewEngine(1), a.cfg, app) // warm the workload caches
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			New(sim.NewEngine(1), a.cfg, app)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / n
+		if delta := got - a.bytes; delta > 0.01*a.bytes || -delta > 0.01*a.bytes {
+			t.Errorf("%s machine.New allocates %.0f B, pinned %.0f B (tolerance 1%%)", a.name, got, a.bytes)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	got := float64(after.TotalAlloc-before.TotalAlloc) / n
-	if delta := got - uManycoreNewBytes; delta > 0.01*uManycoreNewBytes || -delta > 0.01*uManycoreNewBytes {
-		t.Fatalf("uManycore machine.New allocates %.0f B, pinned %d B (tolerance 1%%)", got, uManycoreNewBytes)
+}
+
+// TestResidentSizes pins the size of every per-core, per-village and
+// per-link structure a machine keeps resident for its whole life — a
+// coupled fleet keeps one machine per server — so a field added to one of
+// them shows up here as a test diff. The sizes are for 64-bit platforms.
+func TestResidentSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, s := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"core", unsafe.Sizeof(core{}), 24},
+		{"domain", unsafe.Sizeof(domain{}), 64},
+		{"rq.RQ", unsafe.Sizeof(rq.RQ{}), 56},
+		{"rq.NICBuffer", unsafe.Sizeof(rq.NICBuffer{}), 64},
+		{"icn.Link", unsafe.Sizeof(icn.Link{}), 32},
+	} {
+		if s.got != s.want {
+			t.Errorf("%s is %d bytes, pinned %d", s.name, s.got, s.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"umanycore/internal/sched"
@@ -46,6 +47,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Topo = FatTreeTopo; c.FatTreeLeaves = 0 },
 		func(c *Config) { c.Topo = LeafSpineTopo; c.LeafSpineCfg.Pods = 0 },
 		func(c *Config) { c.RQCapacity = 0 },
+		func(c *Config) { c.LinkParams.HopLatency = -1 },
+		func(c *Config) { c.LinkParams.PsPerByte = math.MaxInt32 + 1 },
 	}
 	for i, mutate := range cases {
 		c := UManycoreConfig()

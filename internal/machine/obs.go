@@ -77,18 +77,16 @@ func (m *Machine) finishMachineMetrics(window sim.Time) {
 	if window > 0 {
 		lo, hi, sum := -1.0, 0.0, 0.0
 		n := 0
-		for _, dom := range m.domains {
-			for _, c := range dom.cores {
-				u := float64(c.busyTime) / float64(window)
-				if lo < 0 || u < lo {
-					lo = u
-				}
-				if u > hi {
-					hi = u
-				}
-				sum += u
-				n++
+		for i := range m.cores {
+			u := float64(m.cores[i].busyTime) / float64(window)
+			if lo < 0 || u < lo {
+				lo = u
 			}
+			if u > hi {
+				hi = u
+			}
+			sum += u
+			n++
 		}
 		if lo < 0 {
 			lo = 0

@@ -129,8 +129,38 @@ func shrink(from, to sim.Time, f float64) sim.Time {
 	return from + sim.Time(f*float64(to-from))
 }
 
-// scaledCycles converts core cycles to time and applies a what-if
-// multiplier.
-func (m *Machine) scaledCycles(cycles int, f float64) sim.Time {
-	return shrink(0, m.cfg.CyclesToTime(cycles), f)
+// costTable holds every fixed cycle cost the event path charges, each
+// converted to time and what-if scaled once, at construction, by the
+// expression the event path would otherwise evaluate per event.
+type costTable struct {
+	cs            sim.Time // context save or restore (Policy.CSCycles)
+	rpcProc       sim.Time // RPC receive processing on first dispatch
+	resumeProc    sim.Time // response deserialization on resume
+	sendProc      sim.Time // send processing per child RPC
+	coherence     sim.Time // resume on another core under global coherence
+	villageResume sim.Time // resume on another core of the village
+	steal         sim.Time // software work-steal (Policy.StealCycles)
+	// enqueue and dequeue are the queue critical sections, scaled by the
+	// software-lock factor, which is the same for every domain of a
+	// machine.
+	enqueue, dequeue sim.Time
+}
+
+func newCostTable(cfg *Config, sp stageScale) costTable {
+	scaled := func(cycles int, f float64) sim.Time { return shrink(0, cfg.CyclesToTime(cycles), f) }
+	lock := newLockFactor(cfg.Policy, cfg.Cores/cfg.Domains)
+	locked := func(cycles int) sim.Time {
+		return shrink(0, sim.Time(float64(cfg.CyclesToTime(cycles))*lock), sp.sched)
+	}
+	return costTable{
+		cs:            scaled(cfg.Policy.CSCycles, sp.cs),
+		rpcProc:       scaled(cfg.RPCProcCycles, sp.rpc),
+		resumeProc:    scaled(cfg.ResumeProcCycles, sp.rpc),
+		sendProc:      scaled(cfg.SendProcCycles, sp.rpc),
+		coherence:     scaled(cfg.CoherencePenaltyCycles, sp.mem),
+		villageResume: scaled(cfg.VillageResumePenaltyCycles, sp.mem),
+		steal:         scaled(cfg.Policy.StealCycles, sp.sched),
+		enqueue:       locked(cfg.Policy.EnqueueCycles),
+		dequeue:       locked(cfg.Policy.DequeueCycles),
+	}
 }

@@ -22,7 +22,10 @@
 // charged by the machine model in internal/machine.
 package rq
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Status of a request entry, per Fig 13.
 type Status int
@@ -76,40 +79,40 @@ type Entry struct {
 	Status    Status
 	ServiceID int
 	Ctx       *Context
-	// seq is the FCFS arrival order stamp.
-	seq uint64
+	// next links a reclaimed entry into its queue's free list.
+	next *Entry
 }
 
 // initialRing is the slot count a ring starts with (or the capacity, when
 // smaller).
 const initialRing = 4
 
-// RQ is the per-village hardware request queue.
+// RQ is the per-village hardware request queue. A machine keeps one per
+// village resident for its whole life, so the header holds only what every
+// operation reads; the RQ_Map partition lives behind part.
 type RQ struct {
-	capacity int
 	// ring holds the live entries from head, wrapping at len(ring); it
 	// grows (see grow) until len(ring) == capacity.
-	ring  []*Entry
-	head  int // index of oldest live entry
-	count int // live entries (not yet reclaimed)
+	ring []*Entry
+	// free is a stack of reclaimed entries, linked through Entry.next, for
+	// Enqueue to reuse, so a queue allocates only up to its peak live count.
+	free     *Entry
+	capacity int32
+	head     int32 // index of oldest live entry
+	count    int32 // live entries (not yet reclaimed)
 	// ready counts the live entries in the Ready state. Only Enqueue,
 	// Dequeue and Unblock move an entry into or out of Ready.
-	ready   int
-	nextSeq uint64
-	// free holds reclaimed entries for Enqueue to reuse, so a queue
-	// allocates only up to its peak live count.
-	free []*Entry
+	ready int32
+	// part is the optional RQ_Map partitioning, nil without one.
+	part *partition
+}
 
-	// Optional RQ_Map partitioning (§4.3 "more advanced design"): when set,
-	// each service has a private entry budget, and perSvc counts each
-	// service's unfinished entries. Both are nil without a partition.
-	partition map[int]int
-	perSvc    map[int]int
-
-	// Statistics.
-	Enqueued  uint64
-	Rejected  uint64
-	Completed uint64
+// partition is the RQ_Map mode of §4.3's "more advanced design": each
+// listed service has a private entry budget, and perSvc counts each
+// service's unfinished entries.
+type partition struct {
+	limit  map[int]int
+	perSvc map[int]int
 }
 
 // NewQueues builds n RQs of the given capacity (the paper uses 64 entries
@@ -117,34 +120,34 @@ type RQ struct {
 // carved from one backing array. A ring that outgrows its part of the slab
 // moves to an array of its own.
 func NewQueues(n, capacity int) []RQ {
-	if capacity <= 0 {
-		panic("rq: capacity must be positive")
+	if capacity <= 0 || capacity > math.MaxInt32 {
+		panic(fmt.Sprintf("rq: capacity %d outside [1, %d]", capacity, math.MaxInt32))
 	}
 	size := min(capacity, initialRing)
 	qs := make([]RQ, n)
 	ring := make([]*Entry, n*size)
 	for i := range qs {
-		qs[i] = RQ{capacity: capacity, ring: ring[:size:size]}
+		qs[i] = RQ{capacity: int32(capacity), ring: ring[:size:size]}
 		ring = ring[size:]
 	}
 	return qs
 }
 
 // Capacity returns the configured size.
-func (q *RQ) Capacity() int { return q.capacity }
+func (q *RQ) Capacity() int { return int(q.capacity) }
 
 // Len returns the number of live (unreclaimed) entries.
-func (q *RQ) Len() int { return q.count }
+func (q *RQ) Len() int { return int(q.count) }
 
 // Free returns remaining slots.
-func (q *RQ) Free() int { return q.capacity - q.count }
+func (q *RQ) Free() int { return int(q.capacity - q.count) }
 
 // SetPartition enables RQ_Map mode: serviceID -> max entries. Services not
 // listed share the remaining space; the entries already queued count
 // against their services' budgets. Pass nil to disable.
 func (q *RQ) SetPartition(p map[int]int) {
 	if p == nil {
-		q.partition, q.perSvc = nil, nil
+		q.part = nil
 		return
 	}
 	cp := make(map[int]int, len(p))
@@ -153,14 +156,13 @@ func (q *RQ) SetPartition(p map[int]int) {
 		cp[k] = v
 		total += v
 	}
-	if total > q.capacity {
+	if total > int(q.capacity) {
 		panic(fmt.Sprintf("rq: partition total %d exceeds capacity %d", total, q.capacity))
 	}
-	q.partition = cp
-	q.perSvc = make(map[int]int)
-	for i := 0; i < q.count; i++ {
+	q.part = &partition{limit: cp, perSvc: make(map[int]int)}
+	for i := int32(0); i < q.count; i++ {
 		if e := q.ring[q.slot(i)]; e.Status != Finished {
-			q.perSvc[e.ServiceID]++
+			q.part.perSvc[e.ServiceID]++
 		}
 	}
 }
@@ -170,34 +172,27 @@ func (q *RQ) SetPartition(p map[int]int) {
 // full — the caller then spills to the NIC buffer.
 func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 	if q.count >= q.capacity {
-		q.Rejected++
 		return nil
 	}
-	if q.partition != nil {
-		if limit, ok := q.partition[serviceID]; ok && q.perSvc[serviceID] >= limit {
-			q.Rejected++
+	if p := q.part; p != nil {
+		if limit, ok := p.limit[serviceID]; ok && p.perSvc[serviceID] >= limit {
 			return nil
 		}
+		p.perSvc[serviceID]++
 	}
-	if q.count == len(q.ring) {
+	if int(q.count) == len(q.ring) {
 		q.grow()
 	}
-	var e *Entry
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free = q.free[:n-1]
+	e := q.free
+	if e != nil {
+		q.free = e.next
 	} else {
 		e = new(Entry)
 	}
-	*e = Entry{Status: Ready, ServiceID: serviceID, Ctx: ctx, seq: q.nextSeq}
-	q.nextSeq++
+	*e = Entry{Status: Ready, ServiceID: serviceID, Ctx: ctx}
 	q.ring[q.slot(q.count)] = e
 	q.count++
 	q.ready++
-	if q.partition != nil {
-		q.perSvc[serviceID]++
-	}
-	q.Enqueued++
 	return e
 }
 
@@ -205,7 +200,7 @@ func (q *RQ) Enqueue(serviceID int, ctx *Context) *Entry {
 // out in order from the head, which moves to index 0. Enqueue calls it only
 // below the capacity, so the ring is then shorter than the capacity.
 func (q *RQ) grow() {
-	ring := make([]*Entry, min(2*len(q.ring), q.capacity))
+	ring := make([]*Entry, min(2*len(q.ring), int(q.capacity)))
 	n := copy(ring, q.ring[q.head:])
 	copy(ring[n:], q.ring[:q.head])
 	q.ring, q.head = ring, 0
@@ -214,10 +209,10 @@ func (q *RQ) grow() {
 // slot maps the i-th live position from the head (0 <= i < len(ring)) to
 // its ring index. head < len(ring) and i < len(ring), so one subtraction
 // wraps.
-func (q *RQ) slot(i int) int {
+func (q *RQ) slot(i int32) int32 {
 	j := q.head + i
-	if j >= len(q.ring) {
-		j -= len(q.ring)
+	if n := int32(len(q.ring)); j >= n {
+		j -= n
 	}
 	return j
 }
@@ -228,11 +223,11 @@ func (q *RQ) find(serviceID int) *Entry {
 	if q.ready == 0 {
 		return nil
 	}
-	for i, j := 0, q.head; i < q.count; i++ {
+	for i, j := int32(0), q.head; i < q.count; i++ {
 		if e := q.ring[j]; e.Status == Ready && (serviceID < 0 || e.ServiceID == serviceID) {
 			return e
 		}
-		if j++; j == len(q.ring) {
+		if j++; int(j) == len(q.ring) {
 			j = 0
 		}
 	}
@@ -304,14 +299,14 @@ func (q *RQ) Complete(e *Entry) {
 	}
 	e.Status = Finished
 	e.Ctx = nil
-	q.Completed++
-	if q.partition != nil {
-		q.perSvc[e.ServiceID]--
+	if q.part != nil {
+		q.part.perSvc[e.ServiceID]--
 	}
 	for q.count > 0 && q.ring[q.head].Status == Finished {
-		q.free = append(q.free, q.ring[q.head])
+		r := q.ring[q.head]
+		r.next, q.free = q.free, r
 		q.ring[q.head] = nil
-		if q.head++; q.head == len(q.ring) {
+		if q.head++; int(q.head) == len(q.ring) {
 			q.head = 0
 		}
 		q.count--
@@ -371,9 +366,6 @@ func (b *NICBuffer) Drain(q *RQ) []*Entry {
 		p := b.fifo[0]
 		e := q.Enqueue(p.serviceID, p.ctx)
 		if e == nil {
-			// Enqueue counted a rejection, but the request is merely still
-			// staged; undo the stat.
-			q.Rejected--
 			break
 		}
 		moved = append(moved, e)

@@ -2,6 +2,7 @@ package rq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -68,8 +69,8 @@ func TestCapacityAndRejection(t *testing.T) {
 	if q.Enqueue(1, &Context{}) != nil {
 		t.Fatal("over-capacity enqueue succeeded")
 	}
-	if q.Rejected != 1 || q.Free() != 0 {
-		t.Fatalf("rejected=%d free=%d", q.Rejected, q.Free())
+	if q.Free() != 0 || q.Len() != 2 {
+		t.Fatalf("free=%d len=%d", q.Free(), q.Len())
 	}
 }
 
@@ -93,9 +94,8 @@ func TestCompleteAdvancesHead(t *testing.T) {
 	if q.Free() != 3 {
 		t.Fatalf("Free = %d", q.Free())
 	}
-	_ = c
-	if q.Completed != 2 {
-		t.Fatalf("Completed = %d", q.Completed)
+	if q.Dequeue(1, 2) != c {
+		t.Fatal("the surviving entry is not at the head")
 	}
 }
 
@@ -211,6 +211,8 @@ func TestPartitionTooBigPanics(t *testing.T) {
 
 func TestInvalidCapacityPanics(t *testing.T) {
 	mustPanic(t, "zero capacity", func() { newRQ(0) })
+	beyond := int64(math.MaxInt32) + 1
+	mustPanic(t, "capacity beyond int32", func() { newRQ(int(beyond)) })
 }
 
 func TestNICBufferOfferDrain(t *testing.T) {
@@ -230,13 +232,9 @@ func TestNICBufferOfferDrain(t *testing.T) {
 	if b.Rejected != 1 {
 		t.Fatalf("Rejected = %d", b.Rejected)
 	}
-	// Drain with no RQ space: nothing moves, and no spurious RQ rejections.
-	rejBefore := q.Rejected
-	if got := b.Drain(q); len(got) != 0 {
+	// Drain with no RQ space: nothing moves.
+	if got := b.Drain(q); len(got) != 0 || b.Len() != 3 {
 		t.Fatal("drain into full RQ moved entries")
-	}
-	if q.Rejected != rejBefore {
-		t.Fatal("drain inflated RQ rejection stats")
 	}
 	// Free one slot: exactly one staged request moves, FIFO order.
 	e := q.Dequeue(1, 0)
@@ -257,7 +255,7 @@ func TestRQInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := newRQ(8)
 		var running []*Entry
-		var lastSeq uint64
+		var last uint64
 		enq, comp := 0, 0
 		for _, op := range ops {
 			switch op % 3 {
@@ -267,11 +265,12 @@ func TestRQInvariantProperty(t *testing.T) {
 				}
 			case 1:
 				if e := q.Dequeue(-1, 0); e != nil {
-					// FCFS within the whole queue for wildcard dequeues.
-					if e.seq < lastSeq {
+					// FCFS within the whole queue for wildcard dequeues:
+					// admitted requests carry increasing IDs.
+					if e.Ctx.RequestID < last {
 						return false
 					}
-					lastSeq = e.seq
+					last = e.Ctx.RequestID
 					running = append(running, e)
 				}
 			case 2:
@@ -286,7 +285,7 @@ func TestRQInvariantProperty(t *testing.T) {
 			}
 		}
 		// Conservation: enqueued = completed + still live.
-		return int(q.Enqueued) == enq && enq == comp+q.Len()
+		return enq == comp+q.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -313,8 +312,8 @@ func TestEntryReuse(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady cycle allocates %v/op", allocs)
 	}
-	if q.Len() != 0 || q.Enqueued != 204 || q.Completed != 204 {
-		t.Fatalf("Len %d Enqueued %d Completed %d", q.Len(), q.Enqueued, q.Completed)
+	if q.Len() != 0 || q.free == nil || q.free.next == nil || q.free.next.next != nil {
+		t.Fatalf("Len %d, want 0 live entries and 2 free ones", q.Len())
 	}
 }
 
@@ -340,7 +339,7 @@ func TestSetPartitionRecountsLiveEntries(t *testing.T) {
 		t.Fatal("completion did not release budget")
 	}
 	q.SetPartition(nil)
-	if q.perSvc != nil {
+	if q.part != nil {
 		t.Fatal("per-service counts kept without a partition")
 	}
 }
@@ -348,14 +347,14 @@ func TestSetPartitionRecountsLiveEntries(t *testing.T) {
 // liveSlot is the ring index of the i-th live entry, computed with modular
 // indexing over the ring's current length, independent of the queue's own
 // index arithmetic.
-func liveSlot(q *RQ, i int) int { return (q.head + i) % len(q.ring) }
+func liveSlot(q *RQ, i int) int { return (int(q.head) + i) % len(q.ring) }
 
 // scanFind is the scan HasReady and Dequeue ran before the ready counter:
 // the ready entry closest to the head for svc (svc < 0 matches any), read
 // from the live ring with modular indexing. It is kept here, independent of
 // the queue's own index arithmetic, as the reference for TestRQMatchesScan.
 func scanFind(q *RQ, svc int) *Entry {
-	for i := 0; i < q.count; i++ {
+	for i := 0; i < q.Len(); i++ {
 		e := q.ring[liveSlot(q, i)]
 		if e.Status == Ready && (svc < 0 || e.ServiceID == svc) {
 			return e
@@ -367,7 +366,7 @@ func scanFind(q *RQ, svc int) *Entry {
 // scanReady counts the ready entries of the live ring.
 func scanReady(q *RQ) int {
 	n := 0
-	for i := 0; i < q.count; i++ {
+	for i := 0; i < q.Len(); i++ {
 		if q.ring[liveSlot(q, i)].Status == Ready {
 			n++
 		}
@@ -497,14 +496,14 @@ func TestRQMatchesScan(t *testing.T) {
 					t.Fatalf("%s: Len %d, shadow holds %d live entries", where, q.Len(), len(shadow))
 				}
 				for i, e := range shadow {
-					if got := q.ring[liveSlot(q, i)]; got != e || q.slot(i) != liveSlot(q, i) {
-						t.Fatalf("%s: live slot %d holds %p at %d (slot says %d), want %p", where, i, got, liveSlot(q, i), q.slot(i), e)
+					if got := q.ring[liveSlot(q, i)]; got != e || int(q.slot(int32(i))) != liveSlot(q, i) {
+						t.Fatalf("%s: live slot %d holds %p at %d (slot says %d), want %p", where, i, got, liveSlot(q, i), q.slot(int32(i)), e)
 					}
 				}
-				if q.head+q.count > len(q.ring) {
+				if int(q.head+q.count) > len(q.ring) {
 					cover.wrap++
 				}
-				if got, want := q.ready, scanReady(q); got != want {
+				if got, want := int(q.ready), scanReady(q); got != want {
 					t.Fatalf("%s: ready count %d, scan counts %d", where, got, want)
 				}
 				for svc := -1; svc <= services; svc++ {

@@ -10,8 +10,6 @@ type Resource struct {
 	busyUntil Time
 	// TotalBusy accumulates occupied time for utilization reporting.
 	TotalBusy Time
-	// Acquisitions counts uses.
-	Acquisitions uint64
 }
 
 // Acquire reserves the resource at time now for duration d and returns the
@@ -25,7 +23,6 @@ func (r *Resource) Acquire(now Time, d Time) Time {
 	}
 	r.busyUntil = start + d
 	r.TotalBusy += d
-	r.Acquisitions++
 	return r.busyUntil
 }
 

@@ -245,8 +245,8 @@ func TestResourceAcquire(t *testing.T) {
 	if r.TotalBusy != 25 {
 		t.Fatalf("TotalBusy = %d", r.TotalBusy)
 	}
-	if r.Acquisitions != 3 {
-		t.Fatalf("Acquisitions = %d", r.Acquisitions)
+	if r.BusyUntil() != 505 {
+		t.Fatalf("BusyUntil = %d", r.BusyUntil())
 	}
 }
 

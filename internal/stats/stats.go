@@ -299,3 +299,66 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
+
+// Merge returns one sample holding the observations of every part, with
+// the sum accumulated as if each part's values had been added in their
+// current order, part after part, so Mean is bit-identical to that append
+// path. A part that is not sorted yet is sorted in place, as any quantile
+// query on it would; the sorted parts are then combined by a k-way merge
+// into one presized slice, so the merged sample needs no sort of its own.
+func Merge(parts []*Sample) *Sample {
+	n := 0
+	var sum float64
+	for _, p := range parts {
+		n += len(p.xs)
+		for _, x := range p.xs {
+			sum += x
+		}
+	}
+	runs := make([][]float64, 0, len(parts))
+	for _, p := range parts {
+		if len(p.xs) > 0 {
+			p.sort()
+			runs = append(runs, p.xs)
+		}
+	}
+	// runs is a min-heap on each run's head.
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftDown(runs, i)
+	}
+	xs := make([]float64, 0, n)
+	for len(runs) > 1 {
+		top := runs[0]
+		xs = append(xs, top[0])
+		if len(top) > 1 {
+			runs[0] = top[1:]
+		} else {
+			last := len(runs) - 1
+			runs[0] = runs[last]
+			runs = runs[:last]
+		}
+		siftDown(runs, 0)
+	}
+	if len(runs) == 1 {
+		xs = append(xs, runs[0]...)
+	}
+	return &Sample{xs: xs, sorted: true, sum: sum}
+}
+
+// siftDown restores the heap order of runs below index i.
+func siftDown(runs [][]float64, i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(runs) && runs[l][0] < runs[least][0] {
+			least = l
+		}
+		if r := l + 1; r < len(runs) && runs[r][0] < runs[least][0] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		runs[i], runs[least] = runs[least], runs[i]
+		i = least
+	}
+}

@@ -386,3 +386,44 @@ func TestSampleJSONKeepsSumAfterSort(t *testing.T) {
 		t.Fatalf("re-encode %s, want %s", b2, b)
 	}
 }
+
+// TestMergeMatchesAppendAndSort compares Merge with the path it replaces —
+// append every part's values to one sample in part order, then sort it for
+// the summary — on random parts with many ties, some empty, some already
+// sorted by a quantile query and some not: the values, the sum (bit for
+// bit) and the summary must match.
+func TestMergeMatchesAppendAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		parts := make([]*Sample, rng.Intn(20))
+		for i := range parts {
+			parts[i] = &Sample{}
+			for range rng.Intn(40) {
+				// A few distinct values make ties across and within parts.
+				parts[i].Add(float64(rng.Intn(12)) + 0.1*float64(rng.Intn(3)))
+			}
+			if rng.Intn(3) > 0 {
+				parts[i].Median() // sorts the part, as a server's summary does
+			}
+		}
+		want := &Sample{}
+		for _, p := range parts {
+			for _, v := range p.UnsafeValues() {
+				want.Add(v)
+			}
+		}
+		wantSum := want.Sum()
+		wantSummary := want.Summarize()
+
+		got := Merge(parts)
+		if math.Float64bits(got.Sum()) != math.Float64bits(wantSum) {
+			t.Fatalf("trial %d: sum %v, append path %v", trial, got.Sum(), wantSum)
+		}
+		if !reflect.DeepEqual(got.Values(), want.Values()) {
+			t.Fatalf("trial %d: merged %v, sorted append %v", trial, got.Values(), want.Values())
+		}
+		if gs := got.Summarize(); gs != wantSummary {
+			t.Fatalf("trial %d: summary %+v, append path %+v", trial, gs, wantSummary)
+		}
+	}
+}

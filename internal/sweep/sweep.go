@@ -16,8 +16,10 @@
 package sweep
 
 import (
+	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,6 +96,12 @@ func ensureTotal(n int) {
 // via Workers) and returns the results in input order. fn must be safe to
 // call concurrently for distinct items; determinism is preserved because
 // each output lands in its input slot and the call is a full barrier.
+//
+// If fn panics on a cell, Map hands out no further cells, lets the cells
+// already running finish, and then panics on the calling goroutine with a
+// *CellPanic naming the cell (the lowest-indexed one, if several panicked),
+// so the caller's deferred cleanup runs. The sequential path panics with
+// the same value at once.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	if len(items) == 0 {
 		return nil
@@ -108,33 +116,73 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 		// Sequential fast path: identical results by construction, no
 		// goroutine overhead.
 		for i, item := range items {
-			start := time.Now()
-			out[i] = fn(i, item)
-			busyNanos.Add(int64(time.Since(start)))
-			jobsDone.Add(1)
+			if p := runCell(fn, i, item, &out[i]); p != nil {
+				panic(p)
+			}
 		}
 		return out
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		first   *CellPanic
+	)
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !stopped.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
 					return
 				}
-				start := time.Now()
-				out[i] = fn(i, items[i])
-				busyNanos.Add(int64(time.Since(start)))
-				jobsDone.Add(1)
+				if p := runCell(fn, i, items[i], &out[i]); p != nil {
+					stopped.Store(true)
+					mu.Lock()
+					if first == nil || p.Index < first.Index {
+						first = p
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
 	return out
+}
+
+// CellPanic is the value Map panics with when fn panics on a cell.
+type CellPanic struct {
+	// Index is the cell's position in Map's items.
+	Index int
+	// Value is what fn panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack at the panic.
+	Stack []byte
+}
+
+func (p *CellPanic) Error() string {
+	return fmt.Sprintf("sweep: cell %d panicked: %v\n\ncell goroutine stack:\n%s", p.Index, p.Value, p.Stack)
+}
+
+// runCell runs fn on cell i, storing its result in *out, and returns the
+// panic that stopped it, if any.
+func runCell[T, R any](fn func(i int, item T) R, i int, item T, out *R) (p *CellPanic) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = &CellPanic{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	start := time.Now()
+	*out = fn(i, item)
+	busyNanos.Add(int64(time.Since(start)))
+	jobsDone.Add(1)
+	return nil
 }
 
 // Map2 runs fn over the cross product rows × cols (row-major order) and

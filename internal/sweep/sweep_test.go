@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -101,5 +103,62 @@ func TestBusyAccumulates(t *testing.T) {
 	})
 	if Busy() <= 0 {
 		t.Fatal("Busy did not accumulate job time")
+	}
+}
+
+// mapPanic runs Map and returns the value it panicked with, or nil.
+func mapPanic(workers int, items []int, fn func(int, int) int) (v any) {
+	defer func() { v = recover() }()
+	Map(workers, items, fn)
+	return nil
+}
+
+// A panicking cell surfaces on the calling goroutine as a *CellPanic that
+// names the cell and carries the original value, with the same message on
+// the sequential and the parallel path. No cell starts once the panic is
+// seen, every cell already running finishes, and the caller's deferred
+// cleanup runs.
+func TestMapPanicNamesCell(t *testing.T) {
+	// Enough 2 ms cells that the panicking worker would have to stall for
+	// seconds before its sibling could run them all.
+	items := make([]int, 1000)
+	for i := range items {
+		items[i] = i
+	}
+	for _, workers := range []int{1, 2} {
+		var started, finished atomic.Int64
+		fn := func(i, x int) int {
+			started.Add(1)
+			if x == 0 {
+				panic("boom")
+			}
+			time.Sleep(2 * time.Millisecond)
+			finished.Add(1)
+			return x
+		}
+		cleaned := false
+		v := func() any {
+			defer func() { cleaned = true }()
+			return mapPanic(workers, items, fn)
+		}()
+		p, ok := v.(*CellPanic)
+		if !ok {
+			t.Fatalf("workers %d: Map panicked with %T %v, want *CellPanic", workers, v, v)
+		}
+		if p.Index != 0 || p.Value != "boom" {
+			t.Fatalf("workers %d: panic names cell %d with %v, want cell 0 with boom", workers, p.Index, p.Value)
+		}
+		if first, _, _ := strings.Cut(p.Error(), "\n"); first != "sweep: cell 0 panicked: boom" {
+			t.Fatalf("workers %d: message %q", workers, first)
+		}
+		if !cleaned {
+			t.Fatalf("workers %d: caller's deferred cleanup did not run", workers)
+		}
+		if started.Load() == int64(len(items)) {
+			t.Fatalf("workers %d: every cell ran after the panic", workers)
+		}
+		if finished.Load() != started.Load()-1 {
+			t.Fatalf("workers %d: %d cells started, %d finished besides the panicking one", workers, started.Load(), finished.Load())
+		}
 	}
 }
