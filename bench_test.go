@@ -307,7 +307,7 @@ func BenchmarkEndToEndGridWorkers(b *testing.B) {
 }
 
 // BenchmarkFig3Workers times the Figure 3 queue sweep (22 cells) at 1 vs all
-// workers — the Map2 counterpart of BenchmarkEndToEndGridWorkers.
+// workers — the paired-seed counterpart of BenchmarkEndToEndGridWorkers.
 func BenchmarkFig3Workers(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -34,13 +34,11 @@ func Fig15(o Options) []Fig15Row {
 	catalog := o.Apps[0].Catalog
 	// The base run and the four ladder rungs are five independent
 	// simulations — one sweep, base in slot 0.
-	results := sweep.MapCached(o.Parallel, append([]machine.Config{base}, ladder...),
-		func(_ int, cfg machine.Config) []byte {
-			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
-		},
-		func(_ int, cfg machine.Config) *machine.Result {
-			return mixedRun(cfg, o, rps)
-		})
+	cells := []runCell{{base, o.mixedRC(rps, o.Duration)}}
+	for _, cfg := range ladder {
+		cells = append(cells, runCell{cfg, o.mixedRC(rps, o.Duration)})
+	}
+	results := sweep.MapCached(o.Parallel, cells)
 	baseRes, ladderRes := results[0], results[1:]
 	var rows []Fig15Row
 	for _, root := range sortedRoots(baseRes.PerRoot) {
@@ -99,15 +97,12 @@ func Fig19(o Options) []Fig19Row {
 	o = o.normalized()
 	const rps = 15000
 	catalog := o.Apps[0].Catalog
-	results := sweep.MapCached(o.Parallel, Fig19Configs,
-		func(_ int, tc Fig19Config) []byte {
-			cfg := withFleetCoupling(machine.UManycoreTopologyConfig(tc.CoresPerVillage, tc.VillagesPerCluster, tc.Clusters))
-			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
-		},
-		func(_ int, tc Fig19Config) *machine.Result {
-			cfg := withFleetCoupling(machine.UManycoreTopologyConfig(tc.CoresPerVillage, tc.VillagesPerCluster, tc.Clusters))
-			return mixedRun(cfg, o, rps)
-		})
+	cells := make([]runCell, len(Fig19Configs))
+	for i, tc := range Fig19Configs {
+		cfg := withFleetCoupling(machine.UManycoreTopologyConfig(tc.CoresPerVillage, tc.VillagesPerCluster, tc.Clusters))
+		cells[i] = runCell{cfg, o.mixedRC(rps, o.Duration)}
+	}
+	results := sweep.MapCached(o.Parallel, cells)
 	var rows []Fig19Row
 	for _, root := range sortedRoots(results[0].PerRoot) {
 		baseSum := results[0].PerRoot[root]

@@ -103,11 +103,10 @@ func runBattery(t *testing.T, name string, fig func(o Options) any) {
 }
 
 // TestCacheBatteryDrivers runs the cold==warm==verify battery over one
-// driver of each cached shape: the full-result Map2 grid (EndToEnd), the
-// scalar-projection grid (Fig6), the job-slice path (Fig20), the non-sim
-// row payload (Fig9), the coupled-fleet payload (FleetLB, plus the sharded
-// FleetScale, controlled and graph cells that reuse it) and the what-if
-// cell payload (WhatIf).
+// driver of each cell type: runCell (EndToEnd), p99Cell (Fig6, and Fig20's
+// paired-seed bar groups), fig9Side (Fig9), fig18Search (Fig18), fleetCell
+// (FleetLB, plus the sharded FleetScale, controlled and graph cells) and
+// the what-if grid cell (WhatIf).
 func TestCacheBatteryDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
@@ -120,6 +119,7 @@ func TestCacheBatteryDrivers(t *testing.T) {
 		{"Fig6", func(o Options) any { return Fig6(o) }},
 		{"Fig20", func(o Options) any { return Fig20(o) }},
 		{"Fig9", func(o Options) any { return Fig9(o) }},
+		{"Fig18", func(o Options) any { o.Apps = o.Apps[:1]; return Fig18(o) }},
 		{"FleetLB", func(o Options) any { return FleetLB(o) }},
 		{"FleetScale", func(o Options) any { o.FleetSizes = []int{2, 4}; return FleetScale(o) }},
 		{"FleetControl", func(o Options) any { return FleetControl(o) }},
@@ -168,7 +168,7 @@ func TestCacheCorruptionRecomputesToSameBytes(t *testing.T) {
 		{"data", o.jobSeed("fig9/data"), fig9TraceLen},
 		{"instr", o.jobSeed("fig9/instr"), fig9TraceLen},
 	} {
-		pre := fig9Pre(0, s)
+		pre := s.Key()
 		if pre == nil {
 			t.Fatal("probe preimage failed")
 		}

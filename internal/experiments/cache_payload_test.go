@@ -51,8 +51,7 @@ func checkCellPayload[R any](t *testing.T, v R, foreign []byte) {
 	c.Store(pre, foreign)
 	runs := 0
 	cell := func() R {
-		return sweep.MapCached(1, []int{0}, func(int, int) []byte { return pre },
-			func(int, int) R { runs++; return v })[0]
+		return sweep.MapCached(1, []testCell[R]{{pre, func() R { runs++; return v }}})[0]
 	}
 	if got := cell(); !reflect.DeepEqual(got, v) || runs != 1 {
 		t.Fatalf("foreign payload: got %+v after %d runs, want the recomputed value", got, runs)
@@ -67,6 +66,15 @@ func checkCellPayload[R any](t *testing.T, v R, foreign []byte) {
 		t.Fatalf("repaired cell: counters %+v, want 1 hit", s)
 	}
 }
+
+// testCell is a cell with a fixed key and a computation.
+type testCell[R any] struct {
+	key []byte
+	run func() R
+}
+
+func (c testCell[R]) Key() []byte { return c.key }
+func (c testCell[R]) Run() R      { return c.run() }
 
 // payloadMachineResult is a small but fully populated run: mixed load, so
 // PerRoot and the raw sample are non-trivial.
@@ -208,8 +216,7 @@ func TestCellPayloadRoundTrip(t *testing.T) {
 		// A non-finite cell has no JSON form: computed, never stored.
 		c := withTestCache(t)
 		pre := sweepcache.NewKey("test/nan").Preimage()
-		got := sweep.MapCached(1, []int{0}, func(int, int) []byte { return pre },
-			func(int, int) float64 { return math.NaN() })
+		got := sweep.MapCached(1, []testCell[float64]{{pre, math.NaN}})
 		if !math.IsNaN(got[0]) || c.Snapshot().Stores != 0 {
 			t.Fatalf("NaN cell returned %v with %d stores", got[0], c.Snapshot().Stores)
 		}
@@ -226,8 +233,18 @@ func TestPreimagesRefuseAttachments(t *testing.T) {
 	fc := fleet.DefaultConfig(cfg)
 	fc.Servers = 2
 	plain := o.runCfg(app, 1000)
-	if runPre("run/result", cfg, plain) == nil || fleetPre(fc, app, 1000, plain, 1) == nil {
-		t.Fatal("a plain cell is uncacheable")
+	keys := func(rc machine.RunConfig) map[string][]byte {
+		return map[string][]byte{
+			"runCell":     runCell{cfg, rc}.Key(),
+			"p99Cell":     p99Cell{runCell{cfg, rc}}.Key(),
+			"fig18Search": fig18Search{cfg: cfg, hiRPS: 1, rc: rc}.Key(),
+			"fleetCell":   fleetCell{fc, app, 1000, rc, 1}.Key(),
+		}
+	}
+	for cell, key := range keys(plain) {
+		if key == nil {
+			t.Fatalf("a plain %s is uncacheable", cell)
+		}
 	}
 	for name, attach := range map[string]func(*machine.RunConfig){
 		"obs":       func(rc *machine.RunConfig) { rc.Obs = &obs.Options{Trace: true} },
@@ -235,15 +252,14 @@ func TestPreimagesRefuseAttachments(t *testing.T) {
 	} {
 		rc := plain
 		attach(&rc)
-		if runPre("run/result", cfg, rc) != nil {
-			t.Errorf("runPre keyed a cell with %s attached", name)
-		}
-		if fleetPre(fc, app, 1000, rc, 1) != nil {
-			t.Errorf("fleetPre keyed a cell with %s attached", name)
+		for cell, key := range keys(rc) {
+			if key != nil {
+				t.Errorf("%s keyed a cell with %s attached", cell, name)
+			}
 		}
 	}
 	fc.NewBalancer = func() fleet.Balancer { return fleet.LeastOutstanding{} }
-	if fleetPre(fc, app, 1000, plain, 1) != nil {
-		t.Error("fleetPre keyed a fleet with a live NewBalancer")
+	if (fleetCell{fc, app, 1000, plain, 1}).Key() != nil {
+		t.Error("fleetCell keyed a fleet with a live NewBalancer")
 	}
 }

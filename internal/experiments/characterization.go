@@ -154,28 +154,28 @@ func Fig9(o Options) []Fig9Row {
 		{"data", o.jobSeed("fig9/data"), fig9TraceLen},
 		{"instr", o.jobSeed("fig9/instr"), fig9TraceLen},
 	}
-	parts := sweep.MapCached(o.Parallel, sides,
-		fig9Pre,
-		func(_ int, s fig9Side) []Fig9Row {
-			if s.Name == "data" {
-				return fig9DataSide(s.Seed, s.N)
-			}
-			return fig9InstrSide(s.Seed, s.N)
-		})
+	parts := sweep.MapCached(o.Parallel, sides)
 	return append(parts[0], parts[1]...)
 }
 
 // fig9TraceLen is the per-side trace length.
 const fig9TraceLen = 400000
 
-// fig9Side is one cached Fig9 cell: which stream, its derived seed, and the
-// trace length — everything the side function reads.
+// fig9Side is one cached Fig9 cell ("fig9/rows"): which stream, its
+// derived seed, and the trace length — everything the side function reads.
 type fig9Side struct {
 	Name string
 	Seed int64
 	N    int
 }
 
-func fig9Pre(_ int, s fig9Side) []byte {
+func (s fig9Side) Key() []byte {
 	return sweepcache.NewKey("fig9/rows").Any("side", s).Preimage()
+}
+
+func (s fig9Side) Run() []Fig9Row {
+	if s.Name == "data" {
+		return fig9DataSide(s.Seed, s.N)
+	}
+	return fig9InstrSide(s.Seed, s.N)
 }

@@ -40,7 +40,8 @@ func TestEndToEndParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFig3ParallelDeterminism covers the Map2 path plus keyed per-cell seeds.
+// TestFig3ParallelDeterminism covers a paired-seed grid (steal/no-steal
+// cells sharing one seed per queue count) across worker counts.
 func TestFig3ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")

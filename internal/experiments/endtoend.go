@@ -31,12 +31,6 @@ type E2ERow struct {
 	Unfinished  int64         `json:"unfinished"`
 }
 
-// mixedRun drives one machine with the SocialNetwork mix at totalRPS, its
-// seed keyed by the (arch, load) cell.
-func mixedRun(cfg machine.Config, o Options, totalRPS float64) *machine.Result {
-	return mixedRunAt(cfg, o, totalRPS, o.Duration)
-}
-
 // EndToEnd runs the full §6.1–§6.4 grid: every architecture × load, with
 // per-request-type rows extracted from the mixed run. Cells are independent
 // simulations, so they fan out over the sweep pool; rows come back in grid
@@ -45,36 +39,34 @@ func mixedRun(cfg machine.Config, o Options, totalRPS float64) *machine.Result {
 func EndToEnd(o Options) []E2ERow {
 	o = o.normalized()
 	catalog := o.Apps[0].Catalog
-	grid := sweep.MapCached2(o.Parallel, archSet(), o.Loads,
-		func(cfg machine.Config, rps float64) []byte {
-			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
-		},
-		func(cfg machine.Config, rps float64) *machine.Result {
-			return mixedRun(cfg, o, rps)
-		})
+	var cells []runCell
+	for _, cfg := range archSet() {
+		for _, rps := range o.Loads {
+			cells = append(cells, runCell{cfg, o.mixedRC(rps, o.Duration)})
+		}
+	}
+	results := sweep.MapCached(o.Parallel, cells)
 	var rows []E2ERow
-	for i, cfg := range archSet() {
-		for j, rps := range o.Loads {
-			res := grid[i][j]
-			for _, root := range sortedRoots(res.PerRoot) {
-				sum := res.PerRoot[root]
-				ratio := 0.0
-				if sum.Mean > 0 {
-					ratio = sum.P99 / sum.Mean
-				}
-				rows = append(rows, E2ERow{
-					App:         catalog.Service(root).Name,
-					RPS:         rps,
-					Arch:        cfg.Name,
-					Latency:     sum,
-					AvgMicros:   sum.Mean,
-					TailMicros:  sum.P99,
-					TailToAvg:   ratio,
-					Utilization: res.Utilization,
-					Completed:   uint64(sum.N),
-					Unfinished:  res.Unfinished,
-				})
+	for i, c := range cells {
+		res := results[i]
+		for _, root := range sortedRoots(res.PerRoot) {
+			sum := res.PerRoot[root]
+			ratio := 0.0
+			if sum.Mean > 0 {
+				ratio = sum.P99 / sum.Mean
 			}
+			rows = append(rows, E2ERow{
+				App:         catalog.Service(root).Name,
+				RPS:         c.rc.RPS,
+				Arch:        c.cfg.Name,
+				Latency:     sum,
+				AvgMicros:   sum.Mean,
+				TailMicros:  sum.P99,
+				TailToAvg:   ratio,
+				Utilization: res.Utilization,
+				Completed:   uint64(sum.N),
+				Unfinished:  res.Unfinished,
+			})
 		}
 	}
 	return rows
@@ -155,22 +147,14 @@ func Fig18(o Options) []Fig18Row {
 
 	// Stage 1: contention-free per-type averages, one run per architecture.
 	archs := archSet()
-	cfRuns := sweep.MapCached(o.Parallel, archs,
-		func(_ int, cfg machine.Config) []byte {
-			return runPre("run/result", cfg, o.mixedRC(100, 2*sim.Second))
-		},
-		func(_ int, cfg machine.Config) *machine.Result {
-			return mixedRunAt(cfg, o, 100, 2*sim.Second)
-		})
+	cfCells := make([]runCell, len(archs))
+	for i, cfg := range archs {
+		cfCells[i] = runCell{cfg, o.mixedRC(100, 2*sim.Second)}
+	}
+	cfRuns := sweep.MapCached(o.Parallel, cfCells)
 
 	// Stage 2: one QoS search per (architecture, request type).
-	type searchJob struct {
-		cfg   machine.Config
-		root  int
-		limit float64
-		hiRPS float64
-	}
-	var jobs []searchJob
+	var jobs []fig18Search
 	for i, cfg := range archs {
 		limits := map[int]float64{}
 		for root, sum := range cfRuns[i].PerRoot {
@@ -184,41 +168,13 @@ func Fig18(o Options) []Fig18Row {
 			if !wanted[e.Root] {
 				continue
 			}
-			jobs = append(jobs, searchJob{cfg: cfg, root: e.Root, limit: limits[e.Root], hiRPS: hi})
+			jobs = append(jobs, fig18Search{
+				cfg: cfg, root: e.Root, limit: limits[e.Root], hiRPS: hi,
+				rc: o.mixedRC(0, o.Duration),
+			})
 		}
 	}
-	maxes := sweep.MapCached(o.Parallel, jobs,
-		func(_ int, j searchJob) []byte {
-			// The whole binary search is one cell: its probes are an
-			// iterative refinement, so the cacheable unit is the search
-			// outcome. Everything a probe reads is in the preimage — the
-			// searched config, the QoS limit from stage 1, the search
-			// bounds, and the probe RunConfig (rps 0: the search sets it).
-			rc := o.mixedRC(0, o.Duration)
-			if rc.Obs != nil || rc.Telemetry != nil {
-				return nil
-			}
-			return sweepcache.NewKey("fig18/search").
-				Any("cfg", j.cfg).
-				Int("root", int64(j.root)).
-				Float("limit", j.limit).
-				Float("lo", fig18SearchLoRPS).
-				Float("hi", j.hiRPS).
-				Any("rc", rc).
-				Preimage()
-		},
-		func(_ int, j searchJob) float64 {
-			ok := func(rps float64) bool {
-				res := mixedRunAt(j.cfg, o, rps, o.Duration)
-				bad := float64(res.Rejected) + float64(res.Unfinished)
-				if res.Completed == 0 || bad > 0.01*float64(res.Submitted) {
-					return false
-				}
-				sum, okRoot := res.PerRoot[j.root]
-				return okRoot && sum.N > 0 && sum.P99 <= j.limit
-			}
-			return binarySearchMax(ok, fig18SearchLoRPS, j.hiRPS)
-		})
+	maxes := sweep.MapCached(o.Parallel, jobs)
 	rows := make([]Fig18Row, len(jobs))
 	for i, j := range jobs {
 		rows[i] = Fig18Row{App: catalog.Service(j.root).Name, Arch: j.cfg.Name, MaxRPS: maxes[i]}
@@ -226,14 +182,54 @@ func Fig18(o Options) []Fig18Row {
 	return rows
 }
 
+// fig18Search is one Fig 18 QoS search ("fig18/search"). The whole binary
+// search is one cell: its probes are an iterative refinement, so the
+// cacheable unit is the search outcome. The cell holds everything a probe
+// reads — the searched config, the QoS limit from stage 1, the upper
+// search bound, and the probe RunConfig (rps 0: each probe sets it).
+type fig18Search struct {
+	cfg   machine.Config
+	root  int
+	limit float64
+	hiRPS float64
+	rc    machine.RunConfig
+}
+
+func (s fig18Search) Key() []byte {
+	if s.rc.Obs != nil || s.rc.Telemetry != nil {
+		return nil
+	}
+	return sweepcache.NewKey("fig18/search").
+		Any("cfg", s.cfg).
+		Int("root", int64(s.root)).
+		Float("limit", s.limit).
+		Float("lo", fig18SearchLoRPS).
+		Float("hi", s.hiRPS).
+		Any("rc", s.rc).
+		Preimage()
+}
+
+func (s fig18Search) Run() float64 {
+	ok := func(rps float64) bool {
+		rc := s.rc
+		rc.RPS = rps
+		res := machine.Run(s.cfg, rc)
+		bad := float64(res.Rejected) + float64(res.Unfinished)
+		if res.Completed == 0 || bad > 0.01*float64(res.Submitted) {
+			return false
+		}
+		sum, okRoot := res.PerRoot[s.root]
+		return okRoot && sum.N > 0 && sum.P99 <= s.limit
+	}
+	return binarySearchMax(ok, fig18SearchLoRPS, s.hiRPS)
+}
+
 // fig18SearchLoRPS is the QoS search's lower bound. It is part of every
-// fig18/search cell's preimage: changing it must invalidate cached search
+// fig18/search cell's key: changing it must invalidate cached search
 // outcomes.
 const fig18SearchLoRPS = 2000
 
-// mixedRC is the RunConfig of one mixed-workload cell — the single
-// definition shared by the cells that execute it and the cache preimages
-// that address it, so the two can never drift apart.
+// mixedRC is the RunConfig of one mixed-workload cell.
 //
 // Every cell of the mixed grid shares the base seed: the cross-arch and
 // cross-load ratios the figures report are paired comparisons over the
@@ -245,10 +241,6 @@ func (o Options) mixedRC(rps float64, dur sim.Time) machine.RunConfig {
 	rc.Duration = dur
 	rc.Mix = workload.SocialNetworkMix()
 	return rc
-}
-
-func mixedRunAt(cfg machine.Config, o Options, rps float64, dur sim.Time) *machine.Result {
-	return machine.Run(cfg, o.mixedRC(rps, dur))
 }
 
 // binarySearchMax finds the largest x in [lo, hi] with ok(x), assuming ok
@@ -299,15 +291,15 @@ func Sec68(o Options) Sec68Result {
 	umc := withFleetCoupling(machine.UManycoreConfig())
 	var out Sec68Result
 	var ratios []float64
-	grid := sweep.MapCached2(o.Parallel, o.Loads, []machine.Config{sc, umc},
-		func(rps float64, cfg machine.Config) []byte {
-			return runPre("run/result", cfg, o.mixedRC(rps, o.Duration))
-		},
-		func(rps float64, cfg machine.Config) *machine.Result {
-			return mixedRun(cfg, o, rps)
-		})
+	var cells []runCell
+	for _, rps := range o.Loads {
+		for _, cfg := range []machine.Config{sc, umc} {
+			cells = append(cells, runCell{cfg, o.mixedRC(rps, o.Duration)})
+		}
+	}
+	grid := sweep.MapCached(o.Parallel, cells)
 	for i, rps := range o.Loads {
-		scRes, uRes := grid[i][0], grid[i][1]
+		scRes, uRes := grid[2*i], grid[2*i+1]
 		for _, root := range sortedRoots(scRes.PerRoot) {
 			scSum := scRes.PerRoot[root]
 			uSum, ok := uRes.PerRoot[root]

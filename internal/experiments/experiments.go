@@ -4,10 +4,15 @@
 // each in a testing.B benchmark.
 //
 // Figures 14–18 and §6.8 follow the paper's methodology: per-server loads of
-// 5/10/15K RPS with Poisson arrivals, a 10-server fleet (modeled via the
-// symmetric-server coupling of internal/fleet — cross-server RPC fraction
-// and 1μs inter-server RTT applied per machine), end-to-end latency from
-// client send to client receive, and P99 as the tail metric.
+// 5/10/15K RPS with Poisson arrivals, a 10-server fleet, end-to-end latency
+// from client send to client receive, and P99 as the tail metric. The fleet
+// is not simulated server by server: withFleetCoupling gives one machine the
+// cluster's cross-server RPC parameters, so each child RPC draws a
+// per-machine lottery (probability 0.5) to count as remote, and a remote
+// call pays the 1μs inter-server RTT but still runs on this machine, which
+// stands in for its symmetric peers. These figures never call
+// internal/fleet; the coupled-fleet studies (FleetLB, FleetScale,
+// FleetGraph, FleetControl) do.
 package experiments
 
 import (

@@ -208,44 +208,29 @@ func FleetControl(o Options) []FleetControlRow {
 	}
 	var rows []FleetControlRow
 	for _, sc := range controlScenarios() {
-		type cell struct {
-			fc    fleet.Config
-			rc    machine.RunConfig
-			total float64
-			seed  int64
-		}
-		mkCell := func(v controlVariant, perServer float64) cell {
-			fc := fleetControlConfig(sc.servers)
-			if sc.shape != nil {
-				sc.shape(&fc)
-			}
-			fc.Control = v.ctl
-			total := perServer * float64(sc.servers)
-			rc := o.runCfg(app, total)
-			rc.Arrivals = sc.arrivals
-			// Variants at one load share a seed: the comparison is paired
-			// over identical arrival processes.
-			return cell{
-				fc:    fc,
-				rc:    rc,
-				total: total,
-				seed:  o.jobSeed(fmt.Sprintf("fleetcontrol/%s/%g", sc.name, perServer)),
+		var cells []fleetCell
+		for _, v := range sc.variants {
+			for _, perServer := range sc.loads {
+				fc := fleetControlConfig(sc.servers)
+				if sc.shape != nil {
+					sc.shape(&fc)
+				}
+				// The Control pointer is in the key: policy is simulation
+				// content.
+				fc.Control = v.ctl
+				total := perServer * float64(sc.servers)
+				rc := o.runCfg(app, total)
+				rc.Arrivals = sc.arrivals
+				// Variants at one load share a seed: the comparison is
+				// paired over identical arrival processes.
+				seed := o.jobSeed(fmt.Sprintf("fleetcontrol/%s/%g", sc.name, perServer))
+				cells = append(cells, fleetCell{fc, app, total, rc, seed})
 			}
 		}
-		grid := sweep.MapCached2(o.Parallel, sc.variants, sc.loads,
-			func(v controlVariant, perServer float64) []byte {
-				c := mkCell(v, perServer)
-				// The Control pointer is in the key: policy is simulation content.
-				return fleetPre(c.fc, app, c.total, c.rc, c.seed)
-			},
-			func(v controlVariant, perServer float64) *fleet.Result {
-				c := mkCell(v, perServer)
-				return fleet.Run(c.fc, app, c.total, c.rc, c.seed)
-			})
-		for i, v := range sc.variants {
-			for j, perServer := range sc.loads {
-				rows = append(rows, controlRow(sc.name, v.name, perServer, grid[i][j], o))
-			}
+		results := sweep.MapCached(o.Parallel, cells)
+		for k, res := range results {
+			v := sc.variants[k/len(sc.loads)]
+			rows = append(rows, controlRow(sc.name, v.name, sc.loads[k%len(sc.loads)], res, o))
 		}
 	}
 	return rows

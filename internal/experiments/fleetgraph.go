@@ -7,7 +7,6 @@ import (
 	"umanycore/internal/machine"
 	"umanycore/internal/svcgraph"
 	"umanycore/internal/sweep"
-	"umanycore/internal/workload"
 )
 
 // FleetGraphRow is one (placement policy, DAG shape) point of the
@@ -88,55 +87,40 @@ func FleetGraph(o Options) []FleetGraphRow {
 	o = o.normalized()
 	perServer := o.Loads[0]
 	total := perServer * fleetGraphServers
-	type cell struct {
-		fc   fleet.Config
-		app  *workload.App
-		seed int64
-	}
-	mkCell := func(policy string, shape graphShape) cell {
-		app := svcgraph.Layered(shape.Levels, shape.Fanout, 80)
-		fc := fleet.DefaultConfig(machine.UManycoreConfig())
-		fc.Servers = fleetGraphServers
-		fc.LB = "rr"
-		fc.Graph = graphPlacement(o, policy, len(app.Catalog.Services))
-		// Placements at one shape share a seed: the comparison is paired
-		// over identical arrival processes.
-		return cell{
-			fc:   fc,
-			app:  app,
-			seed: o.jobSeed(fmt.Sprintf("fleetgraph/d%df%d", shape.Levels, shape.Fanout)),
+	var cells []fleetCell
+	for _, policy := range fleetGraphPlacements {
+		for _, shape := range fleetGraphShapes {
+			app := svcgraph.Layered(shape.Levels, shape.Fanout, 80)
+			fc := fleet.DefaultConfig(machine.UManycoreConfig())
+			fc.Servers = fleetGraphServers
+			fc.LB = "rr"
+			// The placement spec is part of fc, so each policy keys its
+			// own cells.
+			fc.Graph = graphPlacement(o, policy, len(app.Catalog.Services))
+			// Placements at one shape share a seed: the comparison is
+			// paired over identical arrival processes.
+			seed := o.jobSeed(fmt.Sprintf("fleetgraph/d%df%d", shape.Levels, shape.Fanout))
+			cells = append(cells, fleetCell{fc, app, total, o.runCfg(app, total), seed})
 		}
 	}
-	grid := sweep.MapCached2(o.Parallel, fleetGraphPlacements, fleetGraphShapes,
-		func(policy string, shape graphShape) []byte {
-			c := mkCell(policy, shape)
-			// The placement spec is part of fc, so each policy keys its own cells.
-			return fleetPre(c.fc, c.app, total, o.runCfg(c.app, total), c.seed)
-		},
-		func(policy string, shape graphShape) *fleet.Result {
-			c := mkCell(policy, shape)
-			return fleet.Run(c.fc, c.app, total, o.runCfg(c.app, total), c.seed)
-		})
-	rows := make([]FleetGraphRow, 0, len(fleetGraphPlacements)*len(fleetGraphShapes))
-	for i, policy := range fleetGraphPlacements {
-		for j, shape := range fleetGraphShapes {
-			res := grid[i][j]
-			app := svcgraph.Layered(shape.Levels, shape.Fanout, 80)
-			rows = append(rows, FleetGraphRow{
-				Placement:    policy,
-				Depth:        shape.Levels,
-				Fanout:       shape.Fanout,
-				Services:     len(app.Catalog.Services),
-				PerServerRPS: perServer,
-				TotalRPS:     res.TotalRPS,
-				MeanMicros:   res.Latency.Mean,
-				P99Micros:    res.Latency.P99,
-				TailToAvg:    res.TailToAvg,
-				Completed:    res.Completed,
-				Rejected:     res.Rejected,
-				RejectRate:   rejectRate(res.Completed, res.Rejected),
-				RemoteServed: res.RemoteServed,
-			})
+	results := sweep.MapCached(o.Parallel, cells)
+	rows := make([]FleetGraphRow, len(cells))
+	for k, res := range results {
+		shape := fleetGraphShapes[k%len(fleetGraphShapes)]
+		rows[k] = FleetGraphRow{
+			Placement:    fleetGraphPlacements[k/len(fleetGraphShapes)],
+			Depth:        shape.Levels,
+			Fanout:       shape.Fanout,
+			Services:     len(cells[k].app.Catalog.Services),
+			PerServerRPS: perServer,
+			TotalRPS:     res.TotalRPS,
+			MeanMicros:   res.Latency.Mean,
+			P99Micros:    res.Latency.P99,
+			TailToAvg:    res.TailToAvg,
+			Completed:    res.Completed,
+			Rejected:     res.Rejected,
+			RejectRate:   rejectRate(res.Completed, res.Rejected),
+			RemoteServed: res.RemoteServed,
 		}
 	}
 	return rows

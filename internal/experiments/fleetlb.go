@@ -58,6 +58,23 @@ func rejectParity(rates []float64) bool {
 	return hi-lo <= 0.005
 }
 
+// columnParity annotates a policy-major grid of fleet results (cols
+// columns per policy) with each column's rejectParity. Aware-vs-oblivious
+// latency comparisons are only apples-to-apples when every policy responded
+// at the same reject rate; policies in one column share arrivals, so any
+// spread means routing itself changed who got served.
+func columnParity(results []*fleet.Result, cols int) []bool {
+	parity := make([]bool, cols)
+	for j := range parity {
+		var rates []float64
+		for k := j; k < len(results); k += cols {
+			rates = append(rates, rejectRate(results[k].Completed, results[k].Rejected))
+		}
+		parity[j] = rejectParity(rates)
+	}
+	return parity
+}
+
 // fleetLBConfig is the study's fleet: μManycore servers, one straggler
 // running 3× slower — the skew that separates queue-aware policies from
 // oblivious ones. Call chains stay mostly local (cross-server fraction 0.1
@@ -85,61 +102,34 @@ func FleetLB(o Options) []FleetLBRow {
 	o = o.normalized()
 	app := appNamed("HomeT")
 	policies := fleet.Policies()
-	type cell struct {
-		fc    fleet.Config
-		total float64
-		seed  int64
-	}
-	mkCell := func(policy string, perServer float64) cell {
-		fc := fleetLBConfig()
-		fc.LB = policy
-		// Policies at one load share a seed: the comparison is paired
-		// over identical arrival processes.
-		return cell{
-			fc:    fc,
-			total: perServer * float64(fc.Servers),
-			seed:  o.jobSeed(fmt.Sprintf("fleetlb/%g", perServer)),
+	var cells []fleetCell
+	for _, policy := range policies {
+		for _, perServer := range o.Loads {
+			fc := fleetLBConfig()
+			fc.LB = policy
+			total := perServer * float64(fc.Servers)
+			// Policies at one load share a seed: the comparison is paired
+			// over identical arrival processes.
+			seed := o.jobSeed(fmt.Sprintf("fleetlb/%g", perServer))
+			cells = append(cells, fleetCell{fc, app, total, o.runCfg(app, total), seed})
 		}
 	}
-	grid := sweep.MapCached2(o.Parallel, policies, o.Loads,
-		func(policy string, perServer float64) []byte {
-			c := mkCell(policy, perServer)
-			return fleetPre(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)
-		},
-		func(policy string, perServer float64) *fleet.Result {
-			c := mkCell(policy, perServer)
-			return fleet.Run(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)
-		})
-	rows := make([]FleetLBRow, 0, len(policies)*len(o.Loads))
-	for i, policy := range policies {
-		for j, perServer := range o.Loads {
-			res := grid[i][j]
-			rows = append(rows, FleetLBRow{
-				Policy:       policy,
-				PerServerRPS: perServer,
-				TotalRPS:     res.TotalRPS,
-				MeanMicros:   res.Latency.Mean,
-				P99Micros:    res.Latency.P99,
-				TailToAvg:    res.TailToAvg,
-				Completed:    res.Completed,
-				Rejected:     res.Rejected,
-				RejectRate:   rejectRate(res.Completed, res.Rejected),
-				RemoteServed: res.RemoteServed,
-			})
-		}
-	}
-	// Annotate each load column: aware-vs-oblivious latency comparisons are
-	// only apples-to-apples when every policy responded at the same reject
-	// rate. Policies at one load share arrivals, so any spread here means
-	// routing itself changed who got served.
-	for j := range o.Loads {
-		rates := make([]float64, len(policies))
-		for i := range policies {
-			rates[i] = rows[i*len(o.Loads)+j].RejectRate
-		}
-		parity := rejectParity(rates)
-		for i := range policies {
-			rows[i*len(o.Loads)+j].RejectParity = parity
+	results := sweep.MapCached(o.Parallel, cells)
+	parity := columnParity(results, len(o.Loads))
+	rows := make([]FleetLBRow, len(cells))
+	for k, res := range results {
+		rows[k] = FleetLBRow{
+			Policy:       cells[k].fc.LB,
+			PerServerRPS: o.Loads[k%len(o.Loads)],
+			TotalRPS:     res.TotalRPS,
+			MeanMicros:   res.Latency.Mean,
+			P99Micros:    res.Latency.P99,
+			TailToAvg:    res.TailToAvg,
+			Completed:    res.Completed,
+			Rejected:     res.Rejected,
+			RejectRate:   rejectRate(res.Completed, res.Rejected),
+			RejectParity: parity[k%len(o.Loads)],
+			RemoteServed: res.RemoteServed,
 		}
 	}
 	return rows

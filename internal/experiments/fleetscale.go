@@ -69,60 +69,35 @@ func FleetScale(o Options) []FleetScaleRow {
 	app := appNamed("HomeT")
 	perServer := o.Loads[len(o.Loads)/2]
 	policies := fleet.Policies()
-	type cell struct {
-		fc    fleet.Config
-		total float64
-		seed  int64
-	}
-	mkCell := func(policy string, servers int) cell {
-		fc := fleetScaleConfig(servers)
-		fc.LB = policy
-		// Policies at one size share a seed: the comparison is paired over
-		// identical arrival processes.
-		return cell{
-			fc:    fc,
-			total: perServer * float64(servers),
-			seed:  o.jobSeed(fmt.Sprintf("fleetscale/%d", servers)),
+	var cells []fleetCell
+	for _, policy := range policies {
+		for _, servers := range o.FleetSizes {
+			fc := fleetScaleConfig(servers)
+			fc.LB = policy
+			total := perServer * float64(servers)
+			// Policies at one size share a seed: the comparison is paired
+			// over identical arrival processes.
+			seed := o.jobSeed(fmt.Sprintf("fleetscale/%d", servers))
+			cells = append(cells, fleetCell{fc, app, total, o.runCfg(app, total), seed})
 		}
 	}
-	grid := sweep.MapCached2(o.Parallel, policies, o.FleetSizes,
-		func(policy string, servers int) []byte {
-			c := mkCell(policy, servers)
-			return fleetPre(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)
-		},
-		func(policy string, servers int) *fleet.Result {
-			c := mkCell(policy, servers)
-			return fleet.Run(c.fc, app, c.total, o.runCfg(app, c.total), c.seed)
-		})
-	rows := make([]FleetScaleRow, 0, len(policies)*len(o.FleetSizes))
-	for i, policy := range policies {
-		for j, servers := range o.FleetSizes {
-			res := grid[i][j]
-			rows = append(rows, FleetScaleRow{
-				Policy:          policy,
-				Servers:         servers,
-				TotalRPS:        res.TotalRPS,
-				MeanMicros:      res.Latency.Mean,
-				P99Micros:       res.Latency.P99,
-				TailToAvg:       res.TailToAvg,
-				Completed:       res.Completed,
-				Rejected:        res.Rejected,
-				RejectRate:      rejectRate(res.Completed, res.Rejected),
-				RemoteServed:    res.RemoteServed,
-				EventsProcessed: res.EventsProcessed,
-			})
-		}
-	}
-	// Annotate each fleet-size column with reject-rate parity across
-	// policies, as in FleetLB.
-	for j := range o.FleetSizes {
-		rates := make([]float64, len(policies))
-		for i := range policies {
-			rates[i] = rows[i*len(o.FleetSizes)+j].RejectRate
-		}
-		parity := rejectParity(rates)
-		for i := range policies {
-			rows[i*len(o.FleetSizes)+j].RejectParity = parity
+	results := sweep.MapCached(o.Parallel, cells)
+	parity := columnParity(results, len(o.FleetSizes))
+	rows := make([]FleetScaleRow, len(cells))
+	for k, res := range results {
+		rows[k] = FleetScaleRow{
+			Policy:          cells[k].fc.LB,
+			Servers:         cells[k].fc.Servers,
+			TotalRPS:        res.TotalRPS,
+			MeanMicros:      res.Latency.Mean,
+			P99Micros:       res.Latency.P99,
+			TailToAvg:       res.TailToAvg,
+			Completed:       res.Completed,
+			Rejected:        res.Rejected,
+			RejectRate:      rejectRate(res.Completed, res.Rejected),
+			RejectParity:    parity[k%len(o.FleetSizes)],
+			RemoteServed:    res.RemoteServed,
+			EventsProcessed: res.EventsProcessed,
 		}
 	}
 	return rows

@@ -44,20 +44,19 @@ func Fig7(o Options) []Fig7Row {
 		cfg.ICNContention = v.contention
 		return cfg
 	}
-	mkRC := func(rps int, v variant) machine.RunConfig {
-		return o.runCfgKey(app, float64(rps), fmt.Sprintf("fig7/%v/%d", v.topo, rps))
+	var cells []p99Cell
+	for _, rps := range loads {
+		for _, v := range variants {
+			rc := o.runCfgKey(app, float64(rps), fmt.Sprintf("fig7/%v/%d", v.topo, rps))
+			cells = append(cells, p99Cell{runCell{mkCfg(v), rc}})
+		}
 	}
-	grid := sweep.MapCached2(o.Parallel, loads, variants,
-		func(rps int, v variant) []byte {
-			return runPre("run/p99", mkCfg(v), mkRC(rps, v))
-		},
-		func(rps int, v variant) float64 {
-			return machine.Run(mkCfg(v), mkRC(rps, v)).Latency.P99
-		})
+	tails := sweep.MapCached(o.Parallel, cells)
 
 	rows := make([]Fig7Row, 0, len(loads))
 	for i, rps := range loads {
-		meshBase, mesh, ftBase, ft := grid[i][0], grid[i][1], grid[i][2], grid[i][3]
+		t := tails[len(variants)*i:]
+		meshBase, mesh, ftBase, ft := t[0], t[1], t[2], t[3]
 		row := Fig7Row{RPS: rps}
 		if meshBase > 0 {
 			row.MeshNorm = mesh / meshBase

@@ -71,21 +71,17 @@ func Fig3(o Options) []Fig3Row {
 		}
 		return cfg
 	}
-	// Steal/no-steal at one queue count share a seed: the pair is a
-	// paired comparison over the same arrival sequence.
-	mkRC := func(q int) machine.RunConfig {
-		return o.runCfgKey(app, 50000, fmt.Sprintf("fig3/%d", q))
+	var cells []runCell
+	for _, q := range queueCounts {
+		// Steal/no-steal at one queue count share a seed: the pair is a
+		// paired comparison over the same arrival sequence.
+		rc := o.runCfgKey(app, 50000, fmt.Sprintf("fig3/%d", q))
+		cells = append(cells, runCell{mkCfg(q, false), rc}, runCell{mkCfg(q, true), rc})
 	}
-	grid := sweep.MapCached2(o.Parallel, queueCounts, []bool{false, true},
-		func(q int, steal bool) []byte {
-			return runPre("run/result", mkCfg(q, steal), mkRC(q))
-		},
-		func(q int, steal bool) *machine.Result {
-			return machine.Run(mkCfg(q, steal), mkRC(q))
-		})
+	grid := sweep.MapCached(o.Parallel, cells)
 	rows := make([]Fig3Row, 0, len(queueCounts))
 	for i, q := range queueCounts {
-		noSteal, steal := grid[i][0], grid[i][1]
+		noSteal, steal := grid[2*i], grid[2*i+1]
 		rows = append(rows, Fig3Row{
 			Queues:          q,
 			AvgMicros:       noSteal.Latency.Mean,
@@ -125,24 +121,22 @@ func Fig6(o Options) []Fig6Row {
 		cfg.Policy.CSCycles = cs
 		return cfg
 	}
-	// All CS points at one load share a seed, so the normalized tails
-	// isolate the context-switch overhead from arrival noise.
-	mkRC := func(rps int) machine.RunConfig {
-		return o.runCfgKey(app, float64(rps), fmt.Sprintf("fig6/%d", rps))
+	var cells []p99Cell
+	for _, cs := range csPoints {
+		for _, rps := range loads {
+			// All CS points at one load share a seed, so the normalized
+			// tails isolate the context-switch overhead from arrival noise.
+			rc := o.runCfgKey(app, float64(rps), fmt.Sprintf("fig6/%d", rps))
+			cells = append(cells, p99Cell{runCell{mkCfg(cs), rc}})
+		}
 	}
-	grid := sweep.MapCached2(o.Parallel, csPoints, loads,
-		func(cs, rps int) []byte {
-			return runPre("run/p99", mkCfg(cs), mkRC(rps))
-		},
-		func(cs, rps int) float64 {
-			return machine.Run(mkCfg(cs), mkRC(rps)).Latency.P99
-		})
+	tails := sweep.MapCached(o.Parallel, cells)
 	rows := make([]Fig6Row, 0, len(csPoints))
 	for i, cs := range csPoints {
 		row := Fig6Row{CSCycles: cs, NormTail: make(map[int]float64)}
 		for j, rps := range loads {
-			if base := grid[0][j]; base > 0 {
-				row.NormTail[rps] = grid[i][j] / base
+			if base := tails[j]; base > 0 {
+				row.NormTail[rps] = tails[i*len(loads)+j] / base
 			}
 		}
 		rows = append(rows, row)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"umanycore/internal/machine"
 	"umanycore/internal/sweep"
 	"umanycore/internal/workload"
 )
@@ -27,43 +26,28 @@ type Fig20Row struct {
 // ServerClass) live.
 func Fig20(o Options) []Fig20Row {
 	o = o.normalized()
-	type cell struct {
-		dist string
-		app  *workload.App
-		rps  float64
-		cfg  machine.Config
-	}
-	var jobs []cell
+	archs := archSet()
+	var rows []Fig20Row
+	var cells []p99Cell
 	for _, dist := range []string{"exponential", "lognormal", "bimodal"} {
 		app, err := workload.SyntheticApp(dist, 10, 3)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
 		for _, rps := range o.Loads {
-			for _, cfg := range archSet() {
-				jobs = append(jobs, cell{dist: dist, app: app, rps: rps, cfg: cfg})
+			rows = append(rows, Fig20Row{Dist: dist, RPS: rps})
+			// The three architectures at one (distribution, load) point
+			// share a seed, keeping the bar-group comparison paired.
+			rc := o.runCfgKey(app, rps, fmt.Sprintf("fig20/%s/%g", dist, rps))
+			for _, cfg := range archs {
+				cells = append(cells, p99Cell{runCell{cfg, rc}})
 			}
 		}
 	}
-	// The three architectures at one (distribution, load) point share a
-	// seed, keeping the bar-group comparison paired.
-	mkRC := func(j cell) machine.RunConfig {
-		return o.runCfgKey(j.app, j.rps, fmt.Sprintf("fig20/%s/%g", j.dist, j.rps))
-	}
-	tails := sweep.MapCached(o.Parallel, jobs,
-		func(_ int, j cell) []byte {
-			return runPre("run/p99", j.cfg, mkRC(j))
-		},
-		func(_ int, j cell) float64 {
-			return machine.Run(j.cfg, mkRC(j)).Latency.P99
-		})
-	var rows []Fig20Row
-	for i, j := range jobs {
-		if i%len(archSet()) == 0 {
-			rows = append(rows, Fig20Row{Dist: j.dist, RPS: j.rps})
-		}
-		row := &rows[len(rows)-1]
-		switch j.cfg.Name {
+	tails := sweep.MapCached(o.Parallel, cells)
+	for i, c := range cells {
+		row := &rows[i/len(archs)]
+		switch c.cfg.Name {
 		case "ServerClass-40":
 			row.ServerClassTail = tails[i]
 		case "ScaleOut":

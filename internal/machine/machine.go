@@ -590,7 +590,7 @@ func (m *Machine) allocateDomains(weights map[int]float64) {
 		allocs = append(allocs, alloc{svc: svc, n: n, frac: exact - float64(int(exact))})
 		used += n
 	}
-	for i := 0; used < len(m.domains); i, used = i+1, used+1 {
+	for ; used < len(m.domains); used++ {
 		// Distribute leftovers round-robin biased by fractional part order
 		// (allocs is small; a simple pass by descending frac each round).
 		best := 0
@@ -601,7 +601,6 @@ func (m *Machine) allocateDomains(weights map[int]float64) {
 		}
 		allocs[best].n++
 		allocs[best].frac = 0
-		_ = i
 	}
 	for used > len(m.domains) {
 		// Shrink the largest allocation above 1.
@@ -617,24 +616,18 @@ func (m *Machine) allocateDomains(weights map[int]float64) {
 		allocs[best].n--
 		used--
 	}
+	// The allocations now cover every domain (they sum to at least
+	// len(m.domains)), so each service takes the next contiguous range.
+	// The range is capacity-capped: an append to it copies instead of
+	// overwriting the next service's domains. With more services than
+	// domains, the services past the end get no range and no entry.
 	next := 0
 	for _, a := range allocs {
-		for i := 0; i < a.n && next < len(m.domains); i++ {
-			m.instances[a.svc] = append(m.instances[a.svc], m.domains[next])
-			next++
+		end := min(next+a.n, len(m.domains))
+		if end > next {
+			m.instances[a.svc] = m.domains[next:end:end]
 		}
-	}
-	// Any unassigned tail domains (rounding) reinforce the heaviest service.
-	if next < len(m.domains) {
-		heaviest := allocs[0].svc
-		for _, a := range allocs {
-			if weights[a.svc] > weights[heaviest] {
-				heaviest = a.svc
-			}
-		}
-		for ; next < len(m.domains); next++ {
-			m.instances[heaviest] = append(m.instances[heaviest], m.domains[next])
-		}
+		next = end
 	}
 }
 
@@ -1532,14 +1525,16 @@ func (m *Machine) complete(c *core, inv *invocation) {
 	if inv.entry != nil {
 		c.dom.hwq.Complete(inv.entry)
 		// Freed RQ slots admit NIC-buffered requests.
-		for _, e := range c.dom.nicbuf.Drain(c.dom.hwq) {
-			e.Ctx.UserData.(*invocation).entry = e
-		}
+		c.dom.nicbuf.Drain(c.dom.hwq, admitBuffered)
 	}
 	m.respond(inv)
 	m.freeInv(inv)
 	m.release(c)
 }
+
+// admitBuffered binds a NIC-buffered invocation to the RQ entry Drain
+// admitted it as.
+func admitBuffered(e *rq.Entry) { e.Ctx.UserData.(*invocation).entry = e }
 
 // respond routes an invocation's result to its parent or, for roots, out of
 // the package, recording end-to-end latency.

@@ -88,7 +88,7 @@ var newBytes = []struct {
 	cfg   Config
 	bytes float64
 }{
-	{"uManycore", UManycoreConfig(), 100475},
+	{"uManycore", UManycoreConfig(), 93850},
 	{"ServerClass-40", ServerClassConfig(40), 11384},
 	{"ScaleOut", ScaleOutConfig(), 44896},
 }
@@ -133,7 +133,7 @@ func TestResidentSizes(t *testing.T) {
 		{"core", unsafe.Sizeof(core{}), 24},
 		{"domain", unsafe.Sizeof(domain{}), 64},
 		{"rq.RQ", unsafe.Sizeof(rq.RQ{}), 56},
-		{"rq.NICBuffer", unsafe.Sizeof(rq.NICBuffer{}), 64},
+		{"rq.NICBuffer", unsafe.Sizeof(rq.NICBuffer{}), 32},
 		{"icn.Link", unsafe.Sizeof(icn.Link{}), 32},
 	} {
 		if s.got != s.want {

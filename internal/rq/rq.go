@@ -316,12 +316,8 @@ func (q *RQ) Complete(e *Entry) {
 // NICBuffer is the village NIC's overflow staging area: requests that find
 // the RQ full wait here; beyond its capacity they are rejected (§4.3).
 type NICBuffer struct {
-	capacity int
 	fifo     []pendingReq
-	// moved is Drain's result buffer, reused by every call.
-	moved []*Entry
-	// Rejected counts drops.
-	Rejected uint64
+	capacity int32
 }
 
 type pendingReq struct {
@@ -333,12 +329,12 @@ type pendingReq struct {
 // per village of a machine. The paper does not size the buffer; the
 // machine model defaults to 4× the RQ.
 func NewNICBuffers(n, capacity int) []NICBuffer {
-	if capacity < 0 {
-		panic("rq: negative NIC buffer capacity")
+	if capacity < 0 || capacity > math.MaxInt32 {
+		panic(fmt.Sprintf("rq: NIC buffer capacity %d outside [0, %d]", capacity, math.MaxInt32))
 	}
 	bs := make([]NICBuffer, n)
 	for i := range bs {
-		bs[i].capacity = capacity
+		bs[i].capacity = int32(capacity)
 	}
 	return bs
 }
@@ -346,11 +342,9 @@ func NewNICBuffers(n, capacity int) []NICBuffer {
 // Len returns the queued count.
 func (b *NICBuffer) Len() int { return len(b.fifo) }
 
-// Offer tries to stage a request, returning false (and counting a
-// rejection) when full.
+// Offer tries to stage a request, returning false when full.
 func (b *NICBuffer) Offer(serviceID int, ctx *Context) bool {
-	if len(b.fifo) >= b.capacity {
-		b.Rejected++
+	if len(b.fifo) >= int(b.capacity) {
 		return false
 	}
 	b.fifo = append(b.fifo, pendingReq{serviceID, ctx})
@@ -358,20 +352,16 @@ func (b *NICBuffer) Offer(serviceID int, ctx *Context) bool {
 }
 
 // Drain moves as many staged requests as fit into the RQ, in FIFO order,
-// returning the entries created. The returned slice is valid until the next
-// Drain.
-func (b *NICBuffer) Drain(q *RQ) []*Entry {
-	moved := b.moved[:0]
+// passing each entry created to admit as it is enqueued.
+func (b *NICBuffer) Drain(q *RQ, admit func(*Entry)) {
 	for len(b.fifo) > 0 {
 		p := b.fifo[0]
 		e := q.Enqueue(p.serviceID, p.ctx)
 		if e == nil {
-			break
+			return
 		}
-		moved = append(moved, e)
 		b.fifo[0] = pendingReq{}
 		b.fifo = b.fifo[1:]
+		admit(e)
 	}
-	b.moved = moved
-	return moved
 }

@@ -213,6 +213,8 @@ func TestInvalidCapacityPanics(t *testing.T) {
 	mustPanic(t, "zero capacity", func() { newRQ(0) })
 	beyond := int64(math.MaxInt32) + 1
 	mustPanic(t, "capacity beyond int32", func() { newRQ(int(beyond)) })
+	mustPanic(t, "negative NIC buffer capacity", func() { newNICBuffer(-1) })
+	mustPanic(t, "NIC buffer capacity beyond int32", func() { newNICBuffer(int(beyond)) })
 }
 
 func TestNICBufferOfferDrain(t *testing.T) {
@@ -229,17 +231,16 @@ func TestNICBufferOfferDrain(t *testing.T) {
 	if b.Offer(1, &Context{RequestID: 6}) {
 		t.Fatal("over-capacity offer succeeded")
 	}
-	if b.Rejected != 1 {
-		t.Fatalf("Rejected = %d", b.Rejected)
-	}
+	var moved []*Entry
+	collect := func(e *Entry) { moved = append(moved, e) }
 	// Drain with no RQ space: nothing moves.
-	if got := b.Drain(q); len(got) != 0 || b.Len() != 3 {
+	if b.Drain(q, collect); len(moved) != 0 || b.Len() != 3 {
 		t.Fatal("drain into full RQ moved entries")
 	}
 	// Free one slot: exactly one staged request moves, FIFO order.
 	e := q.Dequeue(1, 0)
 	q.Complete(e)
-	moved := b.Drain(q)
+	b.Drain(q, collect)
 	if len(moved) != 1 || moved[0].Ctx.RequestID != 3 {
 		t.Fatalf("drain moved %v", moved)
 	}
@@ -468,9 +469,10 @@ func TestRQMatchesScan(t *testing.T) {
 						}
 					}
 				case op < 98:
-					moved := nic.Drain(q)
-					shadow = append(shadow, moved...)
-					cover.drained += len(moved)
+					nic.Drain(q, func(e *Entry) {
+						shadow = append(shadow, e)
+						cover.drained++
+					})
 					if len(q.ring) > size {
 						cover.drainGrew++
 					}

@@ -7,14 +7,14 @@ import (
 )
 
 // The cell cache makes figure regeneration incremental: every sweep cell is
-// an independent simulation fully determined by its canonical preimage (the
-// driver tag plus every config value the cell reads), so a prior run's
-// result can stand in for recomputation byte for byte. The sweep package
-// only defines the seam — CellCache is implemented by internal/sweepcache,
-// which owns hashing, the on-disk format, corruption handling and the
-// traffic counters. Keeping the interface bytes-in/bytes-out here keeps the
-// runner free of the disk format, and lets tests install an in-memory
-// cache.
+// an independent simulation, and a Cell value holds all of its inputs, so
+// its Key (the driver tag plus every field Run reads) fully determines its
+// result and a prior run's result can stand in for recomputation byte for
+// byte. The sweep package only defines the seam — CellCache is implemented
+// by internal/sweepcache, which owns hashing, the on-disk format,
+// corruption handling and the traffic counters. Keeping the interface
+// bytes-in/bytes-out here keeps the runner free of the disk format, and
+// lets tests install an in-memory cache.
 
 // CellCache is a content-addressed store for encoded cell results, keyed by
 // the cell's canonical preimage. Implementations must be safe for
@@ -74,27 +74,38 @@ func decodeCell[R any](payload []byte, r *R) bool {
 	return err == nil && bytes.Equal(enc, payload)
 }
 
-// MapCached is Map with a content-addressed shortcut: when a cell cache is
-// installed and the cell's preimage is cacheable (pre returns non-nil), a
-// valid cached payload replaces the computation. A cell's payload is its
+// Cell is one cacheable sweep cell: a value that carries everything its
+// computation reads, so the cache key and the run are two views of the same
+// fields. Key returns the cell's canonical preimage (the driver tag plus
+// every input), or nil when the cell must not be cached; Run computes the
+// cell's result.
+type Cell[R any] interface {
+	Key() []byte
+	Run() R
+}
+
+// MapCached is Map over cells with a content-addressed shortcut: when a
+// cell cache is installed and a cell's Key is non-nil, a valid cached
+// payload replaces Run. Key is called only when a cache is installed, so an
+// uncached sweep does exactly the work of Map. A cell's payload is its
 // result through encoding/json, so fields the payload must not carry (run
-// attachments, wall-clock diagnostics) are tagged json:"-", and pre must
+// attachments, wall-clock diagnostics) are tagged json:"-", and Key must
 // return nil for cells whose results carry them. Determinism is unchanged —
 // a hit decodes to a value that re-encodes to exactly the stored bytes (the
 // battery in internal/experiments proves it equals the recomputation), and
-// a miss runs fn exactly as Map would. In verify mode hits recompute anyway
-// and byte-mismatches are reported to the cache. Cells whose preimage or
+// a miss runs the cell exactly as Map would. In verify mode hits recompute
+// anyway and byte-mismatches are reported to the cache. Cells whose key or
 // encoding fails (a NaN has no JSON form) are computed and never stored.
-func MapCached[T, R any](workers int, items []T, pre func(i int, item T) []byte, fn func(i int, item T) R) []R {
+func MapCached[C Cell[R], R any](workers int, cells []C) []R {
 	c := ActiveCache()
-	if c == nil || pre == nil {
-		return Map(workers, items, fn)
+	if c == nil {
+		return Map(workers, cells, func(_ int, cell C) R { return cell.Run() })
 	}
 	verify := c.VerifyMode()
-	return Map(workers, items, func(i int, item T) R {
-		p := pre(i, item)
+	return Map(workers, cells, func(_ int, cell C) R {
+		p := cell.Key()
 		if p == nil {
-			return fn(i, item)
+			return cell.Run()
 		}
 		var r R
 		payload, hit := c.Lookup(p, func(b []byte) bool { return decodeCell(b, &r) })
@@ -102,7 +113,7 @@ func MapCached[T, R any](workers int, items []T, pre func(i int, item T) []byte,
 			jobsCached.Add(1)
 			return r
 		}
-		r = fn(i, item)
+		r = cell.Run()
 		enc, err := json.Marshal(r)
 		if err != nil {
 			return r
@@ -116,29 +127,4 @@ func MapCached[T, R any](workers int, items []T, pre func(i int, item T) []byte,
 		c.Store(p, enc) // on a mismatch, converge the cache on the recomputed truth
 		return r
 	})
-}
-
-// MapCached2 is Map2 with the MapCached shortcut: fn runs over rows × cols
-// (row-major) with per-cell cache lookups keyed by pre(a, b).
-func MapCached2[A, B, R any](workers int, rows []A, cols []B, pre func(a A, b B) []byte, fn func(a A, b B) R) [][]R {
-	type cell struct {
-		a A
-		b B
-	}
-	jobs := make([]cell, 0, len(rows)*len(cols))
-	for _, a := range rows {
-		for _, b := range cols {
-			jobs = append(jobs, cell{a, b})
-		}
-	}
-	var preFlat func(i int, c cell) []byte
-	if pre != nil {
-		preFlat = func(_ int, c cell) []byte { return pre(c.a, c.b) }
-	}
-	flat := MapCached(workers, jobs, preFlat, func(_ int, c cell) R { return fn(c.a, c.b) })
-	out := make([][]R, len(rows))
-	for i := range rows {
-		out[i] = flat[i*len(cols) : (i+1)*len(cols)]
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -67,26 +66,51 @@ func withCache(t *testing.T, c CellCache) {
 	t.Cleanup(func() { SetCache(nil) })
 }
 
-func intPre(i int, v int) []byte { return []byte("cell/" + strconv.Itoa(v)) }
+// squareCell is the plain test cell: keyed by its value, it computes the
+// value's square.
+type squareCell int
 
-func square(i int, v int) int { return v * v }
+func (c squareCell) Key() []byte { return []byte("cell/" + strconv.Itoa(int(c))) }
+func (c squareCell) Run() int    { return int(c) * int(c) }
+
+func squares(vs ...int) []squareCell {
+	cells := make([]squareCell, len(vs))
+	for i, v := range vs {
+		cells[i] = squareCell(v)
+	}
+	return cells
+}
+
+// fnCell is a test cell whose key and run are closures, for cases that
+// count, forbid or vary either call.
+type fnCell[R any] struct {
+	key func() []byte
+	run func() R
+}
+
+func (c fnCell[R]) Key() []byte { return c.key() }
+func (c fnCell[R]) Run() R      { return c.run() }
 
 func TestMapCachedColdWarm(t *testing.T) {
 	c := newMemCache()
 	withCache(t, c)
-	items := []int{1, 2, 3, 4}
-	cold := MapCached(2, items, intPre, square)
+	cells := squares(1, 2, 3, 4)
+	cold := MapCached(2, cells)
 	if want := []int{1, 4, 9, 16}; !reflect.DeepEqual(cold, want) {
 		t.Fatalf("cold = %v, want %v", cold, want)
 	}
 	if c.hits != 0 || c.misses != 4 {
 		t.Fatalf("cold counters: hits=%d misses=%d", c.hits, c.misses)
 	}
-	// Warm: fn must not run at all.
-	warm := MapCached(2, items, intPre, func(i, v int) int {
-		t.Errorf("cell %d recomputed on warm run", v)
-		return 0
-	})
+	// Warm: no cell may run at all.
+	warmCells := make([]fnCell[int], len(cells))
+	for i, sc := range cells {
+		warmCells[i] = fnCell[int]{key: sc.Key, run: func() int {
+			t.Errorf("cell %d recomputed on warm run", sc)
+			return 0
+		}}
+	}
+	warm := MapCached(2, warmCells)
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("warm = %v, want %v", warm, cold)
 	}
@@ -98,9 +122,21 @@ func TestMapCachedColdWarm(t *testing.T) {
 	}
 }
 
+// TestMapCachedNoCacheIsMap: with no cache installed MapCached is Map over
+// Run, and never builds a key.
 func TestMapCachedNoCacheIsMap(t *testing.T) {
 	SetCache(nil)
-	got := MapCached(2, []int{2, 3}, intPre, square)
+	cells := make([]fnCell[int], 0, 2)
+	for _, v := range []int{2, 3} {
+		cells = append(cells, fnCell[int]{
+			key: func() []byte {
+				t.Errorf("cell %d built its key with no cache installed", v)
+				return squareCell(v).Key()
+			},
+			run: squareCell(v).Run,
+		})
+	}
+	got := MapCached(2, cells)
 	if want := []int{4, 9}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -110,15 +146,14 @@ func TestMapCachedNilPreimageComputes(t *testing.T) {
 	c := newMemCache()
 	withCache(t, c)
 	ran := 0
+	cell := fnCell[int]{key: func() []byte { return nil }, run: func() int { ran++; return 5 }}
 	for range []int{0, 1} { // both passes must compute: nothing is cacheable
-		got := MapCached(1, []int{5}, func(i, v int) []byte { return nil },
-			func(i, v int) int { ran++; return v })
-		if got[0] != 5 {
+		if got := MapCached(1, []fnCell[int]{cell}); got[0] != 5 {
 			t.Fatalf("got %v", got)
 		}
 	}
 	if ran != 2 {
-		t.Fatalf("fn ran %d times, want 2 (nil preimage must never cache)", ran)
+		t.Fatalf("cell ran %d times, want 2 (nil preimage must never cache)", ran)
 	}
 	if len(c.m) != 0 {
 		t.Fatal("nil-preimage cell was stored")
@@ -131,8 +166,14 @@ func TestMapCachedEncodeErrorComputesUncached(t *testing.T) {
 	c := newMemCache()
 	withCache(t, c)
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	pre := func(i int, _ float64) []byte { return []byte("cell/" + strconv.Itoa(i)) }
-	got := MapCached(1, vals, pre, func(_ int, v float64) float64 { return v })
+	cells := make([]fnCell[float64], len(vals))
+	for i, v := range vals {
+		cells[i] = fnCell[float64]{
+			key: func() []byte { return []byte("cell/" + strconv.Itoa(i)) },
+			run: func() float64 { return v },
+		}
+	}
+	got := MapCached(1, cells)
 	for i, v := range vals {
 		if got[i] != v && !(math.IsNaN(got[i]) && math.IsNaN(v)) {
 			t.Fatalf("cell %d = %v, want %v", i, got[i], v)
@@ -149,29 +190,32 @@ func TestMapCachedEncodeErrorComputesUncached(t *testing.T) {
 func TestMapCachedUndecodablePayloadRecomputes(t *testing.T) {
 	c := newMemCache()
 	withCache(t, c)
-	c.Store(intPre(0, 3), []byte("not a number"))
-	c.Store(intPre(0, 4), []byte(" 16")) // decodes to 16, re-encodes as "16"
-	got := MapCached(1, []int{3, 4}, intPre, square)
+	c.Store(squareCell(3).Key(), []byte("not a number"))
+	c.Store(squareCell(4).Key(), []byte(" 16")) // decodes to 16, re-encodes as "16"
+	got := MapCached(1, squares(3, 4))
 	if want := []int{9, 16}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want recomputed %v", got, want)
 	}
 	if c.invalid != 2 || c.hits != 0 {
 		t.Fatalf("invalid = %d, hits = %d; want 2, 0", c.invalid, c.hits)
 	}
-	if b := c.peek(intPre(0, 3)); b != "9" {
+	if b := c.peek(squareCell(3).Key()); b != "9" {
 		t.Fatalf("corrupt entry not repaired: %q", b)
 	}
 
 	// An object whose fields are all missing decodes to the zero value but
 	// re-encodes with every field present: invalid, not a zero result.
 	type result struct{ N, M int }
-	structPre := func(int, int) []byte { return []byte("struct/0") }
-	c.Store(structPre(0, 0), []byte("{}"))
-	res := MapCached(1, []int{5}, structPre, func(_, v int) *result { return &result{v, v * v} })
+	structKey := []byte("struct/0")
+	c.Store(structKey, []byte("{}"))
+	res := MapCached(1, []fnCell[*result]{{
+		key: func() []byte { return structKey },
+		run: func() *result { return &result{5, 25} },
+	}})
 	if *res[0] != (result{5, 25}) || c.invalid != 3 {
 		t.Fatalf("got %+v with %d invalid; want recomputed {5 25} and 3 invalid", *res[0], c.invalid)
 	}
-	if b := c.peek(structPre(0, 0)); b != `{"N":5,"M":25}` {
+	if b := c.peek(structKey); b != `{"N":5,"M":25}` {
 		t.Fatalf("entry not repaired: %q", b)
 	}
 }
@@ -180,36 +224,16 @@ func TestMapCachedVerifyDetectsMismatch(t *testing.T) {
 	c := newMemCache()
 	c.verify = true
 	withCache(t, c)
-	c.Store(intPre(0, 3), []byte("8")) // lies: 3^2 is 9
-	c.Store(intPre(0, 4), []byte("16"))
-	got := MapCached(1, []int{3, 4}, intPre, square)
+	c.Store(squareCell(3).Key(), []byte("8")) // lies: 3^2 is 9
+	c.Store(squareCell(4).Key(), []byte("16"))
+	got := MapCached(1, squares(3, 4))
 	if want := []int{9, 16}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("verify must return recomputed truth, got %v", got)
 	}
 	if c.mismatches != 1 {
 		t.Fatalf("mismatches = %d, want 1", c.mismatches)
 	}
-	if b := c.peek(intPre(0, 3)); b != "9" {
+	if b := c.peek(squareCell(3).Key()); b != "9" {
 		t.Fatalf("lying entry not converged to truth: %q", b)
-	}
-}
-
-func TestMapCached2Layout(t *testing.T) {
-	c := newMemCache()
-	withCache(t, c)
-	rows, cols := []int{1, 2}, []int{10, 20, 30}
-	pre := func(a, b int) []byte { return []byte(fmt.Sprintf("c/%d/%d", a, b)) }
-	fn := func(a, b int) int { return a * b }
-	cold := MapCached2(2, rows, cols, pre, fn)
-	want := [][]int{{10, 20, 30}, {20, 40, 60}}
-	if !reflect.DeepEqual(cold, want) {
-		t.Fatalf("cold = %v, want %v", cold, want)
-	}
-	warm := MapCached2(3, rows, cols, pre, func(a, b int) int {
-		t.Errorf("cell (%d,%d) recomputed on warm run", a, b)
-		return 0
-	})
-	if !reflect.DeepEqual(warm, want) {
-		t.Fatalf("warm = %v, want %v", warm, want)
 	}
 }

@@ -184,25 +184,3 @@ func runCell[T, R any](fn func(i int, item T) R, i int, item T, out *R) (p *Cell
 	jobsDone.Add(1)
 	return nil
 }
-
-// Map2 runs fn over the cross product rows × cols (row-major order) and
-// returns a [len(rows)][len(cols)] result grid — the common shape of the
-// paper's architecture × load sweeps.
-func Map2[A, B, R any](workers int, rows []A, cols []B, fn func(a A, b B) R) [][]R {
-	type cell struct {
-		a A
-		b B
-	}
-	jobs := make([]cell, 0, len(rows)*len(cols))
-	for _, a := range rows {
-		for _, b := range cols {
-			jobs = append(jobs, cell{a, b})
-		}
-	}
-	flat := Map(workers, jobs, func(_ int, c cell) R { return fn(c.a, c.b) })
-	out := make([][]R, len(rows))
-	for i := range rows {
-		out[i] = flat[i*len(cols) : (i+1)*len(cols)]
-	}
-	return out
-}

@@ -73,25 +73,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestMap2Shape(t *testing.T) {
-	rows := []string{"a", "b", "c"}
-	cols := []int{1, 2}
-	grid := Map2(4, rows, cols, func(a string, b int) string {
-		return a + string(rune('0'+b))
-	})
-	if len(grid) != 3 || len(grid[0]) != 2 {
-		t.Fatalf("grid shape %dx%d", len(grid), len(grid[0]))
-	}
-	want := [][]string{{"a1", "a2"}, {"b1", "b2"}, {"c1", "c2"}}
-	for i := range want {
-		for j := range want[i] {
-			if grid[i][j] != want[i][j] {
-				t.Fatalf("grid[%d][%d] = %q, want %q", i, j, grid[i][j], want[i][j])
-			}
-		}
-	}
-}
-
 func TestBusyAccumulates(t *testing.T) {
 	ResetBusy()
 	Map(4, make([]struct{}, 64), func(i int, _ struct{}) int {

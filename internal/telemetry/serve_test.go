@@ -100,6 +100,17 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// metricsCell is a sweep cell with a fixed key that computes &metricsResult{N: n}.
+type metricsCell struct {
+	key []byte
+	n   int
+}
+
+type metricsResult struct{ N int }
+
+func (c metricsCell) Key() []byte         { return c.key }
+func (c metricsCell) Run() *metricsResult { return &metricsResult{c.n} }
+
 // TestMetricsCacheCountersMatchCache: /metrics reports the installed cell
 // cache's own counters, so an intact entry whose payload is not the cell's
 // result shows as invalidated there exactly as on umbench's [cache …] line,
@@ -113,11 +124,9 @@ func TestMetricsCacheCountersMatchCache(t *testing.T) {
 	sweep.SetCache(c)
 	t.Cleanup(func() { sweep.SetCache(nil) })
 
-	type result struct{ N int }
 	pre := sweepcache.NewKey("test/metrics").Preimage()
 	c.Store(pre, []byte(`{}`)) // checksum valid; decodes, but re-encodes as {"N":0}
-	got := sweep.MapCached(1, []int{7}, func(int, int) []byte { return pre },
-		func(_, v int) *result { return &result{v} })
+	got := sweep.MapCached(1, []metricsCell{{pre, 7}})
 	if got[0].N != 7 {
 		t.Fatalf("cell = %+v, want the recomputed 7", got[0])
 	}

@@ -142,13 +142,6 @@ type Report struct {
 	Rows []Row
 }
 
-// spec is one grid cell's coordinates; the zero Stage speedup marks the
-// baseline cell.
-type spec struct {
-	speedup  machine.StageSpeedups
-	baseline bool
-}
-
 // Run executes the paired-seed grid and assembles the report.
 func Run(t Target, o Options) (*Report, error) {
 	o = o.normalized()
@@ -173,8 +166,8 @@ func Run(t Target, o Options) (*Report, error) {
 			return nil, fmt.Errorf("whatif: cost factor %v outside [0, 1]", f)
 		}
 	}
-	specs := make([]spec, 0, 1+len(o.Stages)*len(o.Factors))
-	specs = append(specs, spec{baseline: true})
+	grid := make([]gridCell, 0, 1+len(o.Stages)*len(o.Factors))
+	grid = append(grid, t.cell(machine.StageSpeedups{}, o.TopFrac))
 	for _, st := range o.Stages {
 		for _, f := range o.Factors {
 			var sp machine.StageSpeedups
@@ -182,13 +175,11 @@ func Run(t Target, o Options) (*Report, error) {
 				return nil, fmt.Errorf("whatif: stage %v cannot be virtually accelerated (only %v)",
 					st, machine.SpeedupStages())
 			}
-			specs = append(specs, spec{speedup: sp})
+			grid = append(grid, t.cell(sp, o.TopFrac))
 		}
 	}
 
-	cells := sweep.MapCached(o.Parallel, specs,
-		func(_ int, s spec) []byte { return t.preimage(s, o.TopFrac) },
-		func(_ int, s spec) Cell { return t.runCell(s, o.TopFrac) })
+	cells := sweep.MapCached(o.Parallel, grid)
 
 	rep := &Report{
 		RPS:      t.RPS,
@@ -232,17 +223,63 @@ func Run(t Target, o Options) (*Report, error) {
 	return rep, nil
 }
 
-// runCell executes one grid point and reduces it to a Cell.
-func (t Target) runCell(s spec, topFrac float64) Cell {
-	rc := t.RC
-	rc.App = t.App
-	rc.RPS = t.RPS
-	rc.Seed = t.Seed
-	rc.Obs = &obs.Options{Trace: true}
+// gridCell is one grid point ("whatif/cell"): the target's machine or
+// fleet config with this point's speedups applied, the RunConfig with the
+// target's app, load and seed filled in, and the analyzed tail fraction.
+// The baseline and variants differ only through the WhatIf field inside
+// the config, so the key needs no separate stage/factor tag. The RunConfig
+// is keyed with Obs clear: every cell traces identically (Run turns tracing
+// on) and the cached Cell is already the post-analysis reduction.
+type gridCell struct {
+	cfg     machine.Config
+	fc      *fleet.Config // non-nil: profile the coupled fleet; cfg is unused
+	rc      machine.RunConfig
+	topFrac float64
+}
+
+// cell builds the grid point that runs the target with speedups sp.
+func (t Target) cell(sp machine.StageSpeedups, topFrac float64) gridCell {
+	c := gridCell{rc: t.RC, topFrac: topFrac}
+	c.rc.App = t.App
+	c.rc.RPS = t.RPS
+	c.rc.Seed = t.Seed
 	if t.Fleet != nil {
 		fc := *t.Fleet
-		fc.WhatIf = s.speedup
-		res := fleet.Run(fc, t.App, t.RPS, rc, t.Seed)
+		fc.WhatIf = sp
+		c.fc = &fc
+	} else {
+		c.cfg = t.Machine
+		c.cfg.WhatIf = sp
+	}
+	return c
+}
+
+// Key is the cell's canonical cache key. A fleet with a live NewBalancer
+// closure is uncacheable.
+func (c gridCell) Key() []byte {
+	key := sweepcache.NewKey("whatif/cell")
+	if c.fc != nil {
+		if c.fc.NewBalancer != nil {
+			return nil
+		}
+		key.Any("fc", *c.fc)
+	} else {
+		key.Any("cfg", c.cfg)
+	}
+	return key.Any("app", c.rc.App).
+		Float("total_rps", c.rc.RPS).
+		Any("rc", c.rc).
+		Int("seed", c.rc.Seed).
+		Float("top_frac", c.topFrac).
+		Preimage()
+}
+
+// Run executes the grid point with tracing on and reduces it to a Cell.
+func (c gridCell) Run() Cell {
+	rc := c.rc
+	rc.Obs = &obs.Options{Trace: true}
+	if c.fc != nil {
+		res := fleet.Run(*c.fc, rc.App, rc.RPS, rc, rc.Seed)
 		// p99.9 needs the raw sample; re-merge per-server samples in
 		// server order exactly like the fleet's own aggregation.
 		merged := &stats.Sample{}
@@ -254,48 +291,13 @@ func (t Target) runCell(s spec, topFrac float64) Cell {
 		return Cell{
 			Latency: res.Latency,
 			P999US:  merged.Quantile(0.999),
-			Blame:   obs.Analyze(res.Obs.Spans, topFrac).Summary(),
+			Blame:   obs.Analyze(res.Obs.Spans, c.topFrac).Summary(),
 		}
 	}
-	cfg := t.Machine
-	cfg.WhatIf = s.speedup
-	res := machine.Run(cfg, rc)
+	res := machine.Run(c.cfg, rc)
 	return Cell{
 		Latency: res.Latency,
 		P999US:  res.Sample.Quantile(0.999),
-		Blame:   obs.Analyze(res.Obs.Spans, topFrac).Summary(),
+		Blame:   obs.Analyze(res.Obs.Spans, c.topFrac).Summary(),
 	}
-}
-
-// preimage is the cell's canonical cache key input. The baseline and
-// variants differ only through the WhatIf field inside the (machine or
-// fleet) config, so the key needs no separate stage/factor tag. Worker
-// counts are zeroed (never inputs); the RunConfig is keyed with Obs
-// cleared because every cell traces identically and the cached Cell is
-// already the post-analysis reduction. A fleet with a live NewBalancer
-// closure is uncacheable.
-func (t Target) preimage(s spec, topFrac float64) []byte {
-	rc := t.RC
-	rc.App = t.App
-	rc.RPS = t.RPS
-	rc.Seed = t.Seed
-	key := sweepcache.NewKey("whatif/cell")
-	if t.Fleet != nil {
-		if t.Fleet.NewBalancer != nil {
-			return nil
-		}
-		fc := *t.Fleet
-		fc.WhatIf = s.speedup
-		key.Any("fc", fc)
-	} else {
-		cfg := t.Machine
-		cfg.WhatIf = s.speedup
-		key.Any("cfg", cfg)
-	}
-	return key.Any("app", t.App).
-		Float("total_rps", t.RPS).
-		Any("rc", rc).
-		Int("seed", t.Seed).
-		Float("top_frac", topFrac).
-		Preimage()
 }

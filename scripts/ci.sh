@@ -64,9 +64,10 @@ go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcac
 
 # Cache gate: a cold run must fill the cache, a warm run must reuse it, a
 # verify run must recompute without a single byte of drift — and all three
-# must print byte-identical figures. The figure set stores every payload
-# type but the what-if cell (machine, fleet and controlled-fleet results,
-# Fig 9 rows, scalars); the Go cache battery covers the what-if cell. The
+# must print byte-identical figures. The figure set runs every cell type but
+# two: runCell (e2e), p99Cell (Fig 20), fig9Side (Fig 9) and fleetCell (lb,
+# and control's controlled fleets); the Go cache battery covers
+# fig18Search and the what-if grid cell. The
 # warm pass must hit every cell the cold pass stored, with no misses: a
 # payload that fails its decode check reads as a miss and fails here. This
 # is the end-to-end version of the determinism battery, through the real CLI.
@@ -128,9 +129,9 @@ twice "$cachedir/umprof" -app Text -rps 16000 -duration 40ms -warmup 10ms \
 grep -q '"control":{"submitted":' "$cachedir/twice.a"
 echo "control loop run twice byte-identical (json incl. control accounting)"
 
-# What-if gate: the causal-profiling grid (traced paired-seed cells reduced
-# through the cell codec) must be byte-identical run to run; its JSON
-# carries no wall-clock fields.
+# What-if gate: the causal-profiling grid (traced paired-seed cells, each
+# reduced to a latency and blame summary inside the cell) must be
+# byte-identical run to run; its JSON carries no wall-clock fields.
 echo "== whatif run twice =="
 twice "$cachedir/umprof" -whatif -app Text -rps 16000 -duration 40ms -warmup 10ms \
     -servers 4 -lb p2c -skew 1,1,2,1 \
