@@ -7,18 +7,18 @@
 //	        [-figures 1,2,3,...] [-json FILE]
 //	        [-cache DIR] [-cache-verify] [-cache-clear] [-cpuprofile FILE]
 //
-// Figure names: 1 2 3 4 5 6 7 8 9 e2e 15 18 19 20 68 power lb graph scale
-// control whatif.
-// Default: all. -parallel bounds the sweep worker pool (default: all cores);
-// output is bit-identical for any value. Each coupled fleet runs its PDES
-// windows sequentially on one engine.
+// -figures takes a comma-separated subset of the names in the figures
+// table (default: all); an unknown name exits 2 and lists them. -parallel
+// bounds the sweep worker pool (default: all cores); output is
+// bit-identical for any value. Each coupled fleet runs its PDES windows
+// sequentially on one engine.
 //
 // -baseline FILE diffs this run's figure rows (the -json payload) against a
 // checked-in baseline JSON (e.g. BENCH_lb_baseline.json), prints per-metric
 // Δ%, appends a trajectory point to FILE.trajectory.jsonl, and exits
 // nonzero when any |Δ| exceeds -baseline-threshold (unless -baseline-warn).
-// -figures must then select exactly one row-producing figure (e2e, lb,
-// graph, scale, control or whatif); anything else exits 2 before simulating.
+// -figures must then select exactly one row-producing figure; anything else
+// exits 2 before simulating.
 //
 // -cache DIR keeps a content-addressed store of finished sweep cells, so an
 // interrupted or re-run regeneration only simulates cells whose inputs
@@ -34,25 +34,55 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"umanycore"
-	"umanycore/internal/cpuprof"
+	"umanycore/internal/cli"
 	"umanycore/internal/sweep"
 	"umanycore/internal/sweepcache"
-	"umanycore/internal/telemetry"
 	"umanycore/internal/textplot"
 )
 
-// exit stops the CPU profile, so a run that fails after profiling began
-// still leaves a complete one, and ends the process with code.
-func exit(code int) {
-	cpuprof.Stop()
-	os.Exit(code)
+// figures is every figure umbench can regenerate, in run order. A figure
+// with rows captures them for -json and -baseline.
+var figures = []struct {
+	name string
+	run  func(umanycore.ExperimentOptions)
+	rows bool
+}{
+	{"1", fig1, false},
+	{"2", func(o umanycore.ExperimentOptions) {
+		cdf("Figure 2: CDF of per-server load (RPS)", umanycore.Fig2(o), "%6.0f RPS")
+	}, false},
+	{"3", fig3, false},
+	{"4", func(o umanycore.ExperimentOptions) {
+		cdf("Figure 4: CDF of CPU utilization per request", umanycore.Fig4(o), "%6.2f")
+	}, false},
+	{"5", func(o umanycore.ExperimentOptions) {
+		cdf("Figure 5: CDF of RPC invocations per request", umanycore.Fig5(o), "%6.0f RPCs")
+	}, false},
+	{"6", fig6, false},
+	{"7", fig7, false},
+	{"8", fig8, false},
+	{"9", fig9, false},
+	{"e2e", endToEnd, true},
+	{"15", fig15, false},
+	{"18", fig18, false},
+	{"19", fig19, false},
+	{"20", fig20, false},
+	{"68", sec68, false},
+	{"power", func(umanycore.ExperimentOptions) { powerTable() }, false},
+	{"lb", fleetLB, true},
+	{"graph", fleetGraph, true},
+	{"scale", fleetScale, true},
+	{"control", fleetControl, true},
+	{"whatif", whatIfFig, true},
 }
 
 func main() {
@@ -61,7 +91,7 @@ func main() {
 	jsonOut := flag.String("json", "", "also write the rows of the row-producing figures (e2e, lb, graph, scale, control, whatif) as JSON to FILE ('-' for stdout): a bare array for one such figure, an object keyed by figure name in run order for several; latency objects use the stats.Summary encoding shared with umprof/umsim")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep workers (<=0: all cores); results are identical for any value")
-	figures := flag.String("figures", "all", "comma-separated figure list (1..9, e2e, 15, 18, 19, 20, 68, power, lb, graph, scale, control, whatif)")
+	figureList := flag.String("figures", "all", "comma-separated figure list (1..9, e2e, 15, 18, 19, 20, 68, power, lb, graph, scale, control, whatif)")
 	baseline := flag.String("baseline", "", "diff the rows of the one row-producing figure in -figures against a checked-in baseline JSON FILE and exit nonzero past -baseline-threshold")
 	baselineThreshold := flag.Float64("baseline-threshold", 5, "max |delta| percent tolerated by -baseline before failing")
 	baselineWarn := flag.Bool("baseline-warn", false, "report -baseline drift without failing (warn-only)")
@@ -72,17 +102,15 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
 	flag.Parse()
 
-	if *baselineThreshold < 0 {
-		fmt.Fprintf(os.Stderr, "umbench: -baseline-threshold %v is out of range: want a non-negative drift percentage\n", *baselineThreshold)
-		os.Exit(2)
+	if !(*baselineThreshold >= 0) {
+		fatal(fmt.Errorf("-baseline-threshold %v is out of range: want a non-negative drift percentage", *baselineThreshold))
 	}
 
-	if err := cpuprof.Start(*cpuProfile); err != nil {
-		fmt.Fprintln(os.Stderr, "umbench:", err)
-		os.Exit(2)
+	if err := cli.StartCPUProfile(*cpuProfile); err != nil {
+		fatal(err)
 	}
 	defer func() {
-		if err := cpuprof.Stop(); err != nil {
+		if err := cli.StopCPUProfile(); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
 		}
 	}()
@@ -92,34 +120,21 @@ func main() {
 		var err error
 		cache, err = sweepcache.Open(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(2)
+			fatal(err)
 		}
 		if *cacheClear {
 			if err := cache.Clear(); err != nil {
-				fmt.Fprintln(os.Stderr, "umbench:", err)
-				exit(2)
+				fatal(err)
 			}
 		}
 		cache.SetVerify(*cacheVerify)
 		sweep.SetCache(cache)
 	} else if *cacheVerify || *cacheClear {
-		fmt.Fprintln(os.Stderr, "umbench: -cache-verify and -cache-clear require -cache DIR")
-		exit(2)
+		fatal(fmt.Errorf("-cache-verify and -cache-clear require -cache DIR"))
 	}
 
-	if *serve != "" {
-		addr, err := telemetry.ParseServeAddr(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(2)
-		}
-		srv, err := telemetry.Serve(addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "umbench: serving /metrics /healthz /progress /debug/pprof on %s\n", srv.Addr)
+	if err := cli.Serve("umbench", *serve); err != nil {
+		fatal(err)
 	}
 
 	o := umanycore.DefaultExperimentOptions()
@@ -129,25 +144,23 @@ func main() {
 		o = o.Quick()
 	}
 
-	known := []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "e2e", "15", "18", "19", "20", "68", "power", "lb", "graph", "scale", "control", "whatif"}
+	var known, rowFigures []string
+	for _, f := range figures {
+		known = append(known, f.name)
+		if f.rows {
+			rowFigures = append(rowFigures, f.name)
+		}
+	}
 	want := map[string]bool{}
-	if *figures == "all" {
+	if *figureList == "all" {
 		for _, f := range known {
 			want[f] = true
 		}
 	} else {
-		for _, f := range strings.Split(*figures, ",") {
+		for _, f := range strings.Split(*figureList, ",") {
 			name := strings.TrimSpace(f)
-			found := false
-			for _, k := range known {
-				if name == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "umbench: unknown figure %q (want a comma-separated subset of %v)\n", name, known)
-				exit(2)
+			if !slices.Contains(known, name) {
+				fatal(fmt.Errorf("unknown figure %q (want a comma-separated subset of %v)", name, known))
 			}
 			want[name] = true
 		}
@@ -164,53 +177,26 @@ func main() {
 			}
 		}
 		if len(picked) != 1 {
-			fmt.Fprintf(os.Stderr, "umbench: -baseline needs exactly one row-producing figure (one of %s) in -figures; got %d %v\n",
-				strings.Join(rowFigures, ", "), len(picked), picked)
-			exit(2)
+			fatal(fmt.Errorf("-baseline needs exactly one row-producing figure (one of %s) in -figures; got %d %v",
+				strings.Join(rowFigures, ", "), len(picked), picked))
 		}
 	}
 
-	runners := []struct {
-		key string
-		fn  func()
-	}{
-		{"1", func() { fig1(o) }},
-		{"2", func() { cdf("Figure 2: CDF of per-server load (RPS)", umanycore.Fig2(o), "%6.0f RPS") }},
-		{"3", func() { fig3(o) }},
-		{"4", func() { cdf("Figure 4: CDF of CPU utilization per request", umanycore.Fig4(o), "%6.2f") }},
-		{"5", func() { cdf("Figure 5: CDF of RPC invocations per request", umanycore.Fig5(o), "%6.0f RPCs") }},
-		{"6", func() { fig6(o) }},
-		{"7", func() { fig7(o) }},
-		{"8", func() { fig8(o) }},
-		{"9", func() { fig9(o) }},
-		{"e2e", func() { endToEnd(o) }},
-		{"15", func() { fig15(o) }},
-		{"18", func() { fig18(o) }},
-		{"19", func() { fig19(o) }},
-		{"20", func() { fig20(o) }},
-		{"68", func() { sec68(o) }},
-		{"power", func() { powerTable() }},
-		{"lb", func() { fleetLB(o) }},
-		{"graph", func() { fleetGraph(o) }},
-		{"scale", func() { fleetScale(o) }},
-		{"control", func() { fleetControl(o) }},
-		{"whatif", func() { whatIfFig(o) }},
-	}
 	workers := sweep.Workers(o.Parallel)
 	var totalWall, totalBusy time.Duration
-	for _, r := range runners {
-		if !want[r.key] {
+	for _, f := range figures {
+		if !want[f.name] {
 			continue
 		}
 		sweep.ResetBusy()
 		start := time.Now()
-		r.fn()
+		f.run(o)
 		wall := time.Since(start)
 		busy := sweep.Busy()
 		totalWall += wall
 		totalBusy += busy
 		fmt.Fprintf(os.Stderr, "[%s done in %v%s]\n",
-			r.key, wall.Round(time.Millisecond), speedupNote(busy, wall, workers))
+			f.name, wall.Round(time.Millisecond), speedupNote(busy, wall, workers))
 	}
 	fmt.Fprintf(os.Stderr, "[total %v with %d workers%s]\n",
 		totalWall.Round(time.Millisecond), workers, speedupNote(totalBusy, totalWall, workers))
@@ -223,7 +209,7 @@ func main() {
 			for _, l := range lines {
 				fmt.Fprintln(os.Stderr, "umbench: verify mismatch:", l)
 			}
-			exit(1)
+			cli.Exit(1)
 		}
 	}
 
@@ -234,17 +220,19 @@ func main() {
 		}
 		if err := writeRowsJSON(*jsonOut, payload); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
+			cli.Exit(1)
 		}
 	}
 
 	if *baseline != "" {
 		if err := diffBaseline(*baseline, captured[0].rows, *baselineThreshold, *baselineWarn); err != nil {
 			fmt.Fprintln(os.Stderr, "umbench:", err)
-			exit(1)
+			cli.Exit(1)
 		}
 	}
 }
+
+func fatal(err error) { cli.Fatal("umbench", err) }
 
 // speedupNote formats the estimated speedup over -parallel 1 for one span of
 // wall time: sweep busy time (the sum of per-job sim durations, which is what
@@ -280,9 +268,6 @@ type figureRows struct {
 // captured holds the rows of every row-producing figure, in run order. -json
 // writes them after the run; -baseline diffs the one figure it allows.
 var captured []figureRows
-
-// rowFigures names the figures that capture rows.
-var rowFigures = []string{"e2e", "lb", "graph", "scale", "control", "whatif"}
 
 func header(title string) {
 	fmt.Println()
@@ -417,28 +402,20 @@ func (fs figureSet) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// writeRowsJSON emits rows — one figure's row slice, or a figureSet — as
-// indented JSON. Row fields encode in declaration order and any latency
-// objects via stats.Summary's stable MarshalJSON, so the output is
-// byte-identical run to run — the property the golden-output test and the
-// ci.sh cold/warm diff pin down.
+// writeRowsJSON writes rows — one figure's row slice, or a figureSet — to
+// path ("-" = stdout) as indented JSON. Row fields encode in declaration
+// order and any latency objects via stats.Summary's stable MarshalJSON, so
+// the output is byte-identical run to run — the property the golden-output
+// test and the ci.sh cold/warm diff pin down.
 func writeRowsJSON(path string, rows any) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	b, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return cli.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 }
 
 func fig15(o umanycore.ExperimentOptions) {

@@ -198,6 +198,7 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-figures", "lb,bogus"}, `unknown figure "bogus"`},
 		{[]string{"-figures", ""}, `unknown figure ""`},
 		{[]string{"-baseline-threshold", "-1", "-figures", "power"}, "-baseline-threshold -1 is out of range"},
+		{[]string{"-baseline-threshold", "NaN", "-figures", "power"}, "-baseline-threshold NaN is out of range"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
 		if code != 2 {

@@ -27,18 +27,17 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"umanycore"
-	"umanycore/internal/cpuprof"
+	"umanycore/internal/cli"
 	"umanycore/internal/fleet"
-	"umanycore/internal/lookup"
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
-	"umanycore/internal/sim"
 	"umanycore/internal/stats"
 	"umanycore/internal/svcgraph"
 	"umanycore/internal/telemetry"
@@ -59,13 +58,13 @@ func main() {
 	skew := flag.String("skew", "", "comma-separated per-server slowdown factors, e.g. 1,1,2 (needs -servers)")
 	top := flag.Float64("top", 1, "tail fraction to analyze, in percent (1 = slowest 1%)")
 	traceIn := flag.String("trace", "", "replay an external trace CSV (umtrace -csv wire format) instead of synthetic arrivals; -rps rescales the trace to that mean rate when given explicitly")
-	traceOut := flag.String("chrome-trace", "", "also write a Chrome/Perfetto trace-event JSON to FILE")
-	spansOut := flag.String("spans", "", "also write every span as CSV to FILE")
-	metricsOut := flag.String("metrics", "", "also write the metrics snapshot as CSV to FILE")
+	traceOut := flag.String("chrome-trace", "", "also write a Chrome/Perfetto trace-event JSON to FILE (- = stdout)")
+	spansOut := flag.String("spans", "", "also write every span as CSV to FILE (- = stdout)")
+	metricsOut := flag.String("metrics", "", "also write the metrics snapshot as CSV to FILE (- = stdout)")
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of a table")
 	fabric := flag.Bool("fabric", false, "also report the PDES fabric's self-observability (needs -servers and 2+ servers)")
 	exemplarsOut := flag.String("exemplars", "", "write the K slowest stitched request trees as JSON to FILE (- = stdout)")
-	exemplarsTrace := flag.String("exemplars-trace", "", "write the exemplar trees as Chrome/Perfetto trace-event JSON to FILE")
+	exemplarsTrace := flag.String("exemplars-trace", "", "write the exemplar trees as Chrome/Perfetto trace-event JSON to FILE (- = stdout)")
 	exemplarsK := flag.Int("exemplars-k", 3, "how many tail exemplars to select")
 	sample := flag.Duration("sample", 0, "streaming-telemetry sampling interval (simulated; 0 = off unless -series set)")
 	seriesOut := flag.String("series", "", "write the telemetry time series as CSV to FILE (- = stdout)")
@@ -86,30 +85,39 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
 	flag.Parse()
 
-	if err := cpuprof.Start(*cpuProfile); err != nil {
+	if err := cli.StartCPUProfile(*cpuProfile); err != nil {
 		fatal(err)
 	}
 	defer func() {
-		if err := cpuprof.Stop(); err != nil {
+		if err := cli.StopCPUProfile(); err != nil {
 			fmt.Fprintln(os.Stderr, "umprof:", err)
 		}
 	}()
 
-	switch {
-	case *top <= 0 || *top > 100:
+	if !(*top > 0 && *top <= 100) {
 		fatal(fmt.Errorf("-top %v is out of range: want a tail percentage in (0, 100]", *top))
-	case *rps <= 0:
-		fatal(fmt.Errorf("-rps %v is out of range: want a positive offered load", *rps))
-	case *duration <= 0 || *warmup < 0:
-		fatal(fmt.Errorf("bad run window: -duration must be positive and -warmup non-negative (got %v / %v)", *duration, *warmup))
 	}
-	ctl, err := buildControl(controlCLI{
-		retries: *retries, retryBase: *retryBase, retryCap: *retryCap, retryJitter: *retryJitter,
-		hedge: *hedge, shedProb: *shedProb, shedSLO: *shedSLO,
-		scaleMin: *scaleMin, scaleP99: *scaleP99, scaleLag: *scaleLag,
-	})
-	if err != nil {
+	if err := cli.CheckRunWindow(*rps, *duration, *warmup); err != nil {
 		fatal(err)
+	}
+	// Bad control values exit 2 even when they enable no loop.
+	ctl := &umanycore.ControlConfig{
+		MaxRetries:     *retries,
+		RetryBase:      cli.SimTime(*retryBase),
+		RetryCap:       cli.SimTime(*retryCap),
+		RetryJitter:    *retryJitter,
+		HedgeAfter:     cli.SimTime(*hedge),
+		ShedProb:       *shedProb,
+		ShedSLOMicros:  *shedSLO,
+		ScaleMin:       *scaleMin,
+		ScaleP99Micros: *scaleP99,
+		ScaleLag:       cli.SimTime(*scaleLag),
+	}
+	if err := ctl.Validate(); err != nil {
+		fatal(err)
+	}
+	if !ctl.Enabled() {
+		ctl = nil
 	}
 	if ctl != nil && *servers < 2 {
 		fatal(fmt.Errorf("control flags (-retries/-hedge/-shed-prob/-scale-min) need a coupled fleet (-servers 2 or more)"))
@@ -138,11 +146,11 @@ func main() {
 	if *exemplarsK < 1 {
 		fatal(fmt.Errorf("-exemplars-k %d is out of range: want at least 1 exemplar", *exemplarsK))
 	}
-	cfg, err := lookup.Arch(*arch, *cores)
+	cfg, err := cli.Arch(*arch, *cores)
 	if err != nil {
 		fatal(err)
 	}
-	app, err := lookup.App(*appName)
+	app, err := cli.App(*appName)
 	if err != nil {
 		fatal(err)
 	}
@@ -150,9 +158,6 @@ func main() {
 	if *traceIn != "" {
 		if *whatIf {
 			fatal(fmt.Errorf("-trace is not supported with -whatif (the what-if grid re-simulates synthetic arrivals)"))
-		}
-		if ctl != nil {
-			fatal(fmt.Errorf("-trace is not supported with control flags (arrivals are the trace's, not the controller's)"))
 		}
 		// -rps only rescales the replay when given explicitly; the default
 		// otherwise replays a 5-column trace verbatim at its recorded times.
@@ -180,43 +185,24 @@ func main() {
 		}
 	}
 	fcli := fleetCLI{servers: *servers, lb: *lb, skew: *skew}
+	rc := cli.RunConfig(app, *mix, *rps, *duration, *warmup, *seed)
 	if *whatIf {
-		runWhatIf(cfg, app, whatIfCLI{
+		runWhatIf(cfg, rc, whatIfCLI{
 			stages: *whatIfStages, factors: *whatIfFactors,
-			mix: *mix, rps: *rps, duration: *duration, warmup: *warmup,
-			seed: *seed, fleetCLI: fcli, top: *top, json: *jsonOut,
+			fleetCLI: fcli, top: *top, json: *jsonOut,
 		})
 		return
 	}
-	rc := umanycore.RunConfig{
-		App:      app,
-		RPS:      *rps,
-		Duration: sim.Time(duration.Nanoseconds()) * umanycore.Nanosecond,
-		Warmup:   sim.Time(warmup.Nanoseconds()) * umanycore.Nanosecond,
-		Seed:     *seed,
-		Obs:      umanycore.DefaultObs(),
-		Replay:   replay,
-	}
-	if *mix {
-		rc.Mix = umanycore.SocialNetworkMix()
-	}
+	rc.Obs = umanycore.DefaultObs()
+	rc.Replay = replay
 	if *sample > 0 || *seriesOut != "" {
-		topts := &umanycore.TelemetryOptions{}
+		rc.Telemetry = &umanycore.TelemetryOptions{}
 		if *sample > 0 {
-			topts.Interval = sim.Time(sample.Nanoseconds()) * umanycore.Nanosecond
+			rc.Telemetry.Interval = cli.SimTime(*sample)
 		}
-		rc.Telemetry = topts
 	}
-	if *serve != "" {
-		addr, err := telemetry.ParseServeAddr(*serve)
-		if err != nil {
-			fatal(err)
-		}
-		srv, err := telemetry.Serve(addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "umprof: serving /metrics /healthz /progress /series.csv /debug/pprof on %s\n", srv.Addr)
+	if err := cli.Serve("umprof", *serve); err != nil {
+		fatal(err)
 	}
 
 	var orun *umanycore.ObsRun
@@ -257,16 +243,10 @@ func main() {
 
 	rep := umanycore.AnalyzeTail(orun.Spans, *top/100)
 
-	svcName := func(svc int16) string {
-		catalog := app.Catalog
-		if int(svc) >= 0 && int(svc) < len(catalog.Services) {
-			return catalog.Service(int(svc)).Name
-		}
-		return strconv.Itoa(int(svc))
-	}
+	svcName := cli.ServiceName(app.Catalog)
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, func(f *os.File) error {
-			return obs.WriteChromeTrace(f, orun.Spans, svcName)
+		if err := cli.WriteFile(*traceOut, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, orun.Spans, svcName)
 		}); err != nil {
 			fatal(err)
 		}
@@ -275,36 +255,29 @@ func main() {
 		// Tail exemplars: the K slowest stitched trees, selected by virtual
 		// time only, so the file is deterministic.
 		xs := obs.Exemplars(orun.Spans, *exemplarsK)
-		if *exemplarsOut == "-" {
-			if err := obs.WriteExemplarsJSON(os.Stdout, xs); err != nil {
-				fatal(err)
-			}
-			os.Stdout.WriteString("\n")
-		} else if *exemplarsOut != "" {
-			if err := writeFile(*exemplarsOut, func(f *os.File) error {
-				return obs.WriteExemplarsJSON(f, xs)
-			}); err != nil {
+		if *exemplarsOut != "" {
+			if err := cli.WriteExemplars(*exemplarsOut, xs); err != nil {
 				fatal(err)
 			}
 		}
 		if *exemplarsTrace != "" {
-			if err := writeFile(*exemplarsTrace, func(f *os.File) error {
-				return obs.WriteChromeTrace(f, obs.ExemplarSpans(xs), svcName)
+			if err := cli.WriteFile(*exemplarsTrace, func(w io.Writer) error {
+				return obs.WriteChromeTrace(w, obs.ExemplarSpans(xs), svcName)
 			}); err != nil {
 				fatal(err)
 			}
 		}
 	}
 	if *spansOut != "" {
-		if err := writeFile(*spansOut, func(f *os.File) error {
-			return obs.WriteSpansCSV(f, orun.Spans)
+		if err := cli.WriteFile(*spansOut, func(w io.Writer) error {
+			return obs.WriteSpansCSV(w, orun.Spans)
 		}); err != nil {
 			fatal(err)
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, func(f *os.File) error {
-			return obs.WriteMetricsCSV(f, orun.Metrics)
+		if err := cli.WriteFile(*metricsOut, func(w io.Writer) error {
+			return obs.WriteMetricsCSV(w, orun.Metrics)
 		}); err != nil {
 			fatal(err)
 		}
@@ -313,13 +286,7 @@ func main() {
 		if trun == nil {
 			fatal(fmt.Errorf("-series produced no telemetry"))
 		}
-		if *seriesOut == "-" {
-			if err := trun.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
-		} else if err := writeFile(*seriesOut, func(f *os.File) error {
-			return trun.WriteCSV(f)
-		}); err != nil {
+		if err := cli.WriteFile(*seriesOut, trun.WriteCSV); err != nil {
 			fatal(err)
 		}
 	}
@@ -329,7 +296,7 @@ func main() {
 		return
 	}
 	fmt.Printf("machine : %s\n", label)
-	fmt.Printf("workload: %s @ %.0f RPS%s\n", app.Name, *rps, mixTag(*mix))
+	fmt.Printf("workload: %s @ %.0f RPS%s\n", app.Name, *rps, cli.MixTag(*mix))
 	fmt.Printf("latency : %s [us]\n", latency)
 	if tc != nil {
 		// Per-record completion closes the replay loop: every parsed record
@@ -403,42 +370,27 @@ func buildFleet(cfg umanycore.Config, cli fleetCLI, ctl *umanycore.ControlConfig
 // whatIfCLI carries the -whatif flag subset out of main.
 type whatIfCLI struct {
 	fleetCLI
-	stages, factors  string
-	mix              bool
-	rps              float64
-	duration, warmup time.Duration
-	seed             int64
-	top              float64
-	json             bool
+	stages, factors string
+	top             float64
+	json            bool
 }
 
-// runWhatIf drives the causal-profiling grid (internal/whatif): the same
-// workload re-simulated under virtual per-stage speedups, reporting each
-// stage's blame share next to the tail improvement actually bought. Output
-// is fully deterministic.
-func runWhatIf(cfg umanycore.Config, app *umanycore.App, cli whatIfCLI) {
-	stages, err := parseWhatIfStages(cli.stages)
+// runWhatIf drives the causal-profiling grid (internal/whatif) on the run
+// rc describes: the same workload re-simulated under virtual per-stage
+// speedups, reporting each stage's blame share next to the tail improvement
+// actually bought. Output is fully deterministic.
+func runWhatIf(cfg umanycore.Config, rc umanycore.RunConfig, wcli whatIfCLI) {
+	stages, err := parseWhatIfStages(wcli.stages)
 	if err != nil {
 		fatal(err)
 	}
-	factors, err := parseWhatIfFactors(cli.factors)
+	factors, err := parseWhatIfFactors(wcli.factors)
 	if err != nil {
 		fatal(err)
 	}
-	tg := whatif.Target{
-		App:  app,
-		RPS:  cli.rps,
-		Seed: cli.seed,
-		RC: umanycore.RunConfig{
-			Duration: sim.Time(cli.duration.Nanoseconds()) * umanycore.Nanosecond,
-			Warmup:   sim.Time(cli.warmup.Nanoseconds()) * umanycore.Nanosecond,
-		},
-	}
-	if cli.mix {
-		tg.RC.Mix = umanycore.SocialNetworkMix()
-	}
-	if cli.servers > 0 {
-		fc := buildFleet(cfg, cli.fleetCLI, nil, app, tg.RC)
+	tg := whatif.Target{App: rc.App, RPS: rc.RPS, Seed: rc.Seed, RC: rc}
+	if wcli.servers > 0 {
+		fc := buildFleet(cfg, wcli.fleetCLI, nil, rc.App, rc)
 		tg.Fleet = &fc
 	} else {
 		tg.Machine = cfg
@@ -446,12 +398,12 @@ func runWhatIf(cfg umanycore.Config, app *umanycore.App, cli whatIfCLI) {
 	rep, err := whatif.Run(tg, whatif.Options{
 		Stages:  stages,
 		Factors: factors,
-		TopFrac: cli.top / 100,
+		TopFrac: wcli.top / 100,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if cli.json {
+	if wcli.json {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fatal(err)
 		}
@@ -485,7 +437,8 @@ func parseWhatIfStages(s string) ([]obs.Stage, error) {
 	return out, nil
 }
 
-// parseWhatIfFactors parses the -whatif-factors ladder ("" = default).
+// parseWhatIfFactors parses the -whatif-factors ladder ("" = default);
+// whatif.Run checks the range.
 func parseWhatIfFactors(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -495,12 +448,6 @@ func parseWhatIfFactors(s string) ([]float64, error) {
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad what-if factor %q: %v", p, err)
-		}
-		if f < 0 {
-			return nil, fmt.Errorf("-whatif-factors %v is negative: factors are stage cost multipliers in [0, 1]", f)
-		}
-		if f > 1 {
-			return nil, fmt.Errorf("-whatif-factors %v is out of range: a factor above 1 would slow the stage down, not speed it up (want [0, 1])", f)
 		}
 		out = append(out, f)
 	}
@@ -649,69 +596,6 @@ func printJSON(machineName, appName string, rps, durationSec float64, latency um
 	os.Stdout.WriteString("\n")
 }
 
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// controlCLI carries the control-loop flag subset out of main.
-type controlCLI struct {
-	retries                        int
-	retryBase, retryCap, hedge     time.Duration
-	retryJitter, shedProb, shedSLO float64
-	scaleMin                       int
-	scaleP99                       float64
-	scaleLag                       time.Duration
-}
-
-// buildControl turns the control flags into a ControlConfig, or nil when no
-// loop is enabled. Every bound is checked here so bad values exit 2 at
-// parse time instead of panicking mid-simulation.
-func buildControl(cli controlCLI) (*umanycore.ControlConfig, error) {
-	switch {
-	case cli.retries < 0:
-		return nil, fmt.Errorf("-retries %d is out of range: want a non-negative retry budget", cli.retries)
-	case cli.retryBase < 0 || cli.retryCap < 0 || cli.hedge < 0 || cli.scaleLag < 0:
-		return nil, fmt.Errorf("negative control duration: -retry-base/-retry-cap/-hedge/-scale-lag must be >= 0")
-	case cli.retryJitter < 0 || cli.retryJitter > 1:
-		return nil, fmt.Errorf("-retry-jitter %v is out of range: want a fraction in [0, 1]", cli.retryJitter)
-	case cli.shedProb < 0 || cli.shedProb > 1:
-		return nil, fmt.Errorf("-shed-prob %v is out of range: want a probability in [0, 1]", cli.shedProb)
-	case cli.shedProb > 0 && cli.shedSLO <= 0:
-		return nil, fmt.Errorf("-shed-prob needs a positive -shed-slo objective (got %v)", cli.shedSLO)
-	case cli.scaleMin < 0:
-		return nil, fmt.Errorf("-scale-min %d is out of range: want a non-negative active-server floor", cli.scaleMin)
-	case cli.scaleMin > 0 && cli.scaleP99 <= 0:
-		return nil, fmt.Errorf("-scale-min needs a positive -scale-p99 target (got %v)", cli.scaleP99)
-	}
-	ctl := umanycore.ControlConfig{
-		MaxRetries:     cli.retries,
-		RetryBase:      sim.Time(cli.retryBase.Nanoseconds()) * umanycore.Nanosecond,
-		RetryCap:       sim.Time(cli.retryCap.Nanoseconds()) * umanycore.Nanosecond,
-		RetryJitter:    cli.retryJitter,
-		HedgeAfter:     sim.Time(cli.hedge.Nanoseconds()) * umanycore.Nanosecond,
-		ShedProb:       cli.shedProb,
-		ShedSLOMicros:  cli.shedSLO,
-		ScaleMin:       cli.scaleMin,
-		ScaleP99Micros: cli.scaleP99,
-		ScaleLag:       sim.Time(cli.scaleLag.Nanoseconds()) * umanycore.Nanosecond,
-	}
-	if !ctl.Enabled() {
-		return nil, nil
-	}
-	if err := ctl.Validate(); err != nil {
-		return nil, err
-	}
-	return &ctl, nil
-}
-
 // rejRate is rejected over responded — the goodput complement.
 func rejRate(completed, rejected uint64) float64 {
 	if resp := completed + rejected; resp > 0 {
@@ -741,17 +625,4 @@ func pctDiff(a, b float64) float64 {
 	return 100 * (a - b) / b
 }
 
-func mixTag(mix bool) string {
-	if mix {
-		return " (mixed SocialNetwork stream)"
-	}
-	return ""
-}
-
-// fatal reports err and exits 2, stopping the CPU profile first so a run
-// that fails after profiling began still leaves a complete profile.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "umprof:", err)
-	cpuprof.Stop()
-	os.Exit(2)
-}
+func fatal(err error) { cli.Fatal("umprof", err) }

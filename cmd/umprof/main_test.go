@@ -136,10 +136,10 @@ func TestWhatIfJSONGolden(t *testing.T) {
 	}
 }
 
-// TestWhatIfFleetShardWorkerInvariance checks the -whatif CLI contract on
+// TestWhatIfFleetRepeatByteIdentity checks the -whatif CLI contract on
 // the coupled fleet: stdout is byte-identical on a repeat run (no
 // normalization needed — the what-if report carries no wall-clock fields).
-func TestWhatIfFleetShardWorkerInvariance(t *testing.T) {
+func TestWhatIfFleetRepeatByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
@@ -168,16 +168,22 @@ func TestBadFlagBoundsExit(t *testing.T) {
 	}{
 		{[]string{"-top", "0"}, "-top 0 is out of range"},
 		{[]string{"-top", "150"}, "-top 150 is out of range"},
+		{[]string{"-top", "NaN"}, "-top NaN is out of range"},
 		{[]string{"-exemplars-k", "0"}, "-exemplars-k 0 is out of range"},
-		{[]string{"-whatif", "-whatif-factors", "-0.5"}, "is negative"},
-		{[]string{"-whatif", "-whatif-factors", "1.5"}, "is out of range"},
+		{[]string{"-whatif", "-whatif-factors", "-0.5"}, "whatif: cost factor -0.5 outside [0, 1]"},
+		{[]string{"-whatif", "-whatif-factors", "1.5"}, "whatif: cost factor 1.5 outside [0, 1]"},
+		{[]string{"-whatif", "-whatif-factors", "NaN"}, "whatif: cost factor NaN outside [0, 1]"},
 		{[]string{"-whatif", "-whatif-stages", "queue"}, "unknown what-if stage"},
-		{[]string{"-servers", "2", "-retries", "-1"}, "-retries -1 is out of range"},
-		{[]string{"-servers", "2", "-retries", "2", "-retry-base", "-1ms"}, "negative control duration"},
-		{[]string{"-servers", "2", "-retries", "2", "-retry-jitter", "1.5"}, "-retry-jitter 1.5 is out of range"},
-		{[]string{"-servers", "2", "-shed-prob", "2"}, "-shed-prob 2 is out of range"},
-		{[]string{"-servers", "2", "-shed-prob", "0.5"}, "-shed-prob needs a positive -shed-slo"},
-		{[]string{"-servers", "2", "-scale-min", "1"}, "-scale-min needs a positive -scale-p99"},
+		{[]string{"-servers", "2", "-retries", "-1"}, "control: MaxRetries -1 < 0"},
+		{[]string{"-servers", "2", "-retries", "2", "-retry-base", "-1ms"}, "control: negative duration"},
+		{[]string{"-servers", "2", "-retries", "2", "-retry-cap", "-1ms"}, "control: negative duration"},
+		{[]string{"-servers", "2", "-retries", "2", "-retry-jitter", "1.5"}, "control: RetryJitter 1.5 outside [0,1]"},
+		{[]string{"-retry-jitter", "1.5"}, "control: RetryJitter 1.5 outside [0,1]"},
+		{[]string{"-servers", "2", "-retries", "2", "-retry-jitter", "NaN"}, "control: RetryJitter NaN outside [0,1]"},
+		{[]string{"-servers", "2", "-shed-prob", "2"}, "control: ShedProb 2 outside [0,1]"},
+		{[]string{"-servers", "2", "-shed-prob", "0.5"}, "control: shedding needs ShedSLOMicros > 0"},
+		{[]string{"-servers", "2", "-scale-min", "-1"}, "control: ScaleMin -1 < 0"},
+		{[]string{"-servers", "2", "-scale-min", "1"}, "control: autoscaling needs ScaleP99Micros > 0"},
 		{[]string{"-retries", "2"}, "need a coupled fleet"},
 		{[]string{"-servers", "2", "-hedge", "1ms", "-whatif"}, "not supported with -whatif"},
 		{[]string{"-lb", "bogus"}, "-lb needs a fleet (-servers"},
@@ -202,11 +208,11 @@ func TestBadFlagBoundsExit(t *testing.T) {
 	}
 }
 
-// TestControlJSONShardWorkerInvariance is the CLI form of the control
+// TestControlJSONRepeatByteIdentity is the CLI form of the control
 // determinism contract (and the template for the scripts/ci.sh gate): a
 // retry+hedging fleet run prints byte-identical JSON — control section
 // included — on a repeat run, after normalizing the one wall-clock field.
-func TestControlJSONShardWorkerInvariance(t *testing.T) {
+func TestControlJSONRepeatByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
@@ -309,7 +315,7 @@ func TestTraceFlagValidationExits(t *testing.T) {
 		{[]string{"-trace", t.TempDir() + "/nosuch.csv"}, "no such file"},
 		{[]string{"-trace", bad}, `trace line 2: duration_us "-2" must be positive`},
 		{[]string{"-trace", good, "-whatif"}, "not supported with -whatif"},
-		{[]string{"-trace", good, "-servers", "2", "-retries", "2"}, "not supported with control flags"},
+		{[]string{"-trace", good, "-servers", "2", "-retries", "2"}, "trace replay does not support the control loop"},
 		{[]string{"-trace", good, "-app", "nosuch"}, "unknown app"},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
@@ -322,11 +328,11 @@ func TestTraceFlagValidationExits(t *testing.T) {
 	}
 }
 
-// TestTraceReplayJSONShardWorkerInvariance is the CLI half of the replay
+// TestTraceReplayJSONRepeatByteIdentity is the CLI half of the replay
 // determinism contract (and the template for the scripts/ci.sh round-trip
 // gate): replaying one trace through the coupled fleet prints byte-identical
 // JSON — trace accounting included — on a repeat run.
-func TestTraceReplayJSONShardWorkerInvariance(t *testing.T) {
+func TestTraceReplayJSONRepeatByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}

@@ -11,15 +11,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"umanycore"
-	"umanycore/internal/lookup"
+	"umanycore/internal/cli"
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
-	"umanycore/internal/sim"
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
 	"umanycore/internal/telemetry"
@@ -39,7 +38,7 @@ func main() {
 	csCycles := flag.Int("cs", -1, "override context-switch cycles (-1 = preset)")
 	noContention := flag.Bool("no-icn-contention", false, "disable ICN contention (Fig 7 baseline)")
 	replicates := flag.Int("replicates", 1, "independent replicates with derived seeds (run in parallel; reports the p99 spread)")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of replicate 0 to FILE")
+	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of replicate 0 to FILE (- = stdout)")
 	exemplarsOut := flag.String("exemplars", "", "write replicate 0's K slowest request trees as JSON to FILE (- = stdout)")
 	exemplarsK := flag.Int("exemplars-k", 3, "how many tail exemplars to select (needs -exemplars)")
 	metricsOut := flag.String("metrics", "", "write replicate 0's metrics snapshot as JSON to FILE (- = stdout)")
@@ -50,11 +49,10 @@ func main() {
 	serve := flag.String("serve", "", "serve live /metrics, /healthz, /progress and pprof on this address during the run (e.g. :9090)")
 	flag.Parse()
 
+	if err := cli.CheckRunWindow(*rps, *duration, *warmup); err != nil {
+		fatal(err)
+	}
 	switch {
-	case *rps <= 0:
-		fatal(fmt.Errorf("-rps %v is out of range: want a positive offered load", *rps))
-	case *duration <= 0 || *warmup < 0:
-		fatal(fmt.Errorf("bad run window: -duration must be positive and -warmup non-negative (got %v / %v)", *duration, *warmup))
 	case *replicates < 1:
 		fatal(fmt.Errorf("-replicates %d is out of range: want at least 1 replicate", *replicates))
 	case *exemplarsK < 1:
@@ -67,7 +65,7 @@ func main() {
 		fatal(fmt.Errorf("-cs %d is out of range: want a cycle count, or -1 for the preset's", *csCycles))
 	}
 
-	cfg, err := lookup.Arch(*arch, *cores)
+	cfg, err := cli.Arch(*arch, *cores)
 	if err != nil {
 		fatal(err)
 	}
@@ -84,21 +82,12 @@ func main() {
 		fatal(err)
 	}
 
-	app, err := lookup.App(*appName)
+	app, err := cli.App(*appName)
 	if err != nil {
 		fatal(err)
 	}
 
-	rc := umanycore.RunConfig{
-		App:      app,
-		RPS:      *rps,
-		Duration: sim.Time(duration.Nanoseconds()) * umanycore.Nanosecond,
-		Warmup:   sim.Time(warmup.Nanoseconds()) * umanycore.Nanosecond,
-		Seed:     *seed,
-	}
-	if *mix {
-		rc.Mix = umanycore.SocialNetworkMix()
-	}
+	rc := cli.RunConfig(app, *mix, *rps, *duration, *warmup, *seed)
 	if *bursty {
 		rc.Arrivals = machine.BurstyArrivals
 	}
@@ -122,19 +111,11 @@ func main() {
 			teleOpts = &umanycore.TelemetryOptions{}
 		}
 		if *sample > 0 {
-			teleOpts.Interval = sim.Time(sample.Nanoseconds()) * umanycore.Nanosecond
+			teleOpts.Interval = cli.SimTime(*sample)
 		}
 	}
-	if *serve != "" {
-		addr, err := telemetry.ParseServeAddr(*serve)
-		if err != nil {
-			fatal(err)
-		}
-		srv, err := telemetry.Serve(addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "umsim: serving /metrics /healthz /progress /series.csv /debug/pprof on %s\n", srv.Addr)
+	if err := cli.Serve("umsim", *serve); err != nil {
+		fatal(err)
 	}
 	start := time.Now()
 	results := sweep.Map(0, seeds, func(i int, s int64) *umanycore.Result {
@@ -158,28 +139,35 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, res.Obs.Spans, app); err != nil {
+		// Chrome trace-event JSON, loadable in Perfetto or chrome://tracing.
+		if err := cli.WriteFile(*traceOut, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, res.Obs.Spans, cli.ServiceName(app.Catalog))
+		}); err != nil {
 			fatal(err)
 		}
 	}
 	if *exemplarsOut != "" {
-		if err := writeExemplars(*exemplarsOut, res.Obs.Spans, *exemplarsK); err != nil {
+		// The K slowest request trees, selected by virtual time only.
+		if err := cli.WriteExemplars(*exemplarsOut, obs.Exemplars(res.Obs.Spans, *exemplarsK)); err != nil {
 			fatal(err)
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, res); err != nil {
+		if err := cli.WriteFile(*metricsOut, func(w io.Writer) error { return writeMetrics(w, res) }); err != nil {
 			fatal(err)
 		}
 	}
 	if *seriesOut != "" {
-		if err := writeSeries(*seriesOut, res.Telemetry); err != nil {
+		if res.Telemetry == nil {
+			fatal(fmt.Errorf("-series needs telemetry (it enables the sampler; did the run record nothing?)"))
+		}
+		if err := cli.WriteFile(*seriesOut, res.Telemetry.WriteCSV); err != nil {
 			fatal(err)
 		}
 	}
 
 	fmt.Printf("machine      : %s (%d cores, %d domains, %s)\n", res.Machine, cfg.Cores, cfg.Domains, cfg.Topo)
-	fmt.Printf("workload     : %s @ %.0f RPS%s\n", res.App, res.RPS, mixTag(*mix))
+	fmt.Printf("workload     : %s @ %.0f RPS%s\n", res.App, res.RPS, cli.MixTag(*mix))
 	fmt.Printf("requests     : submitted=%d completed=%d rejected=%d unfinished=%d\n",
 		res.Submitted, res.Completed, res.Rejected, res.Unfinished)
 	fmt.Printf("latency [us] : mean=%.1f p50=%.1f p99=%.1f max=%.1f (p99/mean %.2f)\n",
@@ -232,86 +220,10 @@ func main() {
 	}
 }
 
-// writeSeries dumps the telemetry time series as CSV.
-func writeSeries(path string, run *umanycore.TelemetryRun) error {
-	if run == nil {
-		return fmt.Errorf("-series needs telemetry (it enables the sampler; did the run record nothing?)")
-	}
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return run.WriteCSV(w)
-}
-
-func mixTag(mix bool) string {
-	if mix {
-		return " (mixed SocialNetwork stream)"
-	}
-	return ""
-}
-
-// writeTrace dumps the recorded spans as Chrome trace-event JSON, loadable in
-// Perfetto or chrome://tracing.
-func writeTrace(path string, spans []umanycore.Span, app *umanycore.App) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	catalog := app.Catalog
-	name := func(svc int16) string {
-		if int(svc) >= 0 && int(svc) < len(catalog.Services) {
-			return catalog.Service(int(svc)).Name
-		}
-		return strconv.Itoa(int(svc))
-	}
-	if err := obs.WriteChromeTrace(f, spans, name); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeExemplars dumps the K slowest request trees as deterministic JSON —
-// the virtual-time-selected tail exemplars (obs.Exemplars).
-func writeExemplars(path string, spans []umanycore.Span, k int) error {
-	xs := obs.Exemplars(spans, k)
-	if path == "-" {
-		if err := obs.WriteExemplarsJSON(os.Stdout, xs); err != nil {
-			return err
-		}
-		_, err := os.Stdout.WriteString("\n")
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteExemplarsJSON(f, xs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // writeMetrics emits the run's metrics snapshot plus the latency summary as
 // one JSON object with stable key order (stats.JSONObject — the encoder
 // shared with umprof and umbench).
-func writeMetrics(path string, res *umanycore.Result) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
+func writeMetrics(w io.Writer, res *umanycore.Result) error {
 	lat, err := res.Latency.MarshalJSON()
 	if err != nil {
 		return err
@@ -333,7 +245,4 @@ func writeMetrics(path string, res *umanycore.Result) error {
 	return err
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "umsim:", err)
-	os.Exit(2)
-}
+func fatal(err error) { cli.Fatal("umsim", err) }

@@ -84,6 +84,8 @@ func TestBadFlagBoundsExit(t *testing.T) {
 	}{
 		{[]string{"-rps", "-5"}, "-rps -5 is out of range"},
 		{[]string{"-rps", "0"}, "-rps 0 is out of range"},
+		{[]string{"-rps", "NaN"}, "-rps NaN is out of range"},
+		{[]string{"-rps", "+Inf"}, "-rps +Inf is out of range"},
 		{[]string{"-duration", "-10ms"}, "bad run window"},
 		{[]string{"-warmup", "-1ms"}, "bad run window"},
 		{[]string{"-replicates", "0"}, "-replicates 0 is out of range"},

@@ -9,7 +9,7 @@
 //     re-dispatched through the balancer after RetryBase·2^(k-1), clamped to
 //     RetryCap, minus a uniform jitter slice — until MaxRetries attempts are
 //     exhausted and the root is permanently rejected back to the client.
-//     RetryCap <= 0 models the classic metastable failure mode: uncapped
+//     RetryCap 0 models the classic metastable failure mode: uncapped
 //     immediate retries amplify an overload into a self-sustaining storm.
 //   - Tail hedging: if a dispatched root has not answered after HedgeAfter,
 //     a duplicate ships to a second balancer pick; the first response wins
@@ -55,7 +55,8 @@ type Config struct {
 	// RetryBase is the backoff before retry k: RetryBase * 2^(k-1).
 	// 0 with MaxRetries > 0 retries immediately — the storm configuration.
 	RetryBase sim.Time
-	// RetryCap clamps the exponential backoff. <= 0 leaves it uncapped.
+	// RetryCap clamps the exponential backoff. 0 leaves it uncapped;
+	// Validate rejects a negative cap.
 	RetryCap sim.Time
 	// RetryJitter in [0,1] subtracts a uniform slice of the backoff:
 	// delay -= delay * RetryJitter * U[0,1), drawn from the controller's
@@ -107,17 +108,17 @@ func (c Config) Validate() error {
 	switch {
 	case c.MaxRetries < 0:
 		return fmt.Errorf("control: MaxRetries %d < 0", c.MaxRetries)
-	case c.RetryBase < 0 || c.HedgeAfter < 0 || c.ScaleLag < 0 || c.ShedWindow < 0 || c.ScaleWindow < 0:
+	case c.RetryBase < 0 || c.RetryCap < 0 || c.HedgeAfter < 0 || c.ScaleLag < 0 || c.ShedWindow < 0 || c.ScaleWindow < 0:
 		return fmt.Errorf("control: negative duration in config")
-	case c.RetryJitter < 0 || c.RetryJitter > 1:
+	case !(c.RetryJitter >= 0 && c.RetryJitter <= 1):
 		return fmt.Errorf("control: RetryJitter %v outside [0,1]", c.RetryJitter)
-	case c.ShedProb < 0 || c.ShedProb > 1:
+	case !(c.ShedProb >= 0 && c.ShedProb <= 1):
 		return fmt.Errorf("control: ShedProb %v outside [0,1]", c.ShedProb)
-	case c.ShedProb > 0 && c.ShedSLOMicros <= 0:
+	case c.ShedProb > 0 && !(c.ShedSLOMicros > 0):
 		return fmt.Errorf("control: shedding needs ShedSLOMicros > 0 (got %v)", c.ShedSLOMicros)
 	case c.ScaleMin < 0:
 		return fmt.Errorf("control: ScaleMin %d < 0", c.ScaleMin)
-	case c.ScaleMin > 0 && c.ScaleP99Micros <= 0:
+	case c.ScaleMin > 0 && !(c.ScaleP99Micros > 0):
 		return fmt.Errorf("control: autoscaling needs ScaleP99Micros > 0 (got %v)", c.ScaleP99Micros)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,10 +34,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}{
 		{Config{MaxRetries: -1}, "MaxRetries"},
 		{Config{RetryBase: -1}, "negative duration"},
+		{Config{RetryCap: -1}, "negative duration"},
 		{Config{HedgeAfter: -1}, "negative duration"},
 		{Config{ScaleLag: -1}, "negative duration"},
 		{Config{RetryJitter: 1.5}, "RetryJitter"},
 		{Config{RetryJitter: -0.1}, "RetryJitter"},
+		{Config{RetryJitter: math.NaN()}, "RetryJitter"},
+		{Config{ShedProb: math.NaN()}, "ShedProb"},
+		{Config{ShedProb: 0.5, ShedSLOMicros: math.NaN()}, "ShedSLOMicros"},
+		{Config{ScaleMin: 2, ScaleP99Micros: math.NaN()}, "ScaleP99Micros"},
 		{Config{ShedProb: 2}, "ShedProb"},
 		{Config{ShedProb: 0.5}, "ShedSLOMicros"},
 		{Config{ScaleMin: -2}, "ScaleMin"},

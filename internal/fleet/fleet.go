@@ -136,8 +136,10 @@ func (fc Config) balancer() Balancer {
 func (fc Config) controlOn() bool { return fc.Control != nil && fc.Control.Enabled() }
 
 // Validate reports why fc cannot run app under rc, naming the cause, or nil
-// when it can. Run panics with its error; front ends call it first to fail
-// fast with the same diagnosis.
+// when it can: every server's machine config and the control config are
+// checked here, so a config it accepts runs without a setup panic. Run
+// panics with its error; front ends call it first to fail fast with the
+// same diagnosis.
 func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 	if fc.Servers < 1 {
 		return fmt.Errorf("fleet: need at least one server (Servers = %d)", fc.Servers)
@@ -166,6 +168,18 @@ func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 	}
 	if fc.Servers > 1 && fc.InterServerRTT < 2 {
 		return fmt.Errorf("fleet: coupled multi-server fleets need InterServerRTT >= 2ps (got %v); it is the PDES lookahead", fc.InterServerRTT)
+	}
+	if fc.Control != nil {
+		if err := fc.Control.Validate(); err != nil {
+			return err
+		}
+	}
+	cross := fc.crossFrac()
+	for s := 0; s < fc.Servers; s++ {
+		mcfg := fc.serverConfig(s, cross)
+		if err := mcfg.Validate(); err != nil {
+			return fmt.Errorf("fleet: server %d: %w", s, err)
+		}
 	}
 	return nil
 }

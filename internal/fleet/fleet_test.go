@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"umanycore/internal/control"
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
@@ -130,6 +132,15 @@ func TestValidate(t *testing.T) {
 			fc.NewBalancer = func() Balancer { return LeastOutstanding{} }
 		}), false, ""},
 		{"graph replay", fleet(2, func(fc *Config) { fc.Graph = svcgraph.Colocated(services, 2) }), true, ""},
+		// Per-server machine configs and the control config: each of these
+		// used to validate and then panic in setup.
+		{"bad nic buffer", fleet(2, func(fc *Config) { fc.Machine.NICBufCapacity = -1 }), false, "server 0: machine: NIC buffer capacity -1"},
+		{"bad retry jitter", fleet(2, func(fc *Config) { fc.Control = &control.Config{MaxRetries: 2, RetryJitter: 1.5} }), false, "RetryJitter 1.5 outside [0,1]"},
+		{"shedding without slo", fleet(2, func(fc *Config) { fc.Control = &control.Config{ShedProb: 0.5} }), false, "shedding needs ShedSLOMicros"},
+		{"bad per-server speedup", fleet(2, func(fc *Config) {
+			fc.WhatIfPerServer = make([]machine.StageSpeedups, 2)
+			fc.WhatIfPerServer[1].Net = 2
+		}), false, "server 1: machine: what-if"},
 	}
 	for _, c := range cases {
 		rc := machine.RunConfig{Duration: sim.Millisecond}
@@ -145,7 +156,24 @@ func TestValidate(t *testing.T) {
 		case c.want != "" && !strings.Contains(err.Error(), c.want):
 			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
+		if err != nil {
+			// Run must stop on the same diagnosis, before any setup panic.
+			if got := runPanic(c.fc, app, rc); got != err.Error() {
+				t.Errorf("%s: Run panicked with %q, want Validate's %q", c.name, got, err)
+			}
+		}
 	}
+}
+
+// runPanic runs fc and returns what Run panicked with ("" if it did not).
+func runPanic(fc Config, app *workload.App, rc machine.RunConfig) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	Run(fc, app, 1000, rc, 1)
+	return ""
 }
 
 // TestOneServerFleetMatchesMachineRun pins the one-server route and the

@@ -15,6 +15,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"umanycore/internal/icn"
 	"umanycore/internal/sched"
@@ -176,7 +177,8 @@ func (c *Config) CyclesToTime(cycles int) sim.Time {
 	return sim.Time(float64(cycles) * 1000.0 / c.FreqGHz)
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency, extensions included: a config it
+// accepts builds a machine without panicking.
 func (c *Config) Validate() error {
 	if c.Cores <= 0 || c.Domains <= 0 || c.Cores < c.Domains {
 		return fmt.Errorf("machine: bad cores/domains %d/%d", c.Cores, c.Domains)
@@ -184,25 +186,62 @@ func (c *Config) Validate() error {
 	if c.Cores%c.Domains != 0 {
 		return fmt.Errorf("machine: cores %d not divisible by domains %d", c.Cores, c.Domains)
 	}
-	if c.FreqGHz <= 0 || c.PerfFactor <= 0 {
+	if !(c.FreqGHz > 0) || !(c.PerfFactor > 0) {
 		return fmt.Errorf("machine: bad freq/perf %v/%v", c.FreqGHz, c.PerfFactor)
 	}
 	switch c.Topo {
 	case MeshTopo:
-		if c.MeshW*c.MeshH <= 0 {
-			return fmt.Errorf("machine: mesh dims unset")
+		if c.MeshW <= 0 || c.MeshH <= 0 {
+			return fmt.Errorf("machine: mesh dims %dx%d not positive", c.MeshW, c.MeshH)
 		}
 	case FatTreeTopo:
-		if c.FatTreeLeaves < 2 {
-			return fmt.Errorf("machine: fat-tree leaves unset")
+		if c.FatTreeLeaves < 2 || c.FatTreeLeaves&(c.FatTreeLeaves-1) != 0 {
+			return fmt.Errorf("machine: fat-tree leaves %d not a power of two >= 2", c.FatTreeLeaves)
 		}
 	case LeafSpineTopo:
-		if c.LeafSpineCfg.Pods <= 0 {
-			return fmt.Errorf("machine: leaf-spine config unset")
+		if ls := c.LeafSpineCfg; ls.Pods <= 0 || ls.LeavesPerPod <= 0 || ls.L2PerPod <= 0 || ls.L3Count <= 0 {
+			return fmt.Errorf("machine: leaf-spine dims %+v not positive", ls)
 		}
+	default:
+		return fmt.Errorf("machine: unknown topology %v", c.Topo)
+	}
+	// A negative cost would schedule an event before the current time.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Policy.CSCycles", int64(c.Policy.CSCycles)},
+		{"Policy.DequeueCycles", int64(c.Policy.DequeueCycles)},
+		{"Policy.EnqueueCycles", int64(c.Policy.EnqueueCycles)},
+		{"Policy.StealCycles", int64(c.Policy.StealCycles)},
+		{"CoherencePenaltyCycles", int64(c.CoherencePenaltyCycles)},
+		{"VillageResumePenaltyCycles", int64(c.VillageResumePenaltyCycles)},
+		{"RPCProcCycles", int64(c.RPCProcCycles)},
+		{"SendProcCycles", int64(c.SendProcCycles)},
+		{"ResumeProcCycles", int64(c.ResumeProcCycles)},
+		{"NICHWDelay", int64(c.NICHWDelay)},
+		{"IngressLatency", int64(c.IngressLatency)},
+		{"StorageRTT", int64(c.StorageRTT)},
+		{"RemoteRTT", int64(c.RemoteRTT)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("machine: negative %s %d", f.name, f.v)
+		}
+	}
+	if !(c.StorageLossProb >= 0 && c.StorageLossProb < 1) {
+		return fmt.Errorf("machine: storage loss probability %v outside [0, 1)", c.StorageLossProb)
 	}
 	if c.Policy.HardwareRQ && c.RQCapacity <= 0 {
 		return fmt.Errorf("machine: hardware RQ needs capacity")
+	}
+	if c.RQCapacity > math.MaxInt32 {
+		return fmt.Errorf("machine: RQ capacity %d above %d", c.RQCapacity, math.MaxInt32)
+	}
+	if c.NICBufCapacity < 0 || c.NICBufCapacity > math.MaxInt32 {
+		return fmt.Errorf("machine: NIC buffer capacity %d outside [0, %d]", c.NICBufCapacity, math.MaxInt32)
+	}
+	if err := c.Extensions.Validate(c); err != nil {
+		return err
 	}
 	if err := c.LinkParams.Validate(); err != nil {
 		return err

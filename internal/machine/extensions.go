@@ -53,10 +53,10 @@ func (e ExtensionConfig) Validate(c *Config) error {
 	if e.PartitionRQ && e.ColocatedServices <= 1 {
 		return fmt.Errorf("machine: RQ partitioning only applies to co-located villages")
 	}
-	if e.BigVillageFrac < 0 || e.BigVillageFrac > 1 {
+	if !(e.BigVillageFrac >= 0 && e.BigVillageFrac <= 1) {
 		return fmt.Errorf("machine: big-village fraction out of range")
 	}
-	if e.BigVillageFrac > 0 && e.BigCorePerf <= 0 {
+	if e.BigVillageFrac > 0 && !(e.BigCorePerf > 0) {
 		return fmt.Errorf("machine: big villages need a positive perf multiplier")
 	}
 	return nil

@@ -466,9 +466,6 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		}
 		m.domains[d] = dom
 	}
-	if err := cfg.Extensions.Validate(&cfg); err != nil {
-		panic(err)
-	}
 	m.applyHeterogeneity()
 	if local != nil {
 		m.local = make([]bool, len(catalog.Services))

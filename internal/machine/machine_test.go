@@ -49,6 +49,21 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RQCapacity = 0 },
 		func(c *Config) { c.LinkParams.HopLatency = -1 },
 		func(c *Config) { c.LinkParams.PsPerByte = math.MaxInt32 + 1 },
+		func(c *Config) { c.NICBufCapacity = -1 },
+		func(c *Config) { c.NICBufCapacity = math.MaxInt32 + 1 },
+		func(c *Config) { c.RQCapacity = math.MaxInt32 + 1 },
+		func(c *Config) { c.Extensions.PartitionRQ = true },
+		func(c *Config) { c.Topo = MeshTopo; c.MeshW, c.MeshH = -4, -8 },
+		func(c *Config) { c.Topo = FatTreeTopo; c.FatTreeLeaves = 12 },
+		func(c *Config) { c.Topo = LeafSpineTopo; c.LeafSpineCfg.L3Count = 0 },
+		func(c *Config) { c.Topo = 7 },
+		func(c *Config) { c.NICHWDelay = -1 },
+		func(c *Config) { c.RPCProcCycles = -1 },
+		func(c *Config) { c.Policy.CSCycles = -1 },
+		func(c *Config) { c.StorageLossProb = 1 },
+		func(c *Config) { c.StorageLossProb = math.NaN() },
+		func(c *Config) { c.FreqGHz = math.NaN() },
+		func(c *Config) { c.Extensions.BigVillageFrac = 0.5; c.Extensions.BigCorePerf = math.NaN() },
 	}
 	for i, mutate := range cases {
 		c := UManycoreConfig()

@@ -112,10 +112,10 @@ func TestSpeedupMovesLatency(t *testing.T) {
 	}
 }
 
-// TestShardWorkersByteIdentity is the PDES half of the determinism
+// TestFleetGridRepeatByteIdentity is the PDES half of the determinism
 // contract: the coupled-fleet grid's cells, in their JSON cell-cache
 // payload form, are byte-identical on a repeat run.
-func TestShardWorkersByteIdentity(t *testing.T) {
+func TestFleetGridRepeatByteIdentity(t *testing.T) {
 	app := homeT(t)
 	encodeAll := func() [][]byte {
 		fc := fleet.DefaultConfig(machine.UManycoreConfig())
