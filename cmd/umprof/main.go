@@ -40,7 +40,6 @@ import (
 	"umanycore/internal/obs"
 	"umanycore/internal/stats"
 	"umanycore/internal/svcgraph"
-	"umanycore/internal/telemetry"
 	"umanycore/internal/whatif"
 )
 
@@ -238,7 +237,7 @@ func main() {
 		tc.replayed = replay.Replayed(rc.Normalized().Duration)
 	}
 	if trun != nil {
-		telemetry.Publish(trun)
+		cli.Publish(trun)
 	}
 
 	rep := umanycore.AnalyzeTail(orun.Spans, *top/100)

@@ -21,7 +21,6 @@ import (
 	"umanycore/internal/obs"
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
-	"umanycore/internal/telemetry"
 )
 
 func main() {
@@ -135,7 +134,7 @@ func main() {
 	elapsed := time.Since(start)
 	res := results[0]
 	if res.Telemetry != nil {
-		telemetry.Publish(res.Telemetry)
+		cli.Publish(res.Telemetry)
 	}
 
 	if *traceOut != "" {

@@ -1,7 +1,8 @@
 // Package cli is the front-end layer umsim, umprof and umbench share: the
 // -arch and -app lookups, the run-window flags, FILE-or-"-" output, the
-// -serve starter, -cpuprofile and the exit-2 path, so every command accepts
-// the same values and writes the same bytes.
+// -serve endpoints (serve.go, the only HTTP code the simulator links),
+// -cpuprofile and the exit-2 path, so every command accepts the same values
+// and writes the same bytes.
 package cli
 
 import (
@@ -16,7 +17,6 @@ import (
 	"umanycore/internal/machine"
 	"umanycore/internal/obs"
 	"umanycore/internal/sim"
-	"umanycore/internal/telemetry"
 	"umanycore/internal/workload"
 )
 
@@ -137,22 +137,4 @@ func ServiceName(catalog *workload.Catalog) func(int16) string {
 		}
 		return strconv.Itoa(int(svc))
 	}
-}
-
-// Serve starts the live endpoints on a -serve flag value and announces them
-// on stderr as the command prog's. An empty value serves nothing.
-func Serve(prog, flagValue string) error {
-	if flagValue == "" {
-		return nil
-	}
-	addr, err := telemetry.ParseServeAddr(flagValue)
-	if err != nil {
-		return err
-	}
-	srv, err := telemetry.Serve(addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%s: serving /metrics /healthz /progress /series.csv /debug/pprof on %s\n", prog, srv.Addr)
-	return nil
 }

@@ -1,4 +1,4 @@
-package telemetry
+package cli
 
 import "testing"
 

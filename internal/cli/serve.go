@@ -1,10 +1,11 @@
-package telemetry
+package cli
 
 import (
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,37 +15,59 @@ import (
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
 	"umanycore/internal/sweepcache"
+	"umanycore/internal/telemetry"
 )
 
-// The serving layer is the one deliberately non-deterministic corner of the
-// telemetry stack: it reads wall clocks and process-global atomics so a
-// human can watch a long figure regeneration from a browser or curl loop.
-// Nothing here feeds back into run results — the boundary is one-way.
-// Runs publish their finished (deterministic) telemetry via Publish; the
-// handlers only ever read that snapshot plus the sweep progress counters.
+// The serving layer is the -serve flag's live endpoints, and the one
+// deliberately non-deterministic corner of the observability stack: it
+// reads wall clocks and process-global atomics so a human can watch a long
+// figure regeneration from a browser or curl loop. It lives here, in the
+// CLI layer, so only the commands link net/http; internal/telemetry and
+// everything below it stay deterministic code. Nothing here feeds back into
+// run results — the boundary is one-way. A command publishes a finished
+// (deterministic) telemetry run via Publish; the handlers only ever read
+// that snapshot plus the sweep progress counters.
 
 // published holds the most recently finished *Run, swapped in atomically so
 // handlers never see a half-built run.
-var published atomic.Value // *Run
+var published atomic.Value // *telemetry.Run
 
 // serveStart anchors the ETA estimate.
 var serveStart atomic.Int64 // unix nanos
 
 // Publish makes run the snapshot served by /metrics and /series.csv. Safe
 // to call from the run loop while the server is live; nil clears it.
-func Publish(run *Run) {
+func Publish(run *telemetry.Run) {
 	published.Store(&run) // wrap: atomic.Value forbids storing nil directly
 }
 
 // Published returns the last Publish'd run, or nil.
-func Published() *Run {
-	if p, ok := published.Load().(**Run); ok {
+func Published() *telemetry.Run {
+	if p, ok := published.Load().(**telemetry.Run); ok {
 		return *p
 	}
 	return nil
 }
 
-// Serve starts the live observability endpoint on addr (e.g. ":9090"):
+// Serve starts the live endpoints on a -serve flag value and announces them
+// on stderr as the command prog's. An empty value serves nothing.
+func Serve(prog, flagValue string) error {
+	if flagValue == "" {
+		return nil
+	}
+	addr, err := ParseServeAddr(flagValue)
+	if err != nil {
+		return err
+	}
+	srv, err := listen(addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s: serving /metrics /healthz /progress /series.csv /debug/pprof on %s\n", prog, srv.Addr)
+	return nil
+}
+
+// listen starts the live observability endpoint on addr (e.g. ":9090"):
 //
 //	/metrics     Prometheus text exposition of the published run + progress
 //	/healthz     liveness ("ok")
@@ -55,7 +78,7 @@ func Published() *Run {
 // It returns once the listener is bound, so scrapes cannot race startup;
 // the server then runs until the process exits (callers that need shutdown
 // keep the returned *http.Server). Errors are bind errors.
-func Serve(addr string) (*http.Server, error) {
+func listen(addr string) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -206,8 +229,8 @@ func handleSeriesCSV(w http.ResponseWriter, _ *http.Request) {
 	r.WriteCSV(w)
 }
 
-// parsePort splits a -serve flag value; kept here so cmd binaries share
-// one validation path. Accepts ":9090", "localhost:9090", "9090".
+// ParseServeAddr splits a -serve flag value. Accepts ":9090",
+// "localhost:9090", "9090".
 func ParseServeAddr(v string) (string, error) {
 	if v == "" {
 		return "", fmt.Errorf("empty serve address")

@@ -1,4 +1,4 @@
-package telemetry
+package cli
 
 import (
 	"encoding/json"
@@ -13,6 +13,7 @@ import (
 	"umanycore/internal/stats"
 	"umanycore/internal/sweep"
 	"umanycore/internal/sweepcache"
+	"umanycore/internal/telemetry"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -30,7 +31,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0")
+	srv, err := listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +43,15 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("series.csv with no run = %d, want 404", code)
 	}
 
-	tl := NewTimeline(sim.Millisecond, 8)
+	tl := telemetry.NewTimeline(sim.Millisecond, 8)
 	tl.Push("machine.admit.rq", obs.KindCounter, sim.Millisecond, 12)
 	tl.Push("sim.pending", obs.KindGauge, sim.Millisecond, 3)
 	sk := stats.NewSketch(stats.DefaultSketchAlpha)
 	for i := 1; i <= 100; i++ {
 		sk.Add(float64(i))
 	}
-	Publish(&Run{Interval: sim.Millisecond, Timeline: tl, Sketch: sk,
-		Alerts: []Alert{{Rule: "slo.p99", At: sim.Millisecond, Firing: true}}})
+	Publish(&telemetry.Run{Interval: sim.Millisecond, Timeline: tl, Sketch: sk,
+		Alerts: []telemetry.Alert{{Rule: "slo.p99", At: sim.Millisecond, Firing: true}}})
 
 	if code, body := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("healthz = %d %q", code, body)
@@ -139,6 +140,24 @@ func TestMetricsCacheCountersMatchCache(t *testing.T) {
 	for _, want := range []string{"um_sweepcache_hits 0\n", "um_sweepcache_misses 1\n", "um_sweepcache_invalid 1\n"} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, rec.Body.String())
+		}
+	}
+}
+
+func TestParseServeAddr(t *testing.T) {
+	for _, tc := range []struct {
+		in, want string
+		ok       bool
+	}{
+		{":9090", ":9090", true},
+		{"localhost:9090", "localhost:9090", true},
+		{"9090", ":9090", true},
+		{"", "", false},
+		{"nonsense", "", false},
+	} {
+		got, err := ParseServeAddr(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseServeAddr(%q) = %q, %v; want %q ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
 }

@@ -303,10 +303,7 @@ func (f *fifo) pop() *invocation {
 
 type core struct {
 	dom *domain
-	// busyTime accumulates this core's occupied time, the per-core split of
-	// Machine.coreBusy used by the utilization-spread metrics.
-	busyTime sim.Time
-	id       int32
+	id  int32
 	// svcID is the core's assigned Service ID register (§4.1); -1 serves
 	// any service (the default when a village hosts one instance).
 	svcID int32
@@ -1128,8 +1125,7 @@ func (m *Machine) dispatch(c *core) {
 		m.trace.AddOnCore(inv.span, obs.StageService, int(c.id), start, end)
 	}
 	busy := end - popAt
-	m.coreBusy += busy
-	c.busyTime += busy
+	m.occupy(c, busy)
 	m.eng.At(end, m.segmentEndEvent(inv))
 }
 
@@ -1189,8 +1185,7 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 			now := m.eng.Now()
 			m.trace.AddOnCore(inv.span, obs.StageService, int(c.id), now, now+dur)
 		}
-		m.coreBusy += dur
-		c.busyTime += dur
+		m.occupy(c, dur)
 		m.eng.After(dur, m.segmentEndEvent(inv))
 	case workload.OpStorage:
 		inv.opIdx++
@@ -1277,8 +1272,7 @@ func (m *Machine) block(c *core, inv *invocation, n int) sim.Time {
 	if inv.span != 0 && saved > now {
 		m.trace.Add(inv.span, obs.StageCS, now, saved)
 	}
-	m.coreBusy += saved - now
-	c.busyTime += saved - now
+	m.occupy(c, saved-now)
 	m.eng.At(saved, m.releaseEvent(inv))
 	return saved
 }

@@ -88,9 +88,9 @@ var newBytes = []struct {
 	cfg   Config
 	bytes float64
 }{
-	{"uManycore", UManycoreConfig(), 93850},
-	{"ServerClass-40", ServerClassConfig(40), 11384},
-	{"ScaleOut", ScaleOutConfig(), 44896},
+	{"uManycore", UManycoreConfig(), 85016},
+	{"ServerClass-40", ServerClassConfig(40), 11064},
+	{"ScaleOut", ScaleOutConfig(), 36064},
 }
 
 // TestMachineNewBytes pins construction bytes within 1%, in both
@@ -130,7 +130,7 @@ func TestResidentSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"core", unsafe.Sizeof(core{}), 24},
+		{"core", unsafe.Sizeof(core{}), 16},
 		{"domain", unsafe.Sizeof(domain{}), 64},
 		{"rq.RQ", unsafe.Sizeof(rq.RQ{}), 56},
 		{"rq.NICBuffer", unsafe.Sizeof(rq.NICBuffer{}), 32},

@@ -21,6 +21,10 @@ type machineMetrics struct {
 	admitNICBuf *obs.Counter
 	admitSWQ    *obs.Counter
 	admitReject *obs.Counter
+	// busyTime is each core's occupied time, indexed by core id: the
+	// per-core split of Machine.coreBusy that the utilization-spread
+	// metrics read at the end of a run.
+	busyTime []sim.Time
 }
 
 // EnableObs attaches the observability layer to this machine: col records
@@ -41,6 +45,16 @@ func (m *Machine) EnableObs(col *obs.Collector, reg *obs.Registry) {
 		admitNICBuf: reg.Counter("machine.admit.nicbuf"),
 		admitSWQ:    reg.Counter("machine.admit.swq"),
 		admitReject: reg.Counter("machine.admit.reject"),
+		busyTime:    make([]sim.Time, len(m.cores)),
+	}
+}
+
+// occupy charges d of core c's time to the machine's busy total and, with
+// metrics on, to c's own share.
+func (m *Machine) occupy(c *core, d sim.Time) {
+	m.coreBusy += d
+	if m.mx != nil {
+		m.mx.busyTime[c.id] += d
 	}
 }
 
@@ -77,8 +91,8 @@ func (m *Machine) finishMachineMetrics(window sim.Time) {
 	if window > 0 {
 		lo, hi, sum := -1.0, 0.0, 0.0
 		n := 0
-		for i := range m.cores {
-			u := float64(m.cores[i].busyTime) / float64(window)
+		for _, busy := range m.mx.busyTime {
+			u := float64(busy) / float64(window)
 			if lo < 0 || u < lo {
 				lo = u
 			}

@@ -9,7 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,8 +239,31 @@ func (c *Cache) RecordMismatch(preimage, cached, recomputed []byte) {
 	c.warnf("VERIFY MISMATCH %s", line)
 }
 
-// entryDirRe matches the fan-out subdirectories Clear is allowed to touch.
-var entryDirRe = regexp.MustCompile(`^[0-9a-f]{2}$`)
+// isEntryDir reports whether name is a fan-out subdirectory Clear is
+// allowed to touch: exactly two lowercase hex digits.
+func isEntryDir(name string) bool {
+	return len(name) == 2 && lowerHexPrefix(name, 2)
+}
+
+// isEntryTemp reports whether name is an in-flight temp file from an
+// interrupted Store: 64 lowercase hex digits, then ".tmp" and whatever
+// suffix os.CreateTemp chose.
+func isEntryTemp(name string) bool {
+	return lowerHexPrefix(name, 64) && strings.HasPrefix(name[64:], ".tmp")
+}
+
+// lowerHexPrefix reports whether name starts with n lowercase hex digits.
+func lowerHexPrefix(name string, n int) bool {
+	if len(name) < n {
+		return false
+	}
+	for i := range n {
+		if c := name[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // Clear removes every cache entry under the root. It deletes only files
 // matching the cache layout (hex fan-out directories, .json entries and
@@ -252,7 +275,7 @@ func (c *Cache) Clear() error {
 		return fmt.Errorf("sweepcache: %w", err)
 	}
 	for _, sub := range subs {
-		if !sub.IsDir() || !entryDirRe.MatchString(sub.Name()) {
+		if !sub.IsDir() || !isEntryDir(sub.Name()) {
 			continue
 		}
 		subPath := filepath.Join(c.dir, sub.Name())
@@ -263,7 +286,7 @@ func (c *Cache) Clear() error {
 		removedAll := true
 		for _, f := range files {
 			name := f.Name()
-			if filepath.Ext(name) == ".json" || entryTempRe.MatchString(name) {
+			if filepath.Ext(name) == ".json" || isEntryTemp(name) {
 				if err := os.Remove(filepath.Join(subPath, name)); err != nil {
 					return fmt.Errorf("sweepcache: %w", err)
 				}
@@ -277,9 +300,6 @@ func (c *Cache) Clear() error {
 	}
 	return nil
 }
-
-// entryTempRe matches in-flight temp files from interrupted Stores.
-var entryTempRe = regexp.MustCompile(`^[0-9a-f]{64}\.tmp`)
 
 // gitDescribe resolves the repository state once, for provenance headers
 // only (never the key — a commit must not orphan the cache; that is the

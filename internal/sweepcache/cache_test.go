@@ -223,6 +223,45 @@ func TestCacheClearOnlyTouchesEntries(t *testing.T) {
 	}
 }
 
+// TestEntryNameMatchers pins the names Clear may delete: a fan-out
+// directory is exactly two lowercase hex digits, and a temp file starts
+// with a 64-digit lowercase hex hash and ".tmp", followed by whatever
+// suffix os.CreateTemp appends.
+func TestEntryNameMatchers(t *testing.T) {
+	hash := strings.Repeat("0123456789abcdef", 4)
+	for _, c := range []struct {
+		name      string
+		dir, temp bool
+	}{
+		{"00", true, false},
+		{"af", true, false},
+		{"9f", true, false},
+		{"AF", false, false},
+		{"aG", false, false},
+		{"a", false, false},
+		{"abc", false, false},
+		{"", false, false},
+		{"ab\n", false, false},
+		{hash + ".tmp", false, true},
+		{hash + ".tmp123", false, true},
+		{hash + ".json", false, false},
+		{hash[:63] + ".tmp", false, false},
+		{hash + "0.tmp", false, false},
+		{strings.ToUpper(hash) + ".tmp", false, false},
+		{hash[:63] + "G.tmp", false, false},
+		{hash + ".tm", false, false},
+		{hash, false, false},
+		{"x" + hash + ".tmp", false, false},
+	} {
+		if got := isEntryDir(c.name); got != c.dir {
+			t.Errorf("isEntryDir(%q) = %v, want %v", c.name, got, c.dir)
+		}
+		if got := isEntryTemp(c.name); got != c.temp {
+			t.Errorf("isEntryTemp(%q) = %v, want %v", c.name, got, c.temp)
+		}
+	}
+}
+
 func TestCacheVerifyBookkeeping(t *testing.T) {
 	c, _ := Open(t.TempDir())
 	quiet(c)

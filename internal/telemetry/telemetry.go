@@ -2,8 +2,10 @@
 // internal/obs registry: a deterministic virtual-time sampler that turns
 // every registered instrument into a fixed-capacity time series, a
 // mergeable quantile sketch of the latency stream, an SLO watchdog that
-// evaluates windowed rules and emits alert events, and serving/export
-// surfaces (Prometheus /metrics, time-series CSV, terminal sparklines).
+// evaluates windowed rules and emits alert events, and export surfaces
+// (time-series CSV, terminal sparklines). The package is deterministic
+// code only: the live -serve endpoints that expose a finished run over
+// HTTP (/metrics, /series.csv) live in internal/cli.
 //
 // Where internal/obs answers "where did this request's latency go?",
 // telemetry answers "*when* did the tail happen?" — the paper's transient

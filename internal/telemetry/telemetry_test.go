@@ -159,21 +159,3 @@ func TestDashboardRenders(t *testing.T) {
 		t.Errorf("nil-run dashboard = %q", empty.String())
 	}
 }
-
-func TestParseServeAddr(t *testing.T) {
-	for _, tc := range []struct {
-		in, want string
-		ok       bool
-	}{
-		{":9090", ":9090", true},
-		{"localhost:9090", "localhost:9090", true},
-		{"9090", ":9090", true},
-		{"", "", false},
-		{"nonsense", "", false},
-	} {
-		got, err := ParseServeAddr(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseServeAddr(%q) = %q, %v; want %q ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-}

@@ -58,9 +58,10 @@ fi
 # which exercise obs.Merge on coupled fleets. Machines keep
 # invocation and RQ-entry free lists that outlive single requests, and sweep
 # workers run machines concurrently, so machine and rq are race-checked too:
-# a free list shared by mistake must fail here.
-echo "== go test -race (obs + sweep + sweepcache + telemetry + pdes + fleet + control + whatif + svcgraph + machine + rq) =="
-go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcache/... ./internal/telemetry/... ./internal/pdes/... ./internal/fleet/... ./internal/control/... ./internal/whatif/... ./internal/svcgraph/... ./internal/machine/... ./internal/rq/...
+# a free list shared by mistake must fail here. The live -serve endpoints
+# (internal/cli) read published runs from HTTP handler goroutines.
+echo "== go test -race (obs + sweep + sweepcache + telemetry + cli + pdes + fleet + control + whatif + svcgraph + machine + rq) =="
+go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcache/... ./internal/telemetry/... ./internal/cli/... ./internal/pdes/... ./internal/fleet/... ./internal/control/... ./internal/whatif/... ./internal/svcgraph/... ./internal/machine/... ./internal/rq/...
 
 # Cache gate: a cold run must fill the cache, a warm run must reuse it, a
 # verify run must recompute without a single byte of drift — and all three
