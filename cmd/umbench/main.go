@@ -100,7 +100,7 @@ func main() {
 	cacheVerify := flag.Bool("cache-verify", false, "recompute cached cells and fail if any recomputation does not reproduce the cached bytes (requires -cache)")
 	cacheClear := flag.Bool("cache-clear", false, "empty the cache before running (requires -cache)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
-	flag.Parse()
+	cli.Parse("umbench")
 
 	if !(*baselineThreshold >= 0) {
 		fatal(fmt.Errorf("-baseline-threshold %v is out of range: want a non-negative drift percentage", *baselineThreshold))

@@ -82,7 +82,7 @@ func main() {
 	scaleP99 := flag.Float64("scale-p99", 0, "autoscaler P99 target in microseconds (needs -scale-min)")
 	scaleLag := flag.Duration("scale-lag", 0, "cold-start lag before a scaled-up server becomes routable (needs -scale-min)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to FILE")
-	flag.Parse()
+	cli.Parse("umprof")
 
 	if err := cli.StartCPUProfile(*cpuProfile); err != nil {
 		fatal(err)

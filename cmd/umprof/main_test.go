@@ -197,6 +197,7 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-rps", "-5", "-servers", "2"}, "-rps -5 is out of range"},
 		{[]string{"-duration", "-10ms"}, "bad run window"},
 		{[]string{"-warmup", "-1ms"}, "bad run window"},
+		{[]string{"-servers", "2", "stray", "-json"}, `unexpected arguments ["stray" "-json"]`},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
 		if code != 2 {

@@ -46,7 +46,7 @@ func main() {
 	dash := flag.Bool("dash", false, "print a terminal sparkline dashboard of the telemetry series")
 	sloP99 := flag.Float64("slo-p99", 0, "enable the SLO watchdog against this P99 objective [us] and print its alerts")
 	serve := flag.String("serve", "", "serve live /metrics, /healthz, /progress and pprof on this address during the run (e.g. :9090)")
-	flag.Parse()
+	cli.Parse("umsim")
 
 	if err := cli.CheckRunWindow(*rps, *duration, *warmup); err != nil {
 		fatal(err)

@@ -96,6 +96,7 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-queues", "-3"}, "-queues -3 is out of range"},
 		{[]string{"-cs", "-2"}, "-cs -2 is out of range"},
 		{[]string{"-arch", "sc", "-cores", "0"}, "machine: bad cores/domains"},
+		{[]string{"-rps", "1000", "stray", "-dash"}, `unexpected arguments ["stray" "-dash"]`},
 	} {
 		_, stderr, code := runMain(t, tc.args...)
 		if code != 2 {

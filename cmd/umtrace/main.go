@@ -44,6 +44,12 @@ func main() {
 	loadCDF := flag.Bool("load-cdf", false, "emit the per-second RPS CDF (Fig 2) on stdout")
 	showStats := flag.Bool("stats", true, "print marginal statistics on stderr")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Flag parsing stops at the first non-flag: refuse the rest rather
+		// than drop it.
+		fmt.Fprintf(os.Stderr, "umtrace: unexpected arguments %q\n", flag.Args())
+		os.Exit(2)
+	}
 
 	// Data outputs default the stats report off; an explicit -stats keeps it.
 	statsSet := false

@@ -77,3 +77,16 @@ func TestLoadCDF(t *testing.T) {
 		t.Fatalf("cdf too short: %q", stdout)
 	}
 }
+
+// TestStrayArgumentsExit: flag parsing stops at the first non-flag, so a
+// stray word must fail the run instead of silently dropping the flags
+// after it.
+func TestStrayArgumentsExit(t *testing.T) {
+	_, stderr, code := runMain(t, "-requests", "100", "stray", "-csv")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr %q)", code, stderr)
+	}
+	if want := `unexpected arguments ["stray" "-csv"]`; !strings.Contains(stderr, want) {
+		t.Fatalf("stderr %q missing %q", stderr, want)
+	}
+}

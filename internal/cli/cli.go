@@ -1,11 +1,12 @@
 // Package cli is the front-end layer umsim, umprof and umbench share: the
 // -arch and -app lookups, the run-window flags, FILE-or-"-" output, the
 // -serve endpoints (serve.go, the only HTTP code the simulator links),
-// -cpuprofile and the exit-2 path, so every command accepts the same values
-// and writes the same bytes.
+// -cpuprofile, the command-line check and the exit-2 path, so every command
+// accepts the same values and writes the same bytes.
 package cli
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -19,6 +20,17 @@ import (
 	"umanycore/internal/sim"
 	"umanycore/internal/workload"
 )
+
+// Parse parses the command line of the command prog and exits 2, naming
+// them, on positional arguments. The commands take flags only, and flag
+// parsing stops at the first non-flag, so a stray word would otherwise
+// silently drop every flag after it.
+func Parse(prog string) {
+	flag.Parse()
+	if flag.NArg() > 0 {
+		Fatal(prog, fmt.Errorf("unexpected arguments %q", flag.Args()))
+	}
+}
 
 // Arch returns the machine preset an -arch value names: umanycore (umc),
 // scaleout (so) or serverclass (sc) with the given core count. The preset

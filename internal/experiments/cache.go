@@ -52,8 +52,7 @@ func (c p99Cell) Key() []byte  { return c.keyAs("run/p99") }
 func (c p99Cell) Run() float64 { return c.runCell.Run().Latency.P99 }
 
 // fleetCell is one fleet.Run cell ("fleet/result"). Like runCell it refuses
-// a key with observability attached, and it refuses a live NewBalancer
-// closure, which has no canonical form.
+// a key with observability attached.
 type fleetCell struct {
 	fc    fleet.Config
 	app   *workload.App
@@ -63,7 +62,7 @@ type fleetCell struct {
 }
 
 func (c fleetCell) Key() []byte {
-	if c.rc.Obs != nil || c.rc.Telemetry != nil || c.fc.NewBalancer != nil {
+	if c.rc.Obs != nil || c.rc.Telemetry != nil {
 		return nil
 	}
 	return sweepcache.NewKey("fleet/result").

@@ -224,8 +224,8 @@ func TestCellPayloadRoundTrip(t *testing.T) {
 }
 
 // TestPreimagesRefuseAttachments: results with observability or telemetry
-// attached, and fleets with a live balancer closure, are never cached —
-// the payload leaves attachments out, so a hit would silently drop them.
+// attached are never cached — the payload leaves attachments out, so a hit
+// would silently drop them.
 func TestPreimagesRefuseAttachments(t *testing.T) {
 	o := DefaultOptions()
 	cfg := machine.UManycoreConfig()
@@ -257,9 +257,5 @@ func TestPreimagesRefuseAttachments(t *testing.T) {
 				t.Errorf("%s keyed a cell with %s attached", cell, name)
 			}
 		}
-	}
-	fc.NewBalancer = func() fleet.Balancer { return fleet.LeastOutstanding{} }
-	if (fleetCell{fc, app, 1000, plain, 1}).Key() != nil {
-		t.Error("fleetCell keyed a fleet with a live NewBalancer")
 	}
 }

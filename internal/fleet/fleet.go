@@ -71,10 +71,6 @@ type Config struct {
 	// LB names the load-balancer policy: "rr" (round-robin, the default),
 	// "rand", "least", or "p2c" — see ParseLB.
 	LB string
-	// NewBalancer, when non-nil, overrides LB with a custom policy factory.
-	// Run calls it once per invocation so stateful policies (round-robin's
-	// counter) never share state across parallel sweep cells.
-	NewBalancer func() Balancer
 	// Slowdown models a heterogeneous fleet: server s's compute runs
 	// Slowdown[s]× slower (its PerfFactor is divided by the entry). Missing,
 	// zero or negative entries mean 1.0 (no slowdown).
@@ -125,9 +121,6 @@ func (fc Config) crossFrac() float64 {
 // balancer instantiates the configured policy (fresh per run). Validate
 // has already accepted LB.
 func (fc Config) balancer() Balancer {
-	if fc.NewBalancer != nil {
-		return fc.NewBalancer()
-	}
 	mk, _ := ParseLB(fc.LB)
 	return mk()
 }
@@ -144,10 +137,8 @@ func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 	if fc.Servers < 1 {
 		return fmt.Errorf("fleet: need at least one server (Servers = %d)", fc.Servers)
 	}
-	if fc.NewBalancer == nil {
-		if _, err := ParseLB(fc.LB); err != nil {
-			return err
-		}
+	if _, err := ParseLB(fc.LB); err != nil {
+		return err
 	}
 	if fc.Graph != nil {
 		if fc.Servers < 2 {

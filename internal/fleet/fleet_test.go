@@ -127,10 +127,6 @@ func TestValidate(t *testing.T) {
 		{"zero lookahead", fleet(2, func(fc *Config) { fc.InterServerRTT = 1 }), false, "InterServerRTT >= 2ps"},
 		{"default", fleet(10, nil), false, ""},
 		{"one server ignores rtt", fleet(1, func(fc *Config) { fc.InterServerRTT = 0 }), false, ""},
-		{"custom balancer ignores lb", fleet(2, func(fc *Config) {
-			fc.LB = "bogus"
-			fc.NewBalancer = func() Balancer { return LeastOutstanding{} }
-		}), false, ""},
 		{"graph replay", fleet(2, func(fc *Config) { fc.Graph = svcgraph.Colocated(services, 2) }), true, ""},
 		// Per-server machine configs and the control config: each of these
 		// used to validate and then panic in setup.

@@ -51,7 +51,8 @@ type Placement int
 // Placement policies.
 const (
 	// PinnedPlacement routes each service to the domains hosting its
-	// instances via the ServiceMap (μManycore §4.2).
+	// instances, round-robin, through the top-level NIC's dispatch table
+	// (μManycore §4.2).
 	PinnedPlacement Placement = iota
 	// RandomPlacement routes each request to a uniformly random domain
 	// (the ScaleOut/ServerClass baselines; global coherence lets any core
@@ -84,8 +85,8 @@ type Config struct {
 	// TreeAffinity pins a request's entire invocation tree to the domain
 	// its root was assigned (the Fig 3 semantic: "requests are assigned to
 	// queues randomly" — whole requests, with migration only via work
-	// stealing). Without it, each invocation routes through the ServiceMap
-	// or random placement independently.
+	// stealing). Without it, each invocation routes through the dispatch
+	// table or random placement independently.
 	TreeAffinity bool
 	// RQCapacity is the hardware RQ size (paper: 64); software queues are
 	// unbounded (kernel run queues don't reject).

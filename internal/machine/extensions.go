@@ -180,8 +180,8 @@ func (m *Machine) serviceWeights() map[int]float64 {
 
 // applyHeterogeneity marks the first BigVillageFrac of domains as big-core
 // villages, whose compute-speed divisor is PerfFactor × BigCorePerf.
-// placeColocated (and placeInstances) allocate heavy services from domain 0
-// upward, so the heaviest land on big cores.
+// placeColocated allocates heavy services from domain 0 upward, so the
+// heaviest land on big cores.
 func (m *Machine) applyHeterogeneity() {
 	e := m.cfg.Extensions
 	if e.BigVillageFrac <= 0 {

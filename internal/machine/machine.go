@@ -26,8 +26,12 @@ type Machine struct {
 	topo    icn.Topology
 	path    []*icn.Link // icn.Deliver's reused path buffer, capacity MaxHops
 
-	domains   []*domain
-	instances map[int][]*domain // serviceID -> hosting domains
+	domains []*domain
+	// instances is the top-level NIC's dispatch table (§4.2), indexed by
+	// service ID: the domains hosting an instance of the service, and
+	// cursor the index of the one the hardware round-robin picks next.
+	instances [][]*domain
+	cursor    []int
 	// cores is the slab of every core, domain by domain (see domainCores),
 	// and a core's id is its slab index.
 	cores []core
@@ -37,9 +41,6 @@ type Machine struct {
 	perf []float64
 	// cost is the per-config cycle-cost table the event path charges.
 	cost costTable
-	// svcmap is the top-level NIC's hardware dispatch table (§4.2); it
-	// round-robins requests over a service's hosting domains.
-	svcmap *rpcnet.ServiceMap
 	// storageNIC, when the storage network is lossy, is the R-NIC pool
 	// handling retransmission and congestion control (§4.1).
 	storageNIC []*rpcnet.RNIC
@@ -102,18 +103,17 @@ type Machine struct {
 	// per event (storage round trips, wire legs).
 	sp stageScale
 
-	// rng, when non-nil, replaces the engine's named streams as the source
-	// of this machine's randomness. A sharded fleet gives every server its
-	// own bundle (seeded from the server index), so the server draws the
-	// same sequences whether it runs on a private engine or interleaved
-	// with peers on a shared one — the property the PDES byte-identity
-	// contract rests on. Nil (the default) keeps the engine streams, so a
-	// plain machine.Run is unchanged.
+	// rng is the source of this machine's randomness: the engine's streams
+	// by default, or the bundle SetRNG installed. A sharded fleet gives
+	// every server its own bundle (seeded from the server index), so the
+	// server draws the same sequences whether it runs on a private engine
+	// or interleaved with peers on a shared one — the property the PDES
+	// byte-identity contract rests on.
 	rng *sim.Streams
-	// streams caches each stream this machine has drawn from, resolved
-	// from rng or the engine on first use; SetRNG clears it. The engine
-	// re-seeds its streams in place on Reset, so a cached stream stays
-	// valid for the machine's lifetime.
+	// streams caches each stream this machine has drawn from rng, resolved
+	// on first use; SetRNG clears it. A bundle re-seeds its streams in
+	// place on Reset, so a cached stream stays valid for the machine's
+	// lifetime.
 	streams [numStreams]*rand.Rand
 
 	invSeq uint64
@@ -130,8 +130,8 @@ type Machine struct {
 // stream names one of the machine's independent random streams.
 type stream int
 
-// The machine's random streams. Each draws from the stream bundle or engine
-// stream named in streamNames.
+// The machine's random streams. Each draws from the stream of the machine's
+// bundle named in streamNames.
 const (
 	streamRoute stream = iota
 	streamMix
@@ -160,19 +160,13 @@ func (m *Machine) SetRNG(r *sim.Streams) {
 	m.streams = [numStreams]*rand.Rand{}
 }
 
-// rand returns one of the machine's random streams: the scoped bundle's
-// when one is set, the engine's otherwise. Streams are resolved lazily, so
-// a machine never seeds a stream it does not draw from.
+// rand returns one of the machine's random streams. Streams are resolved
+// lazily, so a machine never seeds a stream it does not draw from.
 func (m *Machine) rand(s stream) *rand.Rand {
 	if r := m.streams[s]; r != nil {
 		return r
 	}
-	var r *rand.Rand
-	if m.rng != nil {
-		r = m.rng.Rand(streamNames[s])
-	} else {
-		r = m.eng.Rand(streamNames[s])
-	}
+	r := m.rng.Rand(streamNames[s])
 	m.streams[s] = r
 	return r
 }
@@ -401,10 +395,11 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	m := &Machine{
 		cfg:           cfg,
 		eng:           eng,
+		rng:           eng.Streams(),
 		catalog:       catalog,
 		mix:           mix,
-		instances:     make(map[int][]*domain),
-		svcmap:        rpcnet.NewServiceMap(),
+		instances:     make([][]*domain, len(catalog.Services)),
+		cursor:        make([]int, len(catalog.Services)),
 		LatencyByRoot: make(map[int]*stats.Sample),
 		sp:            cfg.WhatIf.scales(),
 	}
@@ -464,30 +459,24 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		m.domains[d] = dom
 	}
 	m.applyHeterogeneity()
-	if local != nil {
+	switch {
+	case local != nil:
+		// The fleet-level placement already decided which services live
+		// here, so each hosted service gets an equal share of villages.
 		m.local = make([]bool, len(catalog.Services))
+		weights := make(map[int]float64, len(local))
 		for _, svc := range local {
 			if svc < 0 || svc >= len(catalog.Services) {
 				panic(fmt.Sprintf("machine: local service %d outside catalog of %d", svc, len(catalog.Services)))
 			}
 			m.local[svc] = true
+			weights[svc] = 1
 		}
-	}
-	switch {
-	case local != nil:
-		m.placeLocal(local)
+		m.place(weights)
 	case cfg.Extensions.ColocatedServices > 1:
 		m.placeColocated()
 	default:
-		m.placeInstances()
-	}
-	// Populate the top-level NIC's ServiceMap from the placement (§4.2:
-	// "populated by the system software every time a new service instance
-	// is initialized").
-	for svc, doms := range m.instances {
-		for _, dom := range doms {
-			m.svcmap.Register(uint16(svc), uint16(dom.id))
-		}
+		m.place(m.serviceWeights())
 	}
 	if cfg.StorageLossProb > 0 {
 		// One R-NIC per cluster endpoint (villages share their cluster's
@@ -505,60 +494,19 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	return m
 }
 
-// placeInstances builds the ServiceMap. Pinned placement allocates domains
-// to services proportionally to their expected invocation load (§4.1: one
-// instance per village, more villages for hotter services); random placement
-// hosts every service everywhere.
-func (m *Machine) placeInstances() {
-	services := m.servicesInTree()
+// place fills the dispatch table from per-service weights: a mix machine's
+// expected invocations of each service per arriving request, or a placed
+// server's equal shares. Random placement hosts every weighted service
+// everywhere; pinned placement allocates domains proportionally to weight
+// (§4.1: one instance per village, more villages for hotter services),
+// largest-remainder with a minimum of one each.
+func (m *Machine) place(weights map[int]float64) {
 	if m.cfg.Placement == RandomPlacement {
-		for svc := range services {
+		for svc := range weights {
 			m.instances[svc] = m.domains
 		}
 		return
 	}
-	// Weights = expected invocations of each service per arriving request,
-	// weighted by the mixture.
-	weights := make(map[int]float64)
-	var walk func(id int, mult float64)
-	walk = func(id int, mult float64) {
-		weights[id] += mult
-		for _, op := range m.catalog.Service(id).Ops {
-			if op.Kind != workload.OpCall {
-				continue
-			}
-			for _, callee := range op.Callees {
-				walk(callee, mult)
-			}
-		}
-	}
-	for _, e := range m.mix {
-		walk(e.Root, e.Weight)
-	}
-	m.allocateDomains(weights)
-}
-
-// placeLocal allocates domains across an explicitly hosted service set with
-// equal weights: the fleet-level placement spec already decided which
-// services live on this server, so each gets an equal share of villages
-// (same largest-remainder scheme as placeInstances).
-func (m *Machine) placeLocal(local []int) {
-	if m.cfg.Placement == RandomPlacement {
-		for _, svc := range local {
-			m.instances[svc] = m.domains
-		}
-		return
-	}
-	weights := make(map[int]float64, len(local))
-	for _, svc := range local {
-		weights[svc] = 1
-	}
-	m.allocateDomains(weights)
-}
-
-// allocateDomains assigns hosting domains proportionally to per-service
-// weights: largest-remainder with a minimum of one domain each.
-func (m *Machine) allocateDomains(weights map[int]float64) {
 	var total float64
 	for _, w := range weights {
 		total += w
@@ -625,30 +573,7 @@ func (m *Machine) allocateDomains(weights map[int]float64) {
 	}
 }
 
-func (m *Machine) servicesInTree() map[int]bool {
-	out := make(map[int]bool)
-	var walk func(id int)
-	walk = func(id int) {
-		if out[id] {
-			return
-		}
-		out[id] = true
-		for _, op := range m.catalog.Service(id).Ops {
-			if op.Kind != workload.OpCall {
-				continue
-			}
-			for _, callee := range op.Callees {
-				walk(callee)
-			}
-		}
-	}
-	for _, e := range m.mix {
-		walk(e.Root)
-	}
-	return out
-}
-
-// InstanceDomains exposes the ServiceMap for tests.
+// InstanceDomains returns how many domains host the service (for tests).
 func (m *Machine) InstanceDomains(svc int) int { return len(m.instances[svc]) }
 
 // SetMeasureFrom discards roots arriving before t from the latency sample.
@@ -663,12 +588,10 @@ func (m *Machine) pickInstance(svc int) *domain {
 	if m.cfg.Placement == RandomPlacement {
 		return doms[m.rand(streamRoute).Intn(len(doms))]
 	}
-	// Hardware round-robin dispatch via the ServiceMap (§4.2).
-	village, ok := m.svcmap.Dispatch(uint16(svc))
-	if !ok {
-		panic(fmt.Sprintf("machine: ServiceMap has no instances for service %d", svc))
-	}
-	return m.domains[village]
+	// Hardware round-robin dispatch (§4.2).
+	i := m.cursor[svc]
+	m.cursor[svc] = (i + 1) % len(doms)
+	return doms[i]
 }
 
 // SubmitRoot injects one external request for the app's root service at the

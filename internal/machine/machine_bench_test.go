@@ -88,9 +88,9 @@ var newBytes = []struct {
 	cfg   Config
 	bytes float64
 }{
-	{"uManycore", UManycoreConfig(), 85016},
-	{"ServerClass-40", ServerClassConfig(40), 11064},
-	{"ScaleOut", ScaleOutConfig(), 36064},
+	{"uManycore", UManycoreConfig(), 84184},
+	{"ServerClass-40", ServerClassConfig(40), 10680},
+	{"ScaleOut", ScaleOutConfig(), 35232},
 }
 
 // TestMachineNewBytes pins construction bytes within 1%, in both

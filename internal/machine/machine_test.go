@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"umanycore/internal/sched"
@@ -189,6 +190,42 @@ func TestPinnedPlacementCoversDomainsAndServices(t *testing.T) {
 		t.Fatalf("User (%d villages) should out-provision Text (%d)",
 			m.InstanceDomains(workload.SvcUser), m.InstanceDomains(workload.SvcText))
 	}
+}
+
+// TestDispatchRoundRobin pins the top-level NIC's dispatch (§4.2): each
+// service cycles through its hosting domains in ascending domain order with
+// its own cursor, wrapping after the last, and a service the server does
+// not host panics naming it.
+func TestDispatchRoundRobin(t *testing.T) {
+	app := appByName(t, "CPost")
+	m := New(sim.NewEngine(1), UManycoreConfig(), app)
+	user, text := m.instances[workload.SvcUser], m.instances[workload.SvcText]
+	if len(user) < 2 || len(text) < 1 {
+		t.Fatalf("User hosted in %d domains, Text in %d", len(user), len(text))
+	}
+	for i := 1; i < len(user); i++ {
+		if user[i].id <= user[i-1].id {
+			t.Fatalf("User's domains out of order: %d then %d", user[i-1].id, user[i].id)
+		}
+	}
+	for i := range 2*len(user) + 1 {
+		if got, want := m.pickInstance(workload.SvcUser), user[i%len(user)]; got != want {
+			t.Fatalf("pick %d of User: domain %d, want %d", i, got.id, want.id)
+		}
+		// Another service's dispatch never moves User's cursor.
+		if got, want := m.pickInstance(workload.SvcText), text[i%len(text)]; got != want {
+			t.Fatalf("pick %d of Text: domain %d, want %d", i, got.id, want.id)
+		}
+	}
+
+	placed := NewPlaced(sim.NewEngine(1), UManycoreConfig(), app.Catalog, []int{workload.SvcText})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "no instances for service") {
+			t.Fatalf("dispatch to an unhosted service: recovered %q, want a no-instances panic", msg)
+		}
+	}()
+	placed.pickInstance(workload.SvcUser)
 }
 
 func TestLeafAppSingleService(t *testing.T) {

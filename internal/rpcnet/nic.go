@@ -1,10 +1,10 @@
-// Package rpcnet models the two pieces of the paper's RPC/NIC layer
-// (§4.1–§4.3) the machine runs: the lossy off-package R-NIC, with
-// acknowledgments, retransmission and congestion control, that carries
-// storage traffic, and the top-level NIC's ServiceMap dispatch table (§4.2).
-// The software RPC stack's header parsing and de-serialization work, which
-// μManycore's village NIC does in hardware, is charged as cycles by the
-// machine rather than modeled as a wire format.
+// Package rpcnet models the lossy off-package R-NIC of the paper's RPC/NIC
+// layer (§4.1): the acknowledgments, retransmission and congestion control
+// of the storage traffic. The top-level NIC's dispatch table (§4.2) lives
+// in the machine, which owns the placement it is built from. The software
+// RPC stack's header parsing and de-serialization work, which μManycore's
+// village NIC does in hardware, is charged as cycles by the machine rather
+// than modeled as a wire format.
 package rpcnet
 
 import (

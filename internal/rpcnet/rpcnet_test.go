@@ -7,50 +7,6 @@ import (
 	"umanycore/internal/sim"
 )
 
-func TestServiceMapRoundRobin(t *testing.T) {
-	sm := NewServiceMap()
-	if _, ok := sm.Dispatch(1); ok {
-		t.Fatal("dispatch to empty map succeeded")
-	}
-	sm.Register(1, 10)
-	sm.Register(1, 11)
-	sm.Register(1, 12)
-	sm.Register(1, 11) // duplicate is idempotent: the cycle stays 3 long
-	var got []uint16
-	for i := 0; i < 6; i++ {
-		v, ok := sm.Dispatch(1)
-		if !ok {
-			t.Fatal("dispatch failed")
-		}
-		got = append(got, v)
-	}
-	want := []uint16{10, 11, 12, 10, 11, 12}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round robin = %v", got)
-		}
-	}
-}
-
-// TestServiceMapSparseIDs: the table is indexed by service ID, so IDs below,
-// between and above the registered ones must read as empty, not panic.
-func TestServiceMapSparseIDs(t *testing.T) {
-	sm := NewServiceMap()
-	sm.Register(7, 3)
-	sm.Register(2, 5)
-	for _, id := range []uint16{0, 1, 4, 8, 65535} {
-		if _, ok := sm.Dispatch(id); ok {
-			t.Fatalf("service %d has instances in a table holding 2 and 7", id)
-		}
-	}
-	if v, ok := sm.Dispatch(7); !ok || v != 3 {
-		t.Fatalf("Dispatch(7) = %d, %v, want 3, true", v, ok)
-	}
-	if v, ok := sm.Dispatch(2); !ok || v != 5 {
-		t.Fatalf("Dispatch(2) = %d, %v, want 5, true", v, ok)
-	}
-}
-
 func TestRNICLossless(t *testing.T) {
 	n := NewRNIC(100, 1000, 0)
 	r := rand.New(rand.NewSource(1))

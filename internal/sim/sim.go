@@ -157,8 +157,7 @@ type Engine struct {
 	hold    int // heap index of the hold while a callback runs; -1 otherwise
 	nodes   []node
 	free    []int32 // recycled slab slots (fire/cancel feed it)
-	seed    int64
-	streams map[string]*rand.Rand
+	rng     Streams // the named random streams Rand draws from
 	fired   uint64
 	stopped bool
 	// maxPending is the live-event high-water mark since the last Reset —
@@ -183,7 +182,7 @@ type tagCount struct {
 
 // NewEngine returns an engine whose random streams all derive from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, hold: -1, streams: make(map[string]*rand.Rand)}
+	return &Engine{hold: -1, rng: *NewStreams(seed)}
 }
 
 // NewEngineCap returns an engine with event-heap, slab and free-list storage
@@ -221,10 +220,7 @@ func (e *Engine) Reset(seed int64) {
 	e.tag = 0
 	e.counts = nil // a reused engine never carries its last user's counting
 	e.call = 0
-	e.seed = seed
-	for name, r := range e.streams {
-		r.Seed(seed ^ streamHash(name))
-	}
+	e.rng.Reset(seed)
 }
 
 // live reports whether heap entry x is still scheduled.
@@ -526,14 +522,11 @@ func (e *Engine) NextEventAt() (Time, bool) {
 // Rand returns the named random stream, creating it deterministically from
 // the engine seed on first use. Distinct names yield independent streams;
 // the same name always yields the same stream.
-func (e *Engine) Rand(name string) *rand.Rand {
-	if r, ok := e.streams[name]; ok {
-		return r
-	}
-	r := rand.New(rand.NewSource(e.seed ^ streamHash(name)))
-	e.streams[name] = r
-	return r
-}
+func (e *Engine) Rand(name string) *rand.Rand { return e.rng.Rand(name) }
+
+// Streams returns the engine's stream bundle: drawing from it is drawing
+// from Rand, and Reset re-seeds it.
+func (e *Engine) Streams() *Streams { return &e.rng }
 
 // streamHash maps a stream name to the seed perturbation used by Rand and
 // Reset. Reset re-seeds surviving streams with the same function, so a
@@ -544,12 +537,12 @@ func streamHash(name string) int64 {
 	return int64(h.Sum64())
 }
 
-// Streams is an engine-independent bundle of named deterministic random
-// streams, derived from a seed exactly like Engine.Rand derives them from
-// the engine seed. A simulation entity that owns a Streams draws the same
-// sequences no matter which engine hosts its events or what else runs on
-// it — the property that lets the coupled fleet's servers share one engine
-// without drawing from each other's streams.
+// Streams is a bundle of named deterministic random streams, all derived
+// from one seed. Every engine holds one (Engine.Rand draws from it); a
+// simulation entity that owns a separate bundle draws the same sequences no
+// matter which engine hosts its events or what else runs on it — the
+// property that lets the coupled fleet's servers share one engine without
+// drawing from each other's streams.
 type Streams struct {
 	seed    int64
 	streams map[string]*rand.Rand
@@ -563,8 +556,7 @@ func NewStreams(seed int64) *Streams {
 }
 
 // Rand returns the named stream, creating it deterministically from the
-// bundle seed on first use — the same (seed, name) derivation as
-// Engine.Rand.
+// bundle seed on first use.
 func (s *Streams) Rand(name string) *rand.Rand {
 	if r, ok := s.streams[name]; ok {
 		return r
@@ -576,8 +568,8 @@ func (s *Streams) Rand(name string) *rand.Rand {
 
 // Reset re-seeds the bundle in place under a new seed, keeping the streams
 // it has cached: a reset bundle draws exactly what NewStreams(seed) would,
-// the way Engine.Reset re-seeds an engine's streams, so a pooled bundle
-// serves run after run without allocating a source per stream.
+// so a pooled bundle (or a reset engine's) serves run after run without
+// allocating a source per stream.
 func (s *Streams) Reset(seed int64) {
 	s.seed = seed
 	for name, r := range s.streams {

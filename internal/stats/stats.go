@@ -220,12 +220,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// UnsafeValues exposes the internal observation slice without copying — the
-// escape hatch for hot read-only merge loops. The slice aliases the sample:
-// callers must not mutate it, must not hold it across Add, and must tolerate
-// it being re-sorted by any quantile query.
-func (s *Sample) UnsafeValues() []float64 { return s.xs }
-
 // sampleJSON is the Sample's JSON layout: the running sum and the raw
 // observations.
 type sampleJSON struct {

@@ -408,7 +408,7 @@ func TestMergeMatchesAppendAndSort(t *testing.T) {
 		}
 		want := &Sample{}
 		for _, p := range parts {
-			for _, v := range p.UnsafeValues() {
+			for _, v := range p.Values() {
 				want.Add(v)
 			}
 		}

@@ -62,8 +62,8 @@ func Start(eng *sim.Engine, reg *obs.Registry, horizon sim.Time, opts Options) *
 		horizon:        horizon,
 		tl:             NewTimeline(o.Interval, o.Capacity),
 		wd:             newWatchdog(reg, o.Rules, o.OnAlert),
-		sketch:         stats.NewSketch(o.SketchAlpha),
-		win:            stats.NewSketch(o.SketchAlpha),
+		sketch:         stats.NewSketch(stats.DefaultSketchAlpha),
+		win:            stats.NewSketch(stats.DefaultSketchAlpha),
 		integrals:      make(map[string]float64),
 		noEngineVitals: o.NoEngineVitals,
 	}

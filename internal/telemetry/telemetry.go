@@ -45,9 +45,6 @@ type Options struct {
 	// When a run outlives Capacity×Interval, the oldest points drop — the
 	// memory ceiling that makes million-request runs safe.
 	Capacity int
-	// SketchAlpha is the latency sketch's relative-error bound (default
-	// stats.DefaultSketchAlpha = 1%).
-	SketchAlpha float64
 	// Rules are the SLO watchdog rules evaluated at every tick (default
 	// none; see DefaultRules).
 	Rules []Rule
@@ -77,9 +74,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Capacity <= 0 {
 		o.Capacity = 4096
-	}
-	if o.SketchAlpha <= 0 {
-		o.SketchAlpha = stats.DefaultSketchAlpha
 	}
 	return o
 }

@@ -254,14 +254,10 @@ func (t Target) cell(sp machine.StageSpeedups, topFrac float64) gridCell {
 	return c
 }
 
-// Key is the cell's canonical cache key. A fleet with a live NewBalancer
-// closure is uncacheable.
+// Key is the cell's canonical cache key.
 func (c gridCell) Key() []byte {
 	key := sweepcache.NewKey("whatif/cell")
 	if c.fc != nil {
-		if c.fc.NewBalancer != nil {
-			return nil
-		}
 		key.Any("fc", *c.fc)
 	} else {
 		key.Any("cfg", c.cfg)
@@ -280,14 +276,12 @@ func (c gridCell) Run() Cell {
 	rc.Obs = &obs.Options{Trace: true}
 	if c.fc != nil {
 		res := fleet.Run(*c.fc, rc.App, rc.RPS, rc, rc.Seed)
-		// p99.9 needs the raw sample; re-merge per-server samples in
-		// server order exactly like the fleet's own aggregation.
-		merged := &stats.Sample{}
-		for _, ps := range res.PerServer {
-			for _, v := range ps.Sample.UnsafeValues() {
-				merged.Add(v)
-			}
+		// p99.9 needs the raw sample: merge the per-server samples.
+		samples := make([]*stats.Sample, len(res.PerServer))
+		for i, ps := range res.PerServer {
+			samples[i] = ps.Sample
 		}
+		merged := stats.Merge(samples)
 		return Cell{
 			Latency: res.Latency,
 			P999US:  merged.Quantile(0.999),

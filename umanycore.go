@@ -214,9 +214,6 @@ type (
 	FleetConfig = fleet.Config
 	// FleetResult aggregates per-server results.
 	FleetResult = fleet.Result
-	// Balancer routes fleet arrivals to servers (see fleet.ParseLB for the
-	// built-in policies: rr, rand, least, p2c).
-	Balancer = fleet.Balancer
 	// FabricStats is the PDES coupling's self-observability (windows,
 	// messages, lookahead utilization; FleetResult.Fabric on coupled runs).
 	FabricStats = pdes.Stats
