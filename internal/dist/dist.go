@@ -48,8 +48,8 @@ func (d Exponential) Name() string { return "exponential" }
 // underlying normal, matching how scheduling papers (e.g. Shinjuku) specify
 // "lognormal service times with mean m". It carries its location mu,
 // derived once by NewLognormal so that E[X] = mean; a draw is then one
-// math.Exp. Build it with NewLognormal: its fields are unexported so that
-// no value can lack the location.
+// math.Exp of Exponent. Build it with NewLognormal: its fields are
+// unexported so that no value can lack the location.
 type Lognormal struct {
 	mean, sigma, mu float64
 }
@@ -61,9 +61,13 @@ func NewLognormal(mean, sigma float64) Lognormal {
 }
 
 // Sample implements Dist.
-func (d Lognormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(d.mu + d.sigma*r.NormFloat64())
-}
+func (d Lognormal) Sample(r *rand.Rand) float64 { return math.Exp(d.Exponent(r)) }
+
+// Exponent draws the normal variate a sample is the exponential of:
+// Sample(r) is math.Exp(Exponent(r)) for an identically seeded r. A caller
+// that only needs a function of the sample can bracket it with ExpBounds
+// instead of calling math.Exp.
+func (d Lognormal) Exponent(r *rand.Rand) float64 { return d.mu + d.sigma*r.NormFloat64() }
 
 // Mean implements Dist.
 func (d Lognormal) Mean() float64 { return d.mean }

@@ -17,8 +17,11 @@ import (
 //     cross-service contention for RQ entries.
 //   - Core stealing (§8 future work): a core whose assigned service has no
 //     ready work may temporarily serve a co-located instance's requests.
-//   - Heterogeneous villages (§8 future work): a fraction of villages get
-//     faster cores, and the heaviest services are placed there.
+//   - Heterogeneous villages (§8 future work): the first fraction of
+//     villages get faster cores. Only co-located placement puts the
+//     heaviest services there; plain pinned placement gives each service
+//     a contiguous range of villages in service-ID order, so the big ones
+//     go to whichever services come first.
 //
 // All are off by default and exercised by the ablation benchmarks.
 
@@ -180,8 +183,9 @@ func (m *Machine) serviceWeights() map[int]float64 {
 
 // applyHeterogeneity marks the first BigVillageFrac of domains as big-core
 // villages, whose compute-speed divisor is PerfFactor × BigCorePerf.
-// placeColocated allocates heavy services from domain 0 upward, so the
-// heaviest land on big cores.
+// placeColocated allocates heavy services from domain 0 upward, so under
+// co-location the heaviest land on big cores; place allocates in
+// service-ID order, whatever the services' weights.
 func (m *Machine) applyHeterogeneity() {
 	e := m.cfg.Extensions
 	if e.BigVillageFrac <= 0 {

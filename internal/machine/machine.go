@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"umanycore/internal/dist"
 	"umanycore/internal/icn"
 	"umanycore/internal/obs"
 	"umanycore/internal/rpcnet"
@@ -1070,16 +1071,42 @@ func (m *Machine) resolveChildEvent(inv *invocation) sim.Event {
 	return inv.resolveChildFn
 }
 
-// computeDur samples one compute stage's duration: the service-time draw,
-// scaled by the invocation's replay demand multiplier when one is set, over
-// the hosting domain's performance factor. The demand branch keeps
-// unscaled runs bit-identical to the pre-replay code path.
+// computeDur samples one compute stage's duration on core c.
 func (m *Machine) computeDur(inv *invocation, op workload.Op, c *core) sim.Time {
-	us := op.Time.Sample(m.rand(streamService))
-	if inv.demand > 0 {
-		us *= inv.demand
+	return serviceDur(op.Time, m.rand(streamService), inv.demand, m.perfOf(c.dom))
+}
+
+// serviceDur draws one service time from d and scales it into a duration:
+// times the replay demand multiplier when one is set, over the hosting
+// domain's performance factor. The demand branch keeps unscaled runs
+// bit-identical to the pre-replay code path.
+//
+// A lognormal draw skips math.Exp when it can. Every step of scaleDur is
+// monotone in the sample, so scaling both ends of ExpBounds' enclosure of
+// the sample brackets the exact duration; when both ends truncate to the
+// same picosecond, that is the duration math.Exp would have given. Only a
+// draw whose bracket straddles a picosecond boundary (about one in 15,000
+// on the paper's mix) pays for math.Exp.
+func serviceDur(d dist.Dist, r *rand.Rand, demand, perf float64) sim.Time {
+	ln, ok := d.(dist.Lognormal)
+	if !ok {
+		return scaleDur(d.Sample(r), demand, perf)
 	}
-	return sim.FromMicros(us / m.perfOf(c.dom))
+	x := ln.Exponent(r)
+	if lo, hi, ok := dist.ExpBounds(x); ok {
+		if dur := scaleDur(lo, demand, perf); dur == scaleDur(hi, demand, perf) {
+			return dur
+		}
+	}
+	return scaleDur(math.Exp(x), demand, perf)
+}
+
+// scaleDur is the duration of a service time of us microseconds.
+func scaleDur(us, demand, perf float64) sim.Time {
+	if demand > 0 {
+		us *= demand
+	}
+	return sim.FromMicros(us / perf)
 }
 
 // injectCoherenceTraffic models directory/remote-cache messages under global

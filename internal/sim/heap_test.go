@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refEvent is one pending event of the reference queue.
@@ -176,10 +178,10 @@ func checkHeap(t *testing.T, e *Engine, where string) {
 			dead++
 			continue
 		}
-		if slots[x.id] {
-			t.Fatalf("%s: two live entries in slot %d", where, x.id)
+		if slots[x.slot()] {
+			t.Fatalf("%s: two live entries in slot %d", where, x.slot())
 		}
-		slots[x.id] = true
+		slots[x.slot()] = true
 	}
 	if dead != e.ndead {
 		t.Fatalf("%s: %d dead entries, ndead %d", where, dead, e.ndead)
@@ -285,7 +287,7 @@ func TestHeapMatchesReference(t *testing.T) {
 				handles[explicit] = h
 				issued = append(issued, explicit)
 				for _, x := range e.heap {
-					if x.id == h.id && x.gen != h.gen {
+					if x.slot() == int32(h.key&slotMask) && x.key != h.key {
 						cover.reuseDead++ // the slot of a dead, still queued entry
 						break
 					}
@@ -346,15 +348,17 @@ func TestHeapMatchesReference(t *testing.T) {
 }
 
 // before is the kernel's event order written the obvious way: time, then
-// scheduling sequence. It is the specification lt is checked against.
+// scheduling sequence, the high bits of the key. It is the specification lt
+// is checked against.
 func before(a, b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	return a.at < b.at || (a.at == b.at && a.key>>slotBits < b.key>>slotBits)
 }
 
 // TestLtMatchesOrder checks the branch-free 128-bit compare against the
 // plain (at, seq) order: on every pair drawn from the edge values of both
 // fields (an entry against itself included, which must give 0), and on a
-// seeded random sweep whose times often tie, so that seq decides.
+// seeded random sweep whose times often tie, so that seq decides. Keys pack
+// distinct sequence numbers over arbitrary slots, as the engine issues them.
 func TestLtMatchesOrder(t *testing.T) {
 	check := func(a, b entry) {
 		t.Helper()
@@ -367,11 +371,13 @@ func TestLtMatchesOrder(t *testing.T) {
 		}
 	}
 	ats := []Time{0, 1, 1 << 62, 1<<63 - 1}
-	seqs := []uint64{0, 1, 1 << 63, 1<<64 - 1}
+	seqs := []uint64{0, 1, 1 << 41, maxSeq}
+	slots := []uint64{0, 1, slotMask}
 	var edges []entry
 	for _, at := range ats {
-		for _, seq := range seqs {
-			edges = append(edges, entry{at: at, seq: seq})
+		for i, seq := range seqs {
+			// One slot per seq keeps the keys of equal seqs equal.
+			edges = append(edges, entry{at: at, key: seq<<slotBits | slots[i%len(slots)]})
 		}
 	}
 	for _, a := range edges {
@@ -385,7 +391,7 @@ func TestLtMatchesOrder(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			at = Time(rng.Intn(4)) // small times, so ties are common
 		}
-		return entry{at: at, seq: rng.Uint64()}
+		return entry{at: at, key: rng.Uint64()}
 	}
 	for i := 0; i < 100000; i++ {
 		a, b := draw(), draw()
@@ -433,8 +439,8 @@ func TestZeroHandleCancel(t *testing.T) {
 }
 
 // TestForeignHandleCancel: handles name slab slots, and two engines hand out
-// the same slot ids, so a handle from engine A must be rejected by engine B
-// even when its slot and generation match a live event of B.
+// the same keys, so a handle from engine A must be rejected by engine B
+// even when its key matches a live event of B.
 func TestForeignHandleCancel(t *testing.T) {
 	a, b := NewEngine(1), NewEngine(1)
 	ha := a.At(10, func() {})
@@ -453,5 +459,64 @@ func TestForeignHandleCancel(t *testing.T) {
 	}
 	if !a.Cancel(ha) {
 		t.Fatal("engine A could not cancel its own handle")
+	}
+}
+
+// TestEntrySize pins the heap entry at 16 bytes, two words a sift moves,
+// as machine's TestResidentSizes pins the machine's resident structs.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("entry is %d bytes, pinned 16", got)
+	}
+}
+
+// panicsWith runs f and fails unless it panics with a message starting
+// with prefix.
+func panicsWith(t *testing.T, prefix string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, prefix) {
+			t.Fatalf("panic %q, want one starting %q", msg, prefix)
+		}
+	}()
+	f()
+}
+
+// TestKeyLimits drives an engine to both limits of its keys: the last
+// sequence number still schedules, fires and cancels, the next one panics
+// naming the limit, and so does a slab grown past maxSlots (lowered here,
+// so that the test allocates a handful of slots, not 2^22). A slab at the
+// cap still reuses its freed slots. No issued key can equal deadKey.
+func TestKeyLimits(t *testing.T) {
+	if uint64(maxSeq)<<slotBits|slotMask == deadKey {
+		t.Fatal("the last key an engine can issue is deadKey")
+	}
+	e := NewEngine(1)
+	e.seq = maxSeq - 1
+	fired := 0
+	e.At(2, func() { fired++ })
+	h := e.At(1, func() { fired += 10 })
+	panicsWith(t, "sim: event sequence exhausted", func() { e.At(3, func() {}) })
+	if !e.Cancel(h) || e.Cancel(h) {
+		t.Fatal("the event with the last sequence number did not cancel exactly once")
+	}
+	e.Run()
+	if fired != 1 || e.Pending() != 0 {
+		t.Fatalf("fired %d, pending %d at the sequence limit, want 1 and 0", fired, e.Pending())
+	}
+
+	defer func(n int) { maxSlots = n }(maxSlots)
+	maxSlots = 4
+	e = NewEngine(1)
+	for i := 0; i < 4; i++ {
+		e.At(Time(i), func() {})
+	}
+	panicsWith(t, "sim: event slab full", func() { e.At(9, func() {}) })
+	e.RunUntil(0)
+	e.At(9, func() {}) // the slot the fired event freed
+	if e.Pending() != 4 || len(e.nodes) != 4 {
+		t.Fatalf("pending %d in %d slots at the slab cap, want 4 in 4", e.Pending(), len(e.nodes))
 	}
 }

@@ -11,10 +11,12 @@
 // sets outside callbacks; while the engine counts tags, events scheduled
 // from a callback inherit the firing event's, and the engine counts per tag
 // the events fired and the RunUntil calls they fired in, so models that put
-// several owners on one engine still account each owner's work. The heap
-// orders events with one branch-free compare of (time, sequence) as a
-// 128-bit unsigned number, valid because event times are never negative, and
-// picks the smallest of four children by a tournament of such compares.
+// several owners on one engine still account each owner's work. A heap
+// entry is 16 bytes, the event's time and a key that packs its sequence
+// number over its slab slot; the heap orders entries with one branch-free
+// compare of (time, key) as a 128-bit unsigned number, valid because event
+// times are never negative, and picks the smallest of four children by a
+// tournament of such compares.
 package sim
 
 import (
@@ -71,71 +73,88 @@ func (t Time) String() string {
 // Event is a callback scheduled to run at a point in virtual time.
 type Event func()
 
-// entry is one heap element: its (at, seq) key, the slab slot holding its
-// callback and the slot generation it was scheduled under. An entry whose
-// gen no longer matches its slot's is dead (fired or cancelled) and is
-// dropped when it reaches the root. Entries hold no pointers, so sifting
-// moves plain words and the garbage collector never scans the heap array.
+// An event's key is its sequence number shifted over its slab slot:
+// seq<<slotBits | slot. The engine never issues a sequence number twice,
+// Reset included, so a key names one event for the engine's lifetime.
+const (
+	slotBits = 22
+	slotMask = 1<<slotBits - 1
+	// maxSeq is the last sequence number At issues, one short of what the
+	// 42 sequence bits hold, so that no event's key is deadKey.
+	maxSeq = 1<<(64-slotBits) - 2
+	// deadKey marks a free slot.
+	deadKey = ^uint64(0)
+)
+
+// maxSlots caps the slab at what a key's slot bits can name. It is a
+// variable only so that a test can reach the cap without allocating it.
+var maxSlots = 1 << slotBits
+
+// entry is one heap element: the event's time and key. An entry whose key
+// no longer matches its slot's is dead (fired or cancelled) and is dropped
+// when it reaches the root. Entries hold no pointers, so sifting moves two
+// plain words and the garbage collector never scans the heap array.
 type entry struct {
 	at  Time
-	seq uint64
-	id  int32
-	gen uint32
+	key uint64
 }
 
+// slot returns the slab slot of x's event.
+func (x entry) slot() int32 { return int32(x.key & slotMask) }
+
 // lt is the kernel's total event order, time then scheduling sequence: it
-// returns 1 if a is before b and 0 otherwise. (at, seq) is compared as one
-// 128-bit unsigned number, the borrow of the seq subtraction chained into
+// returns 1 if a is before b and 0 otherwise. (at, key) is compared as one
+// 128-bit unsigned number, the borrow of the key subtraction chained into
 // the at subtraction, so the answer comes out of the final borrow with no
-// data-dependent branch. Reading at as unsigned is exact because at is
-// never negative: At refuses times before now, and now starts at 0 and only
-// moves forward. It takes entries by value so that the entry being sifted
-// stays in registers: taking its address spilled it to the stack and made
-// every sift reload it.
+// data-dependent branch. Keys order as their sequence numbers do, since
+// those are unique and sit in the high bits. Reading at as unsigned is
+// exact because at is never negative: At refuses times before now, and now
+// starts at 0 and only moves forward. It takes entries by value so that the
+// entry being sifted stays in registers: taking its address spilled it to
+// the stack and made every sift reload it.
 func lt(a, b entry) int {
-	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow := bits.Sub64(a.key, b.key, 0)
 	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
 	return int(borrow)
 }
 
-// node is a slab slot: the callback of one scheduled event, the slot's
-// generation and the event's owner tag. The generation is bumped every time
-// the slot is recycled, which kills the slot's heap entry and every Handle to
-// it in one write, so a stale Handle or entry cannot touch a later event that
-// reuses the slot. The tag fills what would otherwise be padding.
+// node is a slab slot: the callback of one scheduled event, its key and its
+// owner tag. Recycling the slot sets the key to deadKey, which kills the
+// slot's heap entry and every Handle to it in one write; a later event in
+// the slot gets a new key, so a stale Handle or entry cannot touch it.
 type node struct {
 	fn  Event
-	gen uint32
+	key uint64
 	tag int32
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
 // Handle refers to no event.
 type Handle struct {
-	eng *Engine // the engine whose slab id indexes; nil for the zero Handle
-	id  int32
-	gen uint32
+	eng *Engine // the engine whose slab key indexes; nil for the zero Handle
+	key uint64
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // create engines with NewEngine.
 //
-// Pending events live in a 4-ary min-heap of value entries ordered by
-// (at, seq); each entry names a slot in a slab of {fn, gen} nodes. Freed
-// slots go on a free list and are reused, so a warm engine schedules without
-// allocating.
+// Pending events live in a 4-ary min-heap of 16-byte value entries
+// {at, key} ordered by (at, key); the key names a slot in a slab of
+// {fn, key, tag} nodes, and an entry is live while its slot holds its key.
+// Freed slots go on a free list and are reused, so a warm engine schedules
+// without allocating.
 //
 // The pop path costs one sift per event. Firing the root promotes its
 // smaller child into the root and holds the vacated slot, with the fired and
 // now dead entry in it, while the callback runs (the "hold"). The callback's
 // first At takes the held slot and sifts down from there; if the callback
-// schedules nothing, the last entry takes it instead. Cancel is lazy: it bumps
-// the slot generation and leaves the dead entry in the heap, to be dropped
+// schedules nothing, the last entry takes it instead. Cancel is lazy: it
+// clears the slot's key and leaves the dead entry in the heap, to be dropped
 // when it reaches the root. ndead counts the dead entries, the hold
 // included, so Pending is len(heap) - ndead.
 //
 // Every ordering decision goes through lt, a branch-free 128-bit compare of
-// (at, seq) that relies on at never being negative. A sift level with four
+// (at, key) that relies on at never being negative. A sift level with four
 // children picks the smallest by a tournament of three lt results combined
 // arithmetically, so its only branch is the loop exit; the event order, and
 // with it every output, is the same as with a branchy min-of-4.
@@ -144,8 +163,8 @@ type Handle struct {
 // NextEventAt, which conservative PDES calls twice per shard per window, is
 // one comparison and a read of heap[0]: no slab access, no call, inlined.
 //
-// Generations are uint32: a dead entry would come back to life only if its
-// slot were recycled 2^32 times while the entry was still in the heap.
+// Keys bound an engine to 2^22 events pending at once and 2^42 events
+// scheduled over its lifetime; At panics, naming the limit, beyond either.
 //
 // Owner tags cost an engine that does not count them one store in At (the
 // tag into the slot) and one predictable nil check per fired event.
@@ -206,14 +225,16 @@ func NewEngineCap(seed int64, capHint int) *Engine {
 func (e *Engine) Reset(seed int64) {
 	for _, x := range e.heap {
 		if e.live(x) { // dead entries' slots are already on the free list
-			e.recycle(x.id)
+			e.recycle(x.slot())
 		}
 	}
 	e.heap = e.heap[:0]
 	e.ndead = 0
 	e.hold = -1
 	e.now = 0
-	e.seq = 0
+	// seq carries on: keys are never reissued, so a Handle from before the
+	// reset stays dead. Only differences of seq order events, so a reset
+	// engine fires exactly what a fresh one does.
 	e.fired = 0
 	e.stopped = false
 	e.maxPending = 0
@@ -224,25 +245,30 @@ func (e *Engine) Reset(seed int64) {
 }
 
 // live reports whether heap entry x is still scheduled.
-func (e *Engine) live(x entry) bool { return e.nodes[x.id].gen == x.gen }
+func (e *Engine) live(x entry) bool { return e.nodes[x.slot()].key == x.key }
 
 // recycle returns a slot to the free list, killing its heap entry and
 // invalidating outstanding handles.
 func (e *Engine) recycle(id int32) {
 	n := &e.nodes[id]
 	n.fn = nil
-	n.gen++
+	n.key = deadKey
 	e.free = append(e.free, id)
 }
 
 // alloc produces a blank slab slot, reusing a recycled one when available.
+// Its panic message is a constant so that alloc stays cheap enough to
+// inline into At.
 func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
 		id := e.free[n-1]
 		e.free = e.free[:n-1]
 		return id
 	}
-	e.nodes = append(e.nodes, node{})
+	if len(e.nodes) >= maxSlots {
+		panic("sim: event slab full: more than 2^22 events pending at once")
+	}
+	e.nodes = append(e.nodes, node{key: deadKey})
 	return int32(len(e.nodes) - 1)
 }
 
@@ -346,12 +372,16 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	if e.seq > maxSeq {
+		panic(fmt.Sprintf("sim: event sequence exhausted: %d events scheduled on one engine", e.seq))
+	}
 	id := e.alloc()
+	x := entry{at: t, key: e.seq<<slotBits | uint64(id)}
+	e.seq++
 	n := &e.nodes[id]
 	n.fn = fn
+	n.key = x.key
 	n.tag = e.tag
-	x := entry{at: t, seq: e.seq, id: id, gen: n.gen}
-	e.seq++
 	if i := e.hold; i >= 0 {
 		// The first follow-up of a running callback takes the held slot,
 		// a child of the root or the root itself, so x moves up at most
@@ -370,7 +400,7 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	if p := len(e.heap) - e.ndead; p > e.maxPending {
 		e.maxPending = p
 	}
-	return Handle{eng: e, id: id, gen: n.gen}
+	return Handle{eng: e, key: x.key}
 }
 
 // After schedules fn to run d after the current time.
@@ -383,14 +413,16 @@ func (e *Engine) After(d Time, fn Event) Handle {
 
 // Cancel removes a scheduled event. Cancelling an event that already fired
 // (or was already cancelled), the zero Handle, or a Handle issued by another
-// engine is a no-op and returns false. Slot ids index only their own engine's
-// slab, which never shrinks, and a slot's generation changes whenever its
-// event fires or is cancelled, so a matching generation means still pending.
+// engine is a no-op and returns false. A key's slot indexes only its own
+// engine's slab, which never shrinks, and a slot holds an event's key only
+// until the event fires or is cancelled, so a matching key means still
+// pending.
 func (e *Engine) Cancel(h Handle) bool {
-	if h.eng != e || e.nodes[h.id].gen != h.gen {
+	id := int32(h.key & slotMask)
+	if h.eng != e || e.nodes[id].key != h.key {
 		return false
 	}
-	e.recycle(h.id)
+	e.recycle(id)
 	e.ndead++
 	e.settle()
 	return true
@@ -469,15 +501,16 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.now = next.at
 		e.fired++
-		fn := e.nodes[next.id].fn
+		id := next.slot()
+		fn := e.nodes[id].fn
 		if e.counts != nil {
-			e.count(e.nodes[next.id].tag)
+			e.count(e.nodes[id].tag)
 		}
 		// Recycle before firing, so fn's follow-up (arrival loops, timer
 		// chains) reuses this slot at once. Then promote the root's smaller
 		// child into the root and hold the child's slot, with the dead
 		// entry in it, for that follow-up to take.
-		e.recycle(next.id)
+		e.recycle(id)
 		e.ndead++
 		h := e.heap
 		e.hold = 0

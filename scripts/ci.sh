@@ -27,16 +27,19 @@ go build ./...
 # Inline gate: conservative PDES peeks the engine's heap once per window,
 # and the peek is only cheap while NextEventAt, and the fabric's
 # nextActivity around it, inline into the window loop (fleet16 ran about 4%
-# slower when they stopped inlining). A kernel change that pushes either
-# over the inline budget must fail here, not only in a benchmark.
-echo "== inline gate (NextEventAt, nextActivity) =="
+# slower when they stopped inlining). Every sift compares entries with lt
+# and every pop and settle tests the root with live; an lt that took
+# pointers spilled the sifted entry and cost about 40%. A kernel change
+# that pushes any of them over the inline budget must fail here, not only
+# in a benchmark.
+echo "== inline gate (NextEventAt, nextActivity, lt, live) =="
 inl=$(go build -gcflags=-m ./internal/sim ./internal/pdes 2>&1)
-for fn in '(\*Engine).NextEventAt' '(\*Fabric).nextActivity'; do
+for fn in '(\*Engine).NextEventAt' '(\*Fabric).nextActivity' 'lt' '(\*Engine).live'; do
     if ! printf '%s\n' "$inl" | grep -q "can inline $fn\$"; then
         echo "$fn no longer inlines" >&2; exit 1
     fi
 done
-echo "NextEventAt and nextActivity inline"
+echo "NextEventAt, nextActivity, lt and live inline"
 
 if [ "${1:-}" = "quick" ]; then
     echo "== go test (short) =="
