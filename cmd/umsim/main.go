@@ -90,6 +90,9 @@ func main() {
 	if *bursty {
 		rc.Arrivals = machine.BurstyArrivals
 	}
+	if err := machine.CheckHosting(cfg, rc, nil); err != nil {
+		fatal(err)
+	}
 
 	// Replicate 0 keeps the user's seed; extra replicates derive theirs, so
 	// -replicates 1 output matches a plain run bit for bit.

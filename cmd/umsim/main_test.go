@@ -94,6 +94,10 @@ func TestBadFlagBoundsExit(t *testing.T) {
 		{[]string{"-slo-p99", "-100"}, "-slo-p99 -100 is out of range"},
 		{[]string{"-queues", "100000"}, "machine: bad cores/domains 1024/100000"},
 		{[]string{"-queues", "-3"}, "-queues -3 is out of range"},
+		// Fewer villages than hosted services: the hosting check, not a
+		// panic partway through the run.
+		{[]string{"-app", "CPost", "-queues", "4"}, "machine: pinned placement of 8 services, 1 per domain, needs 8 domains, but Domains is 4"},
+		{[]string{"-mix", "-queues", "2"}, "machine: pinned placement of 8 services, 1 per domain, needs 8 domains, but Domains is 2"},
 		{[]string{"-cs", "-2"}, "-cs -2 is out of range"},
 		{[]string{"-arch", "sc", "-cores", "0"}, "machine: bad cores/domains"},
 		{[]string{"-rps", "1000", "stray", "-dash"}, `unexpected arguments ["stray" "-dash"]`},

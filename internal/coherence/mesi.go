@@ -7,8 +7,13 @@
 // sharing patterns over a village-scale domain (8 cores, co-located
 // directory) and a package-scale domain (1024 cores, address-interleaved
 // home directories) and reports the protocol traffic and latency each
-// incurs. The machine model's CoherencePenaltyCycles constants are
-// calibrated against it (see TestPenaltyCalibration).
+// incurs.
+//
+// It is a calibration source, not part of the simulated machine: its
+// migratory-sharing resume cost calibrates the machine model's
+// villageResumePenaltyCycles (100) and coherencePenaltyCycles (600), and
+// internal/machine's TestCalibration fails when either constant leaves its
+// band around this package's measurement.
 package coherence
 
 import "fmt"

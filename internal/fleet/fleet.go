@@ -75,13 +75,11 @@ type Config struct {
 	// Slowdown[s]× slower (its PerfFactor is divided by the entry). Missing,
 	// zero or negative entries mean 1.0 (no slowdown).
 	Slowdown []float64
-	// WhatIf applies virtual stage speedups to every server (causal
-	// profiling — see machine.StageSpeedups and internal/whatif).
-	WhatIf machine.StageSpeedups
-	// WhatIfPerServer overrides WhatIf for individual servers: a non-zero
-	// entry at index s replaces the fleet-wide speedups on server s
-	// (missing or zero entries fall back to WhatIf). Lets a study ask
-	// "what if only the straggler's storage were faster".
+	// WhatIfPerServer overrides Machine.WhatIf (the fleet-wide virtual
+	// stage speedups of causal profiling — see machine.StageSpeedups and
+	// internal/whatif) for individual servers: a non-zero entry at index s
+	// replaces them on server s (missing or zero entries keep them). Lets
+	// a study ask "what if only the straggler's storage were faster".
 	WhatIfPerServer []machine.StageSpeedups
 	// ShardWorkers is ignored: every coupled run puts all its shards on one
 	// engine.
@@ -166,9 +164,15 @@ func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 		}
 	}
 	cross := fc.crossFrac()
+	src := rc.Normalized()
+	src.App = app
 	for s := 0; s < fc.Servers; s++ {
 		mcfg := fc.serverConfig(s, cross)
-		if err := mcfg.Validate(); err != nil {
+		err := mcfg.Validate()
+		if err == nil {
+			err = machine.CheckHosting(mcfg, src, fc.hostedOn(s))
+		}
+		if err != nil {
 			return fmt.Errorf("fleet: server %d: %w", s, err)
 		}
 	}
@@ -184,13 +188,19 @@ func (fc Config) serverConfig(s int, cross float64) machine.Config {
 	if s < len(fc.Slowdown) && fc.Slowdown[s] > 0 {
 		mcfg.PerfFactor /= fc.Slowdown[s]
 	}
-	if !fc.WhatIf.IsZero() {
-		mcfg.WhatIf = fc.WhatIf
-	}
 	if s < len(fc.WhatIfPerServer) && !fc.WhatIfPerServer[s].IsZero() {
 		mcfg.WhatIf = fc.WhatIfPerServer[s]
 	}
 	return mcfg
+}
+
+// hostedOn is the services server s hosts in graph mode, nil (every
+// service its request mix reaches) otherwise.
+func (fc Config) hostedOn(s int) []int {
+	if fc.Graph == nil {
+		return nil
+	}
+	return fc.Graph.HostedOn(s)
 }
 
 // Result aggregates per-server results.

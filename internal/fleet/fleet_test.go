@@ -137,6 +137,13 @@ func TestValidate(t *testing.T) {
 			fc.WhatIfPerServer = make([]machine.StageSpeedups, 2)
 			fc.WhatIfPerServer[1].Net = 2
 		}), false, "server 1: machine: what-if"},
+		// Each server's hosting check: pinned placement with fewer domains
+		// than hosted services used to panic partway through the run.
+		{"too few domains", fleet(2, func(fc *Config) { fc.Machine.Domains = 4 }), false, "server 0: machine: pinned placement of"},
+		{"graph with too few domains", fleet(2, func(fc *Config) {
+			fc.Graph = svcgraph.Colocated(services, 2)
+			fc.Machine.Domains = 4
+		}), false, "but Domains is 4"},
 	}
 	for _, c := range cases {
 		rc := machine.RunConfig{Duration: sim.Millisecond}
@@ -191,7 +198,7 @@ func TestOneServerFleetMatchesMachineRun(t *testing.T) {
 		{"bursty", nil, func(rc *machine.RunConfig) { rc.Arrivals = machine.BurstyArrivals }},
 		{"slowdown+whatif", func(fc *Config) {
 			fc.Slowdown = []float64{1.5}
-			fc.WhatIf = machine.StageSpeedups{RPC: 0.5, Storage: 0.25}
+			fc.Machine.WhatIf = machine.StageSpeedups{RPC: 0.5, Storage: 0.25}
 		}, nil},
 	}
 	for _, c := range cases {

@@ -12,7 +12,7 @@ import (
 // is stable run to run; update the constant only when a deliberate change to
 // the fleet or machine model or to the simulator's allocation behaviour
 // moves it.
-const fleetObsOffBaselineAllocs = 898
+const fleetObsOffBaselineAllocs = 902
 
 // TestFleetObsOffZeroAllocDelta extends the machine-level zero-overhead pin
 // (internal/machine.TestObsOffZeroAllocDelta) to a coupled fleet: with

@@ -64,7 +64,7 @@ func TestShardCountsGolden(t *testing.T) {
 			fc := DefaultConfig(machine.UManycoreConfig())
 			fc.Servers = 3
 			fc.LB = "least"
-			fc.WhatIf = machine.StageSpeedups{Net: 0.5, Sched: 0.25}
+			fc.Machine.WhatIf = machine.StageSpeedups{Net: 0.5, Sched: 0.25}
 			fc.WhatIfPerServer = []machine.StageSpeedups{{}, {Storage: 0.5}}
 			return Run(fc, homeT(t), 9000, short, 11)
 		}, "windows [210 7381 7309 7139] events [210 13058 12856 12461]"},

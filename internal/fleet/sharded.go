@@ -163,14 +163,10 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// the dispatcher's view.
 	answered := make([]uint64, n)
 	for s := range machines {
-		var hosted []int
-		if fc.Graph != nil {
-			// Graph mode: this server hosts only its placed services; call
-			// edges to services living elsewhere ship through the fabric.
-			hosted = fc.Graph.HostedOn(s)
-		}
+		// In graph mode this server hosts only its placed services; call
+		// edges to services living elsewhere ship through the fabric.
 		eng.SetTag(int32(s + 1))
-		machines[s] = machine.NewServer(eng, fc.serverConfig(s, cross), rc, hosted, machine.SharedEngine)
+		machines[s] = machine.NewServer(eng, fc.serverConfig(s, cross), rc, fc.hostedOn(s), machine.SharedEngine)
 		machines[s].SetRNG(rngs[s])
 		// Answers to peers' child RPCs and to control-dispatched roots ship
 		// back one wire delay after they leave this server. The reply's

@@ -97,24 +97,20 @@ type Config struct {
 
 	// Interconnect.
 	Topo TopoKind
-	// ICNEndpoints is the number of topology endpoints; domains map onto
-	// endpoints evenly. For meshes it is WxH (set MeshW/MeshH); for trees it
-	// is the leaf count.
+	// The topology's dimensions fix its endpoint count, and domains map
+	// onto endpoints evenly: MeshW×MeshH for a mesh, the leaf count for a
+	// tree (FatTreeLeaves, or LeafSpineCfg's pods × leaves per pod).
 	MeshW, MeshH  int
 	LeafSpineCfg  icn.LeafSpineConfig
 	FatTreeLeaves int
 	ICNContention bool
-	LinkParams    icn.LinkParams
 
 	// Coherence. GlobalCoherence charges a directory/remote-cache penalty
-	// when a blocked request resumes on a different core and injects
-	// coherence traffic into the ICN; village-scale coherence pays only a
-	// small local penalty.
+	// (coherencePenaltyCycles) when a blocked request resumes on a
+	// different core and injects coherence traffic into the ICN;
+	// village-scale coherence pays only a small local penalty
+	// (villageResumePenaltyCycles).
 	GlobalCoherence bool
-	// CoherencePenaltyCycles on cross-core resume under global coherence.
-	CoherencePenaltyCycles int
-	// VillageResumePenaltyCycles on cross-core resume within a village.
-	VillageResumePenaltyCycles int
 
 	// RPC/NIC processing.
 	// RPCProcCycles runs on the receiving core before a handler starts
@@ -135,9 +131,6 @@ type Config struct {
 	IngressLatency sim.Time
 
 	// Storage.
-	// StorageRTT is the network round trip to remote storage (Table 2:
-	// 1μs inter-server).
-	StorageRTT sim.Time
 	// StorageLossProb, when positive, makes the external storage network
 	// lossy: storage requests go through a per-cluster R-NIC with
 	// retransmission and AIMD congestion control (§4.1). Zero keeps the
@@ -150,16 +143,11 @@ type Config struct {
 	// directly to the top-level NIC (Fig 12), bypassing the spine, so it
 	// sets this false.
 	IOViaICN bool
-	// StorageReqBytes / StorageRespBytes size storage messages on the ICN.
-	StorageReqBytes, StorageRespBytes int
 
 	// Fleet coupling: fraction of child RPCs that target another server,
 	// paying RemoteRTT extra each way. Zero for single-server studies.
 	RemoteCallFrac float64
 	RemoteRTT      sim.Time
-
-	// Request/response message sizes on the ICN.
-	ReqMsgBytes, RespMsgBytes int
 
 	// WhatIf virtually accelerates pipeline stages for causal profiling:
 	// each field removes that fraction of the stage's configured cost (0 =
@@ -206,6 +194,9 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("machine: unknown topology %v", c.Topo)
 	}
+	if c.Placement != PinnedPlacement && c.Placement != RandomPlacement {
+		return fmt.Errorf("machine: unknown placement %d", c.Placement)
+	}
 	// A negative cost would schedule an event before the current time.
 	for _, f := range []struct {
 		name string
@@ -215,14 +206,11 @@ func (c *Config) Validate() error {
 		{"Policy.DequeueCycles", int64(c.Policy.DequeueCycles)},
 		{"Policy.EnqueueCycles", int64(c.Policy.EnqueueCycles)},
 		{"Policy.StealCycles", int64(c.Policy.StealCycles)},
-		{"CoherencePenaltyCycles", int64(c.CoherencePenaltyCycles)},
-		{"VillageResumePenaltyCycles", int64(c.VillageResumePenaltyCycles)},
 		{"RPCProcCycles", int64(c.RPCProcCycles)},
 		{"SendProcCycles", int64(c.SendProcCycles)},
 		{"ResumeProcCycles", int64(c.ResumeProcCycles)},
 		{"NICHWDelay", int64(c.NICHWDelay)},
 		{"IngressLatency", int64(c.IngressLatency)},
-		{"StorageRTT", int64(c.StorageRTT)},
 		{"RemoteRTT", int64(c.RemoteRTT)},
 	} {
 		if f.v < 0 {
@@ -244,11 +232,24 @@ func (c *Config) Validate() error {
 	if err := c.Extensions.Validate(c); err != nil {
 		return err
 	}
-	if err := c.LinkParams.Validate(); err != nil {
-		return err
-	}
 	if err := c.WhatIf.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkHosting reports why pinned placement cannot give each of n hosted
+// services a domain, or nil. A domain hosts one service, or
+// ColocatedServices of them on a co-locating mix machine (colocate; a
+// placed fleet server never co-locates).
+func (c *Config) checkHosting(n int, colocate bool) error {
+	per := 1
+	if colocate {
+		per = max(1, c.Extensions.ColocatedServices)
+	}
+	if c.Placement == PinnedPlacement && n > 0 && (n-1)/per >= c.Domains {
+		return fmt.Errorf("machine: pinned placement of %d services, %d per domain, needs %d domains, but Domains is %d",
+			n, per, (n-1)/per+1, c.Domains)
 	}
 	return nil
 }
@@ -257,14 +258,7 @@ func (c *Config) Validate() error {
 const (
 	defaultRQCapacity = 64
 	defaultNICBufCap  = 256
-	// RPC request/response sizes: requests carry arguments (~1KB);
-	// responses carry payloads (timelines, posts — ~4KB). Storage accesses
-	// write small keys and read ~2KB objects.
-	defaultReqBytes         = 1024
-	defaultRespBytes        = 4096
-	defaultStorageReqBytes  = 128
-	defaultStorageRespBytes = 1024
-	smallCorePerf           = 1.0
+	smallCorePerf     = 1.0
 
 	// The software "RPC tax" (Cerebros, MICRO'21): cycles a software stack
 	// spends per received RPC (header parsing, deserialization, dispatch),
@@ -275,23 +269,37 @@ const (
 	softwareResumeTax  = 15000
 )
 
-// chipletLinkParams returns the on-package D2D link timing used by the
-// machine models: 5 cycles/hop (Table 2) and ~1.7GB/s per serial chiplet
-// link — beachfront-limited PHYs, the regime where Fig 7's contention
-// effects appear.
-func chipletLinkParams() icn.LinkParams {
-	return icn.LinkParams{
-		HopLatency: 2500 * sim.Picosecond,
-		PsPerByte:  600,
-	}
-}
-
+// Calibration constants every machine shares (DESIGN.md §5). The tests in
+// calibration_test.go check the measured ones against the models that
+// justify them.
 const (
 	// serverClassPerf is the big core's speedup on *microservice* code:
 	// 1.5× frequency and a modest 1.1× IPC gain — per the paper's Fig 1,
-	// big-core microarchitecture barely helps these workloads.
+	// big-core microarchitecture barely helps these workloads. Calibrated
+	// by internal/memmodel.
 	serverClassPerf = 1.65
+	// coherencePenaltyCycles is charged on a cross-core resume under
+	// global coherence, villageResumePenaltyCycles on one within a village
+	// (the resuming core re-fetches the request's dirty lines). Calibrated
+	// by internal/coherence.
+	coherencePenaltyCycles     = 600
+	villageResumePenaltyCycles = 100
+	// storageRTT is the network round trip to remote storage (Table 2:
+	// 1μs inter-server).
+	storageRTT = 1 * sim.Microsecond
+	// Message sizes on the ICN. RPC requests carry arguments (~1KB);
+	// responses carry payloads (timelines, posts — ~4KB). Storage accesses
+	// write small keys and read ~1KB objects.
+	reqMsgBytes      = 1024
+	respMsgBytes     = 4096
+	storageReqBytes  = 128
+	storageRespBytes = 1024
 )
+
+// chipletLink is the on-package D2D link timing: 5 cycles/hop (Table 2)
+// and ~1.7GB/s per serial chiplet link — beachfront-limited PHYs, the
+// regime where Fig 7's contention effects appear.
+var chipletLink = icn.LinkParams{HopLatency: 2500 * sim.Picosecond, PsPerByte: 600}
 
 // UManycoreConfig returns the paper's default μManycore: 1024 cores, 128
 // villages of 8 cores, 32 clusters, hierarchical leaf-spine, hardware
@@ -312,22 +320,13 @@ func UManycoreConfig() Config {
 		Topo:          LeafSpineTopo,
 		LeafSpineCfg:  icn.PaperLeafSpine(),
 		ICNContention: true,
-		LinkParams:    chipletLinkParams(),
+		IOViaICN:      false,
 
-		GlobalCoherence:            false,
-		CoherencePenaltyCycles:     600,
-		VillageResumePenaltyCycles: 100,
-
-		RPCProcCycles:  0,
-		SendProcCycles: 0,
-		NICHWDelay:     200 * sim.Nanosecond,
-		IngressLatency: 500 * sim.Nanosecond,
-
-		StorageRTT:      1 * sim.Microsecond,
-		IOViaICN:        false,
-		StorageReqBytes: defaultStorageReqBytes, StorageRespBytes: defaultStorageRespBytes,
-		ReqMsgBytes:  defaultReqBytes,
-		RespMsgBytes: defaultRespBytes,
+		GlobalCoherence: false,
+		RPCProcCycles:   0,
+		SendProcCycles:  0,
+		NICHWDelay:      200 * sim.Nanosecond,
+		IngressLatency:  500 * sim.Nanosecond,
 	}
 }
 
@@ -352,23 +351,14 @@ func ScaleOutConfig() Config {
 		Topo:          FatTreeTopo,
 		FatTreeLeaves: 32,
 		ICNContention: true,
-		LinkParams:    chipletLinkParams(),
+		IOViaICN:      true,
 
-		GlobalCoherence:            true,
-		CoherencePenaltyCycles:     600,
-		VillageResumePenaltyCycles: 100,
-
+		GlobalCoherence:  true,
 		RPCProcCycles:    softwareReceiveTax,
 		SendProcCycles:   softwareSendTax,
 		ResumeProcCycles: softwareResumeTax,
 		NICHWDelay:       0,
 		IngressLatency:   500 * sim.Nanosecond,
-
-		StorageRTT:      1 * sim.Microsecond,
-		IOViaICN:        true,
-		StorageReqBytes: defaultStorageReqBytes, StorageRespBytes: defaultStorageRespBytes,
-		ReqMsgBytes:  defaultReqBytes,
-		RespMsgBytes: defaultRespBytes,
 	}
 }
 
@@ -392,23 +382,14 @@ func ServerClassConfig(n int) Config {
 		MeshW:         w,
 		MeshH:         h,
 		ICNContention: true,
-		LinkParams:    chipletLinkParams(),
+		IOViaICN:      true,
 
-		GlobalCoherence:            true,
-		CoherencePenaltyCycles:     600,
-		VillageResumePenaltyCycles: 100,
-
+		GlobalCoherence:  true,
 		RPCProcCycles:    softwareReceiveTax,
 		SendProcCycles:   softwareSendTax,
 		ResumeProcCycles: softwareResumeTax,
 		NICHWDelay:       0,
 		IngressLatency:   500 * sim.Nanosecond,
-
-		StorageRTT:      1 * sim.Microsecond,
-		IOViaICN:        true,
-		StorageReqBytes: defaultStorageReqBytes, StorageRespBytes: defaultStorageRespBytes,
-		ReqMsgBytes:  defaultReqBytes,
-		RespMsgBytes: defaultRespBytes,
 	}
 }
 
@@ -433,8 +414,6 @@ func UManycoreTopologyConfig(coresPerVillage, villagesPerCluster, clusters int) 
 	cfg.Domains = villagesPerCluster * clusters
 	ls := icn.LeafSpineConfig{L2PerPod: 4, L3Count: 8}
 	switch {
-	case clusters >= 32:
-		ls.Pods, ls.LeavesPerPod = 4, clusters/4
 	case clusters >= 16:
 		ls.Pods, ls.LeavesPerPod = 4, clusters/4
 	case clusters >= 8:

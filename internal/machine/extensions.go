@@ -65,13 +65,12 @@ func (e ExtensionConfig) Validate(c *Config) error {
 	return nil
 }
 
-// placeColocated assigns services to domains with e.ColocatedServices
-// instances per village, partitions cores by load share, and optionally
-// partitions the RQ the same way. Heavy services land in big villages
-// first when heterogeneity is enabled.
-func (m *Machine) placeColocated() {
+// placeColocated assigns the weighted services to domains with
+// e.ColocatedServices instances per village, partitions cores by load
+// share, and optionally partitions the RQ the same way. Heavy services land
+// in big villages first when heterogeneity is enabled.
+func (m *Machine) placeColocated(weights map[int]float64) {
 	e := m.cfg.Extensions
-	weights := m.serviceWeights()
 	type svcWeight struct {
 		svc int
 		w   float64
@@ -161,12 +160,12 @@ func (m *Machine) placeColocated() {
 
 // serviceWeights returns the expected invocations per arriving request for
 // every service in the mix's trees.
-func (m *Machine) serviceWeights() map[int]float64 {
+func serviceWeights(catalog *workload.Catalog, mix []workload.MixEntry) map[int]float64 {
 	weights := make(map[int]float64)
 	var walk func(id int, mult float64)
 	walk = func(id int, mult float64) {
 		weights[id] += mult
-		for _, op := range m.catalog.Service(id).Ops {
+		for _, op := range catalog.Service(id).Ops {
 			if op.Kind != workload.OpCall {
 				continue
 			}
@@ -175,7 +174,7 @@ func (m *Machine) serviceWeights() map[int]float64 {
 			}
 		}
 	}
-	for _, e := range m.mix {
+	for _, e := range mix {
 		walk(e.Root, e.Weight)
 	}
 	return weights

@@ -64,7 +64,7 @@ func TestColocationPartitionsCores(t *testing.T) {
 	}
 	// Every service in the tree has instances somewhere.
 	for svc := 0; svc < workload.NumSocialServices; svc++ {
-		if m.InstanceDomains(svc) == 0 {
+		if len(m.instances[svc]) == 0 {
 			t.Fatalf("service %d unplaced", svc)
 		}
 	}

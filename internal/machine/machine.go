@@ -393,6 +393,10 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	if len(mix) == 0 {
 		panic("machine: empty mix")
 	}
+	weights := hostedWeights(catalog, mix, local)
+	if err := cfg.checkHosting(len(weights), local == nil); err != nil {
+		panic(err)
+	}
 	m := &Machine{
 		cfg:           cfg,
 		eng:           eng,
@@ -407,11 +411,11 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	m.cost = newCostTable(&m.cfg, m.sp)
 	switch cfg.Topo {
 	case MeshTopo:
-		m.topo = icn.NewMesh(cfg.MeshW, cfg.MeshH, cfg.LinkParams)
+		m.topo = icn.NewMesh(cfg.MeshW, cfg.MeshH, chipletLink)
 	case FatTreeTopo:
-		m.topo = icn.NewFatTree(cfg.FatTreeLeaves, cfg.LinkParams)
+		m.topo = icn.NewFatTree(cfg.FatTreeLeaves, chipletLink)
 	case LeafSpineTopo:
-		m.topo = icn.NewLeafSpine(cfg.LeafSpineCfg, cfg.LinkParams)
+		m.topo = icn.NewLeafSpine(cfg.LeafSpineCfg, chipletLink)
 	}
 	m.path = make([]*icn.Link, 0, m.topo.MaxHops())
 	endpoints := m.topo.NumEndpoints()
@@ -462,29 +466,22 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	m.applyHeterogeneity()
 	switch {
 	case local != nil:
-		// The fleet-level placement already decided which services live
-		// here, so each hosted service gets an equal share of villages.
 		m.local = make([]bool, len(catalog.Services))
-		weights := make(map[int]float64, len(local))
-		for _, svc := range local {
-			if svc < 0 || svc >= len(catalog.Services) {
-				panic(fmt.Sprintf("machine: local service %d outside catalog of %d", svc, len(catalog.Services)))
-			}
+		for svc := range weights {
 			m.local[svc] = true
-			weights[svc] = 1
 		}
 		m.place(weights)
 	case cfg.Extensions.ColocatedServices > 1:
-		m.placeColocated()
+		m.placeColocated(weights)
 	default:
-		m.place(m.serviceWeights())
+		m.place(weights)
 	}
 	if cfg.StorageLossProb > 0 {
 		// One R-NIC per cluster endpoint (villages share their cluster's
 		// remote port budget).
 		n := m.topo.NumEndpoints()
 		for i := 0; i < n; i++ {
-			nic := rpcnet.NewRNIC(40, cfg.StorageRTT, cfg.StorageLossProb)
+			nic := rpcnet.NewRNIC(40, storageRTT, cfg.StorageLossProb)
 			// Real transports set the retransmission timeout far above the
 			// RTT (loss detection needs a conservative timer); 50× the 1μs
 			// base RTT is an optimistic datacenter RTO.
@@ -493,6 +490,24 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 		}
 	}
 	return m
+}
+
+// hostedWeights returns the placement weight of every service a machine
+// hosts. The fleet-level placement already decided which services live on
+// a placed server (local non-nil), so each gets an equal share; a mix
+// machine weighs each service by its expected invocations per request.
+func hostedWeights(catalog *workload.Catalog, mix []workload.MixEntry, local []int) map[int]float64 {
+	if local == nil {
+		return serviceWeights(catalog, mix)
+	}
+	weights := make(map[int]float64, len(local))
+	for _, svc := range local {
+		if svc < 0 || svc >= len(catalog.Services) {
+			panic(fmt.Sprintf("machine: local service %d outside catalog of %d", svc, len(catalog.Services)))
+		}
+		weights[svc] = 1
+	}
+	return weights
 }
 
 // place fills the dispatch table from per-service weights: a mix machine's
@@ -526,10 +541,7 @@ func (m *Machine) place(weights map[int]float64) {
 			continue
 		}
 		exact := w / total * float64(len(m.domains))
-		n := int(exact)
-		if n < 1 {
-			n = 1
-		}
+		n := max(1, int(exact))
 		allocs = append(allocs, alloc{svc: svc, n: n, frac: exact - float64(int(exact))})
 		used += n
 	}
@@ -545,37 +557,26 @@ func (m *Machine) place(weights map[int]float64) {
 		allocs[best].n++
 		allocs[best].frac = 0
 	}
-	for used > len(m.domains) {
-		// Shrink the largest allocation above 1.
-		best := -1
+	for ; used > len(m.domains); used-- {
+		// Shrink the largest allocation. checkHosting leaves no more
+		// services than domains, so while the sum is over, one is above 1.
+		best := 0
 		for j := range allocs {
-			if allocs[j].n > 1 && (best < 0 || allocs[j].n > allocs[best].n) {
+			if allocs[j].n > allocs[best].n {
 				best = j
 			}
 		}
-		if best < 0 {
-			break
-		}
 		allocs[best].n--
-		used--
 	}
-	// The allocations now cover every domain (they sum to at least
-	// len(m.domains)), so each service takes the next contiguous range.
-	// The range is capacity-capped: an append to it copies instead of
-	// overwriting the next service's domains. With more services than
-	// domains, the services past the end get no range and no entry.
+	// The allocations now sum to len(m.domains), so each service takes the
+	// next contiguous range. The range is capacity-capped: an append to it
+	// copies instead of overwriting the next service's domains.
 	next := 0
 	for _, a := range allocs {
-		end := min(next+a.n, len(m.domains))
-		if end > next {
-			m.instances[a.svc] = m.domains[next:end:end]
-		}
-		next = end
+		m.instances[a.svc] = m.domains[next : next+a.n : next+a.n]
+		next += a.n
 	}
 }
-
-// InstanceDomains returns how many domains host the service (for tests).
-func (m *Machine) InstanceDomains(svc int) int { return len(m.instances[svc]) }
 
 // SetMeasureFrom discards roots arriving before t from the latency sample.
 func (m *Machine) SetMeasureFrom(t sim.Time) { m.measureFrom = t }
@@ -636,7 +637,7 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, mode replyMode, to Re
 	// via the leaf NH's direct port.
 	at := now + m.cfg.IngressLatency + m.cfg.NICHWDelay
 	if m.cfg.IOViaICN {
-		at, _ = m.ioDeliverIn(at, int(dom.endpoint), m.cfg.ReqMsgBytes)
+		at, _ = m.ioDeliverIn(at, int(dom.endpoint), reqMsgBytes)
 	}
 	if m.trace != nil && inv.measured {
 		inv.span = m.trace.StartRoot(inv.id, int16(inv.svc.ID), now)
@@ -689,7 +690,7 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, to Reply)
 	}
 	at := now + m.cfg.IngressLatency + m.cfg.NICHWDelay
 	if m.cfg.IOViaICN {
-		at, _ = m.ioDeliverIn(at, int(dom.endpoint), m.cfg.ReqMsgBytes)
+		at, _ = m.ioDeliverIn(at, int(dom.endpoint), reqMsgBytes)
 	}
 	if inv.span != 0 && at > now {
 		m.trace.Add(inv.span, obs.StageIngress, now, at)
@@ -1149,19 +1150,19 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 			nic := m.storageNIC[inv.dom.endpoint]
 			rng := m.rand(streamStorageLoss)
 			before := nic.Retransmit
-			delivered := nic.Send(saved, m.cfg.StorageReqBytes, rng.Float64)
+			delivered := nic.Send(saved, storageReqBytes, rng.Float64)
 			retries = uint32(nic.Retransmit - before)
 			lat = delivered - saved + sim.FromMicros(op.Time.Sample(m.rand(streamStorage)))
 		} else {
-			lat = m.cfg.StorageRTT + sim.FromMicros(op.Time.Sample(m.rand(streamStorage)))
+			lat = storageRTT + sim.FromMicros(op.Time.Sample(m.rand(streamStorage)))
 		}
 		lat = shrink(0, lat, m.sp.storage)
 		if m.cfg.IOViaICN {
 			// Storage messages cross the on-package ICN to the package I/O
 			// point and back — the funnel traffic of Fig 7.
-			out, hops1 := m.ioDeliverOut(saved, int(inv.dom.endpoint), m.cfg.StorageReqBytes)
+			out, hops1 := m.ioDeliverOut(saved, int(inv.dom.endpoint), storageReqBytes)
 			out = shrink(saved, out, m.sp.net)
-			back, hops2 := m.ioDeliverIn(out+lat, int(inv.dom.endpoint), m.cfg.StorageRespBytes)
+			back, hops2 := m.ioDeliverIn(out+lat, int(inv.dom.endpoint), storageRespBytes)
 			back = shrink(out+lat, back, m.sp.net)
 			m.hopSum += uint64(hops1 + hops2)
 			m.msgCount += 2
@@ -1273,7 +1274,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 	dep := saved + m.cost.sendProc
 	src := m.srcEndpoint(c)
 	dst := m.dstEndpoint(child.dom, rng)
-	at, hops := icn.Deliver(m.topo, m.path, dep, src, dst, m.cfg.ReqMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := icn.Deliver(m.topo, m.path, dep, src, dst, reqMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1308,7 +1309,7 @@ func (m *Machine) sendChildRemote(c *core, parent *invocation, svcID int, saved 
 	out := dep
 	if m.cfg.IOViaICN {
 		var hops int
-		out, hops = m.ioDeliverOut(dep, m.srcEndpoint(c), m.cfg.ReqMsgBytes)
+		out, hops = m.ioDeliverOut(dep, m.srcEndpoint(c), reqMsgBytes)
 		m.hopSum += uint64(hops)
 		m.msgCount++
 		out = shrink(dep, out, m.sp.net)
@@ -1351,7 +1352,7 @@ func (m *Machine) RemoteResponse(token int32, done sim.Time) {
 	at := back
 	if m.cfg.IOViaICN {
 		var hops int
-		at, hops = m.ioDeliverIn(back, int(call.parent.dom.endpoint), m.cfg.RespMsgBytes)
+		at, hops = m.ioDeliverIn(back, int(call.parent.dom.endpoint), respMsgBytes)
 		m.hopSum += uint64(hops)
 		m.msgCount++
 	}
@@ -1485,7 +1486,7 @@ func (m *Machine) respond(inv *invocation) {
 		now := m.eng.Now()
 		at := now + m.cfg.IngressLatency
 		if m.cfg.IOViaICN {
-			at, _ = m.ioDeliverOut(now, int(inv.dom.endpoint), m.cfg.RespMsgBytes)
+			at, _ = m.ioDeliverOut(now, int(inv.dom.endpoint), respMsgBytes)
 			at += m.cfg.IngressLatency
 		}
 		if inv.span != 0 {
@@ -1509,7 +1510,7 @@ func (m *Machine) respond(inv *invocation) {
 	parent := inv.parent
 	src := int(inv.dom.endpoint)
 	dst := int(parent.dom.endpoint)
-	at, hops := icn.Deliver(m.topo, m.path, m.eng.Now(), src, dst, m.cfg.RespMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := icn.Deliver(m.topo, m.path, m.eng.Now(), src, dst, respMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1588,9 +1589,3 @@ func (m *Machine) MeanHops() float64 {
 	}
 	return float64(m.hopSum) / float64(m.msgCount)
 }
-
-// Topology exposes the ICN for utilization reporting.
-func (m *Machine) Topology() icn.Topology { return m.topo }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }

@@ -88,9 +88,9 @@ var newBytes = []struct {
 	cfg   Config
 	bytes float64
 }{
-	{"uManycore", UManycoreConfig(), 84184},
-	{"ServerClass-40", ServerClassConfig(40), 10680},
-	{"ScaleOut", ScaleOutConfig(), 35232},
+	{"uManycore", UManycoreConfig(), 84056},
+	{"ServerClass-40", ServerClassConfig(40), 10552},
+	{"ScaleOut", ScaleOutConfig(), 35104},
 }
 
 // TestMachineNewBytes pins construction bytes within 1%, in both

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -48,8 +49,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Topo = FatTreeTopo; c.FatTreeLeaves = 0 },
 		func(c *Config) { c.Topo = LeafSpineTopo; c.LeafSpineCfg.Pods = 0 },
 		func(c *Config) { c.RQCapacity = 0 },
-		func(c *Config) { c.LinkParams.HopLatency = -1 },
-		func(c *Config) { c.LinkParams.PsPerByte = math.MaxInt32 + 1 },
 		func(c *Config) { c.NICBufCapacity = -1 },
 		func(c *Config) { c.NICBufCapacity = math.MaxInt32 + 1 },
 		func(c *Config) { c.RQCapacity = math.MaxInt32 + 1 },
@@ -58,6 +57,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Topo = FatTreeTopo; c.FatTreeLeaves = 12 },
 		func(c *Config) { c.Topo = LeafSpineTopo; c.LeafSpineCfg.L3Count = 0 },
 		func(c *Config) { c.Topo = 7 },
+		func(c *Config) { c.Placement = 2 },
 		func(c *Config) { c.NICHWDelay = -1 },
 		func(c *Config) { c.RPCProcCycles = -1 },
 		func(c *Config) { c.Policy.CSCycles = -1 },
@@ -175,7 +175,7 @@ func TestPinnedPlacementCoversDomainsAndServices(t *testing.T) {
 	m := New(eng, UManycoreConfig(), appByName(t, "CPost"))
 	total := 0
 	for svc := 0; svc < workload.NumSocialServices; svc++ {
-		n := m.InstanceDomains(svc)
+		n := len(m.instances[svc])
 		if n == 0 {
 			t.Fatalf("service %d has no instances", svc)
 		}
@@ -186,9 +186,9 @@ func TestPinnedPlacementCoversDomainsAndServices(t *testing.T) {
 	}
 	// Hot services (User appears 5× in the CPost tree) get more villages
 	// than cold ones (Text appears once).
-	if m.InstanceDomains(workload.SvcUser) <= m.InstanceDomains(workload.SvcText) {
+	if len(m.instances[workload.SvcUser]) <= len(m.instances[workload.SvcText]) {
 		t.Fatalf("User (%d villages) should out-provision Text (%d)",
-			m.InstanceDomains(workload.SvcUser), m.InstanceDomains(workload.SvcText))
+			len(m.instances[workload.SvcUser]), len(m.instances[workload.SvcText]))
 	}
 }
 
@@ -228,11 +228,72 @@ func TestDispatchRoundRobin(t *testing.T) {
 	placed.pickInstance(workload.SvcUser)
 }
 
+// TestCheckHosting pins the hosting check: pinned placement needs a domain
+// for each hosted service (for each group of ColocatedServices on a mix
+// machine), and a server CheckHosting rejects panics with the same error
+// at construction, before any event, instead of at its first request for
+// an unplaced service.
+func TestCheckHosting(t *testing.T) {
+	app := appByName(t, "CPost") // 8 services in its tree
+	mix := RunConfig{App: app, Mix: workload.SocialNetworkMix()}
+	three := []int{workload.SvcUser, workload.SvcText, workload.SvcUrlShort}
+	for _, tc := range []struct {
+		name   string
+		cfg    func(*Config)
+		rc     RunConfig
+		hosted []int
+		want   string // "" = hosts
+	}{
+		{"a domain each", func(c *Config) { c.Domains = 8 }, RunConfig{App: app}, nil, ""},
+		{"one domain short", func(c *Config) { c.Domains = 4 }, RunConfig{App: app}, nil,
+			"pinned placement of 8 services, 1 per domain, needs 8 domains, but Domains is 4"},
+		{"mix", func(c *Config) { c.Domains = 2 }, mix, nil,
+			"pinned placement of 8 services, 1 per domain, needs 8 domains, but Domains is 2"},
+		{"random placement", func(c *Config) { c.Domains, c.Placement = 1, RandomPlacement }, mix, nil, ""},
+		{"co-located", func(c *Config) { c.Domains, c.Extensions.ColocatedServices = 4, 2 }, RunConfig{App: app}, nil, ""},
+		{"co-located short", func(c *Config) { c.Domains, c.Extensions.ColocatedServices = 2, 3 }, RunConfig{App: app}, nil,
+			"pinned placement of 8 services, 3 per domain, needs 3 domains, but Domains is 2"},
+		{"placed", func(c *Config) { c.Domains = 4 }, RunConfig{App: app}, three, ""},
+		{"placed short", func(c *Config) { c.Domains = 2 }, RunConfig{App: app}, three,
+			"pinned placement of 3 services, 1 per domain, needs 3 domains, but Domains is 2"},
+		// A placed server shares its domains out without co-location.
+		{"placed ignores co-location", func(c *Config) { c.Domains, c.Extensions.ColocatedServices = 2, 2 }, RunConfig{App: app}, three,
+			"pinned placement of 3 services, 1 per domain, needs 3 domains, but Domains is 2"},
+	} {
+		cfg := UManycoreConfig()
+		cfg.Cores = 64
+		tc.cfg(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		err := CheckHosting(cfg, tc.rc, tc.hosted)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if (tc.want == "") != (got == "") || !strings.Contains(got, tc.want) {
+			t.Errorf("%s: CheckHosting = %q, want %q", tc.name, got, tc.want)
+		}
+		panicked := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			NewServer(sim.NewEngine(1), cfg, tc.rc.Normalized(), tc.hosted, OwnEngine)
+			return ""
+		}()
+		if panicked != got {
+			t.Errorf("%s: NewServer panicked with %q, want CheckHosting's %q", tc.name, panicked, got)
+		}
+	}
+}
+
 func TestLeafAppSingleService(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := New(eng, UManycoreConfig(), appByName(t, "UrlShort"))
-	if m.InstanceDomains(workload.SvcUrlShort) != 128 {
-		t.Fatalf("leaf app should own every village, got %d", m.InstanceDomains(workload.SvcUrlShort))
+	if len(m.instances[workload.SvcUrlShort]) != 128 {
+		t.Fatalf("leaf app should own every village, got %d", len(m.instances[workload.SvcUrlShort]))
 	}
 }
 
@@ -447,23 +508,6 @@ func TestTopoKindString(t *testing.T) {
 	}
 	if TopoKind(9).String() == "" {
 		t.Fatal("unknown topo")
-	}
-}
-
-func TestTraceArrivalsRun(t *testing.T) {
-	res := Run(UManycoreConfig(), RunConfig{
-		App: appByName(t, "User"), RPS: 5000,
-		Duration: 300 * sim.Millisecond, Warmup: 50 * sim.Millisecond,
-		Arrivals: TraceArrivals, Seed: 12,
-	})
-	if res.Completed == 0 {
-		t.Fatal("trace-driven run completed nothing")
-	}
-	// The realized load should be in the neighbourhood of the target mean
-	// (one 300ms window samples one per-second rate, so tolerance is wide).
-	rate := float64(res.Submitted) / 0.3
-	if rate < 500 || rate > 30000 {
-		t.Fatalf("realized rate = %v for target 5000", rate)
 	}
 }
 

@@ -18,9 +18,6 @@ const (
 	PoissonArrivals ArrivalKind = iota
 	// BurstyArrivals uses the Alibaba-like MMPP of §3.2.
 	BurstyArrivals
-	// TraceArrivals replays the Alibaba-like per-second load series
-	// (Fig 2's marginal), scaled so its long-run mean matches RunConfig.RPS.
-	TraceArrivals
 )
 
 // RunConfig drives one experiment on one machine.

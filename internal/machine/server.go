@@ -79,6 +79,19 @@ func NewServer(eng *sim.Engine, cfg Config, rc RunConfig, hosted []int, role Eng
 	return &Server{Machine: m, rc: rc, role: role}
 }
 
+// CheckHosting reports why the server NewServer would build for cfg, rc and
+// hosted cannot give every service its requests reach a pinned domain, or
+// nil. Config.Validate checks the config alone, this against the workload;
+// construction panics with the same error before any event runs.
+func CheckHosting(cfg Config, rc RunConfig, hosted []int) error {
+	rc = rc.Normalized()
+	mix := rc.Mix
+	if len(mix) == 0 {
+		mix = []workload.MixEntry{{Root: rc.App.Root, Weight: 1}}
+	}
+	return cfg.checkHosting(len(hostedWeights(rc.App.Catalog, mix, hosted)), hosted == nil)
+}
+
 // Finish assembles the server's Result once its engine has run: the plain
 // statistics, the end-of-run machine metrics (plus the kernel's on an owned
 // engine), the observability snapshot and the telemetry run.
@@ -168,24 +181,6 @@ func arrivalGap(eng *sim.Engine, rc RunConfig, rps float64) func() sim.Time {
 		mmpp := workload.BurstyArrivals(rps)
 		return func() sim.Time {
 			return sim.FromSeconds(mmpp.NextGap(r))
-		}
-	case TraceArrivals:
-		// Per-second rates drawn from the production-trace marginal
-		// (median 500 RPS, heavy upper tail), rescaled to the target mean.
-		g := workload.NewTraceGen(sim.DeriveSeed(rc.Seed, 104729))
-		loads := g.ServerLoad(1024)
-		var sum float64
-		for _, l := range loads {
-			sum += float64(l)
-		}
-		scale := rps / (sum / float64(len(loads)))
-		return func() sim.Time {
-			sec := int(eng.Now() / sim.Second)
-			rate := float64(loads[sec%len(loads)]) * scale
-			if rate <= 0 {
-				rate = 1
-			}
-			return sim.FromSeconds(dist.Poisson{Rate: rate}.NextGap(r))
 		}
 	default:
 		return func() sim.Time {

@@ -13,7 +13,7 @@ import (
 
 // queueOnlyConfig strips the machine down to a bare FCFS service center:
 // one domain of c cores, hardware queueing with zero instruction costs, no
-// ingress/NIC/ICN latency — so measured sojourn times must match
+// ingress or NIC latency, and nothing crossing the ICN — so measured sojourn times must match
 // closed-form queueing theory. This validates the arrival, dispatch, and
 // resource machinery everything else builds on.
 func queueOnlyConfig(cores int) Config {
@@ -33,8 +33,6 @@ func queueOnlyConfig(cores int) Config {
 		Topo:           LeafSpineTopo,
 		LeafSpineCfg:   icn.LeafSpineConfig{Pods: 1, LeavesPerPod: 1, L2PerPod: 1, L3Count: 1},
 		ICNContention:  false,
-		LinkParams:     icn.LinkParams{HopLatency: 0, PsPerByte: 0},
-		StorageRTT:     0,
 	}
 }
 

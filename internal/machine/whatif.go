@@ -157,8 +157,8 @@ func newCostTable(cfg *Config, sp stageScale) costTable {
 		rpcProc:       scaled(cfg.RPCProcCycles, sp.rpc),
 		resumeProc:    scaled(cfg.ResumeProcCycles, sp.rpc),
 		sendProc:      scaled(cfg.SendProcCycles, sp.rpc),
-		coherence:     scaled(cfg.CoherencePenaltyCycles, sp.mem),
-		villageResume: scaled(cfg.VillageResumePenaltyCycles, sp.mem),
+		coherence:     scaled(coherencePenaltyCycles, sp.mem),
+		villageResume: scaled(villageResumePenaltyCycles, sp.mem),
 		steal:         scaled(cfg.Policy.StealCycles, sp.sched),
 		enqueue:       locked(cfg.Policy.EnqueueCycles),
 		dequeue:       locked(cfg.Policy.DequeueCycles),

@@ -37,20 +37,6 @@ func TestEvaluateProducesSaneNumbers(t *testing.T) {
 	}
 }
 
-// The justification for machine.Config.PerfFactor = 1.65 on microservice
-// code: measured big/small throughput ratio lands near it, and the
-// monolithic ratio is clearly larger (Fig 1's argument quantified).
-func TestPerfFactorCalibration(t *testing.T) {
-	micro := PerfFactor(uarch.Microservice, 150000, 42)
-	mono := PerfFactor(uarch.Monolithic, 150000, 42)
-	if micro < 1.4 || micro > 2.0 {
-		t.Errorf("microservice perf factor = %v, machine uses 1.65", micro)
-	}
-	if mono <= micro {
-		t.Errorf("monolithic ratio (%v) should exceed microservice ratio (%v)", mono, micro)
-	}
-}
-
 func TestMicroserviceMemoryTimeIsSmall(t *testing.T) {
 	// §3.5: handler working sets fit the L1; the memory hierarchy adds
 	// little to microservice CPI on either core.

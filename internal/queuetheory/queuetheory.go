@@ -4,6 +4,9 @@
 // center must reproduce these formulas, which pins down the correctness of
 // the arrival, dispatch, and busy-until machinery that every experiment in
 // this repository rests on.
+//
+// Only tests use it: it is the reference internal/machine's theory_test.go
+// compares a queue-only machine against.
 package queuetheory
 
 import (

@@ -42,8 +42,8 @@ type Target struct {
 	// is set.
 	Machine machine.Config
 	// Fleet, when non-nil, profiles the coupled fleet instead (its
-	// embedded Machine is the base config). WhatIf and WhatIfPerServer
-	// must be zero.
+	// embedded Machine is the base config). Machine.WhatIf and
+	// WhatIfPerServer must be zero.
 	Fleet *fleet.Config
 	// App and RPS are the workload and total offered load.
 	App *workload.App
@@ -152,11 +152,8 @@ func Run(t Target, o Options) (*Report, error) {
 		return nil, fmt.Errorf("whatif: Target.RC must not enable obs/telemetry (the engine traces internally)")
 	}
 	if t.Fleet != nil {
-		if !t.Fleet.WhatIf.IsZero() || len(t.Fleet.WhatIfPerServer) > 0 {
+		if !t.Fleet.Machine.WhatIf.IsZero() || len(t.Fleet.WhatIfPerServer) > 0 {
 			return nil, fmt.Errorf("whatif: Target.Fleet already sets WhatIf speedups")
-		}
-		if !t.Fleet.Machine.WhatIf.IsZero() {
-			return nil, fmt.Errorf("whatif: Target.Fleet.Machine already sets WhatIf speedups")
 		}
 	} else if !t.Machine.WhatIf.IsZero() {
 		return nil, fmt.Errorf("whatif: Target.Machine already sets WhatIf speedups")
@@ -245,7 +242,7 @@ func (t Target) cell(sp machine.StageSpeedups, topFrac float64) gridCell {
 	c.rc.Seed = t.Seed
 	if t.Fleet != nil {
 		fc := *t.Fleet
-		fc.WhatIf = sp
+		fc.Machine.WhatIf = sp
 		c.fc = &fc
 	} else {
 		c.cfg = t.Machine

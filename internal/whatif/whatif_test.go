@@ -180,7 +180,7 @@ func TestRunValidation(t *testing.T) {
 	}
 
 	fc := fleet.DefaultConfig(machine.UManycoreConfig())
-	fc.WhatIf.Net = 0.5
+	fc.Machine.WhatIf.Net = 0.5
 	tg = base
 	tg.Fleet = &fc
 	if _, err := Run(tg, Options{}); err == nil {

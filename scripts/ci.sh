@@ -198,6 +198,17 @@ if [ "$code" -ne 2 ]; then
     echo "umprof -lb without -servers exited $code, want 2" >&2; exit 1
 fi
 grep -q -- '-servers' "$cachedir/lb.err"
+# Pinned placement with fewer villages than hosted services fails the
+# hosting check before simulating, instead of panicking mid-run.
+go build -o "$cachedir/umsim" ./cmd/umsim
+set +e
+"$cachedir/umsim" -app CPost -queues 4 2>"$cachedir/hosting.err"
+code=$?
+set -e
+if [ "$code" -ne 2 ]; then
+    echo "umsim -app CPost -queues 4 exited $code, want 2" >&2; exit 1
+fi
+grep -q 'pinned placement of 8 services, 1 per domain, needs 8 domains, but Domains is 4' "$cachedir/hosting.err"
 echo "validation paths exit 2 with diagnostics"
 
 # Graph figure smoke: the service-graph study runs end to end in quick mode
