@@ -138,6 +138,29 @@ func TestGlobalCostsMoreThanVillage(t *testing.T) {
 	}
 }
 
+// TestPenaltyCalibration pins the measured mean resume cost under each
+// domain configuration to the range the machine model's resume penalties
+// were drawn from. internal/machine's TestCalibration holds the constants
+// themselves to a narrower band around these measurements.
+func TestPenaltyCalibration(t *testing.T) {
+	// A saved request context is "a few hundreds of bytes" (§4.4): the
+	// resuming core re-touches ~2 dirty lines of it on the coherence
+	// fabric (the rest stream from the Request Context Memory / L2).
+	rv := rand.New(rand.NewSource(2))
+	rg := rand.New(rand.NewSource(2))
+	village := Migratory(New(VillageConfig()), 5000, 2, rv)
+	global := Migratory(New(GlobalConfig()), 5000, 2, rg)
+	// The machine uses villageResumePenaltyCycles=100 and
+	// coherencePenaltyCycles=600; the protocol-level numbers must bracket
+	// them (same order of magnitude).
+	if village.MeanResumeCycles < 20 || village.MeanResumeCycles > 250 {
+		t.Errorf("village resume = %v cycles, expected ~100", village.MeanResumeCycles)
+	}
+	if global.MeanResumeCycles < 250 || global.MeanResumeCycles > 1000 {
+		t.Errorf("global resume = %v cycles, expected ~600", global.MeanResumeCycles)
+	}
+}
+
 func TestReadSharedIsCheapEverywhere(t *testing.T) {
 	// §3.5: read-mostly instance state is cheap to share even globally
 	// after warmup — coherence's cost is in writes, not read sharing.

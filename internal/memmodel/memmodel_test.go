@@ -37,6 +37,23 @@ func TestEvaluateProducesSaneNumbers(t *testing.T) {
 	}
 }
 
+// The justification for the ServerClass perf factor (serverClassPerf =
+// 1.65 in the machine model): the measured big/small throughput ratio on
+// microservice code lands in the range around it, and the monolithic ratio
+// is clearly larger (Fig 1's argument quantified). internal/machine's
+// TestCalibration holds the constant to a narrower band around this
+// measurement.
+func TestPerfFactorCalibration(t *testing.T) {
+	micro := PerfFactor(uarch.Microservice, 150000, 42)
+	mono := PerfFactor(uarch.Monolithic, 150000, 42)
+	if micro < 1.4 || micro > 2.0 {
+		t.Errorf("microservice perf factor = %v, machine uses 1.65", micro)
+	}
+	if mono <= micro {
+		t.Errorf("monolithic ratio (%v) should exceed microservice ratio (%v)", mono, micro)
+	}
+}
+
 func TestMicroserviceMemoryTimeIsSmall(t *testing.T) {
 	// §3.5: handler working sets fit the L1; the memory hierarchy adds
 	// little to microservice CPI on either core.
