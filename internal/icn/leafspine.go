@@ -1,6 +1,10 @@
 package icn
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"umanycore/internal/sim"
+)
 
 // SpineSelect chooses among redundant equal-cost spine paths.
 type SpineSelect int
@@ -24,16 +28,12 @@ const (
 // |L2/pod| × |L3| redundant paths. The paper's 1024-core configuration is
 // 4 pods × 8 leaves, 4 L2 NHs per pod, 8 L3 NHs: 56 NHs, 4-hop worst case.
 type LeafSpine struct {
+	fabric
 	pods      int
 	leavesPer int
 	l2PerPod  int
 	l3Count   int
 	sel       SpineSelect
-	leafUp    [][]*Link // [leaf][l2local] leaf -> L2
-	leafDown  [][]*Link // [leaf][l2local] L2 -> leaf
-	l2Up      [][]*Link // [l2global][l3] L2 -> L3
-	l2Down    [][]*Link // [l2global][l3] L3 -> L2
-	all       []*Link
 }
 
 // LeafSpineConfig sizes the topology.
@@ -51,51 +51,21 @@ func PaperLeafSpine() LeafSpineConfig {
 	return LeafSpineConfig{Pods: 4, LeavesPerPod: 8, L2PerPod: 4, L3Count: 8}
 }
 
-// NewLeafSpine builds the topology.
+// NewLeafSpine builds the topology. Its slab holds, for each leaf and each
+// of its pod's L2 spines, the pair leaf→L2, L2→leaf; then, for each L2 and
+// each L3, the pair L2→L3, L3→L2.
 func NewLeafSpine(cfg LeafSpineConfig, p LinkParams) *LeafSpine {
 	if cfg.Pods <= 0 || cfg.LeavesPerPod <= 0 || cfg.L2PerPod <= 0 || cfg.L3Count <= 0 {
 		panic("icn: leaf-spine dimensions must be positive")
 	}
-	ls := &LeafSpine{
-		pods: cfg.Pods, leavesPer: cfg.LeavesPerPod,
+	nLeaves := cfg.Pods * cfg.LeavesPerPod
+	nL2 := cfg.Pods * cfg.L2PerPod
+	return &LeafSpine{
+		fabric: newFabric(p, 2*(nLeaves*cfg.L2PerPod+nL2*cfg.L3Count)),
+		pods:   cfg.Pods, leavesPer: cfg.LeavesPerPod,
 		l2PerPod: cfg.L2PerPod, l3Count: cfg.L3Count,
 		sel: cfg.Select,
 	}
-	nLeaves := cfg.Pods * cfg.LeavesPerPod
-	nL2 := cfg.Pods * cfg.L2PerPod
-	// The links live in one slab, and the four routing tables are carved
-	// from one backing array of link pointers.
-	nLinks := 2 * (nLeaves*cfg.L2PerPod + nL2*cfg.L3Count)
-	slab := newLinkSlab(nLinks)
-	tables := make([]*Link, nLinks)
-	carve := func(rows, cols int) [][]*Link {
-		out := make([][]*Link, rows)
-		for r := range out {
-			out[r] = tables[:cols:cols]
-			tables = tables[cols:]
-		}
-		return out
-	}
-	ls.leafUp = carve(nLeaves, cfg.L2PerPod)
-	ls.leafDown = carve(nLeaves, cfg.L2PerPod)
-	ls.l2Up = carve(nL2, cfg.L3Count)
-	ls.l2Down = carve(nL2, cfg.L3Count)
-	for leaf := 0; leaf < nLeaves; leaf++ {
-		pod := leaf / cfg.LeavesPerPod
-		for s := 0; s < cfg.L2PerPod; s++ {
-			l2 := pod*cfg.L2PerPod + s
-			ls.leafUp[leaf][s] = slab.add(leaf, nLeaves+l2, p)
-			ls.leafDown[leaf][s] = slab.add(nLeaves+l2, leaf, p)
-		}
-	}
-	for l2 := 0; l2 < nL2; l2++ {
-		for t := 0; t < cfg.L3Count; t++ {
-			ls.l2Up[l2][t] = slab.add(nLeaves+l2, nLeaves+nL2+t, p)
-			ls.l2Down[l2][t] = slab.add(nLeaves+nL2+t, nLeaves+l2, p)
-		}
-	}
-	ls.all = slab.all
-	return ls
 }
 
 // Name implements Topology.
@@ -103,9 +73,6 @@ func (ls *LeafSpine) Name() string { return "leaf-spine" }
 
 // NumEndpoints implements Topology (the leaves).
 func (ls *LeafSpine) NumEndpoints() int { return ls.pods * ls.leavesPer }
-
-// Links implements Topology.
-func (ls *LeafSpine) Links() []*Link { return ls.all }
 
 // MaxHops implements Topology.
 func (ls *LeafSpine) MaxHops() int { return 4 }
@@ -116,12 +83,23 @@ func (ls *LeafSpine) NodeCount() int {
 	return ls.pods*ls.leavesPer + ls.pods*ls.l2PerPod + ls.l3Count
 }
 
-func (ls *LeafSpine) pickL2(leaf int, rng *rand.Rand, now0 *Link) int {
+// leafUp is the slab index of the link from leaf to its pod's s-th L2; the
+// link back down follows it.
+func (ls *LeafSpine) leafUp(leaf, s int) int { return 2 * (leaf*ls.l2PerPod + s) }
+
+// l2Up is the slab index of the link from L2 spine l2 (numbered across
+// pods) to L3 spine t; the link back down follows it.
+func (ls *LeafSpine) l2Up(l2, t int) int {
+	return 2 * (ls.pods*(ls.leavesPer*ls.l2PerPod) + l2*ls.l3Count + t)
+}
+
+func (ls *LeafSpine) pickL2(leaf int, rng *rand.Rand) int {
 	switch ls.sel {
 	case LeastLoadedSpine:
-		best, bestT := 0, ls.leafUp[leaf][0].BusyUntil()
+		up := ls.links[ls.leafUp(leaf, 0):]
+		best, bestT := 0, up[0].BusyUntil()
 		for s := 1; s < ls.l2PerPod; s++ {
-			if t := ls.leafUp[leaf][s].BusyUntil(); t < bestT {
+			if t := up[2*s].BusyUntil(); t < bestT {
 				best, bestT = s, t
 			}
 		}
@@ -134,9 +112,10 @@ func (ls *LeafSpine) pickL2(leaf int, rng *rand.Rand, now0 *Link) int {
 func (ls *LeafSpine) pickL3(l2 int, rng *rand.Rand) int {
 	switch ls.sel {
 	case LeastLoadedSpine:
-		best, bestT := 0, ls.l2Up[l2][0].BusyUntil()
+		up := ls.links[ls.l2Up(l2, 0):]
+		best, bestT := 0, up[0].BusyUntil()
 		for t := 1; t < ls.l3Count; t++ {
-			if bt := ls.l2Up[l2][t].BusyUntil(); bt < bestT {
+			if bt := up[2*t].BusyUntil(); bt < bestT {
 				best, bestT = t, bt
 			}
 		}
@@ -146,21 +125,24 @@ func (ls *LeafSpine) pickL3(l2 int, rng *rand.Rand) int {
 	}
 }
 
-// Path implements Topology: 2 hops intra-pod, 4 hops inter-pod, with the
-// spine at each level chosen by the ECMP policy.
-func (ls *LeafSpine) Path(buf []*Link, src, dst int, rng *rand.Rand) []*Link {
+// Deliver implements Topology: 2 hops intra-pod, 4 hops inter-pod, with the
+// spine at each level chosen by the ECMP policy before the message takes
+// its first hop.
+func (ls *LeafSpine) Deliver(now sim.Time, src, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
 	n := ls.NumEndpoints()
 	if src < 0 || dst < 0 || src >= n || dst >= n {
 		panic(pathError("leaf-spine", src, dst, n))
 	}
 	if src == dst {
-		return buf
+		return now, 0
 	}
+	ser := ls.ser(sizeBytes)
 	srcPod := src / ls.leavesPer
 	dstPod := dst / ls.leavesPer
-	s := ls.pickL2(src, rng, nil)
+	s := ls.pickL2(src, rng)
 	if srcPod == dstPod {
-		return append(buf, ls.leafUp[src][s], ls.leafDown[dst][s])
+		now = ls.cross(ls.leafUp(src, s), now, ser, contention)
+		return ls.cross(ls.leafUp(dst, s)+1, now, ser, contention), 2
 	}
 	srcL2 := srcPod*ls.l2PerPod + s
 	t := ls.pickL3(srcL2, rng)
@@ -168,12 +150,20 @@ func (ls *LeafSpine) Path(buf []*Link, src, dst int, rng *rand.Rand) []*Link {
 	// L3 connects to every L2, so any choice is equal-cost. Reuse s for
 	// determinism given the rng draws.
 	dstL2 := dstPod*ls.l2PerPod + s
-	return append(buf,
-		ls.leafUp[src][s],
-		ls.l2Up[srcL2][t],
-		ls.l2Down[dstL2][t],
-		ls.leafDown[dst][s],
-	)
+	now = ls.cross(ls.leafUp(src, s), now, ser, contention)
+	now = ls.cross(ls.l2Up(srcL2, t), now, ser, contention)
+	now = ls.cross(ls.l2Up(dstL2, t)+1, now, ser, contention)
+	return ls.cross(ls.leafUp(dst, s)+1, now, ser, contention), 4
+}
+
+// ToIO implements Topology: the package I/O attaches at leaf 0.
+func (ls *LeafSpine) ToIO(now sim.Time, src, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
+	return ls.Deliver(now, src, 0, sizeBytes, rng, contention)
+}
+
+// FromIO implements Topology.
+func (ls *LeafSpine) FromIO(now sim.Time, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
+	return ls.Deliver(now, 0, dst, sizeBytes, rng, contention)
 }
 
 var _ Topology = (*LeafSpine)(nil)

@@ -1,46 +1,35 @@
 package icn
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"umanycore/internal/sim"
+)
 
 // Mesh is a W×H 2D mesh with XY dimension-order routing (the ServerClass
-// baseline's ICN). Every router is an endpoint.
+// baseline's ICN). Every router is an endpoint; router (x, y) is y*W+x.
 type Mesh struct {
+	fabric
 	w, h int
-	// east, west, south and north hold, per router, the link to its
-	// neighbour at x+1, x-1, y+1 and y-1 (nil on the mesh's edge).
-	east, west, south, north []*Link
-	all                      []*Link
 }
 
-// NewMesh builds a W×H mesh.
+// NewMesh builds a W×H mesh. Its slab holds, for each router (x, y) with a
+// neighbour at x+1, the pair eastward, westward; then, for each router with
+// a neighbour at y+1, the pair southward, northward.
 func NewMesh(w, h int, p LinkParams) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic("icn: mesh dimensions must be positive")
 	}
-	n := w * h
-	// The four neighbour tables share one backing array; the links live in
-	// one slab.
-	tables := make([]*Link, 4*n)
-	slab := newLinkSlab(2 * (h*(w-1) + w*(h-1)))
-	m := &Mesh{w: w, h: h,
-		east: tables[:n:n], west: tables[n : 2*n : 2*n],
-		south: tables[2*n : 3*n : 3*n], north: tables[3*n:]}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			id := y*w + x
-			if x+1 < w {
-				m.east[id] = slab.add(id, id+1, p)
-				m.west[id+1] = slab.add(id+1, id, p)
-			}
-			if y+1 < h {
-				m.south[id] = slab.add(id, id+w, p)
-				m.north[id+w] = slab.add(id+w, id, p)
-			}
-		}
-	}
-	m.all = slab.all
-	return m
+	return &Mesh{fabric: newFabric(p, 2*(h*(w-1)+w*(h-1))), w: w, h: h}
 }
+
+// east is the slab index of the link from (x, y) to (x+1, y); the link back
+// west follows it.
+func (m *Mesh) east(x, y int) int { return 2 * (y*(m.w-1) + x) }
+
+// south is the slab index of the link from (x, y) to (x, y+1); the link back
+// north follows it.
+func (m *Mesh) south(x, y int) int { return 2 * (m.h*(m.w-1) + y*m.w + x) }
 
 // Name implements Topology.
 func (m *Mesh) Name() string { return "mesh" }
@@ -48,34 +37,48 @@ func (m *Mesh) Name() string { return "mesh" }
 // NumEndpoints implements Topology.
 func (m *Mesh) NumEndpoints() int { return m.w * m.h }
 
-// Links implements Topology.
-func (m *Mesh) Links() []*Link { return m.all }
-
 // MaxHops implements Topology.
 func (m *Mesh) MaxHops() int { return (m.w - 1) + (m.h - 1) }
 
-// Path implements Topology with XY routing: move along X to the destination
-// column, then along Y.
-func (m *Mesh) Path(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
+// Deliver implements Topology with XY routing: move along X to the
+// destination column, then along Y.
+func (m *Mesh) Deliver(now sim.Time, src, dst, sizeBytes int, _ *rand.Rand, contention bool) (sim.Time, int) {
 	n := m.w * m.h
 	if src < 0 || dst < 0 || src >= n || dst >= n {
 		panic(pathError("mesh", src, dst, n))
 	}
+	ser := m.ser(sizeBytes)
 	x, y := src%m.w, src/m.w
 	dx, dy := dst%m.w, dst/m.w
+	hops := 0
 	for ; x < dx; x++ {
-		buf = append(buf, m.east[y*m.w+x])
+		now = m.cross(m.east(x, y), now, ser, contention)
+		hops++
 	}
 	for ; x > dx; x-- {
-		buf = append(buf, m.west[y*m.w+x])
+		now = m.cross(m.east(x-1, y)+1, now, ser, contention)
+		hops++
 	}
 	for ; y < dy; y++ {
-		buf = append(buf, m.south[y*m.w+x])
+		now = m.cross(m.south(x, y), now, ser, contention)
+		hops++
 	}
 	for ; y > dy; y-- {
-		buf = append(buf, m.north[y*m.w+x])
+		now = m.cross(m.south(x, y-1)+1, now, ser, contention)
+		hops++
 	}
-	return buf
+	return now, hops
+}
+
+// ToIO implements Topology: the package I/O attaches at router 0, the
+// mesh's corner.
+func (m *Mesh) ToIO(now sim.Time, src, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
+	return m.Deliver(now, src, 0, sizeBytes, rng, contention)
+}
+
+// FromIO implements Topology.
+func (m *Mesh) FromIO(now sim.Time, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
+	return m.Deliver(now, 0, dst, sizeBytes, rng, contention)
 }
 
 var _ Topology = (*Mesh)(nil)

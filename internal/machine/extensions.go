@@ -28,7 +28,8 @@ import (
 // ExtensionConfig gathers the optional features.
 type ExtensionConfig struct {
 	// ColocatedServices is how many service instances share one village
-	// under pinned placement (0 or 1 disables co-location).
+	// under pinned placement (0 or 1 disables co-location), at most one
+	// per core of the village.
 	ColocatedServices int
 	// PartitionRQ splits each co-located village's RQ per service in
 	// proportion to its core share (requires the hardware RQ).
@@ -46,6 +47,10 @@ type ExtensionConfig struct {
 func (e ExtensionConfig) Validate(c *Config) error {
 	if e.ColocatedServices < 0 {
 		return fmt.Errorf("machine: negative co-location factor")
+	}
+	if c.Domains > 0 && e.ColocatedServices > c.Cores/c.Domains {
+		return fmt.Errorf("machine: co-location of %d services (Extensions.ColocatedServices) above %d cores per domain",
+			e.ColocatedServices, c.Cores/c.Domains)
 	}
 	if e.ColocatedServices > 1 && c.Placement != PinnedPlacement {
 		return fmt.Errorf("machine: co-location requires pinned placement")
@@ -105,22 +110,20 @@ func (m *Machine) placeColocated(weights map[int]float64) {
 		for _, mbr := range members {
 			total += mbr.w
 		}
-		// Partition cores proportionally, at least one per member.
+		// Partition cores proportionally, at least one per member: each
+		// share leaves a core for every member still to be placed, and the
+		// last member takes what remains. Validate keeps the group within
+		// the village's cores.
 		slab := m.domainCores(dom)
 		cores := len(slab)
 		next := 0
 		partition := make(map[int]int, len(members))
 		for gi, mbr := range members {
-			share := int(float64(cores) * mbr.w / total)
-			if share < 1 {
-				share = 1
-			}
+			share := max(1, int(float64(cores)*mbr.w/total))
 			if gi == len(members)-1 {
 				share = cores - next
 			}
-			if next+share > cores {
-				share = cores - next
-			}
+			share = min(share, cores-next-(len(members)-1-gi))
 			for k := 0; k < share; k++ {
 				slab[next].svcID = int32(mbr.svc)
 				next++

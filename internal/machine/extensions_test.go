@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"umanycore/internal/sim"
@@ -19,6 +20,7 @@ func TestExtensionValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative colocation", func(c *Config) { c.Extensions.ColocatedServices = -1 }},
+		{"colocation above village cores", func(c *Config) { c.Extensions.ColocatedServices = c.Cores/c.Domains + 1 }},
 		{"colocation without pinning", func(c *Config) {
 			c.Extensions.ColocatedServices = 2
 			c.Placement = RandomPlacement
@@ -164,5 +166,43 @@ func TestExtensionsDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.Latency != b.Latency {
 		t.Fatalf("extension run nondeterministic: %+v vs %+v", a.Latency, b.Latency)
+	}
+}
+
+// TestColocationNoStarvedMember: eight services share each 8-core village,
+// so proportional shares used to spend every core before the last member
+// was placed, leaving it a dispatch-table entry and no core to run on; its
+// requests then waited forever.
+func TestColocationNoStarvedMember(t *testing.T) {
+	cfg := colocatedConfig(8)
+	res := Run(cfg, RunConfig{
+		App: appByName(t, "CPost"), RPS: 20000,
+		Duration: sim.Millisecond, Drain: 20 * sim.Millisecond, Seed: 1,
+	})
+	if res.Submitted == 0 || res.Completed != res.Submitted {
+		t.Fatalf("completed %d of %d roots (rejected %d, unfinished %d)",
+			res.Completed, res.Submitted, res.Rejected, res.Unfinished)
+	}
+}
+
+// TestColocationSkewedShares: one member of a 3-service group carries 90%
+// of the weight, so its proportional share of an 8-core village is 7 and
+// the other two must split the last core; each must still get one.
+func TestColocationSkewedShares(t *testing.T) {
+	m := New(sim.NewEngine(1), colocatedConfig(3), appByName(t, "CPost"))
+	for svc := range m.instances {
+		m.instances[svc] = nil
+	}
+	m.placeColocated(map[int]float64{0: 0.9, 1: 0.05, 2: 0.05})
+	for _, dom := range m.domains {
+		cores := map[int32]int{}
+		for _, c := range m.domainCores(dom) {
+			cores[c.svcID]++
+		}
+		for svc, doms := range m.instances {
+			if slices.Contains(doms, dom) && cores[int32(svc)] == 0 {
+				t.Fatalf("domain %d lists service %d but gives it no core (cores per service %v)", dom.id, svc, cores)
+			}
+		}
 	}
 }

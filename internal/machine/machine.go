@@ -25,7 +25,6 @@ type Machine struct {
 	catalog *workload.Catalog
 	mix     []workload.MixEntry // arrival mixture over root services
 	topo    icn.Topology
-	path    []*icn.Link // icn.Deliver's reused path buffer, capacity MaxHops
 
 	domains []*domain
 	// instances is the top-level NIC's dispatch table (§4.2), indexed by
@@ -417,7 +416,6 @@ func newMachine(eng *sim.Engine, cfg Config, catalog *workload.Catalog, mix []wo
 	case LeafSpineTopo:
 		m.topo = icn.NewLeafSpine(cfg.LeafSpineCfg, chipletLink)
 	}
-	m.path = make([]*icn.Link, 0, m.topo.MaxHops())
 	endpoints := m.topo.NumEndpoints()
 	coresPer := cfg.Cores / cfg.Domains
 	// One slab holds every core, and the domains' idle stacks share one
@@ -1115,8 +1113,8 @@ func scaleDur(us, demand, perf float64) sim.Time {
 func (m *Machine) injectCoherenceTraffic(dom *domain) {
 	rng := m.rand(streamCoherence)
 	dst := rng.Intn(m.topo.NumEndpoints())
-	icn.Deliver(m.topo, m.path, m.eng.Now(), int(dom.endpoint), dst, 64, rng, m.cfg.ICNContention)
-	icn.Deliver(m.topo, m.path, m.eng.Now(), dst, int(dom.endpoint), 64, rng, m.cfg.ICNContention)
+	m.topo.Deliver(m.eng.Now(), int(dom.endpoint), dst, 64, rng, m.cfg.ICNContention)
+	m.topo.Deliver(m.eng.Now(), dst, int(dom.endpoint), 64, rng, m.cfg.ICNContention)
 }
 
 // segmentEnd advances past the finished compute op and performs the next
@@ -1274,7 +1272,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 	dep := saved + m.cost.sendProc
 	src := m.srcEndpoint(c)
 	dst := m.dstEndpoint(child.dom, rng)
-	at, hops := icn.Deliver(m.topo, m.path, dep, src, dst, reqMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := m.topo.Deliver(dep, src, dst, reqMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1367,28 +1365,16 @@ func (m *Machine) RemoteResponse(token int32, done sim.Time) {
 	m.eng.At(at, m.resolveChildEvent(call.parent))
 }
 
-// ioEndpoint is the topology endpoint adjacent to the package's top-level
-// NIC and memory controllers for topologies whose I/O attaches at an
-// endpoint (the mesh corner). Fat-trees attach I/O at the root instead —
-// see ioDeliverOut/ioDeliverIn.
-func (m *Machine) ioEndpoint() int { return 0 }
-
 // ioDeliverOut routes an outbound (storage/external) message from a domain
 // endpoint to the package I/O attach point.
 func (m *Machine) ioDeliverOut(dep sim.Time, from, size int) (sim.Time, int) {
-	if ft, ok := m.topo.(*icn.FatTree); ok {
-		return ft.DeliverToRoot(dep, from, size, m.cfg.ICNContention)
-	}
-	return icn.Deliver(m.topo, m.path, dep, from, m.ioEndpoint(), size, m.rand(streamICN), m.cfg.ICNContention)
+	return m.topo.ToIO(dep, from, size, m.rand(streamICN), m.cfg.ICNContention)
 }
 
 // ioDeliverIn routes an inbound message from the package I/O attach point
 // to a domain endpoint.
 func (m *Machine) ioDeliverIn(dep sim.Time, to, size int) (sim.Time, int) {
-	if ft, ok := m.topo.(*icn.FatTree); ok {
-		return ft.DeliverFromRoot(dep, to, size, m.cfg.ICNContention)
-	}
-	return icn.Deliver(m.topo, m.path, dep, m.ioEndpoint(), to, size, m.rand(streamICN), m.cfg.ICNContention)
+	return m.topo.FromIO(dep, to, size, m.rand(streamICN), m.cfg.ICNContention)
 }
 
 // srcEndpoint maps a sending core to its topology endpoint.
@@ -1510,7 +1496,7 @@ func (m *Machine) respond(inv *invocation) {
 	parent := inv.parent
 	src := int(inv.dom.endpoint)
 	dst := int(parent.dom.endpoint)
-	at, hops := icn.Deliver(m.topo, m.path, m.eng.Now(), src, dst, respMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := m.topo.Deliver(m.eng.Now(), src, dst, respMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay

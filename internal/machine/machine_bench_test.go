@@ -2,6 +2,7 @@ package machine
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -75,6 +76,26 @@ func BenchmarkMachineNew(b *testing.B) {
 			}
 		})
 	}
+	// Each op above builds on the memory the previous op freed, so it times
+	// a warm build. A fleet's or a sweep's set-up keeps every server alive
+	// and so builds on fresh pages: cold builds 16 uManycore machines per
+	// op, all live until the op ends, after returning the freed heap to the
+	// OS with the timer stopped.
+	b.Run("cold", func(b *testing.B) {
+		cfg := UManycoreConfig()
+		var fleet [16]*Machine
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fleet = [16]*Machine{}
+			runtime.GC()
+			debug.FreeOSMemory()
+			b.StartTimer()
+			for j := range fleet {
+				fleet[j] = New(sim.NewEngine(1), cfg, app)
+			}
+		}
+	})
 }
 
 // newBytes is the heap bytes one machine.New allocates per architecture
@@ -88,9 +109,9 @@ var newBytes = []struct {
 	cfg   Config
 	bytes float64
 }{
-	{"uManycore", UManycoreConfig(), 84056},
-	{"ServerClass-40", ServerClassConfig(40), 10552},
-	{"ScaleOut", ScaleOutConfig(), 35104},
+	{"uManycore", UManycoreConfig(), 63464},
+	{"ServerClass-40", ServerClassConfig(40), 5256},
+	{"ScaleOut", ScaleOutConfig(), 30768},
 }
 
 // TestMachineNewBytes pins construction bytes within 1%, in both
@@ -118,6 +139,49 @@ func TestMachineNewBytes(t *testing.T) {
 	}
 }
 
+// topologyBytes is the heap bytes and allocations building each
+// architecture's ICN costs: the topology header and its slab of zero-valued
+// link state, 16 bytes a link, rounded up to the allocator's size class.
+// Routes are arithmetic, so a routing table or a per-link field that comes
+// back shows here. Update a constant only when a deliberate change to the
+// topologies moves it.
+var topologyBytes = []struct {
+	name   string
+	build  func() icn.Topology
+	bytes  float64
+	allocs float64
+}{
+	{"paper leaf-spine", func() icn.Topology { return icn.NewLeafSpine(icn.PaperLeafSpine(), chipletLink) }, 8272, 2},
+	{"ScaleOut fat-tree", func() icn.Topology { return icn.NewFatTree(32, chipletLink) }, 2112, 2},
+	{"ServerClass-40 mesh", func() icn.Topology { return icn.NewMesh(8, 5, chipletLink) }, 2384, 2},
+}
+
+// TestTopologyBytes pins each topology's construction bytes and
+// allocations within 1%, in both directions.
+func TestTopologyBytes(t *testing.T) {
+	sc := ServerClassConfig(40)
+	if UManycoreConfig().LeafSpineCfg != icn.PaperLeafSpine() || ScaleOutConfig().FatTreeLeaves != 32 || sc.MeshW != 8 || sc.MeshH != 5 {
+		t.Fatal("an architecture's topology no longer matches the one pinned here")
+	}
+	for _, a := range topologyBytes {
+		const n = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			a.build()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+		allocs := float64(after.Mallocs-before.Mallocs) / n
+		if delta := bytes - a.bytes; delta > 0.01*a.bytes || -delta > 0.01*a.bytes {
+			t.Errorf("%s allocates %.0f B, pinned %.0f B (tolerance 1%%)", a.name, bytes, a.bytes)
+		}
+		if delta := allocs - a.allocs; delta > 0.01*a.allocs || -delta > 0.01*a.allocs {
+			t.Errorf("%s allocates %.2f times, pinned %.0f (tolerance 1%%)", a.name, allocs, a.allocs)
+		}
+	}
+}
+
 // TestResidentSizes pins the size of every per-core, per-village and
 // per-link structure a machine keeps resident for its whole life — a
 // coupled fleet keeps one machine per server — so a field added to one of
@@ -134,7 +198,7 @@ func TestResidentSizes(t *testing.T) {
 		{"domain", unsafe.Sizeof(domain{}), 64},
 		{"rq.RQ", unsafe.Sizeof(rq.RQ{}), 56},
 		{"rq.NICBuffer", unsafe.Sizeof(rq.NICBuffer{}), 32},
-		{"icn.Link", unsafe.Sizeof(icn.Link{}), 32},
+		{"icn.Link", unsafe.Sizeof(icn.Link{}), 16},
 	} {
 		if s.got != s.want {
 			t.Errorf("%s is %d bytes, pinned %d", s.name, s.got, s.want)

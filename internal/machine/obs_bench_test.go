@@ -49,7 +49,7 @@ func BenchmarkMachineRunObsOn(b *testing.B) {
 // count is stable run to run; update the constant only when a deliberate
 // change to the machine model or to the simulator's allocation behaviour
 // moves it.
-const obsOffBaselineAllocs = 1129
+const obsOffBaselineAllocs = 1122
 
 // TestObsOffZeroAllocDelta asserts the allocation half of the zero-overhead
 // contract: with RunConfig.Obs nil, a run allocates exactly what it did

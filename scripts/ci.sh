@@ -31,15 +31,19 @@ go build ./...
 # and every pop and settle tests the root with live; an lt that took
 # pointers spilled the sifted entry and cost about 40%. A kernel change
 # that pushes any of them over the inline budget must fail here, not only
-# in a benchmark.
-echo "== inline gate (NextEventAt, nextActivity, lt, live) =="
-inl=$(go build -gcflags=-m ./internal/sim ./internal/pdes 2>&1)
-for fn in '(\*Engine).NextEventAt' '(\*Fabric).nextActivity' 'lt' '(\*Engine).live'; do
+# in a benchmark. The ICN routes keep no link tables: every hop computes its
+# link's slab index and crosses it through these helpers, which must inline
+# into the route walks for a route to cost no more than a table lookup.
+echo "== inline gate (NextEventAt, nextActivity, lt, live, ICN link helpers) =="
+inl=$(go build -gcflags=-m ./internal/sim ./internal/pdes ./internal/icn 2>&1)
+for fn in '(\*Engine).NextEventAt' '(\*Fabric).nextActivity' 'lt' '(\*Engine).live' \
+    '(\*fabric).cross' '(\*fabric).ser' '(\*LeafSpine).leafUp' '(\*LeafSpine).l2Up' \
+    'upLink' '(\*FatTree).serAt' '(\*Mesh).east' '(\*Mesh).south'; do
     if ! printf '%s\n' "$inl" | grep -q "can inline $fn\$"; then
         echo "$fn no longer inlines" >&2; exit 1
     fi
 done
-echo "NextEventAt, nextActivity, lt and live inline"
+echo "NextEventAt, nextActivity, lt, live and the ICN link helpers inline"
 
 if [ "${1:-}" = "quick" ]; then
     echo "== go test (short) =="
