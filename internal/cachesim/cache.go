@@ -1,56 +1,13 @@
-// Package cachesim implements set-associative cache and TLB simulators with
-// pluggable replacement policies. It reproduces the cache-hierarchy side of
-// the paper: the Table 2 hierarchies for all three processors, the hit-rate
-// characterization of Fig 9, and the instruction-cache replacement study in
-// Fig 1.
+// Package cachesim implements set-associative LRU cache and TLB simulators.
+// It reproduces the cache-hierarchy side of the paper: the Table 2
+// hierarchies for all three processors, the hit-rate characterization of
+// Fig 9, and the instruction-cache replacement study in Fig 1.
 package cachesim
 
 import "fmt"
 
 // Addr is a byte address in the simulated address space.
 type Addr uint64
-
-// ReplacementPolicy decides which way of a set to evict.
-type ReplacementPolicy interface {
-	// Touch notes that way `way` of set `set` was accessed.
-	Touch(set, way int)
-	// Victim selects the way to evict from `set`.
-	Victim(set int) int
-	// Name identifies the policy.
-	Name() string
-}
-
-// lruPolicy is classic least-recently-used, tracked with per-set timestamps.
-type lruPolicy struct {
-	stamp [][]uint64
-	clock uint64
-}
-
-// NewLRU returns an LRU policy for sets×ways.
-func NewLRU(sets, ways int) ReplacementPolicy {
-	p := &lruPolicy{stamp: make([][]uint64, sets)}
-	for i := range p.stamp {
-		p.stamp[i] = make([]uint64, ways)
-	}
-	return p
-}
-
-func (p *lruPolicy) Touch(set, way int) {
-	p.clock++
-	p.stamp[set][way] = p.clock
-}
-
-func (p *lruPolicy) Victim(set int) int {
-	best, bestStamp := 0, p.stamp[set][0]
-	for w := 1; w < len(p.stamp[set]); w++ {
-		if p.stamp[set][w] < bestStamp {
-			best, bestStamp = w, p.stamp[set][w]
-		}
-	}
-	return best
-}
-
-func (p *lruPolicy) Name() string { return "lru" }
 
 // Stats counts cache events.
 type Stats struct {
@@ -78,21 +35,22 @@ type Config struct {
 	RoundTripCycles int
 }
 
-// Cache is a set-associative cache. It models tags only (no data), which is
-// all the experiments consume.
+// Cache is a set-associative cache with least-recently-used replacement,
+// tracked with per-way access stamps. It models tags only (no data), which
+// is all the experiments consume.
 type Cache struct {
-	cfg    Config
-	sets   int
-	tags   [][]Addr
-	valid  [][]bool
-	policy ReplacementPolicy
+	cfg   Config
+	sets  int
+	tags  [][]Addr
+	valid [][]bool
+	stamp [][]uint64 // the clock value of each way's last access
+	clock uint64
 	// Stats is exported for direct reading by experiments.
 	Stats Stats
 }
 
-// New builds a cache from cfg with the given replacement policy (nil means
-// LRU).
-func New(cfg Config, policy func(sets, ways int) ReplacementPolicy) *Cache {
+// New builds a cache from cfg.
+func New(cfg Config) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		panic(fmt.Sprintf("cachesim: invalid config %+v", cfg))
 	}
@@ -104,14 +62,12 @@ func New(cfg Config, policy func(sets, ways int) ReplacementPolicy) *Cache {
 	c := &Cache{cfg: cfg, sets: sets}
 	c.tags = make([][]Addr, sets)
 	c.valid = make([][]bool, sets)
+	c.stamp = make([][]uint64, sets)
 	for i := 0; i < sets; i++ {
 		c.tags[i] = make([]Addr, cfg.Ways)
 		c.valid[i] = make([]bool, cfg.Ways)
+		c.stamp[i] = make([]uint64, cfg.Ways)
 	}
-	if policy == nil {
-		policy = NewLRU
-	}
-	c.policy = policy(sets, cfg.Ways)
 	return c
 }
 
@@ -131,7 +87,7 @@ func (c *Cache) Access(a Addr) bool {
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.valid[set][w] && c.tags[set][w] == tag {
 			c.Stats.Hits++
-			c.policy.Touch(set, w)
+			c.touch(set, w)
 			return true
 		}
 	}
@@ -168,14 +124,31 @@ func (c *Cache) install(set int, tag Addr) {
 		if !c.valid[set][w] {
 			c.valid[set][w] = true
 			c.tags[set][w] = tag
-			c.policy.Touch(set, w)
+			c.touch(set, w)
 			return
 		}
 	}
-	v := c.policy.Victim(set)
+	v := c.victim(set)
 	c.Stats.Evictions++
 	c.tags[set][v] = tag
-	c.policy.Touch(set, v)
+	c.touch(set, v)
+}
+
+// touch notes an access to way of set.
+func (c *Cache) touch(set, way int) {
+	c.clock++
+	c.stamp[set][way] = c.clock
+}
+
+// victim returns the least recently used way of set.
+func (c *Cache) victim(set int) int {
+	best, bestStamp := 0, c.stamp[set][0]
+	for w := 1; w < len(c.stamp[set]); w++ {
+		if c.stamp[set][w] < bestStamp {
+			best, bestStamp = w, c.stamp[set][w]
+		}
+	}
+	return best
 }
 
 // Flush invalidates the whole cache (state only; stats are preserved).
@@ -214,7 +187,7 @@ func NewTLB(cfg TLBConfig) *TLB {
 		Ways:            cfg.Ways,
 		LineBytes:       cfg.PageBytes,
 		RoundTripCycles: cfg.RoundTripCycles,
-	}, nil)
+	})
 	return &TLB{cache: c, cfg: cfg}
 }
 

@@ -8,7 +8,7 @@ import (
 
 func tiny() *Cache {
 	// 4 sets × 2 ways × 64B lines = 512B.
-	return New(Config{Name: "t", SizeBytes: 512, Ways: 2, LineBytes: 64, RoundTripCycles: 2}, nil)
+	return New(Config{Name: "t", SizeBytes: 512, Ways: 2, LineBytes: 64, RoundTripCycles: 2})
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -90,7 +90,7 @@ func TestFlush(t *testing.T) {
 func TestWorkingSetFits(t *testing.T) {
 	// A 64KB 8-way cache with a 32KB working set should converge to ~100%
 	// hits after the first pass.
-	c := New(Config{Name: "l1", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
+	c := New(Config{Name: "l1", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2})
 	for pass := 0; pass < 3; pass++ {
 		for a := Addr(0); a < 32<<10; a += 64 {
 			c.Access(a)
@@ -114,7 +114,7 @@ func TestWorkingSetFits(t *testing.T) {
 func TestThrashingWorkingSet(t *testing.T) {
 	// A working set 4x the cache size scanned cyclically under LRU yields
 	// ~0% hits (classic LRU pathology).
-	c := New(Config{Name: "small", SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, RoundTripCycles: 2}, nil)
+	c := New(Config{Name: "small", SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, RoundTripCycles: 2})
 	for pass := 0; pass < 4; pass++ {
 		for a := Addr(0); a < 16<<10; a += 64 {
 			c.Access(a)
@@ -138,7 +138,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 					t.Errorf("config %+v did not panic", cfg)
 				}
 			}()
-			New(cfg, nil)
+			New(cfg)
 		}()
 	}
 }
@@ -163,8 +163,8 @@ func TestTLB(t *testing.T) {
 }
 
 func TestHierarchy(t *testing.T) {
-	l1 := New(Config{Name: "l1", SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, RoundTripCycles: 2}, nil)
-	l2 := New(Config{Name: "l2", SizeBytes: 8 << 10, Ways: 4, LineBytes: 64, RoundTripCycles: 24}, nil)
+	l1 := New(Config{Name: "l1", SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, RoundTripCycles: 2})
+	l2 := New(Config{Name: "l2", SizeBytes: 8 << 10, Ways: 4, LineBytes: 64, RoundTripCycles: 24})
 	h := NewHierarchy(200, l1, l2)
 
 	cyc, lvl := h.Access(0)

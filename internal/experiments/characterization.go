@@ -92,8 +92,8 @@ func fig9DataSide(seed int64, n int) []Fig9Row {
 			dTrace[i].Addr = cachesim.Addr(1<<28 + r.Intn(instanceState))
 		}
 	}
-	l1d := cachesim.New(cachesim.Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
-	l2d := cachesim.New(cachesim.Config{Name: "L2D", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, RoundTripCycles: 16}, nil)
+	l1d := cachesim.New(cachesim.Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2})
+	l2d := cachesim.New(cachesim.Config{Name: "L2D", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, RoundTripCycles: 16})
 	l1dtlb := cachesim.NewTLB(cachesim.TLBConfig{Name: "L1DTLB", Entries: 256, Ways: 4, RoundTripCycles: 2})
 	l2dtlb := cachesim.NewTLB(cachesim.TLBConfig{Name: "L2DTLB", Entries: 2048, Ways: 12, RoundTripCycles: 12})
 	for _, a := range dTrace {
@@ -124,8 +124,8 @@ func fig9InstrSide(seed int64, n int) []Fig9Row {
 			iTrace[i] = cachesim.Addr(1<<29 + r.Intn(libraryCode)&^63)
 		}
 	}
-	l1i := cachesim.New(cachesim.Config{Name: "L1I", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
-	l2i := cachesim.New(cachesim.Config{Name: "L2I", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, RoundTripCycles: 16}, nil)
+	l1i := cachesim.New(cachesim.Config{Name: "L1I", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2})
+	l2i := cachesim.New(cachesim.Config{Name: "L2I", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, RoundTripCycles: 16})
 	l1itlb := cachesim.NewTLB(cachesim.TLBConfig{Name: "L1ITLB", Entries: 128, Ways: 4, RoundTripCycles: 2})
 	l2itlb := cachesim.NewTLB(cachesim.TLBConfig{Name: "L2ITLB", Entries: 1024, Ways: 8, RoundTripCycles: 12})
 	for _, a := range iTrace {

@@ -269,7 +269,7 @@ func Run(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, s
 	src.RPS = totalRPS
 	src.Seed = seed
 	res := machine.Run(fc.serverConfig(0, 0), src)
-	out := aggregate(fc, app, totalRPS, rc, []*machine.Result{res})
+	out := aggregate(fc, app, totalRPS, rc, []*machine.Result{res}, nil)
 	out.Balancer = fc.balancer().Name()
 	out.EventsProcessed = res.Events
 	out.WallSeconds = time.Since(start).Seconds()
@@ -277,8 +277,9 @@ func Run(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, s
 }
 
 // aggregate merges per-server results (in server order) into one fleet
-// result.
-func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, perServer []*machine.Result) *Result {
+// result. fabric, when non-nil, is the coupled fleet's fabric telemetry
+// run, merged after the servers'.
+func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunConfig, perServer []*machine.Result, fabric *telemetry.Run) *Result {
 	out := &Result{Machine: fc.Machine.Name, App: app.Name, TotalRPS: totalRPS}
 	var utilSum float64
 	for _, res := range perServer {
@@ -318,10 +319,16 @@ func aggregate(fc Config, app *workload.App, totalRPS float64, rc machine.RunCon
 	}
 	if rc.Telemetry != nil {
 		// Same order contract as Obs: merge on the server-order slice, never
-		// on completion order.
-		runs := make([]*telemetry.Run, len(perServer))
+		// on completion order. The fabric run comes last, so its pdes.*
+		// series join the fleet timeline and server alert sources keep
+		// their indices (the fabric sampler runs no rules, so it contributes
+		// no alerts).
+		runs := make([]*telemetry.Run, len(perServer), len(perServer)+1)
 		for i, res := range perServer {
 			runs[i] = res.Telemetry
+		}
+		if fabric != nil {
+			runs = append(runs, fabric)
 		}
 		out.Telemetry = telemetry.Merge(runs)
 	}

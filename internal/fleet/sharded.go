@@ -23,14 +23,13 @@ const (
 	msgTypedRoot
 	// msgCtlRoot: a control-loop attempt; Token is the controller's.
 	msgCtlRoot
-	// msgCtlReply: a server answers a control attempt to the dispatcher:
-	// Token and Flag (rejected at admission).
-	msgCtlReply
 	// msgCall: a cross-server child RPC: Service, Demand, Link, and Token,
 	// the caller's remote-call table slot; the caller is the source shard.
 	msgCall
-	// msgReply: the peer's response to a msgCall: Token and Time, when the
-	// response left the peer.
+	// msgReply: a server's answer to a msgCtlRoot or a msgCall. To the
+	// dispatcher (shard 0) it answers a control attempt: Token and Flag
+	// (rejected at admission). To a server it is the peer's response to a
+	// msgCall: Token and Time, when the response left the peer.
 	msgReply
 	// msgBurn: a server's slo.burn watchdog edge to the dispatcher: Flag
 	// (firing).
@@ -133,12 +132,14 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 			machines[dst-1].SubmitRootAs(int(m.Service), m.Demand)
 		case msgCtlRoot:
 			machines[dst-1].SubmitRootCtl(machine.Reply{Origin: int32(src), Token: m.Token})
-		case msgCtlReply:
-			ctl.Response(m.Token, m.Flag)
 		case msgCall:
 			machines[dst-1].SubmitRemote(int(m.Service), m.Demand, m.Link, machine.Reply{Origin: int32(src), Token: m.Token})
 		case msgReply:
-			machines[dst-1].RemoteResponse(m.Token, m.Time)
+			if dst == 0 {
+				ctl.Response(m.Token, m.Flag)
+			} else {
+				machines[dst-1].RemoteResponse(m.Token, m.Time)
+			}
 		case msgBurn:
 			ctl.BurnEdge(src-1, m.Flag)
 		default:
@@ -169,16 +170,12 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		machines[s] = machine.NewServer(eng, fc.serverConfig(s, cross), rc, fc.hostedOn(s), machine.SharedEngine)
 		machines[s].SetRNG(rngs[s])
 		// Answers to peers' child RPCs and to control-dispatched roots ship
-		// back one wire delay after they leave this server. The reply's
-		// origin says which: the dispatcher is shard 0.
+		// back one wire delay after they leave this server, to the reply's
+		// origin: the dispatcher is shard 0.
 		self := s + 1
 		machines[s].SetRespondHook(func() { answered[s]++ })
 		machines[s].SetReplyHook(func(to machine.Reply, done sim.Time, rejected bool) {
-			kind := msgReply
-			if to.Origin == 0 {
-				kind = msgCtlReply
-			}
-			net.Send(self, int(to.Origin), done+lookahead, pdes.Msg{Kind: kind, Token: to.Token, Time: done, Flag: rejected})
+			net.Send(self, int(to.Origin), done+lookahead, pdes.Msg{Kind: msgReply, Token: to.Token, Time: done, Flag: rejected})
 		})
 	}
 
@@ -444,7 +441,11 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		perServer[s] = m.Finish()
 	}
 
-	out := aggregate(fc, app, totalRPS, rc, perServer)
+	var fabRun *telemetry.Run
+	if fabTele != nil {
+		fabRun = fabTele.Finish(eng.Now())
+	}
+	out := aggregate(fc, app, totalRPS, rc, perServer, fabRun)
 	out.Balancer = bal.Name()
 	if ctl != nil {
 		out.Control = ctl.Finish()
@@ -459,17 +460,6 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 		out.Obs.Metrics = obs.CombineSnapshots([]obs.Snapshot{
 			out.Obs.Metrics, fabReg.Snapshot(eng.Now()),
 		})
-	}
-	if fabTele != nil && out.Telemetry != nil {
-		// Remerge with the fabric run appended so the pdes.* series join the
-		// fleet timeline; server alert sources keep their indices (the
-		// fabric sampler runs no rules, so it contributes no alerts).
-		runs := make([]*telemetry.Run, 0, n+1)
-		for _, res := range perServer {
-			runs = append(runs, res.Telemetry)
-		}
-		runs = append(runs, fabTele.Finish(eng.Now()))
-		out.Telemetry = telemetry.Merge(runs)
 	}
 	out.WallSeconds = time.Since(start).Seconds()
 	coupledPool.Put(pooled)

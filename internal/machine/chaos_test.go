@@ -89,7 +89,9 @@ func TestChaosDrainCompletes(t *testing.T) {
 		sched.HardwareSched(),
 		sched.ShinjukuSched(),
 		sched.ZygOSSched(),
-		sched.LinuxSched(),
+		// A distributed software queue with no dispatcher and no
+		// stealing, at a stock kernel's costs.
+		{Name: "linux", CSCycles: 5000, DequeueCycles: 1500, EnqueueCycles: 800},
 	}
 	for i, pol := range policies {
 		cfg := ScaleOutConfig()

@@ -86,7 +86,8 @@ type Config struct {
 	// its root was assigned (the Fig 3 semantic: "requests are assigned to
 	// queues randomly" — whole requests, with migration only via work
 	// stealing). Without it, each invocation routes through the dispatch
-	// table or random placement independently.
+	// table or random placement independently. On a hardware RQ it needs
+	// NICBufCapacity 0.
 	TreeAffinity bool
 	// RQCapacity is the hardware RQ size (paper: 64); software queues are
 	// unbounded (kernel run queues don't reject).
@@ -228,6 +229,13 @@ func (c *Config) Validate() error {
 	}
 	if c.NICBufCapacity < 0 || c.NICBufCapacity > math.MaxInt32 {
 		return fmt.Errorf("machine: NIC buffer capacity %d outside [0, %d]", c.NICBufCapacity, math.MaxInt32)
+	}
+	// Under TreeAffinity a tree's children queue in the root's village,
+	// where blocked parents hold RQ entries; a child staged in the NIC
+	// buffer behind its own parent can wait forever.
+	if c.TreeAffinity && c.Policy.HardwareRQ && c.NICBufCapacity > 0 {
+		return fmt.Errorf("machine: TreeAffinity with Policy.HardwareRQ needs NICBufCapacity 0, not %d: "+
+			"children staged behind their blocked parents never dequeue", c.NICBufCapacity)
 	}
 	if err := c.Extensions.Validate(c); err != nil {
 		return err

@@ -36,10 +36,10 @@ var configMutations = []configMutation{
 	{"RQCapacity", []string{"rq capacity", "rq needs capacity"}, func(c *Config, r *rand.Rand) {
 		c.RQCapacity = pick(r, -1, 0, 1, 2, 64, math.MaxInt32, math.MaxInt32+1)
 	}},
-	{"NICBufCapacity", []string{"nic buffer capacity"}, func(c *Config, r *rand.Rand) {
+	{"NICBufCapacity", []string{"nic buffer capacity", "nicbufcapacity"}, func(c *Config, r *rand.Rand) {
 		c.NICBufCapacity = pick(r, -1, 0, 1, 256, math.MaxInt32+1)
 	}},
-	{"TreeAffinity", nil, func(c *Config, r *rand.Rand) { c.TreeAffinity = !c.TreeAffinity }},
+	{"TreeAffinity", []string{"treeaffinity"}, func(c *Config, r *rand.Rand) { c.TreeAffinity = !c.TreeAffinity }},
 	{"CentralDispatcher", nil, func(c *Config, r *rand.Rand) { c.CentralDispatcher = !c.CentralDispatcher }},
 	{"Topo", []string{"topology", "mesh dims", "fat-tree leaves", "leaf-spine dims"}, func(c *Config, r *rand.Rand) {
 		c.Topo = pick(r, MeshTopo, FatTreeTopo, LeafSpineTopo, TopoKind(3))

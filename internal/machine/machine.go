@@ -696,14 +696,6 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, to Reply)
 	m.eng.At(at, inv.enqueueFn)
 }
 
-// OutstandingRoots reports accepted root requests not yet completed or
-// rejected — the per-server outstanding counter a load balancer tracks
-// (requests it sent minus responses it saw). Peer-served child RPCs are
-// server-to-server traffic invisible to the balancer and are excluded.
-func (m *Machine) OutstandingRoots() int {
-	return int(m.Submitted - m.Completed - m.rejectedRoots)
-}
-
 // pickRoot draws a request type from the arrival mixture.
 func (m *Machine) pickRoot() int {
 	if len(m.mix) == 1 {

@@ -83,13 +83,13 @@ func (c CoreModel) memOverlap() float64 {
 // hierarchy builds the core's cache chain.
 func (c CoreModel) hierarchy(name string) *cachesim.Hierarchy {
 	levels := []*cachesim.Cache{
-		cachesim.New(cachesim.Config{Name: name + "-L1", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil),
+		cachesim.New(cachesim.Config{Name: name + "-L1", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}),
 	}
 	if c.L2KB > 0 {
-		levels = append(levels, cachesim.New(cachesim.Config{Name: name + "-L2", SizeBytes: c.L2KB << 10, Ways: 16, LineBytes: 64, RoundTripCycles: c.L2RT}, nil))
+		levels = append(levels, cachesim.New(cachesim.Config{Name: name + "-L2", SizeBytes: c.L2KB << 10, Ways: 16, LineBytes: 64, RoundTripCycles: c.L2RT}))
 	}
 	if c.L3KB > 0 {
-		levels = append(levels, cachesim.New(cachesim.Config{Name: name + "-L3", SizeBytes: c.L3KB << 10, Ways: 16, LineBytes: 64, RoundTripCycles: c.L3RT}, nil))
+		levels = append(levels, cachesim.New(cachesim.Config{Name: name + "-L3", SizeBytes: c.L3KB << 10, Ways: 16, LineBytes: 64, RoundTripCycles: c.L3RT}))
 	}
 	return cachesim.NewHierarchy(c.MemCycles, levels...)
 }

@@ -38,10 +38,10 @@
 // firing per message of a single event bound once; each firing pops the
 // FIFO head and calls the handler.
 // Popping the head is exact because every message delivered at a barrier
-// is due by the window's end, so the window fires all of them, in the order
-// they were scheduled; a barrier that finds the FIFO still holding messages
-// (a shard stopped the engine mid-window) panics. Sending, delivering and
-// firing a message therefore allocate nothing once the buffers are warm.
+// is due by the window's end, and RunUntil fires every event up to its
+// limit, so the window fires all of them, in the order they were scheduled,
+// and the FIFO is empty at the next barrier. Sending, delivering and firing
+// a message therefore allocate nothing once the buffers are warm.
 //
 // Determinism is a hard contract, matching the rest of the repository.
 // Entity randomness comes from sim.Streams bundles, not shared engine
@@ -288,26 +288,6 @@ func (f *Fabric) deliver(limit sim.Time) uint64 {
 	return uint64(len(f.fifo))
 }
 
-// checkFired is the barrier's guard on the FIFO invariant: every message
-// delivered at a barrier is due by the window's end, so a window that ran
-// to its limit fired all of them and the last firing emptied the FIFO.
-// Messages left over mean the engine stopped early, and the next delivery
-// would pair FIFO entries with the wrong firings.
-func (f *Fabric) checkFired() {
-	if len(f.fifo) != 0 {
-		f.unfired()
-	}
-}
-
-// unfired is checkFired's failure path, kept out of line so the check
-// inlines into the window loop.
-//
-//go:noinline
-func (f *Fabric) unfired() {
-	panic(fmt.Sprintf("pdes: shard %d reached a barrier with %d delivered messages unfired — the engine stopped mid-window",
-		f.fifo[f.head].dst, len(f.fifo)-f.head))
-}
-
 // nextActivity is the earliest thing any shard could do: the engine's next
 // event or the earliest undelivered message.
 func (f *Fabric) nextActivity() sim.Time {
@@ -352,7 +332,6 @@ func (f *Fabric) Run(horizon sim.Time, post func(barrier sim.Time)) {
 		// the shards' active windows.
 		base := f.eng.Fired()
 		f.eng.RunUntil(limit)
-		f.checkFired()
 		f.windowEvents += f.eng.Fired() - base
 		f.rounds++
 		f.advanceSum += limit - m

@@ -139,9 +139,6 @@ func (q *RQ) Capacity() int { return int(q.capacity) }
 // Len returns the number of live (unreclaimed) entries.
 func (q *RQ) Len() int { return int(q.count) }
 
-// Free returns remaining slots.
-func (q *RQ) Free() int { return int(q.capacity - q.count) }
-
 // SetPartition enables RQ_Map mode: serviceID -> max entries. Services not
 // listed share the remaining space; the entries already queued count
 // against their services' budgets. Pass nil to disable.

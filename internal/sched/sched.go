@@ -1,7 +1,7 @@
 // Package sched provides the scheduling policies the machine model runs:
 // hardware scheduling per paper §4.3-4.4 vs the software schedulers of §3.3
-// (Linux, Shinjuku, Shenango, ZygOS). The machine itself implements the
-// software run queues these policies cost out.
+// (Shinjuku and ZygOS). The machine itself implements the software run
+// queues these policies cost out.
 package sched
 
 // Policy captures how a machine queues, dispatches, and context-switches
@@ -32,10 +32,9 @@ type Policy struct {
 	StealCycles  int
 }
 
-// Context-switch costs from §3.3: ≈5K cycles in Linux, ≈2K in
-// state-of-the-art software schedulers, 128–256 with hardware support.
+// Context-switch costs from §3.3: ≈2K cycles in state-of-the-art software
+// schedulers (≈5K in Linux), 128–256 with hardware support.
 const (
-	LinuxCSCycles    = 5000
 	SoftwareCSCycles = 2000
 	HardwareCSCycles = 128
 )
@@ -51,16 +50,6 @@ func HardwareSched() Policy {
 	}
 }
 
-// LinuxSched models a stock kernel scheduler.
-func LinuxSched() Policy {
-	return Policy{
-		Name:          "linux",
-		CSCycles:      LinuxCSCycles,
-		DequeueCycles: 1500,
-		EnqueueCycles: 800,
-	}
-}
-
 // ShinjukuSched models the centralized preemptive scheduler of Kaffes et al.
 func ShinjukuSched() Policy {
 	return Policy{
@@ -68,18 +57,6 @@ func ShinjukuSched() Policy {
 		CSCycles:      SoftwareCSCycles,
 		DequeueCycles: 400,
 		EnqueueCycles: 200,
-		Centralized:   true,
-	}
-}
-
-// ShenangoSched models the dedicated-core IOKernel scheduler of Ousterhout
-// et al.
-func ShenangoSched() Policy {
-	return Policy{
-		Name:          "shenango",
-		CSCycles:      SoftwareCSCycles,
-		DequeueCycles: 300,
-		EnqueueCycles: 150,
 		Centralized:   true,
 	}
 }

@@ -47,6 +47,17 @@ func BenchmarkEngineNestedTimers(b *testing.B) {
 	}
 }
 
+// runEvents fires at least count more events on e, whose callbacks count
+// each event in *n, by RunUntil calls that each advance the clock by step.
+// A step spans thousands of events, so once b.N is in the millions the
+// per-call cost and the overshoot of the last call are a negligible share
+// of a benchmark's ns/op.
+func runEvents(e *Engine, n *int, count int, step Time) {
+	for end := *n + count; *n < end; {
+		e.RunUntil(e.Now() + step)
+	}
+}
+
 // BenchmarkEngineSteadyDepth measures the kernel at the depth a real run
 // keeps it: about 160 events pending (the single-server SocialNetwork run's
 // sim.heap.peak), each fired event scheduling its successor at a
@@ -60,22 +71,18 @@ func BenchmarkEngineSteadyDepth(b *testing.B) {
 	for i := range delays {
 		delays[i] = Time(1 + rng.Intn(10000))
 	}
-	n, stopAt := 0, 0
+	n := 0
 	var fn Event
 	fn = func() {
 		n++
 		e.After(delays[n%len(delays)], fn)
-		if n == stopAt {
-			e.Stop()
-		}
 	}
 	for i := 0; i < depth; i++ {
 		e.After(delays[i], fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	stopAt = n + b.N
-	e.Run()
+	runEvents(e, &n, b.N, 100*Nanosecond)
 	b.StopTimer()
 	if e.Pending() != depth {
 		b.Fatalf("pending %d, want %d", e.Pending(), depth)
@@ -104,13 +111,10 @@ func BenchmarkEngineServerMix(b *testing.B) {
 		}
 		idle[i] = rng.Float64() < 0.31
 	}
-	n, d, stopAt := 0, 0, 0
+	n, d := 0, 0
 	var fn Event
 	fn = func() {
 		n++
-		if n == stopAt {
-			e.Stop()
-		}
 		if idle[n%len(idle)] {
 			return
 		}
@@ -130,8 +134,7 @@ func BenchmarkEngineServerMix(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	stopAt = n + b.N
-	e.Run()
+	runEvents(e, &n, b.N, Millisecond)
 	b.StopTimer()
 	if p := e.Pending(); p < depth/2 || p > 2*depth {
 		b.Fatalf("pending %d, want about %d", p, depth)

@@ -25,7 +25,6 @@ type behavior struct {
 	pick       uint64
 	peekFirst  bool // read NextEventAt before scheduling anything
 	peekLast   bool // read NextEventAt after its follow-ups and cancels
-	stop       bool
 }
 
 // behave draws label's behavior. Explicitly scheduled events carry negative
@@ -43,7 +42,6 @@ func behave(label int) behavior {
 	b.pick = h >> 32
 	b.peekFirst = h>>17%4 == 0
 	b.peekLast = h>>19%2 == 0
-	b.stop = h>>20%16 == 0
 	return b
 }
 
@@ -58,7 +56,6 @@ type refEngine struct {
 	maxPending int
 	next       int   // label of the next follow-up event
 	issued     []int // every label scheduled so far, in order
-	stopped    bool
 	log        []int64
 }
 
@@ -119,19 +116,15 @@ func (r *refEngine) fire(label int) {
 	if b.cancelSelf {
 		r.log = append(r.log, b2i(r.cancel(label)))
 	}
-	if b.stop {
-		r.stopped = true
-	}
 	r.log = append(r.log, int64(len(r.pending)), int64(r.maxPending))
 	if b.peekLast {
 		r.log = append(r.log, r.nextEventAt())
 	}
 }
 
-// runUntil pops events in (at, seq) order up to deadline or a Stop.
+// runUntil pops events in (at, seq) order up to deadline.
 func (r *refEngine) runUntil(deadline Time) {
-	r.stopped = false
-	for !r.stopped {
+	for {
 		i := r.first()
 		if i < 0 || r.pending[i].at > deadline {
 			break
@@ -141,7 +134,7 @@ func (r *refEngine) runUntil(deadline Time) {
 		r.now = ev.at
 		r.fire(ev.label)
 	}
-	if !r.stopped && r.now < deadline {
+	if r.now < deadline {
 		r.now = deadline
 	}
 }
@@ -191,8 +184,7 @@ func checkHeap(t *testing.T, e *Engine, where string) {
 // TestHeapMatchesReference drives random At/After/Cancel/Reset/RunUntil
 // sequences through the engine and a sorted-by-scan reference queue. Fired
 // callbacks schedule 0 to 3 follow-ups (some at now), cancel issued events
-// and their own fired handle, Stop the run, and read Pending, MaxPending and
-// NextEventAt. The fire order must be the (at, seq) order, every Cancel must
+// and their own fired handle, and read Pending, MaxPending and NextEventAt. The fire order must be the (at, seq) order, every Cancel must
 // succeed exactly when the event is still pending (stale handles to
 // recycled slots included), every reading inside a callback must match, and
 // Pending, MaxPending, NextEventAt and Now must agree after every step. The
@@ -205,8 +197,8 @@ func TestHeapMatchesReference(t *testing.T) {
 	// its hold for release to fill from the last entry with a full family
 	// (downFull) or a partial one below the held slot.
 	var cover struct {
-		hold, resetDead, reuseDead, stopRerun int
-		promoteFull, downFull, partial        int
+		hold, resetDead, reuseDead     int
+		promoteFull, downFull, partial int
 	}
 	for trial := int64(0); trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -253,9 +245,6 @@ func TestHeapMatchesReference(t *testing.T) {
 				if b.cancelSelf {
 					log = append(log, b2i(e.Cancel(handles[label])))
 				}
-				if b.stop {
-					e.Stop()
-				}
 				log = append(log, int64(e.Pending()), int64(e.MaxPending()))
 				if b.peekLast {
 					log = append(log, peek())
@@ -272,7 +261,6 @@ func TestHeapMatchesReference(t *testing.T) {
 			}
 		}
 		explicit := -1
-		stopped := false
 		for step := 0; step < 300; step++ {
 			where := fmt.Sprintf("trial %d step %d", trial, step)
 			switch op := rng.Intn(100); {
@@ -303,15 +291,11 @@ func TestHeapMatchesReference(t *testing.T) {
 					t.Fatalf("%s: Cancel(label %d) = %v, want %v", where, x, got, want)
 				}
 			case op < 97:
-				if stopped {
-					cover.stopRerun++
-				}
 				deadline := e.Now() + Time(rng.Intn(30))
 				log = log[:0]
 				ref.log = ref.log[:0]
 				e.RunUntil(deadline)
 				ref.runUntil(deadline)
-				stopped = ref.stopped
 				if len(log) != len(ref.log) {
 					t.Fatalf("%s: callbacks logged %v, reference %v", where, log, ref.log)
 				}
@@ -340,7 +324,7 @@ func TestHeapMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if cover.hold == 0 || cover.resetDead == 0 || cover.reuseDead == 0 || cover.stopRerun == 0 ||
+	if cover.hold == 0 || cover.resetDead == 0 || cover.reuseDead == 0 ||
 		cover.promoteFull == 0 || cover.downFull == 0 || cover.partial == 0 {
 		t.Fatalf("battery missed a kernel path: %+v", cover)
 	}

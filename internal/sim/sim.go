@@ -169,16 +169,15 @@ type Handle struct {
 // Owner tags cost an engine that does not count them one store in At (the
 // tag into the slot) and one predictable nil check per fired event.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []entry
-	ndead   int // dead heap entries: cancelled ones plus the hold
-	hold    int // heap index of the hold while a callback runs; -1 otherwise
-	nodes   []node
-	free    []int32 // recycled slab slots (fire/cancel feed it)
-	rng     Streams // the named random streams Rand draws from
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	heap  []entry
+	ndead int // dead heap entries: cancelled ones plus the hold
+	hold  int // heap index of the hold while a callback runs; -1 otherwise
+	nodes []node
+	free  []int32 // recycled slab slots (fire/cancel feed it)
+	rng   Streams // the named random streams Rand draws from
+	fired uint64
 	// maxPending is the live-event high-water mark since the last Reset —
 	// the obs layer's "sim.heap.peak" instrument. Tracking it is one
 	// predictable branch per schedule, cheap enough to stay always-on.
@@ -236,7 +235,6 @@ func (e *Engine) Reset(seed int64) {
 	// reset stays dead. Only differences of seq order events, so a reset
 	// engine fires exactly what a fresh one does.
 	e.fired = 0
-	e.stopped = false
 	e.maxPending = 0
 	e.tag = 0
 	e.counts = nil // a reused engine never carries its last user's counting
@@ -472,10 +470,7 @@ func (e *Engine) count(tag int32) {
 	}
 }
 
-// Stop makes Run / RunUntil return after the currently executing event.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
 	e.RunUntil(Time(1<<63 - 1))
 }
@@ -485,14 +480,13 @@ func (e *Engine) Run() {
 // remain pending. While tags are counted each event runs under its own
 // owner tag; the caller's tag is restored on return.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
 	caller := e.tag
 	e.call++
 	for {
 		if e.hold >= 0 {
 			e.release() // the last callback scheduled nothing
 		}
-		if len(e.heap) == 0 || e.stopped {
+		if len(e.heap) == 0 {
 			break
 		}
 		next := e.heap[0]
@@ -536,7 +530,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		fn()
 	}
 	e.tag = caller
-	if !e.stopped && e.now < deadline && deadline < Time(1<<62) {
+	if e.now < deadline && deadline < Time(1<<62) {
 		e.now = deadline
 	}
 }

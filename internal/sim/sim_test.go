@@ -140,26 +140,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop ignored?)", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("Pending = %d", e.Pending())
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.At(100, func() {

@@ -238,11 +238,3 @@ func (s *Sketch) Reset() {
 	s.zeros, s.n = 0, 0
 	s.sum, s.min, s.max = 0, 0, 0
 }
-
-// Buckets returns the number of allocated buckets — the memory-footprint
-// statistic TestSketchMemoryBound pins.
-func (s *Sketch) Buckets() int { return len(s.bins) }
-
-// MemoryBytes estimates the sketch's heap footprint (bucket storage plus
-// the fixed header), for comparison against Sample's 8 bytes/observation.
-func (s *Sketch) MemoryBytes() int { return 8*len(s.bins) + 96 }

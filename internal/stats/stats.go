@@ -92,21 +92,6 @@ func (s *Sample) P99() float64 { return s.Quantile(0.99) }
 // Median is shorthand for Quantile(0.5).
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // TailToAvg returns P99/mean — the predictability metric of paper §6.4.
 func (s *Sample) TailToAvg() float64 {
 	m := s.Mean()

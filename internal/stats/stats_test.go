@@ -70,16 +70,6 @@ func TestAddAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if !approx(s.StdDev(), 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", s.StdDev())
-	}
-}
-
 func TestTailToAvg(t *testing.T) {
 	var s Sample
 	for i := 0; i < 99; i++ {
@@ -322,7 +312,6 @@ func TestEmptySampleSafe(t *testing.T) {
 		"Median":    s.Median(),
 		"Min":       s.Min(),
 		"Max":       s.Max(),
-		"StdDev":    s.StdDev(),
 		"TailToAvg": s.TailToAvg(),
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

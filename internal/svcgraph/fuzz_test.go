@@ -16,7 +16,7 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add(Header + "\n")
 	f.Add(validTrace)
 	f.Add(strings.ReplaceAll(validTrace, "\n", "\r\n"))
-	f.Add(legacyHeader + "\n1785.0,0.1051,27\n")
+	f.Add("duration_us,cpu_util,rpcs\n1785.0,0.1051,27\n") // a 3-column header
 	// Malformed rows.
 	f.Add(Header + "\n1,a\n")
 	f.Add(Header + "\n1,a,2,0.5,3,9\n")
@@ -26,7 +26,7 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add(Header + "\n1,a,-2,0.5,3\n")
 	f.Add(Header + "\n1,a,2,-0.5,3\n")
 	f.Add(Header + "\n1,a,+Inf,0.5,3\n")
-	f.Add(legacyHeader + "\n-1785.0,0.1051,27\n")
+	f.Add(Header + "\n-1785.0,a,2,0.5,3\n")
 	// Out-of-order arrivals.
 	f.Add(Header + "\n100,a,2,0.5,3\n99,a,2,0.5,3\n")
 	// Huge fields and odd bytes.
@@ -50,9 +50,6 @@ func FuzzParseTrace(f *testing.F) {
 		}
 		if len(tr.Records) == 0 {
 			t.Fatal("successful parse with zero records")
-		}
-		if tr.Legacy {
-			return // legacy records carry no service name; not re-writable
 		}
 		for _, r := range tr.Records {
 			// The writer's fixed precision (%.1f / %.4f) would round these

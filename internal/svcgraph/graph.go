@@ -196,10 +196,9 @@ func Layered(levels, fanout int, meanComputeMicros float64) *workload.App {
 	for l := 0; l < levels; l++ {
 		for i := starts[l]; i < starts[l+1]; i++ {
 			s := &workload.Service{
-				ID:             i,
-				Name:           fmt.Sprintf("L%dN%d", l, i-starts[l]),
-				SnapshotBytes:  8 << 20,
-				FootprintBytes: 256 << 10,
+				ID:            i,
+				Name:          fmt.Sprintf("L%dN%d", l, i-starts[l]),
+				SnapshotBytes: 8 << 20,
 			}
 			if l == levels-1 {
 				s.Ops = []workload.Op{

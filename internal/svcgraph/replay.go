@@ -38,15 +38,10 @@ type Replay struct {
 // becomes a demand multiplier against its root's expected tree CPU.
 //
 // targetRPS > 0 rescales the trace's arrival gaps so its mean rate over the
-// replayed span equals targetRPS; 0 replays the recorded times verbatim. A
-// legacy 3-column trace has no recorded arrivals, so it requires targetRPS
-// > 0 and is replayed at uniform gaps, rooted at app.Root.
+// replayed span equals targetRPS; 0 replays the recorded times verbatim.
 func (t *Trace) Bind(app *workload.App, targetRPS float64) (*Replay, error) {
 	if len(t.Records) == 0 {
 		return nil, errors.New("svcgraph: cannot bind an empty trace")
-	}
-	if t.Legacy && targetRPS <= 0 {
-		return nil, errors.New("svcgraph: legacy 3-column trace has no arrival times; a target RPS is required")
 	}
 	byName := make(map[string]int, len(app.Catalog.Services))
 	for _, s := range app.Catalog.Services {
@@ -66,7 +61,7 @@ func (t *Trace) Bind(app *workload.App, targetRPS float64) (*Replay, error) {
 		return st.TotalCPUMicros, nil
 	}
 	scale := 1.0
-	if !t.Legacy && targetRPS > 0 {
+	if targetRPS > 0 {
 		mean := t.MeanRPS()
 		if mean <= 0 {
 			return nil, errors.New("svcgraph: cannot rescale a zero-span trace to a target RPS")
@@ -75,26 +70,16 @@ func (t *Trace) Bind(app *workload.App, targetRPS float64) (*Replay, error) {
 	}
 	rep := &Replay{Records: len(t.Records), Arrivals: make([]Arrival, 0, len(t.Records))}
 	for i, rec := range t.Records {
-		root := app.Root
-		if rec.Service != "" {
-			id, ok := byName[rec.Service]
-			if !ok {
-				return nil, fmt.Errorf("svcgraph: trace record %d: unknown service %q in app %q", i+1, rec.Service, app.Name)
-			}
-			root = id
+		root, ok := byName[rec.Service]
+		if !ok {
+			return nil, fmt.Errorf("svcgraph: trace record %d: unknown service %q in app %q", i+1, rec.Service, app.Name)
 		}
 		cpu, err := cpuOf(root)
 		if err != nil {
 			return nil, err
 		}
-		var at sim.Time
-		if t.Legacy {
-			at = sim.FromMicros(float64(i+1) * 1e6 / targetRPS)
-		} else {
-			at = sim.FromMicros(rec.ArrivalMicros * scale)
-		}
 		rep.Arrivals = append(rep.Arrivals, Arrival{
-			At:     at,
+			At:     sim.FromMicros(rec.ArrivalMicros * scale),
 			Root:   root,
 			Demand: rec.DurationMicros * rec.CPUUtil / cpu,
 		})

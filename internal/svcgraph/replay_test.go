@@ -69,27 +69,6 @@ func TestBindRescalesToTargetRPS(t *testing.T) {
 	}
 }
 
-func TestBindLegacyUniformArrivals(t *testing.T) {
-	app := Layered(2, 2, 100)
-	tr := parseValid(t, legacyHeader+"\n100.0,0.5,1\n200.0,0.25,2\n")
-	if _, err := tr.Bind(app, 0); err == nil || !strings.Contains(err.Error(), "target RPS is required") {
-		t.Fatalf("legacy bind without rps: %v", err)
-	}
-	rep, err := tr.Bind(app, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uniform gaps at 1000 RPS, every record rooted at app.Root.
-	if rep.Arrivals[0].At != sim.FromMicros(1000) || rep.Arrivals[1].At != sim.FromMicros(2000) {
-		t.Fatalf("legacy arrivals = %v, %v", rep.Arrivals[0].At, rep.Arrivals[1].At)
-	}
-	for i, a := range rep.Arrivals {
-		if a.Root != app.Root {
-			t.Fatalf("legacy arrival %d root = %d", i, a.Root)
-		}
-	}
-}
-
 func TestBindUnknownService(t *testing.T) {
 	app := Layered(1, 1, 100)
 	tr := parseValid(t, Header+"\n1.000,nosuch,100.0,0.5000,1\n")

@@ -24,16 +24,10 @@ import (
 // (non-decreasing), service names the root service of the request tree,
 // duration_us and cpu_util are the record's measured wall time and mean CPU
 // utilization (their product is the request's total CPU demand in core-
-// microseconds), and rpcs is its RPC fan-out count (informational). The
-// legacy 3-column umtrace format duration_us,cpu_util,rpcs is also accepted;
-// it carries no arrivals or services, so replaying it requires an explicit
-// target RPS and roots every request at the app's root service.
+// microseconds), and rpcs is its RPC fan-out count (informational).
 
 // Header is the wire-format header line (without newline).
 const Header = "arrival_us,service,duration_us,cpu_util,rpcs"
-
-// legacyHeader is the original 3-column umtrace -csv header.
-const legacyHeader = "duration_us,cpu_util,rpcs"
 
 const (
 	// maxLineBytes bounds a single trace line; longer lines are rejected
@@ -46,10 +40,9 @@ const (
 // Record is one parsed trace record.
 type Record struct {
 	// ArrivalMicros is the absolute arrival time in microseconds from trace
-	// start. Zero for every record of a legacy 3-column trace.
+	// start.
 	ArrivalMicros float64
-	// Service is the root service's name, empty in a legacy trace (replay
-	// roots those records at the bound app's root).
+	// Service is the root service's name.
 	Service string
 	// DurationMicros is the recorded request duration.
 	DurationMicros float64
@@ -63,8 +56,6 @@ type Record struct {
 // Trace is a parsed external request trace.
 type Trace struct {
 	Records []Record
-	// Legacy marks a 3-column trace (no arrival or service columns).
-	Legacy bool
 }
 
 // SpanMicros is the last record's arrival time — the trace's time span,
@@ -101,19 +92,14 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		return nil, errors.New("svcgraph: empty trace (missing header)")
 	}
 	line := 1
-	t := &Trace{}
-	switch strings.TrimRight(sc.Text(), "\r") {
-	case Header:
-	case legacyHeader:
-		t.Legacy = true
-	default:
-		return nil, fmt.Errorf("svcgraph: trace line 1: bad header %q (want %q, or legacy %q)",
-			sc.Text(), Header, legacyHeader)
+	if h := strings.TrimRight(sc.Text(), "\r"); h != Header {
+		return nil, fmt.Errorf("svcgraph: trace line 1: bad header %q (want %q)", h, Header)
 	}
+	t := &Trace{}
 	prev := 0.0
 	for sc.Scan() {
 		line++
-		rec, err := parseRecord(strings.TrimRight(sc.Text(), "\r"), t.Legacy, prev)
+		rec, err := parseRecord(strings.TrimRight(sc.Text(), "\r"), prev)
 		if err != nil {
 			return nil, fmt.Errorf("svcgraph: trace line %d: %w", line, err)
 		}
@@ -132,60 +118,52 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-func parseRecord(text string, legacy bool, prevArrival float64) (Record, error) {
+func parseRecord(text string, prevArrival float64) (Record, error) {
 	var rec Record
 	if text == "" {
 		return rec, errors.New("empty line")
 	}
 	fields := strings.Split(text, ",")
-	want := 5
-	if legacy {
-		want = 3
+	if len(fields) != 5 {
+		return rec, fmt.Errorf("%d fields, want 5", len(fields))
 	}
-	if len(fields) != want {
-		return rec, fmt.Errorf("%d fields, want %d", len(fields), want)
+	a, err := parseFloatField(fields[0], "arrival_us")
+	if err != nil {
+		return rec, err
 	}
-	i := 0
-	if !legacy {
-		a, err := parseFloatField(fields[0], "arrival_us")
-		if err != nil {
-			return rec, err
-		}
-		if a < 0 {
-			return rec, fmt.Errorf("negative arrival_us %q", fields[0])
-		}
-		if a < prevArrival {
-			return rec, fmt.Errorf("arrival_us %q out of order (previous record arrived at %g)", fields[0], prevArrival)
-		}
-		rec.ArrivalMicros = a
-		if err := checkServiceName(fields[1]); err != nil {
-			return rec, err
-		}
-		rec.Service = fields[1]
-		i = 2
+	if a < 0 {
+		return rec, fmt.Errorf("negative arrival_us %q", fields[0])
 	}
-	d, err := parseFloatField(fields[i], "duration_us")
+	if a < prevArrival {
+		return rec, fmt.Errorf("arrival_us %q out of order (previous record arrived at %g)", fields[0], prevArrival)
+	}
+	rec.ArrivalMicros = a
+	if err := checkServiceName(fields[1]); err != nil {
+		return rec, err
+	}
+	rec.Service = fields[1]
+	d, err := parseFloatField(fields[2], "duration_us")
 	if err != nil {
 		return rec, err
 	}
 	if d <= 0 {
-		return rec, fmt.Errorf("duration_us %q must be positive", fields[i])
+		return rec, fmt.Errorf("duration_us %q must be positive", fields[2])
 	}
 	rec.DurationMicros = d
-	u, err := parseFloatField(fields[i+1], "cpu_util")
+	u, err := parseFloatField(fields[3], "cpu_util")
 	if err != nil {
 		return rec, err
 	}
 	if u <= 0 || u > 1 {
-		return rec, fmt.Errorf("cpu_util %q outside (0, 1]", fields[i+1])
+		return rec, fmt.Errorf("cpu_util %q outside (0, 1]", fields[3])
 	}
 	rec.CPUUtil = u
-	n, err := strconv.Atoi(fields[i+2])
+	n, err := strconv.Atoi(fields[4])
 	if err != nil {
-		return rec, fmt.Errorf("bad rpcs %q", fields[i+2])
+		return rec, fmt.Errorf("bad rpcs %q", fields[4])
 	}
 	if n < 0 {
-		return rec, fmt.Errorf("negative rpcs %q", fields[i+2])
+		return rec, fmt.Errorf("negative rpcs %q", fields[4])
 	}
 	rec.RPCs = n
 	return rec, nil

@@ -20,7 +20,7 @@ func TestParseAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Legacy || len(tr.Records) != 3 {
+	if len(tr.Records) != 3 {
 		t.Fatalf("trace = %+v", tr)
 	}
 	r := tr.Records[1]
@@ -46,19 +46,6 @@ func TestParseAcceptsCRLF(t *testing.T) {
 	}
 }
 
-func TestParseAcceptsLegacy(t *testing.T) {
-	tr, err := ParseTrace(strings.NewReader("duration_us,cpu_util,rpcs\n1785.0,0.1051,27\n123.2,0.0936,7\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Legacy || len(tr.Records) != 2 {
-		t.Fatalf("trace = %+v", tr)
-	}
-	if r := tr.Records[0]; r.ArrivalMicros != 0 || r.Service != "" || r.DurationMicros != 1785 {
-		t.Fatalf("legacy record = %+v", r)
-	}
-}
-
 // TestParseRejects is the strictness table: every malformed input is refused
 // with an error naming the offending line.
 func TestParseRejects(t *testing.T) {
@@ -66,12 +53,12 @@ func TestParseRejects(t *testing.T) {
 	for _, tc := range []struct{ name, in, want string }{
 		{"empty input", "", "empty trace"},
 		{"bad header", "time,stuff\n" + row, `line 1: bad header`},
+		{"3-column header", "duration_us,cpu_util,rpcs\n1785.0,0.1051,27\n",
+			`line 1: bad header "duration_us,cpu_util,rpcs" (want "arrival_us,service,duration_us,cpu_util,rpcs")`},
 		{"header only", Header + "\n", "no records"},
-		{"legacy header only", legacyHeader + "\n", "no records"},
 		{"empty line", Header + "\n" + row + "\n", "line 3: empty line"},
 		{"too few fields", Header + "\n1,a,2\n", "line 2: 3 fields, want 5"},
 		{"too many fields", Header + "\n1,a,2,0.5,3,9\n", "line 2: 6 fields, want 5"},
-		{"legacy field count", legacyHeader + "\n1,a,2,0.5,3\n", "line 2: 5 fields, want 3"},
 		{"bad arrival", Header + "\nxx,a,2,0.5,3\n", `bad arrival_us "xx"`},
 		{"NaN arrival", Header + "\nNaN,a,2,0.5,3\n", `arrival_us "NaN" is not finite`},
 		{"Inf duration", Header + "\n1,a,+Inf,0.5,3\n", `duration_us "+Inf" is not finite`},

@@ -80,10 +80,6 @@ func Start(eng *sim.Engine, reg *obs.Registry, horizon sim.Time, opts Options) *
 	return s
 }
 
-// Firing reports whether the named watchdog rule is currently firing —
-// the polling companion to Options.OnAlert for barrier-time consumers.
-func (s *Sampler) Firing(rule string) bool { return s.wd.firing(rule) }
-
 // ObserveLatency feeds one measured end-to-end latency (microseconds) at
 // the moment its request completes. The machine calls it from the same
 // completion event that records the exact sample, so sketch and sample see

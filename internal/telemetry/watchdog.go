@@ -250,15 +250,3 @@ func (w *watchdog) tick(now sim.Time, window sim.Time, win *stats.Sketch) {
 		}
 	}
 }
-
-// firing reports whether the named rule is currently above threshold — the
-// poll-style companion to the OnAlert subscription (barrier-time consumers
-// read it with the sampler quiescent).
-func (w *watchdog) firing(rule string) bool {
-	for _, st := range w.states {
-		if st.rule.Name == rule {
-			return st.firing
-		}
-	}
-	return false
-}

@@ -73,8 +73,8 @@ type Fig1Result struct {
 // hierarchyPair builds a Table 2-style L1 (64KB/8w/2cyc) + L2 (2MB/16w/16cyc)
 // hierarchy with a 200-cycle memory penalty.
 func hierarchyPair(name string) (*cachesim.Cache, *cachesim.Cache, *cachesim.Hierarchy) {
-	l1 := cachesim.New(cachesim.Config{Name: name + "-L1", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
-	l2 := cachesim.New(cachesim.Config{Name: name + "-L2", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, RoundTripCycles: 16}, nil)
+	l1 := cachesim.New(cachesim.Config{Name: name + "-L1", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2})
+	l2 := cachesim.New(cachesim.Config{Name: name + "-L2", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, RoundTripCycles: 16})
 	return l1, l2, cachesim.NewHierarchy(120, l1, l2)
 }
 

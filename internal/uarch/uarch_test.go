@@ -8,11 +8,11 @@ import (
 )
 
 func l1dTest() *cachesim.Cache {
-	return cachesim.New(cachesim.Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
+	return cachesim.New(cachesim.Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2})
 }
 
 func l1iTest() *cachesim.Cache {
-	return cachesim.New(cachesim.Config{Name: "L1I", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2}, nil)
+	return cachesim.New(cachesim.Config{Name: "L1I", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, RoundTripCycles: 2})
 }
 
 // measureMissRate replays trace through a fresh cache built by mkCache with

@@ -57,48 +57,42 @@ func SocialNetworkCatalog() *Catalog {
 			Ops: []Op{
 				compute(50), storage(30), compute(40), storage(25), compute(30),
 			},
-			SnapshotBytes:  8 << 20,
-			FootprintBytes: 256 << 10,
+			SnapshotBytes: 8 << 20,
 		},
 		{
 			ID: SvcUser, Name: "User",
 			Ops: []Op{
 				compute(60), storage(40), compute(50), storage(30), compute(20),
 			},
-			SnapshotBytes:  12 << 20,
-			FootprintBytes: 384 << 10,
+			SnapshotBytes: 12 << 20,
 		},
 		{
 			ID: SvcText, Name: "Text",
 			Ops: []Op{
 				compute(40), call(SvcUrlShort, SvcUsrMnt), compute(50), storage(30), compute(30),
 			},
-			SnapshotBytes:  10 << 20,
-			FootprintBytes: 512 << 10,
+			SnapshotBytes: 10 << 20,
 		},
 		{
 			ID: SvcUsrMnt, Name: "UsrMnt",
 			Ops: []Op{
 				compute(40), call(SvcUser), compute(30), storage(35), compute(30),
 			},
-			SnapshotBytes:  8 << 20,
-			FootprintBytes: 320 << 10,
+			SnapshotBytes: 8 << 20,
 		},
 		{
 			ID: SvcPstStr, Name: "PstStr",
 			Ops: []Op{
 				compute(50), storage(60), compute(40), storage(40), compute(30), storage(25), compute(20),
 			},
-			SnapshotBytes:  16 << 20,
-			FootprintBytes: 640 << 10,
+			SnapshotBytes: 16 << 20,
 		},
 		{
 			ID: SvcSGraph, Name: "SGraph",
 			Ops: []Op{
 				compute(40), call(SvcUser, SvcUser), compute(40), storage(50), compute(30), storage(30), compute(20),
 			},
-			SnapshotBytes:  14 << 20,
-			FootprintBytes: 512 << 10,
+			SnapshotBytes: 14 << 20,
 		},
 		{
 			ID: SvcHomeT, Name: "HomeT",
@@ -113,8 +107,7 @@ func SocialNetworkCatalog() *Catalog {
 					SvcUser, SvcUser, SvcUsrMnt),
 				compute(50), storage(40), compute(30),
 			},
-			SnapshotBytes:  12 << 20,
-			FootprintBytes: 576 << 10,
+			SnapshotBytes: 12 << 20,
 		},
 		{
 			ID: SvcCPost, Name: "CPost",
@@ -122,8 +115,7 @@ func SocialNetworkCatalog() *Catalog {
 				compute(80), call(SvcText, SvcUsrMnt, SvcUrlShort, SvcPstStr, SvcHomeT, SvcSGraph),
 				compute(70), storage(30), compute(50),
 			},
-			SnapshotBytes:  16 << 20,
-			FootprintBytes: 704 << 10,
+			SnapshotBytes: 16 << 20,
 		},
 	}}
 	if err := c.Validate(); err != nil {
@@ -206,9 +198,8 @@ func SyntheticApp(distName string, meanMicros float64, blockingCalls int) (*App,
 	}
 	c := &Catalog{Services: []*Service{{
 		ID: 0, Name: "synthetic-" + distName,
-		Ops:            ops,
-		SnapshotBytes:  8 << 20,
-		FootprintBytes: 256 << 10,
+		Ops:           ops,
+		SnapshotBytes: 8 << 20,
 	}}}
 	if err := c.Validate(); err != nil {
 		return nil, err

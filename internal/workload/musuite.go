@@ -33,32 +33,28 @@ func MuSuiteCatalog() *Catalog {
 			Ops: []Op{
 				compute(25), storage(15), compute(20),
 			},
-			SnapshotBytes:  8 << 20,
-			FootprintBytes: 192 << 10,
+			SnapshotBytes: 8 << 20,
 		},
 		{
 			ID: MuLeafIntersect, Name: "LeafIntersect",
 			Ops: []Op{
 				compute(30), storage(20), compute(25),
 			},
-			SnapshotBytes:  12 << 20,
-			FootprintBytes: 256 << 10,
+			SnapshotBytes: 12 << 20,
 		},
 		{
 			ID: MuLeafScore, Name: "LeafScore",
 			Ops: []Op{
 				compute(35), storage(10), compute(25),
 			},
-			SnapshotBytes:  10 << 20,
-			FootprintBytes: 224 << 10,
+			SnapshotBytes: 10 << 20,
 		},
 		{
 			ID: MuLeafLookup, Name: "LeafLookup",
 			Ops: []Op{
 				compute(10), storage(15), compute(10),
 			},
-			SnapshotBytes:  6 << 20,
-			FootprintBytes: 128 << 10,
+			SnapshotBytes: 6 << 20,
 		},
 		{
 			ID: MuHDSearch, Name: "HDSearch",
@@ -69,8 +65,7 @@ func MuSuiteCatalog() *Catalog {
 					MuLeafBucket, MuLeafBucket, MuLeafBucket, MuLeafBucket),
 				compute(50),
 			},
-			SnapshotBytes:  16 << 20,
-			FootprintBytes: 512 << 10,
+			SnapshotBytes: 16 << 20,
 		},
 		{
 			ID: MuSetAlgebra, Name: "SetAlgebra",
@@ -80,8 +75,7 @@ func MuSuiteCatalog() *Catalog {
 				call(MuLeafIntersect, MuLeafIntersect, MuLeafIntersect, MuLeafIntersect),
 				compute(40), storage(20), compute(20),
 			},
-			SnapshotBytes:  14 << 20,
-			FootprintBytes: 384 << 10,
+			SnapshotBytes: 14 << 20,
 		},
 		{
 			ID: MuRecommend, Name: "Recommend",
@@ -91,8 +85,7 @@ func MuSuiteCatalog() *Catalog {
 				call(MuLeafScore, MuLeafScore, MuLeafScore, MuLeafScore),
 				compute(40), storage(25), compute(15),
 			},
-			SnapshotBytes:  12 << 20,
-			FootprintBytes: 320 << 10,
+			SnapshotBytes: 12 << 20,
 		},
 		{
 			ID: MuRouter, Name: "Router",
@@ -102,8 +95,7 @@ func MuSuiteCatalog() *Catalog {
 				call(MuLeafLookup, MuLeafLookup, MuLeafLookup),
 				compute(20),
 			},
-			SnapshotBytes:  8 << 20,
-			FootprintBytes: 160 << 10,
+			SnapshotBytes: 8 << 20,
 		},
 	}}
 	if err := c.Validate(); err != nil {

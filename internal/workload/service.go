@@ -57,12 +57,6 @@ type Service struct {
 	Ops  []Op
 	// SnapshotBytes is the memory-pool snapshot size (§3.5: ≤16MB).
 	SnapshotBytes int
-	// FootprintBytes is a handler's working set (§3.5: ~0.5MB average).
-	FootprintBytes int
-	// Multithreaded marks services whose single invocation can spread
-	// across village cores (kept for the §4.1 discussion; the SocialNetwork
-	// services are single-threaded per request).
-	Multithreaded bool
 }
 
 // MeanComputeMicros returns the expected CPU microseconds of one invocation.

@@ -182,6 +182,11 @@ if "$cachedir/umprof" -trace "$cachedir/bad.csv" 2>"$cachedir/bad.err"; then
     echo "umprof accepted a malformed trace" >&2; exit 1
 fi
 grep -q 'trace line 2' "$cachedir/bad.err"
+printf 'duration_us,cpu_util,rpcs\n1785.0,0.1051,27\n' >"$cachedir/cols3.csv"
+if "$cachedir/umprof" -trace "$cachedir/cols3.csv" 2>"$cachedir/cols3.err"; then
+    echo "umprof accepted a 3-column trace" >&2; exit 1
+fi
+grep -q 'arrival_us,service,duration_us,cpu_util,rpcs' "$cachedir/cols3.err"
 if "$cachedir/umprof" -trace "$cachedir/trace.csv" -whatif 2>"$cachedir/conflict.err"; then
     echo "umprof accepted -trace with -whatif" >&2; exit 1
 fi

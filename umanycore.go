@@ -181,8 +181,8 @@ type (
 )
 
 // ParseTrace reads the replayable CSV wire format
-// (arrival_us,service,duration_us,cpu_util,rpcs — or the legacy 3-column
-// form) with strict, line-numbered validation.
+// (arrival_us,service,duration_us,cpu_util,rpcs) with strict, line-numbered
+// validation.
 func ParseTrace(r io.Reader) (*ExternalTrace, error) { return svcgraph.ParseTrace(r) }
 
 // LayeredApp builds a layered service DAG — levels tiers, each non-leaf
@@ -317,38 +317,39 @@ func MaxQoSThroughput(cfg Config, app *App, qosFactor, loRPS, hiRPS float64, see
 	return machine.MaxQoSThroughput(cfg, app, qosFactor, loRPS, hiRPS, seed)
 }
 
-// PackagePower returns the total package power in watts for the three §5
-// designs ("uManycore", "ScaleOut", "ServerClass-40", "ServerClass-128") —
-// the CACTI/McPAT stand-in.
-func PackagePower(name string) float64 {
+// chipSpec resolves a §5 design name to its chip spec; ok is false for an
+// unknown name.
+func chipSpec(name string) (spec power.ChipSpec, ok bool) {
 	switch name {
 	case "uManycore":
-		return power.UManycoreChip().TotalPower()
+		return power.UManycoreChip(), true
 	case "ScaleOut":
-		return power.ScaleOutChip().TotalPower()
+		return power.ScaleOutChip(), true
 	case "ServerClass-40":
-		return power.ServerClassChip(40).TotalPower()
+		return power.ServerClassChip(40), true
 	case "ServerClass-128":
-		return power.ServerClassChip(128).TotalPower()
-	default:
-		return 0
+		return power.ServerClassChip(128), true
 	}
+	return spec, false
 }
 
-// PackageArea returns the package area in mm² for the same designs.
-func PackageArea(name string) float64 {
-	switch name {
-	case "uManycore":
-		return power.UManycoreChip().TotalArea()
-	case "ScaleOut":
-		return power.ScaleOutChip().TotalArea()
-	case "ServerClass-40":
-		return power.ServerClassChip(40).TotalArea()
-	case "ServerClass-128":
-		return power.ServerClassChip(128).TotalArea()
-	default:
-		return 0
+// PackagePower returns the total package power in watts for the three §5
+// designs ("uManycore", "ScaleOut", "ServerClass-40", "ServerClass-128") —
+// the CACTI/McPAT stand-in — and 0 for any other name.
+func PackagePower(name string) float64 {
+	if c, ok := chipSpec(name); ok {
+		return c.TotalPower()
 	}
+	return 0
+}
+
+// PackageArea returns the package area in mm² for the same designs, and 0
+// for any other name.
+func PackageArea(name string) float64 {
+	if c, ok := chipSpec(name); ok {
+		return c.TotalArea()
+	}
+	return 0
 }
 
 // DefaultExperimentOptions returns full-fidelity experiment settings (the
