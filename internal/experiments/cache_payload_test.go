@@ -237,7 +237,7 @@ func TestPreimagesRefuseAttachments(t *testing.T) {
 		return map[string][]byte{
 			"runCell":     runCell{cfg, rc}.Key(),
 			"p99Cell":     p99Cell{runCell{cfg, rc}}.Key(),
-			"fig18Search": fig18Search{cfg: cfg, hiRPS: 1, rc: rc}.Key(),
+			"fig18Search": fig18Search{cfg: cfg, roots: []int{app.Root}, limits: []float64{1}, hiRPS: 1, rc: rc}.Key(),
 			"fleetCell":   fleetCell{fc, app, 1000, rc, 1}.Key(),
 		}
 	}

@@ -133,66 +133,66 @@ type Fig18Row struct {
 
 // Fig18 reproduces Figure 18. The searched request types are restricted to
 // o.Apps (the full default suite covers all eight); the offered load is
-// always the full mix. The per-(arch, type) binary searches are independent,
-// so each runs as one sweep job (its probes stay sequential — a search is
-// inherently iterative).
+// always the full mix. Each architecture's searches are one sweep job;
+// rows come in architecture order, then mix order.
 func Fig18(o Options) []Fig18Row {
 	o = o.normalized()
 	catalog := o.Apps[0].Catalog
+	cells := fig18Cells(o)
+	maxes := sweep.MapCached(o.Parallel, cells)
+	var rows []Fig18Row
+	for i, c := range cells {
+		for j, root := range c.roots {
+			rows = append(rows, Fig18Row{App: catalog.Service(root).Name, Arch: c.cfg.Name, MaxRPS: maxes[i][j]})
+		}
+	}
+	return rows
+}
+
+// fig18Cells runs the contention-free mix once per architecture and
+// returns that architecture's search cell, its limits 5× each wanted
+// type's contention-free mean.
+func fig18Cells(o Options) []fig18Search {
 	wanted := map[int]bool{}
 	for _, a := range o.Apps {
 		wanted[a.Root] = true
 	}
-	mix := workload.SocialNetworkMix()
-
-	// Stage 1: contention-free per-type averages, one run per architecture.
 	archs := archSet()
 	cfCells := make([]runCell, len(archs))
 	for i, cfg := range archs {
 		cfCells[i] = runCell{cfg, o.mixedRC(100, 2*sim.Second)}
 	}
 	cfRuns := sweep.MapCached(o.Parallel, cfCells)
-
-	// Stage 2: one QoS search per (architecture, request type).
-	var jobs []fig18Search
+	cells := make([]fig18Search, len(archs))
 	for i, cfg := range archs {
-		limits := map[int]float64{}
-		for root, sum := range cfRuns[i].PerRoot {
-			limits[root] = 5 * sum.Mean
-		}
-		hi := 400000.0
+		c := fig18Search{cfg: cfg, hiRPS: 400000, rc: o.mixedRC(0, o.Duration)}
 		if cfg.Name == "ServerClass-40" {
-			hi = 80000
+			c.hiRPS = 80000
 		}
-		for _, e := range mix {
-			if !wanted[e.Root] {
-				continue
+		for _, e := range workload.SocialNetworkMix() {
+			if wanted[e.Root] {
+				c.roots = append(c.roots, e.Root)
+				c.limits = append(c.limits, 5*cfRuns[i].PerRoot[e.Root].Mean)
 			}
-			jobs = append(jobs, fig18Search{
-				cfg: cfg, root: e.Root, limit: limits[e.Root], hiRPS: hi,
-				rc: o.mixedRC(0, o.Duration),
-			})
 		}
+		cells[i] = c
 	}
-	maxes := sweep.MapCached(o.Parallel, jobs)
-	rows := make([]Fig18Row, len(jobs))
-	for i, j := range jobs {
-		rows[i] = Fig18Row{App: catalog.Service(j.root).Name, Arch: j.cfg.Name, MaxRPS: maxes[i]}
-	}
-	return rows
+	return cells
 }
 
-// fig18Search is one Fig 18 QoS search ("fig18/search"). The whole binary
-// search is one cell: its probes are an iterative refinement, so the
-// cacheable unit is the search outcome. The cell holds everything a probe
-// reads — the searched config, the QoS limit from stage 1, the upper
-// search bound, and the probe RunConfig (rps 0: each probe sets it).
+// fig18Search is one architecture's Fig 18 QoS searches ("fig18/search"),
+// one binary search per root over its own limit. The searches are one cell
+// because a search is an iterative refinement, so the cacheable unit is its
+// outcome, and because every root reads its P99 from the same mixed run.
+// The cell holds everything a probe reads: the config, the roots and their
+// limits, the upper search bound, and the probe RunConfig (rps 0: each
+// probe sets it).
 type fig18Search struct {
-	cfg   machine.Config
-	root  int
-	limit float64
-	hiRPS float64
-	rc    machine.RunConfig
+	cfg    machine.Config
+	roots  []int
+	limits []float64
+	hiRPS  float64
+	rc     machine.RunConfig
 }
 
 func (s fig18Search) Key() []byte {
@@ -201,27 +201,40 @@ func (s fig18Search) Key() []byte {
 	}
 	return sweepcache.NewKey("fig18/search").
 		Any("cfg", s.cfg).
-		Int("root", int64(s.root)).
-		Float("limit", s.limit).
+		Any("roots", s.roots).
+		Any("limits", s.limits).
 		Float("lo", fig18SearchLoRPS).
 		Float("hi", s.hiRPS).
 		Any("rc", s.rc).
 		Preimage()
 }
 
-func (s fig18Search) Run() float64 {
-	ok := func(rps float64) bool {
-		rc := s.rc
-		rc.RPS = rps
-		res := machine.Run(s.cfg, rc)
-		bad := float64(res.Rejected) + float64(res.Unfinished)
-		if res.Completed == 0 || bad > 0.01*float64(res.Submitted) {
-			return false
+// Run returns each root's maximum QoS-safe RPS, in roots order. Each root
+// keeps its own probe sequence; a load is simulated only the first time a
+// root probes it, and its per-root summaries are kept (nil when more than
+// 1% of roots were rejected or unfinished: no root passes there).
+func (s fig18Search) Run() []float64 {
+	probes := map[float64]map[int]stats.Summary{}
+	maxes := make([]float64, len(s.roots))
+	for i, root := range s.roots {
+		ok := func(rps float64) bool {
+			per, done := probes[rps]
+			if !done {
+				rc := s.rc
+				rc.RPS = rps
+				res := machine.Run(s.cfg, rc)
+				bad := float64(res.Rejected) + float64(res.Unfinished)
+				if res.Completed > 0 && bad <= 0.01*float64(res.Submitted) {
+					per = res.PerRoot
+				}
+				probes[rps] = per
+			}
+			sum, okRoot := per[root]
+			return okRoot && sum.N > 0 && sum.P99 <= s.limits[i]
 		}
-		sum, okRoot := res.PerRoot[s.root]
-		return okRoot && sum.N > 0 && sum.P99 <= s.limit
+		maxes[i] = binarySearchMax(ok, fig18SearchLoRPS, s.hiRPS)
 	}
-	return binarySearchMax(ok, fig18SearchLoRPS, s.hiRPS)
+	return maxes
 }
 
 // fig18SearchLoRPS is the QoS search's lower bound. It is part of every

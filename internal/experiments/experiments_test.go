@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"umanycore/internal/machine"
 	"umanycore/internal/sim"
 	"umanycore/internal/uarch"
 	"umanycore/internal/workload"
@@ -356,6 +357,64 @@ func TestSec68Shape(t *testing.T) {
 	// μManycore at 15K.
 	if res.MeanTailRatio < 1.2 {
 		t.Errorf("iso-area tail ratio = %v, want > 1.2", res.MeanTailRatio)
+	}
+}
+
+// TestFig18SharedProbesMatchIndependentSearches: one architecture's search
+// cell reads every type's probes from one memo, and must return exactly the
+// maxima of independent per-type searches that simulate each probe afresh.
+// Every reported maximum above the search floor must also pass its QoS rule
+// when re-probed.
+func TestFig18SharedProbesMatchIndependentSearches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	o := DefaultOptions()
+	o.Duration = 40 * sim.Millisecond
+	o.Warmup = 10 * sim.Millisecond
+	o.Drain = 200 * sim.Millisecond
+	o.Apps = appsSubset("HomeT", "UrlShort")
+	o.Parallel = 1
+	cells := fig18Cells(o.normalized())
+	if len(cells) != 3 {
+		t.Fatalf("%d search cells, want one per architecture", len(cells))
+	}
+	above := 0
+	for _, c := range cells {
+		got := c.Run()
+		if len(got) != 2 || len(c.roots) != 2 || len(c.limits) != 2 {
+			t.Fatalf("%s: %d maxima for roots %v", c.cfg.Name, len(got), c.roots)
+		}
+		probes, distinct := 0, map[float64]bool{}
+		for i, root := range c.roots {
+			pass := func(rps float64) bool {
+				probes++
+				distinct[rps] = true
+				rc := c.rc
+				rc.RPS = rps
+				res := machine.Run(c.cfg, rc)
+				bad := float64(res.Rejected) + float64(res.Unfinished)
+				if res.Completed == 0 || bad > 0.01*float64(res.Submitted) {
+					return false
+				}
+				sum, ok := res.PerRoot[root]
+				return ok && sum.N > 0 && sum.P99 <= c.limits[i]
+			}
+			want := binarySearchMax(pass, fig18SearchLoRPS, c.hiRPS)
+			if got[i] != want {
+				t.Errorf("%s root %d: shared search %v, independent search %v", c.cfg.Name, root, got[i], want)
+			}
+			if got[i] > fig18SearchLoRPS {
+				above++
+				if !pass(got[i]) {
+					t.Errorf("%s root %d: QoS violated at reported max %v", c.cfg.Name, root, got[i])
+				}
+			}
+		}
+		t.Logf("%s: maxima %v; independent searches ran %d probes over %d loads", c.cfg.Name, got, probes, len(distinct))
+	}
+	if above == 0 {
+		t.Fatal("no maximum above the search floor: the QoS re-probe checked nothing")
 	}
 }
 

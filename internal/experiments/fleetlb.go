@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"umanycore/internal/fleet"
-	"umanycore/internal/machine"
 	"umanycore/internal/sweep"
 )
 
@@ -75,21 +74,6 @@ func columnParity(results []*fleet.Result, cols int) []bool {
 	return parity
 }
 
-// fleetLBConfig is the study's fleet: μManycore servers, one straggler
-// running 3× slower — the skew that separates queue-aware policies from
-// oblivious ones. Call chains stay mostly local (cross-server fraction 0.1
-// instead of the default 0.5): with heavy cross-server fan-out every
-// request samples the straggler through its children no matter where the
-// balancer put it, which washes out the routing comparison the study is
-// about.
-func fleetLBConfig() fleet.Config {
-	fc := fleet.DefaultConfig(machine.UManycoreConfig())
-	fc.Servers = 4
-	fc.Slowdown = []float64{1, 1, 1, 3}
-	fc.CrossServerFrac = 0.1
-	return fc
-}
-
 // FleetLB compares load-balancer policies on a skewed coupled fleet: P99 vs
 // offered load for round-robin, uniform-random, least-outstanding and
 // power-of-two-choices routing over the same arrival sequences. Uniform
@@ -105,7 +89,7 @@ func FleetLB(o Options) []FleetLBRow {
 	var cells []fleetCell
 	for _, policy := range policies {
 		for _, perServer := range o.Loads {
-			fc := fleetLBConfig()
+			fc := fleetScaleConfig(4)
 			fc.LB = policy
 			total := perServer * float64(fc.Servers)
 			// Policies at one load share a seed: the comparison is paired

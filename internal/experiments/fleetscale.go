@@ -37,10 +37,15 @@ type FleetScaleRow struct {
 	EventsProcessed uint64
 }
 
-// fleetScaleConfig is the scale study's fleet: n μManycore servers with one
-// 3× straggler per four servers — the straggler *fraction* stays constant
-// as the fleet grows, so policies are compared on fleets that get bigger,
-// not healthier. Cross-server traffic stays at the FleetLB study's 0.1.
+// fleetScaleConfig is the straggler studies' fleet: n μManycore servers
+// with one 3× straggler per four servers — the skew that separates
+// queue-aware policies from oblivious ones. FleetLB runs it at n = 4; the
+// scale study keeps the straggler *fraction* constant as the fleet grows,
+// so policies are compared on fleets that get bigger, not healthier. Call
+// chains stay mostly local (cross-server fraction 0.1 instead of the
+// default 0.5): with heavy cross-server fan-out every request samples a
+// straggler through its children no matter where the balancer put it,
+// which washes out the routing comparison the studies are about.
 func fleetScaleConfig(n int) fleet.Config {
 	fc := fleet.DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = n

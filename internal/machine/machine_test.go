@@ -469,28 +469,6 @@ func TestMeanHopsReflectTopology(t *testing.T) {
 	}
 }
 
-func TestContentionFreeAvgAndQoS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	cfg := UManycoreConfig()
-	app := appByName(t, "UrlShort")
-	avg := ContentionFreeAvg(cfg, app, 7)
-	if avg <= 0 {
-		t.Fatal("no contention-free average")
-	}
-	thr := MaxQoSThroughput(cfg, app, 5, 1000, 400000, 7)
-	if thr < 1000 {
-		t.Fatalf("QoS throughput = %v", thr)
-	}
-	// The QoS-max load must actually satisfy QoS.
-	res := Run(cfg, RunConfig{App: app, RPS: thr, Duration: 400 * sim.Millisecond,
-		Warmup: 80 * sim.Millisecond, Seed: 7})
-	if res.Latency.P99 > 5.5*avg {
-		t.Fatalf("QoS violated at reported max: p99 %v vs limit %v", res.Latency.P99, 5*avg)
-	}
-}
-
 func TestBurstyArrivalsRun(t *testing.T) {
 	res := Run(UManycoreConfig(), RunConfig{
 		App: appByName(t, "User"), RPS: 5000,

@@ -141,54 +141,3 @@ func Run(cfg Config, rc RunConfig) *Result {
 	enginePool.Put(eng)
 	return res
 }
-
-// ContentionFreeAvg measures the average end-to-end latency at near-zero
-// load — the QoS reference of §6.5 ("5× the contention-free average").
-func ContentionFreeAvg(cfg Config, app *workload.App, seed int64) float64 {
-	res := Run(cfg, RunConfig{
-		App:      app,
-		RPS:      50, // sparse enough that requests never overlap
-		Duration: 2 * sim.Second,
-		Warmup:   200 * sim.Millisecond,
-		Seed:     seed,
-	})
-	return res.Latency.Mean
-}
-
-// MaxQoSThroughput binary-searches the largest offered load whose P99 stays
-// within qosFactor× the contention-free average and whose rejections remain
-// negligible (Fig 18). Returns the throughput in RPS.
-func MaxQoSThroughput(cfg Config, app *workload.App, qosFactor float64, loRPS, hiRPS float64, seed int64) float64 {
-	limit := qosFactor * ContentionFreeAvg(cfg, app, seed)
-	ok := func(rps float64) bool {
-		res := Run(cfg, RunConfig{
-			App:      app,
-			RPS:      rps,
-			Duration: 500 * sim.Millisecond,
-			Warmup:   100 * sim.Millisecond,
-			Drain:    sim.Second,
-			Seed:     seed,
-		})
-		if res.Completed == 0 {
-			return false
-		}
-		bad := float64(res.Rejected) + float64(res.Unfinished)
-		if bad > 0.01*float64(res.Submitted) {
-			return false
-		}
-		return res.Latency.P99 <= limit
-	}
-	if !ok(loRPS) {
-		return loRPS
-	}
-	lo, hi := loRPS, hiRPS
-	for hi-lo > 0.05*lo {
-		mid := (lo + hi) / 2
-		if ok(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -73,9 +73,10 @@ go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcac
 # Cache gate: a cold run must fill the cache, a warm run must reuse it, a
 # verify run must recompute without a single byte of drift — and all three
 # must print byte-identical figures. The figure set runs every cell type but
-# two: runCell (e2e), p99Cell (Fig 20), fig9Side (Fig 9) and fleetCell (lb,
-# and control's controlled fleets); the Go cache battery covers
-# fig18Search and the what-if grid cell. The
+# one: runCell (e2e, and Fig 18's contention-free runs), p99Cell (Fig 20),
+# fig9Side (Fig 9), fig18Search (Fig 18, one search cell per architecture)
+# and fleetCell (lb, and control's controlled fleets); the Go cache battery
+# covers the what-if grid cell. The
 # warm pass must hit every cell the cold pass stored, with no misses: a
 # payload that fails its decode check reads as a miss and fails here. This
 # is the end-to-end version of the determinism battery, through the real CLI.
@@ -83,7 +84,7 @@ echo "== sweep cache cold/warm/verify =="
 cachedir=$(mktemp -d)
 trap 'rm -rf "$cachedir"' EXIT
 go build -o "$cachedir/umbench" ./cmd/umbench
-cachefigs=lb,e2e,9,20,control
+cachefigs=lb,e2e,9,18,20,control
 "$cachedir/umbench" -quick -figures "$cachefigs" -cache "$cachedir/cells" \
     >"$cachedir/cold.out" 2>"$cachedir/cold.err"
 "$cachedir/umbench" -quick -figures "$cachefigs" -cache "$cachedir/cells" \

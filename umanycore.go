@@ -304,19 +304,6 @@ func RunFleet(fc FleetConfig, app *App, totalRPS float64, rc RunConfig, seed int
 // DefaultFleet wraps a machine config in the paper's 10-server cluster.
 func DefaultFleet(m Config) FleetConfig { return fleet.DefaultConfig(m) }
 
-// ContentionFreeAvg measures an architecture's average end-to-end latency
-// at near-zero load — the QoS reference of §6.5.
-func ContentionFreeAvg(cfg Config, app *App, seed int64) float64 {
-	return machine.ContentionFreeAvg(cfg, app, seed)
-}
-
-// MaxQoSThroughput binary-searches the largest load whose P99 stays within
-// qosFactor× the contention-free average (Fig 18's metric) for a
-// single-request-type workload.
-func MaxQoSThroughput(cfg Config, app *App, qosFactor, loRPS, hiRPS float64, seed int64) float64 {
-	return machine.MaxQoSThroughput(cfg, app, qosFactor, loRPS, hiRPS, seed)
-}
-
 // chipSpec resolves a §5 design name to its chip spec; ok is false for an
 // unknown name.
 func chipSpec(name string) (spec power.ChipSpec, ok bool) {

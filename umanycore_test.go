@@ -98,21 +98,6 @@ func TestPowerAreaAPI(t *testing.T) {
 	}
 }
 
-func TestQoSAPI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	app := SocialNetworkApps()[len(SocialNetworkApps())-1] // UrlShort
-	avg := ContentionFreeAvg(UManycore(), app, 5)
-	if avg <= 0 {
-		t.Fatal("no contention-free average")
-	}
-	thr := MaxQoSThroughput(UManycore(), app, 5, 1000, 200000, 5)
-	if thr < 1000 {
-		t.Fatalf("QoS throughput = %v", thr)
-	}
-}
-
 func TestFigureAPISmoke(t *testing.T) {
 	o := DefaultExperimentOptions()
 	o.Duration = 60 * Millisecond
