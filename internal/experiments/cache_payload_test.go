@@ -102,7 +102,7 @@ func payloadControlledFleet(t *testing.T) *fleet.Result {
 	cfg.LeafSpineCfg.LeavesPerPod = 2
 	fc := fleet.DefaultConfig(cfg)
 	fc.Servers = 3
-	fc.CrossServerFrac = 0.25
+	fc.Machine.RemoteCallFrac = 0.25
 	fc.Control = &control.Config{
 		MaxRetries:    3,
 		RetryBase:     50 * sim.Microsecond,

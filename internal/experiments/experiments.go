@@ -7,17 +7,18 @@
 // 5/10/15K RPS with Poisson arrivals, a 10-server fleet, end-to-end latency
 // from client send to client receive, and P99 as the tail metric. The fleet
 // is not simulated server by server: withFleetCoupling gives one machine the
-// cluster's cross-server RPC parameters, so each child RPC draws a
-// per-machine lottery (probability 0.5) to count as remote, and a remote
-// call pays the 1μs inter-server RTT but still runs on this machine, which
-// stands in for its symmetric peers. These figures never call
-// internal/fleet; the coupled-fleet studies (FleetLB, FleetScale,
-// FleetGraph, FleetControl) do.
+// cluster's cross-server RPC parameters (fleet.DefaultConfig's), so each
+// child RPC draws a per-machine lottery (probability 0.5) to count as
+// remote, and a remote call pays the 1μs inter-server RTT but still runs on
+// this machine, which stands in for its symmetric peers. These figures never
+// run a fleet; the coupled-fleet studies (FleetLB, FleetScale, FleetGraph,
+// FleetControl) do.
 package experiments
 
 import (
 	"sort"
 
+	"umanycore/internal/fleet"
 	"umanycore/internal/machine"
 	"umanycore/internal/sim"
 	"umanycore/internal/stats"
@@ -131,9 +132,7 @@ func sortedRoots(per map[int]stats.Summary) []int {
 // withFleetCoupling applies the 10-server cluster's cross-server RPC
 // parameters to a machine config (§5 methodology).
 func withFleetCoupling(cfg machine.Config) machine.Config {
-	cfg.RemoteCallFrac = 0.5
-	cfg.RemoteRTT = 1 * sim.Microsecond
-	return cfg
+	return fleet.DefaultConfig(cfg).Machine
 }
 
 // archSet returns the three §5 processors with fleet coupling.

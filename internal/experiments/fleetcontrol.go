@@ -64,7 +64,7 @@ func fleetControlConfig(servers int) fleet.Config {
 	cfg.LeafSpineCfg.LeavesPerPod = 2
 	fc := fleet.DefaultConfig(cfg)
 	fc.Servers = servers
-	fc.CrossServerFrac = 0.25
+	fc.Machine.RemoteCallFrac = 0.25
 	return fc
 }
 

@@ -49,7 +49,7 @@ type FleetScaleRow struct {
 func fleetScaleConfig(n int) fleet.Config {
 	fc := fleet.DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = n
-	fc.CrossServerFrac = 0.1
+	fc.Machine.RemoteCallFrac = 0.1
 	fc.Slowdown = make([]float64, n)
 	for s := range fc.Slowdown {
 		fc.Slowdown[s] = 1

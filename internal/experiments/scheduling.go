@@ -62,7 +62,6 @@ func Fig3(o Options) []Fig3Row {
 		// paper studies ICN contention separately in Fig 7).
 		cfg.IOViaICN = false
 		cfg.Policy = sched.Policy{
-			Name:          "lock-fcfs",
 			CSCycles:      sched.SoftwareCSCycles,
 			DequeueCycles: 100,
 			EnqueueCycles: 60,

@@ -25,7 +25,7 @@ func overloadFleet(servers int) Config {
 	cfg.LeafSpineCfg.LeavesPerPod = 2
 	fc := DefaultConfig(cfg)
 	fc.Servers = servers
-	fc.CrossServerFrac = 0.25
+	fc.Machine.RemoteCallFrac = 0.25
 	return fc
 }
 

@@ -46,28 +46,27 @@ import (
 type Config struct {
 	// Servers is the fleet size (paper: 10).
 	Servers int
-	// Machine is the per-server processor configuration.
-	Machine machine.Config
-	// CrossServerFrac is the probability a child RPC targets another
-	// server. With instances spread over N servers and uniform routing it
-	// is (N-1)/N, but deployments keep call chains local; 0.5 is the
-	// default. A one-server fleet has no peers, so the effective fraction
-	// clamps to zero when Servers == 1. Ignored in graph mode (Graph below):
+	// Machine is the per-server processor configuration. Its
+	// RemoteCallFrac is the probability a child RPC targets another server
+	// and its RemoteRTT the server-to-server round trip (Table 2: 1μs),
+	// whose half is the PDES lookahead. With instances spread over N
+	// servers and uniform routing the fraction would be (N-1)/N, but
+	// deployments keep call chains local; DefaultConfig sets 0.5. A
+	// one-server fleet has no peers, so the effective fraction clamps to
+	// zero when Servers == 1, and graph mode (Graph below) ignores it:
 	// there, routing is the placement map, not a lottery.
-	CrossServerFrac float64
+	Machine machine.Config
 	// Graph, when non-nil, runs the fleet as an explicit service-graph
 	// deployment (see internal/svcgraph): Graph.Placement assigns each
 	// catalog service to a subset of the servers, every server builds via
 	// machine.NewPlaced hosting only its assigned services, a child RPC to
 	// a service not hosted locally ships through the PDES fabric to a
-	// hosting peer (replacing the CrossServerFrac lottery), and the
+	// hosting peer (replacing the RemoteCallFrac lottery), and the
 	// dispatcher's balancer routes each root over the servers hosting its
 	// root service. The trace source rides machine.RunConfig.Replay, so a
 	// graph fleet can replay external traces; the control loop is not
 	// supported in graph or replay mode. A graph needs Servers >= 2.
 	Graph *svcgraph.Spec
-	// InterServerRTT is the server-to-server round trip (Table 2: 1μs).
-	InterServerRTT sim.Time
 	// LB names the load-balancer policy: "rr" (round-robin, the default),
 	// "rand", "least", or "p2c" — see ParseLB.
 	LB string
@@ -75,12 +74,6 @@ type Config struct {
 	// Slowdown[s]× slower (its PerfFactor is divided by the entry). Missing,
 	// zero or negative entries mean 1.0 (no slowdown).
 	Slowdown []float64
-	// WhatIfPerServer overrides Machine.WhatIf (the fleet-wide virtual
-	// stage speedups of causal profiling — see machine.StageSpeedups and
-	// internal/whatif) for individual servers: a non-zero entry at index s
-	// replaces them on server s (missing or zero entries keep them). Lets
-	// a study ask "what if only the straggler's storage were faster".
-	WhatIfPerServer []machine.StageSpeedups
 	// ShardWorkers is ignored: every coupled run puts all its shards on one
 	// engine.
 	//
@@ -96,24 +89,22 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's 10-server fleet around the given
-// machine.
+// machine, with half of its child RPCs crossing a 1μs inter-server round
+// trip.
 func DefaultConfig(m machine.Config) Config {
-	return Config{
-		Servers:         10,
-		Machine:         m,
-		CrossServerFrac: 0.5,
-		InterServerRTT:  1 * sim.Microsecond,
-	}
+	m.RemoteCallFrac = 0.5
+	m.RemoteRTT = 1 * sim.Microsecond
+	return Config{Servers: 10, Machine: m}
 }
 
 // crossFrac is the effective cross-server probability: zero for a
 // one-server fleet (no peers exist) and for graph mode (placement decides
-// routing), CrossServerFrac otherwise.
+// routing), Machine.RemoteCallFrac otherwise.
 func (fc Config) crossFrac() float64 {
 	if fc.Servers <= 1 || fc.Graph != nil {
 		return 0
 	}
-	return fc.CrossServerFrac
+	return fc.Machine.RemoteCallFrac
 }
 
 // balancer instantiates the configured policy (fresh per run). Validate
@@ -155,8 +146,8 @@ func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 	if fc.controlOn() && fc.Servers < 2 {
 		return errors.New("fleet: Config.Control needs a coupled fleet of >= 2 servers")
 	}
-	if fc.Servers > 1 && fc.InterServerRTT < 2 {
-		return fmt.Errorf("fleet: coupled multi-server fleets need InterServerRTT >= 2ps (got %v); it is the PDES lookahead", fc.InterServerRTT)
+	if fc.Servers > 1 && fc.Machine.RemoteRTT < 2 {
+		return fmt.Errorf("fleet: coupled multi-server fleets need Machine.RemoteRTT >= 2ps (got %v); half of it is the PDES lookahead", fc.Machine.RemoteRTT)
 	}
 	if fc.Control != nil {
 		if err := fc.Control.Validate(); err != nil {
@@ -180,16 +171,13 @@ func (fc Config) Validate(app *workload.App, rc machine.RunConfig) error {
 }
 
 // serverConfig is server s's machine configuration: the shared base with
-// the fleet coupling applied, slowed by Slowdown[s] when configured.
+// the effective cross-server fraction, slowed by Slowdown[s] when
+// configured.
 func (fc Config) serverConfig(s int, cross float64) machine.Config {
 	mcfg := fc.Machine
 	mcfg.RemoteCallFrac = cross
-	mcfg.RemoteRTT = fc.InterServerRTT
 	if s < len(fc.Slowdown) && fc.Slowdown[s] > 0 {
 		mcfg.PerfFactor /= fc.Slowdown[s]
-	}
-	if s < len(fc.WhatIfPerServer) && !fc.WhatIfPerServer[s].IsZero() {
-		mcfg.WhatIf = fc.WhatIfPerServer[s]
 	}
 	return mcfg
 }

@@ -38,7 +38,7 @@ func stripWall(rs ...*Result) {
 
 func TestDefaultConfig(t *testing.T) {
 	fc := DefaultConfig(machine.UManycoreConfig())
-	if fc.Servers != 10 || fc.InterServerRTT != sim.Microsecond {
+	if fc.Servers != 10 || fc.Machine.RemoteCallFrac != 0.5 || fc.Machine.RemoteRTT != sim.Microsecond {
 		t.Fatalf("fleet defaults = %+v", fc)
 	}
 }
@@ -72,11 +72,11 @@ func TestFleetCrossServerSlowerThanLocal(t *testing.T) {
 	rc := machine.RunConfig{Duration: 200 * sim.Millisecond, Warmup: 40 * sim.Millisecond, Drain: sim.Second}
 	local := DefaultConfig(machine.UManycoreConfig())
 	local.Servers = 2
-	local.CrossServerFrac = 0
+	local.Machine.RemoteCallFrac = 0
 	remote := DefaultConfig(machine.UManycoreConfig())
 	remote.Servers = 2
-	remote.CrossServerFrac = 1
-	remote.InterServerRTT = 200 * sim.Microsecond
+	remote.Machine.RemoteCallFrac = 1
+	remote.Machine.RemoteRTT = 200 * sim.Microsecond
 	lres := Run(local, app, 4000, rc, 2)
 	rres := Run(remote, app, 4000, rc, 2)
 	if rres.Latency.Mean <= lres.Latency.Mean {
@@ -124,19 +124,16 @@ func TestValidate(t *testing.T) {
 		}), false, "Config.Graph does not support the control loop"},
 		{"replay with control", fleet(2, func(fc *Config) { fc.Control = fullControl() }), true, "trace replay does not support the control loop"},
 		{"one-server control", fleet(1, func(fc *Config) { fc.Control = fullControl() }), false, "Config.Control needs a coupled fleet"},
-		{"zero lookahead", fleet(2, func(fc *Config) { fc.InterServerRTT = 1 }), false, "InterServerRTT >= 2ps"},
+		{"zero lookahead", fleet(2, func(fc *Config) { fc.Machine.RemoteRTT = 1 }), false, "Machine.RemoteRTT >= 2ps"},
 		{"default", fleet(10, nil), false, ""},
-		{"one server ignores rtt", fleet(1, func(fc *Config) { fc.InterServerRTT = 0 }), false, ""},
+		{"one server ignores rtt", fleet(1, func(fc *Config) { fc.Machine.RemoteRTT = 0 }), false, ""},
 		{"graph replay", fleet(2, func(fc *Config) { fc.Graph = svcgraph.Colocated(services, 2) }), true, ""},
 		// Per-server machine configs and the control config: each of these
 		// used to validate and then panic in setup.
 		{"bad nic buffer", fleet(2, func(fc *Config) { fc.Machine.NICBufCapacity = -1 }), false, "server 0: machine: NIC buffer capacity -1"},
 		{"bad retry jitter", fleet(2, func(fc *Config) { fc.Control = &control.Config{MaxRetries: 2, RetryJitter: 1.5} }), false, "RetryJitter 1.5 outside [0,1]"},
 		{"shedding without slo", fleet(2, func(fc *Config) { fc.Control = &control.Config{ShedProb: 0.5} }), false, "shedding needs ShedSLOMicros"},
-		{"bad per-server speedup", fleet(2, func(fc *Config) {
-			fc.WhatIfPerServer = make([]machine.StageSpeedups, 2)
-			fc.WhatIfPerServer[1].Net = 2
-		}), false, "server 1: machine: what-if"},
+		{"bad speedup", fleet(2, func(fc *Config) { fc.Machine.WhatIf.Net = 2 }), false, "server 0: machine: what-if"},
 		// Each server's hosting check: pinned placement with fewer domains
 		// than hosted services used to panic partway through the run.
 		{"too few domains", fleet(2, func(fc *Config) { fc.Machine.Domains = 4 }), false, "server 0: machine: pinned placement of"},
@@ -180,8 +177,8 @@ func runPanic(fc Config, app *workload.App, rc machine.RunConfig) (msg string) {
 }
 
 // TestOneServerFleetMatchesMachineRun pins the one-server route and the
-// CrossServerFrac clamp: a 1-server fleet — even with the DefaultConfig's
-// CrossServerFrac of 0.5 — must reproduce a plain machine.Run of its
+// RemoteCallFrac clamp: a 1-server fleet — even with the DefaultConfig's
+// RemoteCallFrac of 0.5 — must reproduce a plain machine.Run of its
 // server config bit-for-bit, observability layers included, for every
 // arrival source and per-server config knob.
 func TestOneServerFleetMatchesMachineRun(t *testing.T) {
@@ -221,7 +218,7 @@ func TestOneServerFleetMatchesMachineRun(t *testing.T) {
 
 			fres := Run(fc, app, 12000, rc, 7)
 			if fres.RemoteServed != 0 {
-				t.Fatalf("1-server fleet shipped %d remote RPCs; CrossServerFrac not clamped", fres.RemoteServed)
+				t.Fatalf("1-server fleet shipped %d remote RPCs; RemoteCallFrac not clamped", fres.RemoteServed)
 			}
 			if fres.Completed == 0 {
 				t.Fatal("1-server fleet completed nothing")
@@ -324,16 +321,16 @@ func TestCoupledCrossServerRPCs(t *testing.T) {
 	rc := machine.RunConfig{Duration: 100 * sim.Millisecond, Warmup: 20 * sim.Millisecond, Drain: sim.Second}
 	fc := DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = 2
-	fc.CrossServerFrac = 1
-	fc.InterServerRTT = 100 * sim.Microsecond
+	fc.Machine.RemoteCallFrac = 1
+	fc.Machine.RemoteRTT = 100 * sim.Microsecond
 
 	res := Run(fc, app, 8000, rc, 5)
 	if res.RemoteServed == 0 {
-		t.Fatal("no cross-server RPCs served despite CrossServerFrac=1")
+		t.Fatal("no cross-server RPCs served despite RemoteCallFrac=1")
 	}
 
 	local := fc
-	local.CrossServerFrac = 0
+	local.Machine.RemoteCallFrac = 0
 	lres := Run(local, app, 8000, rc, 5)
 	if lres.RemoteServed != 0 {
 		t.Fatalf("local fleet served %d remote RPCs", lres.RemoteServed)
@@ -359,8 +356,8 @@ func TestFleetStitchedTracing(t *testing.T) {
 	fc := DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = 3
 	fc.LB = "p2c"
-	fc.CrossServerFrac = 1
-	fc.InterServerRTT = 100 * sim.Microsecond
+	fc.Machine.RemoteCallFrac = 1
+	fc.Machine.RemoteRTT = 100 * sim.Microsecond
 
 	res := Run(fc, app, 18000, rc, 13)
 	if res.RemoteServed == 0 {
@@ -432,7 +429,7 @@ func TestFleetStitchedTracing(t *testing.T) {
 		}
 	}
 	if active < 2 {
-		t.Fatalf("critical path touched %d servers, want >= 2 with CrossServerFrac=1", active)
+		t.Fatalf("critical path touched %d servers, want >= 2 with RemoteCallFrac=1", active)
 	}
 
 	// Fabric self-observability: Result.Fabric and the pdes.* metrics agree.
@@ -488,8 +485,8 @@ func TestStitchedObsShardWorkerDeterminism(t *testing.T) {
 	fc := DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = 3
 	fc.LB = "p2c"
-	fc.CrossServerFrac = 1
-	fc.InterServerRTT = 100 * sim.Microsecond
+	fc.Machine.RemoteCallFrac = 1
+	fc.Machine.RemoteRTT = 100 * sim.Microsecond
 
 	run := func() *Result { return Run(fc, app, 18000, rc, 13) }
 	exemplarJSON := func(r *Result) []byte {
@@ -525,7 +522,7 @@ func TestSkewedFleetP2CBeatsRandom(t *testing.T) {
 	rc := machine.RunConfig{Duration: 150 * sim.Millisecond, Warmup: 30 * sim.Millisecond, Drain: sim.Second}
 	fc := DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = 4
-	fc.CrossServerFrac = 0
+	fc.Machine.RemoteCallFrac = 0
 	fc.Slowdown = []float64{1, 1, 1, 4}
 
 	fc.LB = "p2c"

@@ -28,7 +28,7 @@ func singleSvcApp(t *testing.T) *workload.App {
 // a colocated single-service graph adds no cross-server edges and routes
 // every root over the full fleet, so its result must be byte-identical (via
 // its JSON cell payload) to the plain replicated fleet with
-// CrossServerFrac = 0 — same machines, same RNG draws, same arrivals.
+// RemoteCallFrac = 0 — same machines, same RNG draws, same arrivals.
 func TestGraphColocatedSingleServiceMatchesPlainFleet(t *testing.T) {
 	app := singleSvcApp(t)
 	rc := machine.RunConfig{Duration: 40 * sim.Millisecond, Warmup: 8 * sim.Millisecond, Drain: 500 * sim.Millisecond}
@@ -36,7 +36,7 @@ func TestGraphColocatedSingleServiceMatchesPlainFleet(t *testing.T) {
 		plain := DefaultConfig(machine.UManycoreConfig())
 		plain.Servers = 4
 		plain.LB = lb
-		plain.CrossServerFrac = 0
+		plain.Machine.RemoteCallFrac = 0
 
 		graph := plain
 		graph.Graph = svcgraph.Colocated(len(app.Catalog.Services), plain.Servers)

@@ -26,7 +26,7 @@ func TestFleetObsOffZeroAllocDelta(t *testing.T) {
 	app := homeT(t)
 	fc := DefaultConfig(machine.UManycoreConfig())
 	fc.Servers = 2
-	fc.CrossServerFrac = 1
+	fc.Machine.RemoteCallFrac = 1
 	rc := machine.RunConfig{Duration: 20 * sim.Millisecond, Warmup: 4 * sim.Millisecond, Drain: 200 * sim.Millisecond}
 	r := Run(fc, app, 6000, rc, 42) // warm the engine pool and workload caches
 	if r.Obs != nil || r.RemoteServed == 0 {

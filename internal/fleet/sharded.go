@@ -113,7 +113,7 @@ func runCoupled(fc Config, app *workload.App, totalRPS float64, rc machine.RunCo
 	// Lookahead = one wire direction. The fabric needs it strictly positive,
 	// which Validate guarantees: a fleet with a zero RTT has no minimum
 	// cross-server latency to exploit.
-	lookahead := fc.InterServerRTT / 2
+	lookahead := fc.Machine.RemoteRTT / 2
 
 	// The engine is seeded with the run seed, which the dispatcher's
 	// "arrivals" and "fleet-lb" streams derive from; server randomness comes

@@ -63,7 +63,7 @@ func TestChaosConservation(t *testing.T) {
 			t.Fatalf("trial %d: negative unfinished: %+v", trial, res)
 		}
 		if res.Completed > 0 && res.Latency.N > 0 {
-			floor := 2 * cfg.IngressLatency.Micros()
+			floor := 2 * ingressLatency.Micros()
 			if res.Latency.Mean < floor {
 				t.Fatalf("trial %d: mean latency %v below physical floor %v",
 					trial, res.Latency.Mean, floor)
@@ -91,7 +91,7 @@ func TestChaosDrainCompletes(t *testing.T) {
 		sched.ZygOSSched(),
 		// A distributed software queue with no dispatcher and no
 		// stealing, at a stock kernel's costs.
-		{Name: "linux", CSCycles: 5000, DequeueCycles: 1500, EnqueueCycles: 800},
+		{CSCycles: 5000, DequeueCycles: 1500, EnqueueCycles: 800},
 	}
 	for i, pol := range policies {
 		cfg := ScaleOutConfig()
@@ -108,10 +108,10 @@ func TestChaosDrainCompletes(t *testing.T) {
 			Seed:     int64(100 + i),
 		})
 		if res.Unfinished != 0 {
-			t.Fatalf("policy %s left %d unfinished requests", pol.Name, res.Unfinished)
+			t.Fatalf("policy %d left %d unfinished requests", i, res.Unfinished)
 		}
 		if res.Completed+res.Rejected == 0 {
-			t.Fatalf("policy %s completed nothing", pol.Name)
+			t.Fatalf("policy %d completed nothing", i)
 		}
 	}
 }

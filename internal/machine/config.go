@@ -113,24 +113,6 @@ type Config struct {
 	// (villageResumePenaltyCycles).
 	GlobalCoherence bool
 
-	// RPC/NIC processing.
-	// RPCProcCycles runs on the receiving core before a handler starts
-	// (software RPC stacks); zero when the NIC does RPC processing in
-	// hardware (§4.3).
-	RPCProcCycles int
-	// SendProcCycles runs on the sending core per outgoing RPC (software).
-	SendProcCycles int
-	// ResumeProcCycles runs on the core when a blocked request's response
-	// is processed (software deserialization); hardware NICs deposit the
-	// response directly in the Request Context Memory (§4.4).
-	ResumeProcCycles int
-	// NICHWDelay is the hardware NIC's per-message processing latency
-	// (off-core).
-	NICHWDelay sim.Time
-	// IngressLatency is top-level-NIC-to-leaf delivery for external
-	// requests (and the reverse for responses).
-	IngressLatency sim.Time
-
 	// Storage.
 	// StorageLossProb, when positive, makes the external storage network
 	// lossy: storage requests go through a per-cluster R-NIC with
@@ -207,11 +189,6 @@ func (c *Config) Validate() error {
 		{"Policy.DequeueCycles", int64(c.Policy.DequeueCycles)},
 		{"Policy.EnqueueCycles", int64(c.Policy.EnqueueCycles)},
 		{"Policy.StealCycles", int64(c.Policy.StealCycles)},
-		{"RPCProcCycles", int64(c.RPCProcCycles)},
-		{"SendProcCycles", int64(c.SendProcCycles)},
-		{"ResumeProcCycles", int64(c.ResumeProcCycles)},
-		{"NICHWDelay", int64(c.NICHWDelay)},
-		{"IngressLatency", int64(c.IngressLatency)},
 		{"RemoteRTT", int64(c.RemoteRTT)},
 	} {
 		if f.v < 0 {
@@ -262,19 +239,24 @@ func (c *Config) checkHosting(n int, colocate bool) error {
 	return nil
 }
 
-// Defaults shared by the presets.
+// Defaults shared by the presets, and the RPC costs newCostTable derives
+// from Policy.HardwareRQ.
 const (
 	defaultRQCapacity = 64
 	defaultNICBufCap  = 256
 	smallCorePerf     = 1.0
 
 	// The software "RPC tax" (Cerebros, MICRO'21): cycles a software stack
-	// spends per received RPC (header parsing, deserialization, dispatch),
-	// per sent RPC, and per processed response. μManycore's NIC performs
-	// all of this in hardware (§4.3), so it pays none of it on cores.
+	// spends on its cores per received RPC (header parsing,
+	// deserialization, dispatch), per sent RPC, and per processed
+	// response. A machine with software queues pays them; μManycore's NIC
+	// performs all of this in hardware (§4.3) and enqueues straight into
+	// the hardware RQ, so a Policy.HardwareRQ machine pays none of it on
+	// cores and hwNICDelay off-core per message instead (newCostTable).
 	softwareReceiveTax = 48000 // 16μs @3GHz, 24μs @2GHz
 	softwareSendTax    = 15000
 	softwareResumeTax  = 15000
+	hwNICDelay         = 200 * sim.Nanosecond
 )
 
 // Calibration constants every machine shares (DESIGN.md §5). The tests in
@@ -292,6 +274,9 @@ const (
 	// by internal/coherence.
 	coherencePenaltyCycles     = 600
 	villageResumePenaltyCycles = 100
+	// ingressLatency is top-level-NIC-to-leaf delivery for external
+	// requests, and the reverse for responses.
+	ingressLatency = 500 * sim.Nanosecond
 	// storageRTT is the network round trip to remote storage (Table 2:
 	// 1μs inter-server).
 	storageRTT = 1 * sim.Microsecond
@@ -331,10 +316,6 @@ func UManycoreConfig() Config {
 		IOViaICN:      false,
 
 		GlobalCoherence: false,
-		RPCProcCycles:   0,
-		SendProcCycles:  0,
-		NICHWDelay:      200 * sim.Nanosecond,
-		IngressLatency:  500 * sim.Nanosecond,
 	}
 }
 
@@ -361,12 +342,7 @@ func ScaleOutConfig() Config {
 		ICNContention: true,
 		IOViaICN:      true,
 
-		GlobalCoherence:  true,
-		RPCProcCycles:    softwareReceiveTax,
-		SendProcCycles:   softwareSendTax,
-		ResumeProcCycles: softwareResumeTax,
-		NICHWDelay:       0,
-		IngressLatency:   500 * sim.Nanosecond,
+		GlobalCoherence: true,
 	}
 }
 
@@ -392,12 +368,7 @@ func ServerClassConfig(n int) Config {
 		ICNContention: true,
 		IOViaICN:      true,
 
-		GlobalCoherence:  true,
-		RPCProcCycles:    softwareReceiveTax,
-		SendProcCycles:   softwareSendTax,
-		ResumeProcCycles: softwareResumeTax,
-		NICHWDelay:       0,
-		IngressLatency:   500 * sim.Nanosecond,
+		GlobalCoherence: true,
 	}
 }
 
@@ -468,10 +439,6 @@ func WithHWScheduling(c Config) Config {
 	c.Policy.CSCycles = cs
 	c.RQCapacity = defaultRQCapacity
 	c.NICBufCapacity = defaultNICBufCap
-	c.RPCProcCycles = 0
-	c.SendProcCycles = 0
-	c.ResumeProcCycles = 0
-	c.NICHWDelay = 200 * sim.Nanosecond
 	return c
 }
 

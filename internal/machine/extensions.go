@@ -18,10 +18,8 @@ import (
 //   - Core stealing (§8 future work): a core whose assigned service has no
 //     ready work may temporarily serve a co-located instance's requests.
 //   - Heterogeneous villages (§8 future work): the first fraction of
-//     villages get faster cores. Only co-located placement puts the
-//     heaviest services there; plain pinned placement gives each service
-//     a contiguous range of villages in service-ID order, so the big ones
-//     go to whichever services come first.
+//     villages get faster cores, and placement hands them to the heaviest
+//     services first.
 //
 // All are off by default and exercised by the ablation benchmarks.
 
@@ -184,10 +182,10 @@ func serviceWeights(catalog *workload.Catalog, mix []workload.MixEntry) map[int]
 }
 
 // applyHeterogeneity marks the first BigVillageFrac of domains as big-core
-// villages, whose compute-speed divisor is PerfFactor × BigCorePerf.
-// placeColocated allocates heavy services from domain 0 upward, so under
-// co-location the heaviest land on big cores; place allocates in
-// service-ID order, whatever the services' weights.
+// villages, whose compute-speed divisor is PerfFactor × BigCorePerf. Both
+// placements allocate heavy services from domain 0 upward, so the heaviest
+// land on big cores: placeColocated by weight, place by weight × mean
+// compute.
 func (m *Machine) applyHeterogeneity() {
 	e := m.cfg.Extensions
 	if e.BigVillageFrac <= 0 {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -150,6 +151,53 @@ func TestHeterogeneousVillages(t *testing.T) {
 	if hetero.Latency.Mean >= homog.Latency.Mean {
 		t.Fatalf("heterogeneous villages did not help: %v vs %v",
 			hetero.Latency.Mean, homog.Latency.Mean)
+	}
+}
+
+// TestBigVillagesGoToHeaviestServices: pinned placement hands the big
+// villages to the services that compute most per request (weight × mean
+// compute), and without big villages keeps the ranges in service-ID order.
+func TestBigVillagesGoToHeaviestServices(t *testing.T) {
+	app := appByName(t, "CPost")
+	cfg := UManycoreConfig()
+	cfg.Extensions.BigVillageFrac = 0.25
+	cfg.Extensions.BigCorePerf = 1.65
+	m := New(sim.NewEngine(1), cfg, app)
+	weights := serviceWeights(app.Catalog, m.mix)
+	load := func(svc int) float64 { return weights[svc] * app.Catalog.Service(svc).MeanComputeMicros() }
+	var svcs []int
+	for svc := range weights {
+		svcs = append(svcs, svc)
+	}
+	slices.Sort(svcs)
+	slices.SortStableFunc(svcs, func(a, b int) int { return cmp.Compare(load(b), load(a)) })
+	// From the heaviest service down, every big village comes before the
+	// first small one.
+	sawSmall := false
+	for i, svc := range svcs {
+		big := 0
+		for _, dom := range m.instances[svc] {
+			if m.perfOf(dom) > cfg.PerfFactor {
+				big++
+			}
+		}
+		n := len(m.instances[svc])
+		t.Logf("%-8s load %7.1f: %d of %d villages big", app.Catalog.Service(svc).Name, load(svc), big, n)
+		if i == 0 && big == 0 {
+			t.Errorf("heaviest service %s has no big village", app.Catalog.Service(svc).Name)
+		}
+		if sawSmall && big > 0 {
+			t.Errorf("%s has %d big villages after a heavier service got a small one", app.Catalog.Service(svc).Name, big)
+		}
+		sawSmall = sawSmall || big < n
+	}
+	homog := New(sim.NewEngine(1), UManycoreConfig(), app)
+	slices.Sort(svcs)
+	for i := 1; i < len(svcs); i++ {
+		if homog.instances[svcs[i]][0].id <= homog.instances[svcs[i-1]][0].id {
+			t.Fatalf("homogeneous ranges not in service-ID order: service %d starts at domain %d, service %d at %d",
+				svcs[i-1], homog.instances[svcs[i-1]][0].id, svcs[i], homog.instances[svcs[i]][0].id)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"umanycore/internal/dist"
 	"umanycore/internal/icn"
@@ -568,7 +569,14 @@ func (m *Machine) place(weights map[int]float64) {
 	}
 	// The allocations now sum to len(m.domains), so each service takes the
 	// next contiguous range. The range is capacity-capped: an append to it
-	// copies instead of overwriting the next service's domains.
+	// copies instead of overwriting the next service's domains. With big
+	// villages the ranges go out by descending weight × mean compute, so
+	// the services that compute most start at domain 0, where
+	// applyHeterogeneity puts the big cores; otherwise in service-ID order.
+	if m.cfg.Extensions.BigVillageFrac > 0 {
+		load := func(a alloc) float64 { return weights[a.svc] * m.catalog.Service(a.svc).MeanComputeMicros() }
+		sort.SliceStable(allocs, func(i, j int) bool { return load(allocs[i]) > load(allocs[j]) })
+	}
 	next := 0
 	for _, a := range allocs {
 		m.instances[a.svc] = m.domains[next : next+a.n : next+a.n]
@@ -633,7 +641,7 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, mode replyMode, to Re
 	// Top-level NIC → village. Conventional designs carry external traffic
 	// across the on-package fabric from the I/O corner; μManycore delivers
 	// via the leaf NH's direct port.
-	at := now + m.cfg.IngressLatency + m.cfg.NICHWDelay
+	at := now + ingressLatency + m.cost.nic
 	if m.cfg.IOViaICN {
 		at, _ = m.ioDeliverIn(at, int(dom.endpoint), reqMsgBytes)
 	}
@@ -686,7 +694,7 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, to Reply)
 	if m.trace != nil && link != 0 {
 		inv.span = m.trace.StartRemote(inv.id, link, int16(svcID), now)
 	}
-	at := now + m.cfg.IngressLatency + m.cfg.NICHWDelay
+	at := now + ingressLatency + m.cost.nic
 	if m.cfg.IOViaICN {
 		at, _ = m.ioDeliverIn(at, int(dom.endpoint), reqMsgBytes)
 	}
@@ -809,7 +817,7 @@ func (m *Machine) reject(inv *invocation) {
 			// rejection answers the front end. It turns around at the NIC
 			// boundary where the admission check lives (§4.3) — one ingress
 			// latency, no ICN crossing.
-			m.replyHook(inv.reply, m.eng.Now()+m.cfg.IngressLatency, true)
+			m.replyHook(inv.reply, m.eng.Now()+ingressLatency, true)
 		}
 	}
 	m.freeInv(inv)
@@ -1267,7 +1275,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 	at, hops := m.topo.Deliver(dep, src, dst, reqMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
-	at += m.cfg.NICHWDelay
+	at += m.cost.nic
 	at = shrink(dep, at, m.sp.net)
 	if m.remoteSend == nil && m.cfg.RemoteCallFrac > 0 && rng.Float64() < m.cfg.RemoteCallFrac {
 		// Uncoupled (symmetric-server) approximation: the child still runs
@@ -1346,7 +1354,7 @@ func (m *Machine) RemoteResponse(token int32, done sim.Time) {
 		m.hopSum += uint64(hops)
 		m.msgCount++
 	}
-	at += m.cfg.NICHWDelay
+	at += m.cost.nic
 	at = shrink(back, at, m.sp.net)
 	if call.span != 0 {
 		if at > done {
@@ -1462,10 +1470,10 @@ func (m *Machine) respond(inv *invocation) {
 	rng := m.rand(streamICN)
 	if inv.parent == nil {
 		now := m.eng.Now()
-		at := now + m.cfg.IngressLatency
+		at := now + ingressLatency
 		if m.cfg.IOViaICN {
 			at, _ = m.ioDeliverOut(now, int(inv.dom.endpoint), respMsgBytes)
-			at += m.cfg.IngressLatency
+			at += ingressLatency
 		}
 		if inv.span != 0 {
 			if at > now {
@@ -1491,7 +1499,7 @@ func (m *Machine) respond(inv *invocation) {
 	at, hops := m.topo.Deliver(m.eng.Now(), src, dst, respMsgBytes, rng, m.cfg.ICNContention)
 	m.hopSum += uint64(hops)
 	m.msgCount++
-	at += m.cfg.NICHWDelay
+	at += m.cost.nic
 	at = shrink(m.eng.Now(), at, m.sp.net)
 	if inv.remote {
 		at += m.cfg.RemoteRTT / 2

@@ -58,8 +58,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Topo = LeafSpineTopo; c.LeafSpineCfg.L3Count = 0 },
 		func(c *Config) { c.Topo = 7 },
 		func(c *Config) { c.Placement = 2 },
-		func(c *Config) { c.NICHWDelay = -1 },
-		func(c *Config) { c.RPCProcCycles = -1 },
 		func(c *Config) { c.Policy.CSCycles = -1 },
 		func(c *Config) { c.StorageLossProb = 1 },
 		func(c *Config) { c.StorageLossProb = math.NaN() },
@@ -142,6 +140,56 @@ func TestTopologySensitivityConfigs(t *testing.T) {
 	}
 }
 
+// TestDerivedRPCCosts pins the RPC taxes and NIC delay newCostTable
+// derives from Policy.HardwareRQ to the values every evaluated config set
+// by hand when they were config fields: a software stack's receive, send
+// and resume taxes in cycles with no NIC delay, or the hardware NIC's zero
+// taxes and 200 ns per message. Every machine pays the 500 ns ingress.
+func TestDerivedRPCCosts(t *testing.T) {
+	// Fig 3's lock-protected FCFS queues.
+	lockFCFS := ScaleOutConfig()
+	lockFCFS.Domains = 64
+	lockFCFS.TreeAffinity = true
+	lockFCFS.IOViaICN = false
+	lockFCFS.Policy = sched.Policy{CSCycles: sched.SoftwareCSCycles, DequeueCycles: 100, EnqueueCycles: 60, WorkStealing: true, StealCycles: 1200}
+	villages := WithVillages(ScaleOutConfig())
+	leafSpine := WithLeafSpine(villages)
+	hwSched := WithHWScheduling(leafSpine)
+	software := [3]int{48000, 15000, 15000}
+	for _, tc := range []struct {
+		cfg               Config
+		receiveSendResume [3]int
+		nic               sim.Time
+	}{
+		{ServerClassConfig(40), software, 0},
+		{ServerClassConfig(128), software, 0},
+		{ScaleOutConfig(), software, 0},
+		{UManycoreConfig(), [3]int{}, 200 * sim.Nanosecond},
+		{villages, software, 0},
+		{leafSpine, software, 0},
+		{hwSched, [3]int{}, 200 * sim.Nanosecond},
+		{WithHWContextSwitch(hwSched), [3]int{}, 200 * sim.Nanosecond},
+		{lockFCFS, software, 0},
+		{UManycoreTopologyConfig(16, 4, 16), [3]int{}, 200 * sim.Nanosecond},
+	} {
+		c := newCostTable(&tc.cfg, StageSpeedups{}.scales())
+		want := tc.receiveSendResume
+		got := [3]sim.Time{c.rpcProc, c.sendProc, c.resumeProc}
+		for i, cycles := range want {
+			if got[i] != tc.cfg.CyclesToTime(cycles) {
+				t.Errorf("%s: receive/send/resume taxes %v, want %v cycles at %v GHz", tc.cfg.Name, got, want, tc.cfg.FreqGHz)
+				break
+			}
+		}
+		if c.nic != tc.nic {
+			t.Errorf("%s: NIC delay %v, want %v", tc.cfg.Name, c.nic, tc.nic)
+		}
+	}
+	if ingressLatency != 500*sim.Nanosecond {
+		t.Errorf("ingress latency %v, want 500ns", ingressLatency)
+	}
+}
+
 func TestTechniqueLadderConfigs(t *testing.T) {
 	s0 := ScaleOutConfig()
 	s1 := WithVillages(s0)
@@ -153,7 +201,7 @@ func TestTechniqueLadderConfigs(t *testing.T) {
 		t.Fatal("leaf-spine step")
 	}
 	s3 := WithHWScheduling(s2)
-	if !s3.Policy.HardwareRQ || s3.RPCProcCycles != 0 {
+	if !s3.Policy.HardwareRQ {
 		t.Fatal("hw sched step")
 	}
 	if s3.Policy.CSCycles != sched.SoftwareCSCycles {

@@ -12,10 +12,10 @@ import (
 )
 
 // queueOnlyConfig strips the machine down to a bare FCFS service center:
-// one domain of c cores, hardware queueing with zero instruction costs, no
-// ingress or NIC latency, and nothing crossing the ICN — so measured sojourn times must match
-// closed-form queueing theory. This validates the arrival, dispatch, and
-// resource machinery everything else builds on.
+// one domain of c cores, hardware queueing with zero instruction costs and
+// nothing crossing the ICN — so measured sojourn times, less the fixed
+// pathUs, must match closed-form queueing theory. This validates the
+// arrival, dispatch, and resource machinery everything else builds on.
 func queueOnlyConfig(cores int) Config {
 	return Config{
 		Name:       "theory",
@@ -24,7 +24,6 @@ func queueOnlyConfig(cores int) Config {
 		PerfFactor: 1,
 		Domains:    1,
 		Policy: sched.Policy{
-			Name:       "ideal",
 			HardwareRQ: true,
 			// Zero-cost scheduling: the theoretical server.
 		},
@@ -35,6 +34,11 @@ func queueOnlyConfig(cores int) Config {
 		ICNContention:  false,
 	}
 }
+
+// pathUs is the fixed latency every request adds to its queueing-center
+// sojourn: ingress and the hardware NIC on the way in, ingress on the way
+// out.
+var pathUs = (2*ingressLatency + hwNICDelay).Micros()
 
 func runTheory(t *testing.T, cores int, distName string, meanUs, rps float64, seed int64) *Result {
 	t.Helper()
@@ -68,6 +72,7 @@ func TestSimMatchesMM1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w += pathUs
 		if e := relErr(res.Latency.Mean, w); e > 0.08 {
 			t.Errorf("M/M/1 rho=%v: sim W=%v theory=%v (err %.1f%%)",
 				rho, res.Latency.Mean, w, e*100)
@@ -94,6 +99,7 @@ func TestSimMatchesMMc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w += pathUs
 		if e := relErr(res.Latency.Mean, w); e > 0.08 {
 			t.Errorf("M/M/%d rho=%v: sim W=%v theory=%v (err %.1f%%)",
 				tc.c, tc.rho, res.Latency.Mean, w, e*100)
@@ -116,6 +122,7 @@ func TestSimMatchesMG1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wDet += pathUs
 	if e := relErr(det.Latency.Mean, wDet); e > 0.08 {
 		t.Errorf("M/D/1: sim W=%v theory=%v (err %.1f%%)", det.Latency.Mean, wDet, e*100)
 	}
@@ -125,6 +132,7 @@ func TestSimMatchesMG1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wLgn += pathUs
 	// Heavy-tailed service: sampling noise in E[S²] is larger; allow 15%.
 	if e := relErr(lgn.Latency.Mean, wLgn); e > 0.15 {
 		t.Errorf("M/LN/1: sim W=%v theory=%v (err %.1f%%)", lgn.Latency.Mean, wLgn, e*100)
@@ -149,7 +157,7 @@ func TestSimMatchesMM1Tail(t *testing.T) {
 	lambda := rho / meanUs
 	res := runTheory(t, 1, "exponential", meanUs, lambda*1e6, 23)
 	// For M/M/1, sojourn is exponential with rate μ−λ: P99 = ln(100)/(μ−λ).
-	p99 := math.Log(100) / (1/meanUs - lambda)
+	p99 := math.Log(100)/(1/meanUs-lambda) + pathUs
 	if e := relErr(res.Latency.P99, p99); e > 0.12 {
 		t.Errorf("M/M/1 P99: sim=%v theory=%v (err %.1f%%)", res.Latency.P99, p99, e*100)
 	}

@@ -40,7 +40,7 @@ type StageSpeedups struct {
 	// Net scales the on-package wire legs: ICN traversals and NIC hardware
 	// delay for child RPCs, responses and I/O funnel traffic. The
 	// inter-server RTT legs of a coupled fleet are deliberately NOT scaled:
-	// the PDES coupling's conservative lookahead is InterServerRTT/2, and
+	// the PDES coupling's conservative lookahead is Config.RemoteRTT/2, and
 	// keeping those legs intact keeps every cross-server message at least
 	// one lookahead after its sender's clock.
 	Net float64
@@ -129,14 +129,16 @@ func shrink(from, to sim.Time, f float64) sim.Time {
 	return from + sim.Time(f*float64(to-from))
 }
 
-// costTable holds every fixed cycle cost the event path charges, each
-// converted to time and what-if scaled once, at construction, by the
-// expression the event path would otherwise evaluate per event.
+// costTable holds every fixed cost the event path charges, each converted
+// to time and what-if scaled once, at construction, by the expression the
+// event path would otherwise evaluate per event. The RPC taxes and the NIC
+// delay follow from Policy.HardwareRQ (see softwareReceiveTax).
 type costTable struct {
 	cs            sim.Time // context save or restore (Policy.CSCycles)
 	rpcProc       sim.Time // RPC receive processing on first dispatch
 	resumeProc    sim.Time // response deserialization on resume
 	sendProc      sim.Time // send processing per child RPC
+	nic           sim.Time // hardware NIC per message, unscaled: Net shrinks the whole leg
 	coherence     sim.Time // resume on another core under global coherence
 	villageResume sim.Time // resume on another core of the village
 	steal         sim.Time // software work-steal (Policy.StealCycles)
@@ -152,11 +154,16 @@ func newCostTable(cfg *Config, sp stageScale) costTable {
 	locked := func(cycles int) sim.Time {
 		return shrink(0, sim.Time(float64(cfg.CyclesToTime(cycles))*lock), sp.sched)
 	}
+	receive, resume, send, nic := softwareReceiveTax, softwareResumeTax, softwareSendTax, sim.Time(0)
+	if cfg.Policy.HardwareRQ {
+		receive, resume, send, nic = 0, 0, 0, hwNICDelay
+	}
 	return costTable{
 		cs:            scaled(cfg.Policy.CSCycles, sp.cs),
-		rpcProc:       scaled(cfg.RPCProcCycles, sp.rpc),
-		resumeProc:    scaled(cfg.ResumeProcCycles, sp.rpc),
-		sendProc:      scaled(cfg.SendProcCycles, sp.rpc),
+		rpcProc:       scaled(receive, sp.rpc),
+		resumeProc:    scaled(resume, sp.rpc),
+		sendProc:      scaled(send, sp.rpc),
+		nic:           nic,
 		coherence:     scaled(coherencePenaltyCycles, sp.mem),
 		villageResume: scaled(villageResumePenaltyCycles, sp.mem),
 		steal:         scaled(cfg.Policy.StealCycles, sp.sched),

@@ -8,7 +8,6 @@ package sched
 // requests. All cycle costs are in core cycles; the machine model converts
 // them to time at its clock frequency.
 type Policy struct {
-	Name string
 	// HardwareRQ selects the per-village hardware request queue (§4.3):
 	// enqueue/dequeue without software synchronization.
 	HardwareRQ bool
@@ -42,7 +41,6 @@ const (
 // HardwareSched is μManycore's policy: hardware RQ, hardware context switch.
 func HardwareSched() Policy {
 	return Policy{
-		Name:          "hw",
 		HardwareRQ:    true,
 		CSCycles:      HardwareCSCycles,
 		DequeueCycles: 16, // the Dequeue instruction
@@ -53,7 +51,6 @@ func HardwareSched() Policy {
 // ShinjukuSched models the centralized preemptive scheduler of Kaffes et al.
 func ShinjukuSched() Policy {
 	return Policy{
-		Name:          "shinjuku",
 		CSCycles:      SoftwareCSCycles,
 		DequeueCycles: 400,
 		EnqueueCycles: 200,
@@ -64,7 +61,6 @@ func ShinjukuSched() Policy {
 // ZygOSSched models the work-stealing scheduler of Prekas et al.
 func ZygOSSched() Policy {
 	return Policy{
-		Name:          "zygos",
 		CSCycles:      SoftwareCSCycles,
 		DequeueCycles: 350,
 		EnqueueCycles: 200,

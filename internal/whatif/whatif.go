@@ -42,8 +42,8 @@ type Target struct {
 	// is set.
 	Machine machine.Config
 	// Fleet, when non-nil, profiles the coupled fleet instead (its
-	// embedded Machine is the base config). Machine.WhatIf and
-	// WhatIfPerServer must be zero.
+	// embedded Machine is the base config). Its Machine.WhatIf must be
+	// zero.
 	Fleet *fleet.Config
 	// App and RPS are the workload and total offered load.
 	App *workload.App
@@ -152,7 +152,7 @@ func Run(t Target, o Options) (*Report, error) {
 		return nil, fmt.Errorf("whatif: Target.RC must not enable obs/telemetry (the engine traces internally)")
 	}
 	if t.Fleet != nil {
-		if !t.Fleet.Machine.WhatIf.IsZero() || len(t.Fleet.WhatIfPerServer) > 0 {
+		if !t.Fleet.Machine.WhatIf.IsZero() {
 			return nil, fmt.Errorf("whatif: Target.Fleet already sets WhatIf speedups")
 		}
 	} else if !t.Machine.WhatIf.IsZero() {

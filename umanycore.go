@@ -86,9 +86,9 @@ type (
 	// attribution migrates between two analyses of the same workload.
 	BlameDiff = obs.ReportDiff
 	// StageSpeedups virtually accelerates pipeline stages for causal
-	// profiling (set on Config.WhatIf, or per server on
-	// FleetConfig.WhatIfPerServer; each field removes that fraction of the
-	// stage's configured cost).
+	// profiling (set on Config.WhatIf, or on a FleetConfig's Machine.WhatIf
+	// for every server; each field removes that fraction of the stage's
+	// configured cost).
 	StageSpeedups = machine.StageSpeedups
 	// WhatIfTarget selects the system a causal-profiling grid studies.
 	WhatIfTarget = whatif.Target
